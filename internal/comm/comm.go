@@ -15,10 +15,26 @@ import (
 	"repro/internal/tensor"
 )
 
+// Kind is the payload class of a transfer.
+type Kind uint8
+
+const (
+	Act  Kind = iota // a stage's output, travelling forward
+	Grad             // an output gradient, travelling backward
+)
+
+// String renders the kind as the tag diagnostics always have.
+func (k Kind) String() string {
+	if k == Grad {
+		return "grad"
+	}
+	return "act"
+}
+
 // Tag identifies one transfer: payload kind, micro-batch, stage and the
 // directed device pair.
 type Tag struct {
-	Kind  string // "act" or "grad"
+	Kind  Kind
 	Micro int
 	Stage int
 	Src   int
@@ -42,12 +58,12 @@ type Stats struct {
 
 // Router moves tensors between workers of one pipeline replica.
 type Router struct {
-	mu    sync.Mutex
-	boxes map[Tag]chan *tensor.Tensor
-	stats Stats
-	// capacity per mailbox; 1 suffices because tags are unique per
-	// iteration, but re-used tags across iterations need draining, which
-	// Reset handles.
+	mu sync.Mutex
+	// boxes holds one mailbox per tag ever used, of capacity 1: a tag is
+	// sent at most once per iteration. A schedule repeats its tags every
+	// iteration, so Reset and Discard empty the mailboxes and keep them.
+	boxes  map[Tag]chan *tensor.Tensor
+	stats  Stats
 	closed bool
 }
 
@@ -56,9 +72,8 @@ func NewRouter() *Router {
 	return &Router{boxes: map[Tag]chan *tensor.Tensor{}}
 }
 
+// box returns t's mailbox, creating it on first use. r.mu must be held.
 func (r *Router) box(t Tag) chan *tensor.Tensor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.closed {
 		panic("comm: router used after Close")
 	}
@@ -73,13 +88,12 @@ func (r *Router) box(t Tag) chan *tensor.Tensor {
 // Send delivers payload under tag t without blocking the caller.
 // Each tag may be sent at most once between Resets.
 func (r *Router) Send(t Tag, payload *tensor.Tensor) {
-	ch := r.box(t)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	select {
-	case ch <- payload:
-		r.mu.Lock()
+	case r.box(t) <- payload:
 		r.stats.Messages++
 		r.stats.Bytes += payload.NumBytes()
-		r.mu.Unlock()
 	default:
 		panic(fmt.Sprintf("comm: duplicate send for tag %v", t))
 	}
@@ -97,15 +111,18 @@ func (r *Router) Recv(t Tag) *tensor.Tensor {
 // interpreter's concurrent driver tear down peers after a hook error
 // instead of leaving them blocked forever.
 func (r *Router) RecvAbort(t Tag, done <-chan struct{}) (*tensor.Tensor, bool) {
+	r.mu.Lock()
 	ch := r.box(t)
 	select {
 	case p := <-ch:
-		r.mu.Lock()
 		r.stats.PrefetchHits++
 		r.mu.Unlock()
 		return p, true
 	default:
 	}
+	r.mu.Unlock()
+	// Only a receive that has to wait pays for the clock and a second
+	// visit to the lock.
 	start := time.Now()
 	select {
 	case p := <-ch:
@@ -121,6 +138,8 @@ func (r *Router) RecvAbort(t Tag, done <-chan struct{}) (*tensor.Tensor, bool) {
 
 // TryRecv returns the payload if already delivered.
 func (r *Router) TryRecv(t Tag) (*tensor.Tensor, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	select {
 	case p := <-r.box(t):
 		return p, true
@@ -149,39 +168,39 @@ func (r *Router) Stats() Stats {
 	return r.stats
 }
 
-// Reset drops all mailboxes (between iterations, so tags can repeat).
-// Undelivered messages are an error: the schedule should have consumed all.
-func (r *Router) Reset() error {
+// drain empties every mailbox, keeping the mailboxes themselves, and
+// reports how many payloads it dropped and the tag of one of them.
+func (r *Router) drain() (n int, dropped Tag) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for t, ch := range r.boxes {
 		select {
 		case <-ch:
-			return fmt.Errorf("comm: undelivered message %v at reset", t)
+			n, dropped = n+1, t
 		default:
 		}
 	}
-	r.boxes = map[Tag]chan *tensor.Tensor{}
+	return n, dropped
+}
+
+// Reset ends an iteration so its tags can repeat. Every mailbox must be
+// empty — the schedule should have consumed every message — and an
+// undelivered one is an error (it is dropped, so the router is clean
+// either way).
+func (r *Router) Reset() error {
+	if n, t := r.drain(); n > 0 {
+		return fmt.Errorf("comm: undelivered message %v at reset", t)
+	}
 	return nil
 }
 
-// Discard drops all mailboxes including any undelivered payloads and
+// Discard empties all mailboxes, undelivered payloads included, and
 // reports how many it threw away. This is the teardown path after an
 // aborted iteration — peers were canceled mid-schedule, so in-flight
 // messages are expected, unlike Reset, which treats them as schedule
 // bugs. The router is immediately reusable.
 func (r *Router) Discard() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, ch := range r.boxes {
-		select {
-		case <-ch:
-			n++
-		default:
-		}
-	}
-	r.boxes = map[Tag]chan *tensor.Tensor{}
+	n, _ := r.drain()
 	return n
 }
 

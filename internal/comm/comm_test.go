@@ -10,7 +10,7 @@ import (
 
 func TestSendThenRecv(t *testing.T) {
 	r := NewRouter()
-	tag := Tag{Kind: "act", Micro: 0, Stage: 1, Src: 0, Dst: 1}
+	tag := Tag{Kind: Act, Micro: 0, Stage: 1, Src: 0, Dst: 1}
 	payload := tensor.Ones(2, 2)
 	r.Send(tag, payload)
 	got := r.Recv(tag)
@@ -28,7 +28,7 @@ func TestSendThenRecv(t *testing.T) {
 
 func TestRecvBlocksUntilSend(t *testing.T) {
 	r := NewRouter()
-	tag := Tag{Kind: "grad", Micro: 3, Stage: 2, Src: 1, Dst: 0}
+	tag := Tag{Kind: Grad, Micro: 3, Stage: 2, Src: 1, Dst: 0}
 	done := make(chan *tensor.Tensor)
 	go func() { done <- r.Recv(tag) }()
 	time.Sleep(20 * time.Millisecond) // give the receiver time to block
@@ -48,7 +48,7 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 
 func TestDuplicateSendPanics(t *testing.T) {
 	r := NewRouter()
-	tag := Tag{Kind: "act", Micro: 0, Stage: 0, Src: 0, Dst: 1}
+	tag := Tag{Kind: Act, Micro: 0, Stage: 0, Src: 0, Dst: 1}
 	r.Send(tag, tensor.Ones(1))
 	defer func() {
 		if recover() == nil {
@@ -60,7 +60,7 @@ func TestDuplicateSendPanics(t *testing.T) {
 
 func TestTryRecv(t *testing.T) {
 	r := NewRouter()
-	tag := Tag{Kind: "act", Micro: 1, Stage: 1, Src: 0, Dst: 1}
+	tag := Tag{Kind: Act, Micro: 1, Stage: 1, Src: 0, Dst: 1}
 	if _, ok := r.TryRecv(tag); ok {
 		t.Fatal("TryRecv on empty box")
 	}
@@ -74,8 +74,8 @@ func TestBatchExchangeBidirectional(t *testing.T) {
 	// Two workers exchange in opposite directions simultaneously — the
 	// pattern that deadlocks naive blocking sends.
 	r := NewRouter()
-	t01 := Tag{Kind: "act", Micro: 0, Stage: 1, Src: 0, Dst: 1}
-	t10 := Tag{Kind: "act", Micro: 1, Stage: 0, Src: 1, Dst: 0}
+	t01 := Tag{Kind: Act, Micro: 0, Stage: 1, Src: 0, Dst: 1}
+	t10 := Tag{Kind: Act, Micro: 1, Stage: 0, Src: 1, Dst: 0}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -97,12 +97,12 @@ func TestBatchExchangeBidirectional(t *testing.T) {
 
 func TestResetDetectsUndelivered(t *testing.T) {
 	r := NewRouter()
-	r.Send(Tag{Kind: "act", Micro: 0, Stage: 0, Src: 0, Dst: 1}, tensor.Ones(1))
+	r.Send(Tag{Kind: Act, Micro: 0, Stage: 0, Src: 0, Dst: 1}, tensor.Ones(1))
 	if err := r.Reset(); err == nil {
 		t.Fatal("reset must flag undelivered messages")
 	}
 	r2 := NewRouter()
-	tag := Tag{Kind: "act", Micro: 0, Stage: 0, Src: 0, Dst: 1}
+	tag := Tag{Kind: Act, Micro: 0, Stage: 0, Src: 0, Dst: 1}
 	r2.Send(tag, tensor.Ones(1))
 	r2.Recv(tag)
 	if err := r2.Reset(); err != nil {
@@ -121,7 +121,7 @@ func TestCloseCatchesUseAfter(t *testing.T) {
 			t.Fatal("expected panic on use after close")
 		}
 	}()
-	r.Send(Tag{Kind: "act"}, tensor.Ones(1))
+	r.Send(Tag{Kind: Act}, tensor.Ones(1))
 }
 
 func TestConcurrentManyWorkers(t *testing.T) {
@@ -138,7 +138,7 @@ func TestConcurrentManyWorkers(t *testing.T) {
 				if dst == src {
 					continue
 				}
-				r.Send(Tag{Kind: "act", Micro: src, Stage: dst, Src: src, Dst: dst}, tensor.Ones(4))
+				r.Send(Tag{Kind: Act, Micro: src, Stage: dst, Src: src, Dst: dst}, tensor.Ones(4))
 			}
 		}(src)
 	}
@@ -150,7 +150,7 @@ func TestConcurrentManyWorkers(t *testing.T) {
 				if dst == src {
 					continue
 				}
-				r.Recv(Tag{Kind: "act", Micro: src, Stage: dst, Src: src, Dst: dst})
+				r.Recv(Tag{Kind: Act, Micro: src, Stage: dst, Src: src, Dst: dst})
 			}
 		}(dst)
 	}
@@ -165,8 +165,8 @@ func TestConcurrentManyWorkers(t *testing.T) {
 
 func TestDiscardDropsInFlight(t *testing.T) {
 	r := NewRouter()
-	r.Send(Tag{Kind: "act", Micro: 0, Stage: 1, Src: 0, Dst: 1}, tensor.Ones(2, 2))
-	r.Send(Tag{Kind: "grad", Micro: 1, Stage: 1, Src: 1, Dst: 0}, tensor.Ones(2, 2))
+	r.Send(Tag{Kind: Act, Micro: 0, Stage: 1, Src: 0, Dst: 1}, tensor.Ones(2, 2))
+	r.Send(Tag{Kind: Grad, Micro: 1, Stage: 1, Src: 1, Dst: 0}, tensor.Ones(2, 2))
 	if n := r.Discard(); n != 2 {
 		t.Fatalf("Discard dropped %d payloads, want 2", n)
 	}
@@ -174,9 +174,87 @@ func TestDiscardDropsInFlight(t *testing.T) {
 		t.Fatalf("router not clean after Discard: %v", err)
 	}
 	// Tags are reusable immediately — the aborted iteration's sends are gone.
-	tag := Tag{Kind: "act", Micro: 0, Stage: 1, Src: 0, Dst: 1}
+	tag := Tag{Kind: Act, Micro: 0, Stage: 1, Src: 0, Dst: 1}
 	r.Send(tag, tensor.Ones(2, 2))
 	if _, ok := r.TryRecv(tag); !ok {
 		t.Fatal("router unusable after Discard")
+	}
+}
+
+// TestTagReuseAcrossIterations: a schedule repeats its tags every
+// iteration. Reset keeps the mailboxes, so from the second iteration on a
+// send/receive/reset round allocates nothing, and the counters keep
+// running across resets.
+func TestTagReuseAcrossIterations(t *testing.T) {
+	r := NewRouter()
+	tags := []Tag{
+		{Kind: Act, Micro: 0, Stage: 1, Src: 0, Dst: 1},
+		{Kind: Grad, Micro: 0, Stage: 0, Src: 1, Dst: 0},
+		{Kind: Act, Micro: 1, Stage: 1, Src: 0, Dst: 1},
+	}
+	payload := tensor.Ones(2)
+	iteration := func() {
+		for _, tag := range tags {
+			r.Send(tag, payload)
+		}
+		for _, tag := range tags {
+			if r.Recv(tag) != payload {
+				t.Fatal("payload identity lost")
+			}
+		}
+		if err := r.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		iteration()
+	}
+	if st := r.Stats(); st.Messages != 9 || st.PrefetchHits != 9 || st.Bytes != 9*8 {
+		t.Fatalf("stats after three iterations: %+v", st)
+	}
+	if n := testing.AllocsPerRun(10, iteration); n != 0 {
+		t.Fatalf("a repeated iteration allocates %.0f objects: mailboxes are being rebuilt", n)
+	}
+	if got, want := tags[1].String(), "grad m0 s0 1->0"; got != want {
+		t.Fatalf("tag renders as %q, want %q", got, want)
+	}
+	if got, want := tags[0].String(), "act m0 s1 0->1"; got != want {
+		t.Fatalf("tag renders as %q, want %q", got, want)
+	}
+}
+
+// TestDiscardAfterAbort: an aborted iteration leaves one receiver canceled
+// mid-wait and one payload undelivered. Discard drops the payload, and the
+// same tags then carry a full iteration that Reset accepts.
+func TestDiscardAfterAbort(t *testing.T) {
+	r := NewRouter()
+	sent := Tag{Kind: Act, Micro: 0, Stage: 1, Src: 0, Dst: 1}
+	awaited := Tag{Kind: Grad, Micro: 0, Stage: 0, Src: 1, Dst: 0}
+	r.Send(sent, tensor.Ones(2))
+	done := make(chan struct{})
+	got := make(chan bool)
+	go func() {
+		_, ok := r.RecvAbort(awaited, done)
+		got <- ok
+	}()
+	close(done)
+	if <-got {
+		t.Fatal("RecvAbort returned a payload nobody sent")
+	}
+	if n := r.Discard(); n != 1 {
+		t.Fatalf("Discard dropped %d payloads, want the 1 undelivered", n)
+	}
+	if n := r.Discard(); n != 0 {
+		t.Fatalf("second Discard dropped %d", n)
+	}
+	for _, tag := range []Tag{sent, awaited} {
+		p := tensor.Ones(2)
+		r.Send(tag, p)
+		if q, ok := r.RecvAbort(tag, nil); !ok || q != p {
+			t.Fatalf("tag %v unusable after Discard", tag)
+		}
+	}
+	if err := r.Reset(); err != nil {
+		t.Fatalf("router not clean after the retried iteration: %v", err)
 	}
 }

@@ -56,21 +56,28 @@ func (g *Generator) Next(b int) *Batch {
 }
 
 // SplitMicro splits a batch of B sequences into n micro-batches of equal
-// size; B must be divisible by n.
-func SplitMicro(b *Batch, n int) []*Batch {
+// size; B must be divisible by n. The micro-batches are views: they share
+// b's token and target storage.
+func SplitMicro(b *Batch, n int) []*Batch { return SplitMicroInto(nil, b, n) }
+
+// SplitMicroInto is SplitMicro reusing dst's batches and view tensors when
+// it already holds n of them, so splitting every step's batch allocates
+// nothing after the first. It returns the n views, valid while b is.
+func SplitMicroInto(dst []*Batch, b *Batch, n int) []*Batch {
 	rows := b.Inputs.Shape[0]
 	if rows%n != 0 {
 		panic(fmt.Sprintf("data: batch %d not divisible into %d micro-batches", rows, n))
 	}
 	seq := b.Inputs.Shape[1]
 	per := rows / n
-	out := make([]*Batch, n)
-	for i := 0; i < n; i++ {
-		in := tensor.New(per, seq)
-		copy(in.Data, b.Inputs.Data[i*per*seq:(i+1)*per*seq])
-		tg := make([]int, per*seq)
-		copy(tg, b.Targets[i*per*seq:(i+1)*per*seq])
-		out[i] = &Batch{Inputs: in, Targets: tg}
+	for len(dst) < n {
+		dst = append(dst, &Batch{Inputs: &tensor.Tensor{Shape: make([]int, 2)}})
 	}
-	return out
+	dst = dst[:n]
+	for i, mb := range dst {
+		mb.Inputs.Shape[0], mb.Inputs.Shape[1] = per, seq
+		mb.Inputs.Data = b.Inputs.Data[i*per*seq : (i+1)*per*seq]
+		mb.Targets = b.Targets[i*per*seq : (i+1)*per*seq]
+	}
+	return dst
 }

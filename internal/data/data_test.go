@@ -108,3 +108,23 @@ func TestQuickSplitRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSplitMicroIntoReusesViews: the micro-batches are views of the batch
+// they split, and re-splitting the next batch into the same views
+// allocates nothing.
+func TestSplitMicroIntoReusesViews(t *testing.T) {
+	g := NewGenerator(5, 12, 4)
+	a, b := g.Next(8), g.Next(8)
+	views := SplitMicroInto(nil, a, 4)
+	first := views[0]
+	if &views[1].Inputs.Data[0] != &a.Inputs.Data[2*4] || &views[1].Targets[0] != &a.Targets[2*4] {
+		t.Fatal("micro-batch 1 is not a view of rows 2-3 of its batch")
+	}
+	views = SplitMicroInto(views, b, 4)
+	if views[0] != first || &views[3].Inputs.Data[0] != &b.Inputs.Data[6*4] {
+		t.Fatal("re-splitting did not re-point the existing views at the new batch")
+	}
+	if n := testing.AllocsPerRun(10, func() { views = SplitMicroInto(views, a, 4) }); n != 0 {
+		t.Fatalf("re-splitting allocates %.0f objects", n)
+	}
+}

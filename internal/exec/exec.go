@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sched"
 )
@@ -125,8 +126,9 @@ type machine struct {
 
 func isSend(k sched.OpKind) bool { return k == sched.OpSendAct || k == sched.OpSendGrad }
 
-// interp is one interpreter invocation: options plus the collected
-// per-device Record timelines (each device appends only to its own slice).
+// interp is one replica of one interpreter invocation: options, the
+// replica's backend and its collected per-device Record timelines (each
+// device appends only to its own slice).
 type interp struct {
 	opt     Options
 	backend Backend
@@ -262,34 +264,37 @@ func Arena[T any](s []T, n int) []T {
 // The package-level Run and RunConcurrent drive a fresh Loop per call and
 // therefore return timelines the caller may retain.
 type Loop struct {
-	records [][]Record
+	records [][]Record // replica-major: replica r's device d at r·P+d
 	ms      []machine
 }
 
-// prepare resets the Loop for schedule s, reusing machine and timeline
-// storage when the arenas are already large enough.
-func (l *Loop) prepare(s *sched.Schedule) {
-	if cap(l.ms) < s.P {
-		l.ms = make([]machine, s.P)
-		l.records = make([][]Record, s.P)
+// prepare resets the Loop for replicas copies of schedule s, reusing
+// machine and timeline storage when the arenas are already large enough.
+func (l *Loop) prepare(s *sched.Schedule, replicas int) {
+	n := replicas * s.P
+	if cap(l.ms) < n {
+		l.ms = make([]machine, n)
+		l.records = make([][]Record, n)
 	}
-	l.ms = l.ms[:s.P]
-	l.records = l.records[:s.P]
+	l.ms = l.ms[:n]
+	l.records = l.records[:n]
 	for d := 0; d < s.P; d++ {
 		// Size each device's timeline at its exact compute-op count so the
 		// walking loop never grows a Record slice mid-run.
-		n := 0
+		ops := 0
 		for _, a := range s.Lists[d] {
 			if a.Kind.IsCompute() {
-				n++
+				ops++
 			}
 		}
-		if cap(l.records[d]) < n {
-			l.records[d] = make([]Record, 0, n)
-		} else {
-			l.records[d] = l.records[d][:0]
+		for i := d; i < n; i += s.P {
+			if cap(l.records[i]) < ops {
+				l.records[i] = make([]Record, 0, ops)
+			} else {
+				l.records[i] = l.records[i][:0]
+			}
+			l.ms[i] = machine{dev: d, list: s.Lists[d]}
 		}
-		l.ms[d] = machine{dev: d, list: s.Lists[d]}
 	}
 }
 
@@ -299,7 +304,7 @@ func (l *Loop) prepare(s *sched.Schedule) {
 // timelines (owned by the Loop, valid until its next run). This is the
 // driver for discrete-event (timing) backends.
 func (l *Loop) Run(s *sched.Schedule, b Backend, opt Options) ([][]Record, error) {
-	l.prepare(s)
+	l.prepare(s, 1)
 	ex := interp{opt: opt, backend: b, records: l.records}
 	ms := l.ms
 	for {
@@ -359,66 +364,113 @@ func RunConcurrent(s *sched.Schedule, b Backend, opt Options) ([][]Record, error
 	return l.RunConcurrent(s, b, opt)
 }
 
-// RunConcurrent drives the interpreter with one goroutine per device over
-// the Loop's reused machine and timeline arenas; see the package-level
-// RunConcurrent for the semantics. All device goroutines are joined before
-// returning — also on the cancellation path — so the Loop is immediately
-// reusable after a failed run and a canceled run leaks nothing.
+// RunConcurrent drives one replica concurrently over the Loop's reused
+// machine and timeline arenas; see the package-level RunConcurrent for the
+// semantics. It is Replicas.Run for a single replica, with that driver's
+// join and cancellation state made per call.
 func (l *Loop) RunConcurrent(s *sched.Schedule, b Backend, opt Options) ([][]Record, error) {
-	l.prepare(s)
-	ex := &interp{opt: opt, backend: b, records: l.records}
-	ms := l.ms
-	done := make(chan struct{})
-	var cancel sync.Once
-	if c, ok := b.(Cancellable); ok {
-		c.SetDone(done)
+	var g Replicas
+	recs, err := g.run(l, s, []Backend{b}, opt)
+	return recs[0], err
+}
+
+// Replicas is the reusable concurrent driver of a training engine: it walks
+// every data-parallel replica of a schedule at once, and on top of a Loop's
+// arenas keeps the join and cancellation state between runs, so a warm run
+// allocates nothing beyond one closure per device goroutine. The zero value
+// is ready to use; it is NOT safe for concurrent runs and must not be
+// copied after first use. Timelines are valid until the next Run.
+type Replicas struct {
+	loop    Loop
+	records [][][]Record // views of the loop's timelines, one per replica
+	exs     []interp     // one per replica
+	// done is closed by the first failing device of a run and replaced
+	// before the next; errs holds at most one error per device goroutine.
+	done     chan struct{}
+	canceled atomic.Bool
+	errs     chan error
+	wg       sync.WaitGroup
+}
+
+// Run drives len(backends) replicas of schedule s, one goroutine per
+// (replica, device), replica r's hooks going to backends[r]; see the
+// package-level RunConcurrent for the semantics. The replicas share one
+// cancellation: a hook error on any device of any replica stands every
+// other device down within one op, and the error that started the teardown
+// is the one reported. All device goroutines are joined before returning —
+// also on the cancellation path — so the driver is immediately reusable
+// after a failed run and a canceled run leaks nothing. The result is
+// replica r's per-device timelines at index r.
+func (g *Replicas) Run(s *sched.Schedule, backends []Backend, opt Options) ([][][]Record, error) {
+	return g.run(&g.loop, s, backends, opt)
+}
+
+func (g *Replicas) run(l *Loop, s *sched.Schedule, backends []Backend, opt Options) ([][][]Record, error) {
+	l.prepare(s, len(backends))
+	if cap(g.exs) < len(backends) {
+		g.exs = make([]interp, len(backends))
+		g.records = make([][][]Record, len(backends))
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, s.P)
-	for d := range ms {
-		wg.Add(1)
-		go func(m *machine) {
-			defer wg.Done()
-			for {
-				// Observe cancellation between steps, too: a device that is
-				// compute-bound (never blocks in Recv) must still stand down
-				// promptly when a peer's hook failed, or teardown latency is
-				// bounded by its remaining work instead of one op.
-				select {
-				case <-done:
-					errs <- fmt.Errorf("exec: device %d stopped by teardown: %w", m.dev, ErrCanceled)
-					return
-				default:
-				}
-				ok, err := ex.step(m)
-				if err != nil {
-					errs <- err
-					cancel.Do(func() { close(done) })
-					return
-				}
-				if !ok {
-					if m.pc < len(m.list) {
-						errs <- fmt.Errorf("exec: backend blocked device %d at %v in concurrent mode",
-							m.dev, m.list[m.pc])
-						cancel.Do(func() { close(done) })
-					}
-					return
-				}
-			}
-		}(&ms[d])
+	g.exs = g.exs[:len(backends)]
+	g.records = g.records[:len(backends)]
+	if g.done == nil || g.canceled.Load() {
+		g.done = make(chan struct{})
+		g.canceled.Store(false)
 	}
-	wg.Wait()
-	close(errs)
+	if cap(g.errs) < len(l.ms) {
+		g.errs = make(chan error, len(l.ms)) // one send per device goroutine
+	}
+	for r, b := range backends {
+		g.records[r] = l.records[r*s.P : (r+1)*s.P]
+		g.exs[r] = interp{opt: opt, backend: b, records: g.records[r]}
+		if c, ok := b.(Cancellable); ok {
+			c.SetDone(g.done)
+		}
+	}
+	g.wg.Add(len(l.ms))
+	for i := range l.ms {
+		go g.walk(&g.exs[i/s.P], &l.ms[i])
+	}
+	g.wg.Wait()
 	// Prefer the error that started the teardown over the cancellation
 	// echoes it provoked in peers.
-	var first error
-	for err := range errs {
-		if first == nil {
-			first = err
-		}
-		if !errors.Is(err, ErrCanceled) {
-			return ex.records, err
+	var report error
+	for len(g.errs) > 0 {
+		err := <-g.errs
+		if report == nil || errors.Is(report, ErrCanceled) && !errors.Is(err, ErrCanceled) {
+			report = err
 		}
 	}
-	return ex.records, first
+	return g.records, report
+}
+
+// walk is one device goroutine of a concurrent run.
+func (g *Replicas) walk(ex *interp, m *machine) {
+	defer g.wg.Done()
+	for {
+		// Observe cancellation between steps, too: a device that is
+		// compute-bound (never blocks in Recv) must still stand down
+		// promptly when a peer's hook failed, or teardown latency is
+		// bounded by its remaining work instead of one op.
+		select {
+		case <-g.done:
+			g.errs <- fmt.Errorf("exec: device %d stopped by teardown: %w", m.dev, ErrCanceled)
+			return
+		default:
+		}
+		ok, err := ex.step(m)
+		if err == nil && !ok && m.pc < len(m.list) {
+			err = fmt.Errorf("exec: backend blocked device %d at %v in concurrent mode", m.dev, m.list[m.pc])
+		}
+		if err != nil {
+			g.errs <- err
+			if g.canceled.CompareAndSwap(false, true) {
+				close(g.done)
+			}
+			return
+		}
+		if !ok {
+			return
+		}
+	}
 }

@@ -6,7 +6,10 @@ package exec_test
 // mid-schedule, without leaking goroutines or stale records.
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,5 +119,74 @@ func TestLoopConcurrentReuseAfterCancellation(t *testing.T) {
 	}
 	if n != want {
 		t.Fatalf("post-cancellation timelines hold %d records, want %d (stale records from the aborted run?)", n, want)
+	}
+}
+
+// parkedBackend never fails: its devices block in Recv until the driver's
+// done channel closes. Driven alone it would wait forever, so it only
+// returns when a failure somewhere else reaches its cancellation.
+type parkedBackend struct {
+	countBackend
+	done <-chan struct{}
+}
+
+func (b *parkedBackend) SetDone(done <-chan struct{}) { b.done = done }
+
+func (b *parkedBackend) Recv(d, i int, a sched.Action) error {
+	<-b.done
+	return fmt.Errorf("device %d recv: %w", d, exec.ErrCanceled)
+}
+
+// TestReplicasShareCancellation: Replicas.Run runs its replicas under one
+// cancellation. A hook failure in replica 0 must release replica 1's
+// devices, which wait on nothing else (a private done channel per replica
+// leaves them parked and this test times out), the reported error is the
+// failure and not an echo, and the driver then runs a clean two-replica
+// run with complete per-replica timelines and no per-run bookkeeping left
+// to allocate beyond the device goroutines.
+func TestReplicasShareCancellation(t *testing.T) {
+	s, err := sched.DAPPLE(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g exec.Replicas
+	res := make(chan error, 1)
+	go func() {
+		_, err := g.Run(s, []exec.Backend{&cancelBackend{}, &parkedBackend{}}, exec.DefaultOptions())
+		res <- err
+	}()
+	select {
+	case err := <-res:
+		if err == nil || errors.Is(err, exec.ErrCanceled) || !strings.Contains(err.Error(), "injected hook failure") {
+			t.Fatalf("Run reported %v, want the injected hook failure", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("replica 1 never heard of replica 0's failure")
+	}
+
+	want := s.CountKind(sched.OpForward) + s.CountKind(sched.OpBackward)
+	backends := []exec.Backend{&countBackend{}, &countBackend{}}
+	run := func() {
+		recs, err := g.Run(s, backends, exec.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2 {
+			t.Fatalf("%d replica timelines, want 2", len(recs))
+		}
+		for r, devs := range recs {
+			n := 0
+			for _, rs := range devs {
+				n += len(rs)
+			}
+			if len(devs) != s.P || n != want {
+				t.Fatalf("replica %d: %d devices, %d records; want %d and %d", r, len(devs), n, s.P, want)
+			}
+		}
+	}
+	run()
+	// One closure per device goroutine is what a warm run may allocate.
+	if n := testing.AllocsPerRun(10, run); n > float64(2*s.P) {
+		t.Fatalf("a warm Replicas.Run allocates %.0f objects for %d device goroutines", n, 2*s.P)
 	}
 }

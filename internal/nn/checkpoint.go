@@ -8,7 +8,10 @@ import "repro/internal/tensor"
 // saved activations before differentiating. Memory per in-flight
 // micro-batch drops from the layer's full activation set to one boundary
 // tensor, at the price of one extra forward pass.
-type Checkpoint struct{ Inner Layer }
+type Checkpoint struct {
+	Inner Layer
+	ws    *tensor.Workspace
+}
 
 // NewCheckpoint wraps inner with recompute-in-backward semantics.
 func NewCheckpoint(inner Layer) *Checkpoint { return &Checkpoint{Inner: inner} }
@@ -17,7 +20,8 @@ type checkpointCtx struct{ x *tensor.Tensor }
 
 // Forward runs the inner layer but discards its context, keeping only x.
 func (c *Checkpoint) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
-	y, _ := c.Inner.Forward(x)
+	y, inner := c.Inner.Forward(x)
+	discard(c.Inner, inner)
 	return y, &checkpointCtx{x: x}
 }
 
@@ -25,12 +29,18 @@ func (c *Checkpoint) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 // the inner backward with the fresh context.
 func (c *Checkpoint) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	cc := ctx.(*checkpointCtx)
-	_, inner := c.Inner.Forward(cc.x)
+	y, inner := c.Inner.Forward(cc.x)
+	c.ws.Put(y)
 	return c.Inner.Backward(inner, dy)
 }
 
 // Params returns the inner layer's parameters.
 func (c *Checkpoint) Params() []*Param { return c.Inner.Params() }
+
+func (c *Checkpoint) setWorkspace(ws *tensor.Workspace) {
+	c.ws = ws
+	SetWorkspace(c.Inner, ws)
+}
 
 // CheckpointModel wraps every unit of a model in Checkpoint (the common
 // "checkpoint each transformer block" configuration).

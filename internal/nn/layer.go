@@ -61,6 +61,7 @@ type Linear struct {
 	In, Out int
 	Weight  *Param
 	Bias    *Param
+	ws      *tensor.Workspace
 }
 
 // NewLinear builds a Linear layer with N(0, 0.02²)-style scaled init.
@@ -78,7 +79,7 @@ type linearCtx struct{ x *tensor.Tensor }
 
 // Forward computes x·W + b.
 func (l *Linear) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
-	y := tensor.MatMul(x, l.Weight.W)
+	y := tensor.MatMulInto(l.ws.GetCols(x, l.Out), x, l.Weight.W)
 	tensor.AddInPlace(y, l.Bias.W)
 	return y, &linearCtx{x: x}
 }
@@ -86,26 +87,34 @@ func (l *Linear) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 // Backward computes dx = dy·Wᵀ and accumulates dW = xᵀ·dy, db = Σ dy.
 func (l *Linear) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(*linearCtx)
-	tensor.AxpyInPlace(l.Weight.G, 1, tensor.TMatMul(c.x, dy))
-	tensor.AxpyInPlace(l.Bias.G, 1, tensor.SumLastDimGrad(dy))
-	return tensor.MatMulT(dy, l.Weight.W)
+	ws := l.ws
+	dw := tensor.TMatMulInto(ws.Get(l.In, l.Out), c.x, dy)
+	tensor.AxpyInPlace(l.Weight.G, 1, dw)
+	ws.Put(dw)
+	db := tensor.SumLastDimGradInto(ws.Get(l.Out), dy)
+	tensor.AxpyInPlace(l.Bias.G, 1, db)
+	ws.Put(db)
+	return tensor.MatMulTInto(ws.GetCols(dy, l.In), dy, l.Weight.W)
 }
 
 // Params returns the weight and bias.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
+func (l *Linear) setWorkspace(ws *tensor.Workspace) { l.ws = ws }
+
 // ------------------------------------------------------------------ GELU --
 
 // GELU is the tanh-approximated Gaussian error linear unit used by GPT/BERT.
-type GELU struct{}
+// The zero value is ready to use; a *GELU can also join a stage workspace.
+type GELU struct{ ws *tensor.Workspace }
 
 type geluCtx struct{ x *tensor.Tensor }
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
 // Forward applies 0.5·x·(1+tanh(√(2/π)(x+0.044715x³))).
-func (GELU) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
-	y := tensor.New(x.Shape...)
+func (g GELU) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
+	y := g.ws.Get(x.Shape...)
 	for i, v := range x.Data {
 		xv := float64(v)
 		u := geluC * (xv + 0.044715*xv*xv*xv)
@@ -115,9 +124,9 @@ func (GELU) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 }
 
 // Backward applies the exact derivative of the tanh approximation.
-func (GELU) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
+func (g GELU) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(*geluCtx)
-	dx := tensor.New(dy.Shape...)
+	dx := g.ws.Get(dy.Shape...)
 	for i, v := range c.x.Data {
 		xv := float64(v)
 		u := geluC * (xv + 0.044715*xv*xv*xv)
@@ -132,6 +141,8 @@ func (GELU) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 // Params returns nil; GELU has no parameters.
 func (GELU) Params() []*Param { return nil }
 
+func (g *GELU) setWorkspace(ws *tensor.Workspace) { g.ws = ws }
+
 // ------------------------------------------------------------- LayerNorm --
 
 // LayerNorm normalizes over the last dimension with learned gain and bias.
@@ -140,6 +151,7 @@ type LayerNorm struct {
 	Gamma *Param
 	Beta  *Param
 	Eps   float64
+	ws    *tensor.Workspace
 }
 
 // NewLayerNorm builds a LayerNorm over vectors of size dim.
@@ -154,16 +166,17 @@ func NewLayerNorm(dim int) *LayerNorm {
 
 type layerNormCtx struct {
 	xhat   *tensor.Tensor // normalized input
-	invStd []float32      // 1/σ per row
+	invStd *tensor.Tensor // 1/σ per row
 }
 
 // Forward computes γ·(x−μ)/σ + β per row.
 func (l *LayerNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	n := l.Dim
 	rows := x.Len() / n
-	y := tensor.New(x.Shape...)
-	xhat := tensor.New(x.Shape...)
-	invStd := make([]float32, rows)
+	ws := l.ws
+	y := ws.Get(x.Shape...)
+	xhat := ws.Get(x.Shape...)
+	invStd := ws.Get(rows)
 	for r := 0; r < rows; r++ {
 		xr := x.Data[r*n : (r+1)*n]
 		var mean float64
@@ -178,7 +191,7 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 		}
 		variance /= float64(n)
 		inv := float32(1 / math.Sqrt(variance+l.Eps))
-		invStd[r] = inv
+		invStd.Data[r] = inv
 		xh := xhat.Data[r*n : (r+1)*n]
 		yr := y.Data[r*n : (r+1)*n]
 		for j, v := range xr {
@@ -195,7 +208,7 @@ func (l *LayerNorm) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(*layerNormCtx)
 	n := l.Dim
 	rows := dy.Len() / n
-	dx := tensor.New(dy.Shape...)
+	dx := l.ws.Get(dy.Shape...)
 	for r := 0; r < rows; r++ {
 		dyr := dy.Data[r*n : (r+1)*n]
 		xh := c.xhat.Data[r*n : (r+1)*n]
@@ -212,39 +225,69 @@ func (l *LayerNorm) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 		dxr := dx.Data[r*n : (r+1)*n]
 		for j := range dyr {
 			dg := dyr[j] * l.Gamma.W.Data[j]
-			dxr[j] = c.invStd[r] * (dg - meanDg - xh[j]*meanDgXh)
+			dxr[j] = c.invStd.Data[r] * (dg - meanDg - xh[j]*meanDgXh)
 		}
 	}
+	l.discard(c)
 	return dx
 }
 
 // Params returns gamma and beta.
 func (l *LayerNorm) Params() []*Param { return []*Param{l.Gamma, l.Beta} }
 
+func (l *LayerNorm) setWorkspace(ws *tensor.Workspace) { l.ws = ws }
+
+func (l *LayerNorm) discard(ctx Ctx) {
+	c := ctx.(*layerNormCtx)
+	l.ws.Put(c.xhat)
+	l.ws.Put(c.invStd)
+}
+
 // ------------------------------------------------------------ Sequential --
 
 // Sequential chains layers; its Ctx stacks the member contexts.
-type Sequential struct{ Layers []Layer }
+type Sequential struct {
+	Layers []Layer
+	ws     *tensor.Workspace
+}
 
-type seqCtx struct{ ctxs []Ctx }
+// seqCtx owns the activations between members: mids[i] is member i's
+// output and member i+1's input.
+type seqCtx struct {
+	ctxs []Ctx
+	mids []*tensor.Tensor
+}
 
 // NewSequential builds a chain of layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
 // Forward threads x through each layer in order.
 func (s *Sequential) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
-	ctxs := make([]Ctx, len(s.Layers))
+	last := len(s.Layers) - 1
+	c := &seqCtx{ctxs: make([]Ctx, len(s.Layers)), mids: make([]*tensor.Tensor, max(last, 0))}
 	for i, l := range s.Layers {
-		x, ctxs[i] = l.Forward(x)
+		x, c.ctxs[i] = l.Forward(x)
+		if i < last {
+			c.mids[i] = x
+		}
 	}
-	return x, &seqCtx{ctxs: ctxs}
+	return x, c
 }
 
 // Backward threads dy backwards through each layer.
 func (s *Sequential) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(*seqCtx)
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dy = s.Layers[i].Backward(c.ctxs[i], dy)
+	ws := s.ws
+	last := len(s.Layers) - 1
+	for i := last; i >= 0; i-- {
+		dx := s.Layers[i].Backward(c.ctxs[i], dy)
+		if i < last {
+			ws.Put(dy) // produced by member i+1; the caller keeps its own dy
+		}
+		if i > 0 {
+			ws.Put(c.mids[i-1])
+		}
+		dy = dx
 	}
 	return dy
 }
@@ -258,10 +301,30 @@ func (s *Sequential) Params() []*Param {
 	return ps
 }
 
+func (s *Sequential) setWorkspace(ws *tensor.Workspace) {
+	s.ws = ws
+	for _, l := range s.Layers {
+		SetWorkspace(l, ws)
+	}
+}
+
+func (s *Sequential) discard(ctx Ctx) {
+	c := ctx.(*seqCtx)
+	for i, l := range s.Layers {
+		discard(l, c.ctxs[i])
+	}
+	for _, t := range c.mids {
+		s.ws.Put(t)
+	}
+}
+
 // -------------------------------------------------------------- Residual --
 
 // Residual wraps a sub-layer as y = x + f(x).
-type Residual struct{ Inner Layer }
+type Residual struct {
+	Inner Layer
+	ws    *tensor.Workspace
+}
 
 type residualCtx struct{ inner Ctx }
 
@@ -270,20 +333,30 @@ func NewResidual(inner Layer) *Residual { return &Residual{Inner: inner} }
 
 // Forward computes x + Inner(x).
 func (l *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
-	y, c := l.Inner.Forward(x)
-	out := tensor.Add(y, x)
-	return out, &residualCtx{inner: c}
+	y, inner := l.Inner.Forward(x)
+	out := tensor.AddInto(l.ws.Get(y.Shape...), y, x)
+	l.ws.Put(y)
+	return out, &residualCtx{inner: inner}
 }
 
 // Backward propagates dy through the inner layer and adds the skip path.
 func (l *Residual) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 	c := ctx.(*residualCtx)
 	dx := l.Inner.Backward(c.inner, dy)
-	return tensor.Add(dx, dy)
+	out := tensor.AddInto(l.ws.Get(dx.Shape...), dx, dy)
+	l.ws.Put(dx)
+	return out
 }
 
 // Params returns the inner layer's params.
 func (l *Residual) Params() []*Param { return l.Inner.Params() }
+
+func (l *Residual) setWorkspace(ws *tensor.Workspace) {
+	l.ws = ws
+	SetWorkspace(l.Inner, ws)
+}
+
+func (l *Residual) discard(ctx Ctx) { discard(l.Inner, ctx.(*residualCtx).inner) }
 
 // ------------------------------------------------------------- Embedding --
 
@@ -294,6 +367,7 @@ type Embedding struct {
 	Vocab, Hidden, MaxSeq int
 	Tok                   *Param
 	Pos                   *Param
+	ws                    *tensor.Workspace
 }
 
 // NewEmbedding builds token and positional tables.
@@ -320,7 +394,7 @@ func (e *Embedding) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 		panic(fmt.Sprintf("nn: sequence length %d exceeds MaxSeq %d", s, e.MaxSeq))
 	}
 	ids := make([]int, b*s)
-	y := tensor.New(b, s, e.Hidden)
+	y := e.ws.Get(b, s, e.Hidden)
 	for i := range ids {
 		id := int(x.Data[i])
 		if id < 0 || id >= e.Vocab {
@@ -350,8 +424,10 @@ func (e *Embedding) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 			pos[j] += v
 		}
 	}
-	return tensor.New(c.b, c.s)
+	return e.ws.Zeros(c.b, c.s)
 }
 
 // Params returns the two embedding tables.
 func (e *Embedding) Params() []*Param { return []*Param{e.Tok, e.Pos} }
+
+func (e *Embedding) setWorkspace(ws *tensor.Workspace) { e.ws = ws }

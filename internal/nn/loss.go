@@ -11,13 +11,20 @@ import (
 // under softmax(logits) and the gradient w.r.t. logits. logits is [..,V]
 // with leading dims collapsed to n rows; targets has length n.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, targets []int) (float64, *tensor.Tensor) {
+	return SoftmaxCrossEntropyIn(nil, logits, targets)
+}
+
+// SoftmaxCrossEntropyIn is SoftmaxCrossEntropy with the gradient drawn from
+// ws; the caller owns it. A nil ws allocates.
+func SoftmaxCrossEntropyIn(ws *tensor.Workspace, logits *tensor.Tensor, targets []int) (float64, *tensor.Tensor) {
 	v := logits.Dim(-1)
 	n := logits.Len() / v
 	if len(targets) != n {
 		panic(fmt.Sprintf("nn: %d target rows for %d logit rows", len(targets), n))
 	}
-	probs := tensor.SoftmaxLastDim(logits)
-	dlogits := probs.Clone()
+	// The gradient starts as the probabilities; each row's target
+	// probability is read before that entry is turned into p−1.
+	dlogits := tensor.SoftmaxLastDimInto(ws.Get(logits.Shape...), logits)
 	var loss float64
 	invN := float32(1) / float32(n)
 	for r := 0; r < n; r++ {
@@ -25,7 +32,7 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, targets []int) (float64, *tensor
 		if tgt < 0 || tgt >= v {
 			panic(fmt.Sprintf("nn: target %d out of vocab %d", tgt, v))
 		}
-		p := float64(probs.Data[r*v+tgt])
+		p := float64(dlogits.Data[r*v+tgt])
 		loss -= math.Log(math.Max(p, 1e-12))
 		dlogits.Data[r*v+tgt] -= 1
 	}

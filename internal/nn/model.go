@@ -62,7 +62,7 @@ func NewBlock(r *tensor.RNG, cfg Config) Layer {
 	mlp := NewSequential(
 		NewLayerNorm(cfg.Hidden),
 		NewLinear(r, cfg.Hidden, 4*cfg.Hidden),
-		GELU{},
+		&GELU{},
 		NewLinear(r, 4*cfg.Hidden, cfg.Hidden),
 	)
 	return NewSequential(NewResidual(attn), NewResidual(mlp))
@@ -142,6 +142,10 @@ func (st *Stage) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 
 // Params returns the stage parameters.
 func (st *Stage) Params() []*Param { return st.Seq.Params() }
+
+// SetWorkspace attaches every layer of the stage to ws, the workspace of
+// the one worker that runs this stage; nil detaches.
+func (st *Stage) SetWorkspace(ws *tensor.Workspace) { st.Seq.setWorkspace(ws) }
 
 // Split partitions the model into s stages of contiguous units.
 func (m *Model) Split(s int) []*Stage {

@@ -83,8 +83,8 @@ func (e *Engine) takeFailure(dev, micro int) bool {
 // copy is the whole state.
 func (e *Engine) Snapshot() []*tensor.Tensor {
 	var ws []*tensor.Tensor
-	for _, st := range e.replicas[0].stageInst[0] {
-		for _, p := range st.Params() {
+	for _, ps := range e.replicas[0].stageParams[0] {
+		for _, p := range ps {
 			ws = append(ws, p.W.Clone())
 		}
 	}
@@ -97,10 +97,10 @@ func (e *Engine) Snapshot() []*tensor.Tensor {
 // differ.
 func (e *Engine) Restore(ws []*tensor.Tensor) error {
 	for ri, rep := range e.replicas {
-		for ci, stages := range rep.stageInst {
+		for ci, stages := range rep.stageParams {
 			i := 0
-			for _, st := range stages {
-				for _, p := range st.Params() {
+			for _, ps := range stages {
+				for _, p := range ps {
 					if i >= len(ws) {
 						return fmt.Errorf("runtime: snapshot has %d params, replica %d copy %d needs more", len(ws), ri, ci)
 					}
@@ -123,17 +123,22 @@ func (e *Engine) Restore(ws []*tensor.Tensor) error {
 // AbortReset returns the engine to the pristine between-iterations state
 // after a failed Step: gradient accumulators are zeroed (an aborted
 // iteration leaves partial sums behind), every router's in-flight
-// payloads are discarded, and the loss accumulators cleared. Parameters
-// and optimizer state are untouched — a failed Step never reached them —
-// so the same batch can be retried, on this engine or on a replanned
-// replacement restored from Snapshot, with results identical to a run
-// where the failure never happened.
+// payloads are discarded, and every buffer the iteration still held — in
+// a worker's tables, in a mailbox, in a saved context — goes back to its
+// workspace. Parameters and optimizer state are untouched — a failed Step
+// never reached them — so the same batch can be retried, on this engine
+// or on a replanned replacement restored from Snapshot, with results
+// identical to a run where the failure never happened.
 func (e *Engine) AbortReset() {
 	for _, rep := range e.replicas {
-		for _, p := range paramsOf(rep) {
+		for _, p := range rep.params {
 			clear(p.G.Data)
 		}
+		// Mailboxes first: once they are empty nothing references the
+		// payloads, and the workers' sweeps take them back.
 		rep.router.Discard()
-		rep.lossSum = 0
+		for _, w := range rep.workers {
+			w.reclaim()
+		}
 	}
 }

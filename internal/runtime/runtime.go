@@ -10,7 +10,7 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -40,20 +40,53 @@ type replica struct {
 	// stageInst[copy][stage] — wave-family placements use one copy;
 	// Chimera uses two (its duplicated weights).
 	stageInst [][]*nn.Stage
-	router    *comm.Router
-	opt       nn.Optimizer
-	micros    []*data.Batch
-	lossSum   float64
-	lossMu    sync.Mutex
+	// stageParams[copy][stage] and params (every copy's stages flattened,
+	// aligned with Engine.Params) cache the layers' Params() walks.
+	stageParams [][][]*nn.Param
+	params      []*nn.Param
+	router      *comm.Router
+	opt         nn.Optimizer
+	workers     []*worker // one per device
+	backend     rtBackend
+	micros      []*data.Batch // this replica's share of the step's batch
+	// loss[m] is micro-batch m's loss, written by the one worker that runs
+	// its last-stage backward and summed in micro order at the flush, so
+	// the step's loss does not depend on which device got there first.
+	loss []float64
 }
 
-// Engine executes training iterations under a schedule.
+// Engine executes training iterations under a schedule. Everything a step
+// needs is built once, in New, and reused: the workers with their buffer
+// workspaces and dense per-(micro, stage) tables, the interpreter driver,
+// the micro-batch views.
+//
+// Buffer ownership. Each worker owns a tensor.Workspace, and every stage is
+// attached (nn.Stage.SetWorkspace) to the workspace of the one worker that
+// runs it. A step-local tensor belongs to whoever holds it, and is handed
+// back to the holder's workspace at the point its last reader retires:
+//
+//   - layer scratch and saved activations: by the layers (see package nn);
+//   - a stage's input (the previous stage's boundary activation, local or
+//     received) and the output gradient it consumed: by the worker, when
+//     that stage's backward retires — the paper's eager consumption;
+//   - logits and the loss gradient: by the last stage's backward;
+//   - stage 0's input gradient: at once, nobody reads it;
+//   - a split backward's scratch weight gradients: by its weight half;
+//   - a sent payload changes owner: the receiver returns it as above.
+//
+// The flush is the epoch: no step-local tensor outlives it, so each
+// workspace sweeps back whatever is still out, which after a healthy step
+// is nothing and after an aborted one (AbortReset) is everything in flight.
 type Engine struct {
 	cfg      Config
 	sch      *sched.Schedule
 	replicas []*replica
 	copies   int // weight copies per replica (1, or 2 for Chimera)
 	fail     failures
+
+	driver   exec.Replicas
+	backends []exec.Backend // replicas[r].backend, as the driver takes them
+	micros   []*data.Batch  // views of the step's batch, reused every step
 }
 
 // New validates the configuration and builds the engine. The real runtime
@@ -77,24 +110,54 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("runtime: schedule needs %d stages but model %q has only %d units",
 			cfg.Schedule.S, cfg.Model.Name, units)
 	}
-	copies := cfg.Schedule.Mapping.WeightReplicas
-	e := &Engine{cfg: cfg, sch: cfg.Schedule, copies: copies}
+	sch := cfg.Schedule
+	copies := sch.Mapping.WeightReplicas
+	e := &Engine{cfg: cfg, sch: sch, copies: copies}
 	for r := 0; r < cfg.DP; r++ {
-		rep := &replica{router: comm.NewRouter()}
+		rep := &replica{router: comm.NewRouter(), loss: make([]float64, sch.B)}
 		for c := 0; c < copies; c++ {
 			// Same seed everywhere: replicas and copies start identical.
 			m := nn.Build(tensor.NewRNG(cfg.Seed), cfg.Model)
 			if cfg.Checkpoint {
 				m = nn.CheckpointModel(m)
 			}
-			rep.stageInst = append(rep.stageInst, m.Split(cfg.Schedule.S))
+			stages := m.Split(sch.S)
+			rep.stageInst = append(rep.stageInst, stages)
+			ps := make([][]*nn.Param, len(stages))
+			for i, st := range stages {
+				ps[i] = st.Params()
+				rep.params = append(rep.params, ps[i]...)
+			}
+			rep.stageParams = append(rep.stageParams, ps)
 		}
 		if cfg.NewOptimizer != nil {
 			rep.opt = cfg.NewOptimizer()
 		} else {
 			rep.opt = nn.NewSGD(0.1, 0)
 		}
+		for d := 0; d < sch.P; d++ {
+			w := &worker{
+				eng:      e,
+				rep:      rep,
+				device:   d,
+				ws:       &tensor.Workspace{},
+				acts:     make([]actRecord, sch.B*sch.S),
+				dIn:      make([]*tensor.Tensor, sch.B*sch.S),
+				wPending: make([][]*tensor.Tensor, sch.B*sch.S),
+				scale:    1 / float32(sch.B*cfg.DP),
+			}
+			for _, h := range sch.Mapping.Hosted(d) {
+				c := 0
+				if copies == 2 {
+					c = h.Chunk
+				}
+				rep.stageInst[c][h.Stage].SetWorkspace(w.ws)
+			}
+			rep.workers = append(rep.workers, w)
+		}
+		rep.backend.workers = rep.workers
 		e.replicas = append(e.replicas, rep)
+		e.backends = append(e.backends, &rep.backend)
 	}
 	return e, nil
 }
@@ -103,60 +166,43 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Schedule() *sched.Schedule { return e.sch }
 
 // Params returns replica 0's canonical parameters (all copies).
-func (e *Engine) Params() []*nn.Param {
-	var ps []*nn.Param
-	for _, stages := range e.replicas[0].stageInst {
-		for _, st := range stages {
-			ps = append(ps, st.Params()...)
-		}
-	}
-	return ps
-}
+func (e *Engine) Params() []*nn.Param { return slices.Clone(e.replicas[0].params) }
 
-// paramsOf flattens one replica's parameters aligned with Params().
-func paramsOf(rep *replica) []*nn.Param {
-	var ps []*nn.Param
-	for _, stages := range rep.stageInst {
-		for _, st := range stages {
-			ps = append(ps, st.Params()...)
-		}
-	}
-	return ps
-}
-
-// stageFor resolves the stage instance a worker action should use: the
-// chunk's copy is derived from the mapping (Chimera's up-pipe micros use
-// copy 1; single-copy placements always use copy 0).
-func (e *Engine) stageFor(rep *replica, micro, stage int) *nn.Stage {
-	copyIdx := 0
+// copyFor resolves the weight copy a worker action uses: the chunk's copy
+// is derived from the mapping (Chimera's up-pipe micros use copy 1;
+// single-copy placements always use copy 0).
+func (e *Engine) copyFor(micro, stage int) int {
 	if e.copies == 2 {
-		copyIdx = e.sch.Mapping.Chunk(micro, stage)
+		return e.sch.Mapping.Chunk(micro, stage)
 	}
-	return rep.stageInst[copyIdx][stage]
+	return 0
 }
 
-// actKey indexes saved per-micro activations.
-type actKey struct {
-	micro, stage int
-}
-
+// actRecord is one (micro, stage) cell of a worker's activation table.
 type actRecord struct {
-	in  *tensor.Tensor
-	out *tensor.Tensor
+	in  *tensor.Tensor // stage input, held until the backward retires
+	out *tensor.Tensor // stage output, until its consumer takes it over
 	ctx nn.Ctx
+	// outBytes keeps the boundary activation's size for the live-bytes
+	// accounting after out itself has moved on.
+	outBytes int64
 }
 
-// worker executes one device's action list for one replica.
+// worker executes one device's action list for one replica. Its tables are
+// dense, indexed micro·S+stage, and live as long as the engine.
 type worker struct {
 	eng    *Engine
 	rep    *replica
 	device int
-	acts   map[actKey]*actRecord
-	dIn    map[actKey]*tensor.Tensor // input gradients produced by backward
+	ws     *tensor.Workspace
+	acts   []actRecord
+	dIn    []*tensor.Tensor // output gradients awaiting their backward
 	// wPending stashes the per-param weight-gradient contribution an
-	// OpBackwardInput computed into scratch, keyed by (micro, stage), until
-	// the matching OpBackwardWeight accumulates it into Param.G.
-	wPending map[actKey][]*tensor.Tensor
+	// OpBackwardInput computed into scratch, per (micro, stage), until the
+	// matching OpBackwardWeight accumulates it into Param.G; empty when
+	// nothing is pending. savedG is backwardInput's swap space.
+	wPending [][]*tensor.Tensor
+	savedG   []*tensor.Tensor
 	scale    float32 // loss scaling: 1/(B·DP)
 
 	// Live boundary-activation accounting (stage outputs held between a
@@ -166,49 +212,32 @@ type worker struct {
 	peakBytes int64
 }
 
-func (w *worker) holdActivation(t *tensor.Tensor) {
-	w.liveBytes += t.NumBytes()
-	if w.liveBytes > w.peakBytes {
-		w.peakBytes = w.liveBytes
-	}
-}
+func (w *worker) at(micro, stage int) int { return micro*w.eng.sch.S + stage }
 
-func (w *worker) releaseActivation(t *tensor.Tensor) {
-	if t != nil {
-		w.liveBytes -= t.NumBytes()
-	}
-}
-
-func (w *worker) tagAct(micro, stage, src, dst int) comm.Tag {
-	return comm.Tag{Kind: "act", Micro: micro, Stage: stage, Src: src, Dst: dst}
-}
-func (w *worker) tagGrad(micro, stage, src, dst int) comm.Tag {
-	return comm.Tag{Kind: "grad", Micro: micro, Stage: stage, Src: src, Dst: dst}
+func (w *worker) tag(kind comm.Kind, micro, stage, src, dst int) comm.Tag {
+	return comm.Tag{Kind: kind, Micro: micro, Stage: stage, Src: src, Dst: dst}
 }
 
 // forward runs one OpForward over the stored/pending input.
 func (w *worker) forward(a sched.Action) error {
 	e := w.eng
-	key := actKey{a.Micro, a.Stage}
-	rec := w.acts[key]
-	if rec == nil {
-		rec = &actRecord{}
-		w.acts[key] = rec
-	}
+	rec := &w.acts[w.at(a.Micro, a.Stage)]
 	if rec.in == nil {
 		if a.Stage == 0 {
 			rec.in = w.rep.micros[a.Micro].Inputs
 		} else {
-			prev := w.acts[actKey{a.Micro, a.Stage - 1}]
-			if prev == nil || prev.out == nil {
+			prev := &w.acts[w.at(a.Micro, a.Stage-1)]
+			if prev.out == nil {
 				return fmt.Errorf("runtime: device %d: missing local input for %v", w.device, a)
 			}
-			rec.in = prev.out
+			rec.in, prev.out = prev.out, nil
 		}
 	}
-	st := e.stageFor(w.rep, a.Micro, a.Stage)
+	st := w.rep.stageInst[e.copyFor(a.Micro, a.Stage)][a.Stage]
 	rec.out, rec.ctx = st.Forward(rec.in)
-	w.holdActivation(rec.out)
+	rec.outBytes = rec.out.NumBytes()
+	w.liveBytes += rec.outBytes
+	w.peakBytes = max(w.peakBytes, w.liveBytes)
 	return nil
 }
 
@@ -216,34 +245,35 @@ func (w *worker) forward(a sched.Action) error {
 // loss (last stage), a peer transfer, or the local successor stage.
 func (w *worker) backward(a sched.Action) error {
 	e := w.eng
-	key := actKey{a.Micro, a.Stage}
-	rec := w.acts[key]
-	if rec == nil || rec.ctx == nil {
+	rec := &w.acts[w.at(a.Micro, a.Stage)]
+	if rec.ctx == nil {
 		return fmt.Errorf("runtime: device %d: backward before forward for %v", w.device, a)
 	}
 	var dy *tensor.Tensor
 	if a.Stage == e.sch.S-1 {
 		micro := w.rep.micros[a.Micro]
-		loss, d := nn.SoftmaxCrossEntropy(rec.out, micro.Targets)
-		tensor.ScaleInPlace(d, w.scale)
-		w.rep.lossMu.Lock()
-		w.rep.lossSum += loss
-		w.rep.lossMu.Unlock()
-		dy = d
-	} else if g := w.dIn[actKey{a.Micro, a.Stage + 1}]; g != nil {
+		w.rep.loss[a.Micro], dy = nn.SoftmaxCrossEntropyIn(w.ws, rec.out, micro.Targets)
+		w.ws.Put(rec.out)
+		tensor.ScaleInPlace(dy, w.scale)
+	} else if next := w.at(a.Micro, a.Stage+1); w.dIn[next] != nil {
 		// Either received from the peer or produced locally by the
 		// successor stage's backward on this same device.
-		dy = g
-		delete(w.dIn, actKey{a.Micro, a.Stage + 1})
+		dy, w.dIn[next] = w.dIn[next], nil
 	} else {
 		return fmt.Errorf("runtime: device %d: missing output grad for %v", w.device, a)
 	}
-	st := e.stageFor(w.rep, a.Micro, a.Stage)
+	st := w.rep.stageInst[e.copyFor(a.Micro, a.Stage)][a.Stage]
 	dx := st.Backward(rec.ctx, dy)
-	w.dIn[actKey{a.Micro, a.Stage}] = dx
 	// Free the stored activations: the paper's eager consumption.
-	w.releaseActivation(rec.out)
-	delete(w.acts, key)
+	w.ws.Put(dy)
+	if a.Stage > 0 {
+		w.ws.Put(rec.in)
+		w.dIn[w.at(a.Micro, a.Stage)] = dx
+	} else {
+		w.ws.Put(dx) // the batch's token ids take no gradient
+	}
+	w.liveBytes -= rec.outBytes
+	*rec = actRecord{}
 	return nil
 }
 
@@ -256,22 +286,27 @@ func (w *worker) backward(a sched.Action) error {
 // long as the W ops retire in the same micro order the fused backwards
 // would — which the generator guarantees.
 func (w *worker) backwardInput(a sched.Action) error {
-	st := w.eng.stageFor(w.rep, a.Micro, a.Stage)
-	ps := st.Params()
-	scratch := make([]*tensor.Tensor, len(ps))
-	saved := make([]*tensor.Tensor, len(ps))
-	for i, p := range ps {
-		scratch[i] = tensor.New(p.G.Shape...)
-		saved[i], p.G = p.G, scratch[i]
+	ps := w.rep.stageParams[w.eng.copyFor(a.Micro, a.Stage)][a.Stage]
+	at := w.at(a.Micro, a.Stage)
+	scratch := w.wPending[at][:0]
+	w.savedG = w.savedG[:0]
+	for _, p := range ps {
+		g := w.ws.Zeros(p.G.Shape...)
+		scratch = append(scratch, g)
+		w.savedG = append(w.savedG, p.G)
+		p.G = g
 	}
 	err := w.backward(a)
 	for i, p := range ps {
-		p.G = saved[i]
+		p.G = w.savedG[i]
 	}
 	if err != nil {
+		for _, g := range scratch {
+			w.ws.Put(g)
+		}
 		return err
 	}
-	w.wPending[actKey{a.Micro, a.Stage}] = scratch
+	w.wPending[at] = scratch
 	return nil
 }
 
@@ -280,41 +315,43 @@ func (w *worker) backwardInput(a sched.Action) error {
 // the dependency-free half of the split backward, runnable any time after
 // its OpBackwardInput and before the flush.
 func (w *worker) backwardWeight(a sched.Action) error {
-	key := actKey{a.Micro, a.Stage}
-	scratch := w.wPending[key]
-	if scratch == nil {
+	at := w.at(a.Micro, a.Stage)
+	scratch := w.wPending[at]
+	if len(scratch) == 0 {
 		return fmt.Errorf("runtime: device %d: %v before its input-grad backward", w.device, a)
 	}
-	st := w.eng.stageFor(w.rep, a.Micro, a.Stage)
-	ps := st.Params()
+	ps := w.rep.stageParams[w.eng.copyFor(a.Micro, a.Stage)][a.Stage]
 	if len(ps) != len(scratch) {
 		return fmt.Errorf("runtime: device %d: %v param mismatch (%d stashed, %d live)",
 			w.device, a, len(scratch), len(ps))
 	}
 	for i, p := range ps {
 		tensor.AxpyInPlace(p.G, 1, scratch[i])
+		w.ws.Put(scratch[i])
 	}
-	delete(w.wPending, key)
+	w.wPending[at] = scratch[:0]
 	return nil
 }
 
 // send issues one OpSendAct/OpSendGrad through the router (never blocks).
+// The payload changes owner: the receiver returns it to its own workspace.
 func (w *worker) send(a sched.Action) error {
 	switch a.Kind {
 	case sched.OpSendAct:
 		// Payload: output of the previous stage (produced locally).
-		prev := w.acts[actKey{a.Micro, a.Stage - 1}]
-		if prev == nil || prev.out == nil {
+		prev := &w.acts[w.at(a.Micro, a.Stage-1)]
+		if prev.out == nil {
 			return fmt.Errorf("runtime: device %d: nothing to send for %v", w.device, a)
 		}
-		w.rep.router.Send(w.tagAct(a.Micro, a.Stage, w.device, a.Peer), prev.out)
+		w.rep.router.Send(w.tag(comm.Act, a.Micro, a.Stage, w.device, a.Peer), prev.out)
+		prev.out = nil
 	case sched.OpSendGrad:
-		g := w.dIn[actKey{a.Micro, a.Stage + 1}]
-		if g == nil {
+		next := w.at(a.Micro, a.Stage+1)
+		if w.dIn[next] == nil {
 			return fmt.Errorf("runtime: device %d: no grad payload for %v", w.device, a)
 		}
-		w.rep.router.Send(w.tagGrad(a.Micro, a.Stage, w.device, a.Peer), g)
-		delete(w.dIn, actKey{a.Micro, a.Stage + 1})
+		w.rep.router.Send(w.tag(comm.Grad, a.Micro, a.Stage, w.device, a.Peer), w.dIn[next])
+		w.dIn[next] = nil
 	}
 	return nil
 }
@@ -326,27 +363,38 @@ func (w *worker) send(a sched.Action) error {
 func (w *worker) recv(a sched.Action, done <-chan struct{}) error {
 	switch a.Kind {
 	case sched.OpRecvAct:
-		x, ok := w.rep.router.RecvAbort(w.tagAct(a.Micro, a.Stage, a.Peer, w.device), done)
+		x, ok := w.rep.router.RecvAbort(w.tag(comm.Act, a.Micro, a.Stage, a.Peer, w.device), done)
 		if !ok {
 			return fmt.Errorf("runtime: device %d: %v aborted: %w", w.device, a, exec.ErrCanceled)
 		}
-		w.acts[actKey{a.Micro, a.Stage}] = &actRecord{in: x}
+		w.acts[w.at(a.Micro, a.Stage)].in = x
 	case sched.OpRecvGrad:
-		g, ok := w.rep.router.RecvAbort(w.tagGrad(a.Micro, a.Stage, a.Peer, w.device), done)
+		g, ok := w.rep.router.RecvAbort(w.tag(comm.Grad, a.Micro, a.Stage, a.Peer, w.device), done)
 		if !ok {
 			return fmt.Errorf("runtime: device %d: %v aborted: %w", w.device, a, exec.ErrCanceled)
 		}
-		w.dIn[actKey{a.Micro, a.Stage + 1}] = g // gradient w.r.t. stage's output
+		w.dIn[w.at(a.Micro, a.Stage+1)] = g // gradient w.r.t. stage's output
 	}
 	return nil
 }
 
+// reclaim empties the worker's tables and sweeps its workspace: whatever a
+// step left in flight goes back to the free lists. The caller guarantees
+// no worker is running.
+func (w *worker) reclaim() {
+	clear(w.acts)
+	clear(w.dIn)
+	for i, scratch := range w.wPending {
+		w.wPending[i] = scratch[:0]
+	}
+	w.ws.Sweep()
+}
+
 // rtBackend is one replica's real-tensor implementation of exec.Backend.
 // Each device's hooks run on that device's interpreter goroutine and only
-// touch that device's worker; the router and loss accumulator are the
-// shared, locked state. Compute spans are wall-clock seconds since the
-// iteration started, so the interpreter's Record timeline is a real Gantt
-// chart of the training step.
+// touch that device's worker; the router is the shared, locked state.
+// Compute spans are wall-clock seconds since the iteration started, so the
+// interpreter's Record timeline is a real Gantt chart of the training step.
 type rtBackend struct {
 	workers []*worker
 	t0      time.Time
@@ -355,7 +403,8 @@ type rtBackend struct {
 
 // SetDone implements exec.Cancellable: blocking receives observe the
 // driver's cancellation channel, so a hook error on one device aborts its
-// peers instead of deadlocking the join.
+// peers — in every replica, the driver shares one channel — instead of
+// deadlocking the join.
 func (b *rtBackend) SetDone(done <-chan struct{}) { b.done = done }
 
 func (b *rtBackend) Compute(d int, a sched.Action) (float64, float64, error) {
@@ -405,58 +454,35 @@ type Result struct {
 	CommStats []comm.Stats
 	// PeakActBytes is the peak live boundary-activation footprint per
 	// device (max over replicas) — the runtime counterpart of the
-	// simulator's PeakActs.
+	// simulator's PeakActs. It counts stage outputs held between a forward
+	// and its backward, not the buffers the workspaces retain.
 	PeakActBytes []int64
 	// Records is replica 0's per-device compute timeline from the shared
 	// interpreter (wall-clock seconds since iteration start) — the same
-	// Record shape the simulator produces in virtual time.
+	// Record shape the simulator produces in virtual time. The engine
+	// reuses this storage: it is valid until the engine's next Step.
 	Records [][]exec.Record
 }
 
 // Step runs one synchronous training iteration on batch. The batch is
 // split into DP·B micro-batches: replica r takes micros r·B … (r+1)·B−1.
-// Each replica runs the shared exec interpreter concurrently (one
-// goroutine per device); the flush joins every worker before the
-// all-reduce and optimizer step.
+// Every replica runs the shared exec interpreter concurrently (one
+// goroutine per device, one cancellation for all of them); the flush joins
+// every worker before the all-reduce and optimizer step. After a failed
+// Step call AbortReset before stepping again.
 func (e *Engine) Step(batch *data.Batch) (*Result, error) {
 	b := e.sch.B
-	micros := data.SplitMicro(batch, b*e.cfg.DP)
-	var wg sync.WaitGroup
-	errs := make(chan error, e.cfg.DP)
-	peaks := make([]int64, e.cfg.DP*e.sch.P)
-	recs := make([][][]exec.Record, e.cfg.DP)
+	e.micros = data.SplitMicroInto(e.micros, batch, b*e.cfg.DP)
 	t0 := time.Now()
 	for ri, rep := range e.replicas {
-		rep.micros = micros[ri*b : (ri+1)*b]
-		rep.lossSum = 0
-		workers := make([]*worker, e.sch.P)
-		for d := 0; d < e.sch.P; d++ {
-			workers[d] = &worker{
-				eng:      e,
-				rep:      rep,
-				device:   d,
-				acts:     map[actKey]*actRecord{},
-				dIn:      map[actKey]*tensor.Tensor{},
-				wPending: map[actKey][]*tensor.Tensor{},
-				scale:    1 / float32(b*e.cfg.DP),
-			}
+		rep.micros = e.micros[ri*b : (ri+1)*b]
+		rep.backend.t0 = t0
+		for _, w := range rep.workers {
+			w.liveBytes, w.peakBytes = 0, 0
 		}
-		wg.Add(1)
-		go func(ri int, workers []*worker) {
-			defer wg.Done()
-			r, err := exec.RunConcurrent(e.sch, &rtBackend{workers: workers, t0: t0}, exec.DefaultOptions())
-			if err != nil {
-				errs <- err
-			}
-			recs[ri] = r
-			for d, w := range workers {
-				peaks[ri*e.sch.P+d] = w.peakBytes
-			}
-		}(ri, workers)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	recs, err := e.driver.Run(e.sch, e.backends, exec.DefaultOptions())
+	if err != nil {
 		return nil, err
 	}
 
@@ -465,21 +491,25 @@ func (e *Engine) Step(batch *data.Batch) (*Result, error) {
 	if err := e.allReduce(); err != nil {
 		return nil, err
 	}
-	for _, rep := range e.replicas {
-		rep.opt.Step(paramsOf(rep))
+	res := &Result{
+		CommStats:    make([]comm.Stats, 0, e.cfg.DP),
+		PeakActBytes: make([]int64, e.sch.P),
+		Records:      recs[0],
 	}
-
-	res := &Result{PeakActBytes: make([]int64, e.sch.P), Records: recs[0]}
-	for ri, rep := range e.replicas {
-		res.Loss += rep.lossSum
+	for _, rep := range e.replicas {
+		rep.opt.Step(rep.params)
+		var sum float64
+		for _, l := range rep.loss {
+			sum += l
+		}
+		res.Loss += sum
 		res.CommStats = append(res.CommStats, rep.router.Stats())
 		if err := rep.router.Reset(); err != nil {
 			return nil, err
 		}
-		for d := 0; d < e.sch.P; d++ {
-			if pk := peaks[ri*e.sch.P+d]; pk > res.PeakActBytes[d] {
-				res.PeakActBytes[d] = pk
-			}
+		for d, w := range rep.workers {
+			res.PeakActBytes[d] = max(res.PeakActBytes[d], w.peakBytes)
+			w.ws.Sweep()
 		}
 	}
 	res.Loss /= float64(b * e.cfg.DP)
@@ -494,9 +524,9 @@ func (e *Engine) allReduce() error {
 	// (a) Within-replica copy reduction (Chimera).
 	if e.copies == 2 {
 		for _, rep := range e.replicas {
-			a, b := rep.stageInst[0], rep.stageInst[1]
+			a, b := rep.stageParams[0], rep.stageParams[1]
 			for s := range a {
-				pa, pb := a[s].Params(), b[s].Params()
+				pa, pb := a[s], b[s]
 				if len(pa) != len(pb) {
 					return fmt.Errorf("runtime: copy param mismatch at stage %d", s)
 				}
@@ -509,20 +539,18 @@ func (e *Engine) allReduce() error {
 	}
 	// (b) Cross-replica reduction.
 	if e.cfg.DP > 1 {
-		base := paramsOf(e.replicas[0])
+		base := e.replicas[0].params
 		for _, rep := range e.replicas[1:] {
-			ps := paramsOf(rep)
-			if len(ps) != len(base) {
+			if len(rep.params) != len(base) {
 				return fmt.Errorf("runtime: replica param mismatch")
 			}
 			for i := range base {
-				tensor.AxpyInPlace(base[i].G, 1, ps[i].G)
+				tensor.AxpyInPlace(base[i].G, 1, rep.params[i].G)
 			}
 		}
 		for _, rep := range e.replicas[1:] {
-			ps := paramsOf(rep)
 			for i := range base {
-				ps[i].G.CopyFrom(base[i].G)
+				rep.params[i].G.CopyFrom(base[i].G)
 			}
 		}
 	}

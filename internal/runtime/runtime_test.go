@@ -206,8 +206,8 @@ func TestReplicasStaySynced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p0 := paramsOf(eng.replicas[0])
-	p1 := paramsOf(eng.replicas[1])
+	p0 := eng.replicas[0].params
+	p1 := eng.replicas[1].params
 	for i := range p0 {
 		if d := tensor.MaxAbsDiff(p0[i].W, p1[i].W); d != 0 {
 			t.Fatalf("replicas diverged at param %d (%s): %g", i, p0[i].Name, d)

@@ -7,21 +7,49 @@ import (
 	"sync"
 )
 
-// parallelThreshold is the minimum amount of work (output elements times
-// inner dimension) before MatMul fans out across goroutines.
-const parallelThreshold = 1 << 15
+// parallelThreshold is the minimum amount of work (multiply-adds) before a
+// matrix kernel fans out across goroutines. Forking and joining GOMAXPROCS
+// goroutines costs about 20 µs on the 2-CPU reference box, where one core
+// sustains about 2.4 G multiply-adds per second: at the former 1<<15 the
+// fork cost more than the 14 µs of work it split, and a transformer's small
+// matmuls (32×32×128 is 1<<17) forked inside every pipeline worker, which
+// already occupy the cores. At 1<<20 (about 0.4 ms of work) the fork is
+// under 5 % of the kernel; parallel first measurably wins at 1<<21 there,
+// and a 256³ product (1<<24) runs 1.8× faster split.
+const parallelThreshold = 1 << 20
+
+// colsShape builds, in buf, a's shape with the last dimension replaced by n.
+func colsShape(buf []int, a *Tensor, n int) []int {
+	buf = append(buf[:0], a.Shape...)
+	buf[len(buf)-1] = n
+	return buf
+}
+
+// mustLen panics unless dst holds exactly n elements.
+func mustLen(op string, dst *Tensor, n int) {
+	if len(dst.Data) != n {
+		panic(fmt.Sprintf("tensor: %s destination %v holds %d elements, want %d", op, dst.Shape, len(dst.Data), n))
+	}
+}
 
 // MatMul computes C = A·B for A [m,k] and B [k,n]. Leading dimensions of A
 // beyond the last are collapsed, so [b,s,k]·[k,n] works and yields [b,s,n].
 func MatMul(a, b *Tensor) *Tensor {
+	var buf [4]int
+	return MatMulInto(New(colsShape(buf[:], a, b.Dim(-1))...), a, b)
+}
+
+// MatMulInto computes c = A·B into c, whose prior contents are discarded,
+// and returns c. c must hold m·n elements.
+func MatMulInto(c, a, b *Tensor) *Tensor {
 	k := a.Dim(-1)
 	if b.Rank() != 2 || b.Shape[0] != k {
 		panic(fmt.Sprintf("tensor: matmul shapes %v x %v", a.Shape, b.Shape))
 	}
 	n := b.Shape[1]
 	m := len(a.Data) / k
-	outShape := append(append([]int(nil), a.Shape[:len(a.Shape)-1]...), n)
-	c := New(outShape...)
+	mustLen("matmul", c, m*n)
+	clear(c.Data)
 	matmulInto(c.Data, a.Data, b.Data, m, k, n)
 	return c
 }
@@ -29,30 +57,11 @@ func MatMul(a, b *Tensor) *Tensor {
 // matmulInto computes c += a·b with a [m,k], b [k,n], c [m,n] row-major.
 // c must be zeroed by the caller if plain assignment is wanted.
 func matmulInto(c, a, b []float32, m, k, n int) {
-	work := m * k * n
-	if work < parallelThreshold || m == 1 {
+	if serial(m, m*k*n) {
 		matmulRows(c, a, b, 0, m, k, n)
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, m)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matmulRows(c, a, b, lo, hi, k, n)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallelRows(m, func(lo, hi int) { matmulRows(c, a, b, lo, hi, k, n) })
 }
 
 // matmulRows computes rows [lo,hi) of c += a·b using an ikj loop order that
@@ -76,66 +85,94 @@ func matmulRows(c, a, b []float32, lo, hi, k, n int) {
 
 // MatMulT computes C = A·Bᵀ for A [..,k] and B [n,k] yielding [..,n].
 func MatMulT(a, b *Tensor) *Tensor {
+	var buf [4]int
+	return MatMulTInto(New(colsShape(buf[:], a, b.Dim(0))...), a, b)
+}
+
+// MatMulTInto computes c = A·Bᵀ into c (every element is assigned) and
+// returns c. c must hold m·n elements.
+func MatMulTInto(c, a, b *Tensor) *Tensor {
 	k := a.Dim(-1)
 	if b.Rank() != 2 || b.Shape[1] != k {
 		panic(fmt.Sprintf("tensor: matmulT shapes %v x %v", a.Shape, b.Shape))
 	}
 	n := b.Shape[0]
 	m := len(a.Data) / k
-	outShape := append(append([]int(nil), a.Shape[:len(a.Shape)-1]...), n)
-	c := New(outShape...)
-	parallelRows(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			ci := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := b.Data[j*k : (j+1)*k]
-				var s float32
-				for p := range ai {
-					s += ai[p] * bj[p]
-				}
-				ci[j] = s
-			}
-		}
-	}, m*k*n)
+	mustLen("matmulT", c, m*n)
+	if serial(m, m*k*n) {
+		matmulTRows(c.Data, a.Data, b.Data, 0, m, k, n)
+		return c
+	}
+	parallelRows(m, func(lo, hi int) { matmulTRows(c.Data, a.Data, b.Data, lo, hi, k, n) })
 	return c
+}
+
+// matmulTRows computes rows [lo,hi) of c = a·bᵀ.
+func matmulTRows(c, a, b []float32, lo, hi, k, n int) {
+	for i := lo; i < hi; i++ {
+		ai := a[i*k : (i+1)*k]
+		ci := c[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			bj := b[j*k : (j+1)*k]
+			var s float32
+			for p := range ai {
+				s += ai[p] * bj[p]
+			}
+			ci[j] = s
+		}
+	}
 }
 
 // TMatMul computes C = Aᵀ·B for A [m,k], B [m,n] yielding [k,n]. This is the
 // weight-gradient shape (xᵀ·dy). A's leading dims are collapsed into m.
-func TMatMul(a, b *Tensor) *Tensor {
+func TMatMul(a, b *Tensor) *Tensor { return TMatMulInto(New(a.Dim(-1), b.Dim(-1)), a, b) }
+
+// TMatMulInto computes c = Aᵀ·B into c, whose prior contents are
+// discarded, and returns c. c must hold k·n elements.
+func TMatMulInto(c, a, b *Tensor) *Tensor {
 	k := a.Dim(-1)
 	n := b.Dim(-1)
 	m := len(a.Data) / k
 	if len(b.Data)/n != m {
 		panic(fmt.Sprintf("tensor: tmatmul shapes %v x %v", a.Shape, b.Shape))
 	}
-	c := New(k, n)
-	parallelRows(k, func(lo, hi int) {
-		for i := 0; i < m; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			bi := b.Data[i*n : (i+1)*n]
-			for p := lo; p < hi; p++ {
-				av := ai[p]
-				if av == 0 {
-					continue
-				}
-				cp := c.Data[p*n : (p+1)*n]
-				for j := range bi {
-					cp[j] += av * bi[j]
-				}
-			}
-		}
-	}, m*k*n)
+	mustLen("tmatmul", c, k*n)
+	clear(c.Data)
+	if serial(k, m*k*n) {
+		tmatmulRows(c.Data, a.Data, b.Data, 0, k, m, k, n)
+		return c
+	}
+	parallelRows(k, func(lo, hi int) { tmatmulRows(c.Data, a.Data, b.Data, lo, hi, m, k, n) })
 	return c
 }
 
-// parallelRows splits [0,m) across goroutines when work is large enough.
-func parallelRows(m int, f func(lo, hi int), work int) {
-	if work < parallelThreshold || m == 1 {
-		f(0, m)
-		return
+// tmatmulRows computes rows [lo,hi) of c += aᵀ·b.
+func tmatmulRows(c, a, b []float32, lo, hi, m, k, n int) {
+	for i := 0; i < m; i++ {
+		ai := a[i*k : (i+1)*k]
+		bi := b[i*n : (i+1)*n]
+		for p := lo; p < hi; p++ {
+			av := ai[p]
+			if av == 0 {
+				continue
+			}
+			cp := c[p*n : (p+1)*n]
+			for j := range bi {
+				cp[j] += av * bi[j]
+			}
+		}
 	}
+}
+
+// serial reports whether a kernel over rows output rows and work
+// multiply-adds should run on the calling goroutine.
+func serial(rows, work int) bool { return work < parallelThreshold || rows == 1 }
+
+// parallelRows splits the output rows [0,m) across goroutines. Each output
+// row is still computed by one goroutine in the serial loop order, so the
+// split never changes a result bit. Callers test serial first, so the
+// closure f is only built on the path that needs it.
+func parallelRows(m int, f func(lo, hi int)) {
 	workers := min(runtime.GOMAXPROCS(0), m)
 	chunk := (m + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -156,8 +193,11 @@ func parallelRows(m int, f func(lo, hi int), work int) {
 
 // Add returns a + b elementwise; b may also be a vector matching the last
 // dimension of a (row broadcast, the bias case).
-func Add(a, b *Tensor) *Tensor {
-	out := a.Clone()
+func Add(a, b *Tensor) *Tensor { return AddInto(New(a.Shape...), a, b) }
+
+// AddInto computes out = a + b (same broadcast rule) and returns out.
+func AddInto(out, a, b *Tensor) *Tensor {
+	out.CopyFrom(a)
 	AddInPlace(out, b)
 	return out
 }
@@ -234,9 +274,14 @@ func AxpyInPlace(y *Tensor, alpha float32, x *Tensor) {
 
 // SumLastDimGrad sums a over all but the last dimension, yielding a vector.
 // This is the bias-gradient reduction.
-func SumLastDimGrad(a *Tensor) *Tensor {
+func SumLastDimGrad(a *Tensor) *Tensor { return SumLastDimGradInto(New(a.Dim(-1)), a) }
+
+// SumLastDimGradInto computes the reduction into out, whose prior contents
+// are discarded, and returns out.
+func SumLastDimGradInto(out, a *Tensor) *Tensor {
 	n := a.Dim(-1)
-	out := New(n)
+	mustLen("sumLastDimGrad", out, n)
+	clear(out.Data)
 	for r := 0; r < len(a.Data)/n; r++ {
 		row := a.Data[r*n : (r+1)*n]
 		for j := range row {
@@ -283,9 +328,13 @@ func Transpose2D(a *Tensor) *Tensor {
 }
 
 // SoftmaxLastDim computes a numerically stable softmax over the last dim.
-func SoftmaxLastDim(a *Tensor) *Tensor {
+func SoftmaxLastDim(a *Tensor) *Tensor { return SoftmaxLastDimInto(New(a.Shape...), a) }
+
+// SoftmaxLastDimInto computes the softmax of a into out and returns out;
+// out may be a itself.
+func SoftmaxLastDimInto(out, a *Tensor) *Tensor {
 	n := a.Dim(-1)
-	out := a.Clone()
+	out.CopyFrom(a)
 	for r := 0; r < len(out.Data)/n; r++ {
 		row := out.Data[r*n : (r+1)*n]
 		maxv := row[0]
@@ -311,8 +360,14 @@ func SoftmaxLastDim(a *Tensor) *Tensor {
 // SoftmaxBackwardLastDim computes dX given Y=softmax(X) and dY:
 // dx = y ⊙ (dy − sum(dy⊙y)).
 func SoftmaxBackwardLastDim(y, dy *Tensor) *Tensor {
+	return SoftmaxBackwardLastDimInto(New(y.Shape...), y, dy)
+}
+
+// SoftmaxBackwardLastDimInto computes dX into dx (every element is
+// assigned) and returns dx.
+func SoftmaxBackwardLastDimInto(dx, y, dy *Tensor) *Tensor {
 	n := y.Dim(-1)
-	dx := New(y.Shape...)
+	mustLen("softmaxBackward", dx, len(y.Data))
 	for r := 0; r < len(y.Data)/n; r++ {
 		yr := y.Data[r*n : (r+1)*n]
 		dr := dy.Data[r*n : (r+1)*n]

@@ -14,18 +14,25 @@ import (
 type Tensor struct {
 	Shape []int
 	Data  []float32
+	lease uint8 // Workspace bookkeeping; zero for garbage-collected tensors
 }
 
 // New returns a zero tensor with the given shape.
 func New(shape ...int) *Tensor {
+	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, numel(shape))}
+}
+
+// numel returns the element count of shape. It formats a copy when it
+// panics, so that callers' variadic shapes stay on their stacks.
+func numel(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
+	return n
 }
 
 // FromSlice wraps data (not copied) in a tensor with the given shape.

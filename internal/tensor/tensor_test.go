@@ -103,19 +103,162 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 2))
 }
 
-// TestMatMulParallelMatchesSerial checks the goroutine fan-out path against
-// the single-threaded path on a size above parallelThreshold.
-func TestMatMulParallelMatchesSerial(t *testing.T) {
+// TestParallelKernelsBitIdentical checks the goroutine fan-out path of all
+// three matrix kernels against their single-threaded row loops on a size
+// above parallelThreshold: a row split must not change one bit.
+func TestParallelKernelsBitIdentical(t *testing.T) {
 	r := NewRNG(1)
-	m, k, n := 64, 48, 32
+	m, k, n := 128, 96, 112
+	if m*k*n < parallelThreshold {
+		t.Fatalf("%d multiply-adds no longer reach the parallel path (threshold %d)", m*k*n, parallelThreshold)
+	}
 	a := Randn(r, 1, m, k)
 	b := Randn(r, 1, k, n)
-	got := MatMul(a, b)
+	bt := Randn(r, 1, n, k)
+	dy := Randn(r, 1, m, n)
+	same := func(name string, got, want *Tensor) {
+		t.Helper()
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%s: element %d is %g split across goroutines, %g serial", name, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
 	want := New(m, n)
 	matmulRows(want.Data, a.Data, b.Data, 0, m, k, n)
-	if d := MaxAbsDiff(got, want); d > 1e-5 {
-		t.Fatalf("parallel vs serial diff %g", d)
+	same("MatMul", MatMul(a, b), want)
+	matmulTRows(want.Data, a.Data, bt.Data, 0, m, k, n)
+	same("MatMulT", MatMulT(a, bt), want)
+	wantT := New(k, n)
+	tmatmulRows(wantT.Data, a.Data, dy.Data, 0, k, m, k, n)
+	same("TMatMul", TMatMul(a, dy), wantT)
+}
+
+// TestIntoKernelsIgnoreDestinationContents: every destination-taking
+// kernel yields exactly its allocating form when handed a NaN-filled
+// destination — a recycled buffer never has to be zero.
+func TestIntoKernelsIgnoreDestinationContents(t *testing.T) {
+	r := NewRNG(3)
+	a := Randn(r, 1, 2, 5, 4)
+	w := Randn(r, 1, 4, 6)
+	wt := Randn(r, 1, 6, 4)
+	dy := Randn(r, 1, 2, 5, 6)
+	bias := Randn(r, 1, 4)
+	nan := func(shape ...int) *Tensor { return Full(float32(math.NaN()), shape...) }
+	cases := []struct {
+		name      string
+		got, want *Tensor
+	}{
+		{"MatMulInto", MatMulInto(nan(2, 5, 6), a, w), MatMul(a, w)},
+		{"MatMulTInto", MatMulTInto(nan(2, 5, 6), a, wt), MatMulT(a, wt)},
+		{"TMatMulInto", TMatMulInto(nan(4, 6), a, dy), TMatMul(a, dy)},
+		{"AddInto", AddInto(nan(2, 5, 4), a, bias), Add(a, bias)},
+		{"SumLastDimGradInto", SumLastDimGradInto(nan(6), dy), SumLastDimGrad(dy)},
+		{"SoftmaxLastDimInto", SoftmaxLastDimInto(nan(2, 5, 6), dy), SoftmaxLastDim(dy)},
+		{"SoftmaxBackwardLastDimInto", SoftmaxBackwardLastDimInto(nan(2, 5, 6), SoftmaxLastDim(dy), dy),
+			SoftmaxBackwardLastDim(SoftmaxLastDim(dy), dy)},
 	}
+	for _, c := range cases {
+		if len(c.got.Data) != len(c.want.Data) {
+			t.Fatalf("%s: %d elements, want %d", c.name, len(c.got.Data), len(c.want.Data))
+		}
+		for i := range c.want.Data {
+			if c.got.Data[i] != c.want.Data[i] {
+				t.Fatalf("%s: element %d is %g, allocating form gives %g", c.name, i, c.got.Data[i], c.want.Data[i])
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a destination of the wrong size must panic")
+		}
+	}()
+	MatMulInto(New(2, 5, 5), a, w)
+}
+
+// TestWorkspaceRecyclesBySize: Get reuses a returned buffer of the same
+// element count under a new shape, allocates nothing once warm, and a nil
+// workspace is the heap.
+func TestWorkspaceRecyclesBySize(t *testing.T) {
+	ws := &Workspace{}
+	a := ws.Get(2, 6)
+	a.Fill(7)
+	ws.Put(a)
+	b := ws.Get(3, 4)
+	if b != a || b.Shape[0] != 3 || b.Shape[1] != 4 || b.Data[0] != 7 {
+		t.Fatalf("Get(3,4) after Put of [2,6]: tensor %p shape %v, want the recycled %p as [3 4] with its old contents", b, b.Shape, a)
+	}
+	if z := ws.Zeros(12); z == b {
+		t.Fatal("a tensor that is still out was handed out again")
+	}
+	ws.Put(b)
+	if z := ws.Zeros(4, 3); z != b || z.Sum() != 0 {
+		t.Fatalf("Zeros returned %v", z)
+	}
+	if c := ws.GetCols(New(2, 5, 4), 6); c.Shape[0] != 2 || c.Shape[1] != 5 || c.Shape[2] != 6 {
+		t.Fatalf("GetCols shape %v", c.Shape)
+	}
+
+	warm := &Workspace{}
+	cycle := func() {
+		x, y := warm.Get(4, 4), warm.Get(8)
+		warm.Put(warm.GetCols(x, 2))
+		warm.Put(x)
+		warm.Put(y)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("a warm workspace allocates %.0f objects per cycle", n)
+	}
+
+	var heap *Workspace
+	h := heap.Get(2, 2)
+	heap.Put(h)
+	heap.Put(h) // a nil workspace tracks nothing
+	if heap.Zeros(3).Len() != 3 || heap.Sweep() != 0 {
+		t.Fatal("nil workspace misbehaves")
+	}
+}
+
+// TestWorkspaceOwnership: tensors no workspace handed out are left alone,
+// a double Put panics, a tensor may be returned to another workspace, and
+// Sweep reclaims exactly what is still out.
+func TestWorkspaceOwnership(t *testing.T) {
+	a, b := &Workspace{}, &Workspace{}
+	a.Put(New(3)) // heap tensor: ignored
+	if got := a.Get(3); got.Data == nil || a.Sweep() != 1 {
+		t.Fatal("a heap tensor must not enter the free list")
+	}
+
+	x := a.Get(5)
+	b.Put(x) // migrated: b now holds it
+	if n := a.Sweep(); n != 0 {
+		t.Fatalf("Sweep reclaimed %d tensors that sit in another workspace's free list", n)
+	}
+	if y := b.Get(5); y != x {
+		t.Fatal("migrated tensor not reused by its new holder")
+	}
+	// x is out again and nobody returns it: its maker's sweep takes it back.
+	if n := a.Sweep(); n != 1 {
+		t.Fatalf("Sweep reclaimed %d tensors, want the 1 still out", n)
+	}
+	if n := a.Sweep(); n != 0 {
+		t.Fatalf("second Sweep reclaimed %d", n)
+	}
+
+	a.Fill(float32(math.NaN()))
+	if z := a.Get(5); !math.IsNaN(float64(z.Data[0])) {
+		t.Fatal("Fill did not reach the pooled buffer")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("returning a tensor twice must panic")
+		}
+	}()
+	d := a.Get(2)
+	a.Put(d)
+	a.Put(d)
 }
 
 func TestMatMulTAgreesWithExplicitTranspose(t *testing.T) {
