@@ -135,7 +135,7 @@ func TestTopKWorkerInvariance(t *testing.T) {
 	model := nn.BERTStyle()
 	const topK = 3
 	want := AutoTune(cl, model, topKSpace(1, topK, false))[:topK]
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{2, 4, 8, 64} { // 64 > the grid's 21 cells
 		got := AutoTune(cl, model, topKSpace(workers, topK, false))[:topK]
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: top-%d differs from serial\ngot:  %+v\nwant: %+v",

@@ -7,10 +7,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	goruntime "runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -42,34 +45,30 @@ type Plan struct {
 	// (devices 0..P-1); evaluations stay D-invariant because every replica
 	// of a sweep shares the same plan.
 	Faults *sim.FaultPlan
-
-	// cache memoizes generated+validated schedules AND full single-pass
-	// evaluations across plans that share (Scheme, P, B) — identical
-	// action lists are built once and simulated once per AutoTune sweep
-	// instead of once per candidate. Nil (the zero value) means no
-	// memoization; AutoTune installs one per sweep.
-	cache *sweepCache
 }
 
 // schedKey identifies one action-list program: schedules depend only on
-// the scheme and the (P, B) shape, not on cluster, model or D. The same
-// key indexes cached evaluations, which is sound only because cluster,
+// the scheme and the (P, B) shape, not on cluster, model or D. It indexes
+// a sweep's memoized evaluations, which is sound only because cluster,
 // model and MicroRows are constant across one sweep and the per-replica
 // simulation is D-invariant (replicas are identical and concurrent; only
-// the final throughput scales by D, which Evaluate applies per plan).
+// the final throughput scales by D, which candidateFrom applies per plan).
 type schedKey struct {
 	scheme string
 	p, b   int
 }
 
-// sweepCache memoizes schedule generation/validation and default-options
-// plan evaluations. Entries are built exactly once (sync.Once) even under
-// the parallel sweep; the cached *sched.Schedule and *evalShared are
-// shared read-only by every worker.
+// sweepCache is one sweep's memo of D-invariant evaluations, one per
+// (scheme, P, B) key: eval serves the exhaustive sweep, full the
+// branch-and-bound one. It holds evaluations only — a key's schedule
+// lives on the measuring worker's Generator and is gone when the
+// measurement returns. The cached *evalShared are shared read-only by
+// every worker.
 type sweepCache struct {
-	mu    sync.Mutex
-	sched map[schedKey]*schedEntry
-	eval  map[schedKey]*evalEntry
+	mu sync.Mutex
+	// eval entries are built exactly once (sync.Once) even under the
+	// parallel sweep.
+	eval map[schedKey]*evalEntry
 	// full is the branch-and-bound sweep's result memo (TopK > 0): only
 	// COMPLETE evaluations — full simulations, memtrace OOM verdicts,
 	// deterministic errors — all of them D-invariant. Deadline-aborted
@@ -104,12 +103,6 @@ func (c *sweepCache) publishFull(k schedKey, e *evalShared, err error) {
 		c.full[k] = &fullEntry{e: e, err: err}
 	}
 	c.mu.Unlock()
-}
-
-type schedEntry struct {
-	once sync.Once
-	s    *sched.Schedule
-	err  error
 }
 
 // memMargin is the fraction of device HBM an evaluation may claim — the
@@ -164,25 +157,7 @@ type evalEntry struct {
 }
 
 func newSweepCache() *sweepCache {
-	return &sweepCache{sched: map[schedKey]*schedEntry{}, eval: map[schedKey]*evalEntry{},
-		full: map[schedKey]*fullEntry{}}
-}
-
-// get memoizes one schedule per key; g is the calling worker's reusable
-// Generator (nil on generator-less paths) — whichever caller wins the
-// per-key Once builds with its own Generator, so concurrent workers never
-// share one.
-func (c *sweepCache) get(g *sched.Generator, scheme string, p, b int) (*sched.Schedule, error) {
-	k := schedKey{scheme, p, b}
-	c.mu.Lock()
-	e, ok := c.sched[k]
-	if !ok {
-		e = &schedEntry{}
-		c.sched[k] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.s, e.err = buildSchedule(g, scheme, p, b) })
-	return e.s, e.err
+	return &sweepCache{eval: map[schedKey]*evalEntry{}, full: map[schedKey]*fullEntry{}}
 }
 
 // evalFor memoizes the D-invariant evaluation of one (scheme, P, B) key;
@@ -197,24 +172,6 @@ func (c *sweepCache) evalFor(k schedKey, build func() (*evalShared, error)) (*ev
 	c.mu.Unlock()
 	e.once.Do(func() { e.e, e.err = build() })
 	return e.e, e.err
-}
-
-// buildSchedule generates one validated schedule. Generation fuses
-// validation (sched.Generate/ByName output arrives proven executable), so
-// no separate sched.Validate pass runs. A non-nil g reuses the worker's
-// Generator arenas; its owned result is detached with Clone so retaining
-// it (the sweep cache, callers of Plan.Schedule) survives the Generator's
-// next run. g == nil drives a fresh single-use Generator via ByName, whose
-// output needs no copy.
-func buildSchedule(g *sched.Generator, scheme string, p, b int) (*sched.Schedule, error) {
-	if g == nil {
-		return sched.ByName(scheme, p, b)
-	}
-	s, err := g.Generate(scheme, p, b)
-	if err != nil {
-		return nil, err
-	}
-	return s.Clone(), nil
 }
 
 // Validate checks structural consistency against the cluster.
@@ -234,23 +191,14 @@ func (p Plan) Validate() error {
 	return p.Model.Validate()
 }
 
-// Schedule generates and validates the action lists for one replica
-// (memoized when the plan carries an AutoTune sweep cache).
+// Schedule generates the action lists for one replica. Generation fuses
+// validation (the output arrives proven executable), and a fresh
+// single-use Generator compiles it, so the caller may retain the result.
 func (p Plan) Schedule() (*sched.Schedule, error) {
-	return p.scheduleWith(nil)
-}
-
-// scheduleWith is Schedule with an optional per-worker Generator: the
-// sweep stack passes its evaluator's Generator so steady-state generation
-// reuses warmed arenas instead of allocating a compiler per schedule.
-func (p Plan) scheduleWith(g *sched.Generator) (*sched.Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.cache != nil {
-		return p.cache.get(g, p.Scheme, p.P, p.B)
-	}
-	return buildSchedule(g, p.Scheme, p.P, p.B)
+	return sched.ByName(p.Scheme, p.P, p.B)
 }
 
 // Simulate runs the discrete-event executor with the cluster cost model and
@@ -309,25 +257,13 @@ type EvalOptions struct {
 // Evaluate measures the plan with the paper-faithful executor options:
 // one simulation produces the memory estimate, the feasibility verdict
 // and the throughput together. Memory, Fits and Throughput are thin views
-// over this. Under an AutoTune sweep the result is cached per
-// (Scheme, P, B) and shared by all candidates that differ only in D.
+// over this.
 func (p Plan) Evaluate() (*Eval, error) {
 	return p.EvaluateOpts(EvalOptions{Sim: sim.DefaultOptions()})
 }
 
-// EvaluateOpts is Evaluate with explicit options. Only the default
-// configuration is served from the sweep cache; ablation options always
-// evaluate fresh.
+// EvaluateOpts is Evaluate with explicit options.
 func (p Plan) EvaluateOpts(opt EvalOptions) (*Eval, error) {
-	if p.cache != nil && !opt.AnalyticOnly && opt.Sim == sim.DefaultOptions() {
-		shared, err := p.cache.evalFor(schedKey{p.Scheme, p.P, p.B}, func() (*evalShared, error) {
-			return p.evaluateShared(opt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return p.evalView(shared), nil
-	}
 	shared, err := p.evaluateShared(opt)
 	if err != nil {
 		return nil, err
@@ -651,8 +587,8 @@ func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 // evaluation, a memtrace.Replayer for the OOM front end, and the budget
 // scratch they share. Reused across every key a worker measures — and,
 // inside a Tuner, across sweeps — so the steady-state evaluation pipeline
-// allocates only per-key outputs (retained schedules, estimates), never
-// per-run generator or executor state.
+// allocates only per-key outputs (cost tables, estimates), never per-run
+// generator or executor state.
 type evaluator struct {
 	gen    *sched.Generator
 	runner *sim.Runner
@@ -665,17 +601,24 @@ func newEvaluator() *evaluator {
 }
 
 // evalSchedule measures one (scheme, P, B) key on this evaluator's
-// reusable executors: memory replay first when pruning (infeasible cells
-// never reach sim.Run), then one timed simulation for the cells that fit.
-func (ev *evaluator) evalSchedule(s *sched.Schedule, plan Plan, prune bool) (*evalShared, error) {
-	return ev.evalScheduleDeadline(s, plan, prune, 0)
-}
-
-// evalScheduleDeadline is evalSchedule with an optional virtual-clock cap
-// (0 → none): the bound-and-prune sweep's measurement path. The memtrace
-// OOM front end runs uncapped — its verdicts stay complete, cacheable
-// facts — and only the timing simulation is deadline-aborted.
-func (ev *evaluator) evalScheduleDeadline(s *sched.Schedule, plan Plan, prune bool, deadline float64) (*evalShared, error) {
+// reusable executors. The schedule is compiled in place: it belongs to the
+// evaluator's Generator ("valid until the next Generate") and is consumed
+// where it was built, so the returned evalShared must reference none of it
+// — everything kept is copied into fresh storage, and the next key (on a
+// pooled evaluator, the next sweep) overwrites the lists. Memory replay
+// runs first when pruning (infeasible cells never reach sim.Run), then one
+// timed simulation for the cells that fit, under an optional virtual-clock
+// cap (deadline 0 → none): the bound-and-prune sweep's measurement path.
+// The memtrace OOM front end runs uncapped — its verdicts stay complete,
+// cacheable facts — and only the timing simulation is deadline-aborted.
+func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (*evalShared, error) {
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
+	if err != nil {
+		return nil, err
+	}
 	cl, model, rows := plan.Cluster, plan.Model, plan.MicroRows
 	if prune {
 		weights := memmodel.Weights(s, model)
@@ -729,11 +672,7 @@ func (ev *evaluator) evalScheduleDeadline(s *sched.Schedule, plan Plan, prune bo
 // paying one put round trip each.
 func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote) (*evalShared, error) {
 	if t == nil {
-		s, err := plan.scheduleWith(own.gen)
-		if err != nil {
-			return nil, err
-		}
-		return own.evalSchedule(s, plan, prune)
+		return own.evalSchedule(plan, prune, 0)
 	}
 	if ent, ok := t.cache.get(gk, hk); ok {
 		return ent.toShared(), nil
@@ -778,12 +717,7 @@ func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk ui
 	// schedule compilation is real work the admission control should bound.
 	ev := t.checkout()
 	defer t.checkin(ev)
-	s, err := plan.scheduleWith(ev.gen)
-	if err != nil {
-		f.err = err
-		return nil, err
-	}
-	es, err := ev.evalSchedule(s, plan, prune)
+	es, err := ev.evalSchedule(plan, prune, 0)
 	if err != nil {
 		f.err = err
 		return nil, err
@@ -811,11 +745,7 @@ func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk ui
 // publication lands is the same entry.
 func evalKeyBounded(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
 	if t == nil {
-		s, err := plan.scheduleWith(own.gen)
-		if err != nil {
-			return nil, err
-		}
-		return own.evalScheduleDeadline(s, plan, prune, deadline)
+		return own.evalSchedule(plan, prune, deadline)
 	}
 	if ent, ok := t.cache.get(gk, hk); ok {
 		return ent.toShared(), nil
@@ -831,11 +761,7 @@ func evalKeyBounded(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey
 	}
 	ev := t.checkout()
 	defer t.checkin(ev)
-	s, err := plan.scheduleWith(ev.gen)
-	if err != nil {
-		return nil, err
-	}
-	es, err := ev.evalScheduleDeadline(s, plan, prune, deadline)
+	es, err := ev.evalSchedule(plan, prune, deadline)
 	if err != nil || es.boundOnly {
 		return es, err // proven-below-cutoff (or failed): not a cache entry
 	}
@@ -918,10 +844,10 @@ func (c *cutoffState) observe(slot int, thr float64) {
 // AutoTune sweeps the search space and returns all candidates sorted by
 // throughput (best first). OOM candidates sort last — they appear in Fig 10
 // as blank cells. Candidates are measured by a bounded worker pool of
-// space.Workers goroutines sharing one schedule cache, so identical action
-// lists are generated and validated once per sweep; the ranking is
+// space.Workers goroutines sharing one evaluation memo, so identical action
+// lists are compiled and simulated once per sweep; the ranking is
 // independent of the worker count. Each worker owns a reusable
-// sim.Runner/memtrace.Replayer pair, and space.Prune routes every key
+// Generator/Runner/Replayer set, and space.Prune routes every key
 // through the memory-replay front end before the timing model.
 // space.TopK > 0 trades the exhaustive tail for speed: the first TopK
 // ranks stay exact and bit-for-bit identical while provably losing cells
@@ -989,8 +915,8 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	cache := newSweepCache()
 	var tasks []sweepTask
 	slots := 0 // output rows owned by this shard (== grid units owned)
-	layout := func(plan Plan, pd int, wave bool) {
-		tk := sweepTask{plan: plan, pd: pd, wave: wave, slot: slots, ub: math.Inf(1)}
+	layout := func(plan Plan, pd, waves int) {
+		tk := sweepTask{plan: plan, pd: pd, waves: waves, slot: slots, ub: math.Inf(1)}
 		if t != nil {
 			tk.gk = keyFor(plan, space.Prune, clusterFP)
 			tk.hk = tk.gk.hash()
@@ -1005,23 +931,29 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 		}
 		tasks = append(tasks, tk)
 	}
+	// Formatted once per sweep, not once per (P, D): a warm sweep does
+	// little besides this layout.
+	waveNames := make([]string, len(space.Waves))
+	for i, w := range space.Waves {
+		waveNames[i] = "hanayo-w" + strconv.Itoa(w)
+	}
 	for pi, pd := range space.PD {
 		base := Plan{Cluster: cl, Model: model, P: pd[0], D: pd[1],
-			B: space.B, MicroRows: space.MicroRows, Faults: space.Faults, cache: cache}
+			B: space.B, MicroRows: space.MicroRows, Faults: space.Faults}
 		for _, scheme := range space.Schemes {
 			if !claim() {
 				continue
 			}
 			plan := base
 			plan.Scheme = scheme
-			layout(plan, pi, false)
+			layout(plan, pi, 0)
 			slots++
 		}
 		if len(space.Waves) > 0 && claim() {
-			for _, w := range space.Waves {
+			for i, w := range space.Waves {
 				plan := base
-				plan.Scheme = fmt.Sprintf("hanayo-w%d", w)
-				layout(plan, pi, true)
+				plan.Scheme = waveNames[i]
+				layout(plan, pi, w)
 			}
 			slots++
 		}
@@ -1065,10 +997,17 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	// occupying pool slots. A branch-and-bound sweep (TopK > 0) feeds the
 	// cells best-first — descending analytic upper bound — so the true
 	// winners tend to evaluate first and the cutoff tightens as early as
-	// possible; everything still lands in grid-order measured slots, so
-	// the reduction below is order-independent.
+	// possible. An exhaustive sweep feeds the largest schedules first: a
+	// fresh evaluator then sizes every arena once, on its first key,
+	// instead of regrowing them up the P × wave ladder, and a wider pool
+	// starts its longest cells first. Everything still lands in grid-order
+	// measured slots, so the reduction below is order-independent.
 	var cut *cutoffState
 	feed := make(chan int, len(tasks))
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
 	if space.TopK > 0 {
 		cut = newCutoffState(space.TopK, slots)
 		if warm != nil {
@@ -1086,7 +1025,7 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 			for _, sd := range warm.seeds {
 				for j := range tasks {
 					tk := &tasks[j]
-					if tk.plan.P == sd.p && tk.plan.D == sd.d && tk.wave == sd.wave &&
+					if tk.plan.P == sd.p && tk.plan.D == sd.d && (tk.waves > 0) == sd.wave &&
 						(sd.wave || tk.plan.Scheme == sd.scheme) {
 						cache.publishFull(schedKey{sd.scheme, sd.p, space.B}, sd.es, nil)
 						cut.observe(tk.slot, sd.thr)
@@ -1095,24 +1034,19 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 				}
 			}
 		}
-		order := make([]int, len(tasks))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return tasks[order[a]].ub > tasks[order[b]].ub
-		})
-		for _, i := range order {
-			feed <- i
-		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(tasks[b].ub, tasks[a].ub) })
 	} else {
-		for i := range tasks {
-			feed <- i
-		}
+		slices.SortStableFunc(order, func(a, b int) int { return tasks[b].size() - tasks[a].size() })
+	}
+	for _, i := range order {
+		feed <- i
 	}
 	close(feed)
 	measured := make([]Candidate, len(tasks))
 	var wg sync.WaitGroup
+	// A pool wider than the shard's cell count would only build idle
+	// evaluators.
+	workers = min(workers, len(tasks))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -1159,7 +1093,7 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	var out []Candidate
 	i := 0
 	for pi := range space.PD {
-		for ; i < len(tasks) && tasks[i].pd == pi && !tasks[i].wave; i++ {
+		for ; i < len(tasks) && tasks[i].pd == pi && tasks[i].waves == 0; i++ {
 			out = append(out, measured[i])
 		}
 		var bestWave *Candidate
@@ -1187,10 +1121,10 @@ func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 
 // sweepTask is one grid cell of a sweep with its layout-time derivatives.
 type sweepTask struct {
-	plan Plan
-	pd   int  // index into space.PD
-	wave bool // part of the per-(P,D) Hanayo wave sweep
-	slot int  // output-row index (wave groups share one row)
+	plan  Plan
+	pd    int // index into space.PD
+	waves int // wave count of a cell of the per-(P,D) Hanayo wave sweep; 0 for a Schemes cell
+	slot  int // output-row index (wave groups share one row)
 	// ub is the proven total-throughput upper bound (D·B·MicroRows over
 	// costmodel.LowerBound) steering a branch-and-bound sweep; +Inf when
 	// TopK == 0 or the bound is unavailable for this cell's shape.
@@ -1199,6 +1133,19 @@ type sweepTask struct {
 	// once per cell per sweep (valid only under a Tuner).
 	gk tunerKey
 	hk uint64
+}
+
+// size is the cell's schedule size in compute tasks, 2·B·S, in closed form
+// from the integers the layout holds — never parsed out of a scheme name:
+// S = 2·W·P for a wave cell, P for a Schemes cell. That undercounts the
+// multi-chunk baselines (chimera-wave, interleaved), which costs nothing
+// but ordering quality: size only steers the exhaustive feed order.
+func (tk *sweepTask) size() int {
+	s := tk.plan.P
+	if tk.waves > 0 {
+		s *= 2 * tk.waves
+	}
+	return 2 * tk.plan.B * s
 }
 
 // evalBounded measures one cell of a branch-and-bound sweep (TopK > 0):
@@ -1221,7 +1168,7 @@ func evalBounded(tk *sweepTask, cache *sweepCache, own *evaluator, prune bool, t
 		// Provably below at least TopK fully evaluated rows — strictly, so
 		// a tie with the cutoff still evaluates and tie order survives.
 		cut.pruned.Add(1)
-		return boundPrunedCandidate(plan, tk.ub)
+		return Candidate{Plan: plan, BoundPruned: true, Bound: tk.ub}
 	}
 	var deadline float64
 	if co > 0 {
@@ -1233,19 +1180,12 @@ func evalBounded(tk *sweepTask, cache *sweepCache, own *evaluator, prune bool, t
 	es, err := evalKeyBounded(plan, own, prune, t, tk.gk, tk.hk, sr, deadline)
 	if err == nil && es.boundOnly {
 		cut.pruned.Add(1)
-		return boundPrunedCandidate(plan, es.perReplica*float64(plan.D))
+		return Candidate{Plan: plan, BoundPruned: true, Bound: es.perReplica * float64(plan.D)}
 	}
 	cache.publishFull(k, es, err)
 	c := candidateFrom(plan, es, err)
 	cut.observe(tk.slot, c.Throughput)
 	return c
-}
-
-// boundPrunedCandidate is the outcome of a cell eliminated by the bound:
-// no exact measurement, only the proven total-throughput upper bound.
-func boundPrunedCandidate(plan Plan, bound float64) Candidate {
-	plan.cache = nil
-	return Candidate{Plan: plan, BoundPruned: true, Bound: bound}
 }
 
 // AutoTuneShard evaluates one shard's slice of the candidate grid —
@@ -1294,12 +1234,8 @@ func MergeShards(parts ...[]Candidate) []Candidate {
 func SimRuns() int64 { return simRuns.Load() }
 
 // candidateFrom scales one key's shared evaluation to a candidate plan.
-// The sweep cache is dropped from the returned candidate so holding one
-// result does not retain every schedule produced by the sweep.
 func candidateFrom(plan Plan, es *evalShared, err error) Candidate {
-	pub := plan
-	pub.cache = nil
-	c := Candidate{Plan: pub}
+	c := Candidate{Plan: plan}
 	if err != nil {
 		c.Err = err
 		return c

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -219,9 +220,9 @@ func TestDefaultSchemes(t *testing.T) {
 }
 
 // TestAutoTuneParallelRankingMatchesSerial sweeps the same space serially
-// (Workers=1) and with a full worker pool and requires the identical
-// candidate ordering and measurements — the parallel sweep must be a pure
-// wall-clock optimization.
+// (Workers=1), with a full worker pool and with a pool wider than the grid,
+// and requires the identical candidate ordering and measurements — the
+// parallel sweep must be a pure wall-clock optimization.
 func TestAutoTuneParallelRankingMatchesSerial(t *testing.T) {
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
@@ -234,22 +235,26 @@ func TestAutoTuneParallelRankingMatchesSerial(t *testing.T) {
 	serialSpace := space
 	serialSpace.Workers = 1
 	serial := AutoTune(cl, model, serialSpace)
-	parallelSpace := space
-	parallelSpace.Workers = 8
-	parallel := AutoTune(cl, model, parallelSpace)
+	// 8 workers share the 18 cells; 64 ask for a pool wider than the grid,
+	// which the sweep clamps to one worker per cell.
+	for _, workers := range []int{8, 64} {
+		parallelSpace := space
+		parallelSpace.Workers = workers
+		parallel := AutoTune(cl, model, parallelSpace)
 
-	if len(serial) != len(parallel) {
-		t.Fatalf("candidate counts differ: serial %d, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.Plan.Scheme != p.Plan.Scheme || s.Plan.P != p.Plan.P || s.Plan.D != p.Plan.D {
-			t.Fatalf("rank %d: serial %s P=%d D=%d, parallel %s P=%d D=%d",
-				i, s.Plan.Scheme, s.Plan.P, s.Plan.D, p.Plan.Scheme, p.Plan.P, p.Plan.D)
+		if len(serial) != len(parallel) {
+			t.Fatalf("candidate counts differ: serial %d, %d workers %d", len(serial), workers, len(parallel))
 		}
-		if s.Throughput != p.Throughput || s.PeakGB != p.PeakGB || s.OOM != p.OOM {
-			t.Fatalf("rank %d (%s): serial (%.6f, %.3f, %v) vs parallel (%.6f, %.3f, %v)",
-				i, s.Plan.Scheme, s.Throughput, s.PeakGB, s.OOM, p.Throughput, p.PeakGB, p.OOM)
+		for i := range serial {
+			s, p := serial[i], parallel[i]
+			if s.Plan.Scheme != p.Plan.Scheme || s.Plan.P != p.Plan.P || s.Plan.D != p.Plan.D {
+				t.Fatalf("rank %d: serial %s P=%d D=%d, %d workers %s P=%d D=%d",
+					i, s.Plan.Scheme, s.Plan.P, s.Plan.D, workers, p.Plan.Scheme, p.Plan.P, p.Plan.D)
+			}
+			if s.Throughput != p.Throughput || s.PeakGB != p.PeakGB || s.OOM != p.OOM {
+				t.Fatalf("rank %d (%s): serial (%.6f, %.3f, %v) vs %d workers (%.6f, %.3f, %v)",
+					i, s.Plan.Scheme, s.Throughput, s.PeakGB, s.OOM, workers, p.Throughput, p.PeakGB, p.OOM)
+			}
 		}
 	}
 }
@@ -284,45 +289,43 @@ func TestSweepRunsOneSimPerKey(t *testing.T) {
 	}
 }
 
-// TestEvaluateCachedMatchesUncached asserts cache correctness: a plan
-// evaluated through the sweep cache reports the identical numbers as the
-// same plan evaluated cold, and a second cached plan differing only in D
-// shares the underlying simulation while scaling throughput by its own D.
+// TestEvaluateCachedMatchesUncached asserts the sweep's memo is
+// transparent: every candidate of a sweep — measured on a worker's
+// Generator-owned schedule and shared per (scheme, P, B) key — reports the
+// identical numbers as the same plan evaluated cold through Plan.Evaluate,
+// and two cells differing only in D share one simulation while each scales
+// throughput by its own D.
 func TestEvaluateCachedMatchesUncached(t *testing.T) {
-	cache := newSweepCache()
-	cached := bertPlan("hanayo-w2", 4, 2)
-	cached.cache = cache
-	cold := bertPlan("hanayo-w2", 4, 2)
-
-	ec, err := cached.Evaluate()
-	if err != nil {
-		t.Fatal(err)
+	d2 := bertPlan("hanayo-w2", 4, 2)
+	d1 := d2
+	d1.D = 1 // same (scheme, P, B) key, same cluster
+	before := simRuns.Load()
+	cands := AutoTuneShard(d2.Cluster, d2.Model, SearchSpace{
+		Schemes: []string{}, Waves: []int{2}, PD: [][2]int{{4, 2}, {4, 1}},
+		B: d2.B, MicroRows: d2.MicroRows, Workers: 1,
+	})
+	if got := simRuns.Load() - before; got != 1 {
+		t.Fatalf("two cells of one key issued %d simulations, want 1", got)
 	}
-	eu, err := cold.Evaluate()
-	if err != nil {
-		t.Fatal(err)
+	if len(cands) != 2 {
+		t.Fatalf("%d candidates, want 2", len(cands))
 	}
-	if ec.Throughput != eu.Throughput || ec.Fits != eu.Fits {
-		t.Fatalf("cached (%g, %v) != uncached (%g, %v)",
-			ec.Throughput, ec.Fits, eu.Throughput, eu.Fits)
+	for i, cold := range []Plan{d2, d1} {
+		c := cands[i]
+		if c.Plan != cold {
+			t.Fatalf("candidate %d carries plan %+v, want %+v", i, c.Plan, cold)
+		}
+		eu, err := cold.Evaluate()
+		if err != nil || c.Err != nil {
+			t.Fatal(err, c.Err)
+		}
+		if c.Throughput != eu.Throughput || c.OOM == eu.Fits || c.PeakGB != eu.Memory.MaxGB() {
+			t.Fatalf("D=%d: sweep (%g, oom %v, %g GB) != cold (%g, fits %v, %g GB)", cold.D,
+				c.Throughput, c.OOM, c.PeakGB, eu.Throughput, eu.Fits, eu.Memory.MaxGB())
+		}
 	}
-	if ec.Memory.MaxGB() != eu.Memory.MaxGB() || ec.Sim.Makespan != eu.Sim.Makespan {
-		t.Fatalf("cached memory/makespan (%g, %g) != uncached (%g, %g)",
-			ec.Memory.MaxGB(), ec.Sim.Makespan, eu.Memory.MaxGB(), eu.Sim.Makespan)
-	}
-
-	// A different D on the same key reuses the simulation and rescales.
-	other := cached
-	other.D = 1
-	eo, err := other.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eo.Sim != ec.Sim {
-		t.Fatal("same-key plans must share the cached simulation result")
-	}
-	if got, want := eo.Throughput*2, ec.Throughput; got != want {
-		t.Fatalf("D=1 throughput %g not half of D=2's %g", eo.Throughput, ec.Throughput)
+	if got, want := cands[1].Throughput*2, cands[0].Throughput; got != want {
+		t.Fatalf("D=1 throughput %g not half of D=2's %g", cands[1].Throughput, cands[0].Throughput)
 	}
 }
 
@@ -356,15 +359,34 @@ func TestEvaluateAnalyticOnly(t *testing.T) {
 	}
 }
 
-// TestScheduleCacheSharesPrograms proves the sweep cache builds one
-// schedule per (scheme, P, B) and returns the same instance to every plan
-// that shares the key.
+// TestScheduleCacheSharesPrograms proves a sweep keeps one memo per
+// (scheme, P, B) program — evalFor builds the key's evaluation once and
+// hands the same instance to every plan sharing it, whatever its D — and
+// that no schedule is shared anywhere: Plan.Schedule compiles a fresh,
+// retainable instance per call.
 func TestScheduleCacheSharesPrograms(t *testing.T) {
 	cache := newSweepCache()
 	p1 := bertPlan("hanayo-w2", 4, 2)
-	p1.cache = cache
 	p2 := p1
 	p2.D = 1 // different plan, same (scheme, P, B) program
+	builds := 0
+	var shared [2]*evalShared
+	for i, p := range []Plan{p1, p2} {
+		es, err := cache.evalFor(schedKey{p.Scheme, p.P, p.B}, func() (*evalShared, error) {
+			builds++
+			return newEvaluator().evalSchedule(p, false, 0)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared[i] = es
+	}
+	if builds != 1 || shared[0] != shared[1] {
+		t.Fatalf("one key built %d evaluations (shared: %v)", builds, shared[0] == shared[1])
+	}
+	if c1, c2 := candidateFrom(p1, shared[0], nil), candidateFrom(p2, shared[1], nil); c1.Throughput != 2*c2.Throughput {
+		t.Fatalf("D=2 candidate %g is not twice D=1's %g", c1.Throughput, c2.Throughput)
+	}
 	s1, err := p1.Schedule()
 	if err != nil {
 		t.Fatal(err)
@@ -373,15 +395,10 @@ func TestScheduleCacheSharesPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
-		t.Fatal("cache returned distinct schedules for one (scheme, P, B) key")
+	if s1 == s2 || &s1.Lists[0][0] == &s2.Lists[0][0] {
+		t.Fatal("Plan.Schedule must compile a fresh schedule per call")
 	}
-	uncached := bertPlan("hanayo-w2", 4, 2)
-	s3, err := uncached.Schedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3 == s1 {
-		t.Fatal("plans without a sweep cache must build fresh schedules")
+	if !reflect.DeepEqual(s1.Lists, s2.Lists) {
+		t.Fatal("one (scheme, P, B) program compiled to different lists")
 	}
 }

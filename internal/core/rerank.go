@@ -130,7 +130,6 @@ func (t *Tuner) Rerank(prev []Candidate, cl *cluster.Cluster, model nn.Config, s
 	var stats RerankStats
 	base := SimRuns()
 	clusterFP := cl.Fingerprint()
-	seedCache := newSweepCache()
 	seen := make(map[rowID]bool, space.TopK)
 	var seeds []warmSeed
 	for i := range prev {
@@ -161,7 +160,7 @@ func (t *Tuner) Rerank(prev []Candidate, cl *cluster.Cluster, model nn.Config, s
 		seen[id] = true
 		plan := Plan{Scheme: c.Plan.Scheme, Cluster: cl, Model: model,
 			P: c.Plan.P, D: c.Plan.D, B: space.B, MicroRows: space.MicroRows,
-			Faults: space.Faults, cache: seedCache}
+			Faults: space.Faults}
 		gk := keyFor(plan, space.Prune, clusterFP)
 		es, err := evalKey(plan, nil, space.Prune, t, gk, gk.hash(), nil)
 		stats.Seeded++

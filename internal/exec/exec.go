@@ -241,9 +241,9 @@ func (ex *interp) step(m *machine) (bool, error) {
 // insufficient (monotonic growth) and zeroing the active window, so
 // reused storage starts every run in the fresh-allocation state. The one
 // shared grow-or-reuse helper behind every reusable backend's arenas
-// (sim.Runner, memtrace.Replayer); Loop.prepare's timeline reset
-// deliberately differs — timelines are append-only, so it keeps length 0
-// instead of zero-filling.
+// (sim.Runner, memtrace.Replayer); Loop.prepare's timeline block
+// deliberately differs — timelines are append-only rows of length 0, so
+// nothing is zero-filled.
 func Arena[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -264,37 +264,43 @@ func Arena[T any](s []T, n int) []T {
 // The package-level Run and RunConcurrent drive a fresh Loop per call and
 // therefore return timelines the caller may retain.
 type Loop struct {
-	records [][]Record // replica-major: replica r's device d at r·P+d
+	flat    []Record   // every timeline, back to back
+	records [][]Record // rows of flat, replica-major: replica r's device d at r·P+d
 	ms      []machine
+	ops     []int // per device compute-op count (scratch)
 }
 
 // prepare resets the Loop for replicas copies of schedule s, reusing
 // machine and timeline storage when the arenas are already large enough.
+// Each timeline is a row of one flat block, sized at its device's exact
+// compute-op count — the walking loop never grows a Record slice mid-run —
+// and three-indexed, so one device's appends cannot reach its neighbour's.
 func (l *Loop) prepare(s *sched.Schedule, replicas int) {
 	n := replicas * s.P
 	if cap(l.ms) < n {
 		l.ms = make([]machine, n)
 		l.records = make([][]Record, n)
 	}
-	l.ms = l.ms[:n]
-	l.records = l.records[:n]
+	l.ms, l.records = l.ms[:n], l.records[:n]
+	l.ops = Arena(l.ops, s.P)
+	total := 0
 	for d := 0; d < s.P; d++ {
-		// Size each device's timeline at its exact compute-op count so the
-		// walking loop never grows a Record slice mid-run.
-		ops := 0
 		for _, a := range s.Lists[d] {
 			if a.Kind.IsCompute() {
-				ops++
+				l.ops[d]++
 			}
 		}
-		for i := d; i < n; i += s.P {
-			if cap(l.records[i]) < ops {
-				l.records[i] = make([]Record, 0, ops)
-			} else {
-				l.records[i] = l.records[i][:0]
-			}
-			l.ms[i] = machine{dev: d, list: s.Lists[d]}
-		}
+		total += l.ops[d]
+	}
+	if cap(l.flat) < replicas*total {
+		l.flat = make([]Record, replicas*total)
+	}
+	off := 0
+	for i := range l.ms {
+		d := i % s.P
+		l.records[i] = l.flat[off : off : off+l.ops[d]]
+		off += l.ops[d]
+		l.ms[i] = machine{dev: d, list: s.Lists[d]}
 	}
 }
 

@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // family enumerates the scheme families of the unified framework — each is
 // a point in (placement, priority, cap, barrier) space (§3).
@@ -34,7 +37,7 @@ type shapeKey struct {
 // — exact for every built-in placement, all of which depend on the
 // micro-batch id through at most its parity — the per-(stage, chunk)
 // inflight-cap table, and the scheme name (so the steady state never
-// re-runs fmt.Sprintf).
+// re-formats it).
 type shapeEntry struct {
 	name     string
 	w        int // recorded as Schedule.W
@@ -49,10 +52,11 @@ type shapeEntry struct {
 
 // Generator is a reusable schedule compiler: it owns every buffer
 // generation needs — the greedy scheduler's flat state and event heap, the
-// per-device action-list arenas, the dense validation arenas, and a cache
-// of mappings and cap tables per shape — and grows them monotonically to
-// the largest (P, B, S) shape seen, so repeated generation (an AutoTune
-// sweep, a tuning service) allocates nothing in steady state.
+// one flat action arena every device's list is a row of, the dense
+// validation arenas, and a cache of mappings and cap tables per shape — and
+// grows them monotonically to the largest (P, B, S) shape seen, so repeated
+// generation (an AutoTune sweep, a tuning service) allocates nothing in
+// steady state.
 //
 // The zero value is ready to use. A Generator is NOT safe for concurrent
 // use, and the *Schedule it returns (including Lists and their backing
@@ -64,9 +68,9 @@ type shapeEntry struct {
 // Generation and validation are fused: the greedy engine's event-driven
 // execution is itself the executability proof for the compute DAG (every
 // task runs exactly once, on its mapped device, in dependency order,
-// within its live-activation cap), communication insertion emits exactly
-// one canonically-paired send/recv per cross-device edge plus the flush
-// tail by construction, and the remaining property — the batched
+// within its live-activation cap), each task is emitted with exactly one
+// canonically-paired send/recv per cross-device edge it touches, plus the
+// flush tail, by construction, and the remaining property — the batched
 // rendezvous pattern cannot deadlock — is checked by the same dense
 // replay that backs the standalone Validate, on Generator-owned arenas.
 // A nil error therefore means exactly what ByName-then-Validate used to.
@@ -189,7 +193,6 @@ func (g *Generator) generate(fam family, arg, p, b int, opts ...Option) (*Schedu
 	if err := g.eng.run(gp, dev, chk, capTab); err != nil {
 		return nil, fmt.Errorf("sched: %s: %w", ent.name, err)
 	}
-	lists := g.eng.insertComm(gp, dev)
 	g.out = Schedule{
 		Scheme:  ent.name,
 		P:       gp.Mapping.P,
@@ -197,7 +200,7 @@ func (g *Generator) generate(fam family, arg, p, b int, opts ...Option) (*Schedu
 		S:       gp.Mapping.S,
 		W:       ent.w,
 		Mapping: gp.Mapping,
-		Lists:   lists,
+		Lists:   g.eng.lists,
 	}
 	// Fused validation: only the rendezvous replay remains to be proven —
 	// everything else holds by construction (see the type comment).
@@ -281,7 +284,7 @@ func buildShape(fam family, p, arg int) *shapeEntry {
 			// single wave — the paper's evaluation baseline (§3.2, Fig 5).
 			ent.name = "chimera-wave"
 		} else {
-			ent.name = fmt.Sprintf("hanayo-w%d", w)
+			ent.name = "hanayo-w" + strconv.Itoa(w)
 		}
 		capAt = func(s, _ int) int {
 			steady := (m.S - s + 2*w - 1) / (2 * w)
@@ -304,24 +307,30 @@ func buildShape(fam family, p, arg int) *shapeEntry {
 		v := arg
 		m := InterleavedMapping(p, v)
 		ent.mapping = m
-		ent.name = fmt.Sprintf("interleaved-v%d", v)
+		ent.name = "interleaved-v" + strconv.Itoa(v)
 		capAt = func(s, _ int) int { return max(p, (m.S-s+v-1)/v) }
 	default:
 		panic(fmt.Sprintf("sched: unknown scheme family %d", fam))
 	}
 
+	// The four lookup rows and the cap table are one exact allocation.
 	m := ent.mapping
-	for row := 0; row < 2; row++ {
-		ent.dev[row] = make([]int32, m.S)
-		ent.chk[row] = make([]int32, m.S)
+	chunks := m.ChunksPerDevice()
+	n := 4 * m.S
+	if capAt != nil {
+		n += m.S * chunks
+	}
+	block := make([]int32, n)
+	row := func(i int) []int32 { return block[i*m.S : (i+1)*m.S : (i+1)*m.S] }
+	ent.dev, ent.chk = [2][]int32{row(0), row(1)}, [2][]int32{row(2), row(3)}
+	for parity := 0; parity < 2; parity++ {
 		for s := 0; s < m.S; s++ {
-			ent.dev[row][s] = int32(m.Device(row, s))
-			ent.chk[row][s] = int32(m.Chunk(row, s))
+			ent.dev[parity][s] = int32(m.Device(parity, s))
+			ent.chk[parity][s] = int32(m.Chunk(parity, s))
 		}
 	}
 	if capAt != nil {
-		chunks := m.ChunksPerDevice()
-		tab := make([]int32, m.S*chunks)
+		tab := block[4*m.S:]
 		for s := 0; s < m.S; s++ {
 			for c := 0; c < chunks; c++ {
 				tab[s*chunks+c] = int32(capAt(s, c))

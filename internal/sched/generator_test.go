@@ -115,6 +115,73 @@ func TestGeneratorOwnedResult(t *testing.T) {
 	if clone.Scheme != "dapple" || Validate(clone) != nil {
 		t.Fatal("a Clone taken before the next Generate must stay intact")
 	}
+	// The lists are rows of one flat arena: each is exactly full, so an
+	// append to one device's list reallocates instead of overwriting the
+	// next device's first action.
+	for d, l := range second.Lists {
+		if cap(l) != len(l) {
+			t.Fatalf("device %d: cap %d != len %d", d, cap(l), len(l))
+		}
+	}
+	next := second.Lists[1][0]
+	_ = append(second.Lists[0], Action{Kind: OpOptimStep, Micro: -1, Stage: -1, Peer: -1})
+	if second.Lists[1][0] != next {
+		t.Fatal("appending to device 0's list overwrote device 1's first action")
+	}
+}
+
+// closureMapping swaps in a copy of the scheme's own mapping: the same
+// placement, but no longer the pointer the shape's dense tables were built
+// for, so the engine consults the mapping's lookup closures, wakes every
+// device on a backward completion and rescans all devices to a fixed point
+// — the reference path.
+func closureMapping(gp *GenParams) {
+	m := *gp.Mapping
+	gp.Mapping = &m
+}
+
+// TestTableDrivenMatchesClosureReference is the scan and arena parity test:
+// for every scheme, shape and wave count the table-driven engine — wake-only
+// scanning, closed-form row sizes from the dense device table — must emit,
+// action for action, the lists of the closure-mapped reference path, under
+// the default ordering costs and under WithCosts(1, 1.5, 0), whose free
+// transfers make many more tasks ready at the same instant.
+func TestTableDrivenMatchesClosureReference(t *testing.T) {
+	schemes := append([]string{"hanayo-w8"}, generatorSchemes...) // waves 1/2/4/8
+	table, reference := NewGenerator(), NewGenerator()
+	for _, scheme := range schemes {
+		for _, shape := range [][2]int{{4, 4}, {8, 16}, {16, 16}, {32, 16}} {
+			for _, costs := range [][]Option{nil, {WithCosts(1, 1.5, 0)}} {
+				p, b := shape[0], shape[1]
+				got, err := table.Generate(scheme, p, b, costs...)
+				if err != nil {
+					t.Fatalf("%s P=%d B=%d: %v", scheme, p, b, err)
+				}
+				want, err := reference.Generate(scheme, p, b, append([]Option{closureMapping}, costs...)...)
+				if err != nil {
+					t.Fatalf("%s P=%d B=%d reference: %v", scheme, p, b, err)
+				}
+				schedulesEqual(t, scheme, got, want)
+			}
+		}
+	}
+}
+
+// TestOneShotAllocsPinned pins a one-shot compile of the benchmark's largest
+// single schedule: a fresh Generator pays for its arenas, each once and at
+// its exact size, plus the shape entry — nothing per device or per action:
+// 36 objects, against 952 when every per-device list grew by append.
+func TestOneShotAllocsPinned(t *testing.T) {
+	const budget = 37
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := ByName("hanayo-w4", 32, 32); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f objects (budget %d)", got, budget)
+	if got > budget {
+		t.Fatalf("one-shot hanayo-w4 P=32 B=32 allocates %.0f objects, budget %d", got, budget)
+	}
 }
 
 // TestGeneratorAllocsZero pins the tentpole number: after warmup on a

@@ -51,8 +51,9 @@ type GenParams struct {
 
 // genEvent is one entry of the engine's typed event heap: "device dev may be
 // able to start something at time". dev == wakeAll means every device must
-// be rescanned (a backward completed, releasing live-activation budget that
-// any capped forward anywhere may have been waiting on).
+// be scanned: the start of the run, and — under a closure mapping only — a
+// backward completion, whose released live-activation budget a capped
+// forward on any device may have been waiting on.
 type genEvent struct {
 	time float64
 	dev  int32
@@ -85,18 +86,23 @@ type engine struct {
 	chunks int         // chunks per device
 
 	// Arenas.
-	readyAt  []float64  // valid while queued
-	queued   []bool     // sits in its device's pending list
+	readyAt  []float64  // valid once enqueued
 	done     []bool     // executed
 	devOf    []int32    // task -> device
-	pending  [][]int32  // per device: queued, not-yet-done tasks
 	free     []float64  // per device: busy until
 	inflight []int32    // (stage, chunkClass) -> live activations
 	fwdLeft  []int32    // forwards remaining per device (phase barrier)
-	order    [][]Action // per device compute order (the run's output)
-	lists    [][]Action // per device full action lists (after comm insertion)
+	rowLen   []int32    // per device: exact action count before the flush tail
 	events   []genEvent // binary min-heap on time
 	wake     []bool     // per device: needs rescanning at the popped time
+	// The run's output and its ready queues are rows of two flat blocks,
+	// sized exactly by layout before the first event pops. Rows are
+	// three-index slices (cap == final len), so nothing the engine or a
+	// caller appends to one device's row can reach the next device's.
+	actions []Action   // every device's action list, back to back
+	lists   [][]Action // per device row of actions (the run's output)
+	queue   []int32    // every device's pending tasks, back to back
+	pending [][]int32  // per device row of queue: queued, not-yet-done tasks
 }
 
 // arena reslices s to n elements, reallocating only when capacity is
@@ -109,22 +115,6 @@ func arena[T any](s []T, n int) []T {
 	}
 	s = s[:n]
 	clear(s)
-	return s
-}
-
-// arena2D reslices the outer slice to n rows, preserving the inner rows'
-// backing arrays (their capacity is the whole point of reuse) and resetting
-// every active row to length zero.
-func arena2D[T any](s [][]T, n int) [][]T {
-	if cap(s) < n {
-		grown := make([][]T, n)
-		copy(grown, s[:len(s)])
-		s = grown
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = s[i][:0]
-	}
 	return s
 }
 
@@ -202,21 +192,12 @@ func (e *engine) pop() genEvent {
 
 // enqueue marks a task ready at time at and files it under its device.
 // seg selects the id segment: 0 forward, 1 backward (fused or input-grad),
-// 2 weight-grad. Every task has a single producer edge, so the min-merge
-// branch is defensive only. The caller pushes the matching wake event.
+// 2 weight-grad. Every task has a single producer edge, so it is filed
+// exactly once — what lets layout size the pending rows exactly. The caller
+// pushes the matching wake event.
 func (e *engine) enqueue(micro, stage, seg int, at float64) {
 	i := micro*e.s + stage + seg*e.half
-	if e.done[i] {
-		return
-	}
-	if e.queued[i] {
-		if at < e.readyAt[i] {
-			e.readyAt[i] = at
-		}
-		return
-	}
 	e.readyAt[i] = at
-	e.queued[i] = true
 	d := e.devAt(micro, stage)
 	e.devOf[i] = d
 	e.pending[d] = append(e.pending[d], int32(i))
@@ -289,8 +270,8 @@ func (e *engine) pick(d int, now float64) int {
 // finish applies task i's completion effects at time end: successor
 // enqueues with transfer latency, live-activation accounting, and the wake
 // events that make the restricted scan sound (the successor's device at its
-// ready time; this device when it frees; everyone when a backward releases
-// cap budget, since capped forwards on any device may unblock).
+// ready time; this device when it frees, which also covers the cap budget
+// a backward releases — see the end of the function).
 func (e *engine) finish(i int, end float64) {
 	e.done[i] = true
 	micro, stage := (i%e.half)/e.s, i%e.s
@@ -350,6 +331,117 @@ func (e *engine) finish(i int, end float64) {
 	}
 }
 
+// peer returns the device hosting (micro, stage) when that is a device other
+// than d — the far end of a transfer — and -1 when the stage is out of range
+// or hosted on d itself (a turn of a wave placement: no tensor moves).
+func (e *engine) peer(d int32, micro, stage int) int {
+	if stage < 0 || stage >= e.s {
+		return -1
+	}
+	if o := e.devAt(micro, stage); o != d {
+		return int(o)
+	}
+	return -1
+}
+
+// layout sizes every device's action list and ready queue exactly and
+// carves them, as empty rows, out of the engine's two flat blocks. The
+// counts are closed-form in the placement: a device's list holds, per
+// hosted (micro, stage), the compute actions (2, or 3 under SplitBackward)
+// plus two transfers per neighbouring stage hosted elsewhere (the
+// activation crossing that boundary forward and the gradient crossing it
+// back), then the two-action flush tail; its queue holds every compute
+// task once. With dense tables all micro-batches of one parity share a
+// placement, so micro 0 and micro 1 stand for ⌈B/2⌉ and ⌊B/2⌋ of them;
+// closure mappings are asked about every micro-batch. It also counts
+// fwdLeft, the per-device forwards the phase barrier waits on.
+func (e *engine) layout() {
+	per := 2
+	if e.gp.SplitBackward {
+		per = 3
+	}
+	count := func(micro, n int) { // n micro-batches placed like micro
+		for s := 0; s < e.s; s++ {
+			d := e.devAt(micro, s)
+			acts := per
+			if e.peer(d, micro, s-1) >= 0 {
+				acts += 2
+			}
+			if e.peer(d, micro, s+1) >= 0 {
+				acts += 2
+			}
+			e.fwdLeft[d] += int32(n)
+			e.rowLen[d] += int32(acts * n)
+		}
+	}
+	if e.dev != nil {
+		count(0, (e.gp.B+1)/2)
+		count(1, e.gp.B/2)
+	} else {
+		for mi := 0; mi < e.gp.B; mi++ {
+			count(mi, 1)
+		}
+	}
+	total := 2 * e.p // flush tails
+	for _, n := range e.rowLen {
+		total += int(n)
+	}
+	if cap(e.actions) < total {
+		e.actions = make([]Action, total)
+	}
+	if cap(e.queue) < per*e.half {
+		e.queue = make([]int32, per*e.half)
+	}
+	a, q := 0, 0
+	for d := 0; d < e.p; d++ {
+		n, tasks := int(e.rowLen[d])+2, per*int(e.fwdLeft[d])
+		e.lists[d] = e.actions[a : a : a+n]
+		e.pending[d] = e.queue[q : q : q+tasks]
+		a, q = a+n, q+tasks
+	}
+}
+
+// emit appends compute task (kind, micro, stage) to device d's action list
+// together with the point-to-point transfers of every stage boundary it
+// touches that crosses devices. The receive sits immediately before the
+// consuming compute op and the send immediately after the producing one —
+// maximizing communication/computation overlap on the send side; the
+// executors treat consecutive comm ops as one batched isend/irecv group
+// (§4.2), which is what makes the bidirectional exchanges of wave pipelines
+// deadlock-free. Under SplitBackward the input-grad half carries all of the
+// backward's communication (receiving the upstream gradient and forwarding
+// its own as soon as the input half is done — the send-early win of the
+// split); weight-grads move no tensors. EagerW instead re-attaches the
+// gradient send to the weight half, restoring the fused op's release point.
+func (e *engine) emit(d int32, kind OpKind, micro, stage int) {
+	list := e.lists[d]
+	switch kind {
+	case OpForward:
+		if src := e.peer(d, micro, stage-1); src >= 0 {
+			list = append(list, Action{Kind: OpRecvAct, Micro: micro, Stage: stage, Peer: src})
+		}
+	case OpBackward, OpBackwardInput:
+		if src := e.peer(d, micro, stage+1); src >= 0 {
+			list = append(list, Action{Kind: OpRecvGrad, Micro: micro, Stage: stage, Peer: src})
+		}
+	}
+	list = append(list, Action{Kind: kind, Micro: micro, Stage: stage,
+		Chunk: int(e.chunkAt(micro, stage)), Peer: -1})
+	sendGrad := kind == OpBackward || (kind == OpBackwardInput && !e.gp.EagerW) ||
+		(kind == OpBackwardWeight && e.gp.EagerW)
+	switch {
+	case kind == OpForward:
+		if dst := e.peer(d, micro, stage+1); dst >= 0 {
+			list = append(list, Action{Kind: OpSendAct, Micro: micro, Stage: stage + 1, Peer: dst})
+		}
+	case sendGrad:
+		if dst := e.peer(d, micro, stage-1); dst >= 0 {
+			list = append(list, Action{Kind: OpSendGrad, Micro: micro, Stage: stage - 1, Peer: dst})
+		}
+	}
+	e.lists[d] = list
+}
+
 // runDevice executes the best eligible task on device d at time now, if
 // any, and reports whether one ran.
 func (e *engine) runDevice(d int, now float64) bool {
@@ -373,39 +465,40 @@ func (e *engine) runDevice(d int, now float64) bool {
 	}
 	end := now + dur
 	e.free[d] = end
-	micro, stage := (t%e.half)/e.s, t%e.s
-	e.order[d] = append(e.order[d], Action{
-		Kind:  kind,
-		Micro: micro,
-		Stage: stage,
-		Chunk: int(e.chunkAt(micro, stage)),
-		Peer:  -1,
-	})
+	e.emit(int32(d), kind, (t%e.half)/e.s, t%e.s)
 	e.finish(t, end)
 	return true
 }
 
 // run executes the greedy time-driven list scheduling of the iteration DAG,
-// leaving the per-device compute orders in e.order. It is the paper's
-// "unified framework" engine: every synchronous scheme is a point in
-// (placement, priority, cap, barrier) space.
+// leaving every device's full action list — receives, compute, sends, flush
+// tail — in e.lists. It is the paper's "unified framework" engine: every
+// synchronous scheme is a point in (placement, priority, cap, barrier)
+// space.
 //
 // The event loop is wake-driven: every event names the one device whose
-// state changed at that instant (task became ready, device became free), so
-// the first scan of an instant visits only woken devices — in ascending
-// device id, matching the full scan of the predecessor engine, which
-// re-scanned every device for every event. Backward completions wake all
-// devices (released cap budget is global). Once anything runs, the loop
-// falls back to full fixed-point rescans, because an execution can change
-// eligibility everywhere; quiescence between instants is preserved, so the
-// generated orders are bit-for-bit those of the full-scan engine.
+// state changed at that instant (task became ready, device became free), and
+// an instant scans only its woken devices, in ascending device id. For
+// table-driven placements (every built-in scheme) that single pass is
+// complete — nothing it runs can make another device runnable within the
+// same instant: durations are positive, so finish, applied when a task
+// starts, readies every successor at end > now (each with its own wake
+// event); a forward only raises inflight, which can disable but never
+// enable; and the budget a backward releases belongs to a (stage, chunk)
+// class hosted on the device that just went busy until end, where its own
+// wake event rescans it. The instant therefore ends quiescent, which is the
+// state the next instant's wake set assumes, and the lists are those of a
+// scan of every device after every run. A closure mapping swapped in
+// through an Option carries no such guarantee (a class may span devices),
+// so it keeps exactly that: backward completions wake every device, and an
+// instant in which anything ran rescans all devices to a fixed point.
 func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error {
 	m := gp.Mapping
 	if gp.B <= 0 {
 		return fmt.Errorf("sched: B must be positive, got %d", gp.B)
 	}
-	if gp.Tf <= 0 || gp.Tb <= 0 {
-		return fmt.Errorf("sched: Tf and Tb must be positive")
+	if gp.Tf <= 0 || gp.Tb <= 0 || gp.Tc < 0 {
+		return fmt.Errorf("sched: Tf and Tb must be positive and Tc non-negative")
 	}
 	if gp.SplitBackward && gp.Tw <= 0 {
 		return fmt.Errorf("sched: Tw must be positive when the backward is split")
@@ -420,22 +513,20 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 	}
 
 	e.readyAt = arena(e.readyAt, total)
-	e.queued = arena(e.queued, total)
 	e.done = arena(e.done, total)
 	e.devOf = arena(e.devOf, total)
 	e.free = arena(e.free, e.p)
 	e.inflight = arena(e.inflight, e.s*e.chunks)
 	e.fwdLeft = arena(e.fwdLeft, e.p)
+	e.rowLen = arena(e.rowLen, e.p)
 	e.wake = arena(e.wake, e.p)
-	e.pending = arena2D(e.pending, e.p)
-	e.order = arena2D(e.order, e.p)
+	e.lists = arena(e.lists, e.p)
+	e.pending = arena(e.pending, e.p)
 	e.events = e.events[:0]
+	e.layout()
 
 	for mi := 0; mi < gp.B; mi++ {
 		e.enqueue(mi, 0, 0, 0)
-		for s := 0; s < e.s; s++ {
-			e.fwdLeft[e.devAt(mi, s)]++
-		}
 	}
 	e.push(0, wakeAll)
 
@@ -469,7 +560,7 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 				executed++
 			}
 		}
-		for ran {
+		for ran && e.dev == nil {
 			ran = false
 			for d := 0; d < e.p; d++ {
 				if e.runDevice(d, now) {
@@ -479,74 +570,16 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 			}
 		}
 	}
-	return nil
-}
-
-// insertComm expands the engine's per-device compute orders into full
-// action lists by inserting point-to-point transfers on every stage
-// boundary that crosses devices, writing into the engine's recycled list
-// arenas. Sends are placed immediately after the producing compute op —
-// maximizing communication/computation overlap on the send side — and
-// receives immediately before the consuming one; the executors treat
-// consecutive comm ops as one batched isend/irecv group (§4.2), which is
-// what makes the bidirectional exchanges of wave pipelines deadlock-free.
-// Under SplitBackward the input-grad half carries all of the backward's
-// communication (receiving the upstream gradient and forwarding its own as
-// soon as the input half is done — the send-early win of the split);
-// weight-grads move no tensors. EagerW instead re-attaches the gradient
-// send to the weight half, restoring the fused op's release point.
-// dev is the same dense device table run used (nil → mapping closures).
-func (e *engine) insertComm(gp *GenParams, dev *[2][]int32) [][]Action {
-	m := gp.Mapping
-	devAt := func(micro, stage int) int {
-		if dev != nil {
-			return int(dev[micro&1][stage])
-		}
-		return m.Device(micro, stage)
-	}
-	e.lists = arena2D(e.lists, len(e.order))
-	for d, ops := range e.order {
-		list := e.lists[d]
-		for _, a := range ops {
-			// Receives needed before this compute op.
-			switch a.Kind {
-			case OpForward:
-				if a.Stage > 0 {
-					if src := devAt(a.Micro, a.Stage-1); src != d {
-						list = append(list, Action{Kind: OpRecvAct, Micro: a.Micro, Stage: a.Stage, Peer: src})
-					}
-				}
-			case OpBackward, OpBackwardInput:
-				if a.Stage < m.S-1 {
-					if src := devAt(a.Micro, a.Stage+1); src != d {
-						list = append(list, Action{Kind: OpRecvGrad, Micro: a.Micro, Stage: a.Stage, Peer: src})
-					}
-				}
-			}
-			list = append(list, a)
-			// Sends produced by this compute op.
-			sendGrad := a.Kind == OpBackward || (a.Kind == OpBackwardInput && !gp.EagerW) ||
-				(a.Kind == OpBackwardWeight && gp.EagerW)
-			switch {
-			case a.Kind == OpForward:
-				if a.Stage+1 < m.S {
-					if dst := devAt(a.Micro, a.Stage+1); dst != d {
-						list = append(list, Action{Kind: OpSendAct, Micro: a.Micro, Stage: a.Stage + 1, Peer: dst})
-					}
-				}
-			case sendGrad:
-				if a.Stage > 0 {
-					if dst := devAt(a.Micro, a.Stage-1); dst != d {
-						list = append(list, Action{Kind: OpSendGrad, Micro: a.Micro, Stage: a.Stage - 1, Peer: dst})
-					}
-				}
-			}
-		}
-		// Synchronous flush: gradient all-reduce then optimizer step.
-		list = append(list,
+	// Synchronous flush: gradient all-reduce then optimizer step. Every row
+	// must now be exactly full — anything else means the placement answered
+	// layout and the run differently.
+	for d := range e.lists {
+		e.lists[d] = append(e.lists[d],
 			Action{Kind: OpAllReduce, Micro: -1, Stage: -1, Peer: -1},
 			Action{Kind: OpOptimStep, Micro: -1, Stage: -1, Peer: -1})
-		e.lists[d] = list
+		if got, want := len(e.lists[d]), int(e.rowLen[d])+2; got != want {
+			return fmt.Errorf("sched: device %d emitted %d actions, placement sized %d", d, got, want)
+		}
 	}
-	return e.lists
+	return nil
 }

@@ -40,15 +40,27 @@ func (m *Mapping) Hosted(d int) []Hosting { return m.hosted[d] }
 // ChunksPerDevice returns the number of model chunks each device stores.
 func (m *Mapping) ChunksPerDevice() int { return len(m.hosted[0]) }
 
+// hostedRows returns p empty per-device hosting rows of capacity per, carved
+// from one exactly-sized allocation: every placement below hosts the same
+// number of chunks on every device.
+func hostedRows(p, per int) [][]Hosting {
+	flat := make([]Hosting, p*per)
+	rows := make([][]Hosting, p)
+	for d := range rows {
+		rows[d] = flat[d*per : d*per : (d+1)*per]
+	}
+	return rows
+}
+
 // StraightMapping is the classic placement: S = P, stage s on device s.
 // GPipe and DAPPLE use it.
 func StraightMapping(p int) *Mapping {
 	if p <= 0 {
 		panic("sched: StraightMapping needs p > 0")
 	}
-	hosted := make([][]Hosting, p)
+	hosted := hostedRows(p, 1)
 	for d := 0; d < p; d++ {
-		hosted[d] = []Hosting{{Stage: d, Chunk: 0}}
+		hosted[d] = append(hosted[d], Hosting{Stage: d, Chunk: 0})
 	}
 	return &Mapping{
 		Kind: "straight", P: p, S: p,
@@ -73,24 +85,23 @@ func WaveStageDevice(p, stage int) int {
 }
 
 // WaveMapping is Hanayo's placement with w waves on p devices: S = 2·w·p
-// stages, each device hosting 2·w chunks. w = 1 with two data-parallel
-// replicas is exactly Chimera-wave (paper Fig 5).
+// stages, each device hosting 2·w chunks. Every phase of p stages visits
+// every device once, so a stage's chunk on its device is its phase. w = 1
+// with two data-parallel replicas is exactly Chimera-wave (paper Fig 5).
 func WaveMapping(p, w int) *Mapping {
 	if p <= 0 || w <= 0 {
 		panic(fmt.Sprintf("sched: WaveMapping needs p,w > 0, got p=%d w=%d", p, w))
 	}
 	s := 2 * w * p
-	hosted := make([][]Hosting, p)
-	chunkIdx := make([]int, s) // stage -> chunk on its device
+	hosted := hostedRows(p, 2*w)
 	for st := 0; st < s; st++ {
 		d := WaveStageDevice(p, st)
-		chunkIdx[st] = len(hosted[d])
-		hosted[d] = append(hosted[d], Hosting{Stage: st, Chunk: chunkIdx[st]})
+		hosted[d] = append(hosted[d], Hosting{Stage: st, Chunk: st / p})
 	}
 	return &Mapping{
 		Kind: "wave", P: p, S: s, W: w,
 		deviceOf:       func(_, st int) int { return WaveStageDevice(p, st) },
-		chunkOf:        func(_, st int) int { return chunkIdx[st] },
+		chunkOf:        func(_, st int) int { return st / p },
 		hosted:         hosted,
 		WeightReplicas: 1,
 	}
@@ -106,12 +117,11 @@ func ChimeraMapping(p int, pipeOf func(micro int) int) *Mapping {
 	if p <= 0 {
 		panic("sched: ChimeraMapping needs p > 0")
 	}
-	hosted := make([][]Hosting, p)
+	hosted := hostedRows(p, 2)
 	for d := 0; d < p; d++ {
-		hosted[d] = []Hosting{
-			{Stage: d, Chunk: 0},
-			{Stage: p - 1 - d, Chunk: 1},
-		}
+		hosted[d] = append(hosted[d],
+			Hosting{Stage: d, Chunk: 0},
+			Hosting{Stage: p - 1 - d, Chunk: 1})
 	}
 	return &Mapping{
 		Kind: "chimera", P: p, S: p,
@@ -139,7 +149,7 @@ func InterleavedMapping(p, v int) *Mapping {
 		panic("sched: InterleavedMapping needs p,v > 0")
 	}
 	s := v * p
-	hosted := make([][]Hosting, p)
+	hosted := hostedRows(p, v)
 	for st := 0; st < s; st++ {
 		d := st % p
 		hosted[d] = append(hosted[d], Hosting{Stage: st, Chunk: st / p})

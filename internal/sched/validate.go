@@ -44,7 +44,7 @@ type payload struct {
 
 // oddMsg tracks in-flight transfers whose endpoints differ from the
 // mapping-implied canonical pair. Valid generated schedules never produce
-// one — insertComm emits exactly the canonical endpoints — so this
+// one — the engine's emit writes exactly the canonical endpoints — so this
 // fallback list exists to keep exact map-predecessor semantics on
 // corrupted or hand-built inputs: such transfers may still pair up with a
 // matching receive, and any leftover is an unconsumed-send error.

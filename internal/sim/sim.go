@@ -475,6 +475,11 @@ type Runner struct {
 	loop exec.Loop
 	be   backend
 	res  Result
+	// One exactly-sized block per element type backs the per-device slices
+	// of the Result and the backend plus the P×P link table; rows are
+	// three-indexed so appending to a Result field cannot reach the next.
+	floats []float64 // Busy | End | time | linkFree
+	ints   []int     // PeakActs | liveActs
 }
 
 // NewRunner returns an empty Runner; arenas are allocated lazily on first
@@ -550,9 +555,10 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 	res.FailedDevice = 0
 	res.FailTime = 0
 	res.Recovery = 0
-	res.Busy = exec.Arena(res.Busy, p)
-	res.End = exec.Arena(res.End, p)
-	res.PeakActs = exec.Arena(res.PeakActs, p)
+	r.floats = exec.Arena(r.floats, 3*p+p*p)
+	r.ints = exec.Arena(r.ints, 2*p)
+	f, n := r.floats, r.ints
+	res.Busy, res.End, res.PeakActs = f[:p:p], f[p:2*p:2*p], n[:p:p]
 	be := &r.be
 	be.s, be.cost, be.opt, be.res = s, cost, opt, res
 	be.split, _ = cost.(SplitCost)
@@ -565,9 +571,7 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 		be.ft.compile(be.faults, p)
 	}
 	be.transfers = exec.Arena(be.transfers, 2*s.B*s.S)
-	be.linkFree = exec.Arena(be.linkFree, p*p)
-	be.time = exec.Arena(be.time, p)
-	be.liveActs = exec.Arena(be.liveActs, p)
+	be.time, be.linkFree, be.liveActs = f[2*p:3*p:3*p], f[3*p:], n[p:]
 	be.pendingZone = exec.Arena(be.pendingZone, p)
 	recs, err := r.loop.Run(s, be, exec.Options{BatchComm: opt.BatchComm})
 	if err != nil {
