@@ -16,7 +16,6 @@
 //	hanayo-bench -exp xtr03 -events churn.json  # replay a recorded event stream
 //	hanayo-bench -exp fig10 -repeat 20   # steady-state: rerun 20×
 //	hanayo-bench -exp fig10 -cpuprofile cpu.prof -memprofile mem.prof
-//	hanayo-bench -json BENCH_3.json      # write the perf-tracking artifact
 //	hanayo-bench -list       # list experiment ids
 //
 // The profile flags write standard pprof files (`go tool pprof cpu.prof`)
@@ -24,8 +23,8 @@
 // sweep and simulator hot paths. -repeat reruns the selected experiments
 // (discarding all but the last run's output), which is how to profile the
 // steady state of the reusable evaluation pipeline rather than its warmup.
-// -json runs the fixed micro-benchmark suite in bench.go and writes a
-// machine-readable BENCH_<n>.json tracking the perf trajectory across PRs.
+// Performance is measured by the repository benchmark, `go run ./benchmark`
+// (see benchmark/README.md), not here.
 package main
 
 import (
@@ -52,7 +51,6 @@ func main() {
 	faultplan := flag.String("faultplan", "", "fig10: inject a JSON fault plan file into the sweep (events: slowdown/linkdegrade/fail)")
 	events := flag.String("events", "", "xtr03: replay a JSON membership-event stream file (events: leave/join/speed/link) instead of the default churn")
 	repeat := flag.Int("repeat", 1, "run the selected experiments this many times (steady-state profiling); only the last run prints")
-	jsonOut := flag.String("json", "", "run the micro-benchmark suite and write machine-readable results to this file (e.g. BENCH_3.json)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile after the run to this file")
 	flag.Parse()
@@ -89,13 +87,6 @@ func main() {
 			e, _ := experiments.Get(n)
 			fmt.Printf("%-8s %s\n", e.Name, e.Title)
 		}
-		return
-	}
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote benchmark results to %s\n", *jsonOut)
 		return
 	}
 	if *cpuprofile != "" {

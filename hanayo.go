@@ -70,7 +70,9 @@ type (
 // turns the exhaustive sweep into an exact branch-and-bound search: the
 // first TopK ranks stay bit-for-bit identical to the exhaustive ranking
 // while provably losing cells are skipped or deadline-aborted, surfacing
-// as Candidate.BoundPruned with their proven Bound.
+// as Candidate.BoundPruned with their proven Bound. Validity is per cell:
+// a grid may list one P under several D, feasible or not, and an
+// infeasible cell reports its own Candidate.Err.
 var AutoTune = core.AutoTune
 
 // LowerBound proves a floor on the simulated per-replica makespan of a
@@ -109,9 +111,10 @@ type (
 	// single-process wiring; it still round-trips the wire codec.
 	LoopbackCache = cachewire.Loopback
 	// BatchRemoteCache is the batched seam over RemoteCache: MultiGet /
-	// MultiPut resolve whole key vectors in one frame. Every transport in
-	// this package implements it; the Tuner degrades to per-key loops for
-	// a RemoteCache that does not.
+	// MultiPut resolve whole key vectors in one frame — the only way a
+	// sweep talks to its tier (one read at its start, one write at its
+	// end). Every transport in this package implements it; a RemoteCache
+	// that does not is driven through the same two calls as key loops.
 	BatchRemoteCache = cachewire.BatchCache
 	// CacheRing replicates the tier over N nodes by client-side
 	// consistent hashing — the fleet-scale RemoteCache (see
@@ -147,8 +150,8 @@ var (
 var SimRuns = core.SimRuns
 
 // CacheFrames reports the process-wide count of cache-tier round trips
-// (frames) — SimRuns' transport-level sibling, behind every "a batched
-// sweep costs O(1) round trips" guarantee.
+// (frames) — SimRuns' transport-level sibling, behind every "a sweep (or
+// a Rerank) costs O(1) round trips" guarantee.
 var CacheFrames = cachewire.Frames
 
 // CacheRetries reports the process-wide count of transient cache-tier

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cachewire"
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/memmodel"
@@ -58,51 +59,23 @@ type schedKey struct {
 	p, b   int
 }
 
-// sweepCache is one sweep's memo of D-invariant evaluations, one per
-// (scheme, P, B) key: eval serves the exhaustive sweep, full the
-// branch-and-bound one. It holds evaluations only — a key's schedule
-// lives on the measuring worker's Generator and is gone when the
-// measurement returns. The cached *evalShared are shared read-only by
-// every worker.
-type sweepCache struct {
-	mu sync.Mutex
-	// eval entries are built exactly once (sync.Once) even under the
-	// parallel sweep.
-	eval map[schedKey]*evalEntry
-	// full is the branch-and-bound sweep's result memo (TopK > 0): only
-	// COMPLETE evaluations — full simulations, memtrace OOM verdicts,
-	// deterministic errors — all of them D-invariant. Deadline-aborted
-	// results never enter (their abort cap depends on the observing cell's
-	// D and the cutoff at evaluation time, so they are not reusable facts
-	// about the key). Unlike eval there is no per-key Once: racing workers
-	// may duplicate a bounded measurement, which only over-evaluates.
-	full map[schedKey]*fullEntry
-}
-
-type fullEntry struct {
-	e   *evalShared
-	err error
-}
-
-// peekFull returns the memoized complete evaluation of k, if any.
-func (c *sweepCache) peekFull(k schedKey) (*evalShared, error, bool) {
-	c.mu.Lock()
-	f, ok := c.full[k]
-	c.mu.Unlock()
-	if !ok {
-		return nil, nil, false
-	}
-	return f.e, f.err, true
-}
-
-// publishFull memoizes a complete evaluation (or its deterministic
-// error); the caller must never pass a deadline-aborted result.
-func (c *sweepCache) publishFull(k schedKey, e *evalShared, err error) {
-	c.mu.Lock()
-	if _, ok := c.full[k]; !ok {
-		c.full[k] = &fullEntry{e: e, err: err}
-	}
-	c.mu.Unlock()
+// keyMemo is one sweep's memo entry for a (scheme, P, B) key, shared by
+// every cell of the grid that names the key. mu serialises the key's
+// builders — a second worker reaching the key waits for the first instead
+// of measuring beside it — and only COMPLETE results are stored: full
+// simulations, memtrace OOM verdicts and deterministic errors, all of them
+// D-invariant, so a complete result is built exactly once per sweep. A
+// deadline-aborted builder stores nothing (its abort cap depends on the
+// observing cell's D and the cutoff it read, so the verdict is no fact
+// about the key) and the next waiter measures under its own deadline. It
+// holds evaluations only — a key's schedule lives on the measuring
+// evaluator's Generator and is gone when the measurement returns. The
+// stored *evalShared is shared read-only by every worker.
+type keyMemo struct {
+	mu   sync.Mutex
+	done atomic.Bool // set after es/err: a lock-free "already complete?" for the skip test
+	es   *evalShared
+	err  error
 }
 
 // memMargin is the fraction of device HBM an evaluation may claim — the
@@ -149,30 +122,6 @@ type evalShared struct {
 // OpBackward — mirroring sched's scheme-family resolution. It tags
 // evaluations for the cache tiers' SplitBW flag.
 func splitBackwardScheme(scheme string) bool { return scheme == "zbh1" }
-
-type evalEntry struct {
-	once sync.Once
-	e    *evalShared
-	err  error
-}
-
-func newSweepCache() *sweepCache {
-	return &sweepCache{eval: map[schedKey]*evalEntry{}, full: map[schedKey]*fullEntry{}}
-}
-
-// evalFor memoizes the D-invariant evaluation of one (scheme, P, B) key;
-// build runs at most once per sweep even under the parallel pool.
-func (c *sweepCache) evalFor(k schedKey, build func() (*evalShared, error)) (*evalShared, error) {
-	c.mu.Lock()
-	e, ok := c.eval[k]
-	if !ok {
-		e = &evalEntry{}
-		c.eval[k] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.e, e.err = build() })
-	return e.e, e.err
-}
 
 // Validate checks structural consistency against the cluster.
 func (p Plan) Validate() error {
@@ -461,11 +410,8 @@ type SearchSpace struct {
 	Schemes []string // nil → GPipe, DAPPLE, Chimera-wave (Hanayo is always swept)
 	// PD lists the (P, D) combinations; nil → power-of-two divisor pairs
 	// of N. Evaluations are shared per (scheme, P, B) key — the
-	// per-replica makespan is D-independent — so a grid listing the same
-	// P under several D values must keep them equally valid (all with
-	// P·D ≤ N, or none): mixing a feasible and an infeasible D for one P
-	// lets whichever cell reaches the key first decide both verdicts,
-	// which is order- and worker-count-dependent.
+	// per-replica makespan is D-independent — while validity (P·D ≤ N) is
+	// checked per cell, so one P may appear under any mix of D values.
 	PD        [][2]int
 	Waves     []int // wave counts tried for Hanayo; nil → 1,2,4,8
 	B         int   // micro-batches per replica
@@ -554,10 +500,9 @@ func DefaultSchemes() []string { return []string{"gpipe", "dapple", "chimera-wav
 
 // withDefaults fills the nil-field defaults every sweep applies — the
 // baseline schemes, the 1/2/4/8 wave ladder, power-of-two (P, D) divisor
-// pairs of the cluster size, B=8 and MicroRows=1. sweepGrid normalizes
-// through this, and Rerank normalizes with the identical call before
-// matching previous candidates to grid rows, so the seeds always name
-// cells of the grid actually swept.
+// pairs of the cluster size, B=8 and MicroRows=1. enumerate normalizes
+// through this, so every stage (and Rerank's seed matching) sees the grid
+// actually swept.
 func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 	if s.Schemes == nil {
 		s.Schemes = DefaultSchemes()
@@ -600,6 +545,23 @@ func newEvaluator() *evaluator {
 	return &evaluator{gen: sched.NewGenerator(), runner: sim.NewRunner(), replay: memtrace.NewReplayer()}
 }
 
+// evalPool is a bounded set of evaluators: checkout blocks until one is
+// free, which caps the measurements in flight at the pool's width. A nil
+// token is a slot whose evaluator has not been built yet — a standalone
+// sweep's pool starts as all tokens, so a sweep that measures nothing (or
+// on fewer workers than it asked for) builds no idle arenas.
+type evalPool chan *evaluator
+
+func (p evalPool) checkout() *evaluator {
+	ev := <-p
+	if ev == nil {
+		ev = newEvaluator()
+	}
+	return ev
+}
+
+func (p evalPool) checkin(ev *evaluator) { p <- ev }
+
 // evalSchedule measures one (scheme, P, B) key on this evaluator's
 // reusable executors. The schedule is compiled in place: it belongs to the
 // evaluator's Generator ("valid until the next Generate") and is consumed
@@ -611,10 +573,10 @@ func newEvaluator() *evaluator {
 // cap (deadline 0 → none): the bound-and-prune sweep's measurement path.
 // The memtrace OOM front end runs uncapped — its verdicts stay complete,
 // cacheable facts — and only the timing simulation is deadline-aborted.
+// The plan must already be valid (the sweep validates each cell at
+// enumerate): everything measured here is a fact about the key, and a
+// cell's P·D never is.
 func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (*evalShared, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
 	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
 	if err != nil {
 		return nil, err
@@ -656,125 +618,6 @@ func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (*eva
 	return plan.simEvaluate(s, sim.DefaultOptions(), ev.runner, deadline)
 }
 
-// evalKey resolves one key through the cross-sweep cache (when serving
-// under a Tuner) or measures it and publishes the compact entry for
-// future sweeps. own is the worker's private evaluator on standalone
-// sweeps and nil under a Tuner, where a pooled evaluator is checked out
-// only after both cache tiers and the in-flight table miss — cache hits,
-// flight followers and workers waiting on another builder's per-sweep
-// Once never pin a pool slot. gk/hk are the task's cross-sweep key and
-// its digest, computed exactly once per cell at grid layout (meaningful
-// only under a Tuner) — one digest routes both cache tiers and the wire.
-// sr is the sweep's batched remote window (nil without a remote tier or
-// with NoPrefetch): when present, the sweep-start MultiGet has already
-// probed every key of this grid, so a miss skips the per-key remote
-// probe and fresh results queue for the end-of-sweep flush instead of
-// paying one put round trip each.
-func evalKey(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote) (*evalShared, error) {
-	if t == nil {
-		return own.evalSchedule(plan, prune, 0)
-	}
-	if ent, ok := t.cache.get(gk, hk); ok {
-		return ent.toShared(), nil
-	}
-	if sr != nil {
-		if ent, ok := sr.hits[hk]; ok {
-			// Prefetched at sweep start (or pinned from a local hit that
-			// the LRU has since evicted): reseed the cache and serve.
-			t.cache.put(gk, hk, ent)
-			return ent.toShared(), nil
-		}
-	}
-	f, leader := t.join(gk)
-	if !leader {
-		// Another sweep is already measuring this key; wait for its
-		// result instead of re-simulating (the computation is
-		// deterministic, so its error is this caller's error too).
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		return f.ent.toShared(), nil
-	}
-	defer t.land(gk, f)
-	// On the per-key path the leader probes the cross-process tier before
-	// paying for a simulation: a hit published by another worker process
-	// (a shard peer, or an earlier run) short-circuits exactly like a
-	// local hit and is copied into the local cache for the next lookup.
-	// Followers piggyback on this probe through the flight, so one sweep
-	// issues at most one remote get per key. Under a sweepRemote the
-	// sweep-start MultiGet already made this exact probe — repeating it
-	// per key would pay back the round trips batching just saved.
-	if sr == nil {
-		if ent, ok := t.remoteGet(hk); ok {
-			f.ent = ent
-			t.cache.put(gk, hk, ent)
-			return ent.toShared(), nil
-		}
-	}
-	// Generation happens on the pooled evaluator's Generator, so the
-	// checkout now covers the whole measurement (compile + replay + sim) —
-	// schedule compilation is real work the admission control should bound.
-	ev := t.checkout()
-	defer t.checkin(ev)
-	es, err := ev.evalSchedule(plan, prune, 0)
-	if err != nil {
-		f.err = err
-		return nil, err
-	}
-	f.ent = entryFrom(es)
-	t.cache.put(gk, hk, f.ent)
-	if sr != nil {
-		sr.publish(hk, f.ent)
-	} else {
-		t.remotePut(hk, f.ent)
-	}
-	return es, nil
-}
-
-// evalKeyBounded is evalKey for the branch-and-bound path (TopK > 0):
-// the same cache tiers serve hits — every cache entry is a complete
-// evaluation, so a hit is always exact — but misses measure under the
-// deadline (0 → uncapped), and deadline-aborted results are published
-// nowhere: not the local cache, not the remote tier, and the cross-sweep
-// flight table is bypassed entirely (the abort cap depends on this
-// sweep's cutoff and the cell's D, so a boundOnly verdict is not a
-// reusable fact about the key, and a follower must not inherit one).
-// Racing sweeps may therefore duplicate a bounded measurement, which
-// only over-evaluates — complete results are deterministic, so whichever
-// publication lands is the same entry.
-func evalKeyBounded(plan Plan, own *evaluator, prune bool, t *Tuner, gk tunerKey, hk uint64, sr *sweepRemote, deadline float64) (*evalShared, error) {
-	if t == nil {
-		return own.evalSchedule(plan, prune, deadline)
-	}
-	if ent, ok := t.cache.get(gk, hk); ok {
-		return ent.toShared(), nil
-	}
-	if sr != nil {
-		if ent, ok := sr.hits[hk]; ok {
-			t.cache.put(gk, hk, ent)
-			return ent.toShared(), nil
-		}
-	} else if ent, ok := t.remoteGet(hk); ok {
-		t.cache.put(gk, hk, ent)
-		return ent.toShared(), nil
-	}
-	ev := t.checkout()
-	defer t.checkin(ev)
-	es, err := ev.evalSchedule(plan, prune, deadline)
-	if err != nil || es.boundOnly {
-		return es, err // proven-below-cutoff (or failed): not a cache entry
-	}
-	ent := entryFrom(es)
-	t.cache.put(gk, hk, ent)
-	if sr != nil {
-		sr.publish(hk, ent)
-	} else {
-		t.remotePut(hk, ent)
-	}
-	return es, nil
-}
-
 // cutoffState is the branch-and-bound sweep's shared ranking cutoff: a
 // proven floor on the Kth-best output-row total throughput, maintained
 // across the worker pool. vals[slot] carries the best fully evaluated
@@ -812,9 +655,11 @@ func (c *cutoffState) cutoff() float64 {
 // observe folds one fully evaluated cell value into its output row and
 // republishes the Kth-largest row value. Non-positive values (OOM,
 // error and empty cells) are no-ops — unevaluated rows hold 0, which
-// keeps the cutoff at 0 until at least k rows carry real values.
+// keeps the cutoff at 0 until at least k rows carry real values — and so
+// is everything at k = 0: the exhaustive sweep is the bounded walk whose
+// cutoff never leaves 0, so it skips nothing and caps nothing.
 func (c *cutoffState) observe(slot int, thr float64) {
-	if thr <= 0 {
+	if thr <= 0 || c.k == 0 {
 		return
 	}
 	c.mu.Lock()
@@ -846,9 +691,10 @@ func (c *cutoffState) observe(slot int, thr float64) {
 // as blank cells. Candidates are measured by a bounded worker pool of
 // space.Workers goroutines sharing one evaluation memo, so identical action
 // lists are compiled and simulated once per sweep; the ranking is
-// independent of the worker count. Each worker owns a reusable
-// Generator/Runner/Replayer set, and space.Prune routes every key
-// through the memory-replay front end before the timing model.
+// independent of the worker count. A measuring worker holds one reusable
+// Generator/Runner/Replayer set from a pool no wider than the sweep, and
+// space.Prune routes every key through the memory-replay front end before
+// the timing model.
 // space.TopK > 0 trades the exhaustive tail for speed: the first TopK
 // ranks stay exact and bit-for-bit identical while provably losing cells
 // are bound-pruned (see SearchSpace.TopK and Candidate.BoundPruned).
@@ -856,11 +702,10 @@ func AutoTune(cl *cluster.Cluster, model nn.Config, space SearchSpace) []Candida
 	return sweep(cl, model, space, nil)
 }
 
-// sweep is the shared AutoTune engine; t is nil for one-shot sweeps and
-// the serving Tuner when evaluations should pull pooled evaluators and
-// consult the cross-sweep cache.
+// sweep is the shared AutoTune engine: the grid's candidates, ranked. t is
+// nil for one-shot sweeps and the serving Tuner otherwise.
 func sweep(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner) []Candidate {
-	out := sweepGrid(cl, model, space, t, nil)
+	out := sweepGrid(cl, model, space, t)
 	sortCandidates(out)
 	return out
 }
@@ -877,262 +722,70 @@ func sortCandidates(cands []Candidate) {
 
 // sweepGrid measures the (sharded slice of the) candidate grid and
 // returns its candidates in grid order — (P, D) major, schemes then the
-// wave-group winner within each — without the final ranking sort.
-// warm (nil everywhere except Rerank) pre-loads the branch-and-bound
-// cutoff with exact row values measured on this cluster before any
-// worker starts, and receives the sweep's cell/prune statistics.
-func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner, warm *warmStart) []Candidate {
-	space = space.withDefaults(cl)
-	workers := space.Workers
-	if workers <= 0 {
-		workers = goruntime.NumCPU()
-	}
-
-	// Lay out the candidate grid in deterministic order. wave tags the
-	// Hanayo wave-sweep candidates of one (P, D) so only the best wave
-	// survives, mirroring §5.3 ("we searched for the best wave number under
-	// each parallelism configuration"). Sharded sweeps assign grid units —
-	// each regular cell its own, the whole wave group of one (P, D) a
-	// single one, so its internal best-of reduction never splits — round-
-	// robin to shards and lay out only the owned units; MergeShards relies
-	// on exactly this unit order and assignment to stitch shards back
-	// together. The layout pass also computes each cell's sweep-constant
-	// derivatives exactly once: the cross-sweep cache key and its digest
-	// (previously hashed again per cold cell inside evalKey), the
-	// output-row slot, and — for a branch-and-bound sweep — the analytic
-	// throughput upper bound that orders and prunes the walk.
-	var clusterFP uint64
-	if t != nil {
-		clusterFP = cl.Fingerprint() // sweep-constant: hash the matrices once
-	}
-	wl := costmodel.Workload{Model: model, MicroRows: space.MicroRows}
-	unit := 0
-	claim := func() bool { // does this shard own the next grid unit?
-		own := space.shardCount <= 1 || unit%space.shardCount == space.shardIndex
-		unit++
-		return own
-	}
-	cache := newSweepCache()
-	var tasks []sweepTask
-	slots := 0 // output rows owned by this shard (== grid units owned)
-	layout := func(plan Plan, pd, waves int) {
-		tk := sweepTask{plan: plan, pd: pd, waves: waves, slot: slots, ub: math.Inf(1)}
-		if t != nil {
-			tk.gk = keyFor(plan, space.Prune, clusterFP)
-			tk.hk = tk.gk.hash()
-		}
-		if space.TopK > 0 {
-			// A bound error (a shape the scheme rejects) leaves ub at +Inf:
-			// the cell is never pruned, so the real generation error
-			// surfaces exactly as the exhaustive sweep reports it.
-			if lb, err := costmodel.LowerBound(wl, cl, plan.P, plan.D, plan.B, plan.Scheme); err == nil && lb > 0 {
-				tk.ub = float64(plan.D*plan.B*plan.MicroRows) / lb
-			}
-		}
-		tasks = append(tasks, tk)
-	}
-	// Formatted once per sweep, not once per (P, D): a warm sweep does
-	// little besides this layout.
-	waveNames := make([]string, len(space.Waves))
-	for i, w := range space.Waves {
-		waveNames[i] = "hanayo-w" + strconv.Itoa(w)
-	}
-	for pi, pd := range space.PD {
-		base := Plan{Cluster: cl, Model: model, P: pd[0], D: pd[1],
-			B: space.B, MicroRows: space.MicroRows, Faults: space.Faults}
-		for _, scheme := range space.Schemes {
-			if !claim() {
-				continue
-			}
-			plan := base
-			plan.Scheme = scheme
-			layout(plan, pi, 0)
-			slots++
-		}
-		if len(space.Waves) > 0 && claim() {
-			for i, w := range space.Waves {
-				plan := base
-				plan.Scheme = waveNames[i]
-				layout(plan, pi, w)
-			}
-			slots++
-		}
-	}
-
-	// With a remote tier, resolve the whole shard against it up front:
-	// the task layout above IS the deterministic key enumeration, so one
-	// MultiGet replaces the per-key probes every worker would otherwise
-	// issue at its miss — O(cells) round trips become one prefetch here
-	// plus one flush after the pool drains, whatever the grid size.
-	var sr *sweepRemote
-	if t != nil && t.remote != nil && !t.noPrefetch {
-		sr = &sweepRemote{t: t, hits: map[uint64]tunerEntry{}}
-		seen := make(map[uint64]struct{}, len(tasks))
-		var gks []tunerKey
-		var hks []uint64
-		for _, tk := range tasks {
-			if _, dup := seen[tk.hk]; dup {
-				continue
-			}
-			seen[tk.hk] = struct{}{}
-			if ent, ok := t.cache.get(tk.gk, tk.hk); ok {
-				// Already local: pin it for the sweep so an eviction
-				// between now and the worker's lookup cannot force a
-				// re-simulation.
-				sr.hits[tk.hk] = ent
-				continue
-			}
-			gks = append(gks, tk.gk)
-			hks = append(hks, tk.hk)
-		}
-		sr.prefetch(gks, hks)
-	}
-
-	// Measure every candidate concurrently into its deterministic slot:
-	// `workers` goroutines pull task indices from a shared feed. A
-	// standalone sweep gives each worker its own evaluator for the sweep's
-	// lifetime; under a Tuner, evalKey checks one out of the bounded
-	// shared pool only while actually measuring, so concurrent sweeps
-	// contend for (and reuse) the same warmed arenas without cache hits
-	// occupying pool slots. A branch-and-bound sweep (TopK > 0) feeds the
-	// cells best-first — descending analytic upper bound — so the true
-	// winners tend to evaluate first and the cutoff tightens as early as
-	// possible. An exhaustive sweep feeds the largest schedules first: a
-	// fresh evaluator then sizes every arena once, on its first key,
-	// instead of regrowing them up the P × wave ladder, and a wider pool
-	// starts its longest cells first. Everything still lands in grid-order
-	// measured slots, so the reduction below is order-independent.
-	var cut *cutoffState
-	feed := make(chan int, len(tasks))
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
-	}
-	if space.TopK > 0 {
-		cut = newCutoffState(space.TopK, slots)
-		if warm != nil {
-			// Seed the cutoff before any worker runs: each seed is the exact
-			// full evaluation of one cell of this grid (same B, MicroRows,
-			// Faults, Prune) measured on this cluster, so observing it keeps
-			// every slot exact-or-below its row's true final value — the
-			// invariant the cutoff's soundness proof rests on. The sweep
-			// starts with the cutoff already at the Kth-best seeded value
-			// instead of discovering it cell by cell. The seed's complete
-			// evaluation is pre-published into the sweep's result memo so
-			// evalBounded serves the seeded cell exact from peekFull — a
-			// seeded cell must never be re-judged against a cutoff that its
-			// own value produced (see warmSeed).
-			for _, sd := range warm.seeds {
-				for j := range tasks {
-					tk := &tasks[j]
-					if tk.plan.P == sd.p && tk.plan.D == sd.d && (tk.waves > 0) == sd.wave &&
-						(sd.wave || tk.plan.Scheme == sd.scheme) {
-						cache.publishFull(schedKey{sd.scheme, sd.p, space.B}, sd.es, nil)
-						cut.observe(tk.slot, sd.thr)
-						break
-					}
-				}
-			}
-		}
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(tasks[b].ub, tasks[a].ub) })
-	} else {
-		slices.SortStableFunc(order, func(a, b int) int { return tasks[b].size() - tasks[a].size() })
-	}
-	for _, i := range order {
-		feed <- i
-	}
-	close(feed)
-	measured := make([]Candidate, len(tasks))
-	var wg sync.WaitGroup
-	// A pool wider than the shard's cell count would only build idle
-	// evaluators.
-	workers = min(workers, len(tasks))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var own *evaluator
-			if t == nil {
-				own = newEvaluator()
-			}
-			for i := range feed {
-				tk := &tasks[i]
-				if space.TopK > 0 {
-					measured[i] = evalBounded(tk, cache, own, space.Prune, t, sr, cut)
-					continue
-				}
-				plan := tk.plan
-				es, err := cache.evalFor(schedKey{plan.Scheme, plan.P, plan.B},
-					func() (*evalShared, error) { return evalKey(plan, own, space.Prune, t, tk.gk, tk.hk, sr) })
-				measured[i] = candidateFrom(plan, es, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if sr != nil {
-		sr.flush()
-	}
-	if warm != nil && warm.stats != nil {
-		warm.stats.Cells = len(tasks)
-		warm.stats.Rows = slots
-		if cut != nil {
-			warm.stats.Pruned = cut.pruned.Load()
-		}
-	}
-
-	// Reduce in grid order, exactly as the serial sweep: per (P, D) the
-	// regular candidates pass through, then the wave group contributes its
-	// best wave (first maximum wins). A pruned wave whose proven bound
-	// exceeds the best fully evaluated wave makes the whole row
-	// BoundPruned: the row's true maximum might hide in that pruned wave —
-	// but the bound is below the cutoff, so the row provably cannot rank
-	// in the top K, and the proven bound is surfaced instead of a
-	// potentially-wrong winner. (When the row DOES rank top-K, every bound
-	// below the cutoff is below the winner too, so the flag never fires
-	// and the winner is exact.)
-	var out []Candidate
-	i := 0
-	for pi := range space.PD {
-		for ; i < len(tasks) && tasks[i].pd == pi && tasks[i].waves == 0; i++ {
-			out = append(out, measured[i])
-		}
-		var bestWave *Candidate
-		maxBound := 0.0
-		for ; i < len(tasks) && tasks[i].pd == pi; i++ {
-			if c := measured[i]; c.BoundPruned && c.Bound > maxBound {
-				maxBound = c.Bound
-			}
-			if bestWave == nil || measured[i].Throughput > bestWave.Throughput {
-				cc := measured[i]
-				bestWave = &cc
-			}
-		}
-		if bestWave != nil {
-			if maxBound > bestWave.Throughput {
-				bestWave.BoundPruned = true
-				bestWave.Bound = maxBound
-			}
-			out = append(out, *bestWave)
-		}
-	}
-
-	return out
+// wave-group winner within each — without the final ranking sort. It is
+// the five stages in order with no warm start; Tuner.Rerank is the same
+// sequence with its seed cells evaluated first.
+func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner) []Candidate {
+	s := enumerate(cl, model, space, t)
+	s.bound(cl, model)
+	s.prefetch()
+	s.evaluate(s.order(), true)
+	return s.reduce()
 }
 
-// sweepTask is one grid cell of a sweep with its layout-time derivatives.
-type sweepTask struct {
+// gridSweep is one sweep in flight — the state the stages share: enumerate
+// lays out cells, bound gives each its analytic ceiling, prefetch and order
+// prepare the walk, evaluate drives the worker pool over it through
+// resolve, reduce folds the measured cells into output rows.
+type gridSweep struct {
+	space   SearchSpace // defaults applied
+	t       *Tuner      // nil on a standalone sweep: no LRU, flight table or remote tier
+	workers int
+	// pool bounds the measurements in flight: the Tuner's shared pool, or a
+	// sweep-local one no wider than min(workers, cells) whose evaluators are
+	// built on first checkout. A worker holds an evaluator only while it
+	// measures — memo hits, cache hits and flight followers never pin one.
+	pool evalPool
+
+	cells    []sweepCell
+	slots    int         // output rows owned by this shard (== grid units owned)
+	measured []Candidate // cell i's outcome, written by whichever worker settles it
+	cut      *cutoffState
+
+	// The batched window onto the Tuner's remote tier — how a shard costs
+	// O(1) round trips instead of O(cells). hits is written only by the
+	// single-threaded prefetch and read-only once workers run; it pins its
+	// entries for the sweep's lifetime, so an LRU eviction between prefetch
+	// and use costs nothing. Fresh evaluations queue under pubMu until
+	// reduce flushes them in one MultiPut. All empty without a remote tier.
+	hits    map[uint64]tunerEntry
+	pubMu   sync.Mutex
+	pubKeys []uint64
+	pubEnts []cachewire.Entry
+}
+
+// sweepCell is one grid cell of a sweep with its layout-time derivatives.
+type sweepCell struct {
 	plan  Plan
-	pd    int // index into space.PD
 	waves int // wave count of a cell of the per-(P,D) Hanayo wave sweep; 0 for a Schemes cell
 	slot  int // output-row index (wave groups share one row)
-	// ub is the proven total-throughput upper bound (D·B·MicroRows over
-	// costmodel.LowerBound) steering a branch-and-bound sweep; +Inf when
-	// TopK == 0 or the bound is unavailable for this cell's shape.
-	ub float64
+	// settled marks a cell whose measured slot is final: an invalid cell at
+	// enumerate, any other once evaluate has walked it. order skips these.
+	settled bool
+	// memo is the sweep's entry for the cell's (scheme, P, B) key, shared
+	// with every cell naming the key; first marks the cell that created it
+	// (the deduped key set is the first cells). Nil on an invalid cell.
+	memo  *keyMemo
+	first bool
 	// gk/hk are the cross-sweep cache key and its stable digest, computed
-	// once per cell per sweep (valid only under a Tuner).
+	// once per cell per sweep (valid only under a Tuner) — one digest
+	// routes both cache tiers and the wire.
 	gk tunerKey
 	hk uint64
+	// ub is the proven total-throughput upper bound (D·B·MicroRows over
+	// costmodel.LowerBound) steering a branch-and-bound sweep; +Inf when
+	// the bound is unavailable for this cell's shape, unset at TopK == 0.
+	ub float64
 }
 
 // size is the cell's schedule size in compute tasks, 2·B·S, in closed form
@@ -1140,52 +793,392 @@ type sweepTask struct {
 // S = 2·W·P for a wave cell, P for a Schemes cell. That undercounts the
 // multi-chunk baselines (chimera-wave, interleaved), which costs nothing
 // but ordering quality: size only steers the exhaustive feed order.
-func (tk *sweepTask) size() int {
-	s := tk.plan.P
-	if tk.waves > 0 {
-		s *= 2 * tk.waves
+func (c *sweepCell) size() int {
+	s := c.plan.P
+	if c.waves > 0 {
+		s *= 2 * c.waves
 	}
-	return 2 * tk.plan.B * s
+	return 2 * c.plan.B * s
 }
 
-// evalBounded measures one cell of a branch-and-bound sweep (TopK > 0):
-// a sweep-local complete result is served as-is, a cell whose analytic
-// bound strictly loses to the cutoff is skipped outright, and everything
-// else evaluates under the cutoff-derived virtual-clock cap — feeding
-// every complete row value back into the cutoff. The cutoff is read once
-// per cell; it can only have risen by evaluation time, so a stale read
-// merely over-evaluates.
-func evalBounded(tk *sweepTask, cache *sweepCache, own *evaluator, prune bool, t *Tuner, sr *sweepRemote, cut *cutoffState) Candidate {
-	plan := tk.plan
-	k := schedKey{plan.Scheme, plan.P, plan.B}
-	if es, err, ok := cache.peekFull(k); ok {
-		c := candidateFrom(plan, es, err)
-		cut.observe(tk.slot, c.Throughput)
-		return c
+// enumerate lays out the candidate grid in deterministic order and
+// computes each cell's sweep-constant derivatives exactly once: its
+// validity, its key memo, and under a Tuner the cross-sweep cache key and
+// digest. waves tags the Hanayo wave-sweep candidates of one (P, D) so only
+// the best wave survives, mirroring §5.3 ("we searched for the best wave
+// number under each parallelism configuration"). Sharded sweeps assign grid
+// units — each regular cell its own, the whole wave group of one (P, D) a
+// single one, so its internal best-of reduction never splits — round-robin
+// to shards and lay out only the owned units; MergeShards relies on exactly
+// this unit order and assignment to stitch shards back together.
+//
+// A cell's validity is the cell's, not the key's: Plan.Validate runs here,
+// per cell, and an invalid one (P·D beyond the cluster, a fault plan aimed
+// past its P) settles as Candidate{Plan, Err} in its own slot. It gets no
+// memo, key or bound, so it never reaches a key memo, the LRU (whose key
+// has no D), a flight or the wire — a grid may list one P under a feasible
+// and an infeasible D and each cell keeps its own verdict.
+func enumerate(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner) *gridSweep {
+	space = space.withDefaults(cl)
+	s := &gridSweep{space: space, t: t, workers: space.Workers}
+	if s.workers <= 0 {
+		s.workers = goruntime.NumCPU()
 	}
-	co := cut.cutoff()
-	if co > 0 && tk.ub < co {
-		// Provably below at least TopK fully evaluated rows — strictly, so
-		// a tie with the cutoff still evaluates and tie order survives.
-		cut.pruned.Add(1)
-		return Candidate{Plan: plan, BoundPruned: true, Bound: tk.ub}
+	unit := 0
+	claim := func() bool { // does this shard own the next grid unit?
+		own := space.shardCount <= 1 || unit%space.shardCount == space.shardIndex
+		unit++
+		return own
 	}
-	var deadline float64
+	// Formatted once per sweep, not once per (P, D): a warm sweep does
+	// little besides this layout.
+	waveNames := make([]string, len(space.Waves))
+	for i, w := range space.Waves {
+		waveNames[i] = "hanayo-w" + strconv.Itoa(w)
+	}
+	for _, pd := range space.PD {
+		plan := Plan{Cluster: cl, Model: model, P: pd[0], D: pd[1],
+			B: space.B, MicroRows: space.MicroRows, Faults: space.Faults}
+		for _, scheme := range space.Schemes {
+			if claim() {
+				plan.Scheme = scheme
+				s.cells = append(s.cells, sweepCell{plan: plan, slot: s.slots})
+				s.slots++
+			}
+		}
+		if len(space.Waves) > 0 && claim() {
+			for i, w := range space.Waves {
+				plan.Scheme = waveNames[i]
+				s.cells = append(s.cells, sweepCell{plan: plan, waves: w, slot: s.slots})
+			}
+			s.slots++
+		}
+	}
+
+	var clusterFP uint64
+	if t != nil {
+		clusterFP = cl.Fingerprint() // sweep-constant: hash the matrices once
+	}
+	s.measured = make([]Candidate, len(s.cells))
+	slab := make([]keyMemo, len(s.cells)) // every key's memo in one allocation
+	memos := make(map[schedKey]*keyMemo, len(s.cells))
+	live := 0
+	for i := range s.cells {
+		c := &s.cells[i]
+		if err := c.plan.Validate(); err != nil {
+			s.measured[i], c.settled = Candidate{Plan: c.plan, Err: err}, true
+			continue
+		}
+		live++
+		k := schedKey{c.plan.Scheme, c.plan.P, c.plan.B}
+		if c.memo = memos[k]; c.memo == nil {
+			c.memo, c.first = &slab[len(memos)], true
+			memos[k] = c.memo
+		}
+		if t != nil {
+			c.gk = keyFor(c.plan, space.Prune, clusterFP)
+			c.hk = c.gk.hash()
+		}
+	}
+	if t != nil {
+		s.pool = t.pool
+	} else {
+		s.pool = make(evalPool, min(s.workers, live))
+		for i := 0; i < cap(s.pool); i++ {
+			s.pool <- nil // built on first checkout
+		}
+	}
+	s.cut = newCutoffState(space.TopK, s.slots)
+	return s
+}
+
+// bound computes every live cell's analytic throughput upper bound — the
+// figure that orders a branch-and-bound walk and decides its skips; an
+// exhaustive sweep (TopK == 0) needs none. A bound error (a shape the
+// scheme rejects) leaves ub at +Inf: the cell is never pruned, so the real
+// generation error surfaces exactly as the exhaustive sweep reports it.
+func (s *gridSweep) bound(cl *cluster.Cluster, model nn.Config) {
+	if s.space.TopK <= 0 {
+		return
+	}
+	wl := costmodel.Workload{Model: model, MicroRows: s.space.MicroRows}
+	for i := range s.cells {
+		c := &s.cells[i]
+		if c.settled {
+			continue
+		}
+		c.ub = math.Inf(1)
+		if lb, err := costmodel.LowerBound(wl, cl, c.plan.P, c.plan.D, c.plan.B, c.plan.Scheme); err == nil && lb > 0 {
+			c.ub = float64(c.plan.D*c.plan.B*c.plan.MicroRows) / lb
+		}
+	}
+}
+
+// prefetch resolves the whole shard against the remote tier up front: the
+// layout IS the deterministic key enumeration, so one MultiGet over the
+// deduped key set replaces the per-key probes every worker would otherwise
+// issue at its miss — one round trip here plus one flush in reduce,
+// whatever the grid size (the transport chunks above cachewire.MaxBatch).
+// A key already in the LRU is pinned instead of fetched, so an eviction
+// between now and the worker's lookup cannot force a re-simulation. A
+// transport error degrades every unresolved key to a miss and counts once —
+// partial results (filled before the error) are still used.
+func (s *gridSweep) prefetch() {
+	t := s.t
+	if t == nil || t.remote == nil {
+		return
+	}
+	s.hits = map[uint64]tunerEntry{}
+	var hks []uint64
+	for i := range s.cells {
+		c := &s.cells[i]
+		if !c.first {
+			continue
+		}
+		if ent, ok := t.cache.get(c.gk, c.hk); ok {
+			s.hits[c.hk] = ent
+		} else {
+			hks = append(hks, c.hk)
+		}
+	}
+	if len(hks) == 0 {
+		return
+	}
+	out := make([]cachewire.Entry, len(hks))
+	okv := make([]bool, len(hks))
+	if err := cachewire.GetBatch(t.remote, hks, out, okv); err != nil {
+		t.rerrs.Add(1)
+	}
+	for i, hk := range hks {
+		if okv[i] {
+			s.hits[hk] = entryFromWire(out[i])
+		}
+	}
+}
+
+// order is the walk over every cell not yet settled. A branch-and-bound
+// sweep (TopK > 0) goes best-first — descending analytic upper bound — so
+// the true winners tend to evaluate first and the cutoff tightens as early
+// as possible. An exhaustive sweep feeds the largest schedules first: a
+// fresh evaluator then sizes every arena once, on its first key, instead
+// of regrowing them up the P × wave ladder, and a wider pool starts its
+// longest cells first. Everything lands in grid-order measured slots, so
+// reduce is order-independent.
+func (s *gridSweep) order() []int {
+	idx := make([]int, 0, len(s.cells))
+	for i := range s.cells {
+		if !s.cells[i].settled {
+			idx = append(idx, i)
+		}
+	}
+	if s.space.TopK > 0 {
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(s.cells[b].ub, s.cells[a].ub) })
+	} else {
+		slices.SortStableFunc(idx, func(a, b int) int { return s.cells[b].size() - s.cells[a].size() })
+	}
+	return idx
+}
+
+// evaluate settles cells idx, in that order, on min(workers, len(idx))
+// goroutines pulling from a shared feed; each result lands in the cell's
+// own measured slot. bounded lets every cell read the ranking cutoff;
+// Rerank's seed phase passes false, because a seed exists to raise the
+// cutoff and must never be judged against the one its fellow seeds (or,
+// as the Kth-best row, it itself) just produced.
+func (s *gridSweep) evaluate(idx []int, bounded bool) {
+	feed := make(chan int, len(idx))
+	for _, i := range idx {
+		feed <- i
+	}
+	close(feed)
+	var wg sync.WaitGroup
+	// A pool wider than the walk would only start idle goroutines.
+	for w := min(s.workers, len(idx)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range feed {
+				s.measured[i] = s.measure(&s.cells[i], bounded)
+				s.cells[i].settled = true
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// measure settles one cell of the walk: a cell whose analytic bound
+// strictly loses to the cutoff is skipped outright, everything else
+// resolves under the cutoff-derived virtual-clock cap, and every complete
+// value feeds back into the cutoff. The cutoff is read once per cell; it
+// can only have risen by evaluation time, so a stale read merely
+// over-evaluates. A key this sweep already holds complete is exempt from
+// the skip — resolve serves it exact for free, and a mathematically tight
+// bound can land a float ulp below the simulated value, which would flip
+// the strict comparison on what is really a tie with the key's own value.
+func (s *gridSweep) measure(c *sweepCell, bounded bool) Candidate {
+	plan := c.plan
+	var co, deadline float64
+	if bounded {
+		co = s.cut.cutoff()
+	}
 	if co > 0 {
+		if c.ub < co && !c.memo.done.Load() {
+			// Provably below at least TopK fully evaluated rows — strictly, so
+			// a tie with the cutoff still evaluates and tie order survives.
+			s.cut.pruned.Add(1)
+			return Candidate{Plan: plan, BoundPruned: true, Bound: c.ub}
+		}
 		// A run whose per-replica makespan passes this cap scores total
 		// throughput strictly under the cutoff; RunDeadline's abort is
 		// strict too, so a run landing exactly on the cap completes.
 		deadline = float64(plan.D*plan.B*plan.MicroRows) / co
 	}
-	es, err := evalKeyBounded(plan, own, prune, t, tk.gk, tk.hk, sr, deadline)
+	es, err := s.resolve(c, deadline)
 	if err == nil && es.boundOnly {
-		cut.pruned.Add(1)
+		s.cut.pruned.Add(1)
 		return Candidate{Plan: plan, BoundPruned: true, Bound: es.perReplica * float64(plan.D)}
 	}
-	cache.publishFull(k, es, err)
-	c := candidateFrom(plan, es, err)
-	cut.observe(tk.slot, c.Throughput)
-	return c
+	cand := candidateFrom(plan, es, err)
+	s.cut.observe(c.slot, cand.Throughput)
+	return cand
+}
+
+// resolve is the one evaluation path: every cell of every mode — standalone
+// or Tuner-served, exhaustive or TopK, seed or not — obtains its key's
+// evaluation here, from the nearest tier that holds it complete:
+//
+//	sweep memo → local LRU → prefetched set → cross-sweep flight → measure
+//
+// and a fresh measurement is published — memo, flight, LRU, end-of-sweep
+// flush — only if it is complete. A deadline-aborted (boundOnly) verdict
+// depends on this sweep's cutoff and the cell's D, so it is returned to
+// this cell and reaches nothing else: the memo stays open, the flight
+// lands empty and its followers measure for themselves. Every cache entry
+// is a complete evaluation, so a hit is exact whatever the deadline.
+//
+// The memo lock is held across the flight wait and the pool checkout on
+// purpose — serialising a key's builders is what it is for — and cannot
+// deadlock: a flight's leader waits only for a pool slot, and a slot's
+// holder waits for nothing.
+func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error) {
+	m := c.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done.Load() {
+		return m.es, m.err
+	}
+	t := s.t
+	var f *flight // the flight this call leads once every tier missed; nil standalone
+	if t != nil {
+		ent, ok := t.cache.get(c.gk, c.hk)
+		if !ok {
+			if ent, ok = s.hits[c.hk]; ok {
+				t.cache.put(c.gk, c.hk, ent) // seed the LRU for the next sweep
+			}
+		}
+		for !ok {
+			// Another sweep may already be measuring this key: wait for its
+			// result instead of re-simulating (the computation is
+			// deterministic, so its error is this caller's error too). An
+			// empty landing means its leader was deadline-aborted; join again.
+			var leader bool
+			if f, leader = t.join(c.gk); leader {
+				// A flight that landed between the LRU miss above and this
+				// join published first: look once more before simulating.
+				if ent, ok = t.cache.get(c.gk, c.hk); ok {
+					f.ent, f.full = ent, true
+					t.land(c.gk, f)
+				}
+				break
+			}
+			<-f.done
+			if f.err != nil {
+				m.err = f.err
+				m.done.Store(true)
+				return nil, f.err
+			}
+			ent, ok = f.ent, f.full
+		}
+		if ok {
+			m.es = ent.toShared()
+			m.done.Store(true)
+			return m.es, nil
+		}
+	}
+	// The checkout covers the whole measurement (compile + replay + sim):
+	// schedule compilation is real work the admission control should bound.
+	ev := s.pool.checkout()
+	es, err := ev.evalSchedule(c.plan, s.space.Prune, deadline)
+	s.pool.checkin(ev)
+	if err != nil || !es.boundOnly {
+		m.es, m.err = es, err
+		m.done.Store(true)
+	}
+	if f != nil {
+		if f.err = err; err == nil && !es.boundOnly {
+			f.ent, f.full = entryFrom(es), true
+			// put before land: no window where neither the cache nor a
+			// flight covers the key.
+			t.cache.put(c.gk, c.hk, f.ent)
+			s.publish(c.hk, f.ent)
+		}
+		t.land(c.gk, f)
+	}
+	return es, err
+}
+
+// publish queues one fresh evaluation for the end-of-sweep flush.
+func (s *gridSweep) publish(hk uint64, e tunerEntry) {
+	if s.t.remote == nil {
+		return
+	}
+	s.pubMu.Lock()
+	s.pubKeys = append(s.pubKeys, hk)
+	s.pubEnts = append(s.pubEnts, e.wire())
+	s.pubMu.Unlock()
+}
+
+// reduce ends the sweep: every queued evaluation goes to the remote tier
+// in one batched MultiPut (the pool has drained, so no lock is needed; a
+// transport error degrades to dropped publishes, counted once), then the
+// measured cells fold into output rows in grid order, exactly as a serial
+// sweep would: per (P, D) the regular candidates pass through, then the
+// wave group contributes its best wave (first maximum wins). A pruned wave
+// whose proven bound exceeds the best fully evaluated wave makes the whole
+// row BoundPruned: the row's true maximum might hide in that pruned wave —
+// but the bound is below the cutoff, so the row provably cannot rank in
+// the top K, and the proven bound is surfaced instead of a
+// potentially-wrong winner. (When the row DOES rank top-K, every bound
+// below the cutoff is below the winner too, so the flag never fires and
+// the winner is exact.)
+func (s *gridSweep) reduce() []Candidate {
+	if len(s.pubKeys) > 0 {
+		if err := cachewire.PutBatch(s.t.remote, s.pubKeys, s.pubEnts); err != nil {
+			s.t.rerrs.Add(1)
+		}
+	}
+	out := slices.Grow([]Candidate(nil), s.slots) // nil, like a serial append loop, when the shard owns nothing
+	for i := 0; i < len(s.cells); {
+		if s.cells[i].waves == 0 {
+			out = append(out, s.measured[i])
+			i++
+			continue
+		}
+		best, maxBound := s.measured[i], 0.0
+		for slot := s.cells[i].slot; i < len(s.cells) && s.cells[i].slot == slot; i++ {
+			if c := &s.measured[i]; c.BoundPruned && c.Bound > maxBound {
+				maxBound = c.Bound
+			}
+			if s.measured[i].Throughput > best.Throughput {
+				best = s.measured[i]
+			}
+		}
+		if maxBound > best.Throughput {
+			best.BoundPruned, best.Bound = true, maxBound
+		}
+		out = append(out, best)
+	}
+	return out
 }
 
 // AutoTuneShard evaluates one shard's slice of the candidate grid —
@@ -1195,7 +1188,7 @@ func evalBounded(tk *sweepTask, cache *sweepCache, own *evaluator, prune bool, t
 // worker pool), only the grid is restricted, so merging every shard of a
 // partition reproduces the single-process ranking bit for bit.
 func AutoTuneShard(cl *cluster.Cluster, model nn.Config, space SearchSpace) []Candidate {
-	return sweepGrid(cl, model, space, nil, nil)
+	return sweepGrid(cl, model, space, nil)
 }
 
 // MergeShards recombines the grid-order outputs of AutoTuneShard into

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -289,6 +290,64 @@ func TestSweepRunsOneSimPerKey(t *testing.T) {
 	}
 }
 
+// TestMixedDGridPerCellValidity: a cell's validity is the cell's, not the
+// key's. A grid listing P = 8 under a feasible D (8·4 = 32 devices) and an
+// infeasible one (8·8 = 64) shares every (scheme, P, B) key between the
+// two, and used to let whichever cell reached the key first decide both —
+// ranking a 64-device plan first at twice the real winner's throughput, or
+// (listed the other way round) reporting the feasible cells as errors.
+// Either order, exhaustive and TopK, serial and parallel, standalone and on
+// one shared Tuner: the D = 8 cells carry the device-count error and the
+// D = 4 cells equal a sweep of {8, 4} alone bit for bit.
+func TestMixedDGridPerCellValidity(t *testing.T) {
+	cl := cluster.TACC(32)
+	model := nn.BERTStyle()
+	space := func(pd [][2]int, topK, workers int) SearchSpace {
+		return SearchSpace{PD: pd, Waves: []int{1, 2}, B: 8, MicroRows: 1, TopK: topK, Workers: workers}
+	}
+	alone := AutoTune(cl, model, space([][2]int{{8, 4}}, 0, 1))
+	if best, ok := Best(alone); !ok || best.Plan.D != 4 {
+		t.Fatalf("the {8,4} grid must rank a feasible plan first: %+v", alone)
+	}
+	check := func(label string, got []Candidate, topK int) {
+		t.Helper()
+		var valid []Candidate
+		invalid := 0
+		for _, c := range got {
+			if c.Plan.D == 8 {
+				invalid++
+				if c.Err == nil || !strings.Contains(c.Err.Error(), "uses 64 devices") || c.Throughput != 0 {
+					t.Fatalf("%s: %s P=8 D=8 must carry the device-count error, got %+v", label, c.Plan.Scheme, c)
+				}
+				continue
+			}
+			valid = append(valid, c)
+		}
+		if invalid != len(alone) || len(valid) != len(alone) {
+			t.Fatalf("%s: %d valid + %d invalid rows, want %d of each", label, len(valid), invalid, len(alone))
+		}
+		exact := len(alone)
+		if topK > 0 {
+			exact = topK // below rank TopK a bounded sweep may surface proven bounds
+		}
+		if !reflect.DeepEqual(valid[:exact], alone[:exact]) {
+			t.Fatalf("%s: the D=4 cells differ from a sweep of {8,4} alone\ngot:  %+v\nwant: %+v",
+				label, valid[:exact], alone[:exact])
+		}
+	}
+	orders := [][][2]int{{{8, 4}, {8, 8}}, {{8, 8}, {8, 4}}}
+	for _, topK := range []int{0, 2} {
+		for _, workers := range []int{1, 4} {
+			tn := NewTuner(TunerOptions{Runners: 2}) // shared across both orders: swept twice
+			for _, pd := range orders {
+				label := fmt.Sprintf("PD=%v TopK=%d workers=%d", pd, topK, workers)
+				check(label+" standalone", AutoTune(cl, model, space(pd, topK, workers)), topK)
+				check(label+" tuner", tn.AutoTune(cl, model, space(pd, topK, workers)), topK)
+			}
+		}
+	}
+}
+
 // TestEvaluateCachedMatchesUncached asserts the sweep's memo is
 // transparent: every candidate of a sweep — measured on a worker's
 // Generator-owned schedule and shared per (scheme, P, B) key — reports the
@@ -360,28 +419,31 @@ func TestEvaluateAnalyticOnly(t *testing.T) {
 }
 
 // TestScheduleCacheSharesPrograms proves a sweep keeps one memo per
-// (scheme, P, B) program — evalFor builds the key's evaluation once and
-// hands the same instance to every plan sharing it, whatever its D — and
+// (scheme, P, B) program — enumerate hands every cell naming the key the
+// same entry, resolve builds its evaluation once (one simulation) and
+// serves the same instance to every plan sharing it, whatever its D — and
 // that no schedule is shared anywhere: Plan.Schedule compiles a fresh,
 // retainable instance per call.
 func TestScheduleCacheSharesPrograms(t *testing.T) {
-	cache := newSweepCache()
 	p1 := bertPlan("hanayo-w2", 4, 2)
 	p2 := p1
 	p2.D = 1 // different plan, same (scheme, P, B) program
-	builds := 0
+	s := enumerate(p1.Cluster, p1.Model, SearchSpace{Schemes: []string{"hanayo-w2"}, Waves: []int{},
+		PD: [][2]int{{p1.P, p1.D}, {p2.P, p2.D}}, B: p1.B, MicroRows: p1.MicroRows}, nil)
+	if len(s.cells) != 2 || s.cells[0].memo == nil || s.cells[0].memo != s.cells[1].memo ||
+		!s.cells[0].first || s.cells[1].first {
+		t.Fatalf("two D of one (scheme, P, B) must lay out as two cells sharing one memo: %+v", s.cells)
+	}
+	before := simRuns.Load()
 	var shared [2]*evalShared
-	for i, p := range []Plan{p1, p2} {
-		es, err := cache.evalFor(schedKey{p.Scheme, p.P, p.B}, func() (*evalShared, error) {
-			builds++
-			return newEvaluator().evalSchedule(p, false, 0)
-		})
+	for i := range shared {
+		es, err := s.resolve(&s.cells[i], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		shared[i] = es
 	}
-	if builds != 1 || shared[0] != shared[1] {
+	if builds := simRuns.Load() - before; builds != 1 || shared[0] != shared[1] {
 		t.Fatalf("one key built %d evaluations (shared: %v)", builds, shared[0] == shared[1])
 	}
 	if c1, c2 := candidateFrom(p1, shared[0], nil), candidateFrom(p2, shared[1], nil); c1.Throughput != 2*c2.Throughput {

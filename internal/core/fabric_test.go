@@ -2,6 +2,7 @@ package core
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,12 +14,10 @@ import (
 // TestSweepPrefetchFramesO1 is the frame-count hook behind the batched
 // tier's whole point: a shard sweep costs O(1) remote round trips, not
 // O(cells). shardSpace enumerates 27 unique evaluation keys (9 schemes ×
-// 3 PD shapes); the per-key path pays one frame per key, the batched
-// path two frames total — prefetch MultiGet plus flush MultiPut — and a
-// warm repeat none at all. (Not t.Parallel: the frame counter is
-// process-global, like the simRuns hook.)
+// 3 PD shapes); the sweep pays two frames total — prefetch MultiGet plus
+// flush MultiPut — and a warm repeat none at all. (Not t.Parallel: the
+// frame counter is process-global, like the simRuns hook.)
 func TestSweepPrefetchFramesO1(t *testing.T) {
-	const uniqueKeys = 27 // shardSpace: (6 schemes + 3 waves) × 3 PD shapes
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
 	space := shardSpace(8, false)
@@ -52,13 +51,51 @@ func TestSweepPrefetchFramesO1(t *testing.T) {
 	if d := simRuns.Load() - sims; d != 0 {
 		t.Fatalf("tier-warm cold repeat issued %d simulations, want 0", d)
 	}
+}
 
-	// The per-key mode pays what batching saves: one frame per unique key.
-	perKey := NewTuner(TunerOptions{Runners: 2, Remote: lb, NoPrefetch: true})
-	before = cachewire.Frames()
-	candidatesEqual(t, "per-key cold repeat", perKey.AutoTune(cl, model, space), want)
-	if d := cachewire.Frames() - before; d != uniqueKeys {
-		t.Fatalf("per-key cold repeat cost %d frames, want %d (one get per unique key)", d, uniqueKeys)
+// TestRerankFramesO1: a warm-started replan goes through the same batched
+// window as any sweep. Rerank's seeds are cells of the one laid-out,
+// prefetched grid, so a cold Rerank against a remote tier costs one
+// MultiGet and one MultiPut whatever K is — its seeds used to probe and
+// publish per key, 2·K frames before the sweep's own two. A fresh Tuner on
+// the filled tier then re-simulates none of the seeds, and the top K is
+// the cold AutoTune's each time. (Not t.Parallel: process-global counters.)
+func TestRerankFramesO1(t *testing.T) {
+	cl0 := cluster.TACC(9)
+	model := nn.BERTStyle()
+	prev := AutoTune(cl0, model, rerankWideSpace(2, 0))
+	cl1 := cl0.WithoutDevice(3)
+	want := AutoTune(cl1, model, rerankWideSpace(2, 0))
+
+	for topK := 1; topK <= 3; topK++ {
+		space := rerankWideSpace(2, topK)
+		k := positives(want, topK)
+		lb := cachewire.NewLoopback(0)
+
+		before := cachewire.Frames()
+		got, stats := NewTuner(TunerOptions{Runners: 2, Remote: lb}).Rerank(prev, cl1, model, space)
+		if d := cachewire.Frames() - before; d > 2 {
+			t.Fatalf("K=%d: a cold Rerank cost %d frames, want at most 2 (one MultiGet, one MultiPut)", topK, d)
+		}
+		if stats.Seeded != topK || stats.SeedSims != int64(topK) {
+			t.Fatalf("K=%d: cold Rerank seeded %d rows with %d simulations, want %d of each", topK, stats.Seeded, stats.SeedSims, topK)
+		}
+		if !reflect.DeepEqual(got[:k], want[:k]) {
+			t.Fatalf("K=%d: cold Rerank top-%d diverges from cold AutoTune\ngot:  %+v\nwant: %+v", topK, k, got[:k], want[:k])
+		}
+
+		before = cachewire.Frames()
+		got, stats = NewTuner(TunerOptions{Runners: 2, Remote: lb}).Rerank(prev, cl1, model, space)
+		if d := cachewire.Frames() - before; d > 2 {
+			t.Fatalf("K=%d: a tier-warm Rerank cost %d frames, want at most 2", topK, d)
+		}
+		if stats.Seeded != topK || stats.SeedSims != 0 {
+			t.Fatalf("K=%d: a fresh Tuner on the filled tier seeded %d rows with %d simulations, want %d and 0",
+				topK, stats.Seeded, stats.SeedSims, topK)
+		}
+		if !reflect.DeepEqual(got[:k], want[:k]) {
+			t.Fatalf("K=%d: tier-warm Rerank top-%d diverges from cold AutoTune\ngot:  %+v\nwant: %+v", topK, k, got[:k], want[:k])
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cachewire"
 	"repro/internal/cluster"
 	"repro/internal/nn"
 )
@@ -146,12 +147,20 @@ func TestRerankSpeedChangeMatchesCold(t *testing.T) {
 // serving Tuner persists across the whole stream — fingerprinted cache
 // keys must keep membership states from aliasing. The stream is
 // seeded, so the aggregate fewer-simulations assertion is
-// deterministic.
+// deterministic. It holds with and without a remote tier behind the
+// Tuner: seeds and sweep share one batched window onto it.
 func TestRerankChurnProperty(t *testing.T) {
+	t.Run("local", func(t *testing.T) { rerankChurn(t, TunerOptions{Runners: 2}) })
+	t.Run("remote", func(t *testing.T) {
+		rerankChurn(t, TunerOptions{Runners: 2, Remote: cachewire.NewLoopback(0)})
+	})
+}
+
+func rerankChurn(t *testing.T, opt TunerOptions) {
 	model := nn.BERTStyle()
 	const topK = 3
 	space := rerankSpace(2, topK)
-	tun := NewTuner(TunerOptions{Runners: 2})
+	tun := NewTuner(opt)
 
 	var warmTotal, coldTotal int64
 	for _, seed := range []int64{1, 2, 3, 4} {

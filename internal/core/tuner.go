@@ -8,11 +8,12 @@
 // repeated and overlapping sweeps — calibration loops, wave sweeps, many
 // users tuning similar models — hit cached evaluations instead of
 // re-simulating. An optional third tier (TunerOptions.Remote) extends the
-// same get/put seam across processes: on a local miss the Tuner probes a
-// shared cachewire tier under the stable 64-bit key hash and publishes
-// every fresh evaluation back, so a fleet of sharded workers (see
-// SearchSpace.Shard and cmd/hanayo-tuned) fills one cache that any later
-// process sweeps from without re-simulating.
+// same seam across processes: every sweep resolves its local misses
+// against a shared cachewire tier in one batched read under the stable
+// 64-bit key hashes and publishes its fresh evaluations back in one
+// batched write, so a fleet of sharded workers (see SearchSpace.Shard and
+// cmd/hanayo-tuned) fills one cache that any later process sweeps from
+// without re-simulating.
 package core
 
 import (
@@ -36,48 +37,47 @@ type TunerOptions struct {
 	// across shards, evicted LRU per shard). 0 → 4096; negative disables
 	// caching, leaving only arena reuse.
 	CacheEntries int
-	// Remote plugs a cross-process cache tier behind the same get/put seam
-	// as the in-process cache: on a local miss the Tuner probes it under
-	// tunerKey.hash() and publishes fresh evaluations back. Typically a
-	// cachewire.Client dialed at a cachewire.Server; cachewire.NewLoopback
-	// wires the tier in-process for tests. Nil keeps the service
-	// single-process. Remote errors never fail a sweep — a Get error is a
-	// miss, a Put error a dropped publish (counted by RemoteErrors).
+	// Remote plugs a cross-process cache tier behind the in-process cache:
+	// a sweep reads the keys its LRU misses in one batch at its start, under
+	// tunerKey.hash(), and writes its fresh evaluations in one batch at its
+	// end. Typically a cachewire.Client dialed at a cachewire.Server;
+	// cachewire.NewLoopback wires the tier in-process for tests. Nil keeps
+	// the service single-process. Remote errors never fail a sweep — a read
+	// error is a miss, a write error a dropped publish (counted by
+	// RemoteErrors).
 	Remote cachewire.Cache
-	// NoPrefetch disables the batched remote discipline — the sweep-start
-	// MultiGet over the grid's deterministic key set and the end-of-sweep
-	// MultiPut of fresh evaluations — reverting every remote operation to
-	// one per-key round trip at the moment of each miss. The per-key path
-	// stays load-bearing for measurement (the benchmark suite records the
-	// batched and per-key repeat sweeps side by side) and as the
-	// conservative mode against a tier that predates batched frames.
-	NoPrefetch bool
 }
 
 // Tuner serves AutoTune sweeps over a bounded evaluator pool with a
 // cross-sweep evaluation cache. Safe for concurrent use; construct once
 // and share.
 type Tuner struct {
-	pool       chan *evaluator
-	cache      *tunerCache
-	remote     cachewire.Cache // nil → single-process
-	noPrefetch bool            // per-key remote round trips instead of batched frames
-	rerrs      atomic.Int64    // remote get/put failures (degraded, not fatal)
+	// pool is the admission control that keeps total simulation concurrency
+	// bounded however many sweeps are in flight.
+	pool   evalPool
+	cache  *tunerCache
+	remote cachewire.Cache // nil → single-process
+	rerrs  atomic.Int64    // remote-tier failures (degraded, not fatal)
 
 	// flights deduplicates in-flight evaluations across concurrent
 	// sweeps: the first cache miss on a key leads the computation, later
 	// misses wait on its done channel instead of re-simulating — the
-	// cross-sweep counterpart of sweepCache.evalFor's per-sweep sync.Once.
+	// cross-sweep counterpart of the per-sweep keyMemo.
 	mu      sync.Mutex
 	flights map[tunerKey]*flight
 }
 
-// flight is one in-progress cross-sweep evaluation. The leader writes ent
-// and err strictly before closing done; followers read them only after
-// <-done, so no lock is needed on the fields themselves.
+// flight is one in-progress cross-sweep evaluation. The leader writes ent,
+// full and err strictly before closing done; followers read them only
+// after <-done, so no lock is needed on the fields themselves. It follows
+// the memo's publication rule: full marks a complete evaluation in ent, err
+// a deterministic error, and a flight landing with neither is empty — its
+// leader was deadline-aborted, which is a fact about the leader's cell and
+// cutoff, so followers measure for themselves.
 type flight struct {
 	done chan struct{}
 	ent  tunerEntry
+	full bool
 	err  error
 }
 
@@ -87,8 +87,7 @@ func NewTuner(opt TunerOptions) *Tuner {
 	if n <= 0 {
 		n = goruntime.NumCPU()
 	}
-	t := &Tuner{pool: make(chan *evaluator, n), remote: opt.Remote,
-		noPrefetch: opt.NoPrefetch, flights: map[tunerKey]*flight{}}
+	t := &Tuner{pool: make(evalPool, n), remote: opt.Remote, flights: map[tunerKey]*flight{}}
 	for i := 0; i < n; i++ {
 		t.pool <- newEvaluator()
 	}
@@ -103,7 +102,7 @@ func NewTuner(opt TunerOptions) *Tuner {
 }
 
 // join registers interest in key gk: the first caller becomes the leader
-// (leader=true) and must call land when its result is published; later
+// (leader=true) and must call land once its result is final; later
 // callers receive the existing flight to wait on.
 func (t *Tuner) join(gk tunerKey) (f *flight, leader bool) {
 	t.mu.Lock()
@@ -116,9 +115,8 @@ func (t *Tuner) join(gk tunerKey) (f *flight, leader bool) {
 	return f, true
 }
 
-// land retires a flight after its ent/err are final (and, on success, the
-// cache entry is published — put happens before land, so there is no
-// window where neither the cache nor a flight covers the key).
+// land retires a flight after its ent/full/err are final (and, on success,
+// the cache entry is published).
 func (t *Tuner) land(gk tunerKey, f *flight) {
 	t.mu.Lock()
 	delete(t.flights, gk)
@@ -141,15 +139,8 @@ func (t *Tuner) AutoTune(cl *cluster.Cluster, model nn.Config, space SearchSpace
 // shard process publishes its evaluations to the shared remote tier, so
 // the fleet collectively fills a cache any later sweep hits outright.
 func (t *Tuner) AutoTuneShard(cl *cluster.Cluster, model nn.Config, space SearchSpace) []Candidate {
-	return sweepGrid(cl, model, space, t, nil)
+	return sweepGrid(cl, model, space, t)
 }
-
-// checkout blocks until a pooled evaluator is free — the admission control
-// that keeps total simulation concurrency bounded however many sweeps are
-// in flight.
-func (t *Tuner) checkout() *evaluator { return <-t.pool }
-
-func (t *Tuner) checkin(ev *evaluator) { t.pool <- ev }
 
 // CacheLen reports the number of cached cross-sweep evaluations.
 func (t *Tuner) CacheLen() int {
@@ -164,105 +155,6 @@ func (t *Tuner) CacheLen() int {
 // rate, never a sweep — so this counter is the operational signal that
 // the tier is unhealthy.
 func (t *Tuner) RemoteErrors() int64 { return t.rerrs.Load() }
-
-// remoteGet probes the cross-process tier under the key hash; any error
-// counts as a miss.
-func (t *Tuner) remoteGet(h uint64) (tunerEntry, bool) {
-	if t.remote == nil {
-		return tunerEntry{}, false
-	}
-	we, ok, err := t.remote.Get(h)
-	if err != nil {
-		t.rerrs.Add(1)
-		return tunerEntry{}, false
-	}
-	if !ok {
-		return tunerEntry{}, false
-	}
-	return tunerEntry{perReplica: we.PerReplica, maxGB: we.MaxGB,
-		fits: we.Fits, pruned: we.Pruned, failed: we.Failed, splitBW: we.SplitBW}, true
-}
-
-// remotePut publishes a fresh evaluation to the cross-process tier,
-// best-effort.
-func (t *Tuner) remotePut(h uint64, e tunerEntry) {
-	if t.remote == nil {
-		return
-	}
-	we := cachewire.Entry{PerReplica: e.perReplica, MaxGB: e.maxGB,
-		Fits: e.fits, Pruned: e.pruned, Failed: e.failed, SplitBW: e.splitBW}
-	if err := t.remote.Put(h, we); err != nil {
-		t.rerrs.Add(1)
-	}
-}
-
-// sweepRemote is one sweep's batched window onto the Tuner's remote
-// tier — how a shard costs O(1) round trips instead of O(cells). The
-// grid's deterministic layout lets the sweep enumerate its full key set
-// before any worker runs, so prefetch resolves every local miss in a
-// single MultiGet, and fresh evaluations queue in publish until one
-// end-of-sweep MultiPut flushes them. hits is written only during the
-// single-threaded prefetch and read-only once workers run; it pins the
-// prefetched entries for the sweep's lifetime, so an LRU eviction
-// between prefetch and use costs nothing (the in-process cache is
-// seeded too, but the sweep never depends on it retaining).
-type sweepRemote struct {
-	t    *Tuner
-	hits map[uint64]tunerEntry
-
-	mu   sync.Mutex
-	keys []uint64
-	ents []cachewire.Entry
-}
-
-// prefetch resolves one sweep's deduped local-miss key set against the
-// remote tier in one batched round trip (the transport chunks above
-// cachewire.MaxBatch), seeding both the sweep-pinned hit map and the
-// in-process cache. A transport error degrades every unresolved key to
-// a miss and counts once — partial results (filled before the error)
-// are still used.
-func (sr *sweepRemote) prefetch(gks []tunerKey, hks []uint64) {
-	if len(hks) == 0 {
-		return
-	}
-	t := sr.t
-	out := make([]cachewire.Entry, len(hks))
-	okv := make([]bool, len(hks))
-	if err := cachewire.GetBatch(t.remote, hks, out, okv); err != nil {
-		t.rerrs.Add(1)
-	}
-	for i, hk := range hks {
-		if !okv[i] {
-			continue
-		}
-		ent := tunerEntry{perReplica: out[i].PerReplica, maxGB: out[i].MaxGB,
-			fits: out[i].Fits, pruned: out[i].Pruned, failed: out[i].Failed,
-			splitBW: out[i].SplitBW}
-		sr.hits[hk] = ent
-		t.cache.put(gks[i], hk, ent)
-	}
-}
-
-// publish queues one fresh evaluation for the end-of-sweep flush.
-func (sr *sweepRemote) publish(h uint64, e tunerEntry) {
-	sr.mu.Lock()
-	sr.keys = append(sr.keys, h)
-	sr.ents = append(sr.ents, cachewire.Entry{PerReplica: e.perReplica, MaxGB: e.maxGB,
-		Fits: e.fits, Pruned: e.pruned, Failed: e.failed, SplitBW: e.splitBW})
-	sr.mu.Unlock()
-}
-
-// flush publishes every queued evaluation in one batched MultiPut.
-// Called after the worker pool drains, so no lock is needed; a transport
-// error degrades to dropped publishes, counted once.
-func (sr *sweepRemote) flush() {
-	if len(sr.keys) == 0 {
-		return
-	}
-	if err := cachewire.PutBatch(sr.t.remote, sr.keys, sr.ents); err != nil {
-		sr.t.rerrs.Add(1)
-	}
-}
 
 // tunerKey identifies one cached evaluation. The cluster contributes a
 // content fingerprint (presets build a fresh *Cluster per call, so pointer
@@ -373,6 +265,19 @@ func (e tunerEntry) toShared() *evalShared {
 	return &evalShared{fits: e.fits, pruned: e.pruned, maxGB: e.maxGB, perReplica: e.perReplica,
 		failed: e.failed, failedDev: e.failedDev, failTime: e.failTime, recovery: e.recovery,
 		splitBW: e.splitBW}
+}
+
+// wire and entryFromWire are the one conversion pair between the in-process
+// entry and the remote tier's: the wire form drops a failed verdict's
+// diagnostics and keeps everything else.
+func (e tunerEntry) wire() cachewire.Entry {
+	return cachewire.Entry{PerReplica: e.perReplica, MaxGB: e.maxGB,
+		Fits: e.fits, Pruned: e.pruned, Failed: e.failed, SplitBW: e.splitBW}
+}
+
+func entryFromWire(we cachewire.Entry) tunerEntry {
+	return tunerEntry{perReplica: we.PerReplica, maxGB: we.MaxGB,
+		fits: we.Fits, pruned: we.Pruned, failed: we.Failed, splitBW: we.SplitBW}
 }
 
 // entryFrom compacts one fresh evaluation for the cache tiers.

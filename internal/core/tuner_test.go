@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -226,6 +227,57 @@ func TestTunerConcurrentIdenticalSweepsDedup(t *testing.T) {
 	if got := simRuns.Load() - before; got != uniqueKeys {
 		t.Fatalf("6 concurrent identical sweeps issued %d simulations, want %d (in-flight dedup)",
 			got, uniqueKeys)
+	}
+
+	// The same under bound-and-prune, where flights carry the one rule the
+	// memo does: a deadline-aborted leader lands its flight empty and its
+	// followers measure for themselves. Each sweep walks serially, so which
+	// cells complete and which abort is a function of the grid alone (every
+	// tier serves exact results): across the six, every complete result is
+	// simulated exactly once and an aborted cell at most once per sweep.
+	// Every top 2 is exact, and no aborted verdict reached a follower or the
+	// cache — the exhaustive sweep the same Tuner serves afterwards simulates
+	// exactly the keys still open and equals AutoTune.
+	cl := cluster.TACC(16)
+	want := AutoTune(cl, model, space)
+	bounded := space
+	bounded.TopK, bounded.Workers = 2, 1
+	before = simRuns.Load()
+	AutoTune(cl, model, bounded)
+	serial := simRuns.Load() - before // complete + aborted simulations of one sweep
+
+	tn = NewTuner(TunerOptions{Runners: 2})
+	before = simRuns.Load()
+	results := make([][]Candidate, 6)
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = tn.AutoTune(cl, model, bounded)
+		}()
+	}
+	wg.Wait()
+	complete := int64(tn.CacheLen())
+	aborted := serial - complete
+	if aborted <= 0 || complete <= 0 {
+		t.Fatalf("grid no longer exercises both outcomes: %d complete, %d aborted", complete, aborted)
+	}
+	if got := simRuns.Load() - before; got < serial || got > complete+6*aborted {
+		t.Fatalf("6 concurrent identical TopK sweeps issued %d simulations, want %d complete once + %d aborted at most once per sweep",
+			got, complete, aborted)
+	}
+	for i, got := range results {
+		if !reflect.DeepEqual(got[:2], want[:2]) {
+			t.Fatalf("concurrent TopK sweep %d: top-2 differs from exhaustive\ngot:  %+v\nwant: %+v", i, got[:2], want[:2])
+		}
+	}
+	before = simRuns.Load()
+	if got := tn.AutoTune(cl, model, space); !reflect.DeepEqual(got, want) {
+		t.Fatalf("exhaustive sweep after the TopK sweeps diverges — an aborted verdict leaked\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if got := simRuns.Load() - before; got != uniqueKeys-complete {
+		t.Fatalf("exhaustive sweep after the TopK sweeps issued %d simulations, want %d (the keys no sweep completed)",
+			got, uniqueKeys-complete)
 	}
 }
 
