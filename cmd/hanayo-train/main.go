@@ -1,7 +1,7 @@
 // Command hanayo-train runs real pipeline-parallel training of a miniature
-// transformer under any supported schedule, printing the loss curve and
-// communication statistics. It demonstrates that the same action lists the
-// simulator times also train correctly.
+// transformer under any supported schedule, printing the loss curve,
+// communication statistics and the median step time. It demonstrates that
+// the same action lists the simulator times also train correctly.
 //
 // Usage:
 //
@@ -12,6 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -56,16 +58,28 @@ func main() {
 
 	gen := data.NewGenerator(7, cfg.Vocab, cfg.SeqLen)
 	rows := s.B * *dp
+	var steps []time.Duration
 	for i := 0; i < *iters; i++ {
-		res, err := eng.Step(gen.Next(rows))
+		batch := gen.Next(rows)
+		t0 := time.Now()
+		res, err := eng.Step(batch)
 		if err != nil {
 			fatal(err)
 		}
+		steps = append(steps, time.Since(t0))
 		if i == 0 || (i+1)%5 == 0 || i == *iters-1 {
 			st := res.CommStats[0]
 			fmt.Printf("iter %3d  loss %.4f  (msgs=%d bytes=%d prefetch-hits=%d)\n",
 				i+1, res.Loss, st.Messages, st.Bytes, st.PrefetchHits)
 		}
+	}
+	// The first step fills the workers' workspaces; the rest are the steady
+	// state a training job runs in.
+	if warm := steps[min(1, len(steps)):]; len(warm) > 0 {
+		slices.Sort(warm)
+		med := warm[len(warm)/2]
+		fmt.Printf("median step %.2f ms over %d warm iterations, %.1f sequences/s\n",
+			float64(med)/1e6, len(warm), float64(rows)/med.Seconds())
 	}
 }
 

@@ -108,33 +108,37 @@ func (l *Linear) setWorkspace(ws *tensor.Workspace) { l.ws = ws }
 // The zero value is ready to use; a *GELU can also join a stage workspace.
 type GELU struct{ ws *tensor.Workspace }
 
-type geluCtx struct{ x *tensor.Tensor }
+// geluCtx saves the derivative dy/dx per element, which Forward computes
+// from the tanh it already holds, instead of the input it would otherwise
+// have to push through a second tanh in Backward.
+type geluCtx struct{ d *tensor.Tensor }
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
-// Forward applies 0.5·x·(1+tanh(√(2/π)(x+0.044715x³))).
+// Forward applies 0.5·x·(1+tanh(√(2/π)(x+0.044715x³))) and saves the exact
+// derivative of that approximation.
 func (g GELU) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	y := g.ws.Get(x.Shape...)
+	d := g.ws.Get(x.Shape...)
 	for i, v := range x.Data {
-		xv := float64(v)
-		u := geluC * (xv + 0.044715*xv*xv*xv)
-		y.Data[i] = float32(0.5 * xv * (1 + math.Tanh(u)))
-	}
-	return y, &geluCtx{x: x}
-}
-
-// Backward applies the exact derivative of the tanh approximation.
-func (g GELU) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
-	c := ctx.(*geluCtx)
-	dx := g.ws.Get(dy.Shape...)
-	for i, v := range c.x.Data {
 		xv := float64(v)
 		u := geluC * (xv + 0.044715*xv*xv*xv)
 		t := math.Tanh(u)
 		du := geluC * (1 + 3*0.044715*xv*xv)
-		d := 0.5*(1+t) + 0.5*xv*(1-t*t)*du
-		dx.Data[i] = dy.Data[i] * float32(d)
+		y.Data[i] = float32(0.5 * xv * (1 + t))
+		d.Data[i] = float32(0.5*(1+t) + 0.5*xv*(1-t*t)*du)
 	}
+	return y, &geluCtx{d: d}
+}
+
+// Backward multiplies dy by the saved derivative.
+func (g GELU) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
+	c := ctx.(*geluCtx)
+	dx := g.ws.Get(dy.Shape...)
+	for i, d := range c.d.Data {
+		dx.Data[i] = dy.Data[i] * d
+	}
+	g.discard(c)
 	return dx
 }
 
@@ -142,6 +146,10 @@ func (g GELU) Backward(ctx Ctx, dy *tensor.Tensor) *tensor.Tensor {
 func (GELU) Params() []*Param { return nil }
 
 func (g *GELU) setWorkspace(ws *tensor.Workspace) { g.ws = ws }
+
+func (g GELU) discard(ctx Ctx) { g.ws.Put(ctx.(*geluCtx).d) }
+
+func (GELU) inputUnkept() {}
 
 // ------------------------------------------------------------- LayerNorm --
 
@@ -252,7 +260,7 @@ type Sequential struct {
 }
 
 // seqCtx owns the activations between members: mids[i] is member i's
-// output and member i+1's input.
+// output and member i+1's input, or nil once Forward has released it.
 type seqCtx struct {
 	ctxs []Ctx
 	mids []*tensor.Tensor
@@ -266,7 +274,12 @@ func (s *Sequential) Forward(x *tensor.Tensor) (*tensor.Tensor, Ctx) {
 	last := len(s.Layers) - 1
 	c := &seqCtx{ctxs: make([]Ctx, len(s.Layers)), mids: make([]*tensor.Tensor, max(last, 0))}
 	for i, l := range s.Layers {
-		x, c.ctxs[i] = l.Forward(x)
+		in := x
+		x, c.ctxs[i] = l.Forward(in)
+		if i > 0 && inputUnkept(l) {
+			s.ws.Put(in)
+			c.mids[i-1] = nil
+		}
 		if i < last {
 			c.mids[i] = x
 		}

@@ -13,6 +13,9 @@ import "repro/internal/tensor"
 //     exactly one Backward;
 //   - Forward's input and Backward's dy are borrowed: the layer may keep a
 //     reference to the input in its context, and never releases either;
+//   - a Sequential member's input that the member did not keep (it says so
+//     with inputUnkept; GELU saves its derivative instead) is released by
+//     the Sequential, which owns it, right after that member's Forward;
 //   - Forward's output and Backward's dx belong to the caller, who releases
 //     them once their consumer is done.
 //
@@ -34,6 +37,14 @@ func SetWorkspace(l Layer, ws *tensor.Workspace) {
 	if w, ok := l.(workspaced); ok {
 		w.setWorkspace(ws)
 	}
+}
+
+// inputUnkept reports whether l declares that no context of its keeps a
+// reference to Forward's input, so the input's owner may release it as soon
+// as Forward returns instead of holding it until Backward.
+func inputUnkept(l Layer) bool {
+	_, ok := l.(interface{ inputUnkept() })
+	return ok
 }
 
 // discard releases the tensors ctx saved, for a context whose Backward

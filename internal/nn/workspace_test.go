@@ -140,3 +140,123 @@ func TestDetachedContextReplays(t *testing.T) {
 	second := l.Backward(ctx, y)
 	sameBits(t, "replayed input gradient", second, first)
 }
+
+// TestGELUSavedDerivativeBitIdentical: the derivative Forward saves from the
+// tanh it already holds is the one Backward used to recompute from x — the
+// same float64 expression rounded to float32 at the same point — so
+// Backward's dy·d has not moved by a bit, at zero, deep in both tails and on
+// denormals too; and off a workspace the context still replays.
+func TestGELUSavedDerivativeBitIdentical(t *testing.T) {
+	r := tensor.NewRNG(22)
+	x := tensor.Randn(r, 3, 4, 64)
+	copy(x.Data, []float32{0, float32(math.Copysign(0, -1)), 20, -20, 1e-40, -1e-40, math.SmallestNonzeroFloat32, 0.625, -0.625})
+	dy := tensor.Randn(r, 1, 4, 64)
+
+	want := tensor.New(4, 64)
+	for i, v := range x.Data { // GELU.Backward as it was when it kept x
+		xv := float64(v)
+		u := geluC * (xv + 0.044715*xv*xv*xv)
+		th := math.Tanh(u)
+		du := geluC * (1 + 3*0.044715*xv*xv)
+		d := 0.5*(1+th) + 0.5*xv*(1-th*th)*du
+		want.Data[i] = dy.Data[i] * float32(d)
+	}
+	bits := func(what string, got *tensor.Tensor) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: dx[%d] at x = %g is %g, recomputing the derivative from x gives %g", what, i, x.Data[i], got.Data[i], want.Data[i])
+			}
+		}
+	}
+	_, ctx := GELU{}.Forward(x)
+	bits("heap", GELU{}.Backward(ctx, dy))
+	bits("heap, replayed", GELU{}.Backward(ctx, dy))
+
+	g, ws := &GELU{}, &tensor.Workspace{}
+	SetWorkspace(g, ws)
+	for round := 0; round < 2; round++ {
+		ws.Fill(float32(math.NaN()))
+		y, ctx := g.Forward(x)
+		dx := g.Backward(ctx, dy)
+		bits("workspace", dx)
+		ws.Put(y)
+		ws.Put(dx)
+		if n := ws.Sweep(); n != 0 {
+			t.Fatalf("round %d left %d tensors out", round, n)
+		}
+	}
+}
+
+// pooledOfSize counts the tensors of n elements in ws's free lists: it
+// marks every pooled buffer, then draws until one comes back unmarked
+// (freshly allocated, so zero).
+func pooledOfSize(ws *tensor.Workspace, n int) int {
+	ws.Fill(1)
+	var drawn []*tensor.Tensor
+	for {
+		t := ws.Get(n)
+		drawn = append(drawn, t)
+		if t.Data[0] != 1 {
+			break
+		}
+	}
+	for _, t := range drawn {
+		ws.Put(t)
+	}
+	return len(drawn) - 1
+}
+
+// TestSequentialReleasesUnkeptInput: a Sequential hands a member's input
+// back as soon as a member that keeps no reference to it (GELU) has run, and
+// still returns every tensor exactly once — a second Put would panic — on
+// each of the three ways a context ends. That early release is what pays
+// for GELU's saved derivative: with four micro-batches in flight the MLP's
+// [tokens, 4H] buffers number what they did when GELU kept x, nine.
+func TestSequentialReleasesUnkeptInput(t *testing.T) {
+	cases := workspaceCases()
+	leaks := func(what string, ws *tensor.Workspace) {
+		t.Helper()
+		if n := ws.Sweep(); n != 0 {
+			t.Fatalf("%s left %d tensors out", what, n)
+		}
+	}
+	for _, name := range []string{"block", "checkpointed block"} {
+		l, x := cases[name]()
+		ws := &tensor.Workspace{}
+		SetWorkspace(l, ws)
+		for round := 0; round < 2; round++ {
+			y, ctx := l.Forward(x)
+			dx := l.Backward(ctx, y)
+			ws.Put(y)
+			ws.Put(dx)
+			leaks(name+": Forward then Backward", ws)
+		}
+		y, ctx := l.Forward(x)
+		discard(l, ctx)
+		ws.Put(y)
+		leaks(name+": Forward then discard", ws)
+	}
+
+	l, x := cases["block"]()
+	ws := &tensor.Workspace{}
+	SetWorkspace(l, ws)
+	const inFlight = 4
+	var ys [inFlight]*tensor.Tensor
+	var ctxs [inFlight]Ctx
+	for round := 0; round < 2; round++ {
+		for i := range ys {
+			ys[i], ctxs[i] = l.Forward(x)
+		}
+		for i := range ys {
+			dx := l.Backward(ctxs[i], ys[i])
+			ws.Put(ys[i])
+			ws.Put(dx)
+		}
+		leaks("four micro-batches in flight", ws)
+	}
+	const wide, parent = 2 * 4 * 4 * 8, 9 // [b, s, 4H] elements; buffers when GELU kept x
+	if n := pooledOfSize(ws, wide); n > parent {
+		t.Fatalf("four in-flight micro-batches took %d [tokens, 4H] buffers, %d when GELU kept its input", n, parent)
+	}
+}

@@ -8,14 +8,18 @@ import (
 )
 
 // parallelThreshold is the minimum amount of work (multiply-adds) before a
-// matrix kernel fans out across goroutines. Forking and joining GOMAXPROCS
-// goroutines costs about 20 µs on the 2-CPU reference box, where one core
-// sustains about 2.4 G multiply-adds per second: at the former 1<<15 the
-// fork cost more than the 14 µs of work it split, and a transformer's small
-// matmuls (32×32×128 is 1<<17) forked inside every pipeline worker, which
-// already occupy the cores. At 1<<20 (about 0.4 ms of work) the fork is
-// under 5 % of the kernel; parallel first measurably wins at 1<<21 there,
-// and a 256³ product (1<<24) runs 1.8× faster split.
+// matrix kernel fans out across goroutines. On the 2-CPU reference box one
+// core sustains about 4 G multiply-adds per second through the tiled
+// kernels below, and forking and joining GOMAXPROCS goroutines costs about
+// 1 µs when the second CPU is already spinning and 9 µs (7–20) when it has
+// to be woken. A transformer's small matmuls (32×32×128 is 1<<17, 33 µs)
+// run inside pipeline workers that already occupy the cores, so a fork
+// there buys nothing and costs a quarter of the kernel. At 1<<20 (about
+// 0.26 ms of work) a cold fork is 4 % of the kernel; split against serial
+// measured 0.9–1.1× at 1<<19, 0.95–1.4× at 1<<20 and 1.05–1.35× at 1<<21
+// over the three kernels, and a 256³ product (1<<24) runs 1.1–1.6× faster
+// split while other tenants share the second CPU: 1<<20 is the smallest
+// size at which splitting does not lose.
 const parallelThreshold = 1 << 20
 
 // colsShape builds, in buf, a's shape with the last dimension replaced by n.
@@ -64,22 +68,58 @@ func matmulInto(c, a, b []float32, m, k, n int) {
 	parallelRows(m, func(lo, hi int) { matmulRows(c, a, b, lo, hi, k, n) })
 }
 
-// matmulRows computes rows [lo,hi) of c += a·b using an ikj loop order that
-// streams b rows sequentially (cache friendly, auto-vectorizable).
+// matmulRows computes rows [lo,hi) of c += a·b in ikj order, which streams b
+// rows sequentially, four k-steps to a pass over the c row (see axpy4).
 func matmulRows(c, a, b []float32, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		ci := c[i*n : (i+1)*n]
 		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j := range ci {
-				ci[j] += av * bp[j]
-			}
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			axpy4(ci, ai[p], ai[p+1], ai[p+2], ai[p+3], b[p*n:], n)
 		}
+		for ; p < k; p++ {
+			axpy(ci, ai[p], b[p*n:])
+		}
+	}
+}
+
+// axpy computes c += av·b over len(c) elements, skipping a zero av: one
+// k-step of an accumulating kernel, the step axpy4 takes four of at a time.
+func axpy(c []float32, av float32, b []float32) {
+	if av == 0 {
+		return
+	}
+	b = b[:len(c)]
+	for j := range c {
+		c[j] += av * b[j]
+	}
+}
+
+// axpy4 computes c += a0·b₀ + a1·b₁ + a2·b₂ + a3·b₃, where bᵣ is row r of
+// the n-wide matrix starting at b, exactly as four axpy calls in that order
+// would: each c[j] is loaded once, takes its four products one at a time in
+// row order, and is stored once — per element the same float32 operations
+// in the same order, with a quarter of the loads and stores of c. gc does
+// not vectorize, so the tile is written by hand. A zero among the four must
+// still skip its product (0·Inf is NaN, and x + 0 is not x for x = −0), so
+// such a group — a causal softmax row is half zeros — takes the four calls.
+func axpy4(c []float32, a0, a1, a2, a3 float32, b []float32, n int) {
+	b0, b1, b2, b3 := b[:len(c)], b[n:][:len(c)], b[2*n:][:len(c)], b[3*n:][:len(c)]
+	if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+		axpy(c, a0, b0)
+		axpy(c, a1, b1)
+		axpy(c, a2, b2)
+		axpy(c, a3, b3)
+		return
+	}
+	for j := range c {
+		s := c[j]
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		c[j] = s
 	}
 }
 
@@ -107,20 +147,60 @@ func MatMulTInto(c, a, b *Tensor) *Tensor {
 	return c
 }
 
-// matmulTRows computes rows [lo,hi) of c = a·bᵀ.
+// matmulTRows computes rows [lo,hi) of c = a·bᵀ as 2 × 3 tiles of dot
+// products: two rows of a against three rows of b per pass over k. Each of
+// the six sums is still taken in p order from zero, exactly as dot takes
+// it, but the six are independent, so their float32 add latencies overlap
+// where the one-sum loop waits on each in turn, and every loaded value
+// serves two or three products. Six sums, their six products and the two a
+// values are what gc's fifteen float registers hold without spilling: the
+// 2 × 4 tile spills and measured slower than this one on every shape. Where
+// the rows do not pair up or the columns do not divide by three, the last
+// tile steps back over its neighbour and assigns the same sums again.
 func matmulTRows(c, a, b []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
-			var s float32
-			for p := range ai {
-				s += ai[p] * bj[p]
+	if hi-lo < 2 || n < 3 {
+		for i := lo; i < hi; i++ {
+			for j := 0; j < n; j++ {
+				c[i*n+j] = dot(a[i*k:(i+1)*k], b[j*k:(j+1)*k])
 			}
-			ci[j] = s
+		}
+		return
+	}
+	for i := lo; i < hi; i += 2 {
+		i = min(i, hi-2)
+		a0, a1 := a[i*k:(i+1)*k], a[(i+1)*k:(i+2)*k]
+		c0, c1 := c[i*n:(i+1)*n], c[(i+1)*n:(i+2)*n]
+		for j := 0; j < n; j += 3 {
+			j = min(j, n-3)
+			b0, b1, b2 := b[j*k:][:k], b[(j+1)*k:][:k], b[(j+2)*k:][:k]
+			var s00, s01, s02, s10, s11, s12 float32
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				y := b0[p]
+				s00 += x0 * y
+				s10 += x1 * y
+				y = b1[p]
+				s01 += x0 * y
+				s11 += x1 * y
+				y = b2[p]
+				s02 += x0 * y
+				s12 += x1 * y
+			}
+			c0[j], c0[j+1], c0[j+2] = s00, s01, s02
+			c1[j], c1[j+1], c1[j+2] = s10, s11, s12
 		}
 	}
+}
+
+// dot returns Σ a[p]·b[p] summed in p order in float32: one element of
+// a·bᵀ, and the whole of matmulTRows for a shape too small to tile.
+func dot(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s float32
+	for p, av := range a {
+		s += av * b[p]
+	}
+	return s
 }
 
 // TMatMul computes C = Aᵀ·B for A [m,k], B [m,n] yielding [k,n]. This is the
@@ -146,20 +226,18 @@ func TMatMulInto(c, a, b *Tensor) *Tensor {
 	return c
 }
 
-// tmatmulRows computes rows [lo,hi) of c += aᵀ·b.
+// tmatmulRows computes rows [lo,hi) of c += aᵀ·b one c row at a time, four
+// rows of a and b to a pass (see axpy4): c[p] takes its products in i order
+// as it does with i outermost, and stays in cache while it does.
 func tmatmulRows(c, a, b []float32, lo, hi, m, k, n int) {
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		bi := b[i*n : (i+1)*n]
-		for p := lo; p < hi; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			cp := c[p*n : (p+1)*n]
-			for j := range bi {
-				cp[j] += av * bi[j]
-			}
+	for p := lo; p < hi; p++ {
+		cp := c[p*n : (p+1)*n]
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			axpy4(cp, a[i*k+p], a[(i+1)*k+p], a[(i+2)*k+p], a[(i+3)*k+p], b[i*n:], n)
+		}
+		for ; i < m; i++ {
+			axpy(cp, a[i*k+p], b[i*n:])
 		}
 	}
 }

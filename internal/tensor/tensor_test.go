@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -132,6 +133,119 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 	wantT := New(k, n)
 	tmatmulRows(wantT.Data, a.Data, dy.Data, 0, k, m, k, n)
 	same("TMatMul", TMatMul(a, dy), wantT)
+}
+
+// The three row kernels as the plain loops they were before they were
+// tiled: the reference that fixes, per output element, which float32
+// operations run and in which order.
+
+func refMatmulRows(c, a, b []float32, lo, hi, k, n int) {
+	for i := lo; i < hi; i++ {
+		ci := c[i*n : (i+1)*n]
+		ai := a[i*k : (i+1)*k]
+		for p := 0; p < k; p++ {
+			av := ai[p]
+			if av == 0 {
+				continue
+			}
+			bp := b[p*n : (p+1)*n]
+			for j := range ci {
+				ci[j] += av * bp[j]
+			}
+		}
+	}
+}
+
+func refMatmulTRows(c, a, b []float32, lo, hi, k, n int) {
+	for i := lo; i < hi; i++ {
+		ai := a[i*k : (i+1)*k]
+		ci := c[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			bj := b[j*k : (j+1)*k]
+			var s float32
+			for p := range ai {
+				s += ai[p] * bj[p]
+			}
+			ci[j] = s
+		}
+	}
+}
+
+func refTmatmulRows(c, a, b []float32, lo, hi, m, k, n int) {
+	for i := 0; i < m; i++ {
+		ai := a[i*k : (i+1)*k]
+		bi := b[i*n : (i+1)*n]
+		for p := lo; p < hi; p++ {
+			av := ai[p]
+			if av == 0 {
+				continue
+			}
+			cp := c[p*n : (p+1)*n]
+			for j := range bi {
+				cp[j] += av * bi[j]
+			}
+		}
+	}
+}
+
+// TestTiledKernelsMatchReference: on random shapes with every dimension in
+// 1…19 — every remainder of the 2 × 3 tile and of the 4-step unroll, one
+// row and fewer columns than a tile included — the tiled kernels produce the
+// reference loops' results bit for bit. a carries +0 and −0 (the skipped
+// products: skipping matters, because 0·Inf is NaN and −0 + 0 is +0), b
+// carries ±Inf and NaN, the accumulating kernels start from a random c with
+// −0 in it and the assigning one from NaN, and tmatmulRows works on random
+// row ranges and must leave the other rows alone. The one freedom allowed
+// is which NaN: when both operands of an add are NaN the hardware keeps the
+// first one's sign and payload, and Go does not say which operand that is.
+func TestTiledKernelsMatchReference(t *testing.T) {
+	r := NewRNG(22)
+	zeros := []float32{0, float32(math.Copysign(0, -1))}
+	specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	sprinkle := func(x *Tensor, oneIn int, vals []float32) *Tensor {
+		for i := range x.Data {
+			if r.Intn(oneIn) == 0 {
+				x.Data[i] = vals[r.Intn(len(vals))]
+			}
+		}
+		return x
+	}
+	same := func(kernel string, m, k, n int, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			g, w := got[i], want[i]
+			if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+				t.Fatalf("%s %dx%dx%d: element %d is %g (%#08x) tiled, %g (%#08x) by the reference loop",
+					kernel, m, k, n, i, g, math.Float32bits(g), w, math.Float32bits(w))
+			}
+		}
+	}
+	for round := 0; round < 500; round++ {
+		m, k, n := 1+r.Intn(19), 1+r.Intn(19), 1+r.Intn(19)
+		a := sprinkle(Randn(r, 1, m, k), 1+r.Intn(6), zeros)
+
+		b := sprinkle(Randn(r, 1, k, n), 12, specials)
+		got := sprinkle(Randn(r, 1, m, n), 8, zeros)
+		want := got.Clone()
+		matmulRows(got.Data, a.Data, b.Data, 0, m, k, n)
+		refMatmulRows(want.Data, a.Data, b.Data, 0, m, k, n)
+		same("matmulRows", m, k, n, got.Data, want.Data)
+
+		bt := sprinkle(Randn(r, 1, n, k), 12, specials)
+		got, want = Full(specials[2], m, n), Full(specials[2], m, n)
+		matmulTRows(got.Data, a.Data, bt.Data, 0, m, k, n)
+		refMatmulTRows(want.Data, a.Data, bt.Data, 0, m, k, n)
+		same("matmulTRows", m, k, n, got.Data, want.Data)
+
+		dy := sprinkle(Randn(r, 1, m, n), 12, specials)
+		got = sprinkle(Randn(r, 1, k, n), 8, zeros)
+		want = got.Clone()
+		lo := r.Intn(k + 1)
+		hi := lo + r.Intn(k+1-lo)
+		tmatmulRows(got.Data, a.Data, dy.Data, lo, hi, m, k, n)
+		refTmatmulRows(want.Data, a.Data, dy.Data, lo, hi, m, k, n)
+		same("tmatmulRows", m, k, n, got.Data, want.Data)
+	}
 }
 
 // TestIntoKernelsIgnoreDestinationContents: every destination-taking
@@ -548,4 +662,32 @@ func TestNegativeDimensionPanics(t *testing.T) {
 		}
 	}()
 	New(2, -1)
+}
+
+// BenchmarkMatMulKernels times the three matrix kernels on the shapes one
+// training step of the tiny transformer runs them on — the MLP's two
+// products, the fused QKV projection and one attention head — all below
+// parallelThreshold, so this is the serial row kernel and nothing else.
+func BenchmarkMatMulKernels(b *testing.B) {
+	for _, s := range [][3]int{{32, 32, 128}, {32, 128, 32}, {32, 32, 96}, {16, 16, 16}} {
+		m, k, n := s[0], s[1], s[2]
+		r := NewRNG(1)
+		x, w, wt, dy := Randn(r, 1, m, k), Randn(r, 1, k, n), Randn(r, 1, n, k), Randn(r, 1, m, n)
+		c, dw := New(m, n), New(k, n)
+		for _, kern := range []struct {
+			name string
+			run  func()
+		}{
+			{"MatMulInto", func() { MatMulInto(c, x, w) }},
+			{"MatMulTInto", func() { MatMulTInto(c, x, wt) }},
+			{"TMatMulInto", func() { TMatMulInto(dw, x, dy) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kern.name, m, k, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kern.run()
+				}
+				b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")
+			})
+		}
+	}
 }
