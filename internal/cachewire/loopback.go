@@ -10,7 +10,7 @@ import (
 // store is a size-bounded LRU map of key → Entry shared by the Loopback
 // cache and the TCP Server. One mutex is enough here: remote round-trip
 // latency dominates any serving path that reaches it, and the in-process
-// Loopback sits behind the Tuner's own sharded cache, which absorbs the
+// Loopback sits behind the Tuner's own in-process cache, which absorbs the
 // hot repeats.
 type store struct {
 	mu sync.Mutex

@@ -12,7 +12,7 @@
 // That makes the wire format trivial — an 8-byte key and an 18-byte
 // entry — and makes every implementation of Cache interchangeable behind
 // the Tuner's existing get/put seam: the Tuner consults its in-process
-// sharded cache first, then this tier, and publishes evaluations to both.
+// cache first, then this tier, and publishes evaluations to both.
 //
 // The entry encoding is versioned (the first byte) and strictly sized:
 // Decode rejects version skew and any payload that is not exactly

@@ -12,7 +12,6 @@ import (
 	"math"
 	goruntime "runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -69,12 +68,15 @@ type schedKey struct {
 // observing cell's D and the cutoff it read, so the verdict is no fact
 // about the key) and the next waiter measures under its own deadline. It
 // holds evaluations only — a key's schedule lives on the measuring
-// evaluator's Generator and is gone when the measurement returns. The
-// stored *evalShared is shared read-only by every worker.
+// evaluator's Generator and is gone when the measurement returns; es lives
+// in the sweep's memo slab. hit marks a cache entry prefetch wrote into es:
+// not yet done (done exempts a cell from the bound skip, and a cached key
+// stays as prunable as an uncached one), resolve completes the memo with it.
 type keyMemo struct {
 	mu   sync.Mutex
 	done atomic.Bool // set after es/err: a lock-free "already complete?" for the skip test
-	es   *evalShared
+	hit  bool
+	es   evalShared
 	err  error
 }
 
@@ -545,22 +547,35 @@ func newEvaluator() *evaluator {
 	return &evaluator{gen: sched.NewGenerator(), runner: sim.NewRunner(), replay: memtrace.NewReplayer()}
 }
 
-// evalPool is a bounded set of evaluators: checkout blocks until one is
-// free, which caps the measurements in flight at the pool's width. A nil
-// token is a slot whose evaluator has not been built yet — a standalone
-// sweep's pool starts as all tokens, so a sweep that measures nothing (or
-// on fewer workers than it asked for) builds no idle arenas.
-type evalPool chan *evaluator
-
-func (p evalPool) checkout() *evaluator {
-	ev := <-p
-	if ev == nil {
-		ev = newEvaluator()
-	}
-	return ev
+// evalPool is a bounded set of evaluators: a semaphore caps the
+// measurements in flight at the pool's width, blocking checkout while every
+// slot is taken. Evaluators are built on first checkout and reused last in,
+// first out, so a sweep that measures nothing builds none and a serial
+// caller keeps reusing its one warm evaluator instead of cycling the pool.
+type evalPool struct {
+	sem  chan struct{} // one token per evaluator checked out
+	mu   sync.Mutex
+	free []*evaluator // built and idle, most recently checked in last
 }
 
-func (p evalPool) checkin(ev *evaluator) { p <- ev }
+func (p *evalPool) checkout() *evaluator {
+	p.sem <- struct{}{}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		ev := p.free[n-1]
+		p.free = p.free[:n-1]
+		return ev
+	}
+	return newEvaluator()
+}
+
+func (p *evalPool) checkin(ev *evaluator) {
+	p.mu.Lock()
+	p.free = append(p.free, ev)
+	p.mu.Unlock()
+	<-p.sem
+}
 
 // evalSchedule measures one (scheme, P, B) key on this evaluator's
 // reusable executors. The schedule is compiled in place: it belongs to the
@@ -715,9 +730,7 @@ func sweep(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner) []
 // must apply the identical sort for shard merges to be bit-for-bit
 // reproductions of the single-process ranking.
 func sortCandidates(cands []Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].Throughput > cands[j].Throughput
-	})
+	slices.SortStableFunc(cands, func(a, b Candidate) int { return cmp.Compare(b.Throughput, a.Throughput) })
 }
 
 // sweepGrid measures the (sharded slice of the) candidate grid and
@@ -742,23 +755,20 @@ type gridSweep struct {
 	t       *Tuner      // nil on a standalone sweep: no LRU, flight table or remote tier
 	workers int
 	// pool bounds the measurements in flight: the Tuner's shared pool, or a
-	// sweep-local one no wider than min(workers, cells) whose evaluators are
-	// built on first checkout. A worker holds an evaluator only while it
-	// measures — memo hits, cache hits and flight followers never pin one.
-	pool evalPool
+	// sweep-local one no wider than min(workers, cells). A worker holds an
+	// evaluator only while it measures — memo hits, cache hits and flight
+	// followers never pin one.
+	pool *evalPool
 
 	cells    []sweepCell
 	slots    int         // output rows owned by this shard (== grid units owned)
 	measured []Candidate // cell i's outcome, written by whichever worker settles it
 	cut      *cutoffState
 
-	// The batched window onto the Tuner's remote tier — how a shard costs
-	// O(1) round trips instead of O(cells). hits is written only by the
-	// single-threaded prefetch and read-only once workers run; it pins its
-	// entries for the sweep's lifetime, so an LRU eviction between prefetch
-	// and use costs nothing. Fresh evaluations queue under pubMu until
-	// reduce flushes them in one MultiPut. All empty without a remote tier.
-	hits    map[uint64]tunerEntry
+	// Fresh evaluations queue under pubMu until reduce flushes them to the
+	// Tuner's remote tier in one MultiPut — with prefetch's one MultiGet,
+	// how a shard costs O(1) round trips instead of O(cells). Empty without
+	// a remote tier.
 	pubMu   sync.Mutex
 	pubKeys []uint64
 	pubEnts []cachewire.Entry
@@ -777,9 +787,9 @@ type sweepCell struct {
 	// (the deduped key set is the first cells). Nil on an invalid cell.
 	memo  *keyMemo
 	first bool
-	// gk/hk are the cross-sweep cache key and its stable digest, computed
-	// once per cell per sweep (valid only under a Tuner) — one digest
-	// routes both cache tiers and the wire.
+	// gk/hk are the cross-sweep cache key and its stable digest (the
+	// remote tier's wire key), computed once per cell per sweep (valid
+	// only under a Tuner).
 	gk tunerKey
 	hk uint64
 	// ub is the proven total-throughput upper bound (D·B·MicroRows over
@@ -820,7 +830,8 @@ func (c *sweepCell) size() int {
 // and an infeasible D and each cell keeps its own verdict.
 func enumerate(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner) *gridSweep {
 	space = space.withDefaults(cl)
-	s := &gridSweep{space: space, t: t, workers: space.Workers}
+	s := &gridSweep{space: space, t: t, workers: space.Workers,
+		cells: make([]sweepCell, 0, len(space.PD)*(len(space.Schemes)+len(space.Waves)))}
 	if s.workers <= 0 {
 		s.workers = goruntime.NumCPU()
 	}
@@ -881,12 +892,9 @@ func enumerate(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 		}
 	}
 	if t != nil {
-		s.pool = t.pool
+		s.pool = &t.pool
 	} else {
-		s.pool = make(evalPool, min(s.workers, live))
-		for i := 0; i < cap(s.pool); i++ {
-			s.pool <- nil // built on first checkout
-		}
+		s.pool = &evalPool{sem: make(chan struct{}, min(s.workers, live))}
 	}
 	s.cut = newCutoffState(space.TopK, s.slots)
 	return s
@@ -914,30 +922,30 @@ func (s *gridSweep) bound(cl *cluster.Cluster, model nn.Config) {
 	}
 }
 
-// prefetch resolves the whole shard against the remote tier up front: the
-// layout IS the deterministic key enumeration, so one MultiGet over the
-// deduped key set replaces the per-key probes every worker would otherwise
-// issue at its miss — one round trip here plus one flush in reduce,
-// whatever the grid size (the transport chunks above cachewire.MaxBatch).
-// A key already in the LRU is pinned instead of fetched, so an eviction
-// between now and the worker's lookup cannot force a re-simulation. A
-// transport error degrades every unresolved key to a miss and counts once —
-// partial results (filled before the error) are still used.
+// prefetch resolves the whole shard against the Tuner's cache tiers up
+// front, writing each hit into its key's memo, which pins it for the
+// sweep's lifetime (an LRU eviction before the walk cannot force a
+// re-simulation): the layout IS the deterministic key enumeration, so one
+// MultiGet over the keys the LRU misses replaces the per-key probes every
+// worker would otherwise issue — one round trip here plus one flush in
+// reduce, whatever the grid size (the transport chunks above
+// cachewire.MaxBatch). Remote hits seed the LRU for the next sweep. A
+// transport error degrades every unresolved key to a miss and counts once
+// — partial results (filled before the error) are still used.
 func (s *gridSweep) prefetch() {
 	t := s.t
-	if t == nil || t.remote == nil {
+	if t == nil {
 		return
 	}
-	s.hits = map[uint64]tunerEntry{}
-	var hks []uint64
+	hks := make([]uint64, 0, len(s.cells))
 	for i := range s.cells {
 		c := &s.cells[i]
 		if !c.first {
 			continue
 		}
-		if ent, ok := t.cache.get(c.gk, c.hk); ok {
-			s.hits[c.hk] = ent
-		} else {
+		if ent, ok := t.cache.get(c.gk); ok {
+			c.memo.es, c.memo.hit = ent.toShared(), true
+		} else if t.remote != nil {
 			hks = append(hks, c.hk)
 		}
 	}
@@ -949,10 +957,19 @@ func (s *gridSweep) prefetch() {
 	if err := cachewire.GetBatch(t.remote, hks, out, okv); err != nil {
 		t.rerrs.Add(1)
 	}
-	for i, hk := range hks {
-		if okv[i] {
-			s.hits[hk] = entryFromWire(out[i])
+	// hks lists the LRU's misses in cell order: walk them again to match.
+	j := 0
+	for i := range s.cells {
+		c := &s.cells[i]
+		if !c.first || c.memo.hit {
+			continue
 		}
+		if okv[j] {
+			ent := entryFromWire(out[j])
+			t.cache.put(c.gk, ent)
+			c.memo.es, c.memo.hit = ent.toShared(), true
+		}
+		j++
 	}
 }
 
@@ -986,24 +1003,36 @@ func (s *gridSweep) order() []int {
 // cutoff and must never be judged against the one its fellow seeds (or,
 // as the Kth-best row, it itself) just produced.
 func (s *gridSweep) evaluate(idx []int, bounded bool) {
+	w := min(s.workers, len(idx)) // a pool wider than the walk would only start idle goroutines
+	if w <= 1 {
+		// One worker is the caller: no feed, no goroutine to wait for.
+		for _, i := range idx {
+			s.settle(i, bounded)
+		}
+		return
+	}
 	feed := make(chan int, len(idx))
 	for _, i := range idx {
 		feed <- i
 	}
 	close(feed)
 	var wg sync.WaitGroup
-	// A pool wider than the walk would only start idle goroutines.
-	for w := min(s.workers, len(idx)); w > 0; w-- {
+	for ; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				s.measured[i] = s.measure(&s.cells[i], bounded)
-				s.cells[i].settled = true
+				s.settle(i, bounded)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// settle measures cell i into its own measured slot.
+func (s *gridSweep) settle(i int, bounded bool) {
+	s.measured[i] = s.measure(&s.cells[i], bounded)
+	s.cells[i].settled = true
 }
 
 // measure settles one cell of the walk: a cell whose analytic bound
@@ -1047,7 +1076,7 @@ func (s *gridSweep) measure(c *sweepCell, bounded bool) Candidate {
 // or Tuner-served, exhaustive or TopK, seed or not — obtains its key's
 // evaluation here, from the nearest tier that holds it complete:
 //
-//	sweep memo → local LRU → prefetched set → cross-sweep flight → measure
+//	sweep memo (holding prefetch's LRU and remote hits) → cross-sweep flight → measure
 //
 // and a fresh measurement is published — memo, flight, LRU, end-of-sweep
 // flush — only if it is complete. A deadline-aborted (boundOnly) verdict
@@ -1064,18 +1093,15 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 	m := c.memo
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.done.Load() {
-		return m.es, m.err
+	if m.hit || m.done.Load() {
+		m.done.Store(true) // a prefetched hit completes the memo on first use
+		return &m.es, m.err
 	}
 	t := s.t
 	var f *flight // the flight this call leads once every tier missed; nil standalone
 	if t != nil {
-		ent, ok := t.cache.get(c.gk, c.hk)
-		if !ok {
-			if ent, ok = s.hits[c.hk]; ok {
-				t.cache.put(c.gk, c.hk, ent) // seed the LRU for the next sweep
-			}
-		}
+		var ent tunerEntry
+		ok := false
 		for !ok {
 			// Another sweep may already be measuring this key: wait for its
 			// result instead of re-simulating (the computation is
@@ -1083,9 +1109,9 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 			// empty landing means its leader was deadline-aborted; join again.
 			var leader bool
 			if f, leader = t.join(c.gk); leader {
-				// A flight that landed between the LRU miss above and this
+				// A flight that landed between prefetch's LRU miss and this
 				// join published first: look once more before simulating.
-				if ent, ok = t.cache.get(c.gk, c.hk); ok {
+				if ent, ok = t.cache.get(c.gk); ok {
 					f.ent, f.full = ent, true
 					t.land(c.gk, f)
 				}
@@ -1102,7 +1128,7 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 		if ok {
 			m.es = ent.toShared()
 			m.done.Store(true)
-			return m.es, nil
+			return &m.es, nil
 		}
 	}
 	// The checkout covers the whole measurement (compile + replay + sim):
@@ -1111,7 +1137,11 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 	es, err := ev.evalSchedule(c.plan, s.space.Prune, deadline)
 	s.pool.checkin(ev)
 	if err != nil || !es.boundOnly {
-		m.es, m.err = es, err
+		if err == nil {
+			m.es = *es
+			es = &m.es // every cell naming the key reads the one slab copy
+		}
+		m.err = err
 		m.done.Store(true)
 	}
 	if f != nil {
@@ -1119,7 +1149,7 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 			f.ent, f.full = entryFrom(es), true
 			// put before land: no window where neither the cache nor a
 			// flight covers the key.
-			t.cache.put(c.gk, c.hk, f.ent)
+			t.cache.put(c.gk, f.ent)
 			s.publish(c.hk, f.ent)
 		}
 		t.land(c.gk, f)

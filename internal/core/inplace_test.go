@@ -3,7 +3,9 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/cachewire"
 	"repro/internal/cluster"
 	"repro/internal/nn"
 )
@@ -12,7 +14,7 @@ import (
 // Fig 10 grid: with every schedule consumed on the Generator that built it
 // and every arena sized once, what is left is per-key output — cost tables,
 // memory estimates, shape entries, candidates — not compiler or executor
-// state. Budgets are the measured counts (449, 224, 512, within two under
+// state. Budgets are the measured counts (440, 214, 501, within two under
 // -race: nothing on the path draws from a sync.Pool) plus at most 5 %;
 // 482, 241 and 544 before the sweep's key memos shared one slab, and
 // 3 201, 966 and 3 805 before the schedules were compiled in place.
@@ -25,9 +27,9 @@ func TestColdSweepAllocsPinned(t *testing.T) {
 		prune  bool
 		budget float64
 	}{
-		{"exhaustive", 0, false, 471},
-		{"topk3", 3, false, 235},
-		{"prune", 0, true, 537},
+		{"exhaustive", 0, false, 462},
+		{"topk3", 3, false, 224},
+		{"prune", 0, true, 526},
 	} {
 		space := topKSpace(1, tc.topK, tc.prune)
 		got := testing.AllocsPerRun(5, func() {
@@ -39,6 +41,79 @@ func TestColdSweepAllocsPinned(t *testing.T) {
 		if got > tc.budget {
 			t.Errorf("%s: a cold sweep allocates %.0f objects, budget %.0f", tc.name, got, tc.budget)
 		}
+	}
+}
+
+// TestWarmTierSweepAllocsPinned pins what a fully cache-served sweep
+// allocates: a fresh Tuner over a tier that holds every key of the Fig 10
+// grid, walked on the caller's goroutine. Nothing is computed, so what is
+// left is the layout, the one MultiGet and the ranking the sweep returns —
+// no evaluator (they are built on first checkout), no per-hit heap copy
+// (hits live in the memo slab), and an LRU that seeds into one slab. About
+// 60 of the objects are the Loopback's own encode/decode of each entry.
+// The budget is the measured count (101, the same under -race) plus 5 %.
+func TestWarmTierSweepAllocsPinned(t *testing.T) {
+	cl := cluster.TACC(32)
+	model := nn.BERTStyle()
+	space := topKSpace(1, 0, false)
+	tier := cachewire.NewLoopback(0)
+	want := NewTuner(TunerOptions{Remote: tier}).AutoTune(cl, model, space)
+	var got []Candidate
+	before := simRuns.Load()
+	allocs := testing.AllocsPerRun(5, func() {
+		got = NewTuner(TunerOptions{Remote: tier}).AutoTune(cl, model, space)
+	})
+	if d := simRuns.Load() - before; d != 0 {
+		t.Fatalf("warm tier sweeps issued %d simulations, want 0", d)
+	}
+	candidatesEqual(t, "tier-served sweep", got, want)
+	const budget = 106
+	t.Logf("warm tier sweep: %.0f objects (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("a warm tier sweep allocates %.0f objects, budget %d", allocs, budget)
+	}
+}
+
+// TestEvalPoolLazyLIFO pins the pool discipline: evaluators are built on
+// first checkout and handed out most recently checked in first, so serial
+// sweeps through a wide Tuner keep reusing one warm evaluator; checkout
+// blocks at the pool's width and resumes on a checkin.
+func TestEvalPoolLazyLIFO(t *testing.T) {
+	cl := cluster.TACC(16)
+	model := nn.BERTStyle()
+	tn := NewTuner(TunerOptions{Runners: 4, CacheEntries: -1})
+	for _, b := range []int{4, 8, 4} {
+		tn.AutoTune(cl, model, SearchSpace{PD: [][2]int{{4, 4}, {8, 2}}, Waves: []int{1, 2}, B: b, MicroRows: 1, Workers: 1})
+	}
+	if n := len(tn.pool.free); n != 1 {
+		t.Fatalf("serial sweeps through a Runners: 4 Tuner built %d evaluators, want 1", n)
+	}
+
+	p := &evalPool{sem: make(chan struct{}, 2)}
+	a, b := p.checkout(), p.checkout()
+	if a == b {
+		t.Fatal("two checkouts shared one evaluator")
+	}
+	got := make(chan *evaluator, 1)
+	go func() { got <- p.checkout() }()
+	select {
+	case <-got:
+		t.Fatal("a checkout past the pool's width did not block")
+	case <-time.After(20 * time.Millisecond):
+	}
+	p.checkin(a)
+	select {
+	case ev := <-got:
+		if ev != a {
+			t.Fatal("the blocked checkout did not receive the evaluator just checked in")
+		}
+		p.checkin(ev)
+	case <-time.After(5 * time.Second):
+		t.Fatal("a blocked checkout did not resume after a checkin")
+	}
+	p.checkin(b)
+	if ev := p.checkout(); ev != b {
+		t.Fatal("checkout must return the evaluator checked in last")
 	}
 }
 

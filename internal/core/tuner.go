@@ -1,9 +1,9 @@
 // The tuning service: AutoTune packaged for steady-state serving. One
 // process-wide Tuner owns (1) a bounded pool of reusable evaluators —
-// sched.Generator + sim.Runner + memtrace.Replayer triples whose arenas
-// stay warm across requests, so the per-candidate hot path (schedule
-// compilation included) allocates nothing — and (2) a
-// sharded, size-bounded cross-sweep cache of evaluation results keyed by
+// sched.Generator + sim.Runner + memtrace.Replayer triples, built on first
+// use and reused warmest first, so the per-candidate hot path (schedule
+// compilation included) allocates nothing — and (2) a size-bounded LRU
+// cross-sweep cache of evaluation results keyed by
 // (cluster fingerprint, model config, scheme, P, B, MicroRows), so
 // repeated and overlapping sweeps — calibration loops, wave sweeps, many
 // users tuning similar models — hit cached evaluations instead of
@@ -33,8 +33,8 @@ type TunerOptions struct {
 	// simulations/replays in flight across ALL concurrent sweeps served by
 	// this Tuner. 0 → one per CPU.
 	Runners int
-	// CacheEntries bounds the cross-sweep evaluation cache (total entries
-	// across shards, evicted LRU per shard). 0 → 4096; negative disables
+	// CacheEntries bounds the cross-sweep evaluation cache (entries,
+	// evicted least recently used first). 0 → 4096; negative disables
 	// caching, leaving only arena reuse.
 	CacheEntries int
 	// Remote plugs a cross-process cache tier behind the in-process cache:
@@ -55,7 +55,7 @@ type Tuner struct {
 	// pool is the admission control that keeps total simulation concurrency
 	// bounded however many sweeps are in flight.
 	pool   evalPool
-	cache  *tunerCache
+	cache  tunerCache
 	remote cachewire.Cache // nil → single-process
 	rerrs  atomic.Int64    // remote-tier failures (degraded, not fatal)
 
@@ -87,18 +87,12 @@ func NewTuner(opt TunerOptions) *Tuner {
 	if n <= 0 {
 		n = goruntime.NumCPU()
 	}
-	t := &Tuner{pool: make(evalPool, n), remote: opt.Remote, flights: map[tunerKey]*flight{}}
-	for i := 0; i < n; i++ {
-		t.pool <- newEvaluator()
-	}
 	entries := opt.CacheEntries
 	if entries == 0 {
 		entries = 4096
 	}
-	if entries > 0 {
-		t.cache = newTunerCache(entries)
-	}
-	return t
+	return &Tuner{pool: evalPool{sem: make(chan struct{}, n)}, remote: opt.Remote,
+		cache: tunerCache{m: lru.New[tunerKey, tunerEntry](entries)}, flights: map[tunerKey]*flight{}}
 }
 
 // join registers interest in key gk: the first caller becomes the leader
@@ -143,12 +137,7 @@ func (t *Tuner) AutoTuneShard(cl *cluster.Cluster, model nn.Config, space Search
 }
 
 // CacheLen reports the number of cached cross-sweep evaluations.
-func (t *Tuner) CacheLen() int {
-	if t.cache == nil {
-		return 0
-	}
-	return t.cache.len()
-}
+func (t *Tuner) CacheLen() int { return t.cache.len() }
 
 // RemoteErrors reports how many remote-tier operations have failed since
 // construction. The remote tier is best-effort — failures degrade the hit
@@ -195,10 +184,9 @@ func keyFor(plan Plan, prune bool, clusterFP uint64) tunerKey {
 // scheme, the (P, B, MicroRows) shape and the prune flag, with strings
 // length-prefixed exactly as cluster.Fingerprint does. It is the wire key
 // of the cross-process cache tier — stable across processes, builds and
-// architectures — and the shard selector of the in-process cache, so both
-// tiers spread one key the same way. (Two distinct keys colliding in 64
-// bits would alias their cached entries; at ~2⁻⁶⁴ per pair that is far
-// below any failure rate the rest of the service can see.)
+// architectures. (Two distinct keys colliding in 64 bits would alias
+// their cached entries; at ~2⁻⁶⁴ per pair that is far below any failure
+// rate the rest of the service can see.)
 func (k tunerKey) hash() uint64 {
 	// Hand-rolled FNV-64a over the identical little-endian byte stream
 	// hash/fnv would see (same digest, pinned by the golden test): the
@@ -261,8 +249,8 @@ type tunerEntry struct {
 
 // toShared lifts a compact cache entry back into the sweep's evaluation
 // shape (no sim/mem pointers: those never enter the cache).
-func (e tunerEntry) toShared() *evalShared {
-	return &evalShared{fits: e.fits, pruned: e.pruned, maxGB: e.maxGB, perReplica: e.perReplica,
+func (e tunerEntry) toShared() evalShared {
+	return evalShared{fits: e.fits, pruned: e.pruned, maxGB: e.maxGB, perReplica: e.perReplica,
 		failed: e.failed, failedDev: e.failedDev, failTime: e.failTime, recovery: e.recovery,
 		splitBW: e.splitBW}
 }
@@ -287,67 +275,28 @@ func entryFrom(es *evalShared) tunerEntry {
 		splitBW: es.splitBW}
 }
 
-// tunerShards is the shard count of the cross-sweep cache; key hashes
-// spread lock contention across shards so concurrent sweeps rarely collide.
-const tunerShards = 16
-
-// tunerCache is a sharded, size-bounded (per-shard LRU) map of evaluation
-// results.
+// tunerCache is the size-bounded LRU map of evaluation results: one map
+// under one mutex, each critical section a single map operation. A
+// disabled cache is a map bounded to nothing.
 type tunerCache struct {
-	shards [tunerShards]tunerShard
-}
-
-type tunerShard struct {
 	mu sync.Mutex
 	m  *lru.Map[tunerKey, tunerEntry]
 }
 
-func newTunerCache(entries int) *tunerCache {
-	// Distribute the total bound exactly: the first entries%tunerShards
-	// shards hold one extra entry, and small bounds leave some shards at
-	// capacity zero (lru.Map drops every put) rather than silently
-	// inflating the configured total to one per shard.
-	per, rem := entries/tunerShards, entries%tunerShards
-	c := &tunerCache{}
-	for i := range c.shards {
-		cap := per
-		if i < rem {
-			cap++
-		}
-		c.shards[i].m = lru.New[tunerKey, tunerEntry](cap)
-	}
-	return c
+func (c *tunerCache) get(k tunerKey) (tunerEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m.Get(k)
 }
 
-// get/put route by the key's stable 64-bit hash — the same digest the
-// cross-process tier uses as its wire key, so one hash (computed once per
-// lookup by the caller) routes an evaluation through both cache tiers.
-func (c *tunerCache) get(k tunerKey, h uint64) (tunerEntry, bool) {
-	if c == nil { // caching disabled: every lookup misses
-		return tunerEntry{}, false
-	}
-	s := &c.shards[h%tunerShards]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Get(k)
-}
-
-func (c *tunerCache) put(k tunerKey, h uint64, e tunerEntry) {
-	if c == nil { // caching disabled: drop the entry
-		return
-	}
-	s := &c.shards[h%tunerShards]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m.Put(k, e)
+func (c *tunerCache) put(k tunerKey, e tunerEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m.Put(k, e)
 }
 
 func (c *tunerCache) len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += c.shards[i].m.Len()
-		c.shards[i].mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m.Len()
 }

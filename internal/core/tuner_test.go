@@ -174,7 +174,7 @@ func TestTunerMatchesAutoTuneAndCachesRepeats(t *testing.T) {
 }
 
 // TestTunerConcurrentSweeps serves many overlapping sweeps from multiple
-// goroutines through one Tuner — the sharded cache and the bounded
+// goroutines through one Tuner — the shared cache and the bounded
 // evaluator pool are the concurrent shared state the race detector walks.
 func TestTunerConcurrentSweeps(t *testing.T) {
 	model := nn.BERTStyle()
@@ -287,18 +287,18 @@ func TestTunerConcurrentIdenticalSweepsDedup(t *testing.T) {
 func TestTunerCacheBoundedEviction(t *testing.T) {
 	cl := cluster.TACC(16)
 	model := nn.BERTStyle()
-	tn := NewTuner(TunerOptions{Runners: 2, CacheEntries: tunerShards}) // 1 entry per shard
+	const bound = 16 // below the 20 keys the two workloads name
+	tn := NewTuner(TunerOptions{Runners: 2, CacheEntries: bound})
 	for _, b := range []int{4, 8} {
 		space := SearchSpace{PD: [][2]int{{4, 4}, {8, 2}}, Waves: []int{1, 2}, B: b, MicroRows: 1, Workers: 2}
 		got := tn.AutoTune(cl, model, space)
 		candidatesEqual(t, "bounded-cache sweep", got, AutoTune(cl, model, space))
 	}
-	if n := tn.CacheLen(); n > tunerShards {
-		t.Fatalf("cache holds %d entries, bound is %d", n, tunerShards)
+	if n := tn.CacheLen(); n > bound {
+		t.Fatalf("cache holds %d entries, bound is %d", n, bound)
 	}
 
-	// A bound below the shard count must hold exactly, not round up to
-	// one entry per shard.
+	// A bound smaller than one sweep's key set must hold exactly too.
 	tight := NewTuner(TunerOptions{Runners: 2, CacheEntries: 4})
 	space := SearchSpace{PD: [][2]int{{4, 4}, {8, 2}}, Waves: []int{1, 2}, B: 4, MicroRows: 1, Workers: 2}
 	candidatesEqual(t, "tight-cache sweep", tight.AutoTune(cl, model, space), AutoTune(cl, model, space))
@@ -335,4 +335,22 @@ func TestTunerPrunedSweeps(t *testing.T) {
 	if got := simRuns.Load() - before; got != 0 {
 		t.Fatalf("repeated pruned sweep issued %d simulations, want 0", got)
 	}
+}
+
+// BenchmarkTunerWarmSweepParallel runs concurrent sweeps through one shared
+// Tuner whose LRU already holds the grid: every lookup takes the cache's
+// one lock, so this is where contention on it would show.
+func BenchmarkTunerWarmSweepParallel(b *testing.B) {
+	cl := cluster.TACC(32)
+	model := nn.BERTStyle()
+	space := topKSpace(1, 0, false)
+	tn := NewTuner(TunerOptions{})
+	tn.AutoTune(cl, model, space)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			tn.AutoTune(cl, model, space)
+		}
+	})
 }
