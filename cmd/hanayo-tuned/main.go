@@ -9,16 +9,17 @@
 //	hanayo-tuned -worker -shard 1 -of 2 -remote host:7070 -o shard1.json
 //	hanayo-tuned -merge shard0.json shard1.json           # full AutoTune ranking
 //
-// Each worker evaluates a disjoint slice of the (scheme, P, B) candidate
-// grid (SearchSpace.Shard) through its own Tuner, publishing every
-// evaluation to the shared tier under the stable 64-bit key hash. Workers
-// write their slice in grid order as JSON; -merge interleaves the files
-// (in shard order) back into the exact single-process grid and applies
-// the identical ranking sort, so the merged table equals what one process
-// running plain AutoTune would print. Because the tier outlives the
-// workers, repeating a sweep — from any process, sharded or not — costs
-// zero simulations; workers report the simulations they actually issued
-// in the JSON (`sims`) and on stderr.
+// Each worker evaluates a contiguous, work-balanced slice of the
+// (scheme, P, B) candidate grid (SearchSpace.Shard) through its own Tuner,
+// publishing every evaluation to the shared tier under the stable 64-bit
+// key hash. Workers write their slice in grid order as JSON, stamped with
+// the fingerprint of the cluster they swept; -merge refuses files whose
+// sweeps differ, concatenates the rest (in shard order) back into the
+// exact single-process grid and applies the identical ranking sort, so the
+// merged table equals what one process running plain AutoTune would
+// print. Because the tier outlives the workers, repeating a sweep — from
+// any process, sharded or not — costs zero simulations; workers report the
+// simulations they actually issued in the JSON (`sims`) and on stderr.
 //
 // The tier scales out by running several -serve processes and passing the
 // worker a comma-separated -remote list: workers hash every key onto the
@@ -44,6 +45,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -191,10 +193,14 @@ type workerConfig struct {
 // order, and the number of simulations the worker actually issued (0 when
 // the shared tier already held every key).
 type shardFile struct {
-	Shard       int    `json:"shard"`
-	Of          int    `json:"of"`
-	Cluster     string `json:"cluster"`
-	Devices     int    `json:"devices"`
+	Shard   int    `json:"shard"`
+	Of      int    `json:"of"`
+	Cluster string `json:"cluster"`
+	Devices int    `json:"devices"`
+	// Fingerprint is the swept cluster's (after any -events) in hex: it
+	// tells -merge two shards ranked the same cluster, and its absence
+	// marks a file from a binary whose shards do not concatenate.
+	Fingerprint string `json:"fingerprint"`
 	Model       string `json:"model"`
 	B           int    `json:"b"`
 	MicroRows   int    `json:"micro_rows"`
@@ -287,8 +293,8 @@ func runWorker(cfg workerConfig) error {
 			return err
 		}
 		// Fold the stream: the sweep ranks the final membership state. All
-		// shards must be given the same stream or -merge's coherence check
-		// will (rightly) reject the mixed partition.
+		// shards must be given the same stream: the file records the folded
+		// cluster's fingerprint, and -merge rejects a mixed partition.
 		states, err := cluster.ApplyEvents(cl, evs)
 		if err != nil {
 			return err
@@ -340,7 +346,7 @@ func runWorker(cfg workerConfig) error {
 
 	file := shardFile{
 		Shard: cfg.shard, Of: cfg.of,
-		Cluster: cfg.cluster, Devices: cfg.devices, Model: cfg.model,
+		Cluster: cfg.cluster, Devices: cfg.devices, Fingerprint: fingerprint(cl), Model: cfg.model,
 		B: cfg.b, MicroRows: cfg.rows, Prune: cfg.prune, TopK: cfg.topk,
 		Events: nEvents, Sims: sims, BoundPruned: boundPruned,
 		Candidates: toWire(cands),
@@ -374,6 +380,8 @@ func runWorker(cfg workerConfig) error {
 	return nil
 }
 
+func fingerprint(cl *cluster.Cluster) string { return strconv.FormatUint(cl.Fingerprint(), 16) }
+
 func runMerge(paths []string, w io.Writer) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("-merge needs the shard files, in shard order")
@@ -396,10 +404,14 @@ func runMerge(paths []string, w io.Writer) error {
 		if sf.Of != len(paths) {
 			return fmt.Errorf("%s is shard %d of %d, but %d files were given", path, sf.Shard, sf.Of, len(paths))
 		}
+		if sf.Fingerprint == "" {
+			return fmt.Errorf("%s has no cluster fingerprint: an older hanayo-tuned wrote it, and its shards do not merge with these; rerun its worker", path)
+		}
 		if i == 0 {
 			head = sf
-		} else if sf.Cluster != head.Cluster || sf.Devices != head.Devices || sf.Model != head.Model ||
-			sf.B != head.B || sf.MicroRows != head.MicroRows || sf.Prune != head.Prune || sf.TopK != head.TopK {
+		} else if sf.Cluster != head.Cluster || sf.Devices != head.Devices || sf.Fingerprint != head.Fingerprint ||
+			sf.Model != head.Model || sf.B != head.B || sf.MicroRows != head.MicroRows ||
+			sf.Prune != head.Prune || sf.TopK != head.TopK {
 			return fmt.Errorf("%s describes a different sweep than %s", path, paths[0])
 		}
 		parts[i] = fromWire(sf.Candidates)

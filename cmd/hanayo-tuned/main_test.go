@@ -283,8 +283,9 @@ func TestWorkerRingFlag(t *testing.T) {
 }
 
 // TestMergeRejectsIncoherentFiles pins the merge tool's validation: out
-// of order, wrong count, and mismatched sweeps must all fail loudly
-// rather than mis-merge.
+// of order, wrong count, mismatched sweeps — including shards swept under
+// different -events streams — and files without a cluster fingerprint
+// (written by an older binary) must all fail loudly rather than mis-merge.
 func TestMergeRejectsIncoherentFiles(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, sf shardFile) string {
@@ -295,9 +296,17 @@ func TestMergeRejectsIncoherentFiles(t *testing.T) {
 		}
 		return path
 	}
-	a := write("a.json", shardFile{Shard: 0, Of: 2, Cluster: "tacc", Devices: 16, Model: "bert", B: 8, MicroRows: 1})
-	b := write("b.json", shardFile{Shard: 1, Of: 2, Cluster: "tacc", Devices: 16, Model: "bert", B: 8, MicroRows: 1})
-	other := write("other.json", shardFile{Shard: 1, Of: 2, Cluster: "fc", Devices: 8, Model: "bert", B: 4, MicroRows: 1})
+	slowed, err := cluster.TACC(16).Apply(cluster.Event{Kind: cluster.SpeedChange, Dev: 3, Factor: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := fingerprint(cluster.TACC(16))
+	a := write("a.json", shardFile{Shard: 0, Of: 2, Cluster: "tacc", Devices: 16, Fingerprint: fp, Model: "bert", B: 8, MicroRows: 1})
+	b := write("b.json", shardFile{Shard: 1, Of: 2, Cluster: "tacc", Devices: 16, Fingerprint: fp, Model: "bert", B: 8, MicroRows: 1})
+	other := write("other.json", shardFile{Shard: 1, Of: 2, Cluster: "fc", Devices: 8, Fingerprint: fp, Model: "bert", B: 4, MicroRows: 1})
+	events := write("events.json", shardFile{Shard: 1, Of: 2, Cluster: "tacc", Devices: 16, Fingerprint: fingerprint(slowed),
+		Model: "bert", B: 8, MicroRows: 1, Events: 1})
+	old := write("old.json", shardFile{Shard: 1, Of: 2, Cluster: "tacc", Devices: 16, Model: "bert", B: 8, MicroRows: 1})
 
 	var sink bytes.Buffer
 	if err := runMerge([]string{b, a}, &sink); err == nil {
@@ -308,6 +317,12 @@ func TestMergeRejectsIncoherentFiles(t *testing.T) {
 	}
 	if err := runMerge([]string{a, other}, &sink); err == nil {
 		t.Fatal("mismatched sweeps merged silently")
+	}
+	if err := runMerge([]string{a, events}, &sink); err == nil {
+		t.Fatal("shards swept under different event streams merged silently")
+	}
+	if err := runMerge([]string{a, old}, &sink); err == nil {
+		t.Fatal("a shard file without a cluster fingerprint merged silently")
 	}
 	if err := runMerge(nil, &sink); err == nil {
 		t.Fatal("empty merge succeeded")

@@ -12,6 +12,10 @@
 // entirely from the shared tier: zero simulations. Swap the loopback for
 // hanayo.DialCache(addr) against `hanayo-tuned -serve` and the same code
 // spans machines.
+//
+// It prints one row per cluster — the throughput of each wave count and
+// the best one — then the total wall time and the repeat sweep's
+// simulation count (0). The rows are identical to an unsharded AutoTune.
 package main
 
 import (
@@ -43,8 +47,9 @@ func main() {
 		}
 		// Sweep all wave counts as named schemes; the empty (non-nil)
 		// Waves disables the built-in per-(P,D) wave sweep so each count
-		// appears exactly once — and each is its own grid unit, so the
-		// two shards split them 2/2.
+		// appears exactly once — and each is its own grid unit. Units
+		// weigh their compute tasks, 1:2:4:8 here, so the two shards split
+		// them 3/1: W=1, 2, 4 (weight 7) against W=8 (weight 8).
 		schemes := make([]string, len(waves))
 		for i, w := range waves {
 			schemes[i] = fmt.Sprintf("hanayo-w%d", w)

@@ -127,9 +127,10 @@ type (
 )
 
 // Distributed-sweep constructors and the shard/merge pair. A worker
-// process evaluates space.Shard(i, n) with AutoTuneShard (grid order,
-// unsorted); MergeShards over all n outputs is bit-for-bit the
-// single-process AutoTune ranking.
+// process evaluates space.Shard(i, n) — a contiguous, work-balanced range
+// of the grid — with AutoTuneShard (grid order, unsorted); MergeShards
+// concatenates all n outputs in shard order and ranks them, bit-for-bit
+// the single-process AutoTune ranking.
 var (
 	AutoTuneShard    = core.AutoTuneShard
 	MergeShards      = core.MergeShards

@@ -480,8 +480,13 @@ type SearchSpace struct {
 // for nil Schemes/Waves/PD), divided into units — one unit per regular
 // (P, D)×scheme cell, plus one unit per (P, D) for the whole Hanayo
 // wave group, which must stay together because only its best wave
-// survives — and unit u belongs to shard u mod n. Shard(0, 1) is the
-// whole grid; any i outside [0, n) panics.
+// survives — and cut into n contiguous unit ranges of near-equal work,
+// so the slowest worker does not set the distributed round. A unit weighs
+// the compute tasks its cells compile and simulate (sched.ComputeTasks),
+// W is the grid's total, and boundary k is the unit edge whose prefix
+// weight is nearest k·W/n, the earliest on a tie. No shard exceeds W/n
+// plus the heaviest unit; with more shards than units some are empty.
+// Shard(0, 1) is the whole grid; any i outside [0, n) panics.
 func (s SearchSpace) Shard(i, n int) SearchSpace {
 	if i < 0 || i >= n {
 		// Checked before the n == 1 no-op: Shard(3, 1) is a mis-computed
@@ -778,7 +783,11 @@ type gridSweep struct {
 type sweepCell struct {
 	plan  Plan
 	waves int // wave count of a cell of the per-(P,D) Hanayo wave sweep; 0 for a Schemes cell
-	slot  int // output-row index (wave groups share one row)
+	slot  int // output-row index (wave groups share one row): the cell's grid unit
+	// size is the cell's work in compute tasks (sched.ComputeTasks; 0 for a
+	// scheme Generate rejects, whose error costs nothing to measure). It
+	// orders the exhaustive feed and weighs the shard cut.
+	size int
 	// settled marks a cell whose measured slot is final: an invalid cell at
 	// enumerate, any other once evaluate has walked it. order skips these.
 	settled bool
@@ -798,29 +807,17 @@ type sweepCell struct {
 	ub float64
 }
 
-// size is the cell's schedule size in compute tasks, 2·B·S, in closed form
-// from the integers the layout holds — never parsed out of a scheme name:
-// S = 2·W·P for a wave cell, P for a Schemes cell. That undercounts the
-// multi-chunk baselines (chimera-wave, interleaved), which costs nothing
-// but ordering quality: size only steers the exhaustive feed order.
-func (c *sweepCell) size() int {
-	s := c.plan.P
-	if c.waves > 0 {
-		s *= 2 * c.waves
-	}
-	return 2 * c.plan.B * s
-}
-
 // enumerate lays out the candidate grid in deterministic order and
-// computes each cell's sweep-constant derivatives exactly once: its
-// validity, its key memo, and under a Tuner the cross-sweep cache key and
-// digest. waves tags the Hanayo wave-sweep candidates of one (P, D) so only
-// the best wave survives, mirroring §5.3 ("we searched for the best wave
-// number under each parallelism configuration"). Sharded sweeps assign grid
-// units — each regular cell its own, the whole wave group of one (P, D) a
-// single one, so its internal best-of reduction never splits — round-robin
-// to shards and lay out only the owned units; MergeShards relies on exactly
-// this unit order and assignment to stitch shards back together.
+// computes each cell's sweep-constant derivatives exactly once: its size,
+// its validity, its key memo, and under a Tuner the cross-sweep cache key
+// and digest. waves tags the Hanayo wave-sweep candidates of one (P, D) so
+// only the best wave survives, mirroring §5.3 ("we searched for the best
+// wave number under each parallelism configuration"). A sharded sweep lays
+// out the whole grid, then keeps only its own contiguous range of grid
+// units (keepShard) — each regular cell is a unit, the whole wave group of
+// one (P, D) a single one, so its internal best-of reduction never splits.
+// Shard i's range follows shard i−1's, which is what lets MergeShards
+// stitch shards back together by concatenation.
 //
 // A cell's validity is the cell's, not the key's: Plan.Validate runs here,
 // per cell, and an invalid one (P·D beyond the cluster, a fault plan aimed
@@ -835,35 +832,34 @@ func enumerate(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	if s.workers <= 0 {
 		s.workers = goruntime.NumCPU()
 	}
-	unit := 0
-	claim := func() bool { // does this shard own the next grid unit?
-		own := space.shardCount <= 1 || unit%space.shardCount == space.shardIndex
-		unit++
-		return own
-	}
 	// Formatted once per sweep, not once per (P, D): a warm sweep does
 	// little besides this layout.
 	waveNames := make([]string, len(space.Waves))
 	for i, w := range space.Waves {
 		waveNames[i] = "hanayo-w" + strconv.Itoa(w)
 	}
+	cell := func(plan Plan, waves int) sweepCell {
+		size, _ := sched.ComputeTasks(plan.Scheme, plan.P, plan.B)
+		return sweepCell{plan: plan, waves: waves, slot: s.slots, size: size}
+	}
 	for _, pd := range space.PD {
 		plan := Plan{Cluster: cl, Model: model, P: pd[0], D: pd[1],
 			B: space.B, MicroRows: space.MicroRows, Faults: space.Faults}
 		for _, scheme := range space.Schemes {
-			if claim() {
-				plan.Scheme = scheme
-				s.cells = append(s.cells, sweepCell{plan: plan, slot: s.slots})
-				s.slots++
-			}
+			plan.Scheme = scheme
+			s.cells = append(s.cells, cell(plan, 0))
+			s.slots++
 		}
-		if len(space.Waves) > 0 && claim() {
+		if len(space.Waves) > 0 {
 			for i, w := range space.Waves {
 				plan.Scheme = waveNames[i]
-				s.cells = append(s.cells, sweepCell{plan: plan, waves: w, slot: s.slots})
+				s.cells = append(s.cells, cell(plan, w))
 			}
 			s.slots++
 		}
+	}
+	if space.shardCount > 1 {
+		s.keepShard(space.shardIndex, space.shardCount)
 	}
 
 	var clusterFP uint64
@@ -898,6 +894,50 @@ func enumerate(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	}
 	s.cut = newCutoffState(space.TopK, s.slots)
 	return s
+}
+
+// keepShard narrows the laid-out grid to shard i of n: the contiguous
+// range of grid units (output slots) [edge(i), edge(i+1)), where boundary k
+// is the unit edge whose prefix weight is nearest k·W/n, the earliest on a
+// tie, and the last boundary is the grid's end. Boundaries never decrease in k,
+// so the n ranges tile the grid in shard order — some empty when n exceeds
+// the units — and each boundary lies within half a unit of its target, so
+// no shard exceeds W/n plus the heaviest unit.
+func (s *gridSweep) keepShard(i, n int) {
+	prefix := make([]int, s.slots+1) // prefix[u]: the weight of units 0..u-1
+	for _, c := range s.cells {
+		prefix[c.slot+1] += c.size
+	}
+	for u := 1; u <= s.slots; u++ {
+		prefix[u] += prefix[u-1]
+	}
+	edge := func(k int) int {
+		if k == n {
+			return s.slots
+		}
+		// Compare n·prefix[e] with k·W: the nearest edge in exact integers.
+		dist := func(e int) int { d := n*prefix[e] - k*prefix[s.slots]; return max(d, -d) }
+		best := 0
+		for e := 1; e <= s.slots; e++ {
+			if dist(e) < dist(best) {
+				best = e
+			}
+		}
+		return best
+	}
+	lo, hi := edge(i), edge(i+1)
+	first := 0
+	for first < len(s.cells) && s.cells[first].slot < lo {
+		first++
+	}
+	end := first
+	for end < len(s.cells) && s.cells[end].slot < hi {
+		end++
+	}
+	s.cells, s.slots = s.cells[first:end], hi-lo
+	for j := range s.cells {
+		s.cells[j].slot -= lo
+	}
 }
 
 // bound computes every live cell's analytic throughput upper bound — the
@@ -991,7 +1031,7 @@ func (s *gridSweep) order() []int {
 	if s.space.TopK > 0 {
 		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(s.cells[b].ub, s.cells[a].ub) })
 	} else {
-		slices.SortStableFunc(idx, func(a, b int) int { return s.cells[b].size() - s.cells[a].size() })
+		slices.SortStableFunc(idx, func(a, b int) int { return s.cells[b].size - s.cells[a].size })
 	}
 	return idx
 }
@@ -1225,25 +1265,13 @@ func AutoTuneShard(cl *cluster.Cluster, model nn.Config, space SearchSpace) []Ca
 // the full AutoTune ranking. parts[i] must be the output of shard i of a
 // len(parts)-way partition of one space (the same cluster, model and
 // space on every worker). Because every grid unit yields exactly one
-// candidate and unit u belongs to shard u mod n, interleaving the parts
-// in unit order reconstructs the exact grid-order candidate list of the
-// single-process sweep; applying the identical stable sort then yields a
-// bit-for-bit identical ranking — including the tie order, which the
-// stable sort resolves by grid position.
+// candidate and the shards own consecutive unit ranges in shard order,
+// concatenating the parts reconstructs the exact grid-order candidate
+// list of the single-process sweep; applying the identical stable sort
+// then yields a bit-for-bit identical ranking — including the tie order,
+// which the stable sort resolves by grid position.
 func MergeShards(parts ...[]Candidate) []Candidate {
-	n := len(parts)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]Candidate, 0, total)
-	next := make([]int, n)
-	for u := 0; len(out) < total; u++ {
-		if s := u % n; next[s] < len(parts[s]) {
-			out = append(out, parts[s][next[s]])
-			next[s]++
-		}
-	}
+	out := slices.Concat(parts...)
 	sortCandidates(out)
 	return out
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cachewire"
@@ -28,7 +30,8 @@ func shardSpace(b int, prune bool) SearchSpace {
 }
 
 // TestShardMergeParity is the acceptance-criteria test: for n ∈ {1, 2, 4}
-// (plus an uneven 3), evaluating the n shards of a space independently
+// (plus an uneven 3 and 7, and 64 — more shards than the grid's 21 units,
+// so most are empty), evaluating the n shards of a space independently
 // and merging them is bit-for-bit identical to the single-process
 // AutoTune — every field of every candidate, including tie order.
 func TestShardMergeParity(t *testing.T) {
@@ -37,7 +40,7 @@ func TestShardMergeParity(t *testing.T) {
 	for _, prune := range []bool{false, true} {
 		space := shardSpace(8, prune)
 		want := AutoTune(cl, model, space)
-		for _, n := range []int{1, 2, 3, 4} {
+		for _, n := range []int{1, 2, 3, 4, 7, 64} {
 			parts := make([][]Candidate, n)
 			for i := 0; i < n; i++ {
 				parts[i] = AutoTuneShard(cl, model, space.Shard(i, n))
@@ -75,6 +78,104 @@ func TestShardsPartitionTheGrid(t *testing.T) {
 	}
 	if total != len(full) {
 		t.Fatalf("shards produced %d candidates, full sweep %d", total, len(full))
+	}
+}
+
+// cellID is one laid-out cell as the shard cut sees it: unit is the cell's
+// grid unit in the unsharded layout.
+type cellID struct {
+	scheme               string
+	p, d, waves, unit, w int
+}
+
+// shardCells lays out shard i of n of space (the whole grid at n = 1)
+// without evaluating anything, numbering units from offset, and returns the
+// cells, the shard's unit count and its weight.
+func shardCells(space SearchSpace, i, n, offset int) (cells []cellID, units, weight int) {
+	s := enumerate(cluster.TACC(16), nn.BERTStyle(), space.Shard(i, n), nil)
+	for _, c := range s.cells {
+		cells = append(cells, cellID{c.plan.Scheme, c.plan.P, c.plan.D, c.waves, offset + c.slot, c.size})
+		weight += c.size
+	}
+	return cells, s.slots, weight
+}
+
+// TestShardCutProperty pins the work-weighted partition over random grids
+// — PD lists (invalid cells included), scheme sets (with a name Generate
+// rejects, a unit of weight 0), wave ladders and B — for n ∈ 1…8: the
+// shards are contiguous unit ranges that tile the grid in shard order (so
+// concatenating them is the unsharded layout), the cut is deterministic,
+// and no shard weighs more than W/n plus the heaviest unit.
+func TestShardCutProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	pool := []string{"gpipe", "dapple", "chimera", "chimera-wave", "gems", "zbh1", "interleaved-v2", "hanayo-w2", "nope"}
+	for trial := 0; trial < 150; trial++ {
+		space := SearchSpace{B: 2 * (1 + rng.Intn(8)), MicroRows: 1, Schemes: []string{}, Waves: []int{}}
+		for range 1 + rng.Intn(5) {
+			space.PD = append(space.PD, [2]int{1 << rng.Intn(5), 1 << rng.Intn(3)})
+		}
+		for _, s := range pool {
+			if rng.Intn(2) == 0 {
+				space.Schemes = append(space.Schemes, s)
+			}
+		}
+		for _, w := range []int{1, 2, 4, 8} {
+			if rng.Intn(2) == 0 {
+				space.Waves = append(space.Waves, w)
+			}
+		}
+		full, units, total := shardCells(space, 0, 1, 0)
+		unitW := make([]int, units)
+		for _, c := range full {
+			unitW[c.unit] += c.w
+		}
+		heaviest := slices.Max(append(unitW, 0))
+		for n := 1; n <= 8; n++ {
+			var tiled []cellID
+			offset := 0
+			for i := 0; i < n; i++ {
+				cells, owned, weight := shardCells(space, i, n, offset)
+				again, _, _ := shardCells(space, i, n, offset)
+				if !reflect.DeepEqual(cells, again) {
+					t.Fatalf("trial %d: Shard(%d, %d) is not deterministic", trial, i, n)
+				}
+				if n*weight > total+n*heaviest {
+					t.Fatalf("trial %d: Shard(%d, %d) weighs %d, over W/n + max unit = %d/%d + %d",
+						trial, i, n, weight, total, n, heaviest)
+				}
+				tiled = append(tiled, cells...)
+				offset += owned
+			}
+			if offset != units || !reflect.DeepEqual(tiled, full) {
+				t.Fatalf("trial %d: %d shards do not tile the grid in order (%d of %d units)\ngot:  %v\nwant: %v",
+					trial, n, offset, units, tiled, full)
+			}
+		}
+	}
+}
+
+// TestShardCutDefaultGrid pins the cut on the hanayo-tuned CLI's default
+// grid (tacc×32, B=16, two workers): the two shards carry work within 5 %
+// of each other, and together still issue exactly the grid's 35
+// simulations. (Not t.Parallel: the simRuns hook is process-global.)
+func TestShardCutDefaultGrid(t *testing.T) {
+	cl := cluster.TACC(32)
+	model := nn.BERTStyle()
+	space := SearchSpace{B: 16, MicroRows: 2, Workers: 1}
+	var weight [2]int
+	before := simRuns.Load()
+	for i := range weight {
+		for _, c := range enumerate(cl, model, space.Shard(i, 2), nil).cells {
+			weight[i] += c.size
+		}
+		AutoTuneShard(cl, model, space.Shard(i, 2))
+	}
+	t.Logf("shard weights %d / %d compute tasks", weight[0], weight[1])
+	if d := simRuns.Load() - before; d != 35 {
+		t.Fatalf("the two shards issued %d simulations, want 35", d)
+	}
+	if lo, hi := min(weight[0], weight[1]), max(weight[0], weight[1]); 20*(hi-lo) > hi {
+		t.Fatalf("shard weights %d and %d are more than 5 %% apart", weight[0], weight[1])
 	}
 }
 

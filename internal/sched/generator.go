@@ -125,6 +125,35 @@ func parseScheme(name string) (family, int, bool) {
 	return 0, 0, false
 }
 
+// ComputeTasks is the number of compute actions Generate emits for the
+// named scheme on p devices and b micro-batches, in closed form and without
+// compiling anything: every micro-batch runs each of the S stages forward
+// and backward, 2·b·S, or 3·b·S for the split-backward zbh1, whose backward
+// is an input-grad and a weight-grad action. S is the true stage count: p
+// for the straight and Chimera placements, 2·w·p for chimera-wave (w = 1)
+// and hanayo-w<w>, v·p for interleaved-v<v>. It is the work weight the
+// configuration search orders and shards its cells by. An unknown scheme
+// or a non-positive shape is an error, not a guess.
+func ComputeTasks(scheme string, p, b int) (int, error) {
+	fam, arg, ok := parseScheme(scheme)
+	if !ok {
+		return 0, fmt.Errorf("sched: unknown scheme %q", scheme)
+	}
+	if p <= 0 || b <= 0 {
+		return 0, fmt.Errorf("sched: %s needs positive p and b, got p=%d b=%d", scheme, p, b)
+	}
+	stages, perStage := p, 2
+	switch fam {
+	case famChimeraWave, famHanayo:
+		stages = 2 * arg * p
+	case famInterleaved:
+		stages = arg * p
+	case famZBH1:
+		perStage = 3
+	}
+	return perStage * b * stages, nil
+}
+
 // suffixInt parses name as prefix followed by a decimal integer, rejecting
 // anything else (including trailing garbage and empty suffixes).
 func suffixInt(name, prefix string) (int, bool) {

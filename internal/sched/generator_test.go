@@ -252,6 +252,45 @@ func TestGeneratorOptionsMatchOneShot(t *testing.T) {
 	schedulesEqual(t, "dapple+costs", reusedCosts, costs)
 }
 
+// TestComputeTasksMatchesGenerate pins the closed form the configuration
+// search weighs its cells by to the schedule it stands for: for every
+// scheme of the golden table (zbh1 and interleaved-v2 included) over
+// several (P, B), it equals the number of compute actions Generate emits.
+// A name Generate rejects is an error here too, never a guessed size.
+func TestComputeTasksMatchesGenerate(t *testing.T) {
+	g := NewGenerator()
+	for _, scheme := range append(generatorSchemes, "hanayo-w8", "interleaved-v3", "1f1b") {
+		for _, shape := range [][2]int{{2, 2}, {2, 6}, {4, 4}, {4, 8}, {8, 8}, {8, 16}} {
+			p, b := shape[0], shape[1]
+			s, err := g.Generate(scheme, p, b)
+			if err != nil {
+				t.Fatalf("%s P=%d B=%d: %v", scheme, p, b, err)
+			}
+			compute := 0
+			for _, l := range s.Lists {
+				for _, a := range l {
+					if a.Kind.IsCompute() {
+						compute++
+					}
+				}
+			}
+			got, err := ComputeTasks(scheme, p, b)
+			if err != nil || got != compute {
+				t.Fatalf("%s P=%d B=%d: ComputeTasks = %d, %v; Generate emitted %d compute actions",
+					scheme, p, b, got, err, compute)
+			}
+		}
+	}
+	for _, bad := range []string{"nope", "hanayo-w", "hanayo-w2x", "interleaved-v0", "async-1f1b", ""} {
+		if n, err := ComputeTasks(bad, 4, 4); err == nil {
+			t.Errorf("ComputeTasks(%q) = %d with no error", bad, n)
+		}
+	}
+	if n, err := ComputeTasks("gpipe", 4, 0); err == nil {
+		t.Errorf("ComputeTasks at B=0 = %d with no error", n)
+	}
+}
+
 // TestGeneratorRejects: scheme-name and shape errors must match the
 // one-shot constructors'.
 func TestGeneratorRejects(t *testing.T) {
