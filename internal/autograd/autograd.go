@@ -1,8 +1,7 @@
 // Package autograd is a small reverse-mode automatic differentiation engine
-// over internal/tensor. It exists as an independent substrate: the pipeline
-// runtime uses hand-written layer backwards for speed, and this package is
-// the oracle we cross-check them against (see internal/nn tests) as well as
-// the extension point for user-defined stages (examples/customschedule).
+// over internal/tensor. Nothing outside its own tests imports it: the
+// pipeline runtime uses the hand-written layer backwards of internal/nn,
+// whose tests check them against finite differences.
 package autograd
 
 import (

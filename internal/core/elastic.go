@@ -13,9 +13,9 @@ import (
 
 // ReplanReport records one drain-and-replan cycle: what triggered it,
 // which plan it moved training to, what the warm-started re-ranking cost,
-// and how long the whole cycle took (re-rank, engine rebuild, weight
-// restore) — the replanning latency the elastic serving skin reports
-// against a cold sweep.
+// and how long the whole cycle took (re-rank and engine reshape) — the
+// replanning latency the elastic serving skin reports against a cold
+// sweep.
 type ReplanReport struct {
 	Event   cluster.Event
 	Trigger string // "event" (notified churn) or "failure" (mid-step device loss)
@@ -31,13 +31,13 @@ type ElasticOptions struct {
 	// must stay valid (see the SearchSpace.PD contract) across every
 	// membership state the session will visit.
 	Space SearchSpace
-	// Seed initializes model weights (only for the first engine; replans
-	// restore the trained weights).
+	// Seed initializes model weights (replans keep the trained weights).
 	Seed uint64
-	// NewOptimizer builds each engine's per-replica optimizer; nil means
-	// the default momentum-free SGD. A replan rebuilds optimizers, so a
-	// stateful optimizer (momentum) loses its state at a replan; the
-	// default is stateless and replans are then exact.
+	// NewOptimizer builds the engine's per-replica optimizers; nil means
+	// the default momentum-free SGD. A replan reshapes the engine, which
+	// builds fresh optimizers, so a stateful optimizer (momentum) loses its
+	// state at a replan; the default is stateless and replans are then
+	// exact.
 	NewOptimizer func() nn.Optimizer
 }
 
@@ -45,8 +45,8 @@ type ElasticOptions struct {
 // fault-reaction story made executable): it trains under the best plan
 // AutoTune found, absorbs membership events between iterations, and
 // reacts to mid-step device failures — in both cases draining to the
-// flush barrier, snapshotting weights, warm-started re-ranking via
-// Tuner.Rerank, and resuming on a replacement engine with bit-identical
+// flush barrier, warm-started re-ranking via Tuner.Rerank, and resuming on
+// the same engine reshaped onto the new plan, with bit-identical
 // parameters.
 //
 // Iteration boundaries are the drain points: a notified event is applied
@@ -111,9 +111,10 @@ func firstFeasible(ranking []Candidate) (Candidate, error) {
 // engine is guaranteed to be at a flush barrier.
 func (s *ElasticSession) Notify(ev cluster.Event) { s.pending = append(s.pending, ev) }
 
-// FailNext arms a one-shot device failure on the current engine: the next
-// compute op of micro-batch micro on pipeline rank dev dies mid-step, and
-// the following Step exercises the full abort–replan–retry path.
+// FailNext arms a one-shot device failure on the engine: the next compute
+// op of micro-batch micro on pipeline rank dev dies mid-step, and the
+// following Step exercises the full abort–replan–retry path. A replan for
+// a queued event, which that Step runs first, disarms it.
 func (s *ElasticSession) FailNext(dev, micro int) { s.eng.InjectFailure(dev, micro) }
 
 // Plan returns the plan the session is currently training under.
@@ -123,7 +124,8 @@ func (s *ElasticSession) Plan() Plan { return s.plan }
 func (s *ElasticSession) Cluster() *cluster.Cluster { return s.cl }
 
 // Engine exposes the live engine (for parameter inspection in tests and
-// loss evaluation in callers); replaced wholesale by every replan.
+// loss evaluation in callers). It is the same engine for the session's
+// life: every replan reshapes it onto the new plan.
 func (s *ElasticSession) Engine() *runtime.Engine { return s.eng }
 
 // Reports returns the replan history, oldest first.
@@ -151,28 +153,32 @@ func (s *ElasticSession) Step(batch *data.Batch) (*runtime.Result, error) {
 	res, err := s.eng.Step(batch)
 	var de *runtime.DeviceError
 	if errors.As(err, &de) {
-		// Drain already happened: the concurrent driver joined every worker
-		// on the cancellation path, and the failed iteration never reached
-		// the all-reduce, so parameters and optimizer state are exactly the
-		// pre-step state. Clear the partial gradients and in-flight
-		// messages, drop the dead device, replan, and retry this batch.
-		s.eng.AbortReset()
-		ev := cluster.Event{Kind: cluster.DeviceLeave, Dev: de.Dev}
-		cl, aerr := s.cl.Apply(ev)
-		if aerr != nil {
-			return nil, fmt.Errorf("core: dropping failed device %d: %w", de.Dev, aerr)
-		}
-		if rerr := s.replan(cl, ev, "failure"); rerr != nil {
-			return nil, rerr
+		if err := s.dropFailed(de); err != nil {
+			return nil, err
 		}
 		res, err = s.eng.Step(batch)
 	}
 	return res, err
 }
 
+// dropFailed recovers from a mid-step device failure up to the retry.
+// Drain already happened: the concurrent driver joined every worker on the
+// cancellation path, and the failed iteration never reached the
+// all-reduce, so parameters and optimizer state are exactly the pre-step
+// state. It clears the partial gradients and in-flight messages, drops the
+// dead device and replans.
+func (s *ElasticSession) dropFailed(de *runtime.DeviceError) error {
+	s.eng.AbortReset()
+	ev := cluster.Event{Kind: cluster.DeviceLeave, Dev: de.Dev}
+	cl, err := s.cl.Apply(ev)
+	if err != nil {
+		return fmt.Errorf("core: dropping failed device %d: %w", de.Dev, err)
+	}
+	return s.replan(cl, ev, "failure")
+}
+
 // replan moves the session to cluster cl: warm-started re-rank seeded by
-// the current ranking, engine rebuild for the winner, weight restore from
-// the drained engine's snapshot.
+// the current ranking, then the drained engine reshaped onto the winner.
 func (s *ElasticSession) replan(cl *cluster.Cluster, ev cluster.Event, trigger string) error {
 	t0 := time.Now()
 	ranking, stats := s.tuner.Rerank(s.ranking, cl, s.model, s.opts.Space)
@@ -180,17 +186,17 @@ func (s *ElasticSession) replan(cl *cluster.Cluster, ev cluster.Event, trigger s
 	if err != nil {
 		return fmt.Errorf("core: replan after %s: %w", ev, err)
 	}
-	eng, err := best.Plan.Engine(s.opts.Seed, s.opts.NewOptimizer)
+	sch, err := best.Plan.Schedule()
 	if err != nil {
 		return fmt.Errorf("core: replan after %s: %w", ev, err)
 	}
-	if err := eng.Restore(s.eng.Snapshot()); err != nil {
+	if err := s.eng.Reshape(sch, best.Plan.D); err != nil {
 		return fmt.Errorf("core: replan after %s: %w", ev, err)
 	}
 	s.reports = append(s.reports, ReplanReport{
 		Event: ev, Trigger: trigger, From: s.plan, To: best.Plan,
 		Stats: stats, Elapsed: time.Since(t0),
 	})
-	s.cl, s.ranking, s.plan, s.eng = cl, ranking, best.Plan, eng
+	s.cl, s.ranking, s.plan = cl, ranking, best.Plan
 	return nil
 }

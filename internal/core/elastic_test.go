@@ -1,11 +1,16 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	goruntime "runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/nn"
+	"repro/internal/runtime"
 	"repro/internal/tensor"
 )
 
@@ -210,4 +215,156 @@ func TestElasticSessionFailureRetryParity(t *testing.T) {
 	if reps[0].Elapsed <= 0 {
 		t.Fatalf("report did not time the replan: %+v", reps[0])
 	}
+}
+
+func planShape(p Plan) string { return fmt.Sprintf("%s P%d D%d", p.Scheme, p.P, p.D) }
+
+// TestElasticSessionReplanChangesPlan: replans that move training to
+// another shape keep the session's one engine and stay bit-exact. On six
+// devices with PD {3,2},{4,1} the session trains dapple P3D2; a failure
+// leaves five, where only P4D1 fits — one more device, one replica less,
+// twice the rows per micro-batch. A join then restores six. After each
+// replan the session must match a reference that builds a new engine for
+// the plan and restores the previous engine's snapshot into it.
+func TestElasticSessionReplanChangesPlan(t *testing.T) {
+	model, space, cl := elasticModel(), elasticSpace(), cluster.TACC(6)
+	space.PD = [][2]int{{3, 2}, {4, 1}}
+	genS := data.NewGenerator(13, model.Vocab, model.SeqLen)
+	genR := data.NewGenerator(13, model.Vocab, model.SeqLen)
+
+	sess, err := NewElasticSession(nil, cl, model, ElasticOptions{Space: space, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sess.Engine()
+	rt := NewTuner(TunerOptions{})
+	ranking, _ := rt.Rerank(nil, cl, model, space)
+	best, err := firstFeasible(ranking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := best.Plan.Engine(42, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(i int) {
+		t.Helper()
+		resS, err := sess.Step(genS.Next(8))
+		if err != nil {
+			t.Fatalf("session step %d: %v", i, err)
+		}
+		resR, err := ref.Step(genR.Next(8))
+		if err != nil {
+			t.Fatalf("reference step %d: %v", i, err)
+		}
+		if resS.Loss != resR.Loss {
+			t.Fatalf("step %d on %s: session loss %v, reference %v", i, planShape(sess.Plan()), resS.Loss, resR.Loss)
+		}
+		if sess.Engine() != eng {
+			t.Fatalf("step %d: the session replaced its engine", i)
+		}
+	}
+	// replanRef moves the reference as the session should have moved.
+	replanRef := func(ev cluster.Event) {
+		t.Helper()
+		if cl, err = cl.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+		ranking, _ = rt.Rerank(ranking, cl, model, space)
+		if best, err = firstFeasible(ranking); err != nil {
+			t.Fatal(err)
+		}
+		next, err := best.Plan.Engine(42, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := next.Restore(ref.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		ref = next
+	}
+
+	step(0)
+	sess.FailNext(0, 1)
+	replanRef(cluster.Event{Kind: cluster.DeviceLeave, Dev: 0})
+	step(1)
+	step(2)
+	sess.Notify(cluster.Event{Kind: cluster.DeviceJoin, Dev: 1})
+	replanRef(cluster.Event{Kind: cluster.DeviceJoin, Dev: 1})
+	step(3)
+
+	reps := sess.Reports()
+	if len(reps) != 2 || reps[0].Trigger != "failure" || reps[1].Trigger != "event" {
+		t.Fatalf("replan history %+v, want a failure then an event", reps)
+	}
+	if from, to := planShape(reps[0].From), planShape(reps[0].To); from != "dapple P3 D2" || to != "dapple P4 D1" {
+		t.Fatalf("failure replan moved %s → %s, want dapple P3 D2 → dapple P4 D1", from, to)
+	}
+	if got, want := planShape(reps[1].To), planShape(best.Plan); got != want {
+		t.Fatalf("join replan moved to %s, reference picked %s", got, want)
+	}
+	if !tensorsEqual(sess.Engine().Snapshot(), ref.Snapshot()) {
+		t.Fatal("session parameters diverged from the rebuilt reference")
+	}
+}
+
+// retryAllocs is what one warm Step of the elastic grid's dapple P2 D2
+// allocates: the DP 1 dapple budget the runtime pins (1177, of which the
+// Result and its two slices are 3) for two replicas. headroom is the
+// runtime pin's, for the Go runtime's parking structures.
+const retryAllocs, headroom = 2*(1177-3) + 3, 4
+
+// TestElasticSessionRetryIsWarm: the step a session retries after a
+// failure runs on the engine the failed step warmed, reshaped in place —
+// here onto the same dapple P2 D2 — so it allocates what a warm step does
+// and no buffer; a rebuilt engine's cold retry costs about twice that. The
+// pin is on the least of three sessions: now and then the Go runtime
+// refills its parking caches during one step (a dozen objects more).
+func TestElasticSessionRetryIsWarm(t *testing.T) {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		least = min(least, retryAllocsOnce(t))
+	}
+	if least > retryAllocs+headroom {
+		t.Fatalf("the retried step allocated %d objects, a warm one %d", least, retryAllocs)
+	}
+}
+
+// retryAllocsOnce trains a fresh session two steps, fails the third and
+// counts what the retry of that batch allocates.
+func retryAllocsOnce(t *testing.T) uint64 {
+	t.Helper()
+	model := elasticModel()
+	gen := data.NewGenerator(11, model.Vocab, model.SeqLen)
+	sess, err := NewElasticSession(nil, cluster.TACC(6), model, ElasticOptions{Space: elasticSpace(), Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sess.Step(gen.Next(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Step's failure path, taken apart so the retry can be measured alone.
+	batch := gen.Next(8)
+	sess.FailNext(0, 0)
+	_, err = sess.eng.Step(batch)
+	var de *runtime.DeviceError
+	if !errors.As(err, &de) {
+		t.Fatalf("injected failure gave %v", err)
+	}
+	if err := sess.dropFailed(de); err != nil {
+		t.Fatal(err)
+	}
+	if got := planShape(sess.Plan()); got != "dapple P2 D2" {
+		t.Fatalf("replanned onto %s, want dapple P2 D2", got)
+	}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	_, err = sess.eng.Step(batch)
+	goruntime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
 }

@@ -3,8 +3,9 @@
 // saved activations so a layer can serve many in-flight micro-batches
 // concurrently — the property pipeline parallelism depends on.
 //
-// The explicit backwards are cross-checked against finite differences and
-// against the internal/autograd tape engine in the tests.
+// The explicit backwards are checked against finite differences in the
+// tests, and the runtime's tests compare whole pipelines with a serial
+// single-worker reference.
 package nn
 
 import (

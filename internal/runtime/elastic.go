@@ -1,10 +1,11 @@
 // Elasticity support: typed device failures, one-shot failure injection,
 // and split-invariant weight snapshots. Together they give the drain-and-
 // replan recovery loop (core.ElasticSession) everything it needs from the
-// engine: a failed Step aborts cleanly without touching parameters, the
-// surviving weights move bit-for-bit into a replacement engine built for
-// the replanned schedule, and AbortReset returns a poisoned engine to the
-// pristine pre-step state so the same batch can be retried.
+// engine: a failed Step aborts cleanly without touching parameters,
+// AbortReset returns a poisoned engine to the pristine pre-step state so
+// the same batch can be retried, and Reshape (runtime.go) carries the
+// weights bit-for-bit onto the replanned schedule. Snapshot and Restore
+// move weights between engines.
 package runtime
 
 import (
@@ -123,12 +124,14 @@ func (e *Engine) Restore(ws []*tensor.Tensor) error {
 // AbortReset returns the engine to the pristine between-iterations state
 // after a failed Step: gradient accumulators are zeroed (an aborted
 // iteration leaves partial sums behind), every router's in-flight
-// payloads are discarded, and every buffer the iteration still held — in
-// a worker's tables, in a mailbox, in a saved context — goes back to its
-// workspace. Parameters and optimizer state are untouched — a failed Step
+// payloads are discarded, every buffer the iteration still held — in a
+// worker's tables, in a mailbox, in a saved context — goes back to its
+// workspace, and each replica's workspaces refill one another to the pools
+// the last flush left, so the retry runs as warm as any step. Parameters
+// and optimizer state are untouched — a failed Step
 // never reached them — so the same batch can be retried, on this engine
-// or on a replanned replacement restored from Snapshot, with results
-// identical to a run where the failure never happened.
+// as it is or reshaped onto a replanned schedule, with results identical
+// to a run where the failure never happened.
 func (e *Engine) AbortReset() {
 	for _, rep := range e.replicas {
 		for _, p := range rep.params {
@@ -139,6 +142,13 @@ func (e *Engine) AbortReset() {
 		rep.router.Discard()
 		for _, w := range rep.workers {
 			w.reclaim()
+		}
+		for _, w := range rep.workers {
+			for _, o := range rep.workers {
+				if o != w {
+					w.ws.Refill(o.ws)
+				}
+			}
 		}
 	}
 }

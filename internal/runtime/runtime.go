@@ -37,8 +37,10 @@ type Config struct {
 
 // replica is one pipeline's worth of model state.
 type replica struct {
-	// stageInst[copy][stage] — wave-family placements use one copy;
-	// Chimera uses two (its duplicated weights).
+	// models[copy] owns the weights and gradients for the engine's life;
+	// stageInst[copy][stage] is its current split. Wave-family placements
+	// use one copy; Chimera uses two (its duplicated weights).
+	models    []*nn.Model
 	stageInst [][]*nn.Stage
 	// stageParams[copy][stage] and params (every copy's stages flattened,
 	// aligned with Engine.Params) cache the layers' Params() walks.
@@ -56,9 +58,10 @@ type replica struct {
 }
 
 // Engine executes training iterations under a schedule. Everything a step
-// needs is built once, in New, and reused: the workers with their buffer
-// workspaces and dense per-(micro, stage) tables, the interpreter driver,
-// the micro-batch views.
+// needs is built once and reused: the workers with their buffer workspaces
+// and dense per-(micro, stage) tables, the interpreter driver, the
+// micro-batch views. Reshape moves the engine to another schedule and
+// replica count in place, which is how New builds it in the first place.
 //
 // Buffer ownership. Each worker owns a tensor.Workspace, and every stage is
 // attached (nn.Stage.SetWorkspace) to the workspace of the one worker that
@@ -89,77 +92,138 @@ type Engine struct {
 	micros   []*data.Batch  // views of the step's batch, reused every step
 }
 
-// New validates the configuration and builds the engine. The real runtime
+// New validates the configuration and builds the engine: an empty engine,
+// reshaped onto cfg.Schedule with cfg.DP replicas. The real runtime
 // requires the model to have at least S partitionable units (unlike the
 // simulator, which may use fractional stages).
 func New(cfg Config) (*Engine, error) {
-	if cfg.Schedule == nil {
-		return nil, fmt.Errorf("runtime: nil schedule")
-	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.DP < 1 {
-		return nil, fmt.Errorf("runtime: DP must be ≥ 1, got %d", cfg.DP)
+	e := &Engine{cfg: cfg}
+	if err := e.Reshape(cfg.Schedule, cfg.DP); err != nil {
+		return nil, err
 	}
-	if err := sched.Validate(cfg.Schedule); err != nil {
-		return nil, fmt.Errorf("runtime: schedule invalid: %w", err)
+	return e, nil
+}
+
+// Reshape moves the engine onto schedule sch with dp data-parallel
+// replicas, keeping what survives the move instead of building it again.
+// The result is bit for bit the engine New would build for (sch, dp) with
+// this engine's Snapshot restored into it — the same weights in every
+// replica and copy, zero gradients, fresh optimizers (a stateful
+// optimizer restarts, exactly as after Restore) and no failure armed —
+// so the next Step trains identically on either. What it keeps:
+//
+//   - each replica's models, re-split for the new stage count, so the
+//     weights and gradient tensors never leave the engine; a replica or
+//     Chimera copy the engine did not have is built from the seed and
+//     given replica 0's weights, and surplus ones are dropped;
+//   - the workers, by device index, with their workspaces; a dropped
+//     device's workspace is folded into a survivor's (Workspace.Absorb),
+//     and a worker's B·S tables are reallocated only when B·S changes;
+//   - the routers (their counters run on) and the interpreter driver.
+//
+// Reshape validates everything before it changes anything: on error the
+// engine is untouched. Call it between steps; whatever a failed Step left
+// in flight is reclaimed first, as AbortReset would.
+func (e *Engine) Reshape(sch *sched.Schedule, dp int) error {
+	if sch == nil {
+		return fmt.Errorf("runtime: nil schedule")
 	}
-	units := cfg.Model.Layers + 2
-	if cfg.Schedule.S > units {
-		return nil, fmt.Errorf("runtime: schedule needs %d stages but model %q has only %d units",
-			cfg.Schedule.S, cfg.Model.Name, units)
+	if dp < 1 {
+		return fmt.Errorf("runtime: DP must be ≥ 1, got %d", dp)
 	}
-	sch := cfg.Schedule
-	copies := sch.Mapping.WeightReplicas
-	e := &Engine{cfg: cfg, sch: sch, copies: copies}
-	for r := 0; r < cfg.DP; r++ {
-		rep := &replica{router: comm.NewRouter(), loss: make([]float64, sch.B)}
-		for c := 0; c < copies; c++ {
-			// Same seed everywhere: replicas and copies start identical.
-			m := nn.Build(tensor.NewRNG(cfg.Seed), cfg.Model)
-			if cfg.Checkpoint {
-				m = nn.CheckpointModel(m)
-			}
-			stages := m.Split(sch.S)
-			rep.stageInst = append(rep.stageInst, stages)
-			ps := make([][]*nn.Param, len(stages))
-			for i, st := range stages {
-				ps[i] = st.Params()
-				rep.params = append(rep.params, ps[i]...)
-			}
-			rep.stageParams = append(rep.stageParams, ps)
-		}
-		if cfg.NewOptimizer != nil {
-			rep.opt = cfg.NewOptimizer()
-		} else {
-			rep.opt = nn.NewSGD(0.1, 0)
-		}
-		for d := 0; d < sch.P; d++ {
-			w := &worker{
-				eng:      e,
-				rep:      rep,
-				device:   d,
-				ws:       &tensor.Workspace{},
-				acts:     make([]actRecord, sch.B*sch.S),
-				dIn:      make([]*tensor.Tensor, sch.B*sch.S),
-				wPending: make([][]*tensor.Tensor, sch.B*sch.S),
-				scale:    1 / float32(sch.B*cfg.DP),
-			}
-			for _, h := range sch.Mapping.Hosted(d) {
-				c := 0
-				if copies == 2 {
-					c = h.Chunk
-				}
-				rep.stageInst[c][h.Stage].SetWorkspace(w.ws)
-			}
-			rep.workers = append(rep.workers, w)
-		}
-		rep.backend.workers = rep.workers
+	if err := sched.Validate(sch); err != nil {
+		return fmt.Errorf("runtime: schedule invalid: %w", err)
+	}
+	if units := e.cfg.Model.Layers + 2; sch.S > units {
+		return fmt.Errorf("runtime: schedule needs %d stages but model %q has only %d units",
+			sch.S, e.cfg.Model.Name, units)
+	}
+
+	e.AbortReset() // zero gradients, nothing in flight: all that is left to keep
+	e.fail.fp = nil
+	e.sch, e.copies = sch, sch.Mapping.WeightReplicas
+	e.cfg.Schedule, e.cfg.DP = sch, dp
+	for len(e.replicas) < dp {
+		rep := &replica{router: comm.NewRouter()}
 		e.replicas = append(e.replicas, rep)
 		e.backends = append(e.backends, &rep.backend)
 	}
-	return e, nil
+	e.replicas = slices.Delete(e.replicas, dp, len(e.replicas))
+	e.backends = slices.Delete(e.backends, dp, len(e.backends))
+	for _, rep := range e.replicas {
+		e.reshapeReplica(rep)
+	}
+	return nil
+}
+
+// reshapeReplica fits one replica to the engine's new schedule; see Reshape.
+func (e *Engine) reshapeReplica(rep *replica) {
+	sch := e.sch
+	for len(rep.models) < e.copies {
+		m := nn.Build(tensor.NewRNG(e.cfg.Seed), e.cfg.Model)
+		if e.cfg.Checkpoint {
+			m = nn.CheckpointModel(m)
+		}
+		// Replica 0's first model is the canonical one; every other model
+		// starts as a copy of it.
+		if src := e.replicas[0].models; len(src) > 0 {
+			dst := m.Params()
+			for i, p := range src[0].Params() {
+				dst[i].W.CopyFrom(p.W)
+			}
+		}
+		rep.models = append(rep.models, m)
+	}
+	rep.models = slices.Delete(rep.models, e.copies, len(rep.models))
+	clear(rep.params)
+	rep.params = rep.params[:0]
+	rep.stageInst = make([][]*nn.Stage, 0, e.copies)
+	rep.stageParams = make([][][]*nn.Param, 0, e.copies)
+	for _, m := range rep.models {
+		stages := m.Split(sch.S)
+		rep.stageInst = append(rep.stageInst, stages)
+		ps := make([][]*nn.Param, len(stages))
+		for i, st := range stages {
+			ps[i] = st.Params()
+			rep.params = append(rep.params, ps[i]...)
+		}
+		rep.stageParams = append(rep.stageParams, ps)
+	}
+	if e.cfg.NewOptimizer != nil {
+		rep.opt = e.cfg.NewOptimizer()
+	} else {
+		rep.opt = nn.NewSGD(0.1, 0)
+	}
+	if len(rep.loss) != sch.B {
+		rep.loss = make([]float64, sch.B)
+	}
+
+	for d := len(rep.workers); d < sch.P; d++ {
+		rep.workers = append(rep.workers, &worker{eng: e, rep: rep, device: d, ws: &tensor.Workspace{}})
+	}
+	for d := sch.P; d < len(rep.workers); d++ {
+		rep.workers[d%sch.P].ws.Absorb(rep.workers[d].ws)
+	}
+	rep.workers = slices.Delete(rep.workers, sch.P, len(rep.workers))
+	for d, w := range rep.workers {
+		if n := sch.B * sch.S; len(w.acts) != n {
+			w.acts = make([]actRecord, n)
+			w.dIn = make([]*tensor.Tensor, n)
+			w.wPending = make([][]*tensor.Tensor, n)
+		}
+		w.scale = 1 / float32(sch.B*e.cfg.DP)
+		for _, h := range sch.Mapping.Hosted(d) {
+			c := 0
+			if e.copies == 2 {
+				c = h.Chunk
+			}
+			rep.stageInst[c][h.Stage].SetWorkspace(w.ws)
+		}
+	}
+	rep.backend.workers = rep.workers
 }
 
 // Schedule returns the engine's schedule.
@@ -510,6 +574,7 @@ func (e *Engine) Step(batch *data.Batch) (*Result, error) {
 		for d, w := range rep.workers {
 			res.PeakActBytes[d] = max(res.PeakActBytes[d], w.peakBytes)
 			w.ws.Sweep()
+			w.ws.Mark()
 		}
 	}
 	res.Loss /= float64(b * e.cfg.DP)

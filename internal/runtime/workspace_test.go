@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	goruntime "runtime"
@@ -181,16 +182,34 @@ func TestHealthyStepLeavesNothingToSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Run the workers as Step does, stopping short of its sweep.
-			eng.micros = data.SplitMicroInto(eng.micros, data.NewGenerator(3, cfg.Vocab, cfg.SeqLen).Next(8), eng.sch.B)
-			eng.replicas[0].micros = eng.micros
-			if _, err := eng.driver.Run(eng.sch, eng.backends, exec.DefaultOptions()); err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range eng.replicas[0].workers {
-				if n := w.ws.Sweep(); n != 0 {
-					t.Errorf("%s checkpoint=%v: device %d left %d tensors for the sweep", scheme, checkpoint, w.device, n)
-				}
+			runWorkers(t, eng, data.NewGenerator(3, cfg.Vocab, cfg.SeqLen).Next(8))
+			checkNothingToSweep(t, eng, fmt.Sprintf("%s checkpoint=%v", scheme, checkpoint))
+		}
+	}
+}
+
+// runWorkers runs one step's workers as Step does, stopping short of the
+// all-reduce and the flush's sweep.
+func runWorkers(t *testing.T, eng *Engine, batch *data.Batch) {
+	t.Helper()
+	b := eng.sch.B
+	eng.micros = data.SplitMicroInto(eng.micros, batch, b*eng.cfg.DP)
+	for r, rep := range eng.replicas {
+		rep.micros = eng.micros[r*b : (r+1)*b]
+	}
+	if _, err := eng.driver.Run(eng.sch, eng.backends, exec.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkNothingToSweep fails the test if any workspace of the engine still
+// has a tensor handed out.
+func checkNothingToSweep(t *testing.T, eng *Engine, name string) {
+	t.Helper()
+	for r, rep := range eng.replicas {
+		for _, w := range rep.workers {
+			if n := w.ws.Sweep(); n != 0 {
+				t.Errorf("%s: replica %d device %d left %d tensors for the sweep", name, r, w.device, n)
 			}
 		}
 	}
@@ -290,13 +309,7 @@ func TestFailureCancelsEveryReplica(t *testing.T) {
 	}
 
 	eng.AbortReset()
-	for _, rep := range eng.replicas {
-		for _, w := range rep.workers {
-			if n := w.ws.Sweep(); n != 0 {
-				t.Errorf("AbortReset left %d tensors of replica device %d in flight", n, w.device)
-			}
-		}
-	}
+	checkNothingToSweep(t, eng, "after AbortReset")
 	got, err := eng.Step(batch)
 	if err != nil {
 		t.Fatalf("retry after AbortReset: %v", err)

@@ -375,6 +375,76 @@ func TestWorkspaceOwnership(t *testing.T) {
 	a.Put(d)
 }
 
+// TestWorkspaceRefill: after an interrupted exchange each workspace takes
+// back from its peers' surplus what it lacks against its mark, and no more.
+func TestWorkspaceRefill(t *testing.T) {
+	a, b := &Workspace{}, &Workspace{}
+	x, y, z := a.Get(4), a.Get(4), b.Get(4)
+	a.Put(x)
+	a.Put(y)
+	b.Put(z)
+	a.Mark() // a starts steps with two, b with one
+	b.Mark()
+	// An aborted step: a's tensor travels to b, which pools it.
+	b.Put(a.Get(4))
+	a.Refill(b)
+	b.Refill(a)
+	if _, free := a.Count(); free != 2 {
+		t.Fatalf("a holds %d free tensors after the refill, its mark is 2", free)
+	}
+	if _, free := b.Count(); free != 1 {
+		t.Fatalf("b holds %d free tensors after the refill, its mark is 1", free)
+	}
+	a.Refill(b) // at its mark: takes nothing
+	if _, free := b.Count(); free != 1 {
+		t.Fatal("a refill beyond the mark")
+	}
+	if n := testing.AllocsPerRun(10, func() { b.Put(a.Get(4)); a.Refill(b) }); n != 0 {
+		t.Fatalf("Refill allocates %.0f objects", n)
+	}
+}
+
+// TestWorkspaceAbsorb: a workspace that goes away hands everything it
+// answered for to a survivor — its free tensors, and the tensors it made
+// that now sit in a third workspace's free list, so the survivor's Sweep
+// reclaims one of those once it is handed out and never returned.
+func TestWorkspaceAbsorb(t *testing.T) {
+	keep, peer, gone := &Workspace{}, &Workspace{}, &Workspace{}
+	pooled, migrated := gone.Get(4), gone.Get(6)
+	gone.Put(pooled)
+	peer.Put(migrated) // a payload gone made, returned to peer's list
+	keep.Absorb(gone)
+	if made, free := gone.Count(); made != 0 || free != 0 {
+		t.Fatalf("the absorbed workspace still counts %d made, %d free", made, free)
+	}
+	if made, free := keep.Count(); made != 2 || free != 1 {
+		t.Fatalf("survivor counts %d made, %d free; want 2 and 1", made, free)
+	}
+	if got := keep.Get(4); got != pooled {
+		t.Fatal("the absorbed free tensor is not reused by the survivor")
+	}
+	keep.Put(pooled)
+	if got := peer.Get(6); got != migrated {
+		t.Fatal("the migrated tensor left peer's free list")
+	}
+	// Out again and never returned: only the survivor can take it back.
+	if n := peer.Sweep(); n != 0 {
+		t.Fatalf("peer swept %d tensors it did not make", n)
+	}
+	if n := keep.Sweep(); n != 1 {
+		t.Fatalf("survivor swept %d tensors, want the migrated one", n)
+	}
+	if made, free := keep.Count(); made != free {
+		t.Fatalf("after the sweep the survivor counts %d made, %d free", made, free)
+	}
+	var heap *Workspace
+	heap.Absorb(keep) // the heap answers for nothing
+	keep.Absorb(nil)
+	if made, free := heap.Count(); made != 0 || free != 0 {
+		t.Fatal("a nil workspace counts tensors")
+	}
+}
+
 func TestMatMulTAgreesWithExplicitTranspose(t *testing.T) {
 	r := NewRNG(2)
 	a := Randn(r, 1, 5, 7)

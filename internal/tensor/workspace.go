@@ -24,7 +24,9 @@ const (
 //
 // Tensors may migrate: Put accepts a tensor another workspace handed out
 // (a payload received from a peer). Sweep reclaims, at a quiescent point,
-// whatever this workspace allocated and nobody returned.
+// whatever this workspace allocated and nobody returned. Over a whole
+// pipeline step the migrations cancel out; over an aborted one they need
+// not, and Mark and Refill put the pools back where the step found them.
 //
 // A nil *Workspace is valid and is the heap: Get is New, Put and Sweep do
 // nothing.
@@ -38,13 +40,22 @@ type Workspace struct {
 type sizeClass struct {
 	n    int
 	free []*Tensor
+	mark int // len(free) at the last Mark
 }
 
-func (w *Workspace) class(n int) *sizeClass {
+// find returns the class of n elements, or nil if w has none.
+func (w *Workspace) find(n int) *sizeClass {
 	for i := range w.classes {
 		if w.classes[i].n == n {
 			return &w.classes[i]
 		}
+	}
+	return nil
+}
+
+func (w *Workspace) class(n int) *sizeClass {
+	if c := w.find(n); c != nil {
+		return c
 	}
 	w.classes = append(w.classes, sizeClass{n: n})
 	return &w.classes[len(w.classes)-1]
@@ -116,6 +127,73 @@ func (w *Workspace) Sweep() int {
 		}
 	}
 	return n
+}
+
+// Mark records how many free tensors each size class holds: the pool the
+// next step starts from. Call it at the quiescent point after Sweep.
+func (w *Workspace) Mark() {
+	if w == nil {
+		return
+	}
+	for i := range w.classes {
+		w.classes[i].mark = len(w.classes[i].free)
+	}
+}
+
+// Refill moves free tensors from o's surplus over its mark to w, class by
+// class, until w is back at its own mark. An aborted step can leave a
+// payload in its receiver's free list while its sender's sweep finds it
+// missing; refilling every pair of a pipeline's workspaces undoes that, so
+// the retried step starts from the marked pools and allocates nothing a
+// complete step would not. Tensors keep their maker. Call it at a
+// quiescent point.
+func (w *Workspace) Refill(o *Workspace) {
+	if w == nil || o == nil {
+		return
+	}
+	for i := range w.classes {
+		c := &w.classes[i]
+		oc := o.find(c.n)
+		if oc == nil {
+			continue
+		}
+		if k := min(c.mark-len(c.free), len(oc.free)-oc.mark); k > 0 {
+			c.free = append(c.free, oc.free[len(oc.free)-k:]...)
+			oc.free = oc.free[:len(oc.free)-k]
+		}
+	}
+}
+
+// Absorb folds o into w, for a worker that goes away while its buffers live
+// on: o's free tensors join w's free lists, and every tensor o allocated,
+// wherever it sits now, is w's to sweep from then on. Without the second
+// half a tensor o made could wait in another workspace's free list and,
+// once handed out again, no Sweep would ever reclaim it. o is empty
+// afterwards. Call it only at a quiescent point, like Sweep.
+func (w *Workspace) Absorb(o *Workspace) {
+	if w == nil || o == nil {
+		return
+	}
+	for _, c := range o.classes {
+		wc := w.class(c.n)
+		wc.free = append(wc.free, c.free...)
+	}
+	w.made = append(w.made, o.made...)
+	*o = Workspace{}
+}
+
+// Count reports how many tensors w allocated, which its Sweep answers for,
+// and how many sit in its free lists. At a quiescent point with nothing
+// handed out, a set of workspaces whose free counts sum to their made
+// counts pools only tensors one of them made.
+func (w *Workspace) Count() (made, free int) {
+	if w == nil {
+		return 0, 0
+	}
+	for _, c := range w.classes {
+		free += len(c.free)
+	}
+	return len(w.made), free
 }
 
 // Fill overwrites every pooled buffer with v. Tests poison the free lists
