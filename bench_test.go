@@ -486,7 +486,7 @@ func BenchmarkTunerRepeatedSweeps(b *testing.B) {
 
 // BenchmarkCachewireMultiGetRoundTrip measures one batched frame over
 // real TCP: a 64-key MultiGet against a warm server — the round trip a
-// sweep-start prefetch pays once where the per-key path pays 64.
+// sweep-start prefetch pays once where one Get per key would pay 64.
 func BenchmarkCachewireMultiGetRoundTrip(b *testing.B) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

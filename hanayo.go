@@ -97,9 +97,11 @@ var Best = core.Best
 // Distributed sweep (cross-process sharding over a shared cache tier; see
 // docs/ARCHITECTURE.md and cmd/hanayo-tuned).
 type (
-	// RemoteCache is the cross-process get/put seam behind the Tuner
-	// (TunerOptions.Remote): entries keyed by a stable 64-bit hash of
-	// (cluster fingerprint × model × scheme × shape).
+	// RemoteCache is the cross-process batch seam behind the Tuner
+	// (TunerOptions.Remote): MultiGet / MultiPut resolve and publish whole
+	// key vectors — one read at a sweep's start, one write at its end —
+	// with entries keyed by a stable 64-bit hash of (cluster fingerprint ×
+	// model × scheme × shape).
 	RemoteCache = cachewire.Cache
 	// RemoteEntry is the compact wire form of one cached evaluation.
 	RemoteEntry = cachewire.Entry
@@ -110,12 +112,6 @@ type (
 	// LoopbackCache is the in-process RemoteCache for tests and
 	// single-process wiring; it still round-trips the wire codec.
 	LoopbackCache = cachewire.Loopback
-	// BatchRemoteCache is the batched seam over RemoteCache: MultiGet /
-	// MultiPut resolve whole key vectors in one frame — the only way a
-	// sweep talks to its tier (one read at its start, one write at its
-	// end). Every transport in this package implements it; a RemoteCache
-	// that does not is driven through the same two calls as key loops.
-	BatchRemoteCache = cachewire.BatchCache
 	// CacheRing replicates the tier over N nodes by client-side
 	// consistent hashing — the fleet-scale RemoteCache (see
 	// docs/ARCHITECTURE.md, "cache fabric").

@@ -6,8 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// Batched frames extend the per-key protocol with length-prefixed key
-// and entry vectors, so one round trip carries a whole sweep's key set:
+// The TCP protocol is as fixed-width as the entry codec: every request
+// carries a length-prefixed key or entry vector, so one round trip
+// carries a whole sweep's key set:
 //
 //	op(1)=opMultiGet count(4) key(8)×count
 //	op(1)=opMultiPut count(4) (key(8) entry(18))×count
@@ -18,16 +19,23 @@ import (
 //	status(1)=statusOK
 //
 // count is a little-endian uint32 echoed back verbatim in the MultiGet
-// response, and present is strictly 0 or 1. The decode discipline is
-// DecodeEntry's, lifted to vectors: both edges reject counts above
+// response, and present is strictly 0 or 1. The framing is version-free;
+// the entry payload carries the version byte, and the decode discipline
+// is DecodeEntry's, lifted to vectors: both edges reject counts above
 // MaxBatch, count skew between request and response, unknown present
 // markers and any entry DecodeEntry rejects — and a MultiPut frame is
 // validated whole before any of it is stored, so a version-skewed or
-// truncated publisher never half-applies a batch.
+// truncated publisher never half-applies a batch. Any other op byte —
+// including 1 and 2, the single-key get and put of older builds — is a
+// desync the server answers by hanging up, which such a peer reads as a
+// miss. A version-skewed peer therefore never pollutes the store or a
+// ranking: its publishes are dropped and its probes miss, degrading a
+// mixed fleet's hit rate until it converges on one build.
 const (
 	opMultiGet = 3
 	opMultiPut = 4
 
+	statusOK    = 2
 	statusMulti = 3
 )
 
@@ -39,64 +47,33 @@ const (
 const MaxBatch = 1 << 16
 
 // frames counts client-side cache round trips process-wide: one per
-// Get/Put exchange and one per MultiGet/MultiPut frame, on both the TCP
-// Client and the Loopback stand-in. It is the observability hook behind
-// the batching guarantee — a repeat sweep with prefetch must cost O(1)
-// frames per shard, not O(cells) — mirroring what core.SimRuns does for
-// simulations.
+// MultiGet/MultiPut frame, on both the TCP Client and the Loopback
+// stand-in. It is the observability hook behind the batching guarantee —
+// a repeat sweep with prefetch must cost O(1) frames per shard, not
+// O(cells) — mirroring what core.SimRuns does for simulations.
 var frames atomic.Int64
 
 // Frames reports the process-wide count of cache round trips issued by
 // client-side transports. Tests assert deltas of this counter.
 func Frames() int64 { return frames.Load() }
 
-// BatchCache is the batched extension of the Cache seam. MultiGet
-// resolves keys[i] into out[i] (ok[i] reports a hit); MultiPut publishes
-// all pairs. Both vectors must be pre-sized by the caller to len(keys).
-// Implementations must be safe for concurrent use and must not
-// half-apply a batch they reject as malformed.
-type BatchCache interface {
-	Cache
-	MultiGet(keys []uint64, out []Entry, ok []bool) error
-	MultiPut(keys []uint64, entries []Entry) error
-}
-
-// GetBatch resolves keys through c in one batched round trip when c
-// implements BatchCache, degrading to a per-key Get loop for plain Cache
-// implementations. On error the filled prefix of out/ok is valid; the
-// caller treats the rest as misses.
-func GetBatch(c Cache, keys []uint64, out []Entry, ok []bool) error {
+// checkGet is every MultiGet's pre-flight: vectors that disagree in
+// length fail before touching the wire or a store, and ok starts all
+// false so a call that stops early reports only the hits it found.
+func checkGet(keys []uint64, out []Entry, ok []bool) error {
 	if len(out) != len(keys) || len(ok) != len(keys) {
 		return fmt.Errorf("cachewire: batch get vectors disagree: %d keys, %d entries, %d oks",
 			len(keys), len(out), len(ok))
 	}
-	if b, batched := c.(BatchCache); batched {
-		return b.MultiGet(keys, out, ok)
-	}
-	for i, k := range keys {
-		e, hit, err := c.Get(k)
-		if err != nil {
-			return err
-		}
-		out[i], ok[i] = e, hit
-	}
+	clear(ok)
 	return nil
 }
 
-// PutBatch publishes all pairs through c in one batched round trip when
-// c implements BatchCache, degrading to a per-key Put loop otherwise.
-func PutBatch(c Cache, keys []uint64, entries []Entry) error {
+// checkPut is every MultiPut's pre-flight.
+func checkPut(keys []uint64, entries []Entry) error {
 	if len(entries) != len(keys) {
 		return fmt.Errorf("cachewire: batch put vectors disagree: %d keys, %d entries",
 			len(keys), len(entries))
-	}
-	if b, batched := c.(BatchCache); batched {
-		return b.MultiPut(keys, entries)
-	}
-	for i, k := range keys {
-		if err := c.Put(k, entries[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

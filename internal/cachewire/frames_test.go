@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"testing"
+	"time"
 )
 
 // randEntries builds n deterministic pseudo-random entries, including
@@ -33,12 +34,24 @@ func randEntries(rng *rand.Rand, n int) []Entry {
 
 // batchTransports returns the three client-side transports under their
 // wire names, each backed by a fresh store.
-func batchTransports(t *testing.T) map[string]BatchCache {
+func batchTransports(t *testing.T) map[string]Cache {
 	t.Helper()
 	_, tcp := startServer(t, 0)
 	lb := NewLoopback(0)
 	ring := mustRing(t, 2, "a", NewLoopback(0), "b", NewLoopback(0), "c", NewLoopback(0))
-	return map[string]BatchCache{"tcp": tcp, "loopback": lb, "ring": ring}
+	return map[string]Cache{"tcp": tcp, "loopback": lb, "ring": ring}
+}
+
+// put1 publishes one pair as a one-key batch.
+func put1(c Cache, key uint64, e Entry) error {
+	return c.MultiPut([]uint64{key}, []Entry{e})
+}
+
+// get1 resolves one key as a one-key batch.
+func get1(c Cache, key uint64) (Entry, bool, error) {
+	out, ok := make([]Entry, 1), make([]bool, 1)
+	err := c.MultiGet([]uint64{key}, out, ok)
+	return out[0], ok[0], err
 }
 
 func mustRing(t *testing.T, replication int, pairs ...any) *Ring {
@@ -99,36 +112,38 @@ func sameEntryBits(a, b Entry) bool {
 		a.Fits == b.Fits && a.Pruned == b.Pruned
 }
 
-// TestBatchAgreesWithPerKey cross-checks the two protocol generations on
-// every transport: entries published per-key must read back identically
-// through MultiGet, and vice versa.
-func TestBatchAgreesWithPerKey(t *testing.T) {
-	for name, c := range batchTransports(t) {
-		e1 := Entry{PerReplica: 12.5, MaxGB: 3, Fits: true}
-		e2 := Entry{MaxGB: 99, Pruned: true}
-		if err := c.Put(1, e1); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.MultiPut([]uint64{2}, []Entry{e2}); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]Entry, 2)
-		ok := make([]bool, 2)
-		if err := c.MultiGet([]uint64{1, 2}, out, ok); err != nil {
-			t.Fatal(err)
-		}
-		if !ok[0] || out[0] != e1 || !ok[1] || out[1] != e2 {
-			t.Fatalf("%s: batch read of mixed publishes: %+v %v", name, out, ok)
-		}
-		if got, hit, err := c.Get(2); err != nil || !hit || got != e2 {
-			t.Fatalf("%s: per-key read of batched publish: %+v hit=%v err=%v", name, got, hit, err)
+// TestClientGetAgreesWithMultiGet cross-checks the client's one-key Get
+// against the batch it is built on: entries published in one- and
+// many-key batches read back identically through either, and a miss is a
+// miss through both.
+func TestClientGetAgreesWithMultiGet(t *testing.T) {
+	_, c := startServer(t, 0)
+	e1 := Entry{PerReplica: 12.5, MaxGB: 3, Fits: true}
+	e2 := Entry{MaxGB: 99, Pruned: true}
+	if err := put1(c, 1, e1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MultiPut([]uint64{2, 3}, []Entry{e2, e1}); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Entry, 4)
+	ok := make([]bool, 4)
+	if err := c.MultiGet([]uint64{1, 2, 3, 4}, out, ok); err != nil {
+		t.Fatal(err)
+	}
+	if !ok[0] || out[0] != e1 || !ok[1] || out[1] != e2 || !ok[2] || out[2] != e1 || ok[3] {
+		t.Fatalf("batch read of mixed publishes: %+v %v", out, ok)
+	}
+	for i, k := range []uint64{1, 2, 3, 4} {
+		if got, hit, err := c.Get(k); err != nil || hit != ok[i] || got != out[i] {
+			t.Fatalf("Get(%d) = %+v hit=%v err=%v, MultiGet said %+v hit=%v", k, got, hit, err, out[i], ok[i])
 		}
 	}
 }
 
 // TestBatchVectorSizeMismatch pins the pre-flight validation shared by
-// every transport and the helper fallbacks: disagreeing vector lengths
-// fail without touching the wire or the store.
+// every transport: disagreeing vector lengths fail without touching the
+// wire or the store.
 func TestBatchVectorSizeMismatch(t *testing.T) {
 	for name, c := range batchTransports(t) {
 		if err := c.MultiGet([]uint64{1, 2}, make([]Entry, 1), make([]bool, 2)); err == nil {
@@ -181,6 +196,35 @@ func TestServerRejectsOversizeCount(t *testing.T) {
 	}
 	if srv.Len() != 0 {
 		t.Fatalf("oversize frames stored %d entries", srv.Len())
+	}
+}
+
+// TestServerRejectsRetiredSingleKeyOps replays the single-key frames an
+// older build sends — get is op 1 key(8), put is op 2 key(8) entry(18) —
+// against this server: each meets the unknown-op hang-up, which the old
+// peer reads as a miss or a dropped publish, and the store is untouched.
+func TestServerRejectsRetiredSingleKeyOps(t *testing.T) {
+	srv, c := startServer(t, 0)
+	if err := put1(c, 7, Entry{PerReplica: 1, Fits: true}); err != nil {
+		t.Fatal(err)
+	}
+	get := binary.LittleEndian.AppendUint64([]byte{1}, 7)
+	put := AppendEntry(binary.LittleEndian.AppendUint64([]byte{2}, 8), Entry{PerReplica: 2})
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{{"get", get}, {"put", put}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := rawExchange(t, c.addr, tc.raw, -1); len(got) != 0 {
+				t.Fatalf("retired %s answered with %d bytes, want hang-up", tc.name, len(got))
+			}
+			if srv.Len() != 1 {
+				t.Fatalf("retired %s left %d entries, want the 1 stored before", tc.name, srv.Len())
+			}
+		})
+	}
+	if _, ok, err := get1(c, 8); ok || err != nil {
+		t.Fatalf("retired put landed: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -253,13 +297,18 @@ func TestServerEmptyBatchFrames(t *testing.T) {
 }
 
 // TestClientRejectsCorruptBatchResponse puts a hostile "server" behind
-// the client: count skew, an unknown present marker and a version-skewed
-// entry must each poison the connection and surface as an error — the
-// client-side half of the strict decode discipline.
+// the client: count skew, an unknown present marker, a version-skewed
+// entry, a wrong status and a response cut off mid-entry must each
+// poison the connection and surface as an error with no hit reported —
+// the client-side half of the strict decode discipline. The protocol
+// errors fail on the first attempt; the truncation is a transport error,
+// so every retry meets it again and the call fails once the retry budget
+// is spent.
 func TestClientRejectsCorruptBatchResponse(t *testing.T) {
 	cases := []struct {
-		name string
-		resp func(n int) []byte
+		name    string
+		resp    func(n int) []byte
+		retries int64
 	}{
 		{"count-skew", func(n int) []byte {
 			b := []byte{statusMulti}
@@ -268,13 +317,13 @@ func TestClientRejectsCorruptBatchResponse(t *testing.T) {
 				b = append(b, 0)
 			}
 			return b
-		}},
+		}, 0},
 		{"bad-marker", func(n int) []byte {
 			b := []byte{statusMulti}
 			b = binary.LittleEndian.AppendUint32(b, uint32(n))
 			b = append(b, 7)
 			return b
-		}},
+		}, 0},
 		{"skewed-entry", func(n int) []byte {
 			b := []byte{statusMulti}
 			b = binary.LittleEndian.AppendUint32(b, uint32(n))
@@ -283,8 +332,18 @@ func TestClientRejectsCorruptBatchResponse(t *testing.T) {
 			b = AppendEntry(b, Entry{})
 			b[off] = Version + 1
 			return b
-		}},
-		{"wrong-status", func(n int) []byte { return []byte{statusHit} }},
+		}, 0},
+		// 1 was an older build's single-key hit status.
+		{"wrong-status", func(n int) []byte { return []byte{1} }, 0},
+		{"truncated", func(n int) []byte {
+			b := []byte{statusMulti}
+			b = binary.LittleEndian.AppendUint32(b, uint32(n))
+			for i := 0; i < n; i++ {
+				b = append(b, 1)
+				b = AppendEntry(b, Entry{PerReplica: 3, Fits: true})
+			}
+			return b[:len(b)-EntrySize/2] // whole first hit, then death mid-entry
+		}, clientAttempts - 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -294,45 +353,59 @@ func TestClientRejectsCorruptBatchResponse(t *testing.T) {
 			}
 			defer l.Close()
 			go func() {
-				conn, err := l.Accept()
-				if err != nil {
-					return
+				for {
+					conn, err := l.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						defer conn.Close()
+						// Read the request frame to stay plausible, lie, hang up.
+						var hdr [5]byte
+						if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+							return
+						}
+						n := int(binary.LittleEndian.Uint32(hdr[1:]))
+						io.CopyN(io.Discard, conn, int64(n*8))
+						conn.Write(tc.resp(n))
+					}()
 				}
-				defer conn.Close()
-				// Read the request frame header to stay plausible, then lie.
-				var hdr [5]byte
-				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-					return
-				}
-				n := int(binary.LittleEndian.Uint32(hdr[1:]))
-				io.CopyN(io.Discard, conn, int64(n*8))
-				conn.Write(tc.resp(n))
 			}()
 			c, err := Dial(l.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			keys := []uint64{1, 2}
-			if err := c.MultiGet(keys, make([]Entry, 2), make([]bool, 2)); err == nil {
+			out, ok := make([]Entry, 2), make([]bool, 2)
+			start := time.Now()
+			if err := c.MultiGet([]uint64{1, 2}, out, ok); err == nil {
 				t.Fatal("corrupt batch response accepted")
+			}
+			if d := time.Since(start); d > readTimeout {
+				t.Fatalf("corrupt response took %v to reject, past one read deadline", d)
+			}
+			if ok[0] || ok[1] || out[0] != (Entry{}) {
+				t.Fatalf("rejected response still reported hits: %+v %v", out, ok)
+			}
+			if got := c.RetryStats(); got != tc.retries {
+				t.Fatalf("%d retries, want %d", got, tc.retries)
 			}
 		})
 	}
 }
 
 // TestClientRoundTripAllocs pins the zero-alloc satellite: steady-state
-// Get and Put exchanges run entirely on the pooled connection's owned
-// buffers — zero heap allocations per round trip, same discipline as the
-// sweep hot path.
+// one-key MultiPut and Get exchanges (hit and miss) run entirely on the
+// pooled connection's owned buffers — zero heap allocations per round
+// trip, same discipline as the sweep hot path.
 func TestClientRoundTripAllocs(t *testing.T) {
 	_, c := startServer(t, 0)
-	e := Entry{PerReplica: 55, MaxGB: 7.5, Fits: true}
-	if err := c.Put(3, e); err != nil { // warm the pooled conn and deadline timer
+	keys, ents := []uint64{3}, []Entry{{PerReplica: 55, MaxGB: 7.5, Fits: true}}
+	if err := c.MultiPut(keys, ents); err != nil { // warm the pooled conn and deadline timer
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		if err := c.Put(3, e); err != nil {
+		if err := c.MultiPut(keys, ents); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok, err := c.Get(3); err != nil || !ok {
@@ -342,7 +415,7 @@ func TestClientRoundTripAllocs(t *testing.T) {
 			t.Fatal("phantom hit")
 		}
 	}); got != 0 {
-		t.Errorf("steady-state Get+Put allocates %.1f times per round-trip pair, want 0", got)
+		t.Errorf("steady-state MultiPut+Get+Get allocates %.1f times, want 0", got)
 	}
 }
 
@@ -382,37 +455,3 @@ func TestBatchChunksAboveMaxBatch(t *testing.T) {
 		}
 	}
 }
-
-// TestGetBatchFallback wraps a store in a plain (non-batch) Cache: the
-// helpers must degrade to per-key loops with identical results.
-func TestGetBatchFallback(t *testing.T) {
-	plain := plainCache{NewLoopback(0)}
-	keys := []uint64{1, 2, 3}
-	ents := randEntries(rand.New(rand.NewSource(1)), 3)
-	if err := PutBatch(plain, keys, ents); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]Entry, 4)
-	ok := make([]bool, 4)
-	if err := GetBatch(plain, []uint64{1, 2, 3, 4}, out, ok); err != nil {
-		t.Fatal(err)
-	}
-	for i := range keys {
-		if !ok[i] || !sameEntryBits(out[i], ents[i]) {
-			t.Fatalf("fallback key %d: %+v ok=%v", keys[i], out[i], ok[i])
-		}
-	}
-	if ok[3] {
-		t.Fatal("fallback reported a phantom hit")
-	}
-	if err := GetBatch(plain, keys, out[:2], ok[:2]); err == nil {
-		t.Fatal("fallback accepted disagreeing vectors")
-	}
-}
-
-// plainCache hides a Loopback's batch methods so the helper fallback
-// path is the one under test.
-type plainCache struct{ lb *Loopback }
-
-func (p plainCache) Get(key uint64) (Entry, bool, error) { return p.lb.Get(key) }
-func (p plainCache) Put(key uint64, e Entry) error       { return p.lb.Put(key, e) }

@@ -26,7 +26,7 @@ func TestRetryHealsWithinOneCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Put(1, Entry{PerReplica: 5}); err != nil {
+	if err := put1(c, 1, Entry{PerReplica: 5}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close() // sever the listener AND the pooled connection's peer
@@ -39,7 +39,7 @@ func TestRetryHealsWithinOneCall(t *testing.T) {
 	go srv2.Serve(l2)
 	defer srv2.Close()
 
-	if err := c.Put(2, Entry{PerReplica: 6, Fits: true}); err != nil {
+	if err := put1(c, 2, Entry{PerReplica: 6, Fits: true}); err != nil {
 		t.Fatalf("single put across a restart must heal via retry: %v", err)
 	}
 	if got, ok, err := c.Get(2); err != nil || !ok || got.PerReplica != 6 {
@@ -163,18 +163,18 @@ func (f *flakyCache) isDown() bool {
 	return f.down
 }
 
-func (f *flakyCache) Get(key uint64) (Entry, bool, error) {
-	if f.isDown() {
-		return Entry{}, false, fmt.Errorf("flaky: node down")
-	}
-	return f.lb.Get(key)
-}
-
-func (f *flakyCache) Put(key uint64, e Entry) error {
+func (f *flakyCache) MultiGet(keys []uint64, out []Entry, ok []bool) error {
 	if f.isDown() {
 		return fmt.Errorf("flaky: node down")
 	}
-	return f.lb.Put(key, e)
+	return f.lb.MultiGet(keys, out, ok)
+}
+
+func (f *flakyCache) MultiPut(keys []uint64, entries []Entry) error {
+	if f.isDown() {
+		return fmt.Errorf("flaky: node down")
+	}
+	return f.lb.MultiPut(keys, entries)
 }
 
 // TestRingProbeGateSkipsAndResurrects walks the gate's whole life cycle
@@ -195,7 +195,7 @@ func TestRingProbeGateSkipsAndResurrects(t *testing.T) {
 
 	fb.setDown(true)
 	e := Entry{PerReplica: 1, Fits: true}
-	if err := r.Put(100, e); err != nil {
+	if err := put1(r, 100, e); err != nil {
 		t.Fatalf("put with one live replica: %v", err)
 	}
 	if errs := r.Errors(); errs[1].Errors != 1 {
@@ -204,7 +204,7 @@ func TestRingProbeGateSkipsAndResurrects(t *testing.T) {
 
 	// Gate armed: operations inside the gap skip node-b without touching it.
 	for k := uint64(101); k < 106; k++ {
-		if err := r.Put(k, e); err != nil {
+		if err := put1(r, k, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestRingProbeGateSkipsAndResurrects(t *testing.T) {
 
 	// Gap elapses: exactly one probe goes through, fails, doubles the gap.
 	clock += probeGapBase
-	if err := r.Put(110, e); err != nil {
+	if err := put1(r, 110, e); err != nil {
 		t.Fatal(err)
 	}
 	if errs := r.Errors(); errs[1].Errors != 2 {
@@ -226,7 +226,7 @@ func TestRingProbeGateSkipsAndResurrects(t *testing.T) {
 	}
 	clock += probeGapBase // half the doubled gap: still gated
 	skippedBefore := r.Errors()[1].Skipped
-	if err := r.Put(111, e); err != nil {
+	if err := put1(r, 111, e); err != nil {
 		t.Fatal(err)
 	}
 	if errs := r.Errors(); errs[1].Errors != 2 || errs[1].Skipped == skippedBefore {
@@ -236,31 +236,31 @@ func TestRingProbeGateSkipsAndResurrects(t *testing.T) {
 	// Node heals; the next admitted probe restores it completely.
 	fb.setDown(false)
 	clock += 2 * probeGapBase
-	if err := r.Put(112, e); err != nil {
+	if err := put1(r, 112, e); err != nil {
 		t.Fatal(err)
 	}
 	errsAfterHeal := r.Errors()
 	for k := uint64(113); k < 118; k++ {
-		if err := r.Put(k, e); err != nil {
+		if err := put1(r, k, e); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if errs := r.Errors(); errs[1] != errsAfterHeal[1] {
 		t.Fatalf("healed node still gated or charged: %+v -> %+v", errsAfterHeal, errs)
 	}
-	if _, ok, _ := fb.lb.Get(112); !ok {
+	if _, ok, _ := get1(fb.lb, 112); !ok {
 		t.Fatal("post-heal publish did not land on the resurrected node")
 	}
 
 	// Entries published while node-b was gated live only on node-a; a ring
 	// read finds them there and back-fills node-b.
-	if _, ok, _ := fb.lb.Get(100); ok {
+	if _, ok, _ := get1(fb.lb, 100); ok {
 		t.Fatal("gated node somehow holds an entry published while down")
 	}
-	if got, ok, err := r.Get(100); err != nil || !ok || got != e {
+	if got, ok, err := get1(r, 100); err != nil || !ok || got != e {
 		t.Fatalf("read of gated-era entry: %+v ok=%v err=%v", got, ok, err)
 	}
-	if _, ok, _ := fb.lb.Get(100); !ok {
+	if _, ok, _ := get1(fb.lb, 100); !ok {
 		t.Fatal("read repair did not back-fill the resurrected node")
 	}
 
@@ -268,17 +268,17 @@ func TestRingProbeGateSkipsAndResurrects(t *testing.T) {
 	// error that cost zero network touches.
 	fa.setDown(true)
 	fb.setDown(true)
-	r.Put(200, e) // charge + gate node-a (node-b is live again... take it down too)
+	put1(r, 200, e) // charge + gate node-a (node-b is live again... take it down too)
 	clock += 2 * probeGapCap
-	r.Put(201, e) // probes both, fails both, re-arms both gates
+	put1(r, 201, e) // probes both, fails both, re-arms both gates
 	aErrs := r.Errors()
-	if err := r.Put(202, e); err != errNodeDown {
+	if err := put1(r, 202, e); err != errNodeDown {
 		t.Fatalf("fully gated put: %v, want errNodeDown", err)
 	}
 	if errs := r.Errors(); errs[0].Errors != aErrs[0].Errors || errs[1].Errors != aErrs[1].Errors {
 		t.Fatalf("fully gated put touched a node: %+v -> %+v", aErrs, errs)
 	}
-	if _, ok, err := r.Get(202); ok || err != errNodeDown {
+	if _, ok, err := get1(r, 202); ok || err != errNodeDown {
 		t.Fatalf("fully gated get: ok=%v err=%v, want errNodeDown", ok, err)
 	}
 }
@@ -308,7 +308,7 @@ func TestRingBatchOpsRespectGate(t *testing.T) {
 	}
 
 	fb.setDown(true)
-	r.Put(999, Entry{}) // arm node-b's gate
+	put1(r, 999, Entry{}) // arm node-b's gate
 	bState := r.Errors()[1]
 
 	out := make([]Entry, len(keys))

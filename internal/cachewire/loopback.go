@@ -1,7 +1,6 @@
 package cachewire
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/lru"
@@ -24,12 +23,6 @@ func newStore(entries int) *store {
 	return &store{m: lru.New[uint64, Entry](entries)}
 }
 
-func (s *store) get(key uint64) (Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Get(key)
-}
-
 func (s *store) put(key uint64, e Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -40,6 +33,15 @@ func (s *store) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m.Len()
+}
+
+// getBatch resolves keys into out/ok under a single lock acquisition.
+func (s *store) getBatch(keys []uint64, out []Entry, ok []bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, k := range keys {
+		out[i], ok[i] = s.m.Get(k)
+	}
 }
 
 // appendMultiGet appends the MultiGet response body for keys — a present
@@ -75,8 +77,8 @@ func (s *store) putBatch(keys []uint64, ents []Entry) {
 // store the TCP Server fronts, minus the network. It exists so tests and
 // single-process deployments can exercise the Tuner's remote-tier code
 // path — including entry encode/decode, which Loopback performs on every
-// Put AND every Get hit, so both halves of the wire codec are on the
-// path even without a socket.
+// published entry AND every hit, so both halves of the wire codec are on
+// the path even without a socket.
 type Loopback struct {
 	s *store
 }
@@ -87,70 +89,35 @@ func NewLoopback(entries int) *Loopback {
 	return &Loopback{s: newStore(entries)}
 }
 
-// Get implements Cache, round-tripping the hit through the wire codec
-// exactly as a TCP client would decode it off the socket. It counts one
-// frame, as the TCP exchange it stands in for would.
-func (l *Loopback) Get(key uint64) (Entry, bool, error) {
-	frames.Add(1)
-	e, ok := l.s.get(key)
-	if !ok {
-		return Entry{}, false, nil
-	}
-	dec, err := DecodeEntry(AppendEntry(nil, e))
-	if err != nil {
-		return Entry{}, false, err
-	}
-	return dec, true, nil
-}
-
-// Put implements Cache. The entry is round-tripped through the wire codec
-// so the loopback tier faithfully stands in for the TCP one.
-func (l *Loopback) Put(key uint64, e Entry) error {
-	frames.Add(1)
-	dec, err := DecodeEntry(AppendEntry(nil, e))
-	if err != nil {
+// MultiGet implements Cache: the whole vector resolves in what the TCP
+// transport would make one frame (counted as such), each hit
+// round-tripped through the wire codec exactly as a TCP client would
+// decode it off the socket.
+func (l *Loopback) MultiGet(keys []uint64, out []Entry, ok []bool) error {
+	if err := checkGet(keys, out, ok); err != nil || len(keys) == 0 {
 		return err
 	}
-	l.s.put(key, dec)
-	return nil
-}
-
-// MultiGet implements BatchCache: the whole vector resolves in what the
-// TCP transport would make one frame (counted as such), each hit
-// round-tripped through the wire codec like a per-key Get.
-func (l *Loopback) MultiGet(keys []uint64, out []Entry, ok []bool) error {
-	if len(out) != len(keys) || len(ok) != len(keys) {
-		return fmt.Errorf("cachewire: batch get vectors disagree: %d keys, %d entries, %d oks",
-			len(keys), len(out), len(ok))
-	}
-	if len(keys) == 0 {
-		return nil
-	}
 	frames.Add(1)
-	for i, k := range keys {
-		e, hit := l.s.get(k)
-		if !hit {
-			ok[i] = false
+	l.s.getBatch(keys, out, ok)
+	for i := range keys {
+		if !ok[i] {
 			continue
 		}
-		dec, err := DecodeEntry(AppendEntry(nil, e))
+		dec, err := DecodeEntry(AppendEntry(nil, out[i]))
 		if err != nil {
+			clear(ok[i:])
 			return err
 		}
-		out[i], ok[i] = dec, true
+		out[i] = dec
 	}
 	return nil
 }
 
-// MultiPut implements BatchCache with the Server's reject-whole-frame
+// MultiPut implements Cache with the Server's reject-whole-frame
 // discipline: every entry is codec-validated before any is stored.
 func (l *Loopback) MultiPut(keys []uint64, entries []Entry) error {
-	if len(entries) != len(keys) {
-		return fmt.Errorf("cachewire: batch put vectors disagree: %d keys, %d entries",
-			len(keys), len(entries))
-	}
-	if len(keys) == 0 {
-		return nil
+	if err := checkPut(keys, entries); err != nil || len(keys) == 0 {
+		return err
 	}
 	frames.Add(1)
 	dec := make([]Entry, len(entries))

@@ -13,33 +13,6 @@ import (
 	"time"
 )
 
-// The TCP protocol is as fixed-width as the entry codec. Per-key
-// requests are
-//
-//	op(1) key(8)            — opGet
-//	op(1) key(8) entry(18)  — opPut
-//
-// and their responses are
-//
-//	status(1)               — statusMiss / statusOK
-//	status(1) entry(18)     — statusHit
-//
-// (batched frames are documented in frames.go). The framing is
-// version-free; the entry payload carries the version byte, and BOTH
-// edges enforce it: the server rejects (and hangs up on) puts it cannot
-// decode, and the client rejects hits it cannot decode. A version-skewed
-// peer therefore never pollutes the store or a ranking — its publishes
-// are dropped and its probes miss, degrading a mixed fleet's hit rate
-// until it converges on one build.
-const (
-	opGet = 1
-	opPut = 2
-
-	statusMiss = 0
-	statusHit  = 1
-	statusOK   = 2
-)
-
 // Server serves the cache protocol over TCP, backed by a bounded LRU
 // store. Construct with NewServer (or NewServerFromSnapshot), then Serve
 // an accepted listener.
@@ -125,9 +98,7 @@ func (sv *Server) handle(conn net.Conn) {
 	// one syscall, batch payloads grow buf once and keep it, and the
 	// steady-state serving path allocates nothing per request.
 	br := bufio.NewReaderSize(conn, 1<<12)
-	var hdr [8]byte // key of a per-key request
-	var entry [EntrySize]byte
-	var resp [1 + EntrySize]byte
+	okResp := [1]byte{statusOK}
 	var cnt [4]byte
 	var keys []uint64
 	var ents []Entry
@@ -138,38 +109,6 @@ func (sv *Server) handle(conn net.Conn) {
 			return // EOF between requests is the normal hang-up
 		}
 		switch op {
-		case opGet:
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				return
-			}
-			e, ok := sv.s.get(binary.LittleEndian.Uint64(hdr[:]))
-			if !ok {
-				resp[0] = statusMiss
-				if _, err := conn.Write(resp[:1]); err != nil {
-					return
-				}
-				continue
-			}
-			resp[0] = statusHit
-			if _, err := conn.Write(AppendEntry(resp[:1], e)); err != nil {
-				return
-			}
-		case opPut:
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				return
-			}
-			if _, err := io.ReadFull(br, entry[:]); err != nil {
-				return
-			}
-			e, err := DecodeEntry(entry[:])
-			if err != nil {
-				return // version-skewed or corrupt publisher: drop the conn
-			}
-			sv.s.put(binary.LittleEndian.Uint64(hdr[:]), e)
-			resp[0] = statusOK
-			if _, err := conn.Write(resp[:1]); err != nil {
-				return
-			}
 		case opMultiGet:
 			if _, err := io.ReadFull(br, cnt[:]); err != nil {
 				return
@@ -212,7 +151,7 @@ func (sv *Server) handle(conn net.Conn) {
 			}
 			// Validate the whole vector before storing any of it: a batch
 			// with one skewed entry is rejected as a unit and the conn
-			// dropped, exactly like a malformed per-key put.
+			// dropped.
 			keys, ents = keys[:0], ents[:0]
 			for i := 0; i < int(n); i++ {
 				off := i * rec
@@ -224,17 +163,16 @@ func (sv *Server) handle(conn net.Conn) {
 				ents = append(ents, e)
 			}
 			sv.s.putBatch(keys, ents)
-			resp[0] = statusOK
-			if _, err := conn.Write(resp[:1]); err != nil {
+			if _, err := conn.Write(okResp[:]); err != nil {
 				return
 			}
 		default:
-			return // unknown op: protocol desync, close
+			return // unknown op (or an older build's single-key get/put): desync, close
 		}
 	}
 }
 
-// Client is a Cache (and BatchCache) backed by a remote Server. It keeps
+// Client is a Cache backed by a remote Server. It keeps
 // a small free list of connections so concurrent sweep workers don't
 // serialize on one socket; each pooled connection owns its request
 // buffer and buffered reader, so steady-state round trips allocate
@@ -339,7 +277,7 @@ func (c *Client) withRetry(op func(p *pconn) error) error {
 // pconn is one pooled connection with its owned I/O state: buf builds
 // every request and receives every fixed-width response chunk, and br
 // buffers reads so a multi-part response costs one syscall. Both live
-// exactly as long as the connection, which is what makes Get/Put
+// exactly as long as the connection, which is what makes a round trip
 // allocation-free in the steady state.
 type pconn struct {
 	c   net.Conn
@@ -402,84 +340,25 @@ func (c *Client) checkin(p *pconn) {
 	c.mu.Unlock()
 }
 
-// Get implements Cache.
+// Get resolves one key as a MultiGet frame of one. It is not part of the
+// Cache seam — a sweep never asks for a single key — and exists to price
+// the smallest round trip the protocol has.
 func (c *Client) Get(key uint64) (Entry, bool, error) {
-	var out Entry
-	var hit bool
-	err := c.withRetry(func(p *pconn) error {
-		p.arm()
-		p.buf = append(p.buf[:0], opGet)
-		p.buf = binary.LittleEndian.AppendUint64(p.buf, key)
-		frames.Add(1)
-		if _, err := p.c.Write(p.buf); err != nil {
-			return err
-		}
-		status, err := p.br.ReadByte()
-		if err != nil {
-			return err
-		}
-		switch status {
-		case statusMiss:
-			out, hit = Entry{}, false
-			return nil
-		case statusHit:
-			p.buf = grow(p.buf, EntrySize)
-			if _, err := io.ReadFull(p.br, p.buf[:EntrySize]); err != nil {
-				return err
-			}
-			e, err := DecodeEntry(p.buf[:EntrySize])
-			if err != nil {
-				return errPermanent(err) // version skew: deterministic
-			}
-			out, hit = e, true
-			return nil
-		default:
-			return errPermanent(fmt.Errorf("cachewire: unexpected get status %d", status))
-		}
-	})
-	if err != nil {
-		return Entry{}, false, err
-	}
-	return out, hit, nil
+	keys := [1]uint64{key}
+	var out [1]Entry
+	var ok [1]bool
+	err := c.multiGet(keys[:], out[:], ok[:])
+	return out[0], ok[0], err
 }
 
-// Put implements Cache. Puts are idempotent (entries are deterministic
-// functions of their key), so a retried put after an ambiguous failure —
-// request flushed, response lost — is safe: the replay overwrites the
-// same bytes.
-func (c *Client) Put(key uint64, e Entry) error {
-	return c.withRetry(func(p *pconn) error {
-		p.arm()
-		p.buf = append(p.buf[:0], opPut)
-		p.buf = binary.LittleEndian.AppendUint64(p.buf, key)
-		p.buf = AppendEntry(p.buf, e)
-		frames.Add(1)
-		if _, err := p.c.Write(p.buf); err != nil {
-			return err
-		}
-		status, err := p.br.ReadByte()
-		if err != nil {
-			return err
-		}
-		if status != statusOK {
-			return errPermanent(fmt.Errorf("cachewire: unexpected put status %d", status))
-		}
-		return nil
-	})
-}
-
-// MultiGet implements BatchCache: one round trip resolves the whole key
+// MultiGet implements Cache: one round trip resolves the whole key
 // vector (chunked transparently at MaxBatch). The response is validated
-// with the same strictness as a per-key hit — count skew against the
-// request, unknown present markers and undecodable entries all poison
-// the connection and surface as one error.
+// strictly — a wrong status, count skew against the request, unknown
+// present markers and undecodable entries all poison the connection and
+// surface as one error.
 func (c *Client) MultiGet(keys []uint64, out []Entry, ok []bool) error {
-	if len(out) != len(keys) || len(ok) != len(keys) {
-		return fmt.Errorf("cachewire: batch get vectors disagree: %d keys, %d entries, %d oks",
-			len(keys), len(out), len(ok))
-	}
-	for i := range ok {
-		ok[i] = false
+	if err := checkGet(keys, out, ok); err != nil {
+		return err
 	}
 	for start := 0; start < len(keys); start += MaxBatch {
 		end := min(start+MaxBatch, len(keys))
@@ -490,14 +369,15 @@ func (c *Client) MultiGet(keys []uint64, out []Entry, ok []bool) error {
 	return nil
 }
 
+// multiGet resolves one chunk. A chunk whose exchange finally fails
+// reports no hit, however far into the response its last attempt read.
 func (c *Client) multiGet(keys []uint64, out []Entry, ok []bool) error {
-	return c.withRetry(func(p *pconn) error {
+	err := c.withRetry(func(p *pconn) error {
 		// A retried chunk restates the whole request; gets are read-only,
 		// so replaying after a half-read response is trivially safe. Reset
 		// this chunk's hit markers in case a prior attempt filled some.
-		for i := range ok {
-			out[i], ok[i] = Entry{}, false
-		}
+		clear(out)
+		clear(ok)
 		p.arm()
 		p.buf = appendMultiGetRequest(p.buf[:0], keys)
 		frames.Add(1)
@@ -544,14 +424,18 @@ func (c *Client) multiGet(keys []uint64, out []Entry, ok []bool) error {
 		}
 		return nil
 	})
+	if err != nil {
+		clear(out)
+		clear(ok)
+	}
+	return err
 }
 
-// MultiPut implements BatchCache: one round trip publishes the whole
-// vector (chunked transparently at MaxBatch).
+// MultiPut implements Cache: one round trip publishes the whole vector
+// (chunked transparently at MaxBatch).
 func (c *Client) MultiPut(keys []uint64, entries []Entry) error {
-	if len(entries) != len(keys) {
-		return fmt.Errorf("cachewire: batch put vectors disagree: %d keys, %d entries",
-			len(keys), len(entries))
+	if err := checkPut(keys, entries); err != nil {
+		return err
 	}
 	for start := 0; start < len(keys); start += MaxBatch {
 		end := min(start+MaxBatch, len(keys))

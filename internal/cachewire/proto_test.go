@@ -63,7 +63,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 		t.Fatalf("cold get: ok=%v err=%v, want miss", ok, err)
 	}
 	e := Entry{PerReplica: 123.5, MaxGB: 38.25, Fits: true}
-	if err := c.Put(42, e); err != nil {
+	if err := put1(c, 42, e); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, err := c.Get(42)
@@ -71,7 +71,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 		t.Fatalf("get after put: %+v ok=%v err=%v, want %+v", got, ok, err, e)
 	}
 	e2 := Entry{MaxGB: 61, Pruned: true}
-	if err := c.Put(42, e2); err != nil {
+	if err := put1(c, 42, e2); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, _ := c.Get(42); got != e2 {
@@ -96,7 +96,7 @@ func TestClientServerConcurrent(t *testing.T) {
 			for k := 0; k < keys; k++ {
 				key := uint64(k)
 				e := Entry{PerReplica: float64(k), MaxGB: float64(k) / 2, Fits: k%2 == 0}
-				if err := c.Put(key, e); err != nil {
+				if err := put1(c, key, e); err != nil {
 					t.Error(err)
 					return
 				}
@@ -143,8 +143,7 @@ func TestServerDropsMalformedConn(t *testing.T) {
 	}
 
 	// Version-skewed put payload.
-	skewed := make([]byte, 0, 9+EntrySize)
-	skewed = append(skewed, opPut)
+	skewed := binary.LittleEndian.AppendUint32([]byte{opMultiPut}, 1)
 	skewed = binary.LittleEndian.AppendUint64(skewed, 7)
 	entry := AppendEntry(nil, Entry{PerReplica: 1})
 	entry[0] = Version + 1
@@ -158,7 +157,7 @@ func TestServerDropsMalformedConn(t *testing.T) {
 	if n := srv.Len(); n != 0 {
 		t.Fatalf("malformed requests stored %d entries", n)
 	}
-	if err := c.Put(7, Entry{PerReplica: 2, Fits: true}); err != nil {
+	if err := put1(c, 7, Entry{PerReplica: 2, Fits: true}); err != nil {
 		t.Fatalf("healthy client after malformed peers: %v", err)
 	}
 	if _, ok, err := c.Get(7); err != nil || !ok {
@@ -182,7 +181,7 @@ func TestClientHealsAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Put(1, Entry{PerReplica: 5}); err != nil {
+	if err := put1(c, 1, Entry{PerReplica: 5}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -199,7 +198,7 @@ func TestClientHealsAfterServerRestart(t *testing.T) {
 	// client must shed it and succeed within a couple of tries.
 	var lastErr error
 	for i := 0; i < 3; i++ {
-		if lastErr = c.Put(2, Entry{PerReplica: 6}); lastErr == nil {
+		if lastErr = put1(c, 2, Entry{PerReplica: 6}); lastErr == nil {
 			break
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -256,92 +257,20 @@ func (r *Ring) replicasFor(key uint64, dst []int) []int {
 	return dst
 }
 
-// Get implements Cache: replicas are probed in preference order and the
-// first hit wins, back-filling any earlier replica that cleanly missed
-// (read repair). Node errors are counted and skipped; the result is an
-// error only when every replica failed, a clean miss otherwise.
-func (r *Ring) Get(key uint64) (Entry, bool, error) {
-	reps := r.replicasFor(key, make([]int, 0, r.replication))
-	missed := make([]int, 0, len(reps))
-	lastErr := errNodeDown
-	for _, ni := range reps {
-		n := r.nodes[ni]
-		if !r.available(n) {
-			n.skips.Add(1)
-			continue
-		}
-		e, hit, err := n.c.Get(key)
-		if err != nil {
-			r.fail(n)
-			lastErr = err
-			continue
-		}
-		n.okay()
-		if !hit {
-			missed = append(missed, ni)
-			continue
-		}
-		for _, mi := range missed {
-			m := r.nodes[mi]
-			if perr := m.c.Put(key, e); perr != nil {
-				r.fail(m)
-			} else {
-				m.okay()
-			}
-		}
-		return e, true, nil
-	}
-	if len(missed) > 0 {
-		return Entry{}, false, nil
-	}
-	return Entry{}, false, lastErr
-}
-
-// Put implements Cache: the entry is published to every replica. Errors
-// are counted per node; the put succeeds if at least one replica stored
-// it, so a dead node costs durability margin, not publishes.
-func (r *Ring) Put(key uint64, e Entry) error {
-	reps := r.replicasFor(key, make([]int, 0, r.replication))
-	stored := false
-	lastErr := errNodeDown
-	for _, ni := range reps {
-		n := r.nodes[ni]
-		if !r.available(n) {
-			n.skips.Add(1)
-			continue
-		}
-		if err := n.c.Put(key, e); err != nil {
-			r.fail(n)
-			lastErr = err
-			continue
-		}
-		n.okay()
-		stored = true
-	}
-	if stored {
-		return nil
-	}
-	return lastErr
-}
-
-// MultiGet implements BatchCache with one batched frame per live node
-// per replica round: round 0 groups every key by its primary and fans
-// one MultiGet out to each node; keys that missed or whose node failed
-// regroup by their next replica, up to the replication factor. Hits
-// found past round 0 are read-repaired in batched MultiPuts to the
-// earlier replicas that cleanly missed (nodes that failed during this
-// call are skipped — repairing into a dead node only inflates its error
-// count). The whole call costs O(live nodes) round trips, never O(keys).
+// MultiGet implements Cache with one batched frame per live node per
+// replica round: round 0 groups every key by its primary and fans one
+// MultiGet out to each node; keys that missed or whose node failed
+// regroup by their next replica, up to the replication factor, so the
+// first hit in preference order wins. Hits found past round 0 are
+// read-repaired in batched MultiPuts to the earlier replicas that cleanly
+// missed (nodes that failed during this call are skipped — repairing
+// into a dead node only inflates its error count). Node errors are
+// counted and the keys move on; the call fails only when some key
+// reached no live replica, and a clean miss anywhere is a miss, not an
+// error. The whole call costs O(live nodes) round trips, never O(keys).
 func (r *Ring) MultiGet(keys []uint64, out []Entry, ok []bool) error {
-	if len(out) != len(keys) || len(ok) != len(keys) {
-		return fmt.Errorf("cachewire: batch get vectors disagree: %d keys, %d entries, %d oks",
-			len(keys), len(out), len(ok))
-	}
-	for i := range ok {
-		ok[i] = false
-	}
-	if len(keys) == 0 {
-		return nil
+	if err := checkGet(keys, out, ok); err != nil || len(keys) == 0 {
+		return err
 	}
 	reps := make([][]int, len(keys))
 	for i, k := range keys {
@@ -382,7 +311,7 @@ func (r *Ring) MultiGet(keys []uint64, out []Entry, ok []bool) error {
 			}
 			bo := make([]Entry, len(kis))
 			bok := make([]bool, len(kis))
-			if err := GetBatch(n.c, bk, bo, bok); err != nil {
+			if err := n.c.MultiGet(bk, bo, bok); err != nil {
 				r.fail(n)
 				failed[ni] = true
 				lastErr = err
@@ -420,7 +349,7 @@ func (r *Ring) MultiGet(keys []uint64, out []Entry, ok []bool) error {
 	}
 	for _, ni := range sortedNodeIDs(repairK) {
 		n := r.nodes[ni]
-		if err := PutBatch(n.c, repairK[ni], repairE[ni]); err != nil {
+		if err := n.c.MultiPut(repairK[ni], repairE[ni]); err != nil {
 			r.fail(n)
 		} else {
 			n.okay()
@@ -436,47 +365,49 @@ func (r *Ring) MultiGet(keys []uint64, out []Entry, ok []bool) error {
 	return nil
 }
 
-// MultiPut implements BatchCache: pairs group by every replica of each
-// key, one batched frame per node. Like Put, it succeeds if at least one
-// node call stored its share.
+// MultiPut implements Cache: pairs group by every replica of each key,
+// one batched frame per node. Errors are counted per node. The call
+// succeeds when every key landed on at least one replica, so a dead node
+// costs durability margin, not publishes; a key that reached no live
+// replica fails the call, as it does in MultiGet.
 func (r *Ring) MultiPut(keys []uint64, entries []Entry) error {
-	if len(entries) != len(keys) {
-		return fmt.Errorf("cachewire: batch put vectors disagree: %d keys, %d entries",
-			len(keys), len(entries))
+	if err := checkPut(keys, entries); err != nil || len(keys) == 0 {
+		return err
 	}
-	if len(keys) == 0 {
-		return nil
-	}
-	byK := make(map[int][]uint64)
-	byE := make(map[int][]Entry)
+	byNode := make(map[int][]int) // key indices per replica node
 	rep := make([]int, 0, r.replication)
 	for i, k := range keys {
-		rep = r.replicasFor(k, rep[:0])
-		for _, ni := range rep {
-			byK[ni] = append(byK[ni], k)
-			byE[ni] = append(byE[ni], entries[i])
+		for _, ni := range r.replicasFor(k, rep[:0]) {
+			byNode[ni] = append(byNode[ni], i)
 		}
 	}
-	stored := false
+	landed := make([]bool, len(keys))
 	lastErr := errNodeDown
-	for _, ni := range sortedNodeIDs(byK) {
+	for _, ni := range sortedNodeIDs(byNode) {
 		n := r.nodes[ni]
 		if !r.available(n) {
 			n.skips.Add(1)
 			continue
 		}
-		if err := PutBatch(n.c, byK[ni], byE[ni]); err != nil {
+		kis := byNode[ni]
+		bk, be := make([]uint64, len(kis)), make([]Entry, len(kis))
+		for j, ki := range kis {
+			bk[j], be[j] = keys[ki], entries[ki]
+		}
+		if err := n.c.MultiPut(bk, be); err != nil {
 			r.fail(n)
 			lastErr = err
 			continue
 		}
 		n.okay()
-		stored = true
+		for _, ki := range kis {
+			landed[ki] = true
+		}
 	}
-	if stored {
-		return nil
+	if slices.Contains(landed, false) {
+		return lastErr
 	}
-	return lastErr
+	return nil
 }
 
 // Close closes every node transport that is closable.

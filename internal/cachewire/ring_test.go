@@ -66,7 +66,7 @@ func TestRingReplicatesAndBalances(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ents := randEntries(rng, keys)
 	for i, e := range ents {
-		if err := r.Put(uint64(i)*0x9e3779b97f4a7c15+1, e); err != nil {
+		if err := put1(r, uint64(i)*0x9e3779b97f4a7c15+1, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestRingReplicatesAndBalances(t *testing.T) {
 			total, replication*keys, replication)
 	}
 	for i, e := range ents {
-		got, ok, err := r.Get(uint64(i)*0x9e3779b97f4a7c15 + 1)
+		got, ok, err := get1(r, uint64(i)*0x9e3779b97f4a7c15+1)
 		if err != nil || !ok || !sameEntryBits(got, e) {
 			t.Fatalf("key %d: %+v ok=%v err=%v", i, got, ok, err)
 		}
@@ -115,46 +115,36 @@ func TestRingPlacementIsStable(t *testing.T) {
 	}
 }
 
-// TestRingReadRepair seeds an entry on a key's SECONDARY replica only
-// (as if the primary was down when it was published): a ring Get must
-// find it there and back-fill the primary, so the next primary read hits
-// directly.
+// TestRingReadRepair seeds entries on their keys' SECONDARY replicas only
+// (as if each primary was down when they were published): one ring
+// MultiGet must find them there and back-fill every primary, so the next
+// primary read hits directly.
 func TestRingReadRepair(t *testing.T) {
 	r, lbs := ringOfLoopbacks(t, 2, 3)
 	e := Entry{PerReplica: 42, MaxGB: 8, Fits: true}
-	const key = 0xfeedface
-	reps := r.replicasFor(key, nil)
-	primary, secondary := lbs[reps[0]], lbs[reps[1]]
-	if err := secondary.Put(key, e); err != nil {
+	keys := []uint64{0xfeedface, 0xdeadbeef00aa}
+	for _, k := range keys {
+		if err := put1(lbs[r.replicasFor(k, nil)[1]], k, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make([]Entry, len(keys))
+	okv := make([]bool, len(keys))
+	if err := r.MultiGet(keys, out, okv); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := r.Get(key)
-	if err != nil || !ok || got != e {
-		t.Fatalf("get via secondary: %+v ok=%v err=%v", got, ok, err)
-	}
-	if got, ok, _ := primary.Get(key); !ok || got != e {
-		t.Fatal("read repair did not back-fill the primary")
-	}
-
-	// Same through the batched path: a second key seeded off-primary is
-	// repaired by MultiGet.
-	const key2 = 0xdeadbeef00aa
-	reps2 := r.replicasFor(key2, nil)
-	if err := lbs[reps2[1]].Put(key2, e); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]Entry, 1)
-	okv := make([]bool, 1)
-	if err := r.MultiGet([]uint64{key2}, out, okv); err != nil || !okv[0] || out[0] != e {
-		t.Fatalf("batched get via secondary: %+v ok=%v err=%v", out[0], okv[0], err)
-	}
-	if got, ok, _ := lbs[reps2[0]].Get(key2); !ok || got != e {
-		t.Fatal("batched read repair did not back-fill the primary")
+	for i, k := range keys {
+		if !okv[i] || out[i] != e {
+			t.Fatalf("key %#x via secondary: %+v ok=%v", k, out[i], okv[i])
+		}
+		if got, ok, _ := get1(lbs[r.replicasFor(k, nil)[0]], k); !ok || got != e {
+			t.Fatalf("read repair did not back-fill key %#x's primary", k)
+		}
 	}
 }
 
 // TestRingDeadNodeDegrades kills one TCP node of a replicated ring:
-// per-key and batched operations keep succeeding off the surviving
+// one-key and batched operations keep succeeding off the surviving
 // replicas, entries published while the node was dead stay readable, and
 // only the dead node accumulates errors.
 func TestRingDeadNodeDegrades(t *testing.T) {
@@ -196,10 +186,10 @@ func TestRingDeadNodeDegrades(t *testing.T) {
 	}
 	// Publishes keep landing on the survivors.
 	e := Entry{PerReplica: 7, Fits: true}
-	if err := r.Put(12345, e); err != nil {
+	if err := put1(r, 12345, e); err != nil {
 		t.Fatalf("put with a dead node: %v", err)
 	}
-	if got, ok, err := r.Get(12345); err != nil || !ok || got != e {
+	if got, ok, err := get1(r, 12345); err != nil || !ok || got != e {
 		t.Fatalf("get of post-death publish: %+v ok=%v err=%v", got, ok, err)
 	}
 	errs := r.Errors()
@@ -289,22 +279,54 @@ func TestRingAllNodesDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Put(1, Entry{Fits: true}); err != nil {
+	if err := put1(r, 1, Entry{Fits: true}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, ok, err := r.Get(1); ok || err == nil {
+	if _, ok, err := get1(r, 1); ok || err == nil {
 		t.Fatalf("get on dead ring: ok=%v err=%v, want counted error", ok, err)
 	}
-	if err := r.Put(2, Entry{}); err == nil {
+	if err := put1(r, 2, Entry{}); err == nil {
 		t.Fatal("put on dead ring reported success")
-	}
-	out := make([]Entry, 1)
-	okv := make([]bool, 1)
-	if err := r.MultiGet([]uint64{1}, out, okv); err == nil {
-		t.Fatal("batched get on dead ring reported success")
 	}
 	if r.Errors()[0].Errors == 0 {
 		t.Fatal("dead ring counted no errors")
+	}
+}
+
+// TestRingMultiPutReportsUnlandedKeys runs a two-node ring at replication
+// 1 with one node failing: the keys placed on that node reach no replica,
+// so the batch fails — and the Tuner counts it — even though the live
+// node stored its share. A batch succeeds only when every key landed.
+func TestRingMultiPutReportsUnlandedKeys(t *testing.T) {
+	fa := &flakyCache{lb: NewLoopback(0)}
+	fb := &flakyCache{lb: NewLoopback(0)}
+	r := mustRing(t, 1, "node-a", fa, "node-b", fb)
+	fb.setDown(true)
+	keys := make([]uint64, 64)
+	ents := randEntries(rand.New(rand.NewSource(9)), len(keys))
+	var onA []int
+	for i := range keys {
+		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 5
+		if r.replicasFor(keys[i], nil)[0] == 0 {
+			onA = append(onA, i)
+		}
+	}
+	if len(onA) == 0 || len(onA) == len(keys) {
+		t.Fatalf("%d of %d keys on node-a: the split must be partial", len(onA), len(keys))
+	}
+	if err := r.MultiPut(keys, ents); err == nil {
+		t.Fatalf("only %d of %d keys stored, yet MultiPut reported success", fa.lb.Len(), len(keys))
+	}
+	if fa.lb.Len() != len(onA) {
+		t.Fatalf("live node stored %d keys, want its share %d", fa.lb.Len(), len(onA))
+	}
+	// The live node's own keys alone all land: success.
+	aKeys, aEnts := make([]uint64, len(onA)), make([]Entry, len(onA))
+	for j, i := range onA {
+		aKeys[j], aEnts[j] = keys[i], ents[i]
+	}
+	if err := r.MultiPut(aKeys, aEnts); err != nil {
+		t.Fatalf("every key landed, yet MultiPut failed: %v", err)
 	}
 }

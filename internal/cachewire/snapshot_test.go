@@ -26,7 +26,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range ents {
-		got, ok := restored.s.get(uint64(i) + 1)
+		got, ok := restored.s.m.Get(uint64(i) + 1)
 		if !ok || !sameEntryBits(got, e) {
 			t.Fatalf("entry %d lost or mutated across snapshot: ok=%v", i, ok)
 		}
@@ -61,7 +61,7 @@ func TestSnapshotPreservesRecency(t *testing.T) {
 	}
 	// Touch 1..3 so they are the most recent alongside 8..10.
 	for k := uint64(1); k <= 3; k++ {
-		sv.s.get(k)
+		sv.s.m.Get(k)
 	}
 	var buf bytes.Buffer
 	if err := sv.Snapshot(&buf); err != nil {
@@ -72,12 +72,12 @@ func TestSnapshotPreservesRecency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []uint64{8, 9, 10, 1, 2, 3} {
-		if _, ok := restored.s.get(k); !ok {
+		if _, ok := restored.s.m.Get(k); !ok {
 			t.Errorf("recent key %d evicted by tighter restore bound", k)
 		}
 	}
 	for _, k := range []uint64{4, 5, 6, 7} {
-		if _, ok := restored.s.get(k); ok {
+		if _, ok := restored.s.m.Get(k); ok {
 			t.Errorf("cold key %d survived restore into a 6-entry bound", k)
 		}
 	}

@@ -1,18 +1,19 @@
 // Package cachewire is the cross-process tier of the tuning service's
 // evaluation cache: a versioned fixed-width binary codec for the compact
-// evaluation entries core.Tuner caches, the get/put Cache seam those
-// entries travel through, and three implementations of that seam — a
-// plain-TCP Client/Server pair for real multi-process deployments and an
-// in-process Loopback for tests and single-process wiring.
+// evaluation entries core.Tuner caches, the batch Cache seam those
+// entries travel through (MultiGet/MultiPut over key vectors), and three
+// implementations of that seam — a plain-TCP Client/Server pair for real
+// multi-process deployments, a replicating Ring over several of them,
+// and an in-process Loopback for tests and single-process wiring.
 //
-// The design leans on two properties PR 3 built deliberately: cached
-// evaluation results are tiny pointer-free value types (two float64
-// scalars and two booleans), and cache keys already reduce to a stable
-// 64-bit hash of (cluster fingerprint × model config × scheme × shape).
-// That makes the wire format trivial — an 8-byte key and an 18-byte
-// entry — and makes every implementation of Cache interchangeable behind
-// the Tuner's existing get/put seam: the Tuner consults its in-process
-// cache first, then this tier, and publishes evaluations to both.
+// The design leans on two properties: cached evaluation results are tiny
+// pointer-free value types (two float64 scalars and a few booleans), and
+// cache keys already reduce to a stable 64-bit hash of (cluster
+// fingerprint × model config × scheme × shape). That makes the wire
+// format trivial — an 8-byte key and an 18-byte entry — and makes every
+// implementation of Cache interchangeable behind the Tuner: a sweep
+// resolves its in-process misses against this tier in one MultiGet and
+// publishes its fresh evaluations in one MultiPut.
 //
 // The entry encoding is versioned (the first byte) and strictly sized:
 // Decode rejects version skew and any payload that is not exactly
@@ -119,12 +120,16 @@ func DecodeEntry(b []byte) (Entry, error) {
 	}, nil
 }
 
-// Cache is the cross-process get/put seam behind core.Tuner: Get returns
-// the entry stored under a 64-bit evaluation-key hash (ok=false on a
-// miss), Put publishes one. Implementations must be safe for concurrent
-// use; the Tuner treats Get errors as misses and Put errors as dropped
-// publishes, so a flaky tier degrades the hit rate, never correctness.
+// Cache is the cross-process batch seam behind core.Tuner. MultiGet
+// resolves each 64-bit evaluation-key hash keys[i] into out[i], with
+// ok[i] reporting a hit; MultiPut publishes every (keys[i], entries[i])
+// pair. The caller sizes every vector to len(keys). Implementations must
+// be safe for concurrent use and must not half-apply a batch they reject
+// as malformed. On a MultiGet error the hits already reported stay valid
+// and the rest read as misses. The Tuner treats MultiGet errors as misses
+// and MultiPut errors as dropped publishes, so a flaky tier degrades the
+// hit rate, never correctness.
 type Cache interface {
-	Get(key uint64) (e Entry, ok bool, err error)
-	Put(key uint64, e Entry) error
+	MultiGet(keys []uint64, out []Entry, ok []bool) error
+	MultiPut(keys []uint64, entries []Entry) error
 }

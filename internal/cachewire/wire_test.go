@@ -99,30 +99,30 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 // update-in-place, and the LRU bound.
 func TestLoopback(t *testing.T) {
 	lb := NewLoopback(2)
-	if _, ok, _ := lb.Get(1); ok {
+	if _, ok, _ := get1(lb, 1); ok {
 		t.Fatal("empty cache reported a hit")
 	}
 	e := Entry{PerReplica: 9.5, MaxGB: 17, Fits: true}
-	if err := lb.Put(1, e); err != nil {
+	if err := put1(lb, 1, e); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := lb.Get(1)
+	got, ok, err := get1(lb, 1)
 	if err != nil || !ok || got != e {
 		t.Fatalf("get: %+v ok=%v err=%v, want %+v", got, ok, err, e)
 	}
 	e2 := Entry{Pruned: true, MaxGB: 60}
-	if err := lb.Put(1, e2); err != nil {
+	if err := put1(lb, 1, e2); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := lb.Get(1); got != e2 {
+	if got, _, _ := get1(lb, 1); got != e2 {
 		t.Fatalf("update-in-place lost: %+v", got)
 	}
-	lb.Put(2, e)
-	lb.Put(3, e) // evicts key 1 (2 was just written, 1 is oldest-touched)
+	put1(lb, 2, e)
+	put1(lb, 3, e) // evicts key 1 (2 was just written, 1 is oldest-touched)
 	if lb.Len() != 2 {
 		t.Fatalf("bound violated: %d entries, cap 2", lb.Len())
 	}
-	if _, ok, _ := lb.Get(1); ok {
+	if _, ok, _ := get1(lb, 1); ok {
 		t.Fatal("LRU kept the oldest entry past the bound")
 	}
 }

@@ -994,7 +994,7 @@ func (s *gridSweep) prefetch() {
 	}
 	out := make([]cachewire.Entry, len(hks))
 	okv := make([]bool, len(hks))
-	if err := cachewire.GetBatch(t.remote, hks, out, okv); err != nil {
+	if err := t.remote.MultiGet(hks, out, okv); err != nil {
 		t.rerrs.Add(1)
 	}
 	// hks lists the LRU's misses in cell order: walk them again to match.
@@ -1223,7 +1223,7 @@ func (s *gridSweep) publish(hk uint64, e tunerEntry) {
 // the winner is exact.)
 func (s *gridSweep) reduce() []Candidate {
 	if len(s.pubKeys) > 0 {
-		if err := cachewire.PutBatch(s.t.remote, s.pubKeys, s.pubEnts); err != nil {
+		if err := s.t.remote.MultiPut(s.pubKeys, s.pubEnts); err != nil {
 			s.t.rerrs.Add(1)
 		}
 	}

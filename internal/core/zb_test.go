@@ -48,20 +48,17 @@ func TestZBH1SweepsAndCaches(t *testing.T) {
 	fp := cl.Fingerprint()
 	zplan := Plan{Scheme: "zbh1", Cluster: cl, Model: model,
 		P: space.PD[0][0], D: space.PD[0][1], B: space.B, MicroRows: space.MicroRows}
-	we, ok, err := remote.Get(keyFor(zplan, space.Prune, fp).hash())
-	if err != nil || !ok {
-		t.Fatalf("zbh1 evaluation never reached the remote tier (ok=%v err=%v)", ok, err)
-	}
-	if !we.SplitBW {
-		t.Fatal("zbh1 entry published without the SplitBW flag")
-	}
 	dplan := zplan
 	dplan.Scheme = "dapple"
-	we, ok, err = remote.Get(keyFor(dplan, space.Prune, fp).hash())
-	if err != nil || !ok {
-		t.Fatalf("dapple evaluation never reached the remote tier (ok=%v err=%v)", ok, err)
+	we, ok := make([]cachewire.Entry, 2), make([]bool, 2)
+	keys := []uint64{keyFor(zplan, space.Prune, fp).hash(), keyFor(dplan, space.Prune, fp).hash()}
+	if err := remote.MultiGet(keys, we, ok); err != nil || !ok[0] || !ok[1] {
+		t.Fatalf("zbh1 or dapple evaluation never reached the remote tier (ok=%v err=%v)", ok, err)
 	}
-	if we.SplitBW {
+	if !we[0].SplitBW {
+		t.Fatal("zbh1 entry published without the SplitBW flag")
+	}
+	if we[1].SplitBW {
 		t.Fatal("fused dapple entry published with SplitBW set")
 	}
 
