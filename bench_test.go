@@ -408,50 +408,6 @@ func BenchmarkAutoTuneFig10TopK(b *testing.B) {
 	}
 }
 
-// rerankSpace is the elasticity benchmark grid: every P·D stays ≤ 31 so
-// the same rows remain valid before and after a device leaves the
-// 32-device cluster (the SearchSpace.PD equal-validity contract).
-func rerankSpace() core.SearchSpace {
-	return core.SearchSpace{
-		PD:        [][2]int{{4, 4}, {8, 2}, {16, 1}},
-		Waves:     []int{1, 2, 4},
-		B:         16,
-		MicroRows: 2,
-		Workers:   1,
-		TopK:      3,
-	}
-}
-
-// BenchmarkRerankAfterLeave is the elasticity headline: after a device
-// leaves the 32-device cluster, Tuner.Rerank warm-starts the top-3
-// search from the stale ranking. Exactness (warm ≡ cold, bit-for-bit)
-// is pinned by tests in internal/core; this records the latency against
-// a cold AutoTune on the shrunken cluster as cold/warm-x.
-func BenchmarkRerankAfterLeave(b *testing.B) {
-	cl0 := cluster.TACC(32)
-	model := nn.BERTStyle()
-	space := rerankSpace()
-	prev := core.NewTuner(core.TunerOptions{}).AutoTune(cl0, model, space)
-	cl1 := cl0.WithoutDevice(3)
-	// Cold baseline on the shrunken cluster, one warmed measurement.
-	core.NewTuner(core.TunerOptions{}).AutoTune(cl1, model, space)
-	start := time.Now()
-	core.NewTuner(core.TunerOptions{}).AutoTune(cl1, model, space)
-	cold := time.Since(start)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tun := core.NewTuner(core.TunerOptions{})
-		if ranking, stats := tun.Rerank(prev, cl1, model, space); len(ranking) == 0 || stats.Seeded == 0 {
-			b.Fatal("rerank stopped seeding")
-		}
-	}
-	b.StopTimer()
-	if perOp := b.Elapsed() / time.Duration(b.N); perOp > 0 {
-		b.ReportMetric(float64(cold)/float64(perOp), "cold/warm-x")
-	}
-}
-
 // BenchmarkTunerRepeatedSweeps is the tuning-service headline: repeated
 // fig10-sized sweeps served by one hanayo.Tuner (arena reuse + the
 // cross-sweep evaluation cache) against back-to-back core.AutoTune calls

@@ -12,7 +12,7 @@
 //	hanayo-bench -exp fig10 -straggler 0:0.5      # search with device 0 at half speed
 //	hanayo-bench -exp fig10 -faultplan plan.json  # inject a fault plan into the sweep
 //	hanayo-bench -exp xtr02  # best scheme vs straggler severity table
-//	hanayo-bench -exp xtr03  # elastic churn: warm replanning vs cold re-sweep
+//	hanayo-bench -exp xtr03 -workers 1  # elastic churn: top-K replanning vs exhaustive re-sweep
 //	hanayo-bench -exp xtr03 -events churn.json  # replay a recorded event stream
 //	hanayo-bench -exp fig10 -repeat 20   # steady-state: rerun 20×
 //	hanayo-bench -exp fig10 -cpuprofile cpu.prof -memprofile mem.prof

@@ -147,8 +147,8 @@ var (
 var SimRuns = core.SimRuns
 
 // CacheFrames reports the process-wide count of cache-tier round trips
-// (frames) — SimRuns' transport-level sibling, behind every "a sweep (or
-// a Rerank) costs O(1) round trips" guarantee.
+// (frames) — SimRuns' transport-level sibling, behind every "a sweep
+// costs O(1) round trips" guarantee, a Rerank's included.
 var CacheFrames = cachewire.Frames
 
 // CacheRetries reports the process-wide count of transient cache-tier
@@ -315,7 +315,7 @@ var (
 )
 
 // Elasticity: typed membership events over immutable clusters, the
-// warm-started incremental re-ranking they trigger (Tuner.Rerank), and
+// top-K re-ranking they trigger (Tuner.Rerank), and
 // the drain-and-replan training loop that applies the result live. See
 // docs/ARCHITECTURE.md ("Elasticity") and internal/experiments/ELASTIC.md.
 type (
@@ -325,9 +325,9 @@ type (
 	ClusterEvent = cluster.Event
 	// ClusterEventKind discriminates ClusterEvent (JSON round-trippable).
 	ClusterEventKind = cluster.EventKind
-	// RerankStats reports a warm-started Tuner.Rerank's work — seeded
-	// rows, seed/sweep simulations, bound-pruned cells — next to a
-	// ranking that is bit-for-bit the cold AutoTune ranking.
+	// RerankStats reports a Tuner.Rerank's work — grid cells, output
+	// rows, bound-pruned cells and simulations — next to a ranking that
+	// is bit-for-bit the cold top-K AutoTune ranking.
 	RerankStats = core.RerankStats
 	// ElasticSession is the drain-and-replan training loop: Step trains
 	// one batch, Notify queues membership events applied at the next

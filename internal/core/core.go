@@ -508,8 +508,7 @@ func DefaultSchemes() []string { return []string{"gpipe", "dapple", "chimera-wav
 // withDefaults fills the nil-field defaults every sweep applies — the
 // baseline schemes, the 1/2/4/8 wave ladder, power-of-two (P, D) divisor
 // pairs of the cluster size, B=8 and MicroRows=1. enumerate normalizes
-// through this, so every stage (and Rerank's seed matching) sees the grid
-// actually swept.
+// through this, so every stage sees the grid actually swept.
 func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 	if s.Schemes == nil {
 		s.Schemes = DefaultSchemes()
@@ -740,14 +739,17 @@ func sortCandidates(cands []Candidate) {
 
 // sweepGrid measures the (sharded slice of the) candidate grid and
 // returns its candidates in grid order — (P, D) major, schemes then the
-// wave-group winner within each — without the final ranking sort. It is
-// the five stages in order with no warm start; Tuner.Rerank is the same
-// sequence with its seed cells evaluated first.
+// wave-group winner within each — without the final ranking sort.
 func sweepGrid(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner) []Candidate {
-	s := enumerate(cl, model, space, t)
+	return enumerate(cl, model, space, t).run(cl, model)
+}
+
+// run is the four stages after enumerate, in order: every sweep mode —
+// standalone or Tuner, exhaustive or TopK, shard or Rerank — is this walk.
+func (s *gridSweep) run(cl *cluster.Cluster, model nn.Config) []Candidate {
 	s.bound(cl, model)
 	s.prefetch()
-	s.evaluate(s.order(), true)
+	s.evaluate()
 	return s.reduce()
 }
 
@@ -767,7 +769,7 @@ type gridSweep struct {
 
 	cells    []sweepCell
 	slots    int         // output rows owned by this shard (== grid units owned)
-	measured []Candidate // cell i's outcome, written by whichever worker settles it
+	measured []Candidate // cell i's outcome, written by whichever worker measures it
 	cut      *cutoffState
 
 	// Fresh evaluations queue under pubMu until reduce flushes them to the
@@ -788,12 +790,10 @@ type sweepCell struct {
 	// scheme Generate rejects, whose error costs nothing to measure). It
 	// orders the exhaustive feed and weighs the shard cut.
 	size int
-	// settled marks a cell whose measured slot is final: an invalid cell at
-	// enumerate, any other once evaluate has walked it. order skips these.
-	settled bool
 	// memo is the sweep's entry for the cell's (scheme, P, B) key, shared
 	// with every cell naming the key; first marks the cell that created it
-	// (the deduped key set is the first cells). Nil on an invalid cell.
+	// (the deduped key set is the first cells). Nil on an invalid cell,
+	// whose measured slot enumerate already filled: bound and order skip it.
 	memo  *keyMemo
 	first bool
 	// gk/hk are the cross-sweep cache key and its stable digest (the
@@ -821,7 +821,7 @@ type sweepCell struct {
 //
 // A cell's validity is the cell's, not the key's: Plan.Validate runs here,
 // per cell, and an invalid one (P·D beyond the cluster, a fault plan aimed
-// past its P) settles as Candidate{Plan, Err} in its own slot. It gets no
+// past its P) lands as Candidate{Plan, Err} in its own slot. It gets no
 // memo, key or bound, so it never reaches a key memo, the LRU (whose key
 // has no D), a flight or the wire — a grid may list one P under a feasible
 // and an infeasible D and each cell keeps its own verdict.
@@ -873,7 +873,7 @@ func enumerate(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 	for i := range s.cells {
 		c := &s.cells[i]
 		if err := c.plan.Validate(); err != nil {
-			s.measured[i], c.settled = Candidate{Plan: c.plan, Err: err}, true
+			s.measured[i] = Candidate{Plan: c.plan, Err: err}
 			continue
 		}
 		live++
@@ -952,7 +952,7 @@ func (s *gridSweep) bound(cl *cluster.Cluster, model nn.Config) {
 	wl := costmodel.Workload{Model: model, MicroRows: s.space.MicroRows}
 	for i := range s.cells {
 		c := &s.cells[i]
-		if c.settled {
+		if c.memo == nil {
 			continue
 		}
 		c.ub = math.Inf(1)
@@ -1013,7 +1013,7 @@ func (s *gridSweep) prefetch() {
 	}
 }
 
-// order is the walk over every cell not yet settled. A branch-and-bound
+// order is the walk over every valid cell. A branch-and-bound
 // sweep (TopK > 0) goes best-first — descending analytic upper bound — so
 // the true winners tend to evaluate first and the cutoff tightens as early
 // as possible. An exhaustive sweep feeds the largest schedules first: a
@@ -1024,7 +1024,7 @@ func (s *gridSweep) prefetch() {
 func (s *gridSweep) order() []int {
 	idx := make([]int, 0, len(s.cells))
 	for i := range s.cells {
-		if !s.cells[i].settled {
+		if s.cells[i].memo != nil {
 			idx = append(idx, i)
 		}
 	}
@@ -1036,18 +1036,16 @@ func (s *gridSweep) order() []int {
 	return idx
 }
 
-// evaluate settles cells idx, in that order, on min(workers, len(idx))
-// goroutines pulling from a shared feed; each result lands in the cell's
-// own measured slot. bounded lets every cell read the ranking cutoff;
-// Rerank's seed phase passes false, because a seed exists to raise the
-// cutoff and must never be judged against the one its fellow seeds (or,
-// as the Kth-best row, it itself) just produced.
-func (s *gridSweep) evaluate(idx []int, bounded bool) {
+// evaluate measures the cells of order's walk, in that order, on
+// min(workers, cells) goroutines pulling from a shared feed; each result
+// lands in the cell's own measured slot.
+func (s *gridSweep) evaluate() {
+	idx := s.order()
 	w := min(s.workers, len(idx)) // a pool wider than the walk would only start idle goroutines
 	if w <= 1 {
 		// One worker is the caller: no feed, no goroutine to wait for.
 		for _, i := range idx {
-			s.settle(i, bounded)
+			s.measured[i] = s.measure(&s.cells[i])
 		}
 		return
 	}
@@ -1062,20 +1060,14 @@ func (s *gridSweep) evaluate(idx []int, bounded bool) {
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				s.settle(i, bounded)
+				s.measured[i] = s.measure(&s.cells[i])
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// settle measures cell i into its own measured slot.
-func (s *gridSweep) settle(i int, bounded bool) {
-	s.measured[i] = s.measure(&s.cells[i], bounded)
-	s.cells[i].settled = true
-}
-
-// measure settles one cell of the walk: a cell whose analytic bound
+// measure evaluates one cell of the walk: a cell whose analytic bound
 // strictly loses to the cutoff is skipped outright, everything else
 // resolves under the cutoff-derived virtual-clock cap, and every complete
 // value feeds back into the cutoff. The cutoff is read once per cell; it
@@ -1084,13 +1076,10 @@ func (s *gridSweep) settle(i int, bounded bool) {
 // the skip — resolve serves it exact for free, and a mathematically tight
 // bound can land a float ulp below the simulated value, which would flip
 // the strict comparison on what is really a tie with the key's own value.
-func (s *gridSweep) measure(c *sweepCell, bounded bool) Candidate {
+func (s *gridSweep) measure(c *sweepCell) Candidate {
 	plan := c.plan
-	var co, deadline float64
-	if bounded {
-		co = s.cut.cutoff()
-	}
-	if co > 0 {
+	var deadline float64
+	if co := s.cut.cutoff(); co > 0 {
 		if c.ub < co && !c.memo.done.Load() {
 			// Provably below at least TopK fully evaluated rows — strictly, so
 			// a tie with the cutoff still evaluates and tie order survives.
@@ -1113,7 +1102,7 @@ func (s *gridSweep) measure(c *sweepCell, bounded bool) Candidate {
 }
 
 // resolve is the one evaluation path: every cell of every mode — standalone
-// or Tuner-served, exhaustive or TopK, seed or not — obtains its key's
+// or Tuner-served, exhaustive or TopK, shard or Rerank — obtains its key's
 // evaluation here, from the nearest tier that holds it complete:
 //
 //	sweep memo (holding prefetch's LRU and remote hits) → cross-sweep flight → measure

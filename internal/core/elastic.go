@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -12,8 +13,8 @@ import (
 )
 
 // ReplanReport records one drain-and-replan cycle: what triggered it,
-// which plan it moved training to, what the warm-started re-ranking cost,
-// and how long the whole cycle took (re-rank and engine reshape) — the
+// which plan it moved training to, what the replanning sweep cost, and
+// how long the whole cycle took (re-rank and engine reshape) — the
 // replanning latency the elastic serving skin reports against a cold
 // sweep.
 type ReplanReport struct {
@@ -45,9 +46,8 @@ type ElasticOptions struct {
 // fault-reaction story made executable): it trains under the best plan
 // AutoTune found, absorbs membership events between iterations, and
 // reacts to mid-step device failures — in both cases draining to the
-// flush barrier, warm-started re-ranking via Tuner.Rerank, and resuming on
-// the same engine reshaped onto the new plan, with bit-identical
-// parameters.
+// flush barrier, re-ranking via Tuner.Rerank, and resuming on the same
+// engine reshaped onto the new plan, with bit-identical parameters.
 //
 // Iteration boundaries are the drain points: a notified event is applied
 // before the next Step begins (the previous flush barrier already joined
@@ -67,23 +67,22 @@ type ElasticSession struct {
 	model   nn.Config
 	opts    ElasticOptions
 	cl      *cluster.Cluster
-	ranking []Candidate
 	plan    Plan
 	eng     *runtime.Engine
 	pending []cluster.Event
 	reports []ReplanReport
 }
 
-// NewElasticSession ranks the space on cl (a cold TopK sweep — Rerank
-// with no previous ranking) and builds the engine for the winner. The
-// tuner is retained for every subsequent replan, so its cross-sweep cache
-// keeps amortizing as the membership churns; nil gets a private tuner.
+// NewElasticSession ranks the space on cl with Rerank and builds the
+// engine for the winner. The tuner is retained for every subsequent
+// replan, so its cross-sweep cache keeps amortizing as the membership
+// churns; nil gets a private tuner.
 func NewElasticSession(t *Tuner, cl *cluster.Cluster, model nn.Config, opts ElasticOptions) (*ElasticSession, error) {
 	if t == nil {
 		t = NewTuner(TunerOptions{})
 	}
 	s := &ElasticSession{tuner: t, model: model, opts: opts, cl: cl}
-	ranking, _ := t.Rerank(nil, cl, model, opts.Space)
+	ranking, _ := t.Rerank(cl, model, opts.Space)
 	best, err := firstFeasible(ranking)
 	if err != nil {
 		return nil, err
@@ -92,7 +91,7 @@ func NewElasticSession(t *Tuner, cl *cluster.Cluster, model nn.Config, opts Elas
 	if err != nil {
 		return nil, err
 	}
-	s.ranking, s.plan, s.eng = ranking, best.Plan, eng
+	s.plan, s.eng = best.Plan, eng
 	return s, nil
 }
 
@@ -133,22 +132,25 @@ func (s *ElasticSession) Reports() []ReplanReport { return s.reports }
 
 // Step runs one training iteration, absorbing queued membership events
 // first and recovering from a mid-step device failure by draining,
-// replanning without the dead device, and retrying the same batch.
+// replanning without the dead device, and retrying the same batch. Only
+// a replan that succeeds clears the queue: while no plan fits the queued
+// membership every Step fails, until a Notify (a join) makes one feasible.
+// An event the cluster cannot apply is dropped from the queue.
 func (s *ElasticSession) Step(batch *data.Batch) (*runtime.Result, error) {
 	if len(s.pending) > 0 {
-		evs := s.pending
-		s.pending = nil
 		cl := s.cl
-		for _, ev := range evs {
+		for i, ev := range s.pending {
 			next, err := cl.Apply(ev)
 			if err != nil {
+				s.pending = slices.Delete(s.pending, i, i+1)
 				return nil, fmt.Errorf("core: elastic event %s: %w", ev, err)
 			}
 			cl = next
 		}
-		if err := s.replan(cl, evs[len(evs)-1], "event"); err != nil {
+		if err := s.replan(cl, s.pending[len(s.pending)-1], "event"); err != nil {
 			return nil, err
 		}
+		s.pending = nil
 	}
 	res, err := s.eng.Step(batch)
 	var de *runtime.DeviceError
@@ -166,7 +168,8 @@ func (s *ElasticSession) Step(batch *data.Batch) (*runtime.Result, error) {
 // cancellation path, and the failed iteration never reached the
 // all-reduce, so parameters and optimizer state are exactly the pre-step
 // state. It clears the partial gradients and in-flight messages, drops the
-// dead device and replans.
+// dead device and replans. The device is gone whether or not a plan fits
+// without it, so a failed replan queues its leave for the next Step.
 func (s *ElasticSession) dropFailed(de *runtime.DeviceError) error {
 	s.eng.AbortReset()
 	ev := cluster.Event{Kind: cluster.DeviceLeave, Dev: de.Dev}
@@ -174,14 +177,18 @@ func (s *ElasticSession) dropFailed(de *runtime.DeviceError) error {
 	if err != nil {
 		return fmt.Errorf("core: dropping failed device %d: %w", de.Dev, err)
 	}
-	return s.replan(cl, ev, "failure")
+	if err := s.replan(cl, ev, "failure"); err != nil {
+		s.pending = append(s.pending, ev)
+		return err
+	}
+	return nil
 }
 
-// replan moves the session to cluster cl: warm-started re-rank seeded by
-// the current ranking, then the drained engine reshaped onto the winner.
+// replan moves the session to cluster cl: re-rank the space on it, then
+// reshape the drained engine onto the winner.
 func (s *ElasticSession) replan(cl *cluster.Cluster, ev cluster.Event, trigger string) error {
 	t0 := time.Now()
-	ranking, stats := s.tuner.Rerank(s.ranking, cl, s.model, s.opts.Space)
+	ranking, stats := s.tuner.Rerank(cl, s.model, s.opts.Space)
 	best, err := firstFeasible(ranking)
 	if err != nil {
 		return fmt.Errorf("core: replan after %s: %w", ev, err)
@@ -197,6 +204,6 @@ func (s *ElasticSession) replan(cl *cluster.Cluster, ev cluster.Event, trigger s
 		Event: ev, Trigger: trigger, From: s.plan, To: best.Plan,
 		Stats: stats, Elapsed: time.Since(t0),
 	})
-	s.cl, s.ranking, s.plan = cl, ranking, best.Plan
+	s.cl, s.plan = cl, best.Plan
 	return nil
 }

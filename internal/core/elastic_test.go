@@ -67,7 +67,7 @@ func TestElasticSessionEventParity(t *testing.T) {
 
 	// Reference: same cold ranking, same engine, stepped by hand.
 	rt := NewTuner(TunerOptions{})
-	r0, _ := rt.Rerank(nil, cl0, model, space)
+	r0, _ := rt.Rerank(cl0, model, space)
 	b0, err := firstFeasible(r0)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestElasticSessionEventParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := rt.Rerank(r0, cl1, model, space)
+	r1, _ := rt.Rerank(cl1, model, space)
 	b1, err := firstFeasible(r1)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestElasticSessionFailureRetryParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NewTuner(TunerOptions{})
-	r0, _ := rt.Rerank(nil, cl0, model, space)
+	r0, _ := rt.Rerank(cl0, model, space)
 	b0, err := firstFeasible(r0)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestElasticSessionFailureRetryParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := rt.Rerank(r0, cl1, model, space)
+	r1, _ := rt.Rerank(cl1, model, space)
 	b1, err := firstFeasible(r1)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestElasticSessionReplanChangesPlan(t *testing.T) {
 	}
 	eng := sess.Engine()
 	rt := NewTuner(TunerOptions{})
-	ranking, _ := rt.Rerank(nil, cl, model, space)
+	ranking, _ := rt.Rerank(cl, model, space)
 	best, err := firstFeasible(ranking)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestElasticSessionReplanChangesPlan(t *testing.T) {
 		if cl, err = cl.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
-		ranking, _ = rt.Rerank(ranking, cl, model, space)
+		ranking, _ = rt.Rerank(cl, model, space)
 		if best, err = firstFeasible(ranking); err != nil {
 			t.Fatal(err)
 		}
@@ -367,4 +367,53 @@ func retryAllocsOnce(t *testing.T) uint64 {
 		t.Fatal(err)
 	}
 	return after.Mallocs - before.Mallocs
+}
+
+// TestElasticSessionFailedReplanBlocksStep: on four devices every plan of
+// the elastic grid needs all four, so losing one leaves no feasible plan.
+// Whether the loss is notified or a mid-step failure, that Step and every
+// later one must fail rather than train on the departed device, until a
+// join makes a plan feasible again. An event the cluster cannot apply is
+// dropped and blocks nothing.
+func TestElasticSessionFailedReplanBlocksStep(t *testing.T) {
+	model := elasticModel()
+	for _, trigger := range []string{"event", "failure"} {
+		gen := data.NewGenerator(5, model.Vocab, model.SeqLen)
+		sess, err := NewElasticSession(nil, cluster.TACC(4), model, ElasticOptions{Space: elasticSpace(), Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Step(gen.Next(8)); err != nil {
+			t.Fatal(err)
+		}
+		if trigger == "event" {
+			sess.Notify(cluster.Event{Kind: cluster.DeviceLeave, Dev: 3})
+		} else {
+			sess.FailNext(0, 0)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := sess.Step(gen.Next(8)); err == nil {
+				t.Fatalf("%s: step %d after the loss trained on %s with %d devices, want an error",
+					trigger, i, planShape(sess.Plan()), sess.Cluster().N())
+			}
+		}
+		sess.Notify(cluster.Event{Kind: cluster.DeviceJoin, Dev: 0})
+		if _, err := sess.Step(gen.Next(8)); err != nil {
+			t.Fatalf("%s: the join did not make a plan feasible: %v", trigger, err)
+		}
+		if reps := sess.Reports(); len(reps) != 1 || reps[0].Trigger != "event" || reps[0].Event.Kind != cluster.DeviceJoin {
+			t.Fatalf("%s: replan history %+v, want one replan for the join", trigger, reps)
+		}
+		if n := sess.Cluster().N(); n != 4 {
+			t.Fatalf("%s: session cluster has %d devices after the join, want 4", trigger, n)
+		}
+
+		sess.Notify(cluster.Event{Kind: cluster.DeviceLeave, Dev: 99})
+		if _, err := sess.Step(gen.Next(8)); err == nil {
+			t.Fatalf("%s: an out-of-range leave applied", trigger)
+		}
+		if _, err := sess.Step(gen.Next(8)); err != nil {
+			t.Fatalf("%s: an unappliable event blocked the next step: %v", trigger, err)
+		}
+	}
 }

@@ -53,48 +53,51 @@ func TestSweepPrefetchFramesO1(t *testing.T) {
 	}
 }
 
-// TestRerankFramesO1: a warm-started replan goes through the same batched
-// window as any sweep. Rerank's seeds are cells of the one laid-out,
-// prefetched grid, so a cold Rerank against a remote tier costs one
-// MultiGet and one MultiPut whatever K is — its seeds used to probe and
-// publish per key, 2·K frames before the sweep's own two. A fresh Tuner on
-// the filled tier then re-simulates none of the seeds, and the top K is
-// the cold AutoTune's each time. (Not t.Parallel: process-global counters.)
+// TestRerankFramesO1: a replan goes through the same batched window as
+// any sweep, so a cold Rerank against a remote tier costs one MultiGet
+// and one MultiPut whatever K is, and issues exactly the cold top-K
+// sweep's simulations. A deadline-aborted verdict never reaches the tier,
+// so an exhaustive sweep then fills it, and a fresh Tuner on the filled
+// tier simulates nothing, in at most the same two frames. The top K is the
+// exhaustive AutoTune's each time. (Not t.Parallel: process-global
+// counters.)
 func TestRerankFramesO1(t *testing.T) {
-	cl0 := cluster.TACC(9)
+	cl := cluster.TACC(9).WithoutDevice(3)
 	model := nn.BERTStyle()
-	prev := AutoTune(cl0, model, rerankWideSpace(2, 0))
-	cl1 := cl0.WithoutDevice(3)
-	want := AutoTune(cl1, model, rerankWideSpace(2, 0))
+	exhaustive := rerankWideSpace(2, 0)
+	want := AutoTune(cl, model, exhaustive)
 
 	for topK := 1; topK <= 3; topK++ {
-		space := rerankWideSpace(2, topK)
+		space := rerankWideSpace(1, topK)
 		k := positives(want, topK)
 		lb := cachewire.NewLoopback(0)
+		sims := SimRuns()
+		AutoTune(cl, model, space)
+		coldSims := SimRuns() - sims
 
 		before := cachewire.Frames()
-		got, stats := NewTuner(TunerOptions{Runners: 2, Remote: lb}).Rerank(prev, cl1, model, space)
+		got, stats := NewTuner(TunerOptions{Runners: 2, Remote: lb}).Rerank(cl, model, space)
 		if d := cachewire.Frames() - before; d > 2 {
 			t.Fatalf("K=%d: a cold Rerank cost %d frames, want at most 2 (one MultiGet, one MultiPut)", topK, d)
 		}
-		if stats.Seeded != topK || stats.SeedSims != int64(topK) {
-			t.Fatalf("K=%d: cold Rerank seeded %d rows with %d simulations, want %d of each", topK, stats.Seeded, stats.SeedSims, topK)
+		if stats.SweepSims != coldSims {
+			t.Fatalf("K=%d: a cold Rerank issued %d simulations, the cold top-%d sweep %d", topK, stats.SweepSims, topK, coldSims)
 		}
 		if !reflect.DeepEqual(got[:k], want[:k]) {
-			t.Fatalf("K=%d: cold Rerank top-%d diverges from cold AutoTune\ngot:  %+v\nwant: %+v", topK, k, got[:k], want[:k])
+			t.Fatalf("K=%d: cold Rerank top-%d diverges from exhaustive AutoTune\ngot:  %+v\nwant: %+v", topK, k, got[:k], want[:k])
 		}
 
+		NewTuner(TunerOptions{Runners: 2, Remote: lb}).AutoTune(cl, model, exhaustive)
 		before = cachewire.Frames()
-		got, stats = NewTuner(TunerOptions{Runners: 2, Remote: lb}).Rerank(prev, cl1, model, space)
+		got, stats = NewTuner(TunerOptions{Runners: 2, Remote: lb}).Rerank(cl, model, space)
 		if d := cachewire.Frames() - before; d > 2 {
 			t.Fatalf("K=%d: a tier-warm Rerank cost %d frames, want at most 2", topK, d)
 		}
-		if stats.Seeded != topK || stats.SeedSims != 0 {
-			t.Fatalf("K=%d: a fresh Tuner on the filled tier seeded %d rows with %d simulations, want %d and 0",
-				topK, stats.Seeded, stats.SeedSims, topK)
+		if stats.SweepSims != 0 {
+			t.Fatalf("K=%d: a fresh Tuner on the filled tier issued %d simulations, want 0", topK, stats.SweepSims)
 		}
 		if !reflect.DeepEqual(got[:k], want[:k]) {
-			t.Fatalf("K=%d: tier-warm Rerank top-%d diverges from cold AutoTune\ngot:  %+v\nwant: %+v", topK, k, got[:k], want[:k])
+			t.Fatalf("K=%d: tier-warm Rerank top-%d diverges from exhaustive AutoTune\ngot:  %+v\nwant: %+v", topK, k, got[:k], want[:k])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -26,7 +27,7 @@ func rerankSpace(workers, topK int) SearchSpace {
 }
 
 // rerankWideSpace is the single-event grid: more cells (valid at 8 and
-// 9 devices) so the seeded cutoff has a tail to prune.
+// 9 devices) so the cutoff has a tail to prune.
 func rerankWideSpace(workers, topK int) SearchSpace {
 	return SearchSpace{
 		PD:        [][2]int{{2, 2}, {2, 4}, {4, 1}, {4, 2}, {8, 1}},
@@ -55,100 +56,85 @@ func positives(cands []Candidate, k int) int {
 	return n
 }
 
-// TestRerankSingleLeaveMatchesCold is the tentpole's acceptance test:
-// after one DeviceLeave, Rerank's first TopK ranks are bit-for-bit the
-// cold AutoTune ranking on the surviving cluster, while the warm start
-// issues strictly fewer simulations than the cold sweep it replaces and
-// reports the cells it pruned. Process-global SimRuns — no t.Parallel.
-func TestRerankSingleLeaveMatchesCold(t *testing.T) {
-	cl0 := cluster.TACC(9)
+// rerankMatchesCold is the one replanning property: a Rerank of space on
+// cl by a fresh Tuner built from opt is exactly a cold top-K AutoTune of
+// the same space — the whole ranking, and, without a remote tier (which
+// may already hold some keys), the same number of simulations — and its
+// first TopK ranks are the exhaustive ranking's. space must be serial:
+// at more workers the sweeps' work may race. Process-global SimRuns — no
+// t.Parallel.
+func rerankMatchesCold(t *testing.T, what string, cl *cluster.Cluster, space SearchSpace, opt TunerOptions) RerankStats {
+	t.Helper()
 	model := nn.BERTStyle()
-	const topK = 3
-	space := rerankWideSpace(2, topK)
-
-	prevTuner := NewTuner(TunerOptions{Runners: 2})
-	prev := prevTuner.AutoTune(cl0, model, space)
-
-	cl1, err := cl0.Apply(cluster.Event{Kind: cluster.DeviceLeave, Dev: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	exhaustive := space
-	exhaustive.TopK = 0
 	before := SimRuns()
-	want := AutoTune(cl1, model, exhaustive)
+	cold := AutoTune(cl, model, space)
 	coldSims := SimRuns() - before
 
-	warmTuner := NewTuner(TunerOptions{Runners: 2})
-	got, stats := warmTuner.Rerank(prev, cl1, model, space)
-
-	k := positives(want, topK)
-	if k < 2 {
-		t.Fatalf("grid too degenerate to test: only %d positive ranks", k)
+	got, stats := NewTuner(opt).Rerank(cl, model, space)
+	if !reflect.DeepEqual(got, cold) {
+		t.Fatalf("%s: Rerank diverges from cold top-%d AutoTune\ngot:  %+v\nwant: %+v", what, space.TopK, got, cold)
 	}
+	if opt.Remote == nil && stats.SweepSims != coldSims {
+		t.Fatalf("%s: Rerank issued %d simulations, cold top-%d AutoTune %d", what, stats.SweepSims, space.TopK, coldSims)
+	}
+	if stats.Seeded != 0 || stats.SeedSims != 0 {
+		t.Fatalf("%s: deprecated seed counts are not 0: %+v", what, stats)
+	}
+
+	exhaustive := space
+	exhaustive.TopK = 0
+	want := AutoTune(cl, model, exhaustive)
+	k := positives(want, space.TopK)
 	if !reflect.DeepEqual(got[:k], want[:k]) {
-		t.Fatalf("Rerank top-%d diverges from cold AutoTune\ngot:  %+v\nwant: %+v",
-			k, got[:k], want[:k])
+		t.Fatalf("%s: Rerank top-%d diverges from exhaustive AutoTune\ngot:  %+v\nwant: %+v", what, k, got[:k], want[:k])
 	}
-
-	warmSims := stats.SeedSims + stats.SweepSims
-	if warmSims >= coldSims {
-		t.Fatalf("warm start issued %d simulations (seed %d + sweep %d), cold sweep %d — the seeds bought nothing",
-			warmSims, stats.SeedSims, stats.SweepSims, coldSims)
-	}
-	if stats.Seeded == 0 || stats.Pruned == 0 {
-		t.Fatalf("stats do not show the mechanism: %+v", stats)
-	}
-	if stats.Cells == 0 || stats.Rows == 0 || stats.Cells < stats.Rows {
-		t.Fatalf("implausible grid stats: %+v", stats)
-	}
+	return stats
 }
 
-// TestRerankSpeedChangeMatchesCold covers the other single-event
-// acceptance case: a SpeedChange (no membership change, same device
-// count) must also replan exactly.
-func TestRerankSpeedChangeMatchesCold(t *testing.T) {
-	cl0 := cluster.TACC(8)
-	model := nn.BERTStyle()
-	const topK = 3
-	space := rerankWideSpace(2, topK)
-
-	prevTuner := NewTuner(TunerOptions{Runners: 2})
-	prev := prevTuner.AutoTune(cl0, model, space)
-
-	cl1, err := cl0.Apply(cluster.Event{Kind: cluster.SpeedChange, Dev: 0, Factor: 0.5})
+// rerankAfter replans the wide grid at top 3 after one event on an
+// n-device cluster.
+func rerankAfter(t *testing.T, n int, ev cluster.Event) RerankStats {
+	t.Helper()
+	cl, err := cluster.TACC(n).Apply(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exhaustive := space
-	exhaustive.TopK = 0
-	want := AutoTune(cl1, model, exhaustive)
-
-	warmTuner := NewTuner(TunerOptions{Runners: 2})
-	got, stats := warmTuner.Rerank(prev, cl1, model, space)
-
-	k := positives(want, topK)
-	if k < 2 {
-		t.Fatalf("grid too degenerate to test: only %d positive ranks", k)
+	stats := rerankMatchesCold(t, ev.String(), cl, rerankWideSpace(1, 3), TunerOptions{Runners: 2})
+	if stats.Cells == 0 || stats.Rows == 0 || stats.Cells < stats.Rows {
+		t.Fatalf("%s: implausible grid stats: %+v", ev, stats)
 	}
-	if !reflect.DeepEqual(got[:k], want[:k]) {
-		t.Fatalf("Rerank top-%d diverges after SpeedChange\ngot:  %+v\nwant: %+v", k, got[:k], want[:k])
-	}
-	if stats.Seeded == 0 {
-		t.Fatalf("no seeds survived a same-size speed change: %+v", stats)
+	return stats
+}
+
+// TestRerankSingleLeaveMatchesCold: after a DeviceLeave, Rerank is the
+// cold top-K sweep of the surviving cluster, and that sweep prunes.
+func TestRerankSingleLeaveMatchesCold(t *testing.T) {
+	if stats := rerankAfter(t, 9, cluster.Event{Kind: cluster.DeviceLeave, Dev: 3}); stats.Pruned == 0 {
+		t.Fatalf("the top-3 sweep pruned nothing: %+v", stats)
 	}
 }
 
-// TestRerankChurnProperty is the churn-sequence property test: fold a
-// random event stream over a cluster, Rerank at every step with the
-// previous step's warm ranking, and assert the exact-prefix equality
-// against a cold exhaustive AutoTune on every intermediate state. One
-// serving Tuner persists across the whole stream — fingerprinted cache
-// keys must keep membership states from aliasing. The stream is
-// seeded, so the aggregate fewer-simulations assertion is
-// deterministic. It holds with and without a remote tier behind the
-// Tuner: seeds and sweep share one batched window onto it.
+// TestRerankJoinMatchesCold: the same after a DeviceJoin.
+func TestRerankJoinMatchesCold(t *testing.T) {
+	rerankAfter(t, 8, cluster.Event{Kind: cluster.DeviceJoin, Dev: 2})
+}
+
+// TestRerankSpeedChangeMatchesCold: the same after a SpeedChange, which
+// keeps the device count.
+func TestRerankSpeedChangeMatchesCold(t *testing.T) {
+	rerankAfter(t, 8, cluster.Event{Kind: cluster.SpeedChange, Dev: 0, Factor: 0.5})
+}
+
+// TestRerankLinkChangeMatchesCold: the same after a LinkChange.
+func TestRerankLinkChangeMatchesCold(t *testing.T) {
+	rerankAfter(t, 8, cluster.Event{Kind: cluster.LinkChange, Dev: 1, Peer: 2, Factor: 0.25})
+}
+
+// TestRerankChurnProperty folds seeded random event streams over a
+// cluster and holds every intermediate state's Rerank to the cold top-K
+// sweep. With a Loopback tier shared by the whole stream, fingerprinted
+// cache keys must keep membership states from aliasing: the ranking still
+// equals the cold one, though tier hits may save simulations.
 func TestRerankChurnProperty(t *testing.T) {
 	t.Run("local", func(t *testing.T) { rerankChurn(t, TunerOptions{Runners: 2}) })
 	t.Run("remote", func(t *testing.T) {
@@ -157,16 +143,10 @@ func TestRerankChurnProperty(t *testing.T) {
 }
 
 func rerankChurn(t *testing.T, opt TunerOptions) {
-	model := nn.BERTStyle()
-	const topK = 3
-	space := rerankSpace(2, topK)
-	tun := NewTuner(opt)
-
-	var warmTotal, coldTotal int64
+	space := rerankSpace(1, 3)
 	for _, seed := range []int64{1, 2, 3, 4} {
 		rng := rand.New(rand.NewSource(seed))
 		cl := cluster.TACC(8)
-		prev := tun.AutoTune(cl, model, space)
 		for step := 0; step < 3; step++ {
 			ev := randomEvent(rng, cl)
 			next, err := cl.Apply(ev)
@@ -174,27 +154,8 @@ func rerankChurn(t *testing.T, opt TunerOptions) {
 				t.Fatalf("seed %d step %d: Apply(%s): %v", seed, step, ev, err)
 			}
 			cl = next
-
-			exhaustive := space
-			exhaustive.TopK = 0
-			before := SimRuns()
-			want := AutoTune(cl, model, exhaustive)
-			coldTotal += SimRuns() - before
-
-			got, stats := tun.Rerank(prev, cl, model, space)
-			warmTotal += stats.SeedSims + stats.SweepSims
-
-			k := positives(want, topK)
-			if !reflect.DeepEqual(got[:k], want[:k]) {
-				t.Fatalf("seed %d step %d (%s): Rerank top-%d diverges from cold\ngot:  %+v\nwant: %+v",
-					seed, step, ev, k, got[:k], want[:k])
-			}
-			prev = got
+			rerankMatchesCold(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, ev), cl, space, opt)
 		}
-	}
-	if warmTotal >= coldTotal {
-		t.Fatalf("across the churn streams the warm starts issued %d simulations, cold exhaustive sweeps %d",
-			warmTotal, coldTotal)
 	}
 }
 
@@ -225,74 +186,18 @@ func randomEvent(rng *rand.Rand, cl *cluster.Cluster) cluster.Event {
 	}
 }
 
-// TestRerankNoSeeds: an empty or useless prev ranking degrades Rerank
-// to a plain cold TopK sweep — same exact prefix, no seeds, no crash.
-func TestRerankNoSeeds(t *testing.T) {
-	cl := cluster.TACC(8)
-	model := nn.BERTStyle()
-	const topK = 3
-	space := rerankSpace(2, topK)
-	exhaustive := space
-	exhaustive.TopK = 0
-	want := AutoTune(cl, model, exhaustive)
-	k := positives(want, topK)
-
-	for _, prev := range [][]Candidate{
-		nil,
-		{{Plan: Plan{Scheme: "gpipe", P: 64, D: 64}, Throughput: 99}},    // does not fit
-		{{Plan: Plan{Scheme: "nonesuch", P: 2, D: 2}, Throughput: 42}},   // not in the grid
-		{{Plan: Plan{Scheme: "hanayo-w16", P: 2, D: 2}, Throughput: 17}}, // wave not in ladder
-		{{Plan: Plan{Scheme: "gpipe", P: 2, D: 2}, OOM: true}},           // no real value
-		{{Plan: Plan{Scheme: "gpipe", P: 3, D: 3}, Throughput: 5}},       // (P,D) not in PD
-	} {
-		tun := NewTuner(TunerOptions{Runners: 2})
-		got, stats := tun.Rerank(prev, cl, model, space)
-		if !reflect.DeepEqual(got[:k], want[:k]) {
-			t.Fatalf("prev=%+v: top-%d diverges from cold", prev, k)
-		}
-		if stats.Seeded != 0 {
-			t.Fatalf("prev=%+v seeded %d rows, want 0", prev, stats.Seeded)
-		}
-	}
-}
-
 // TestRerankDefaultsTopK: a space without TopK gets the replanning
 // default (3) rather than an exhaustive sweep.
 func TestRerankDefaultsTopK(t *testing.T) {
-	cl := cluster.TACC(9)
+	cl := cluster.TACC(9).WithoutDevice(0)
 	model := nn.BERTStyle()
-	space := rerankSpace(2, 0)
-	tun := NewTuner(TunerOptions{Runners: 2})
-	prev := tun.AutoTune(cl, model, rerankSpace(2, 3))
-	cl1 := cl.WithoutDevice(0)
-	got, stats := tun.Rerank(prev, cl1, model, space)
-	exhaustive := space
-	exhaustive.TopK = 0
-	want := AutoTune(cl1, model, exhaustive)
-	k := positives(want, rerankDefaultTopK)
-	if !reflect.DeepEqual(got[:k], want[:k]) {
-		t.Fatalf("defaulted-TopK Rerank diverges from cold\ngot:  %+v\nwant: %+v", got[:k], want[:k])
-	}
-	if stats.Seeded == 0 || stats.Seeded > rerankDefaultTopK {
-		t.Fatalf("defaulted TopK seeded %d rows, want 1..%d", stats.Seeded, rerankDefaultTopK)
-	}
-}
-
-// BenchmarkRerankAfterLeave is the replanning-latency benchmark pinned
-// by the CI bench smoke step: one warm-started re-rank on a fresh Tuner
-// after a single DeviceLeave, seeds included.
-func BenchmarkRerankAfterLeave(b *testing.B) {
-	cl0 := cluster.TACC(9)
-	model := nn.BERTStyle()
-	space := rerankWideSpace(2, 3)
-	prevTuner := NewTuner(TunerOptions{Runners: 2})
-	prev := prevTuner.AutoTune(cl0, model, space)
-	cl1 := cl0.WithoutDevice(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tun := NewTuner(TunerOptions{Runners: 2})
-		if _, stats := tun.Rerank(prev, cl1, model, space); stats.Seeded == 0 {
-			b.Fatal("benchmark scenario stopped seeding")
-		}
+	space := rerankSpace(1, 0)
+	got, stats := NewTuner(TunerOptions{Runners: 2}).Rerank(cl, model, space)
+	space.TopK = rerankDefaultTopK
+	before := SimRuns()
+	want := AutoTune(cl, model, space)
+	if coldSims := SimRuns() - before; !reflect.DeepEqual(got, want) || stats.SweepSims != coldSims {
+		t.Fatalf("defaulted-TopK Rerank (%d sims) is not the cold top-%d AutoTune (%d sims)\ngot:  %+v\nwant: %+v",
+			stats.SweepSims, rerankDefaultTopK, coldSims, got, want)
 	}
 }

@@ -138,8 +138,8 @@ func TestXtr02FaultModel(t *testing.T) {
 }
 
 func TestXtr03ElasticChurn(t *testing.T) {
-	out := runAndCheck(t, "xtr03", "initial plan:", "warm sims", "cold sims",
-		"leave dev", "join dev", "Warm and cold agree")
+	out := runAndCheck(t, "xtr03", "initial plan:", "topK sims", "full sims",
+		"leave dev", "join dev", "Top-K and exhaustive agree")
 	// Every default event kind must produce a row.
 	for _, marker := range []string{"speed dev", "link dev"} {
 		if !strings.Contains(out, marker) {
