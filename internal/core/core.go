@@ -88,12 +88,15 @@ const memMargin = 0.95
 // evalShared is the D-invariant slice of one evaluation: everything a
 // candidate needs except the ×D throughput scaling.
 type evalShared struct {
-	sim        *sim.Result        // nil on pruned and cache-hit paths
-	mt         *memtrace.Result   // AnalyticOnly path only
-	mem        *memmodel.Estimate // nil on cross-sweep cache hits
+	sim *sim.Result      // Plan.Evaluate's path only
+	mt  *memtrace.Result // AnalyticOnly path only
+	// mem is the fresh per-device estimate Plan.Evaluate returns, and nil
+	// everywhere else: a sweep judges memory on its evaluator's own Estimate
+	// and keeps only the verdict, maxGB and fits.
+	mem        *memmodel.Estimate
 	fits       bool
 	pruned     bool    // OOM decided by the memtrace front end; no sim ran
-	maxGB      float64 // peak per-device footprint (mem.MaxGB() when mem != nil)
+	maxGB      float64 // peak per-device footprint (the judged estimate's MaxGB)
 	perReplica float64 // sequences/s of one replica
 	// boundOnly marks a deadline-aborted evaluation (the bound-and-prune
 	// sweep's RunDeadline path): no complete simulation ran, and
@@ -246,66 +249,75 @@ func (p Plan) evaluateShared(opt EvalOptions) (*evalShared, error) {
 		if err != nil {
 			return nil, err
 		}
-		mem := memmodel.ForSchedule(s, p.Model, p.MicroRows, mt.PeakActs)
-		return &evalShared{mt: mt, mem: mem, maxGB: mem.MaxGB(),
-			fits:    memmodel.FitsCluster(mem, p.Cluster, memMargin),
-			splitBW: splitBackwardScheme(p.Scheme)}, nil
+		es := &evalShared{mt: mt, mem: memmodel.ForSchedule(s, p.Model, p.MicroRows, mt.PeakActs),
+			splitBW: splitBackwardScheme(p.Scheme)}
+		es.judge(es.mem, p.Cluster)
+		return es, nil
 	}
-	return p.simEvaluate(s, opt.Sim, nil, 0)
+	es, err := p.simEvaluate(s, opt.Sim, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &es, nil
+}
+
+// judge records the memory verdict of estimate mem on cluster cl: its peak
+// per-device footprint and whether it fits with the standard headroom.
+func (es *evalShared) judge(mem *memmodel.Estimate, cl *cluster.Cluster) {
+	es.maxGB, es.fits = mem.MaxGB(), memmodel.FitsCluster(mem, cl, memMargin)
 }
 
 // simEvaluate is the one implementation of the timed-evaluation recipe:
 // one simulation of schedule s against the plan's cluster cost model,
 // yielding the memory estimate, the feasibility verdict and the
-// per-replica throughput together. runner == nil runs a fresh sim.Run and
-// retains its Result in the evalShared (the Plan.Evaluate path); a
-// non-nil runner reuses its arenas, and everything the evaluation keeps
-// is extracted into fresh storage before the Runner's next run
-// invalidates the Result (the sweep/service path). deadline > 0 (which
-// requires a runner — the bound-and-prune sweep path) caps the virtual
-// clock: an aborted run returns a boundOnly evalShared whose perReplica
-// is the proven per-replica throughput upper bound, counting toward
-// SimRuns like any simulation it actually started.
-func (p Plan) simEvaluate(s *sched.Schedule, opt sim.Options, runner *sim.Runner, deadline float64) (*evalShared, error) {
+// per-replica throughput together. ev == nil runs a fresh sim.Run and
+// retains its Result and a fresh memory estimate in the evalShared (the
+// Plan.Evaluate path); a sweep's evaluator reuses its Runner's arenas and
+// judges memory on its own Estimate, keeping nothing either owns — the
+// next key overwrites both. deadline > 0 (which requires an evaluator —
+// the bound-and-prune sweep path) caps the virtual clock: an aborted run
+// returns a boundOnly evalShared whose perReplica is the proven
+// per-replica throughput upper bound, counting toward SimRuns like any
+// simulation it actually started.
+func (p Plan) simEvaluate(s *sched.Schedule, opt sim.Options, ev *evaluator, deadline float64) (evalShared, error) {
 	cost, err := costmodel.New(costmodel.Workload{Model: p.Model, MicroRows: p.MicroRows}, p.Cluster, s)
 	if err != nil {
-		return nil, err
+		return evalShared{}, err
 	}
 	simRuns.Add(1)
 	var r *sim.Result
-	if deadline > 0 && runner != nil {
+	switch {
+	case ev == nil:
+		r, err = sim.RunFaults(s, cost, opt, p.Faults)
+	case deadline > 0:
 		var exceeded bool
-		r, exceeded, err = runner.RunFaultsDeadline(s, cost, opt, p.Faults, deadline)
+		r, exceeded, err = ev.runner.RunFaultsDeadline(s, cost, opt, p.Faults, deadline)
 		if err == nil && exceeded {
-			return &evalShared{boundOnly: true,
+			return evalShared{boundOnly: true,
 				perReplica: float64(p.B*p.MicroRows) / r.Makespan}, nil
 		}
-	} else if runner != nil {
-		r, err = runner.RunFaults(s, cost, opt, p.Faults)
-	} else {
-		r, err = sim.RunFaults(s, cost, opt, p.Faults)
+	default:
+		r, err = ev.runner.RunFaults(s, cost, opt, p.Faults)
 	}
 	if err != nil {
-		return nil, err
+		return evalShared{}, err
 	}
+	es := evalShared{splitBW: splitBackwardScheme(p.Scheme)}
 	if r.Failed {
 		// The fault plan killed a device: a deterministic infeasible
 		// verdict with the sim's recovery diagnostic — no memory estimate
 		// or throughput exists for the aborted prefix.
-		return &evalShared{failed: true, failedDev: r.FailedDevice,
-			failTime: r.FailTime, recovery: r.Recovery,
-			splitBW: splitBackwardScheme(p.Scheme)}, nil
+		es.failed, es.failedDev, es.failTime, es.recovery = true, r.FailedDevice, r.FailTime, r.Recovery
+		return es, nil
 	}
-	mem := memmodel.ForSchedule(s, p.Model, p.MicroRows, r.PeakActs)
-	es := &evalShared{
-		mem:        mem,
-		maxGB:      mem.MaxGB(),
-		fits:       memmodel.FitsCluster(mem, p.Cluster, memMargin),
-		perReplica: sim.Throughput(r, p.B*p.MicroRows),
-		splitBW:    splitBackwardScheme(p.Scheme),
-	}
-	if runner == nil {
-		es.sim = r // fresh single-use result: safe to retain
+	es.perReplica = sim.Throughput(r, p.B*p.MicroRows)
+	if ev == nil {
+		// Fresh single-use result and estimate: safe to retain.
+		es.sim, es.mem = r, memmodel.ForSchedule(s, p.Model, p.MicroRows, r.PeakActs)
+		es.judge(es.mem, p.Cluster)
+	} else {
+		memmodel.ForScheduleInto(&ev.mem, s, p.Model, p.MicroRows, r.PeakActs, memmodel.Options{})
+		es.judge(&ev.mem, p.Cluster)
 	}
 	return es, nil
 }
@@ -535,16 +547,18 @@ func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 
 // evaluator bundles the reusable executors one sweep worker drives: a
 // sched.Generator for schedule compilation, a sim.Runner for timed
-// evaluation, a memtrace.Replayer for the OOM front end, and the budget
-// scratch they share. Reused across every key a worker measures — and,
+// evaluation, a memtrace.Replayer for the OOM front end, and the scratch
+// they share: the Estimate every key's memory verdict is judged on and the
+// replay's budgets. Reused across every key a worker measures — and,
 // inside a Tuner, across sweeps — so the steady-state evaluation pipeline
-// allocates only per-key outputs (cost tables, estimates), never per-run
-// generator or executor state.
+// allocates per key only its cost model and the shape a Generator meets
+// for the first time, never per-run generator, executor or estimate state.
 type evaluator struct {
 	gen    *sched.Generator
 	runner *sim.Runner
 	replay *memtrace.Replayer
-	budget []float64 // per-device activation-byte budgets (scratch)
+	mem    memmodel.Estimate // the key being judged (scratch)
+	budget []float64         // per-device activation-byte budgets (scratch)
 }
 
 func newEvaluator() *evaluator {
@@ -584,9 +598,9 @@ func (p *evalPool) checkin(ev *evaluator) {
 // evalSchedule measures one (scheme, P, B) key on this evaluator's
 // reusable executors. The schedule is compiled in place: it belongs to the
 // evaluator's Generator ("valid until the next Generate") and is consumed
-// where it was built, so the returned evalShared must reference none of it
-// — everything kept is copied into fresh storage, and the next key (on a
-// pooled evaluator, the next sweep) overwrites the lists. Memory replay
+// where it was built, so the returned evalShared references none of it —
+// nor the evaluator's Estimate — and the next key (on a pooled evaluator,
+// the next sweep) overwrites the lists and the estimate. Memory replay
 // runs first when pruning (infeasible cells never reach sim.Run), then one
 // timed simulation for the cells that fit, under an optional virtual-clock
 // cap (deadline 0 → none): the bound-and-prune sweep's measurement path.
@@ -595,46 +609,44 @@ func (p *evalPool) checkin(ev *evaluator) {
 // The plan must already be valid (the sweep validates each cell at
 // enumerate): everything measured here is a fact about the key, and a
 // cell's P·D never is.
-func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (*evalShared, error) {
+func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (evalShared, error) {
 	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
 	if err != nil {
-		return nil, err
+		return evalShared{}, err
 	}
 	cl, model, rows := plan.Cluster, plan.Model, plan.MicroRows
 	if prune {
-		weights := memmodel.Weights(s, model)
+		mem := &ev.mem
+		mem.WeightBytes = memmodel.WeightsInto(mem.WeightBytes, s, model, memmodel.Options{})
 		ev.budget = ev.budget[:0]
 		overweight := false
 		for d := 0; d < s.P; d++ {
-			b := cl.MemBytes(d%cl.N())*memMargin - weights[d]
+			b := cl.MemBytes(d%cl.N())*memMargin - mem.WeightBytes[d]
 			if b < 0 {
 				overweight = true
 			}
 			ev.budget = append(ev.budget, b)
 		}
+		mem.ActBytes = mem.ActBytes[:0]
 		if overweight {
 			// Weights alone overflow a device: OOM before any execution.
-			mem := &memmodel.Estimate{WeightBytes: weights, ActBytes: make([]float64, s.P)}
-			return &evalShared{mem: mem, maxGB: mem.MaxGB(), pruned: true,
-				splitBW: splitBackwardScheme(plan.Scheme)}, nil
-		}
-		mt, exceeded, err := ev.replay.RunBudget(s, model, rows, ev.budget)
-		if err != nil {
-			return nil, err
-		}
-		if exceeded {
+			mem.ActBytes = append(mem.ActBytes, make([]float64, s.P)...)
+		} else {
+			mt, exceeded, err := ev.replay.RunBudget(s, model, rows, ev.budget)
+			if err != nil {
+				return evalShared{}, err
+			}
+			if !exceeded {
+				// Fits: on to the timing model.
+				return plan.simEvaluate(s, sim.DefaultOptions(), ev, deadline)
+			}
 			// The replay stopped at the violating forward; its partial
-			// peaks already prove infeasibility (copied out of the
-			// Replayer-owned result before the next replay reuses it).
-			acts := make([]float64, s.P)
-			copy(acts, mt.PeakBytes)
-			mem := &memmodel.Estimate{WeightBytes: weights, ActBytes: acts}
-			return &evalShared{mem: mem, maxGB: mem.MaxGB(), pruned: true,
-				splitBW: splitBackwardScheme(plan.Scheme)}, nil
+			// peaks already prove infeasibility.
+			mem.ActBytes = append(mem.ActBytes, mt.PeakBytes...)
 		}
-		// Fits: fall through to the timing model.
+		return evalShared{maxGB: mem.MaxGB(), pruned: true, splitBW: splitBackwardScheme(plan.Scheme)}, nil
 	}
-	return plan.simEvaluate(s, sim.DefaultOptions(), ev.runner, deadline)
+	return plan.simEvaluate(s, sim.DefaultOptions(), ev, deadline)
 }
 
 // cutoffState is the branch-and-bound sweep's shared ranking cutoff: a
@@ -1165,17 +1177,18 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 	ev := s.pool.checkout()
 	es, err := ev.evalSchedule(c.plan, s.space.Prune, deadline)
 	s.pool.checkin(ev)
-	if err != nil || !es.boundOnly {
-		if err == nil {
-			m.es = *es
-			es = &m.es // every cell naming the key reads the one slab copy
+	if err == nil && es.boundOnly {
+		if f != nil {
+			t.land(c.gk, f) // lands empty: its followers measure for themselves
 		}
-		m.err = err
-		m.done.Store(true)
+		bound := es
+		return &bound, nil
 	}
+	m.es, m.err = es, err // every cell naming the key reads the one slab copy
+	m.done.Store(true)
 	if f != nil {
-		if f.err = err; err == nil && !es.boundOnly {
-			f.ent, f.full = entryFrom(es), true
+		if f.err = err; err == nil {
+			f.ent, f.full = entryFrom(&m.es), true
 			// put before land: no window where neither the cache nor a
 			// flight covers the key.
 			t.cache.put(c.gk, f.ent)
@@ -1183,7 +1196,10 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 		}
 		t.land(c.gk, f)
 	}
-	return es, err
+	if err != nil {
+		return nil, err
+	}
+	return &m.es, nil
 }
 
 // publish queues one fresh evaluation for the end-of-sweep flush.

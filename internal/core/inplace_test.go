@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -11,13 +12,17 @@ import (
 )
 
 // TestColdSweepAllocsPinned pins what a cold §5.3 search allocates on the
-// Fig 10 grid: with every schedule consumed on the Generator that built it
-// and every arena sized once, what is left is per-key output — cost tables,
-// memory estimates, shape entries, candidates — not compiler or executor
-// state. Budgets are the measured counts (440, 214, 501, within two under
-// -race: nothing on the path draws from a sync.Pool) plus at most 5 %;
-// 482, 241 and 544 before the sweep's key memos shared one slab, and
-// 3 201, 966 and 3 805 before the schedules were compiled in place.
+// Fig 10 grid: with every schedule consumed on the Generator that built it,
+// every arena sized once and every memory verdict judged on the evaluator's
+// own Estimate, what is left is per sweep the layout, the evaluators and
+// the candidates, and per key its cost model (a struct and one block of
+// stage FLOPs, device rates and link times) and, on a key's first shape,
+// the mapping's tables and the cap table. Budgets are the measured counts
+// (219, 133, 265; within five under -race: nothing on the path draws from
+// a sync.Pool) plus at most 5 %; 440, 214 and 501 when the cost model held
+// P×S time tables, every key allocated its memory estimate and mappings
+// were closures, and 3 201, 966 and 3 805 before the schedules were
+// compiled in place.
 func TestColdSweepAllocsPinned(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
@@ -27,9 +32,9 @@ func TestColdSweepAllocsPinned(t *testing.T) {
 		prune  bool
 		budget float64
 	}{
-		{"exhaustive", 0, false, 462},
-		{"topk3", 3, false, 224},
-		{"prune", 0, true, 526},
+		{"exhaustive", 0, false, 230},
+		{"topk3", 3, false, 140},
+		{"prune", 0, true, 278},
 	} {
 		space := topKSpace(1, tc.topK, tc.prune)
 		got := testing.AllocsPerRun(5, func() {
@@ -40,6 +45,51 @@ func TestColdSweepAllocsPinned(t *testing.T) {
 		t.Logf("%s: %.0f objects (budget %.0f)", tc.name, got, tc.budget)
 		if got > tc.budget {
 			t.Errorf("%s: a cold sweep allocates %.0f objects, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}
+
+// TestSweepMemoryVerdictMatchesEvaluate checks, cell by cell, that the
+// memory verdict a sweep judges on its evaluator's own Estimate is the one
+// Plan.Evaluate returns with a fresh estimate: on the sweep_oom grid (GPT on
+// TC×32, where most rows run out of memory) every simulated cell's PeakGB
+// equals Evaluate's Memory.MaxGB() bit for bit and its OOM flag is !Fits.
+// With Prune on, a cell the memtrace front end rejects is OOM too, and its
+// PeakGB is the partial replay's peak: positive and no more than the full
+// iteration's.
+func TestSweepMemoryVerdictMatchesEvaluate(t *testing.T) {
+	cl := cluster.Tencent(32)
+	model := nn.GPTStyle()
+	for _, prune := range []bool{false, true} {
+		s := enumerate(cl, model, topKSpace(1, 0, prune), nil)
+		s.run(cl, model)
+		oom, pruned := 0, 0
+		for _, c := range s.measured {
+			if c.Err != nil {
+				t.Fatalf("%s P=%d: %v", c.Plan.Scheme, c.Plan.P, c.Err)
+			}
+			ev, err := c.Plan.Evaluate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ev.Memory.MaxGB()
+			if c.OOM != !ev.Fits {
+				t.Errorf("prune=%v %s P=%d: sweep OOM %v, Evaluate fits %v", prune, c.Plan.Scheme, c.Plan.P, c.OOM, ev.Fits)
+			}
+			if c.Pruned {
+				pruned++
+				if c.PeakGB <= 0 || c.PeakGB > want {
+					t.Errorf("prune=%v %s P=%d: pruned PeakGB %g outside (0, %g]", prune, c.Plan.Scheme, c.Plan.P, c.PeakGB, want)
+				}
+			} else if math.Float64bits(c.PeakGB) != math.Float64bits(want) {
+				t.Errorf("prune=%v %s P=%d: sweep PeakGB %v, Evaluate MaxGB %v", prune, c.Plan.Scheme, c.Plan.P, c.PeakGB, want)
+			}
+			if c.OOM {
+				oom++
+			}
+		}
+		if oom == 0 || prune != (pruned > 0) {
+			t.Fatalf("prune=%v: %d OOM and %d pruned cells; the grid must cover both verdict paths", prune, oom, pruned)
 		}
 	}
 }

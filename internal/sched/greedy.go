@@ -51,7 +51,7 @@ type GenParams struct {
 
 // genEvent is one entry of the engine's typed event heap: "device dev may be
 // able to start something at time". dev == wakeAll means every device must
-// be scanned: the start of the run, and — under a closure mapping only — a
+// be scanned: the start of the run, and — under a swapped mapping only — a
 // backward completion, whose released live-activation budget a capped
 // forward on any device may have been waiting on.
 type genEvent struct {
@@ -78,8 +78,8 @@ type engine struct {
 	// Run-scoped configuration (set by run, cleared on exit so the engine
 	// retains no caller state between runs).
 	gp     *GenParams
-	dev    *[2][]int32 // per (micro&1, stage) device table; nil → closures
-	chk    *[2][]int32 // per (micro&1, stage) chunk table; nil → closures
+	dev    *[2][]int32 // per (micro&1, stage) device table; nil → reference path
+	chk    *[2][]int32 // per (micro&1, stage) chunk table; nil → reference path
 	capTab []int32     // per (stage, chunkClass) inflight cap; nil → closure/unlimited
 	s, p   int         // stages, devices
 	half   int         // B·S
@@ -120,7 +120,7 @@ func arena[T any](s []T, n int) []T {
 
 // devAt resolves the device of (micro, stage) through the dense table when
 // the mapping is micro-parity-determined (every built-in placement) or the
-// mapping closures otherwise (custom mappings swapped in via Option).
+// mapping's own lookups otherwise (a mapping swapped in via Option).
 func (e *engine) devAt(micro, stage int) int32 {
 	if e.dev != nil {
 		return e.dev[micro&1][stage]
@@ -323,7 +323,7 @@ func (e *engine) finish(i int, end float64) {
 	// capped forwards. With dense tables every forward of this (stage,
 	// chunk) class runs on this same device — (stage, chunk) determines the
 	// host for every parity-determined placement — so waking d covers the
-	// release; only custom closure mappings need the broadcast.
+	// release; only a swapped mapping's reference path broadcasts.
 	if e.dev != nil {
 		e.push(end, d)
 	} else {
@@ -353,7 +353,7 @@ func (e *engine) peer(d int32, micro, stage int) int {
 // back), then the two-action flush tail; its queue holds every compute
 // task once. With dense tables all micro-batches of one parity share a
 // placement, so micro 0 and micro 1 stand for ⌈B/2⌉ and ⌊B/2⌋ of them;
-// closure mappings are asked about every micro-batch. It also counts
+// a swapped mapping is asked about every micro-batch. It also counts
 // fwdLeft, the per-device forwards the phase barrier waits on.
 func (e *engine) layout() {
 	per := 2
@@ -488,7 +488,7 @@ func (e *engine) runDevice(d int, now float64) bool {
 // class hosted on the device that just went busy until end, where its own
 // wake event rescans it. The instant therefore ends quiescent, which is the
 // state the next instant's wake set assumes, and the lists are those of a
-// scan of every device after every run. A closure mapping swapped in
+// scan of every device after every run. A mapping swapped in
 // through an Option carries no such guarantee (a class may span devices),
 // so it keeps exactly that: backward completions wake every device, and an
 // instant in which anything ran rescans all devices to a fixed point.

@@ -85,7 +85,7 @@ func TestWaveMappingPropertyEveryDeviceHosts2W(t *testing.T) {
 }
 
 func TestChimeraMappingHostsTwoCopies(t *testing.T) {
-	m := ChimeraMapping(4, func(mi int) int { return mi % 2 })
+	m := ChimeraMapping(4)
 	// Down micro 0: stage s on device s; up micro 1: stage s on device 3-s.
 	for s := 0; s < 4; s++ {
 		if m.Device(0, s) != s {

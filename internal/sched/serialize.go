@@ -61,7 +61,7 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 		}
 		s.Mapping = WaveMapping(in.P, w)
 	case "chimera":
-		s.Mapping = ChimeraMapping(in.P, func(m int) int { return m % 2 })
+		s.Mapping = ChimeraMapping(in.P)
 	case "interleaved":
 		s.Mapping = InterleavedMapping(in.P, in.S/in.P)
 	default:

@@ -124,6 +124,10 @@ func splitSchedule(s *Schedule) bool {
 // flush-barrier placement and exactly-once compute coverage.
 func (v *validator) checkStatic(s *Schedule) error {
 	m := s.Mapping
+	if m == nil || m.P != s.P || m.S != s.S {
+		// The mapping's tables cover exactly its own shape.
+		return fmt.Errorf("sched: schedule of P=%d S=%d needs a mapping of that shape", s.P, s.S)
+	}
 	if len(s.Lists) != s.P {
 		return fmt.Errorf("sched: %d lists for %d devices", len(s.Lists), s.P)
 	}

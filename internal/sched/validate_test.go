@@ -88,6 +88,18 @@ func TestDenseValidatorRejectPaths(t *testing.T) {
 			s.Lists[1] = append([]Action{a}, s.Lists[1]...)
 		})
 	})
+	t.Run("mapping of another shape", func(t *testing.T) {
+		// A schedule whose stages outnumber its mapping's — as when a
+		// "wave" mapping is rebuilt from an inconsistent W — is an error,
+		// not a lookup past the end of the mapping's tables.
+		twoWaves, err := Hanayo(4, 2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustReject(t, twoWaves, "needs a mapping of that shape", func(s *Schedule) {
+			s.W, s.Mapping = 1, WaveMapping(4, 1)
+		})
+	})
 	t.Run("wrong chunk", func(t *testing.T) {
 		mustReject(t, base, "mapping says", func(s *Schedule) {
 			d, i := findOp(s, OpForward)
