@@ -122,12 +122,6 @@ type evalShared struct {
 	splitBW bool
 }
 
-// splitBackwardScheme reports whether scheme executes split backwards —
-// separate OpBackwardInput/OpBackwardWeight actions instead of the fused
-// OpBackward — mirroring sched's scheme-family resolution. It tags
-// evaluations for the cache tiers' SplitBW flag.
-func splitBackwardScheme(scheme string) bool { return scheme == "zbh1" }
-
 // Validate checks structural consistency against the cluster.
 func (p Plan) Validate() error {
 	if p.Cluster == nil {
@@ -250,7 +244,7 @@ func (p Plan) evaluateShared(opt EvalOptions) (*evalShared, error) {
 			return nil, err
 		}
 		es := &evalShared{mt: mt, mem: memmodel.ForSchedule(s, p.Model, p.MicroRows, mt.PeakActs),
-			splitBW: splitBackwardScheme(p.Scheme)}
+			splitBW: s.Split()}
 		es.judge(es.mem, p.Cluster)
 		return es, nil
 	}
@@ -302,7 +296,7 @@ func (p Plan) simEvaluate(s *sched.Schedule, opt sim.Options, ev *evaluator, dea
 	if err != nil {
 		return evalShared{}, err
 	}
-	es := evalShared{splitBW: splitBackwardScheme(p.Scheme)}
+	es := evalShared{splitBW: s.Split()}
 	if r.Failed {
 		// The fault plan killed a device: a deterministic infeasible
 		// verdict with the sim's recovery diagnostic — no memory estimate
@@ -494,7 +488,7 @@ type SearchSpace struct {
 // wave group, which must stay together because only its best wave
 // survives — and cut into n contiguous unit ranges of near-equal work,
 // so the slowest worker does not set the distributed round. A unit weighs
-// the compute tasks its cells compile and simulate (sched.ComputeTasks),
+// the compute tasks its cells compile and simulate (sched.Scheme.ComputeTasks),
 // W is the grid's total, and boundary k is the unit edge whose prefix
 // weight is nearest k·W/n, the earliest on a tie. No shard exceeds W/n
 // plus the heaviest unit; with more shards than units some are empty.
@@ -644,7 +638,7 @@ func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (eval
 			// peaks already prove infeasibility.
 			mem.ActBytes = append(mem.ActBytes, mt.PeakBytes...)
 		}
-		return evalShared{maxGB: mem.MaxGB(), pruned: true, splitBW: splitBackwardScheme(plan.Scheme)}, nil
+		return evalShared{maxGB: mem.MaxGB(), pruned: true, splitBW: s.Split()}, nil
 	}
 	return plan.simEvaluate(s, sim.DefaultOptions(), ev, deadline)
 }
@@ -798,8 +792,8 @@ type sweepCell struct {
 	plan  Plan
 	waves int // wave count of a cell of the per-(P,D) Hanayo wave sweep; 0 for a Schemes cell
 	slot  int // output-row index (wave groups share one row): the cell's grid unit
-	// size is the cell's work in compute tasks (sched.ComputeTasks; 0 for a
-	// scheme Generate rejects, whose error costs nothing to measure). It
+	// size is the cell's work in compute tasks (sched.Scheme.ComputeTasks; 0
+	// for a scheme Generate rejects, whose error costs nothing to measure). It
 	// orders the exhaustive feed and weighs the shard cut.
 	size int
 	// memo is the sweep's entry for the cell's (scheme, P, B) key, shared
@@ -851,8 +845,11 @@ func enumerate(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 		waveNames[i] = "hanayo-w" + strconv.Itoa(w)
 	}
 	cell := func(plan Plan, waves int) sweepCell {
-		size, _ := sched.ComputeTasks(plan.Scheme, plan.P, plan.B)
-		return sweepCell{plan: plan, waves: waves, slot: s.slots, size: size}
+		c := sweepCell{plan: plan, waves: waves, slot: s.slots}
+		if sc, err := sched.ParseScheme(plan.Scheme); err == nil {
+			c.size = sc.ComputeTasks(plan.P, plan.B)
+		}
+		return c
 	}
 	for _, pd := range space.PD {
 		plan := Plan{Cluster: cl, Model: model, P: pd[0], D: pd[1],

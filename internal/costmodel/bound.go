@@ -50,110 +50,6 @@ import (
 	"repro/internal/sched"
 )
 
-// Placement families of the sweep schemes. The device functions are
-// closed-form (no Mapping is built), which is what keeps the bound
-// allocation-free.
-const (
-	boundStraight    = iota // gpipe, dapple/1f1b: S = P, stage s on device s
-	boundWave               // hanayo-w<W>, chimera-wave: S = 2·W·P wave placement
-	boundChimera            // chimera, gems: S = P, up-pipe micros reversed
-	boundInterleaved        // interleaved-v<V>: S = V·P round-robin
-)
-
-// boundShape is one scheme's placement resolved to closed form: stage
-// count, pipe count (2 for the bidirectional Chimera/GEMS placements,
-// where even micros run the down pipe and odd micros the up pipe — the
-// generator's m%2 convention) and the stage→device function.
-type boundShape struct {
-	kind  int
-	p, s  int
-	pipes int
-	// split marks a zero-bubble split-backward scheme (zbh1): per-stage
-	// per-micro compute is still 3·tf (tf + tbi + tw with tbi = tw = tf),
-	// but the certificates change shape. The single-micro critical path
-	// descends through the input-grad halves only (tbi, not tb) and ends at
-	// stage 0's weight-grad op, and the per-device drain term vanishes: a
-	// device's final compute is a dependency-free W, not a backward feeding
-	// a gradient chain that still has to run after it. Both adjustments
-	// only weaken the bound, keeping it a proven floor.
-	split bool
-}
-
-// dev returns the device executing stage in the given pipe (pipe is
-// always 0 for micro-independent placements).
-func (sh boundShape) dev(pipe, stage int) int {
-	switch sh.kind {
-	case boundStraight:
-		return stage
-	case boundWave:
-		return sched.WaveStageDevice(sh.p, stage)
-	case boundChimera:
-		if pipe == 0 {
-			return stage
-		}
-		return sh.p - 1 - stage
-	default: // boundInterleaved
-		return stage % sh.p
-	}
-}
-
-// micros returns how many of the b micro-batches run in the given pipe.
-func (sh boundShape) micros(pipe, b int) int {
-	if sh.pipes == 1 {
-		return b
-	}
-	if pipe == 0 {
-		return (b + 1) / 2 // even micros (m%2 == 0)
-	}
-	return b / 2
-}
-
-// boundSuffixInt parses name as prefix followed by a positive decimal
-// integer (sched's scheme-name convention), rejecting anything else.
-func boundSuffixInt(name, prefix string) (int, bool) {
-	if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
-		return 0, false
-	}
-	n := 0
-	for i := len(prefix); i < len(name); i++ {
-		c := name[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<20 {
-			return 0, false
-		}
-	}
-	return n, true
-}
-
-// boundShapeFor resolves a scheme name to its closed-form placement,
-// mirroring sched's name set and its even-B requirement for the
-// bidirectional placements.
-func boundShapeFor(scheme string, p, b int) (boundShape, error) {
-	switch scheme {
-	case "gpipe", "dapple", "1f1b":
-		return boundShape{kind: boundStraight, p: p, s: p, pipes: 1}, nil
-	case "zbh1":
-		return boundShape{kind: boundStraight, p: p, s: p, pipes: 1, split: true}, nil
-	case "chimera", "gems":
-		if b%2 != 0 {
-			return boundShape{}, fmt.Errorf("costmodel: %s needs an even micro-batch count, got %d", scheme, b)
-		}
-		return boundShape{kind: boundChimera, p: p, s: p, pipes: 2}, nil
-	case "chimera-wave":
-		return boundShape{kind: boundWave, p: p, s: 2 * p, pipes: 1}, nil
-	}
-	if w, ok := boundSuffixInt(scheme, "hanayo-w"); ok && w > 0 {
-		return boundShape{kind: boundWave, p: p, s: 2 * w * p, pipes: 1}, nil
-	}
-	if v, ok := boundSuffixInt(scheme, "interleaved-v"); ok && v > 0 {
-		return boundShape{kind: boundInterleaved, p: p, s: v * p, pipes: 1}, nil
-	}
-	return boundShape{}, fmt.Errorf("costmodel: no analytic bound for scheme %q", scheme)
-}
-
 // LowerBound returns a proven lower bound on the per-replica simulated
 // makespan (seconds) of scheme on p pipeline devices × d replicas of cl
 // with b micro-batches of w.MicroRows sequences — computed from the same
@@ -174,14 +70,25 @@ func LowerBound(w Workload, cl *cluster.Cluster, p, d, b int, scheme string) (fl
 	if p*d > cl.N() {
 		return 0, fmt.Errorf("costmodel: bound needs %d devices, cluster has %d", p*d, cl.N())
 	}
-	sh, err := boundShapeFor(scheme, p, b)
+	sc, err := sched.ParseScheme(scheme)
 	if err != nil {
 		return 0, err
 	}
+	if err := sc.CheckB(b); err != nil {
+		return 0, err
+	}
+	// The placement in closed form (no Mapping is built, which keeps the
+	// bound allocation-free). A split-backward scheme (zbh1) still does
+	// 3·tf of compute per stage and micro (tf + tbi + tw with tbi = tw = tf),
+	// but its certificates change shape: the single-micro critical path
+	// descends through the input-grad halves only and ends at stage 0's
+	// weight-grad op, and the per-device drain term vanishes — a device's
+	// final compute is a dependency-free W. Both only weaken the bound.
+	stages, pipes, split := sc.Stages(p), sc.Pipes(), sc.Split()
 
 	// Per-stage forward FLOPs under the uniform-stage default; tf(dev) =
 	// flops/Flops(dev), tb = 2·tf (Cost's default BackwardRatio).
-	stageFLOPs := float64(w.Model.Layers) / float64(sh.s) * LayerForwardFLOPs(w.Model, w.MicroRows)
+	stageFLOPs := float64(w.Model.Layers) / float64(stages) * LayerForwardFLOPs(w.Model, w.MicroRows)
 	actBytes := ActivationBytes(w.Model, w.MicroRows)
 
 	lb := 0.0
@@ -189,17 +96,17 @@ func LowerBound(w Workload, cl *cluster.Cluster, p, d, b int, scheme string) (fl
 	// accumulates the single-micro critical path (forward chain + backward
 	// chain + both communication hops at every cross-device boundary) and
 	// the busiest-link bound (count·CommTime per direction).
-	for pipe := 0; pipe < sh.pipes; pipe++ {
-		cnt := sh.micros(pipe, b)
+	for pipe := 0; pipe < pipes; pipe++ {
+		cnt := sc.Micros(pipe, b)
 		if cnt == 0 {
 			continue
 		}
 		chain := 0.0
 		prev := -1
-		for s := 0; s < sh.s; s++ {
-			dv := sh.dev(pipe, s)
+		for s := 0; s < stages; s++ {
+			dv := sc.Device(p, pipe, s)
 			tf := stageFLOPs / cl.Flops(dv)
-			if sh.split {
+			if split {
 				// The backward descent runs input-grad halves only:
 				// tf + tbi with tbi = tb/2 = tf under the default ratio.
 				chain += 2 * tf
@@ -219,10 +126,10 @@ func LowerBound(w Workload, cl *cluster.Cluster, p, d, b int, scheme string) (fl
 			}
 			prev = dv
 		}
-		if sh.split {
+		if split {
 			// The chain ends at stage 0's weight-grad op, which can only
 			// start after its input-grad half: tw = tb − tb/2 = tf.
-			chain += stageFLOPs / cl.Flops(sh.dev(pipe, 0))
+			chain += stageFLOPs / cl.Flops(sc.Device(p, pipe, 0))
 		}
 		if chain > lb {
 			lb = chain
@@ -237,15 +144,15 @@ func LowerBound(w Workload, cl *cluster.Cluster, p, d, b int, scheme string) (fl
 	for dd := 0; dd < p; dd++ {
 		busy := 0.0
 		earliest, drain := math.Inf(1), math.Inf(1)
-		for pipe := 0; pipe < sh.pipes; pipe++ {
-			cnt := sh.micros(pipe, b)
+		for pipe := 0; pipe < pipes; pipe++ {
+			cnt := sc.Micros(pipe, b)
 			if cnt == 0 {
 				continue
 			}
 			fwdPre, bwdPre := 0.0, 0.0 // chain cost before stage s (fwd) / below it (bwd)
 			prev := -1
-			for s := 0; s < sh.s; s++ {
-				dv := sh.dev(pipe, s)
+			for s := 0; s < stages; s++ {
+				dv := sc.Device(p, pipe, s)
 				tf := stageFLOPs / cl.Flops(dv)
 				if s > 0 && prev != dv {
 					fwdPre += cl.CommTime(prev, dv, actBytes)
@@ -266,7 +173,7 @@ func LowerBound(w Workload, cl *cluster.Cluster, p, d, b int, scheme string) (fl
 			}
 		}
 		if busy > 0 {
-			if sh.split {
+			if split {
 				// A split device's final compute is a dependency-free
 				// weight-grad op — nothing is forced to run after it, so
 				// only occupancy (start + serial compute) survives.

@@ -91,7 +91,9 @@ func TestLowerBoundTracksCompute(t *testing.T) {
 }
 
 // TestLowerBoundErrors covers the validation surface: bad shapes, unknown
-// schemes, odd micro-batch counts for the bidirectional placements.
+// schemes, odd micro-batch counts for the bidirectional placements — and,
+// since both read one scheme descriptor, LowerBound accepts exactly the
+// names and micro-batch counts Generate does.
 func TestLowerBoundErrors(t *testing.T) {
 	cl := cluster.TACC(8)
 	w := Workload{Model: nn.BERTStyle(), MicroRows: 2}
@@ -111,6 +113,16 @@ func TestLowerBoundErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := LowerBound(w, cl, c.p, c.d, c.b, c.scheme); err == nil {
 			t.Errorf("LowerBound(p=%d,d=%d,b=%d,%q): want error", c.p, c.d, c.b, c.scheme)
+		}
+	}
+	for _, c := range []struct {
+		scheme string
+		b      int
+	}{{"nope", 8}, {"hanayo-w0", 8}, {"interleaved-v", 8}, {"chimera", 7}, {"gems", 7}, {"chimera", 8}, {"gems", 8}, {"1f1b", 7}, {"hanayo-w3", 7}} {
+		_, lbErr := LowerBound(w, cl, 4, 1, c.b, c.scheme)
+		_, genErr := sched.ByName(c.scheme, 4, c.b)
+		if (lbErr == nil) != (genErr == nil) {
+			t.Errorf("%s B=%d: LowerBound error %v, Generate error %v", c.scheme, c.b, lbErr, genErr)
 		}
 	}
 	bad := w

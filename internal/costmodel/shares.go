@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/sched"
 )
 
 // SpeedBalancedShares builds the per-stage layer multipliers (Cost.Shares)
@@ -26,22 +27,25 @@ func SpeedBalancedShares(cl *cluster.Cluster, scheme string, p, b int) ([]float6
 	if p <= 0 || p > cl.N() {
 		return nil, fmt.Errorf("costmodel: shares need %d devices, cluster has %d", p, cl.N())
 	}
-	sh, err := boundShapeFor(scheme, p, b)
+	sc, err := sched.ParseScheme(scheme)
 	if err != nil {
 		return nil, err
 	}
-	shares := make([]float64, sh.s)
+	if err := sc.CheckB(b); err != nil {
+		return nil, err
+	}
+	shares := make([]float64, sc.Stages(p))
 	total := 0.0
-	for s := 0; s < sh.s; s++ {
+	for s := range shares {
 		f := 0.0
-		for pipe := 0; pipe < sh.pipes; pipe++ {
-			f += cl.Flops(sh.dev(pipe, s))
+		for pipe := 0; pipe < sc.Pipes(); pipe++ {
+			f += cl.Flops(sc.Device(p, pipe, s))
 		}
-		f /= float64(sh.pipes)
+		f /= float64(sc.Pipes())
 		shares[s] = f
 		total += f
 	}
-	scale := float64(sh.s) / total
+	scale := float64(len(shares)) / total
 	for s := range shares {
 		shares[s] *= scale
 	}

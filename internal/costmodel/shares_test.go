@@ -55,13 +55,13 @@ func TestSpeedBalancedSharesEqualizeStages(t *testing.T) {
 		}
 		cost.Shares = shares
 		// Every stage's forward time (on its hosting device) must match.
-		sh, err := boundShapeFor(scheme, 4, 8)
+		sc, err := sched.ParseScheme(scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := cost.ForwardTime(sh.dev(0, 0), 0)
+		ref := cost.ForwardTime(sc.Device(4, 0, 0), 0)
 		for st := 1; st < s.S; st++ {
-			got := cost.ForwardTime(sh.dev(0, st), st)
+			got := cost.ForwardTime(sc.Device(4, 0, st), st)
 			if math.Abs(got-ref) > ref*1e-9 {
 				t.Fatalf("%s: stage %d forward time %g != stage 0's %g", scheme, st, got, ref)
 			}

@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig01", "fig02", "fig03", "fig04", "fig05", "fig06",
@@ -41,6 +46,30 @@ func runAndCheck(t *testing.T, name string, markers ...string) string {
 		}
 	}
 	return out
+}
+
+// runGolden executes one experiment and compares its output byte for byte
+// with testdata/<name>.golden; -update rewrites the file instead.
+func runGolden(t *testing.T, name string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Run(name, &buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("output differs from %s (rerun with -update if the change is intended)\ngot:\n%swant:\n%s", path, got, want)
+	}
 }
 
 func TestFig01Shapes(t *testing.T) {
@@ -81,38 +110,21 @@ func TestFig07Zones(t *testing.T) {
 	_ = out
 }
 
-func TestFig08MemoryShapes(t *testing.T) {
-	out := runAndCheck(t, "fig08", "bert-64L", "gpt-128L", "OOM")
-	// One GPipe row per setting (plus the shape footnote).
-	if strings.Count(out, "GPipe") < 4 {
-		t.Fatal("expected four GPipe rows")
-	}
-}
+// The evaluation figures are deterministic — at any worker count — so
+// each is pinned whole: the goldens hold the shapes the paper claims (GPipe
+// OOM-prone in fig08 and fig12, a positive best-Hanayo gain on every
+// fig09 cluster, a Hanayo pick in fig10, ≈100% weak-scaling efficiency in
+// fig11) along with every number around them.
 
-func TestFig09Throughput(t *testing.T) {
-	out := runAndCheck(t, "fig09", "(D=1, P=8)", "(D=2, P=4)", "TACC", "best-hanayo vs chimera-wave")
-	// Every cluster row must report a positive Hanayo gain.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "best-hanayo") && !strings.Contains(line, "+") {
-			t.Fatalf("non-positive hanayo gain: %s", line)
-		}
-	}
-}
+func TestFig08MemoryShapes(t *testing.T) { runGolden(t, "fig08") }
 
-func TestFig10Search(t *testing.T) {
-	out := runAndCheck(t, "fig10", "selected configuration", "OOM")
-	if !strings.Contains(out, "Hanayo") {
-		t.Fatal("search did not select a Hanayo config")
-	}
-}
+func TestFig09Throughput(t *testing.T) { runGolden(t, "fig09") }
 
-func TestFig11WeakScaling(t *testing.T) {
-	runAndCheck(t, "fig11", "efficiency", "100.0%")
-}
+func TestFig10Search(t *testing.T) { runGolden(t, "fig10") }
 
-func TestFig12StrongScaling(t *testing.T) {
-	runAndCheck(t, "fig12", "OOM", "speedup")
-}
+func TestFig11WeakScaling(t *testing.T) { runGolden(t, "fig11") }
+
+func TestFig12StrongScaling(t *testing.T) { runGolden(t, "fig12") }
 
 func TestRunAll(t *testing.T) {
 	if testing.Short() {

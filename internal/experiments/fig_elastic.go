@@ -58,7 +58,7 @@ func xtr03(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\nTACC × BERT-style, starting at 8 devices, B=8, exact top-%d\n", space.TopK)
 	fmt.Fprintf(w, "initial plan: %s P=%d D=%d (%.3f seq/s)\n\n",
-		displayName(best.Plan.Scheme), best.Plan.P, best.Plan.D, best.Throughput)
+		label(best.Plan.Scheme), best.Plan.P, best.Plan.D, best.Throughput)
 	fmt.Fprintf(w, "%-22s %3s  %10s %10s %7s  %10s %10s  %-18s\n",
 		"event", "N", "topK sims", "full sims", "pruned", "topK", "full", "new best")
 
@@ -97,7 +97,7 @@ func xtr03(w io.Writer) error {
 		fmt.Fprintf(w, "%-22s %3d  %10d %10d %7d  %10s %10s  %s P=%d D=%d%s\n",
 			ev, next.N(), stats.SweepSims, fullSims, stats.Pruned,
 			topKDur.Round(time.Millisecond), fullDur.Round(time.Millisecond),
-			displayName(rb.Plan.Scheme), rb.Plan.P, rb.Plan.D, changed)
+			label(rb.Plan.Scheme), rb.Plan.P, rb.Plan.D, changed)
 
 		cl, best = next, rb
 	}

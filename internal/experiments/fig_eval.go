@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memmodel"
 	"repro/internal/nn"
+	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -42,21 +43,19 @@ func fig08(w io.Writer) error {
 		{nn.GPTStyle(), 8, 4, 2},
 		{nn.GPTStyle(), 16, 2, 2},
 	}
+	// Chimera proper, not Chimera-wave, for the memory figure: the paper's
+	// Fig 8 shows its duplicated weights.
+	schemes := []string{"gpipe", "dapple", "chimera", "hanayo-w2"}
 	for _, st := range settings {
 		fmt.Fprintf(w, "\n%s  (P=%d, N=%d, B=%d) on %d×40GB\n",
 			st.model.Name, st.p, st.n, st.rows, cl.N())
 		fmt.Fprintf(w, "%-14s %9s %9s %9s %10s %5s\n", "scheme", "maxGB", "minGB", "meanGB", "varGB²", "OOM")
-		for _, scheme := range evalSchemes {
+		for _, scheme := range schemes {
 			// Micro-batch count chosen to maximize memory use (§5.3):
 			// more micro-batches than stages so GPipe's keep-everything
 			// policy exceeds the 1F1B family's bounded windows.
 			plan := core.Plan{Scheme: scheme, Cluster: cl, Model: st.model,
 				P: st.p, D: st.n, B: st.p + 4, MicroRows: st.rows}
-			// Chimera proper for the memory figure: the paper's Fig 8
-			// shows its duplicated weights.
-			if scheme == "chimera-wave" {
-				plan.Scheme = "chimera"
-			}
 			ev, err := plan.EvaluateOpts(core.EvalOptions{AnalyticOnly: true})
 			if err != nil {
 				return err
@@ -72,7 +71,7 @@ func fig08(w io.Writer) error {
 				oom = "OOM"
 			}
 			fmt.Fprintf(w, "%-14s %9.1f %9.1f %9.1f %10.2f %5s\n",
-				displayName(plan.Scheme), stats.Max(gbs), stats.Min(gbs), stats.Mean(gbs), stats.Variance(gbs), oom)
+				label(plan.Scheme), stats.Max(gbs), stats.Min(gbs), stats.Mean(gbs), stats.Variance(gbs), oom)
 		}
 	}
 	fmt.Fprintln(w, "\nshape: GPipe high+balanced (OOM-prone), DAPPLE unbalanced, Chimera 2×-weights,")
@@ -81,35 +80,28 @@ func fig08(w io.Writer) error {
 	return nil
 }
 
-func displayName(s string) string {
-	switch s {
-	case "chimera":
-		return "Chimera"
-	case "chimera-wave":
-		return "Chimera-wave"
-	case "gpipe":
-		return "GPipe"
-	case "dapple":
-		return "DAPPLE"
-	case "zbh1":
-		return "ZB-H1"
+// label is a scheme's figure label (sched.Scheme.Display); a name the
+// parser rejects prints as given.
+func label(name string) string {
+	sc, err := sched.ParseScheme(name)
+	if err != nil {
+		return name
 	}
-	if strings.HasPrefix(s, "hanayo-w") {
-		return "Hanayo-" + strings.TrimPrefix(s, "hanayo-w") + "w"
-	}
-	return s
+	return sc.Display()
 }
 
 // fig09 reproduces Fig 9: BERT-style throughput on the four clusters with
 // (D=1, P=8) and (D=2, P=4), schemes G/D/C/H-2/H-4/H-8.
 func fig09(w io.Writer) error {
+	// Chimera-wave is column cw; the Hanayo wave counts follow it.
+	const cw = 2
 	schemes := []string{"gpipe", "dapple", "chimera-wave", "hanayo-w2", "hanayo-w4", "hanayo-w8"}
 	model := nn.BERTStyle()
 	for _, shape := range []struct{ d, p int }{{1, 8}, {2, 4}} {
 		fmt.Fprintf(w, "\n(D=%d, P=%d) throughput in sequences/s\n", shape.d, shape.p)
 		fmt.Fprintf(w, "%-8s", "cluster")
 		for _, s := range schemes {
-			fmt.Fprintf(w, " %12s", displayName(s))
+			fmt.Fprintf(w, " %12s", label(s))
 		}
 		fmt.Fprintln(w)
 		for _, cname := range cluster.Names() {
@@ -118,23 +110,18 @@ func fig09(w io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(w, "%-8s", strings.ToUpper(cname))
-			var hBest, cw float64
-			for _, scheme := range schemes {
+			thrs := make([]float64, len(schemes))
+			for i, scheme := range schemes {
 				plan := core.Plan{Scheme: scheme, Cluster: cl, Model: model,
 					P: shape.p, D: shape.d, B: 8 / shape.d, MicroRows: 2}
 				thr, err := plan.Throughput()
 				if err != nil {
 					return err
 				}
-				if scheme == "chimera-wave" {
-					cw = thr
-				}
-				if strings.HasPrefix(scheme, "hanayo") && thr > hBest {
-					hBest = thr
-				}
+				thrs[i] = thr
 				fmt.Fprintf(w, " %12.3f", thr)
 			}
-			fmt.Fprintf(w, "   best-hanayo vs chimera-wave: %+5.1f%%\n", stats.Speedup(cw, hBest))
+			fmt.Fprintf(w, "   best-hanayo vs chimera-wave: %+5.1f%%\n", stats.Speedup(thrs[cw], stats.Max(thrs[cw+1:])))
 		}
 	}
 	fmt.Fprintln(w, "\nshape: Hanayo wins everywhere; optimal wave count is lower on TACC (poor")
@@ -194,11 +181,11 @@ func fig10(w io.Writer) error {
 			thr = "err"
 		}
 		fmt.Fprintf(w, "%-14s %6d %4d %12s %9.1f %5s\n",
-			displayName(c.Plan.Scheme), c.Plan.P, c.Plan.D, thr, c.PeakGB, oom)
+			label(c.Plan.Scheme), c.Plan.P, c.Plan.D, thr, c.PeakGB, oom)
 	}
 	if best, ok := core.Best(cands); ok {
 		fmt.Fprintf(w, "\nselected configuration: %s (P=%d, D=%d) at %.3f seq/s\n",
-			displayName(best.Plan.Scheme), best.Plan.P, best.Plan.D, best.Throughput)
+			label(best.Plan.Scheme), best.Plan.P, best.Plan.D, best.Throughput)
 	}
 	return nil
 }
@@ -242,7 +229,7 @@ func fig11(w io.Writer) error {
 		}
 		eff := stats.WeakScalingEfficiency(thr[0], thr[2], 8, 32)
 		fmt.Fprintf(w, "%-14s %12.3f %12.3f %12.3f %9.1f%%\n",
-			displayName(scheme), thr[0], thr[1], thr[2], eff)
+			label(scheme), thr[0], thr[1], thr[2], eff)
 	}
 	fmt.Fprintln(w, "\nshape: Hanayo > Chimera-wave (~8%) > DAPPLE ≈ GPipe (~33%); efficiency ≈100%")
 	return nil
@@ -278,7 +265,7 @@ func fig12(w io.Writer) error {
 			speed = fmt.Sprintf("%.1f%%", stats.StrongScalingSpeedup(thr[0], thr[2]))
 		}
 		fmt.Fprintf(w, "%-14s %12s %12s %12s %10s\n",
-			displayName(scheme), cells[0], cells[1], cells[2], speed)
+			label(scheme), cells[0], cells[1], cells[2], speed)
 	}
 	fmt.Fprintln(w, "\nshape: the big fixed batch OOMs GPipe at 8 devices (the paper additionally")
 	fmt.Fprintln(w, "       saw DAPPLE OOM — an allocator-level effect our byte model does not")

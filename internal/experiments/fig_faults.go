@@ -54,7 +54,7 @@ func xtr02(w io.Writer) error {
 				flip = "  *"
 			}
 			fmt.Fprintf(w, "%8.2f %-14s %4d %4d %10.3f %+9.1f%%%s\n",
-				sev, displayName(best.Plan.Scheme), best.Plan.P, best.Plan.D,
+				sev, label(best.Plan.Scheme), best.Plan.P, best.Plan.D,
 				best.Throughput, (best.Throughput/healthy.Throughput-1)*100, flip)
 		}
 	}

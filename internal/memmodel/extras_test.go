@@ -65,18 +65,3 @@ func TestCheckpointShrinksActivations(t *testing.T) {
 		t.Fatal("checkpointing must not change weights")
 	}
 }
-
-func TestGEMSAnalyticPeaks(t *testing.T) {
-	s, err := sched.GEMS(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// GEMS is not one of the named cases; the wave-family default applies
-	// an upper bound — the important property is that the estimate exists
-	// and is positive for every device.
-	for d, pk := range AnalyticPeakActs(s) {
-		if pk < 1 {
-			t.Fatalf("device %d peak %d", d, pk)
-		}
-	}
-}

@@ -177,46 +177,32 @@ func WeightsInto(dst []float64, sc *sched.Schedule, cfg nn.Config, opt Options) 
 }
 
 // AnalyticPeakActs returns per-device peak live-activation counts without
-// running the simulator, using each scheme's steady-state bound (matching
-// the generator's in-flight caps): GPipe stores all B micro-batches on
-// every stage; DAPPLE stores P−s; Chimera ceil((P−depth)/2) per direction
-// with B/2 micros per pipe; the wave family ceil((S−s)/(2W)).
+// running the simulator: each hosted chunk holds at most its stage's
+// inflight cap (sched.Scheme.Cap, the generator's own budget) or the
+// micro-batches of its pipe, whichever is fewer — B for GPipe, min(P−s, B)
+// for DAPPLE, half the micro-batches per Chimera direction. A schedule
+// whose scheme ParseScheme does not know (hand-built, async-1f1b) gets B
+// per hosted chunk, the bound every schedule meets.
 func AnalyticPeakActs(sc *sched.Schedule) []int {
-	p := sc.P
-	out := make([]int, p)
-	for d := 0; d < p; d++ {
-		total := 0
-		for _, h := range sc.Mapping.Hosted(d) {
-			var cap, micros int
-			micros = sc.B
-			switch sc.Scheme {
-			case "gpipe":
-				cap = sc.B
-			case "dapple", "async-1f1b":
-				cap = p - h.Stage
-			case "chimera":
-				// Each direction carries half the micro-batches.
-				cap = max((p+1)/2, (p-chimeraDepth(p, d, h.Chunk)+1)/2)
-				micros = (sc.B + 1) / 2
-			default: // wave family
-				waves := sc.W
-				if waves <= 0 {
-					waves = 1
-				}
-				cap = max(p+1, (sc.S-h.Stage+2*waves-1)/(2*waves))
-			}
-			total += min(cap, micros)
+	out := make([]int, sc.P)
+	s, err := sched.ParseScheme(sc.Scheme)
+	if err != nil {
+		for d := range out {
+			out[d] = sc.B * len(sc.Mapping.Hosted(d))
 		}
-		out[d] = total
+		return out
+	}
+	for pipe := 0; pipe < s.Pipes(); pipe++ {
+		micros := s.Micros(pipe, sc.B)
+		for st := 0; st < sc.S; st++ {
+			n := micros
+			if c := s.Cap(sc.P, st); c > 0 {
+				n = min(c, n)
+			}
+			out[s.Device(sc.P, pipe, st)] += n
+		}
 	}
 	return out
-}
-
-func chimeraDepth(p, d, chunk int) int {
-	if chunk == 0 {
-		return d
-	}
-	return p - 1 - d
 }
 
 // FitsCluster reports whether every device's estimate fits its memory,

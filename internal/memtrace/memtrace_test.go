@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/memmodel"
 	"repro/internal/memtrace"
 	"repro/internal/nn"
 	"repro/internal/sched"
@@ -36,6 +37,35 @@ func TestPeaksMatchSimulator(t *testing.T) {
 				if mt.PeakActs[d] != r.PeakActs[d] {
 					t.Errorf("%s P=%d B=%d device %d: memtrace peak %d, sim peak %d",
 						scheme, shape.p, shape.b, d, mt.PeakActs[d], r.PeakActs[d])
+				}
+			}
+		}
+	}
+}
+
+// TestAnalyticPeakActsCoverReplay holds memmodel's analytic peaks — the
+// generator's inflight caps summed over each device's hosted chunks, each
+// capped by its pipe's micro-batches — to the replay: never below the
+// measured peak on any device of any scheme, and exact for the schemes
+// whose caps are reached (gpipe, dapple, gems, zbh1).
+func TestAnalyticPeakActsCoverReplay(t *testing.T) {
+	exact := map[string]bool{"gpipe": true, "dapple": true, "gems": true, "zbh1": true}
+	for _, scheme := range []string{"gpipe", "dapple", "chimera", "chimera-wave",
+		"hanayo-w1", "hanayo-w2", "hanayo-w4", "interleaved-v2", "gems", "zbh1"} {
+		for _, shape := range []struct{ p, b int }{{4, 8}, {8, 8}, {4, 16}} {
+			s, err := sched.ByName(scheme, shape.p, shape.b)
+			if err != nil {
+				t.Fatalf("%s P=%d B=%d: %v", scheme, shape.p, shape.b, err)
+			}
+			mt, err := memtrace.Run(s, nn.BERTStyle(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			analytic := memmodel.AnalyticPeakActs(s)
+			for d := 0; d < s.P; d++ {
+				if got, bound := mt.PeakActs[d], analytic[d]; got > bound || exact[scheme] && got != bound {
+					t.Errorf("%s P=%d B=%d device %d: measured peak %d, analytic %d (measured %v, analytic %v)",
+						scheme, shape.p, shape.b, d, got, bound, mt.PeakActs, analytic)
 				}
 			}
 		}

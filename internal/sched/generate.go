@@ -17,20 +17,20 @@ func WithCosts(tf, tb, tc float64) Option {
 // GPipe generates the classic schedule: straight placement, all forwards
 // then all backwards per device, unbounded live activations (paper Fig 3a).
 func GPipe(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(famGPipe, 0, p, b, opts...)
+	return NewGenerator().generate(Scheme{fam: famGPipe}, p, b, opts...)
 }
 
 // DAPPLE generates the 1F1B schedule: straight placement, eager backwards,
 // live activations capped at P−s per stage (paper Fig 3b).
 func DAPPLE(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(famDAPPLE, 0, p, b, opts...)
+	return NewGenerator().generate(Scheme{fam: famDAPPLE}, p, b, opts...)
 }
 
 // Chimera generates the bidirectional schedule with two weight replicas:
 // micro-batches with even index run down, odd run up, so both halves
 // progress symmetrically and fill each other's bubbles (paper Fig 3c).
 func Chimera(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(famChimera, 0, p, b, opts...)
+	return NewGenerator().generate(Scheme{fam: famChimera}, p, b, opts...)
 }
 
 // Hanayo generates the wave-like schedule with w waves: S = 2·w·P stages,
@@ -38,19 +38,19 @@ func Chimera(p, b int, opts ...Option) (*Schedule, error) {
 // Hanayo(p, 1, b) is Chimera-wave, the optimized transform of Chimera the
 // paper benchmarks against (§3.2, Fig 5).
 func Hanayo(p, w, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(famHanayo, w, p, b, opts...)
+	return NewGenerator().generate(Scheme{fam: famHanayo, arg: w}, p, b, opts...)
 }
 
 // ChimeraWave is the paper's evaluation baseline "Chimera-wave": Chimera
 // after the wave transformation, i.e. Hanayo with a single wave.
 func ChimeraWave(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(famChimeraWave, 1, p, b, opts...)
+	return NewGenerator().generate(Scheme{fam: famChimeraWave, arg: 1}, p, b, opts...)
 }
 
 // Interleaved generates Megatron-LM's interleaved 1F1B with v chunks per
 // device (§2.2 mentions it as DAPPLE's refinement).
 func Interleaved(p, v, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(famInterleaved, v, p, b, opts...)
+	return NewGenerator().generate(Scheme{fam: famInterleaved, arg: v}, p, b, opts...)
 }
 
 // AsyncOneFOneB generates an asynchronous (no-flush) 1F1B block covering
@@ -58,7 +58,7 @@ func Interleaved(p, v, b int, opts ...Option) (*Schedule, error) {
 // (paper Fig 4b): the flush bubbles vanish and the steady state is fully
 // packed. Weight staleness is the semantic cost; we only study timing.
 func AsyncOneFOneB(p, b, iters int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(famAsync, 0, p, b*iters, opts...)
+	return NewGenerator().generate(Scheme{fam: famAsync}, p, b*iters, opts...)
 }
 
 // ZBH1 generates a zero-bubble ZB-H1-like schedule: straight placement and
@@ -70,12 +70,11 @@ func AsyncOneFOneB(p, b, iters int, opts ...Option) (*Schedule, error) {
 // the live-activation cap tightens below 1F1B's P−s while the W fillers
 // soak up bubble time.
 func ZBH1(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(famZBH1, 0, p, b, opts...)
+	return NewGenerator().generate(Scheme{fam: famZBH1}, p, b, opts...)
 }
 
-// ByName builds a schedule from a scheme name used by benchmarks and CLIs:
-// "gpipe", "dapple", "chimera", "chimera-wave", "zbh1", "hanayo-w<N>",
-// "interleaved-v<N>". It delegates to a fresh Generator, so the result is
+// ByName builds a schedule from a scheme name used by benchmarks and CLIs
+// (ParseScheme lists them). It delegates to a fresh Generator, so the result is
 // structurally identical to Generator.Generate output and already
 // validated.
 func ByName(name string, p, b int, opts ...Option) (*Schedule, error) {

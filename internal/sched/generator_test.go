@@ -253,42 +253,64 @@ func TestGeneratorOptionsMatchOneShot(t *testing.T) {
 	schedulesEqual(t, "dapple+costs", reusedCosts, costs)
 }
 
-// TestComputeTasksMatchesGenerate pins the closed form the configuration
-// search weighs its cells by to the schedule it stands for: for every
-// scheme of the golden table (zbh1 and interleaved-v2 included) over
-// several (P, B), it equals the number of compute actions Generate emits.
-// A name Generate rejects is an error here too, never a guessed size.
+// TestComputeTasksMatchesGenerate pins the scheme descriptor to the
+// schedules it stands for: for every name ByName accepts (the golden table,
+// hanayo-w8, interleaved-v3 and the 1f1b alias) over P ∈ {2…8, 16, 32}, the
+// descriptor's canonical name, stage count, pipe count, placement (both
+// micro parities) and split flag equal the generated schedule's, and
+// ComputeTasks — the closed form the configuration search weighs its
+// cells by — equals the number of compute actions Generate emits. A name
+// Generate rejects is a ParseScheme error too, never a guessed shape.
 func TestComputeTasksMatchesGenerate(t *testing.T) {
 	g := NewGenerator()
 	for _, scheme := range append(generatorSchemes, "hanayo-w8", "interleaved-v3", "1f1b") {
-		for _, shape := range [][2]int{{2, 2}, {2, 6}, {4, 4}, {4, 8}, {8, 8}, {8, 16}} {
-			p, b := shape[0], shape[1]
-			s, err := g.Generate(scheme, p, b)
-			if err != nil {
-				t.Fatalf("%s P=%d B=%d: %v", scheme, p, b, err)
-			}
-			compute := 0
-			for _, l := range s.Lists {
-				for _, a := range l {
-					if a.Kind.IsCompute() {
-						compute++
+		sc, err := ParseScheme(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{2, 3, 4, 5, 6, 7, 8, 16, 32} {
+			for _, b := range []int{2, 2 * p} {
+				s, err := g.Generate(scheme, p, b)
+				if err != nil {
+					t.Fatalf("%s P=%d B=%d: %v", scheme, p, b, err)
+				}
+				compute, split := 0, false
+				for _, l := range s.Lists {
+					for _, a := range l {
+						if a.Kind.IsCompute() {
+							compute++
+						}
+						split = split || a.Kind == OpBackwardInput || a.Kind == OpBackwardWeight
+					}
+				}
+				if got := sc.ComputeTasks(p, b); got != compute {
+					t.Fatalf("%s P=%d B=%d: ComputeTasks = %d; Generate emitted %d compute actions",
+						scheme, p, b, got, compute)
+				}
+				if sc.Name() != s.Scheme || sc.Stages(p) != s.S || sc.Pipes() != s.Mapping.WeightReplicas || sc.Split() != split {
+					t.Fatalf("%s P=%d B=%d: descriptor (%s S=%d pipes=%d split=%v), schedule (%s S=%d replicas=%d split=%v)",
+						scheme, p, b, sc.Name(), sc.Stages(p), sc.Pipes(), sc.Split(),
+						s.Scheme, s.S, s.Mapping.WeightReplicas, split)
+				}
+				for micro := 0; micro < 2; micro++ {
+					pipe := micro % sc.Pipes()
+					for st := 0; st < s.S; st++ {
+						if d, c := sc.Device(p, pipe, st), sc.Chunk(p, pipe, st); d != s.Mapping.Device(micro, st) || c != s.Mapping.Chunk(micro, st) {
+							t.Fatalf("%s P=%d micro %d stage %d: descriptor device %d chunk %d, mapping %d %d",
+								scheme, p, micro, st, d, c, s.Mapping.Device(micro, st), s.Mapping.Chunk(micro, st))
+						}
 					}
 				}
 			}
-			got, err := ComputeTasks(scheme, p, b)
-			if err != nil || got != compute {
-				t.Fatalf("%s P=%d B=%d: ComputeTasks = %d, %v; Generate emitted %d compute actions",
-					scheme, p, b, got, err, compute)
-			}
 		}
 	}
-	for _, bad := range []string{"nope", "hanayo-w", "hanayo-w2x", "interleaved-v0", "async-1f1b", ""} {
-		if n, err := ComputeTasks(bad, 4, 4); err == nil {
-			t.Errorf("ComputeTasks(%q) = %d with no error", bad, n)
+	for _, bad := range []string{"nope", "hanayo-w", "hanayo-w0", "hanayo-w2x", "interleaved-v", "interleaved-v0", "async-1f1b", ""} {
+		if sc, err := ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme(%q) = %v with no error", bad, sc)
 		}
 	}
-	if n, err := ComputeTasks("gpipe", 4, 0); err == nil {
-		t.Errorf("ComputeTasks at B=0 = %d with no error", n)
+	if sc, _ := ParseScheme("gpipe"); sc.ComputeTasks(4, 0) != 0 {
+		t.Errorf("ComputeTasks at B=0 = %d, want 0", sc.ComputeTasks(4, 0))
 	}
 }
 

@@ -101,14 +101,14 @@ func canonGradPayload(s *Schedule, micro, stage, src, dst int) int {
 	return s.B*s.S + micro*s.S + stage
 }
 
-// splitSchedule reports whether s uses the split-backward (zero-bubble)
-// vocabulary. Schemes the generator knows are classified by family, so a
-// declared-fused scheme carrying split ops (or vice versa) is caught as a
-// mode mismatch; unknown (hand-built) schemes are classified by the ops
-// they actually contain.
-func splitSchedule(s *Schedule) bool {
-	if fam, _, ok := parseScheme(s.Scheme); ok {
-		return fam == famZBH1
+// Split reports whether s uses the split-backward (zero-bubble)
+// vocabulary. Schemes ParseScheme knows are classified by their
+// descriptor, so a declared-fused scheme carrying split ops (or vice versa)
+// is caught as a mode mismatch; unknown (hand-built) schemes are
+// classified by the ops they actually contain.
+func (s *Schedule) Split() bool {
+	if sc, err := ParseScheme(s.Scheme); err == nil {
+		return sc.Split()
 	}
 	for _, list := range s.Lists {
 		for _, a := range list {
@@ -131,7 +131,7 @@ func (v *validator) checkStatic(s *Schedule) error {
 	if len(s.Lists) != s.P {
 		return fmt.Errorf("sched: %d lists for %d devices", len(s.Lists), s.P)
 	}
-	split := splitSchedule(s)
+	split := s.Split()
 	segs := 2
 	if split {
 		segs = 3 // forwards, input-grads, weight-grads
