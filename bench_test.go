@@ -207,8 +207,8 @@ func BenchmarkRunnerReuse(b *testing.B) {
 	b.ReportMetric(float64(s.NumActions()), "ops/run")
 }
 
-// BenchmarkMemReplayerReuse measures the reused memory-replay executor —
-// the per-key cost of the AutoTune OOM front end.
+// BenchmarkMemReplayerReuse measures the reused memory replay: one
+// per-device walk of the action lists producing Fig 8's live-byte curves.
 func BenchmarkMemReplayerReuse(b *testing.B) {
 	s, err := sched.Hanayo(8, 2, 16)
 	if err != nil {
@@ -247,7 +247,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkMemTrace measures the sim-free memory replay backend.
+// BenchmarkMemTrace measures the sim-free memory replay of one plan.
 func BenchmarkMemTrace(b *testing.B) {
 	plan := core.Plan{Scheme: "hanayo-w2", Cluster: cluster.TACC(8),
 		Model: nn.BERTStyle(), P: 8, D: 1, B: 16, MicroRows: 2}
@@ -339,7 +339,7 @@ func BenchmarkAutoTuneParallel(b *testing.B) {
 }
 
 // BenchmarkAutoTunePruned runs the serial fig10-sized sweep with the
-// memtrace-first OOM front end: infeasible cells skip the timing model.
+// memory-first OOM front end: infeasible cells skip the timing model.
 // On this space the win tracks the OOM fraction — the regime the pruning
 // targets is model sizes where OOM is the common case.
 func BenchmarkAutoTunePruned(b *testing.B) {

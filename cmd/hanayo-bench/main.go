@@ -6,7 +6,7 @@
 //	hanayo-bench             # run everything
 //	hanayo-bench -exp fig09  # run one experiment
 //	hanayo-bench -exp fig10 -workers 1   # serial configuration search
-//	hanayo-bench -exp fig10 -prune       # memtrace-first OOM pruning
+//	hanayo-bench -exp fig10 -prune       # memory-first OOM pruning
 //	hanayo-bench -exp fig10 -topk 3      # bound-and-prune: exact top 3 only
 //	hanayo-bench -exp fig10 -scheme zbh1 # sweep the zero-bubble split scheme too
 //	hanayo-bench -exp fig10 -straggler 0:0.5      # search with device 0 at half speed
@@ -44,7 +44,7 @@ func main() {
 	exp := flag.String("exp", "", "experiment id (e.g. fig01); empty runs all")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	workers := flag.Int("workers", 0, "AutoTune sweep workers (fig10): 0 = one per CPU, 1 = serial")
-	prune := flag.Bool("prune", false, "fig10: memtrace-first OOM pruning (infeasible cells skip the timing simulation)")
+	prune := flag.Bool("prune", false, "fig10: memory-first OOM pruning (infeasible cells skip the timing simulation)")
 	topk := flag.Int("topk", 0, "fig10: bound-and-prune search keeping this many exact ranks (0 = exhaustive)")
 	scheme := flag.String("scheme", "", "fig10: sweep one extra scheme alongside the default set (e.g. zbh1)")
 	straggler := flag.String("straggler", "", "fig10: perturb the search cluster, dev:factor (e.g. 0:0.5 runs device 0 at half speed)")

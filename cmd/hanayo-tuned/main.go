@@ -72,7 +72,7 @@ func main() {
 	modelName := flag.String("model", "bert", "model preset (bert, gpt)")
 	b := flag.Int("b", 16, "micro-batches per replica")
 	rows := flag.Int("rows", 2, "sequences per micro-batch")
-	prune := flag.Bool("prune", false, "memtrace-first OOM pruning")
+	prune := flag.Bool("prune", false, "memory-first OOM pruning")
 	topk := flag.Int("topk", 0, "bound-and-prune search keeping this many exact ranks per shard (0 = exhaustive)")
 	workers := flag.Int("workers", 0, "sweep worker goroutines: 0 = one per CPU")
 	events := flag.String("events", "", "worker: apply a JSON membership-event stream file (leave/join/speed/link) to the preset cluster before sweeping")

@@ -1,10 +1,10 @@
 // Memory profile (the paper's §5.1 scenario): the per-device peak memory
 // distribution of each scheme for a large model, including the balance
 // (variance) that determines real-world packability, and ASCII bars for
-// the worst and best devices. Activation residency is measured by the
-// memory-replay executor (the schedule's action lists replayed against
-// the memory model, no simulation and no tensor math), and each scheme's
-// live-byte curve peak is reported alongside the estimate.
+// the worst and best devices. Activation residency is measured on the
+// schedule's action lists (Plan.Memory scans them; no simulation and no
+// tensor math), and each scheme's live-activation peak is reported
+// alongside the estimate.
 package main
 
 import (
@@ -26,15 +26,14 @@ func main() {
 			Scheme: scheme, Cluster: cl, Model: model,
 			P: 8, D: 4, B: 12, MicroRows: 2,
 		}
-		// Sim-free evaluation: peaks come from the memory-replay executor,
-		// whose full result (curves included) rides along on the Eval.
-		ev, err := plan.EvaluateOpts(hanayo.EvalOptions{AnalyticOnly: true})
+		// Sim-free estimate: activation peaks come from one scan of the
+		// schedule's action lists.
+		est, err := plan.Memory()
 		if err != nil {
 			log.Fatal(err)
 		}
-		est := ev.Memory
 		peakLive := 0.0
-		for _, pb := range ev.MemTrace.PeakBytes {
+		for _, pb := range est.ActBytes {
 			if pb > peakLive {
 				peakLive = pb
 			}

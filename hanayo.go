@@ -51,11 +51,9 @@ type (
 	SearchSpace = core.SearchSpace
 	// Eval is a plan's complete single-pass evaluation: one simulation
 	// yields the memory estimate, feasibility and throughput together
-	// (Plan.Evaluate / Plan.EvaluateOpts).
+	// (Plan.Evaluate). Plan.Memory and Plan.Fits give the memory half
+	// without simulating.
 	Eval = core.Eval
-	// EvalOptions tunes Plan.EvaluateOpts (executor options, or the
-	// sim-free AnalyticOnly memory path).
-	EvalOptions = core.EvalOptions
 	// Tuner is the steady-state tuning service: concurrent AutoTune
 	// sweeps served over a bounded pool of reusable evaluators with a
 	// sharded cross-sweep evaluation cache. Construct once, share freely.
@@ -65,8 +63,9 @@ type (
 )
 
 // AutoTune sweeps plans over a cluster as in Fig 10. SearchSpace.Prune
-// routes every configuration through the memtrace OOM front end first, so
-// infeasible cells never pay for a timing simulation. SearchSpace.TopK
+// judges every configuration's memory on its schedule's activation peaks
+// first, so infeasible cells never pay for a timing simulation and the
+// ranking is unchanged but for Candidate.Pruned. SearchSpace.TopK
 // turns the exhaustive sweep into an exact branch-and-bound search: the
 // first TopK ranks stay bit-for-bit identical to the exhaustive ranking
 // while provably losing cells are skipped or deadline-aborted, surfacing
@@ -195,17 +194,17 @@ type (
 	// EngineConfig assembles an Engine directly (Plan.Engine is simpler).
 	EngineConfig = runtime.Config
 	// ExecBackend is the pluggable executor-semantics interface of the
-	// shared interpreter — the extension point for new executors
-	// (memory-trace, async variants) without a new walking loop.
+	// shared interpreter — the extension point for new executors (async
+	// variants, say) without a new walking loop.
 	ExecBackend = exec.Backend
 	// ExecOptions tunes interpreter semantics (comm-run batching).
 	ExecOptions = exec.Options
 	// ExecRecord is one executed compute action with its time span, the
 	// timeline entry both executors produce.
 	ExecRecord = exec.Record
-	// MemTraceResult is one memory-replay execution: per-device live-byte
-	// curves and activation peaks, measured without tensor math or a
-	// timing model (the third backend of the shared interpreter).
+	// MemTraceResult is one memory replay: per-device live-byte curves and
+	// activation peaks, measured on the action lists without tensor math
+	// or a timing model.
 	MemTraceResult = memtrace.Result
 	// MemTraceSample is one point of a device's live-byte curve.
 	MemTraceSample = memtrace.Sample
@@ -214,7 +213,7 @@ type (
 	// Not safe for concurrent use; its Result is valid until the next Run.
 	SimRunner = sim.Runner
 	// MemReplayer is the reusable memory-replay handle, with a budgeted
-	// early-exit mode (RunBudget) for OOM feasibility checks.
+	// early-exit mode (RunBudget).
 	MemReplayer = memtrace.Replayer
 	// ScheduleGenerator is the reusable schedule compiler: it owns the
 	// greedy scheduler's arenas, per-shape mapping/cap caches and the
@@ -222,8 +221,8 @@ type (
 	// in steady state. Not safe for concurrent use; its Schedule is valid
 	// until the next Generate.
 	ScheduleGenerator = sched.Generator
-	// ExecLoop is the reusable interpreter driver behind both handles —
-	// the extension point for allocation-free custom executors.
+	// ExecLoop is the reusable interpreter driver behind SimRunner — the
+	// extension point for allocation-free custom executors.
 	ExecLoop = exec.Loop
 )
 

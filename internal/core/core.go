@@ -62,7 +62,7 @@ type schedKey struct {
 // every cell of the grid that names the key. mu serialises the key's
 // builders — a second worker reaching the key waits for the first instead
 // of measuring beside it — and only COMPLETE results are stored: full
-// simulations, memtrace OOM verdicts and deterministic errors, all of them
+// simulations, memory-first OOM verdicts and deterministic errors, all of them
 // D-invariant, so a complete result is built exactly once per sweep. A
 // deadline-aborted builder stores nothing (its abort cap depends on the
 // observing cell's D and the cutoff it read, so the verdict is no fact
@@ -82,20 +82,19 @@ type keyMemo struct {
 
 // memMargin is the fraction of device HBM an evaluation may claim — the
 // standard 5% framework-reserve headroom applied by every feasibility
-// check (Plan.Fits, the sweep's OOM cells, the pruning budgets).
+// check (Plan.Fits, the sweep's OOM cells, the memory-first front end).
 const memMargin = 0.95
 
 // evalShared is the D-invariant slice of one evaluation: everything a
 // candidate needs except the ×D throughput scaling.
 type evalShared struct {
-	sim *sim.Result      // Plan.Evaluate's path only
-	mt  *memtrace.Result // AnalyticOnly path only
+	sim *sim.Result // Plan.Evaluate's path only
 	// mem is the fresh per-device estimate Plan.Evaluate returns, and nil
 	// everywhere else: a sweep judges memory on its evaluator's own Estimate
 	// and keeps only the verdict, maxGB and fits.
 	mem        *memmodel.Estimate
 	fits       bool
-	pruned     bool    // OOM decided by the memtrace front end; no sim ran
+	pruned     bool    // OOM decided by the memory-first front end; no sim ran
 	maxGB      float64 // peak per-device footprint (the judged estimate's MaxGB)
 	perReplica float64 // sequences/s of one replica
 	// boundOnly marks a deadline-aborted evaluation (the bound-and-prune
@@ -171,88 +170,32 @@ var simRuns atomic.Int64
 // Eval is one plan's complete single-pass evaluation: everything the
 // configuration search needs from exactly one discrete-event simulation.
 type Eval struct {
-	// Sim is the per-replica simulation result (nil with AnalyticOnly).
+	// Sim is the per-replica simulation result.
 	Sim *sim.Result
-	// MemTrace is the memory-replay result backing an AnalyticOnly
-	// evaluation (live-byte curves included); nil on the simulated path,
-	// which derives peaks from Sim instead.
-	MemTrace *memtrace.Result
 	// Memory is the per-device peak-memory estimate, built from the
-	// simulation's activation peaks (or the memtrace replay's, with
-	// AnalyticOnly — the two are provably identical).
+	// simulation's activation peaks (equal to the schedule's own
+	// sched.Schedule.PeakActs, which Plan.Memory uses without simulating).
 	Memory *memmodel.Estimate
 	// Fits reports whether Memory fits every device with the standard 5%
 	// framework headroom.
 	Fits bool
-	// Throughput is end-to-end sequences/second across all D replicas
-	// (0 with AnalyticOnly: no timing model ran).
+	// Throughput is end-to-end sequences/second across all D replicas.
 	Throughput float64
-}
-
-// EvalOptions tunes Plan.EvaluateOpts.
-type EvalOptions struct {
-	// Sim configures the discrete-event executor (DefaultOptions when
-	// calling Evaluate).
-	Sim sim.Options
-	// AnalyticOnly skips the timing simulation entirely: activation peaks
-	// come from the memtrace replay (measured against the memory model,
-	// no tensor math, no clock), Throughput stays 0 and Eval.Sim nil.
-	// This is the old Memory() fallback made explicit — evaluation errors
-	// now propagate instead of silently downgrading the peak source.
-	AnalyticOnly bool
 }
 
 // Evaluate measures the plan with the paper-faithful executor options:
 // one simulation produces the memory estimate, the feasibility verdict
-// and the throughput together. Memory, Fits and Throughput are thin views
-// over this.
+// and the throughput together. Throughput is a thin view over this.
 func (p Plan) Evaluate() (*Eval, error) {
-	return p.EvaluateOpts(EvalOptions{Sim: sim.DefaultOptions()})
-}
-
-// EvaluateOpts is Evaluate with explicit options.
-func (p Plan) EvaluateOpts(opt EvalOptions) (*Eval, error) {
-	shared, err := p.evaluateShared(opt)
-	if err != nil {
-		return nil, err
-	}
-	return p.evalView(shared), nil
-}
-
-// evalView scales the D-invariant shared evaluation to this plan.
-func (p Plan) evalView(s *evalShared) *Eval {
-	return &Eval{
-		Sim:        s.sim,
-		MemTrace:   s.mt,
-		Memory:     s.mem,
-		Fits:       s.fits,
-		Throughput: s.perReplica * float64(p.D),
-	}
-}
-
-// evaluateShared performs the actual single-pass measurement of one
-// replica: one sim.Run (or one memtrace replay), one memory estimate, one
-// feasibility check.
-func (p Plan) evaluateShared(opt EvalOptions) (*evalShared, error) {
 	s, err := p.Schedule()
 	if err != nil {
 		return nil, err
 	}
-	if opt.AnalyticOnly {
-		mt, err := memtrace.Run(s, p.Model, p.MicroRows)
-		if err != nil {
-			return nil, err
-		}
-		es := &evalShared{mt: mt, mem: memmodel.ForSchedule(s, p.Model, p.MicroRows, mt.PeakActs),
-			splitBW: s.Split()}
-		es.judge(es.mem, p.Cluster)
-		return es, nil
-	}
-	es, err := p.simEvaluate(s, opt.Sim, nil, 0)
+	es, err := p.simEvaluate(s, sim.DefaultOptions(), nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &es, nil
+	return &Eval{Sim: es.sim, Memory: es.mem, Fits: es.fits, Throughput: es.perReplica * float64(p.D)}, nil
 }
 
 // judge records the memory verdict of estimate mem on cluster cl: its peak
@@ -327,25 +270,26 @@ func (p Plan) MemTrace() (*memtrace.Result, error) {
 	return memtrace.Run(s, p.Model, p.MicroRows)
 }
 
-// Memory estimates per-device peak memory using the simulator's activation
-// peaks — a view over Evaluate. Simulation errors propagate; for a
-// deliberately sim-free estimate use EvaluateOpts with AnalyticOnly.
+// Memory estimates per-device peak memory from the schedule's activation
+// peaks (sched.Schedule.PeakActs) — no simulation runs, so a fault plan
+// that kills a device does not hide the estimate. Wherever Evaluate
+// completes, its Memory equals this bit for bit.
 func (p Plan) Memory() (*memmodel.Estimate, error) {
-	e, err := p.Evaluate()
+	s, err := p.Schedule()
 	if err != nil {
 		return nil, err
 	}
-	return e.Memory, nil
+	return memmodel.ForSchedule(s, p.Model, p.MicroRows, s.PeakActs(nil)), nil
 }
 
 // Fits reports whether the plan's peak memory fits every device (with a
-// 5% headroom, matching framework reserves) — a view over Evaluate.
+// 5% headroom, matching framework reserves) — a view over Memory.
 func (p Plan) Fits() (bool, error) {
-	e, err := p.Evaluate()
+	mem, err := p.Memory()
 	if err != nil {
 		return false, err
 	}
-	return e.Fits, nil
+	return memmodel.FitsCluster(mem, p.Cluster, memMargin), nil
 }
 
 // Throughput returns simulated end-to-end sequences/second across all D
@@ -381,10 +325,9 @@ type Candidate struct {
 	Throughput float64 // sequences/s; 0 when OOM
 	PeakGB     float64
 	OOM        bool
-	// Pruned marks an OOM verdict produced by the memtrace-first front end
-	// (SearchSpace.Prune): the cell never entered the timing simulation,
-	// and PeakGB is the infeasibility-proving lower bound the aborted
-	// replay observed rather than the full-iteration peak.
+	// Pruned marks an OOM verdict produced by the memory-first front end
+	// (SearchSpace.Prune): the cell never entered the timing simulation.
+	// PeakGB is the same full-iteration peak a simulated OOM cell reports.
 	Pruned bool
 	// BoundPruned marks a cell the bound-and-prune sweep (SearchSpace.TopK)
 	// eliminated without a complete simulation — its analytic lower bound
@@ -429,14 +372,14 @@ type SearchSpace struct {
 	// identical candidate ranking — measurements land in deterministic
 	// slots before the final stable sort.
 	Workers int
-	// Prune enables the memtrace-first OOM front end (the paper's
+	// Prune enables the memory-first OOM front end (the paper's
 	// decomposition of plan search into a cheap memory-feasibility check
 	// ahead of the expensive timing model): every unique (scheme, P, B)
-	// key replays memory first (~no timing model) and infeasible cells
-	// skip sim.Run entirely, yet still appear in the ranking as OOM.
-	// Feasible cells pay the replay on top of their one simulation, so
-	// pruning wins whenever OOM cells are common — large models pressing
-	// against device memory, exactly the regime the search targets.
+	// key is judged on its schedule's activation peaks
+	// (sched.Schedule.PeakActs, one scan of the action lists) and
+	// infeasible cells skip sim.Run entirely, yet still appear in the
+	// ranking as OOM with their exact PeakGB. The ranking equals the
+	// unpruned one in every field but Candidate.Pruned.
 	Prune bool
 	// TopK, when positive, turns the exhaustive sweep into an exact
 	// branch-and-bound search over the timing axis: cells are visited in
@@ -541,22 +484,21 @@ func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 
 // evaluator bundles the reusable executors one sweep worker drives: a
 // sched.Generator for schedule compilation, a sim.Runner for timed
-// evaluation, a memtrace.Replayer for the OOM front end, and the scratch
-// they share: the Estimate every key's memory verdict is judged on and the
-// replay's budgets. Reused across every key a worker measures — and,
-// inside a Tuner, across sweeps — so the steady-state evaluation pipeline
-// allocates per key only its cost model and the shape a Generator meets
-// for the first time, never per-run generator, executor or estimate state.
+// evaluation, and the scratch they share: the activation peaks and the
+// Estimate every key's memory verdict is judged on. Reused across every key
+// a worker measures — and, inside a Tuner, across sweeps — so the
+// steady-state evaluation pipeline allocates per key only its cost model
+// and the shape a Generator meets for the first time, never per-run
+// generator, executor or estimate state.
 type evaluator struct {
 	gen    *sched.Generator
 	runner *sim.Runner
-	replay *memtrace.Replayer
+	peaks  []int             // per-device activation peaks (scratch)
 	mem    memmodel.Estimate // the key being judged (scratch)
-	budget []float64         // per-device activation-byte budgets (scratch)
 }
 
 func newEvaluator() *evaluator {
-	return &evaluator{gen: sched.NewGenerator(), runner: sim.NewRunner(), replay: memtrace.NewReplayer()}
+	return &evaluator{gen: sched.NewGenerator(), runner: sim.NewRunner()}
 }
 
 // evalPool is a bounded set of evaluators: a semaphore caps the
@@ -593,52 +535,26 @@ func (p *evalPool) checkin(ev *evaluator) {
 // reusable executors. The schedule is compiled in place: it belongs to the
 // evaluator's Generator ("valid until the next Generate") and is consumed
 // where it was built, so the returned evalShared references none of it —
-// nor the evaluator's Estimate — and the next key (on a pooled evaluator,
-// the next sweep) overwrites the lists and the estimate. Memory replay
-// runs first when pruning (infeasible cells never reach sim.Run), then one
-// timed simulation for the cells that fit, under an optional virtual-clock
-// cap (deadline 0 → none): the bound-and-prune sweep's measurement path.
-// The memtrace OOM front end runs uncapped — its verdicts stay complete,
-// cacheable facts — and only the timing simulation is deadline-aborted.
-// The plan must already be valid (the sweep validates each cell at
-// enumerate): everything measured here is a fact about the key, and a
-// cell's P·D never is.
+// nor the evaluator's scratch — and the next key (on a pooled evaluator,
+// the next sweep) overwrites the lists, the peaks and the estimate. With
+// prune, memory is judged first on the schedule's own activation peaks,
+// and an infeasible key returns its exact OOM verdict without reaching
+// sim.Run; every other key runs one timed simulation under an optional
+// virtual-clock cap (deadline 0 → none): the bound-and-prune sweep's
+// measurement path. The plan must already be valid (the sweep validates
+// each cell at enumerate): everything measured here is a fact about the
+// key, and a cell's P·D never is.
 func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (evalShared, error) {
 	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
 	if err != nil {
 		return evalShared{}, err
 	}
-	cl, model, rows := plan.Cluster, plan.Model, plan.MicroRows
 	if prune {
-		mem := &ev.mem
-		mem.WeightBytes = memmodel.WeightsInto(mem.WeightBytes, s, model, memmodel.Options{})
-		ev.budget = ev.budget[:0]
-		overweight := false
-		for d := 0; d < s.P; d++ {
-			b := cl.MemBytes(d%cl.N())*memMargin - mem.WeightBytes[d]
-			if b < 0 {
-				overweight = true
-			}
-			ev.budget = append(ev.budget, b)
+		ev.peaks = s.PeakActs(ev.peaks)
+		memmodel.ForScheduleInto(&ev.mem, s, plan.Model, plan.MicroRows, ev.peaks, memmodel.Options{})
+		if !memmodel.FitsCluster(&ev.mem, plan.Cluster, memMargin) {
+			return evalShared{maxGB: ev.mem.MaxGB(), pruned: true, splitBW: s.Split()}, nil
 		}
-		mem.ActBytes = mem.ActBytes[:0]
-		if overweight {
-			// Weights alone overflow a device: OOM before any execution.
-			mem.ActBytes = append(mem.ActBytes, make([]float64, s.P)...)
-		} else {
-			mt, exceeded, err := ev.replay.RunBudget(s, model, rows, ev.budget)
-			if err != nil {
-				return evalShared{}, err
-			}
-			if !exceeded {
-				// Fits: on to the timing model.
-				return plan.simEvaluate(s, sim.DefaultOptions(), ev, deadline)
-			}
-			// The replay stopped at the violating forward; its partial
-			// peaks already prove infeasibility.
-			mem.ActBytes = append(mem.ActBytes, mt.PeakBytes...)
-		}
-		return evalShared{maxGB: mem.MaxGB(), pruned: true, splitBW: s.Split()}, nil
 	}
 	return plan.simEvaluate(s, sim.DefaultOptions(), ev, deadline)
 }
@@ -717,9 +633,8 @@ func (c *cutoffState) observe(slot int, thr float64) {
 // space.Workers goroutines sharing one evaluation memo, so identical action
 // lists are compiled and simulated once per sweep; the ranking is
 // independent of the worker count. A measuring worker holds one reusable
-// Generator/Runner/Replayer set from a pool no wider than the sweep, and
-// space.Prune routes every key through the memory-replay front end before
-// the timing model.
+// Generator/Runner pair from a pool no wider than the sweep, and
+// space.Prune judges every key's memory before the timing model.
 // space.TopK > 0 trades the exhaustive tail for speed: the first TopK
 // ranks stay exact and bit-for-bit identical while provably losing cells
 // are bound-pruned (see SearchSpace.TopK and Candidate.BoundPruned).
@@ -892,7 +807,7 @@ func enumerate(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner
 			memos[k] = c.memo
 		}
 		if t != nil {
-			c.gk = keyFor(c.plan, space.Prune, clusterFP)
+			c.gk = keyFor(c.plan, clusterFP)
 			c.hk = c.gk.hash()
 		}
 	}
@@ -1169,7 +1084,7 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 			return &m.es, nil
 		}
 	}
-	// The checkout covers the whole measurement (compile + replay + sim):
+	// The checkout covers the whole measurement (compile + memory + sim):
 	// schedule compilation is real work the admission control should bound.
 	ev := s.pool.checkout()
 	es, err := ev.evalSchedule(c.plan, s.space.Prune, deadline)

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/memmodel"
 	"repro/internal/nn"
 	"repro/internal/sim"
 )
@@ -388,30 +390,67 @@ func TestEvaluateCachedMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestEvaluateAnalyticOnly exercises the explicit sim-free path: no
-// simulation result, zero throughput, and a memory estimate identical to
-// the simulated one (the memtrace replay measures the same peaks).
-func TestEvaluateAnalyticOnly(t *testing.T) {
+// TestMemoryIsSimFree checks Plan.Memory and Plan.Fits, which judge the
+// schedule's own activation peaks: no simulation runs, a fault plan that
+// kills a device changes nothing (the simulated Evaluate has no estimate
+// for such a plan), the estimate is Evaluate's bit for bit, and a schedule
+// error surfaces.
+func TestMemoryIsSimFree(t *testing.T) {
 	plan := bertPlan("hanayo-w2", 4, 2)
+	faulty := plan
+	faulty.Faults = &sim.FaultPlan{Events: []sim.FaultEvent{sim.Fail(1, 0.001)}}
 	full, err := plan.Evaluate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := plan.EvaluateOpts(EvalOptions{AnalyticOnly: true})
+	before := simRuns.Load()
+	mem, err := plan.Memory()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem.Sim != nil || mem.Throughput != 0 {
-		t.Fatal("AnalyticOnly must not run the timing simulation")
+	fmem, err := faulty.Memory()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mem.Memory.MaxGB() != full.Memory.MaxGB() || mem.Fits != full.Fits {
-		t.Fatalf("sim-free memory (%g, %v) != simulated (%g, %v)",
-			mem.Memory.MaxGB(), mem.Fits, full.Memory.MaxGB(), full.Fits)
+	fits, err := plan.Fits()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Schedule errors surface instead of downgrading silently.
+	ffits, err := faulty.Fits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := simRuns.Load() - before; d != 0 {
+		t.Fatalf("Memory and Fits issued %d simulations, want 0", d)
+	}
+	if fmem == nil {
+		t.Fatal("a plan whose fault plan kills a device has no memory estimate")
+	}
+	sameEstimate := func(label string, got, want *memmodel.Estimate) {
+		t.Helper()
+		for d := range want.WeightBytes {
+			if math.Float64bits(got.WeightBytes[d]) != math.Float64bits(want.WeightBytes[d]) ||
+				math.Float64bits(got.ActBytes[d]) != math.Float64bits(want.ActBytes[d]) {
+				t.Fatalf("%s device %d: (%v, %v) != (%v, %v)", label, d,
+					got.WeightBytes[d], got.ActBytes[d], want.WeightBytes[d], want.ActBytes[d])
+			}
+		}
+		if len(got.WeightBytes) != len(want.WeightBytes) || len(got.ActBytes) != len(want.ActBytes) {
+			t.Fatalf("%s: estimate covers %d/%d devices, want %d/%d", label,
+				len(got.WeightBytes), len(got.ActBytes), len(want.WeightBytes), len(want.ActBytes))
+		}
+	}
+	sameEstimate("faulty plan", fmem, mem)
+	sameEstimate("Evaluate", mem, full.Memory)
+	if fits != full.Fits || ffits != fits {
+		t.Fatalf("Fits %v, faulty plan %v, Evaluate %v", fits, ffits, full.Fits)
+	}
 	bad := bertPlan("no-such-scheme", 4, 1)
-	if _, err := bad.EvaluateOpts(EvalOptions{AnalyticOnly: true}); err == nil {
-		t.Fatal("unknown scheme must fail AnalyticOnly evaluation")
+	if _, err := bad.Memory(); err == nil {
+		t.Fatal("unknown scheme must fail Memory")
+	}
+	if _, err := bad.Fits(); err == nil {
+		t.Fatal("unknown scheme must fail Fits")
 	}
 	if _, err := bad.Evaluate(); err == nil {
 		t.Fatal("unknown scheme must fail evaluation")

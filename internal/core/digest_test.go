@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -48,28 +49,31 @@ func rankingDigest(cands []Candidate) uint64 {
 // TestRankingDigestPinned pins the ranking AutoTune returns, bit for bit,
 // across both memory regimes (BERT fits, GPT runs out on TC), both sweep
 // modes (exhaustive and TopK 3) and both front ends (Prune off and on), for
-// every scheme family. The digests were recorded when the cost model still
-// held dense per-(device, stage) tables and every sweep key allocated its
-// own memory estimate, so they guard the arithmetic order of the per-stage
-// lookups and of the in-place memory verdict against that reference.
+// every scheme family. The unpruned digests were recorded when the cost
+// model still held dense per-(device, stage) tables and every sweep key
+// allocated its own memory estimate, so they guard the arithmetic order of
+// the per-stage lookups and of the in-place memory verdict against that
+// reference. The memory-first front end must change nothing but the Pruned
+// flag, which only an OOM row may carry: each pruned ranking is checked
+// against its unpruned twin before its own digest.
 func TestRankingDigestPinned(t *testing.T) {
 	want := map[string]uint64{
 		"TACC/bert":            0xdc32080cb3c9ac2a,
-		"TACC/bert/prune":      0x1969e1612beb75ab,
+		"TACC/bert/prune":      0x1598eac17993442e,
 		"TACC/bert/top3":       0x1cfe8e5101a84d47,
-		"TACC/bert/top3/prune": 0xe6d4eb93ce55eec3,
+		"TACC/bert/top3/prune": 0x0a3a867c32187794,
 		"TACC/gpt":             0xd284ca03deb34c2a,
-		"TACC/gpt/prune":       0xa39739664967939a,
+		"TACC/gpt/prune":       0xaf76a853d338f7fa,
 		"TACC/gpt/top3":        0xb57d9a6f0727220c,
-		"TACC/gpt/top3/prune":  0x748ecb2596d35e0d,
+		"TACC/gpt/top3/prune":  0x535f093ecb4872bb,
 		"TC/bert":              0x6f833dec1627d431,
-		"TC/bert/prune":        0x9340cc09ada3c101,
+		"TC/bert/prune":        0x80be4d0e756cf1b5,
 		"TC/bert/top3":         0xb61b552dfa3e4b28,
-		"TC/bert/top3/prune":   0xe2269e166b52d318,
+		"TC/bert/top3/prune":   0x0842308f4783c61c,
 		"TC/gpt":               0x8fdecf901ab733e9,
-		"TC/gpt/prune":         0xb8234ab987f1be96,
+		"TC/gpt/prune":         0x5de16d827b2badf0,
 		"TC/gpt/top3":          0xa6d5fbbea86f2d56,
-		"TC/gpt/top3/prune":    0x2dafc3c3d76f0e03,
+		"TC/gpt/top3/prune":    0x8160abb662b14299,
 	}
 	for _, cl := range []*cluster.Cluster{cluster.TACC(32), cluster.Tencent(32)} {
 		for _, model := range []struct {
@@ -77,6 +81,7 @@ func TestRankingDigestPinned(t *testing.T) {
 			cfg  nn.Config
 		}{{"bert", nn.BERTStyle()}, {"gpt", nn.GPTStyle()}} {
 			for _, topK := range []int{0, 3} {
+				var unpruned []Candidate
 				for _, prune := range []bool{false, true} {
 					space := SearchSpace{
 						Schemes:   []string{"gpipe", "dapple", "chimera", "chimera-wave", "zbh1", "interleaved-v2"},
@@ -94,12 +99,35 @@ func TestRankingDigestPinned(t *testing.T) {
 					if prune {
 						label += "/prune"
 					}
-					got := rankingDigest(AutoTune(cl, model.cfg, space))
-					if w := want[label]; got != w {
-						t.Errorf("%s: ranking digest %#x, want %#x", label, got, w)
+					got := AutoTune(cl, model.cfg, space)
+					if prune {
+						prunedMatchesUnpruned(t, label, got, unpruned)
+					} else {
+						unpruned = got
+					}
+					if d, w := rankingDigest(got), want[label]; d != w {
+						t.Errorf("%s: ranking digest %#x, want %#x", label, d, w)
 					}
 				}
 			}
+		}
+	}
+}
+
+// prunedMatchesUnpruned checks that a Prune sweep's ranking equals the
+// unpruned one in every field but Pruned, and that Pruned implies OOM.
+func prunedMatchesUnpruned(t *testing.T, label string, pruned, unpruned []Candidate) {
+	t.Helper()
+	if len(pruned) != len(unpruned) {
+		t.Fatalf("%s: %d rows, unpruned %d", label, len(pruned), len(unpruned))
+	}
+	for i, p := range pruned {
+		if p.Pruned && !p.OOM {
+			t.Errorf("%s rank %d (%s P=%d D=%d): Pruned without OOM", label, i, p.Plan.Scheme, p.Plan.P, p.Plan.D)
+		}
+		p.Pruned = unpruned[i].Pruned
+		if !reflect.DeepEqual(p, unpruned[i]) {
+			t.Errorf("%s rank %d: %+v, unpruned %+v", label, i, pruned[i], unpruned[i])
 		}
 	}
 }

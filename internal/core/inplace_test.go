@@ -17,12 +17,17 @@ import (
 // own Estimate, what is left is per sweep the layout, the evaluators and
 // the candidates, and per key its cost model (a struct and one block of
 // stage FLOPs, device rates and link times) and, on a key's first shape,
-// the mapping's tables and the cap table. Budgets are the measured counts
-// (219, 133, 265; within five under -race: nothing on the path draws from
-// a sync.Pool) plus at most 5 %; 440, 214 and 501 when the cost model held
-// P×S time tables, every key allocated its memory estimate and mappings
-// were closures, and 3 201, 966 and 3 805 before the schedules were
-// compiled in place.
+// the mapping's tables and the cap table. The exhaustive and top-K budgets
+// are the counts measured when they were set (219 and 133; within five
+// under -race: nothing on the path draws from a sync.Pool) plus at most
+// 5 %; they measure 218 and 132 now. The prune row measures 217 — its OOM
+// keys skip the simulation, and judging memory first on the schedule's
+// activation peaks allocates nothing — and carries the exhaustive row's
+// slack; it was 265 while a memory replay ran in front of the simulator.
+// The rows were 440, 214 and 501 when the cost model held P×S time
+// tables, every key allocated its memory estimate and mappings were
+// closures, and 3 201, 966 and 3 805 before the schedules were compiled in
+// place.
 func TestColdSweepAllocsPinned(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
@@ -34,7 +39,7 @@ func TestColdSweepAllocsPinned(t *testing.T) {
 	}{
 		{"exhaustive", 0, false, 230},
 		{"topk3", 3, false, 140},
-		{"prune", 0, true, 278},
+		{"prune", 0, true, 229},
 	} {
 		space := topKSpace(1, tc.topK, tc.prune)
 		got := testing.AllocsPerRun(5, func() {
@@ -54,9 +59,8 @@ func TestColdSweepAllocsPinned(t *testing.T) {
 // Plan.Evaluate returns with a fresh estimate: on the sweep_oom grid (GPT on
 // TC×32, where most rows run out of memory) every simulated cell's PeakGB
 // equals Evaluate's Memory.MaxGB() bit for bit and its OOM flag is !Fits.
-// With Prune on, a cell the memtrace front end rejects is OOM too, and its
-// PeakGB is the partial replay's peak: positive and no more than the full
-// iteration's.
+// With Prune on, a cell the memory-first front end rejects is OOM too, and
+// its PeakGB is the same exact peak.
 func TestSweepMemoryVerdictMatchesEvaluate(t *testing.T) {
 	cl := cluster.Tencent(32)
 	model := nn.GPTStyle()
@@ -78,10 +82,8 @@ func TestSweepMemoryVerdictMatchesEvaluate(t *testing.T) {
 			}
 			if c.Pruned {
 				pruned++
-				if c.PeakGB <= 0 || c.PeakGB > want {
-					t.Errorf("prune=%v %s P=%d: pruned PeakGB %g outside (0, %g]", prune, c.Plan.Scheme, c.Plan.P, c.PeakGB, want)
-				}
-			} else if math.Float64bits(c.PeakGB) != math.Float64bits(want) {
+			}
+			if math.Float64bits(c.PeakGB) != math.Float64bits(want) {
 				t.Errorf("prune=%v %s P=%d: sweep PeakGB %v, Evaluate MaxGB %v", prune, c.Plan.Scheme, c.Plan.P, c.PeakGB, want)
 			}
 			if c.OOM {

@@ -331,7 +331,6 @@ func TestTunerKeyHashStable(t *testing.T) {
 		model:   nn.BERTStyle(),
 		scheme:  "hanayo-w2",
 		p:       8, b: 16, rows: 2,
-		prune: false,
 	}
 	if base.hash() != base.hash() {
 		t.Fatal("hash is not deterministic")
@@ -340,14 +339,13 @@ func TestTunerKeyHashStable(t *testing.T) {
 	if got := base.hash(); got != golden {
 		t.Fatalf("wire key hash drifted: got %#x, want %#x", got, golden)
 	}
-	mutants := []tunerKey{base, base, base, base, base, base, base}
+	mutants := []tunerKey{base, base, base, base, base, base}
 	mutants[0].cluster++
 	mutants[1].model.Hidden++
 	mutants[2].scheme = "hanayo-w4"
 	mutants[3].p = 16
 	mutants[4].rows = 1
-	mutants[5].prune = true
-	mutants[6].faults = (&sim.FaultPlan{Events: []sim.FaultEvent{sim.SlowDown(0, 0.5, 0)}}).Fingerprint()
+	mutants[5].faults = (&sim.FaultPlan{Events: []sim.FaultEvent{sim.SlowDown(0, 0.5, 0)}}).Fingerprint()
 	for i, m := range mutants {
 		if m.hash() == base.hash() {
 			t.Errorf("mutant %d hashes like the base key", i)

@@ -1,8 +1,8 @@
 // The tuning service: AutoTune packaged for steady-state serving. One
 // process-wide Tuner owns (1) a bounded pool of reusable evaluators —
-// sched.Generator + sim.Runner + memtrace.Replayer triples, built on first
-// use and reused warmest first, so the per-candidate hot path (schedule
-// compilation included) allocates nothing — and (2) a size-bounded LRU
+// sched.Generator + sim.Runner pairs, built on first use and reused
+// warmest first, so the per-candidate hot path (schedule compilation
+// included) allocates nothing — and (2) a size-bounded LRU
 // cross-sweep cache of evaluation results keyed by
 // (cluster fingerprint, model config, scheme, P, B, MicroRows), so
 // repeated and overlapping sweeps — calibration loops, wave sweeps, many
@@ -30,7 +30,7 @@ import (
 // TunerOptions bounds the service.
 type TunerOptions struct {
 	// Runners bounds the evaluator pool — the maximum number of
-	// simulations/replays in flight across ALL concurrent sweeps served by
+	// measurements in flight across ALL concurrent sweeps served by
 	// this Tuner. 0 → one per CPU.
 	Runners int
 	// CacheEntries bounds the cross-sweep evaluation cache (entries,
@@ -149,9 +149,9 @@ func (t *Tuner) RemoteErrors() int64 { return t.rerrs.Load() }
 // content fingerprint (presets build a fresh *Cluster per call, so pointer
 // identity would never hit); the model config is comparable and embedded
 // whole. MicroRows is part of the workload (it scales compute and comm
-// times and activation bytes) and prune is included because a pruned OOM
-// cell reports the early-exit peak rather than the full-iteration peak.
-// faults is the plan's sim.FaultPlan fingerprint (0 when fault-free), so
+// times and activation bytes). Whether the memory-first front end ran is
+// not part of it: a pruned OOM verdict reports the same exact peak as a
+// simulated one. faults is the plan's sim.FaultPlan fingerprint (0 when fault-free), so
 // a faulty sweep can never serve — or poison — a fault-free entry.
 type tunerKey struct {
 	cluster uint64
@@ -159,14 +159,13 @@ type tunerKey struct {
 	scheme  string
 	p, b    int
 	rows    int
-	prune   bool
 	faults  uint64
 }
 
 // keyFor builds the cross-sweep cache key for one plan. clusterFP is the
 // plan's cluster fingerprint, hashed once per sweep by the caller (the
 // matrices are O(P²) to hash and sweep-constant).
-func keyFor(plan Plan, prune bool, clusterFP uint64) tunerKey {
+func keyFor(plan Plan, clusterFP uint64) tunerKey {
 	return tunerKey{
 		cluster: clusterFP,
 		model:   plan.Model,
@@ -174,14 +173,13 @@ func keyFor(plan Plan, prune bool, clusterFP uint64) tunerKey {
 		p:       plan.P,
 		b:       plan.B,
 		rows:    plan.MicroRows,
-		prune:   prune,
 		faults:  plan.Faults.Fingerprint(),
 	}
 }
 
 // hash reduces the key to a stable 64-bit FNV-1a digest: the cluster
 // fingerprint (itself a content hash), every model-config field, the
-// scheme, the (P, B, MicroRows) shape and the prune flag, with strings
+// scheme and the (P, B, MicroRows) shape, with strings
 // length-prefixed exactly as cluster.Fingerprint does. It is the wire key
 // of the cross-process cache tier — stable across processes, builds and
 // architectures. (Two distinct keys colliding in 64 bits would alias
@@ -225,13 +223,13 @@ func (k tunerKey) hash() uint64 {
 	u64(uint64(int64(k.p)))
 	u64(uint64(int64(k.b)))
 	u64(uint64(int64(k.rows)))
-	b(k.prune)
+	b(false) // the retired prune flag: kept so every published digest holds
 	u64(k.faults)
 	return h
 }
 
 // tunerEntry is the compact, D-invariant result of one evaluation — plain
-// scalars only, deliberately free of sim/memtrace pointers so cached
+// scalars only, deliberately free of sim pointers so cached
 // entries never retain runner-owned arenas and are safe to share across
 // goroutines. A failed verdict keeps its diagnostics (device, fail time,
 // recovery estimate) in process; the wire form carries only the flag.

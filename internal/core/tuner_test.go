@@ -73,8 +73,8 @@ func TestPruneSkipsSimForOOMCells(t *testing.T) {
 			if c.Throughput != 0 {
 				t.Errorf("%s P=%d D=%d: OOM cell has throughput %g", c.Plan.Scheme, c.Plan.P, c.Plan.D, c.Throughput)
 			}
-			// The early-exit peak must already prove infeasibility: above
-			// the 95% margin of TACC's 40 GB devices (weights included).
+			// The peak must prove infeasibility: above the 95% margin of
+			// TACC's 40 GB devices (weights included).
 			if c.PeakGB <= 40*memMargin {
 				t.Errorf("%s P=%d D=%d: pruned PeakGB %.1f does not exceed the 38 GB budget",
 					c.Plan.Scheme, c.Plan.P, c.Plan.D, c.PeakGB)
@@ -88,36 +88,15 @@ func TestPruneSkipsSimForOOMCells(t *testing.T) {
 	}
 }
 
-// TestPruneMatchesUnprunedRanking asserts pruning is output-invariant
-// where it must be: same candidate order, same OOM verdicts, identical
-// throughput and PeakGB for every feasible cell (OOM cells may report the
-// early-exit lower bound instead of the full-iteration peak).
+// TestPruneMatchesUnprunedRanking asserts pruning is output-invariant on
+// the parallel Fig 10 sweep: the ranking equals the unpruned one in every
+// field but Pruned, OOM peaks included, and only OOM rows are Pruned.
 func TestPruneMatchesUnprunedRanking(t *testing.T) {
 	cl := cluster.TACC(32)
 	model := nn.BERTStyle()
 	unpruned := AutoTune(cl, model, fig10Space(4, false))
 	pruned := AutoTune(cl, model, fig10Space(4, true))
-	if len(unpruned) != len(pruned) {
-		t.Fatalf("candidate counts differ: %d unpruned, %d pruned", len(unpruned), len(pruned))
-	}
-	for i := range unpruned {
-		u, p := unpruned[i], pruned[i]
-		if u.Plan.Scheme != p.Plan.Scheme || u.Plan.P != p.Plan.P || u.Plan.D != p.Plan.D {
-			t.Fatalf("rank %d: %s P=%d D=%d vs %s P=%d D=%d",
-				i, u.Plan.Scheme, u.Plan.P, u.Plan.D, p.Plan.Scheme, p.Plan.P, p.Plan.D)
-		}
-		if u.OOM != p.OOM || u.Throughput != p.Throughput {
-			t.Fatalf("rank %d (%s): unpruned (OOM=%v, %g) vs pruned (OOM=%v, %g)",
-				i, u.Plan.Scheme, u.OOM, u.Throughput, p.OOM, p.Throughput)
-		}
-		if !u.OOM && u.PeakGB != p.PeakGB {
-			t.Fatalf("rank %d (%s): feasible PeakGB %g != %g", i, u.Plan.Scheme, u.PeakGB, p.PeakGB)
-		}
-		if u.OOM && p.PeakGB > u.PeakGB {
-			t.Fatalf("rank %d (%s): early-exit peak %g exceeds the full peak %g",
-				i, u.Plan.Scheme, p.PeakGB, u.PeakGB)
-		}
-	}
+	prunedMatchesUnpruned(t, "fig10", pruned, unpruned)
 }
 
 // candidatesEqual compares two rankings field-for-field.

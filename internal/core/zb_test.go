@@ -51,7 +51,7 @@ func TestZBH1SweepsAndCaches(t *testing.T) {
 	dplan := zplan
 	dplan.Scheme = "dapple"
 	we, ok := make([]cachewire.Entry, 2), make([]bool, 2)
-	keys := []uint64{keyFor(zplan, space.Prune, fp).hash(), keyFor(dplan, space.Prune, fp).hash()}
+	keys := []uint64{keyFor(zplan, fp).hash(), keyFor(dplan, fp).hash()}
 	if err := remote.MultiGet(keys, we, ok); err != nil || !ok[0] || !ok[1] {
 		t.Fatalf("zbh1 or dapple evaluation never reached the remote tier (ok=%v err=%v)", ok, err)
 	}

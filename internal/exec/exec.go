@@ -240,8 +240,8 @@ func (ex *interp) step(m *machine) (bool, error) {
 // Arena reslices s to n elements, reallocating only when capacity is
 // insufficient (monotonic growth) and zeroing the active window, so
 // reused storage starts every run in the fresh-allocation state. The one
-// shared grow-or-reuse helper behind every reusable backend's arenas
-// (sim.Runner, memtrace.Replayer); Loop.prepare's timeline block
+// shared grow-or-reuse helper behind the reusable backend's arenas
+// (sim.Runner); Loop.prepare's timeline block
 // deliberately differs — timelines are append-only rows of length 0, so
 // nothing is zero-filled.
 func Arena[T any](s []T, n int) []T {

@@ -28,11 +28,10 @@ var registry = map[string]Experiment{}
 // cmd/hanayo-bench threads its -workers flag here.
 var AutoTuneWorkers int
 
-// AutoTunePrune routes the fig10 search through the memtrace-first OOM
+// AutoTunePrune routes the fig10 search through the memory-first OOM
 // front end (SearchSpace.Prune): infeasible cells skip the timing
-// simulation entirely. cmd/hanayo-bench threads its -prune flag here.
-// OOM rows then report the early-exit peak (a lower bound that proves
-// infeasibility) instead of the full-iteration peak.
+// simulation entirely, and the output is unchanged — OOM rows report the
+// same exact peak. cmd/hanayo-bench threads its -prune flag here.
 var AutoTunePrune bool
 
 // AutoTuneTopK, when positive, runs the fig10 search as a bound-and-prune

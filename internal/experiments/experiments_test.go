@@ -120,7 +120,18 @@ func TestFig08MemoryShapes(t *testing.T) { runGolden(t, "fig08") }
 
 func TestFig09Throughput(t *testing.T) { runGolden(t, "fig09") }
 
-func TestFig10Search(t *testing.T) { runGolden(t, "fig10") }
+// TestFig10Search pins fig10 twice: the memory-first front end
+// (AutoTunePrune) skips the OOM cells' simulations but must print the same
+// bytes, OOM peaks included.
+func TestFig10Search(t *testing.T) {
+	runGolden(t, "fig10")
+	if *update {
+		return // the golden is the unpruned output
+	}
+	AutoTunePrune = true
+	defer func() { AutoTunePrune = false }()
+	runGolden(t, "fig10")
+}
 
 func TestFig11WeakScaling(t *testing.T) { runGolden(t, "fig11") }
 

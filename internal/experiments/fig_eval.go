@@ -26,10 +26,9 @@ var evalSchemes = []string{"gpipe", "dapple", "chimera-wave", "hanayo-w2"}
 // fig08 reproduces Fig 8: the distribution of peak memory across the
 // devices of a 32-GPU TACC allocation for BERT-style and GPT-style models
 // under four (P, N=data-parallel, B=micro-rows) settings. Activation
-// residency is *measured* by the memory-replay executor (each scheme's
-// action lists replayed op by op against the memory model) rather than
-// taken from an analytic steady-state bound — the sim-free AnalyticOnly
-// evaluation path.
+// residency is *measured* on each scheme's action lists (Plan.Memory scans
+// them op by op, sched.Schedule.PeakActs) rather than taken from an
+// analytic steady-state bound, and no simulation runs.
 func fig08(w io.Writer) error {
 	cl := cluster.TACC(32)
 	type setting struct {
@@ -56,11 +55,10 @@ func fig08(w io.Writer) error {
 			// policy exceeds the 1F1B family's bounded windows.
 			plan := core.Plan{Scheme: scheme, Cluster: cl, Model: st.model,
 				P: st.p, D: st.n, B: st.p + 4, MicroRows: st.rows}
-			ev, err := plan.EvaluateOpts(core.EvalOptions{AnalyticOnly: true})
+			est, err := plan.Memory()
 			if err != nil {
 				return err
 			}
-			est := ev.Memory
 			per := est.Total()
 			gbs := make([]float64, len(per))
 			for i, b := range per {

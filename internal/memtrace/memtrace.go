@@ -1,26 +1,20 @@
-// Package memtrace is the third executor of the shared internal/exec
-// interpreter: a memory-replay backend that walks the same per-device
-// action lists as the simulator and the real runtime, but executes them
-// against the memory model only — every forward allocates its stage's
-// activation bytes, every backward frees them, communication is free and
-// instantaneous. The product is a measured per-device live-byte curve and
-// the exact activation-peak counts, without tensor math and without the
-// timing simulation: what the paper's Fig 8 distribution looks like when
-// it is replayed rather than estimated, and the sim-free memory path
-// behind core.Plan.Evaluate's AnalyticOnly option.
+// Package memtrace measures Fig 8's per-device memory profile by walking
+// a schedule's action lists against the memory model only: every forward
+// allocates its stage's activation bytes, every backward frees them, and
+// nothing else costs memory. The product is a per-device live-byte curve
+// and the activation-peak counts, without tensor math and without the
+// timing simulation.
 //
-// Peak counts from the replay equal the timing simulator's PeakActs
-// exactly: a device's live-activation count changes only at its own
-// compute ops, which both executors retire in identical list order —
-// timing shifts when an op runs, never whether it runs before the next
-// one on the same device.
+// A device's live count changes only at its own compute ops, which every
+// executor retires in list order, so the walk is per device and needs no
+// interpreter; the peak counts are sched.Schedule.PeakActs, the same count
+// the timing simulator keeps as it runs.
 package memtrace
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
-	"repro/internal/exec"
 	"repro/internal/memmodel"
 	"repro/internal/nn"
 	"repro/internal/sched"
@@ -36,8 +30,9 @@ type Sample struct {
 // Result is one replayed iteration's memory profile.
 type Result struct {
 	Schedule *sched.Schedule
-	// PeakActs is the per-device peak count of live stage-activations —
-	// identical to sim.Result.PeakActs, measured without the timing model.
+	// PeakActs is the per-device peak count of live stage-activations over
+	// the whole iteration (sched.Schedule.PeakActs) — identical to
+	// sim.Result.PeakActs, measured without the timing model.
 	PeakActs []int
 	// PeakBytes is the per-device peak of the live-byte curve.
 	PeakBytes []float64
@@ -47,91 +42,24 @@ type Result struct {
 	Curves [][]Sample
 }
 
-// errBudget is the internal sentinel a budgeted replay's Compute hook
-// returns the moment a device's live-byte curve exceeds its budget; the
-// cooperative driver aborts the walk and RunBudget translates it into the
-// exceeded verdict — the memtrace-first OOM early exit.
-var errBudget = errors.New("memtrace: budget exceeded")
-
-// backend implements exec.Backend over allocation counters only. Comm ops
-// complete instantly (the replay measures residency, not waiting), so the
-// cooperative driver never blocks and every schedule that validates
-// replays deterministically.
-type backend struct {
-	s        *sched.Schedule
-	stageAct float64 // activation bytes one stage holds per micro-batch
-	// budget, when non-nil, is the per-device live-activation-byte ceiling:
-	// the first forward that pushes a device past it aborts the replay.
-	budget []float64
-
-	ops   []int // per device: compute ops retired
-	live  []int // per device: live stage-activations
-	bytes []float64
-	res   *Result
-}
-
-func (b *backend) Compute(d int, a sched.Action) (start, end float64, err error) {
-	switch a.Kind {
-	case sched.OpForward:
-		b.live[d]++
-		b.bytes[d] += b.stageAct
-		if b.live[d] > b.res.PeakActs[d] {
-			b.res.PeakActs[d] = b.live[d]
-		}
-		if b.bytes[d] > b.res.PeakBytes[d] {
-			b.res.PeakBytes[d] = b.bytes[d]
-		}
-	case sched.OpBackward, sched.OpBackwardInput:
-		// A fused backward or the input-gradient half releases the
-		// activation; the weight-gradient half (below) is byte-neutral — it
-		// reads the stashed weight-grad inputs, not the boundary activation.
-		// This early release is exactly the zero-bubble split's memory win.
-		b.live[d]--
-		b.bytes[d] -= b.stageAct
-	case sched.OpBackwardWeight:
-		// Byte-neutral, but still sampled so the curve has one point per
-		// compute op like every other executor's timeline.
-	}
-	b.res.Curves[d] = append(b.res.Curves[d], Sample{Op: b.ops[d], Bytes: b.bytes[d]})
-	start = float64(b.ops[d])
-	b.ops[d]++
-	if a.Kind == sched.OpForward && b.budget != nil && b.bytes[d] > b.budget[d] {
-		// Abort after recording the violating forward, so the partial
-		// curve includes (and ends at) the over-budget sample.
-		return start, start + 1, errBudget
-	}
-	return start, start + 1, nil
-}
-
-func (b *backend) BeginRun(d int, run []sched.Action, next int) error { return nil }
-func (b *backend) Send(d int, a sched.Action) error                   { return nil }
-func (b *backend) Post(d int, a sched.Action) error                   { return nil }
-func (b *backend) Recv(d, idx int, a sched.Action) error              { return nil }
-func (b *backend) Drain(d, idx int, a sched.Action) error             { return nil }
-func (b *backend) Flush(d int, a sched.Action) error                  { return nil }
-func (b *backend) Step(d int, a sched.Action) error                   { return nil }
-
-// Replayer is the reusable form of Run: it owns the replay counters, the
-// Result's curve storage and the interpreter's timeline arenas, growing
-// them monotonically to the largest schedule shape seen, so repeated
-// replays (the AutoTune OOM-pruning front end, calibration loops) run at
-// ~0 allocations in steady state.
+// Replayer is the reusable form of Run: it owns the Result's peak and
+// curve storage, growing it monotonically to the largest schedule shape
+// seen, so repeated replays (calibration loops, the benchmark's budgeted
+// probe) run at 0 allocations in steady state.
 //
 // The zero value is ready to use. A Replayer is NOT safe for concurrent
 // use, and the *Result it returns is owned by the Replayer: it is valid
-// only until the next replay. The package-level Run drives a fresh
+// only until the next replay. The package-level Run uses a fresh
 // single-use Replayer and returns a freely retainable Result.
 type Replayer struct {
-	loop exec.Loop
-	be   backend
-	res  Result
+	res Result
 }
 
-// NewReplayer returns an empty Replayer; arenas are allocated lazily.
+// NewReplayer returns an empty Replayer; its storage is allocated lazily.
 func NewReplayer() *Replayer { return &Replayer{} }
 
 // Run replays schedule s for model cfg at rows sequences per micro-batch,
-// reusing the Replayer's arenas. The returned Result is valid only until
+// reusing the Replayer's storage. The returned Result is valid only until
 // the next replay.
 func (r *Replayer) Run(s *sched.Schedule, cfg nn.Config, rows int) (*Result, error) {
 	res, _, err := r.replay(s, cfg, rows, nil)
@@ -140,12 +68,11 @@ func (r *Replayer) Run(s *sched.Schedule, cfg nn.Config, rows int) (*Result, err
 
 // RunBudget is Run with an early exit: budget[d] is device d's live
 // activation-byte ceiling (capacity minus its schedule-static weight and
-// optimizer bytes), and the replay aborts the moment any device's
-// live-byte curve exceeds it — the memory-feasibility check in front of
-// the timing model, at a fraction of a simulation's cost. exceeded=true
-// means the schedule cannot fit; the partial Result then holds the curves
-// and peaks observed up to (and including) the violating forward, so the
-// reported peak is a lower bound that already proves infeasibility.
+// optimizer bytes), and the replay stops at the first forward that pushes
+// a device's live-byte curve past it. exceeded=true means the schedule
+// cannot fit; the Result's curves and PeakBytes then end at (and include)
+// the violating forward, devices after it hold empty curves, and PeakActs
+// still covers the whole iteration.
 func (r *Replayer) RunBudget(s *sched.Schedule, cfg nn.Config, rows int, budget []float64) (res *Result, exceeded bool, err error) {
 	if len(budget) < s.P {
 		return nil, false, fmt.Errorf("memtrace: budget covers %d devices, schedule has %d", len(budget), s.P)
@@ -157,48 +84,47 @@ func (r *Replayer) replay(s *sched.Schedule, cfg nn.Config, rows int, budget []f
 	if rows <= 0 {
 		return nil, false, fmt.Errorf("memtrace: rows must be positive, got %d", rows)
 	}
-	p := s.P
 	res := &r.res
 	res.Schedule = s
-	res.PeakActs = exec.Arena(res.PeakActs, p)
-	res.PeakBytes = exec.Arena(res.PeakBytes, p)
-	if cap(res.Curves) < p {
-		res.Curves = make([][]Sample, p)
+	res.PeakActs = s.PeakActs(res.PeakActs)
+	res.PeakBytes = slices.Grow(res.PeakBytes[:0], s.P)[:s.P]
+	clear(res.PeakBytes)
+	res.Curves = slices.Grow(res.Curves[:0], s.P)[:s.P]
+	for d := range res.Curves {
+		res.Curves[d] = res.Curves[d][:0]
 	}
-	res.Curves = res.Curves[:p]
-	for d := 0; d < p; d++ {
-		n := 0
-		for _, a := range s.Lists[d] {
-			if a.Kind.IsCompute() {
-				n++
+	stageAct := memmodel.StageActBytes(s, cfg, rows)
+	for d, list := range s.Lists {
+		// Compute ops are a subset of the list: its length bounds the curve.
+		curve := slices.Grow(res.Curves[d], len(list))
+		bytes := 0.0
+		for _, a := range list {
+			switch a.Kind {
+			case sched.OpForward:
+				bytes += stageAct
+				res.PeakBytes[d] = max(res.PeakBytes[d], bytes)
+			case sched.OpBackward, sched.OpBackwardInput:
+				// A fused backward or the input-gradient half releases the
+				// activation; the weight-gradient half is byte-neutral but
+				// still sampled, so the curve has one point per compute op.
+				bytes -= stageAct
+			case sched.OpBackwardWeight:
+			default:
+				continue
+			}
+			curve = append(curve, Sample{Op: len(curve), Bytes: bytes})
+			if budget != nil && a.Kind == sched.OpForward && bytes > budget[d] {
+				res.Curves[d] = curve
+				return res, true, nil
 			}
 		}
-		if cap(res.Curves[d]) < n {
-			res.Curves[d] = make([]Sample, 0, n)
-		} else {
-			res.Curves[d] = res.Curves[d][:0]
-		}
-	}
-	layersPerStage := float64(cfg.Layers) / float64(s.S)
-	be := &r.be
-	be.s = s
-	be.stageAct = layersPerStage * memmodel.LayerActBytes(cfg, rows)
-	be.budget = budget
-	be.ops = exec.Arena(be.ops, p)
-	be.live = exec.Arena(be.live, p)
-	be.bytes = exec.Arena(be.bytes, p)
-	be.res = res
-	if _, err := r.loop.Run(s, be, exec.DefaultOptions()); err != nil {
-		if errors.Is(err, errBudget) {
-			return res, true, nil
-		}
-		return nil, false, fmt.Errorf("memtrace: %w", err)
+		res.Curves[d] = curve
 	}
 	return res, false, nil
 }
 
 // Run replays schedule s for model cfg at rows sequences per micro-batch
-// and returns the measured per-device memory profile. It drives a fresh
+// and returns the measured per-device memory profile. It uses a fresh
 // single-use Replayer, so the Result may be retained freely.
 func Run(s *sched.Schedule, cfg nn.Config, rows int) (*Result, error) {
 	return NewReplayer().Run(s, cfg, rows)

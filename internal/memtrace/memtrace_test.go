@@ -11,10 +11,11 @@ import (
 	"repro/internal/sim"
 )
 
-// TestPeaksMatchSimulator asserts the replay's activation-peak counts
-// equal the timing simulator's across every scheme family and shape: the
-// two executors walk identical action lists, so residency must agree
-// regardless of timing.
+// TestPeaksMatchSimulator asserts the activation-peak scan
+// (sched.Schedule.PeakActs, which the replay reports) equals the count the
+// timing simulator keeps as it runs, across every scheme family and shape:
+// both walk identical action lists, so residency must agree regardless of
+// timing.
 func TestPeaksMatchSimulator(t *testing.T) {
 	cfg := nn.BERTStyle()
 	for _, scheme := range []string{"gpipe", "dapple", "chimera", "chimera-wave",
@@ -33,7 +34,12 @@ func TestPeaksMatchSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			scan := s.PeakActs(nil)
 			for d := 0; d < s.P; d++ {
+				if scan[d] != r.PeakActs[d] {
+					t.Errorf("%s P=%d B=%d device %d: scanned peak %d, sim peak %d",
+						scheme, shape.p, shape.b, d, scan[d], r.PeakActs[d])
+				}
 				if mt.PeakActs[d] != r.PeakActs[d] {
 					t.Errorf("%s P=%d B=%d device %d: memtrace peak %d, sim peak %d",
 						scheme, shape.p, shape.b, d, mt.PeakActs[d], r.PeakActs[d])

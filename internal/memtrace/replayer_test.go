@@ -75,9 +75,9 @@ func TestReplayerAllocsZero(t *testing.T) {
 	}
 }
 
-// TestRunBudgetEarlyExit drives the OOM front end: a generous budget
-// replays to completion; a budget below the known peak aborts early with
-// exceeded=true, a strictly shorter curve, and an observed peak that
+// TestRunBudgetEarlyExit drives the budgeted replay: a generous budget
+// replays to completion; a budget below the known peak stops early with
+// exceeded=true, strictly shorter curves, and an observed peak that
 // already proves the violation.
 func TestRunBudgetEarlyExit(t *testing.T) {
 	cfg := nn.BERTStyle()
@@ -177,7 +177,7 @@ func TestRunBudgetValidation(t *testing.T) {
 }
 
 // TestBudgetMatchesMemmodelUnits asserts the replay's byte unit is exactly
-// memmodel.StageActBytes — the invariant that lets AutoTune derive budgets
+// memmodel.StageActBytes — the invariant that lets a caller derive budgets
 // from capacity minus memmodel.Weights.
 func TestBudgetMatchesMemmodelUnits(t *testing.T) {
 	cfg := nn.BERTStyle()

@@ -187,10 +187,12 @@ func TestOneShotAllocsPinned(t *testing.T) {
 
 // TestGeneratorAllocsZero pins the tentpole number: after warmup on a
 // shape, repeated Generate calls — including the fused validation replay —
-// allocate nothing.
+// allocate nothing, and neither does the activation-peak scan into a
+// reused slice.
 func TestGeneratorAllocsZero(t *testing.T) {
 	g := NewGenerator()
-	if _, err := g.Generate("hanayo-w2", 8, 8); err != nil { // warm the arenas
+	s, err := g.Generate("hanayo-w2", 8, 8) // warm the arenas
+	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -200,6 +202,10 @@ func TestGeneratorAllocsZero(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state Generate allocates %.1f times per call, want 0", allocs)
+	}
+	peaks := s.PeakActs(nil)
+	if allocs := testing.AllocsPerRun(20, func() { peaks = s.PeakActs(peaks) }); allocs > 0 {
+		t.Fatalf("PeakActs into a reused slice allocates %.1f times per call, want 0", allocs)
 	}
 }
 

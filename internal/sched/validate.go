@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Validate proves a schedule is executable and complete. It abstractly
 // executes the per-device lists with batched-communication semantics
@@ -118,6 +121,32 @@ func (s *Schedule) Split() bool {
 		}
 	}
 	return false
+}
+
+// PeakActs writes each device's peak count of live stage-activations into
+// dst, reusing its storage, and returns it. A forward makes one activation
+// live; a fused backward or an input-gradient half releases it; a
+// weight-gradient half is neutral. A device's count changes only at its
+// own compute ops, which every executor retires in list order, so the peak
+// is a per-device prefix scan: timing shifts when an op runs, never whether
+// it runs before the next one on the same device.
+func (s *Schedule) PeakActs(dst []int) []int {
+	dst = slices.Grow(dst[:0], s.P)[:s.P]
+	for d := range dst {
+		live, peak := 0, 0
+		for _, a := range s.Lists[d] {
+			switch a.Kind {
+			case OpForward:
+				if live++; live > peak {
+					peak = live
+				}
+			case OpBackward, OpBackwardInput:
+				live--
+			}
+		}
+		dst[d] = peak
+	}
+	return dst
 }
 
 // checkStatic is the structural pass: shape, ranges, mapping conformance,

@@ -154,7 +154,7 @@ type transfer struct {
 // errDeadline is the internal sentinel a deadline-capped run's hooks
 // return the moment any device clock passes the cap; the cooperative
 // driver aborts the walk and RunDeadline translates it into the exceeded
-// verdict — the timing twin of memtrace's budget early exit.
+// verdict.
 var errDeadline = errors.New("sim: deadline exceeded")
 
 // errFailed is the sentinel a faulty run's hooks return when a device's
@@ -527,10 +527,9 @@ func (r *Runner) RunFaultsDeadline(s *sched.Schedule, cost Cost, opt Options, pl
 	return r.run(s, cost, opt, cap, plan)
 }
 
-// RunDeadline is the timing twin of memtrace.Replayer.RunBudget: it
-// executes the schedule like Run but aborts the cooperative walk the
-// moment any device's virtual clock strictly exceeds cap seconds. It
-// returns (result, exceeded, err); when exceeded is true the result is
+// RunDeadline executes the schedule like Run but aborts the cooperative
+// walk the moment any device's virtual clock strictly exceeds cap seconds.
+// It returns (result, exceeded, err); when exceeded is true the result is
 // partial — its Makespan is the clock high-water mark at abort, a proven
 // lower bound on the full run's makespan (device clocks only move
 // forward) — and its Records/Zones cover only the executed prefix. A run

@@ -1,6 +1,10 @@
 package sim
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/sched"
+)
 
 // MemPoint is one step of a device's live-activation curve.
 type MemPoint struct {
@@ -9,8 +13,10 @@ type MemPoint struct {
 }
 
 // ActivationTimeline reconstructs device d's live-activation count over
-// time from the compute records: +1 at each forward end, −1 at each
-// backward end. The curve starts at (0, 0) and is step-wise constant.
+// time from the compute records, with sched.Schedule.PeakActs' rule: +1 at
+// each forward end, −1 at the end of each fused backward or input-gradient
+// half; a weight-gradient half is neutral. The curve starts at (0, 0) and
+// is step-wise constant.
 func ActivationTimeline(r *Result, d int) []MemPoint {
 	type ev struct {
 		t     float64
@@ -18,10 +24,10 @@ func ActivationTimeline(r *Result, d int) []MemPoint {
 	}
 	var evs []ev
 	for _, rec := range r.Records[d] {
-		switch rec.Action.Kind.String() {
-		case "F":
+		switch rec.Action.Kind {
+		case sched.OpForward:
 			evs = append(evs, ev{rec.End, 1})
-		case "B":
+		case sched.OpBackward, sched.OpBackwardInput:
 			evs = append(evs, ev{rec.End, -1})
 		}
 	}

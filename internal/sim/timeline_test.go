@@ -8,13 +8,12 @@ import (
 	"repro/internal/sched"
 )
 
+// TestActivationTimelineMatchesPeak rebuilds every device's curve for every
+// scheme of the golden table, split-backward zbh1 included: its peak must
+// be the simulator's and it must return to zero.
 func TestActivationTimelineMatchesPeak(t *testing.T) {
-	for _, build := range []func() (*sched.Schedule, error){
-		func() (*sched.Schedule, error) { return sched.GPipe(4, 4) },
-		func() (*sched.Schedule, error) { return sched.DAPPLE(4, 4) },
-		func() (*sched.Schedule, error) { return sched.Hanayo(4, 2, 4) },
-	} {
-		s, err := build()
+	for _, scheme := range allSchemes {
+		s, err := sched.ByName(scheme, 4, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
