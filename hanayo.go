@@ -65,7 +65,8 @@ type (
 // AutoTune sweeps plans over a cluster as in Fig 10. SearchSpace.Prune
 // judges every configuration's memory on its schedule's activation peaks
 // first, so infeasible cells never pay for a timing simulation and the
-// ranking is unchanged but for Candidate.Pruned. SearchSpace.TopK
+// ranking is unchanged but for Candidate.Pruned (a Faults plan with a
+// Fail event leaves it to the simulation). SearchSpace.TopK
 // turns the exhaustive sweep into an exact branch-and-bound search: the
 // first TopK ranks stay bit-for-bit identical to the exhaustive ranking
 // while provably losing cells are skipped or deadline-aborted, surfacing
@@ -213,7 +214,8 @@ type (
 	// Not safe for concurrent use; its Result is valid until the next Run.
 	SimRunner = sim.Runner
 	// MemReplayer is the reusable memory-replay handle, with a budgeted
-	// early-exit mode (RunBudget).
+	// early-exit mode (RunBudget). It takes executable schedules only
+	// (generated, or accepted by ValidateSchedule); RunMemTrace validates.
 	MemReplayer = memtrace.Replayer
 	// ScheduleGenerator is the reusable schedule compiler: it owns the
 	// greedy scheduler's arenas, per-shape mapping/cap caches and the

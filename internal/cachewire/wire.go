@@ -39,13 +39,17 @@ const EntrySize = 18
 
 // Entry is the wire form of one cached evaluation — the same compact,
 // pointer-free scalars core's tunerEntry holds: the D-invariant
-// per-replica throughput, the peak per-device footprint, the feasibility
-// verdict and the pruned marker.
+// per-replica throughput, the peak per-device footprint and the feasibility
+// verdict.
 type Entry struct {
 	PerReplica float64 // sequences/s of one replica
 	MaxGB      float64 // peak per-device footprint
 	Fits       bool    // fits every device with the standard headroom
-	Pruned     bool    // OOM decided by the memtrace front end; no sim ran
+	// Pruned is the retired memory-first marker. core neither writes nor
+	// reads it (a candidate's Pruned flag belongs to its sweep, not to the
+	// entry that served it); the flag bit still decodes, so snapshots and
+	// peers that set it stay readable.
+	Pruned bool
 	// Failed marks a deterministic infeasible verdict under the sweep's
 	// fault plan (a device died mid-schedule). Only the verdict bit
 	// crosses the wire; the failure diagnostics (device, time, recovery

@@ -94,7 +94,6 @@ type evalShared struct {
 	// and keeps only the verdict, maxGB and fits.
 	mem        *memmodel.Estimate
 	fits       bool
-	pruned     bool    // OOM decided by the memory-first front end; no sim ran
 	maxGB      float64 // peak per-device footprint (the judged estimate's MaxGB)
 	perReplica float64 // sequences/s of one replica
 	// boundOnly marks a deadline-aborted evaluation (the bound-and-prune
@@ -325,9 +324,12 @@ type Candidate struct {
 	Throughput float64 // sequences/s; 0 when OOM
 	PeakGB     float64
 	OOM        bool
-	// Pruned marks an OOM verdict produced by the memory-first front end
-	// (SearchSpace.Prune): the cell never entered the timing simulation.
-	// PeakGB is the same full-iteration peak a simulated OOM cell reports.
+	// Pruned marks an OOM verdict of a sweep whose memory-first front end
+	// is on (SearchSpace.Prune, and no Fail event in Faults): memory alone
+	// decided it, so a standalone sweep never simulated the cell. It is a
+	// property of the sweep, not of the cache entry that served the cell,
+	// so a Tuner-served ranking carries the standalone one's flags. PeakGB
+	// is the same full-iteration peak a simulated OOM cell reports.
 	Pruned bool
 	// BoundPruned marks a cell the bound-and-prune sweep (SearchSpace.TopK)
 	// eliminated without a complete simulation — its analytic lower bound
@@ -379,7 +381,10 @@ type SearchSpace struct {
 	// (sched.Schedule.PeakActs, one scan of the action lists) and
 	// infeasible cells skip sim.Run entirely, yet still appear in the
 	// ranking as OOM with their exact PeakGB. The ranking equals the
-	// unpruned one in every field but Candidate.Pruned.
+	// unpruned one in every field but Candidate.Pruned. A Faults plan
+	// with a Fail event switches the front end off: whether a device dies
+	// before the iteration ends (Candidate.Failed, which outranks OOM) is
+	// the timing simulation's call.
 	Prune bool
 	// TopK, when positive, turns the exhaustive sweep into an exact
 	// branch-and-bound search over the timing axis: cells are visited in
@@ -553,7 +558,7 @@ func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (eval
 		ev.peaks = s.PeakActs(ev.peaks)
 		memmodel.ForScheduleInto(&ev.mem, s, plan.Model, plan.MicroRows, ev.peaks, memmodel.Options{})
 		if !memmodel.FitsCluster(&ev.mem, plan.Cluster, memMargin) {
-			return evalShared{maxGB: ev.mem.MaxGB(), pruned: true, splitBW: s.Split()}, nil
+			return evalShared{maxGB: ev.mem.MaxGB(), splitBW: s.Split()}, nil
 		}
 	}
 	return plan.simEvaluate(s, sim.DefaultOptions(), ev, deadline)
@@ -682,6 +687,9 @@ type gridSweep struct {
 	space   SearchSpace // defaults applied
 	t       *Tuner      // nil on a standalone sweep: no LRU, flight table or remote tier
 	workers int
+	// memFirst is whether memory is judged before the timing model:
+	// space.Prune, unless space.Faults can kill a device.
+	memFirst bool
 	// pool bounds the measurements in flight: the Tuner's shared pool, or a
 	// sweep-local one no wider than min(workers, cells). A worker holds an
 	// evaluator only while it measures — memo hits, cache hits and flight
@@ -749,6 +757,8 @@ type sweepCell struct {
 func enumerate(cl *cluster.Cluster, model nn.Config, space SearchSpace, t *Tuner) *gridSweep {
 	space = space.withDefaults(cl)
 	s := &gridSweep{space: space, t: t, workers: space.Workers,
+		memFirst: space.Prune && (space.Faults == nil || !slices.ContainsFunc(space.Faults.Events,
+			func(e sim.FaultEvent) bool { return e.Kind == sim.FaultFail })),
 		cells: make([]sweepCell, 0, len(space.PD)*(len(space.Schemes)+len(space.Waves)))}
 	if s.workers <= 0 {
 		s.workers = goruntime.NumCPU()
@@ -1021,6 +1031,7 @@ func (s *gridSweep) measure(c *sweepCell) Candidate {
 		return Candidate{Plan: plan, BoundPruned: true, Bound: es.perReplica * float64(plan.D)}
 	}
 	cand := candidateFrom(plan, es, err)
+	cand.Pruned = s.memFirst && cand.OOM
 	s.cut.observe(c.slot, cand.Throughput)
 	return cand
 }
@@ -1087,7 +1098,7 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 	// The checkout covers the whole measurement (compile + memory + sim):
 	// schedule compilation is real work the admission control should bound.
 	ev := s.pool.checkout()
-	es, err := ev.evalSchedule(c.plan, s.space.Prune, deadline)
+	es, err := ev.evalSchedule(c.plan, s.memFirst, deadline)
 	s.pool.checkin(ev)
 	if err == nil && es.boundOnly {
 		if f != nil {
@@ -1226,7 +1237,6 @@ func candidateFrom(plan Plan, es *evalShared, err error) Candidate {
 		return c
 	}
 	c.PeakGB = es.maxGB
-	c.Pruned = es.pruned
 	if !es.fits {
 		c.OOM = true
 		return c

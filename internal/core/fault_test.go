@@ -180,3 +180,66 @@ func TestPlanValidateRejectsBadFaultPlan(t *testing.T) {
 		t.Fatalf("in-range fault plan rejected: %v", err)
 	}
 }
+
+// TestPruneRankingIndependentOfCacheHistory: neither the memory-first
+// front end nor a Tuner's cache may change what a sweep reports. On GPT ×
+// TACC(32), fault-free and under a plan that kills device 1 at t=0.3 s
+// (which turns the fault-free OOM cell into a Failed one, a verdict only
+// the simulation can reach), one Tuner serves a Prune sweep and an
+// unpruned one in either order, and each ranking equals a standalone
+// AutoTune of the same space field for field. The Prune ranking equals the
+// unpruned one but for Pruned, which the Fail plan leaves unset.
+func TestPruneRankingIndependentOfCacheHistory(t *testing.T) {
+	cl := cluster.TACC(32)
+	model := nn.GPTStyle()
+	type cell struct {
+		scheme string
+		p, d   int
+	}
+	freeOOM := map[cell]bool{}
+	kill := &sim.FaultPlan{Events: []sim.FaultEvent{sim.Fail(1, 0.3)}}
+	for _, faults := range []*sim.FaultPlan{nil, kill} {
+		label := "fault-free"
+		if faults != nil {
+			label = "fail(1, 0.3)"
+		}
+		want := map[bool][]Candidate{}
+		for _, prune := range []bool{false, true} {
+			space := fig10Space(2, prune)
+			space.Faults = faults
+			want[prune] = AutoTune(cl, model, space)
+		}
+		prunedMatchesUnpruned(t, label, want[true], want[false])
+		pruned, oomFailed := 0, 0
+		for _, c := range want[true] {
+			k := cell{c.Plan.Scheme, c.Plan.P, c.Plan.D}
+			if c.Pruned {
+				pruned++
+			}
+			if faults == nil && c.OOM {
+				freeOOM[k] = true
+			}
+			if faults != nil && c.Failed && freeOOM[k] {
+				oomFailed++
+			}
+		}
+		if faults == nil && pruned == 0 {
+			t.Fatalf("%s: the Prune sweep pruned nothing — the grid has no OOM cell", label)
+		}
+		if faults != nil && (pruned != 0 || oomFailed == 0) {
+			t.Fatalf("%s: %d pruned rows (want 0), %d fault-free OOM cells Failed (want > 0)", label, pruned, oomFailed)
+		}
+		for _, order := range [][2]bool{{true, false}, {false, true}} {
+			tuner := NewTuner(TunerOptions{Runners: 2})
+			for _, prune := range order {
+				space := fig10Space(2, prune)
+				space.Faults = faults
+				got := tuner.AutoTune(cl, model, space)
+				if !reflect.DeepEqual(got, want[prune]) {
+					t.Errorf("%s order %v, prune=%v: Tuner ranking differs from standalone\ngot:  %+v\nwant: %+v",
+						label, order, prune, got, want[prune])
+				}
+			}
+		}
+	}
+}

@@ -150,9 +150,11 @@ func (t *Tuner) RemoteErrors() int64 { return t.rerrs.Load() }
 // identity would never hit); the model config is comparable and embedded
 // whole. MicroRows is part of the workload (it scales compute and comm
 // times and activation bytes). Whether the memory-first front end ran is
-// not part of it: a pruned OOM verdict reports the same exact peak as a
-// simulated one. faults is the plan's sim.FaultPlan fingerprint (0 when fault-free), so
-// a faulty sweep can never serve — or poison — a fault-free entry.
+// not part of it: the front end runs only under a plan that cannot kill a
+// device, where its OOM verdict equals the simulated one field for field,
+// and Candidate.Pruned comes from the sweep, not the entry. faults is the
+// plan's sim.FaultPlan fingerprint (0 when fault-free), so a faulty sweep
+// can never serve — or poison — a fault-free entry.
 type tunerKey struct {
 	cluster uint64
 	model   nn.Config
@@ -237,7 +239,6 @@ type tunerEntry struct {
 	perReplica float64
 	maxGB      float64
 	fits       bool
-	pruned     bool
 	failed     bool
 	splitBW    bool
 	failedDev  int
@@ -248,7 +249,7 @@ type tunerEntry struct {
 // toShared lifts a compact cache entry back into the sweep's evaluation
 // shape (no sim/mem pointers: those never enter the cache).
 func (e tunerEntry) toShared() evalShared {
-	return evalShared{fits: e.fits, pruned: e.pruned, maxGB: e.maxGB, perReplica: e.perReplica,
+	return evalShared{fits: e.fits, maxGB: e.maxGB, perReplica: e.perReplica,
 		failed: e.failed, failedDev: e.failedDev, failTime: e.failTime, recovery: e.recovery,
 		splitBW: e.splitBW}
 }
@@ -258,17 +259,17 @@ func (e tunerEntry) toShared() evalShared {
 // diagnostics and keeps everything else.
 func (e tunerEntry) wire() cachewire.Entry {
 	return cachewire.Entry{PerReplica: e.perReplica, MaxGB: e.maxGB,
-		Fits: e.fits, Pruned: e.pruned, Failed: e.failed, SplitBW: e.splitBW}
+		Fits: e.fits, Failed: e.failed, SplitBW: e.splitBW}
 }
 
 func entryFromWire(we cachewire.Entry) tunerEntry {
 	return tunerEntry{perReplica: we.PerReplica, maxGB: we.MaxGB,
-		fits: we.Fits, pruned: we.Pruned, failed: we.Failed, splitBW: we.SplitBW}
+		fits: we.Fits, failed: we.Failed, splitBW: we.SplitBW}
 }
 
 // entryFrom compacts one fresh evaluation for the cache tiers.
 func entryFrom(es *evalShared) tunerEntry {
-	return tunerEntry{fits: es.fits, pruned: es.pruned, maxGB: es.maxGB, perReplica: es.perReplica,
+	return tunerEntry{fits: es.fits, maxGB: es.maxGB, perReplica: es.perReplica,
 		failed: es.failed, failedDev: es.failedDev, failTime: es.failTime, recovery: es.recovery,
 		splitBW: es.splitBW}
 }

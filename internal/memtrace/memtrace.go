@@ -47,6 +47,11 @@ type Result struct {
 // seen, so repeated replays (calibration loops, the benchmark's budgeted
 // probe) run at 0 allocations in steady state.
 //
+// Its input must be an executable schedule — a Generator's or ByName's
+// output, or one sched.Validate accepted. The walk reads each device's
+// compute ops and never pairs communication, so it does not notice an
+// unmatched or deadlocking send; the package-level Run validates first.
+//
 // The zero value is ready to use. A Replayer is NOT safe for concurrent
 // use, and the *Result it returns is owned by the Replayer: it is valid
 // only until the next replay. The package-level Run uses a fresh
@@ -123,9 +128,13 @@ func (r *Replayer) replay(s *sched.Schedule, cfg nn.Config, rows int, budget []f
 	return res, false, nil
 }
 
-// Run replays schedule s for model cfg at rows sequences per micro-batch
-// and returns the measured per-device memory profile. It uses a fresh
-// single-use Replayer, so the Result may be retained freely.
+// Run validates schedule s (sched.Validate), replays it for model cfg at
+// rows sequences per micro-batch and returns the measured per-device
+// memory profile. It uses a fresh single-use Replayer, so the Result may
+// be retained freely.
 func Run(s *sched.Schedule, cfg nn.Config, rows int) (*Result, error) {
+	if err := sched.Validate(s); err != nil {
+		return nil, fmt.Errorf("memtrace: %w", err)
+	}
 	return NewReplayer().Run(s, cfg, rows)
 }

@@ -1,6 +1,7 @@
 package memtrace_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -198,5 +199,24 @@ func TestRunValidatesRows(t *testing.T) {
 	}
 	if _, err := memtrace.Run(s, nn.BERTStyle(), 0); err == nil {
 		t.Fatal("rows=0 must fail")
+	}
+}
+
+// TestRunRejectsUnexecutable: the one-shot Run validates its schedule, so
+// a hand-built list whose send has no matching receive is an error rather
+// than a curve.
+func TestRunRejectsUnexecutable(t *testing.T) {
+	s, err := sched.DAPPLE(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := s.Lists[1]
+	i := slices.IndexFunc(list, func(a sched.Action) bool { return a.Kind == sched.OpRecvAct })
+	if i < 0 {
+		t.Fatal("device 1 receives no activation")
+	}
+	s.Lists[1] = slices.Delete(list, i, i+1)
+	if _, err := memtrace.Run(s, nn.BERTStyle(), 1); err == nil {
+		t.Fatal("a schedule with an unmatched send must fail")
 	}
 }
