@@ -236,7 +236,8 @@ var (
 )
 
 // RunMemTrace replays a schedule against the memory model only (the
-// measured Fig 8 distribution); Plan.MemTrace is the planner-level entry.
+// measured Fig 8 distribution); for a planned configuration, replay
+// Plan.Schedule's result.
 var RunMemTrace = memtrace.Run
 
 // Interpreter drivers for custom backends: Interpret walks all devices

@@ -1,10 +1,10 @@
 // Package comm is the in-process stand-in for NCCL point-to-point
 // communication (paper §4.2): a message router with tagged mailboxes,
-// asynchronous sends, posted receives (prefetching) and batched
-// send/receive groups. One Router serves one pipeline replica; workers are
-// goroutines. Sends never block (bounded only by memory), which gives the
-// same progress guarantees as batch_isend_irecv and makes wave pipelines'
-// bidirectional exchanges deadlock-free.
+// asynchronous sends and posted receives (prefetching); exec groups a
+// device's comm runs into batches. One Router serves one pipeline
+// replica; workers are goroutines. Sends never block (bounded only by
+// memory), which gives the same progress guarantees as batch_isend_irecv
+// and makes wave pipelines' bidirectional exchanges deadlock-free.
 package comm
 
 import (
@@ -134,31 +134,6 @@ func (r *Router) RecvAbort(t Tag, done <-chan struct{}) (*tensor.Tensor, bool) {
 	case <-done:
 		return nil, false
 	}
-}
-
-// TryRecv returns the payload if already delivered.
-func (r *Router) TryRecv(t Tag) (*tensor.Tensor, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	select {
-	case p := <-r.box(t):
-		return p, true
-	default:
-		return nil, false
-	}
-}
-
-// BatchExchange issues all sends and then waits for all receives — the
-// batch_isend_irecv pattern that avoids bidirectional deadlock.
-func (r *Router) BatchExchange(sends map[Tag]*tensor.Tensor, recvs []Tag) map[Tag]*tensor.Tensor {
-	for t, p := range sends {
-		r.Send(t, p)
-	}
-	out := make(map[Tag]*tensor.Tensor, len(recvs))
-	for _, t := range recvs {
-		out[t] = r.Recv(t)
-	}
-	return out
 }
 
 // Stats returns a snapshot of the counters.

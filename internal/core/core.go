@@ -20,7 +20,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/memmodel"
-	"repro/internal/memtrace"
 	"repro/internal/nn"
 	"repro/internal/runtime"
 	"repro/internal/sched"
@@ -29,7 +28,7 @@ import (
 
 // Plan is one fully specified pipeline-parallel training configuration.
 type Plan struct {
-	Scheme    string // "gpipe", "dapple", "chimera", "chimera-wave", "hanayo-w<N>"
+	Scheme    string // a scheme name sched.ParseScheme accepts, e.g. "dapple" or "hanayo-w2"
 	Cluster   *cluster.Cluster
 	Model     nn.Config
 	P         int // pipeline devices per replica
@@ -256,17 +255,6 @@ func (p Plan) simEvaluate(s *sched.Schedule, opt sim.Options, ev *evaluator, dea
 		es.judge(&ev.mem, p.Cluster)
 	}
 	return es, nil
-}
-
-// MemTrace replays the plan's schedule against the memory model only,
-// returning the measured per-device live-byte curves (Fig 8's distribution
-// measured instead of estimated).
-func (p Plan) MemTrace() (*memtrace.Result, error) {
-	s, err := p.Schedule()
-	if err != nil {
-		return nil, err
-	}
-	return memtrace.Run(s, p.Model, p.MicroRows)
 }
 
 // Memory estimates per-device peak memory from the schedule's activation
@@ -1220,7 +1208,7 @@ func candidateFrom(plan Plan, es *evalShared, err error) Candidate {
 		return c
 	}
 	if es.boundOnly {
-		// Defensive: evalBounded intercepts these before they reach a
+		// Defensive: gridSweep.measure intercepts these before they reach a
 		// candidate slot; a boundOnly result must never masquerade as an
 		// exact zero-throughput measurement.
 		c.BoundPruned = true

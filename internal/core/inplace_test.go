@@ -126,6 +126,53 @@ func TestWarmTierSweepAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestTunerRepeatSweepAllocsPinned pins a repeat sweep on one Tuner, every
+// key served from its own LRU: no simulation, and what is left is the
+// layout and the ranking it returns. The budget is the measured count (19,
+// 20 under -race) plus one.
+func TestTunerRepeatSweepAllocsPinned(t *testing.T) {
+	cl := cluster.TACC(32)
+	model := nn.BERTStyle()
+	space := topKSpace(1, 0, false)
+	tuner := NewTuner(TunerOptions{})
+	want := tuner.AutoTune(cl, model, space)
+	var got []Candidate
+	before := simRuns.Load()
+	allocs := testing.AllocsPerRun(5, func() { got = tuner.AutoTune(cl, model, space) })
+	if d := simRuns.Load() - before; d != 0 {
+		t.Fatalf("repeat sweeps issued %d simulations, want 0", d)
+	}
+	candidatesEqual(t, "repeat sweep", got, want)
+	const budget = 20
+	t.Logf("repeat sweep: %.0f objects (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("a repeat sweep allocates %.0f objects, budget %d", allocs, budget)
+	}
+}
+
+// TestEvaluateAllocsPinned pins one standalone Plan.Evaluate, the unit of
+// work a sweep cell costs outside a sweep: a one-shot schedule, its cost
+// model, one simulation and the memory estimate. The budget is the measured
+// count (46, 48 under -race) plus two.
+func TestEvaluateAllocsPinned(t *testing.T) {
+	plan := Plan{Scheme: "hanayo-w2", Cluster: cluster.TACC(8),
+		Model: nn.BERTStyle(), P: 8, D: 1, B: 16, MicroRows: 2}
+	allocs := testing.AllocsPerRun(5, func() {
+		e, err := plan.Evaluate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Throughput <= 0 {
+			t.Fatal("zero throughput")
+		}
+	})
+	const budget = 48
+	t.Logf("Evaluate: %.0f objects (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("Plan.Evaluate allocates %.0f objects, budget %d", allocs, budget)
+	}
+}
+
 // TestEvalPoolLazyLIFO pins the pool discipline: evaluators are built on
 // first checkout and handed out most recently checked in first, so serial
 // sweeps through a wide Tuner keep reusing one warm evaluator; checkout

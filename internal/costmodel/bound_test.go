@@ -117,12 +117,14 @@ func TestLowerBoundErrors(t *testing.T) {
 	}
 	for _, c := range []struct {
 		scheme string
-		b      int
-	}{{"nope", 8}, {"hanayo-w0", 8}, {"interleaved-v", 8}, {"chimera", 7}, {"gems", 7}, {"chimera", 8}, {"gems", 8}, {"1f1b", 7}, {"hanayo-w3", 7}} {
-		_, lbErr := LowerBound(w, cl, 4, 1, c.b, c.scheme)
-		_, genErr := sched.ByName(c.scheme, 4, c.b)
+		p, b   int
+	}{{"nope", 4, 8}, {"hanayo-w0", 4, 8}, {"interleaved-v", 4, 8}, {"chimera", 4, 7}, {"gems", 4, 7},
+		{"chimera", 4, 8}, {"gems", 4, 8}, {"1f1b", 4, 7}, {"hanayo-w3", 4, 7},
+		{"gpipe", 0, 8}, {"hanayo-w2", 0, 8}, {"dapple", -1, 8}, {"zbh1", -1, 8}} {
+		_, lbErr := LowerBound(w, cl, c.p, 1, c.b, c.scheme)
+		_, genErr := sched.ByName(c.scheme, c.p, c.b)
 		if (lbErr == nil) != (genErr == nil) {
-			t.Errorf("%s B=%d: LowerBound error %v, Generate error %v", c.scheme, c.b, lbErr, genErr)
+			t.Errorf("%s P=%d B=%d: LowerBound error %v, Generate error %v", c.scheme, c.p, c.b, lbErr, genErr)
 		}
 	}
 	bad := w

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/nn"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -61,15 +61,21 @@ func fig08(w io.Writer) error {
 			}
 			per := est.Total()
 			gbs := make([]float64, len(per))
+			var sum, sq float64
 			for i, b := range per {
 				gbs[i] = b / 1e9
+				sum += gbs[i]
+			}
+			mean := sum / float64(len(gbs))
+			for _, g := range gbs {
+				sq += (g - mean) * (g - mean) // population variance below
 			}
 			oom := "-"
 			if !memmodel.FitsCluster(est, cl, 0.95) {
 				oom = "OOM"
 			}
 			fmt.Fprintf(w, "%-14s %9.1f %9.1f %9.1f %10.2f %5s\n",
-				label(plan.Scheme), stats.Max(gbs), stats.Min(gbs), stats.Mean(gbs), stats.Variance(gbs), oom)
+				label(plan.Scheme), slices.Max(gbs), slices.Min(gbs), mean, sq/float64(len(gbs)), oom)
 		}
 	}
 	fmt.Fprintln(w, "\nshape: GPipe high+balanced (OOM-prone), DAPPLE unbalanced, Chimera 2×-weights,")
@@ -119,7 +125,11 @@ func fig09(w io.Writer) error {
 				thrs[i] = thr
 				fmt.Fprintf(w, " %12.3f", thr)
 			}
-			fmt.Fprintf(w, "   best-hanayo vs chimera-wave: %+5.1f%%\n", stats.Speedup(thrs[cw], stats.Max(thrs[cw+1:])))
+			gain := 0.0 // best Hanayo over Chimera-wave, in percent
+			if thrs[cw] != 0 {
+				gain = (slices.Max(thrs[cw+1:])/thrs[cw] - 1) * 100
+			}
+			fmt.Fprintf(w, "   best-hanayo vs chimera-wave: %+5.1f%%\n", gain)
 		}
 	}
 	fmt.Fprintln(w, "\nshape: Hanayo wins everywhere; optimal wave count is lower on TACC (poor")
@@ -225,7 +235,10 @@ func fig11(w io.Writer) error {
 			}
 			thr = append(thr, v)
 		}
-		eff := stats.WeakScalingEfficiency(thr[0], thr[2], 8, 32)
+		eff := 0.0 // weak-scaling efficiency: the 8→32 speedup over 4× the devices
+		if thr[0] != 0 {
+			eff = thr[2] / thr[0] / (32 / 8) * 100
+		}
 		fmt.Fprintf(w, "%-14s %12.3f %12.3f %12.3f %9.1f%%\n",
 			label(scheme), thr[0], thr[1], thr[2], eff)
 	}
@@ -260,7 +273,7 @@ func fig12(w io.Writer) error {
 		}
 		speed := "-"
 		if thr[0] > 0 && thr[2] > 0 {
-			speed = fmt.Sprintf("%.1f%%", stats.StrongScalingSpeedup(thr[0], thr[2]))
+			speed = fmt.Sprintf("%.1f%%", thr[2]/thr[0]*100)
 		}
 		fmt.Fprintf(w, "%-14s %12s %12s %12s %10s\n",
 			label(scheme), cells[0], cells[1], cells[2], speed)

@@ -39,22 +39,6 @@ type Layer interface {
 	Params() []*Param
 }
 
-// ZeroGrads clears the gradient accumulators of all params of a layer.
-func ZeroGrads(l Layer) {
-	for _, p := range l.Params() {
-		p.G.Zero()
-	}
-}
-
-// NumParams counts scalar parameters of a layer.
-func NumParams(l Layer) int {
-	n := 0
-	for _, p := range l.Params() {
-		n += p.W.Len()
-	}
-	return n
-}
-
 // ---------------------------------------------------------------- Linear --
 
 // Linear is the affine map y = x·W + b with W [in,out].

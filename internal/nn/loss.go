@@ -113,21 +113,3 @@ func (o *Adam) Step(params []*Param) {
 		p.G.Zero()
 	}
 }
-
-// GradClip scales gradients so the global L2 norm does not exceed maxNorm.
-// It returns the pre-clip norm.
-func GradClip(params []*Param, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range params {
-		n := p.G.L2Norm()
-		sq += n * n
-	}
-	norm := math.Sqrt(sq)
-	if norm > maxNorm && norm > 0 {
-		s := float32(maxNorm / norm)
-		for _, p := range params {
-			tensor.ScaleInPlace(p.G, s)
-		}
-	}
-	return norm
-}

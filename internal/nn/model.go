@@ -93,9 +93,6 @@ func Build(r *tensor.RNG, cfg Config) *Model {
 	return &Model{Config: cfg, Units: units}
 }
 
-// NumUnits returns the partitionable unit count (Layers + 2).
-func (m *Model) NumUnits() int { return len(m.Units) }
-
 // Params returns all parameters of the model in unit order.
 func (m *Model) Params() []*Param {
 	var ps []*Param

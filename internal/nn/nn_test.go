@@ -8,6 +8,22 @@ import (
 	"repro/internal/tensor"
 )
 
+// zeroGrads clears the gradient accumulators of all params of a layer.
+func zeroGrads(l Layer) {
+	for _, p := range l.Params() {
+		p.G.Zero()
+	}
+}
+
+// numParams counts scalar parameters of a layer.
+func numParams(l Layer) int {
+	n := 0
+	for _, p := range l.Params() {
+		n += p.W.Len()
+	}
+	return n
+}
+
 // layerGradCheck verifies a layer's backward pass against central finite
 // differences, both for the input gradient and every parameter gradient,
 // using the scalar probe loss L = Σ (y ⊙ mask).
@@ -17,7 +33,7 @@ func layerGradCheck(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	y0, ctx := l.Forward(x)
 	mask := tensor.Randn(r, 1, y0.Shape...)
 
-	ZeroGrads(l)
+	zeroGrads(l)
 	dx := l.Backward(ctx, mask)
 
 	const eps = 2e-3
@@ -197,7 +213,7 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 	e2 := NewEmbedding(r, 10, 4, 5)
 	_ = e2
 	dy := tensor.Ones(2, 3, 4)
-	ZeroGrads(e)
+	zeroGrads(e)
 	dx := e.Backward(ctx, dy)
 	if dx.Len() != 6 {
 		t.Fatalf("dx len %d", dx.Len())
@@ -308,11 +324,11 @@ func TestModelSplitPreservesParams(t *testing.T) {
 	r := tensor.NewRNG(16)
 	cfg := Tiny(4, 8, 2, 16, 4, true)
 	m := Build(r, cfg)
-	total := NumParams(NewSequential(m.Units...))
+	total := numParams(NewSequential(m.Units...))
 	stages := m.Split(3)
 	var split int
 	for _, st := range stages {
-		split += NumParams(st.Seq)
+		split += numParams(st.Seq)
 	}
 	if split != total {
 		t.Fatalf("split params %d != model params %d", split, total)
@@ -412,23 +428,6 @@ func TestAdamStepReducesLoss(t *testing.T) {
 	}
 }
 
-func TestGradClip(t *testing.T) {
-	p := newParam("p", tensor.New(2))
-	p.G.Data[0], p.G.Data[1] = 3, 4
-	norm := GradClip([]*Param{p}, 1)
-	if math.Abs(norm-5) > 1e-6 {
-		t.Fatalf("pre-clip norm %g", norm)
-	}
-	if math.Abs(p.G.L2Norm()-1) > 1e-5 {
-		t.Fatalf("post-clip norm %g", p.G.L2Norm())
-	}
-	// Below the threshold nothing changes.
-	GradClip([]*Param{p}, 10)
-	if math.Abs(p.G.L2Norm()-1) > 1e-5 {
-		t.Fatal("clip must not rescale small grads")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Name: "l0", Layers: 0, Hidden: 8, Heads: 2, Vocab: 4, SeqLen: 4},
@@ -465,7 +464,7 @@ func TestForwardIsReentrant(t *testing.T) {
 	dRef2 := blk.Backward(cRef2, tensor.Ones(yRef2.Shape...))
 
 	// Interleaved with fresh grads.
-	ZeroGrads(blk)
+	zeroGrads(blk)
 	y1, c1 := blk.Forward(x1)
 	y2, c2 := blk.Forward(x2)
 	d2 := blk.Backward(c2, tensor.Ones(y2.Shape...))

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"repro/internal/tensor"
-)
+import "math"
 
 // LRSchedule maps a step index to a learning-rate multiplier.
 type LRSchedule interface {
@@ -31,20 +27,6 @@ func (s WarmupCosine) Factor(step int) float64 {
 	progress := float64(step-s.Warmup) / math.Max(span, 1)
 	cos := 0.5 * (1 + math.Cos(math.Pi*progress))
 	return s.MinFactor + (1-s.MinFactor)*cos
-}
-
-// StepDecay multiplies the rate by Gamma every Every steps.
-type StepDecay struct {
-	Every int
-	Gamma float64
-}
-
-// Factor implements LRSchedule.
-func (s StepDecay) Factor(step int) float64 {
-	if s.Every <= 0 {
-		return 1
-	}
-	return math.Pow(s.Gamma, float64(step/s.Every))
 }
 
 // ScheduledOptimizer wraps an optimizer with a learning-rate schedule. It
@@ -81,80 +63,4 @@ func (s *ScheduledOptimizer) Step(params []*Param) {
 	}
 	s.Base.Step(params)
 	s.step++
-}
-
-// LossScaler emulates dynamic mixed-precision loss scaling: gradients are
-// produced at Scale× and unscaled before the optimizer step; overflow
-// (non-finite gradients) skips the step and halves the scale, a run of
-// GrowthInterval good steps doubles it. On CPUs float32 rarely overflows,
-// but the control path is what pipeline runtimes must implement.
-type LossScaler struct {
-	Scale          float64
-	GrowthInterval int
-	goodSteps      int
-	SkippedSteps   int
-}
-
-// NewLossScaler returns a scaler starting at 2^14.
-func NewLossScaler() *LossScaler {
-	return &LossScaler{Scale: 16384, GrowthInterval: 100}
-}
-
-// ScaleGrad multiplies a loss gradient by the current scale.
-func (l *LossScaler) ScaleGrad(g *tensor.Tensor) {
-	tensor.ScaleInPlace(g, float32(l.Scale))
-}
-
-// UnscaleAndCheck divides all parameter gradients by the scale and reports
-// whether they are finite (true = safe to step).
-func (l *LossScaler) UnscaleAndCheck(params []*Param) bool {
-	inv := float32(1 / l.Scale)
-	finite := true
-	for _, p := range params {
-		for i, v := range p.G.Data {
-			v *= inv
-			p.G.Data[i] = v
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				finite = false
-			}
-		}
-	}
-	return finite
-}
-
-// Update adjusts the scale after a step attempt.
-func (l *LossScaler) Update(finite bool) {
-	if !finite {
-		l.Scale = math.Max(1, l.Scale/2)
-		l.goodSteps = 0
-		l.SkippedSteps++
-		return
-	}
-	l.goodSteps++
-	if l.goodSteps >= l.GrowthInterval {
-		l.Scale *= 2
-		l.goodSteps = 0
-	}
-}
-
-// GradAccumulator sums gradients over several micro-steps before a single
-// optimizer step — the data-parallel-free way to grow the effective batch.
-type GradAccumulator struct {
-	n int
-}
-
-// Add records one accumulated micro-step.
-func (a *GradAccumulator) Add() { a.n++ }
-
-// StepAndReset averages the accumulated gradients (dividing by the count)
-// and applies the optimizer, then clears the counter.
-func (a *GradAccumulator) StepAndReset(opt Optimizer, params []*Param) {
-	if a.n > 1 {
-		inv := float32(1) / float32(a.n)
-		for _, p := range params {
-			tensor.ScaleInPlace(p.G, inv)
-		}
-	}
-	opt.Step(params)
-	a.n = 0
 }

@@ -116,7 +116,7 @@ func TestCheckpointTrainingLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := data.NewGenerator(9, cfg.Vocab, cfg.SeqLen)
-	losses, err := eng.Train(gen, 3, 20)
+	losses, err := eng.train(gen, 3, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -621,18 +621,3 @@ func (e *Engine) allReduce() error {
 	}
 	return nil
 }
-
-// Train runs iters steps over batches from gen, returning per-iteration
-// losses. rows is the total batch rows per iteration (must split into
-// DP·B micro-batches).
-func (e *Engine) Train(gen *data.Generator, rows, iters int) ([]float64, error) {
-	losses := make([]float64, 0, iters)
-	for i := 0; i < iters; i++ {
-		res, err := e.Step(gen.Next(rows))
-		if err != nil {
-			return losses, err
-		}
-		losses = append(losses, res.Loss)
-	}
-	return losses, nil
-}

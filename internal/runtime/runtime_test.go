@@ -19,6 +19,21 @@ type nopOpt struct{}
 
 func (nopOpt) Step([]*nn.Param) {}
 
+// train runs iters steps over batches from gen, returning per-iteration
+// losses. rows is the total batch rows per iteration (must split into
+// DP·B micro-batches).
+func (e *Engine) train(gen *data.Generator, rows, iters int) ([]float64, error) {
+	losses := make([]float64, 0, iters)
+	for i := 0; i < iters; i++ {
+		res, err := e.Step(gen.Next(rows))
+		if err != nil {
+			return losses, err
+		}
+		losses = append(losses, res.Loss)
+	}
+	return losses, nil
+}
+
 // serialGrads runs the reference: the full model on one device, every
 // micro-batch in sequence, gradients scaled exactly like the engine
 // (1/(B·DP) on the loss gradient).
@@ -172,7 +187,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := data.NewGenerator(3, cfg.Vocab, cfg.SeqLen)
-	losses, err := eng.Train(gen, 4, 25)
+	losses, err := eng.train(gen, 4, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +245,7 @@ func TestPipelineDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen := data.NewGenerator(11, cfg.Vocab, cfg.SeqLen)
-		losses, err := eng.Train(gen, 4, 5)
+		losses, err := eng.train(gen, 4, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

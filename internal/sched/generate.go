@@ -3,11 +3,6 @@ package sched
 // Option tweaks schedule generation.
 type Option func(*GenParams)
 
-// WithCosts overrides the relative Tf/Tb/Tc used by the greedy generator.
-func WithCosts(tf, tb, tc float64) Option {
-	return func(p *GenParams) { p.Tf, p.Tb, p.Tc = tf, tb, tc }
-}
-
 // The one-shot scheme constructors below each drive a fresh single-use
 // Generator, so their schedules share no storage with any reusable state
 // and may be retained freely — the exact analogue of sim.Run delegating to

@@ -74,6 +74,9 @@ func (g *Generator) Generate(scheme string, p, b int, opts ...Option) (*Schedule
 // generate is the shared compile path behind Generate and the one-shot
 // scheme constructors.
 func (g *Generator) generate(sc Scheme, p, b int, opts ...Option) (*Schedule, error) {
+	if p <= 0 {
+		return nil, fmt.Errorf("sched: P must be positive, got %d", p)
+	}
 	if err := sc.CheckB(b); err != nil {
 		return nil, err
 	}

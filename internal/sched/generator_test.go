@@ -13,6 +13,11 @@ var generatorSchemes = []string{
 	"hanayo-w1", "hanayo-w2", "hanayo-w4", "interleaved-v2", "gems", "zbh1",
 }
 
+// withCosts overrides the relative Tf/Tb/Tc used by the greedy generator.
+func withCosts(tf, tb, tc float64) Option {
+	return func(p *GenParams) { p.Tf, p.Tb, p.Tc = tf, tb, tc }
+}
+
 // schedulesEqual compares two schedules bit-for-bit: headers, every action
 // of every list (reflect.DeepEqual over the lists), and the mapping's
 // observable shape; the mapping is compared by kind and dimensions.
@@ -143,14 +148,14 @@ func closureMapping(gp *GenParams) {
 // for every scheme, shape and wave count the table-driven engine — wake-only
 // scanning, closed-form row sizes from the dense device table — must emit,
 // action for action, the lists of the closure-mapped reference path, under
-// the default ordering costs and under WithCosts(1, 1.5, 0), whose free
+// the default ordering costs and under withCosts(1, 1.5, 0), whose free
 // transfers make many more tasks ready at the same instant.
 func TestTableDrivenMatchesClosureReference(t *testing.T) {
 	schemes := append([]string{"hanayo-w8"}, generatorSchemes...) // waves 1/2/4/8
 	table, reference := NewGenerator(), NewGenerator()
 	for _, scheme := range schemes {
 		for _, shape := range [][2]int{{4, 4}, {8, 16}, {16, 16}, {32, 16}} {
-			for _, costs := range [][]Option{nil, {WithCosts(1, 1.5, 0)}} {
+			for _, costs := range [][]Option{nil, {withCosts(1, 1.5, 0)}} {
 				p, b := shape[0], shape[1]
 				got, err := table.Generate(scheme, p, b, costs...)
 				if err != nil {
@@ -188,24 +193,30 @@ func TestOneShotAllocsPinned(t *testing.T) {
 // TestGeneratorAllocsZero pins the tentpole number: after warmup on a
 // shape, repeated Generate calls — including the fused validation replay —
 // allocate nothing, and neither does the activation-peak scan into a
-// reused slice.
+// reused slice. The 32-device shapes are the largest wave schedule and the
+// split-backward scheme at sweep scale.
 func TestGeneratorAllocsZero(t *testing.T) {
-	g := NewGenerator()
-	s, err := g.Generate("hanayo-w2", 8, 8) // warm the arenas
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := g.Generate("hanayo-w2", 8, 8); err != nil {
+	for _, c := range []struct {
+		scheme string
+		p, b   int
+	}{{"hanayo-w2", 8, 8}, {"hanayo-w4", 32, 32}, {"zbh1", 32, 32}} {
+		g := NewGenerator()
+		s, err := g.Generate(c.scheme, c.p, c.b) // warm the arenas
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state Generate allocates %.1f times per call, want 0", allocs)
-	}
-	peaks := s.PeakActs(nil)
-	if allocs := testing.AllocsPerRun(20, func() { peaks = s.PeakActs(peaks) }); allocs > 0 {
-		t.Fatalf("PeakActs into a reused slice allocates %.1f times per call, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := g.Generate(c.scheme, c.p, c.b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("%s P=%d B=%d: steady-state Generate allocates %.1f times per call, want 0", c.scheme, c.p, c.b, allocs)
+		}
+		peaks := s.PeakActs(nil)
+		if allocs := testing.AllocsPerRun(20, func() { peaks = s.PeakActs(peaks) }); allocs > 0 {
+			t.Fatalf("%s P=%d B=%d: PeakActs into a reused slice allocates %.1f times per call, want 0", c.scheme, c.p, c.b, allocs)
+		}
 	}
 }
 
@@ -248,11 +259,11 @@ func TestGeneratorOptionsMatchOneShot(t *testing.T) {
 	}
 	schedulesEqual(t, "hanayo-w2+fwdFirst", reused, fresh)
 
-	costs, err := DAPPLE(4, 8, WithCosts(1, 1.5, 0.2))
+	costs, err := DAPPLE(4, 8, withCosts(1, 1.5, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reusedCosts, err := g.Generate("dapple", 4, 8, WithCosts(1, 1.5, 0.2))
+	reusedCosts, err := g.Generate("dapple", 4, 8, withCosts(1, 1.5, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}

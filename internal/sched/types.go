@@ -75,13 +75,6 @@ func (k OpKind) IsCompute() bool {
 	return k == OpForward || k == OpBackward || k == OpBackwardInput || k == OpBackwardWeight
 }
 
-// IsBackward reports whether the op is a backward half (fused, input-grad
-// or weight-grad) — the set that marks the backward phase for zone
-// classification and phase barriers.
-func (k OpKind) IsBackward() bool {
-	return k == OpBackward || k == OpBackwardInput || k == OpBackwardWeight
-}
-
 // Action is one instruction of a worker's action list.
 type Action struct {
 	Kind  OpKind

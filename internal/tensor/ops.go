@@ -390,21 +390,6 @@ func Dot(a, b *Tensor) float64 {
 	return s
 }
 
-// Transpose2D transposes a [m,n] matrix.
-func Transpose2D(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: transpose2D on rank-%d", a.Rank()))
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
-	return out
-}
-
 // SoftmaxLastDim computes a numerically stable softmax over the last dim.
 func SoftmaxLastDim(a *Tensor) *Tensor { return SoftmaxLastDimInto(New(a.Shape...), a) }
 

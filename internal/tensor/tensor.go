@@ -103,9 +103,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 // At returns the element at the given indices.
 func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
 
-// Set assigns the element at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.Shape)))
@@ -118,19 +115,6 @@ func (t *Tensor) offset(idx []int) int {
 		off = off*t.Shape[i] + x
 	}
 	return off
-}
-
-// SameShape reports whether two tensors have identical shapes.
-func SameShape(a, b *Tensor) bool {
-	if len(a.Shape) != len(b.Shape) {
-		return false
-	}
-	for i := range a.Shape {
-		if a.Shape[i] != b.Shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Rows interprets t as a matrix [n, cols] collapsing all leading dims.
