@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
@@ -31,27 +33,37 @@ import (
 )
 
 func main() {
-	scheme := flag.String("scheme", "hanayo-w2", "pipeline scheme")
-	p := flag.Int("p", 4, "pipeline devices")
-	b := flag.Int("b", 4, "micro-batches")
-	asJSON := flag.Bool("json", false, "emit the schedule as JSON")
-	lists := flag.Bool("lists", false, "print per-device action lists")
-	load := flag.String("load", "", "load and validate a schedule JSON file instead of generating")
-	tune := flag.Bool("tune", false, "AutoTune: search the cluster for the best plan, then use its schedule")
-	clName := flag.String("cluster", "tacc", "cluster preset for -tune (tacc, tc, pc, fc)")
-	devices := flag.Int("devices", 32, "cluster size for -tune")
-	workers := flag.Int("workers", 0, "AutoTune sweep workers: 0 = one per CPU, 1 = serial")
-	straggler := flag.String("straggler", "", "-tune: perturb the cluster, dev:factor (e.g. 0:0.5)")
-	faultplan := flag.String("faultplan", "", "-tune: inject a JSON fault plan file into the sweep")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "hanayo-sched:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("hanayo-sched", flag.ContinueOnError)
+	scheme := fs.String("scheme", "hanayo-w2", "pipeline scheme: gpipe|dapple (1f1b)|chimera|chimera-wave|gems|zbh1|hanayo-w<N>|interleaved-v<N>")
+	p := fs.Int("p", 4, "pipeline devices")
+	b := fs.Int("b", 4, "micro-batches")
+	asJSON := fs.Bool("json", false, "emit the schedule as JSON")
+	lists := fs.Bool("lists", false, "print per-device action lists")
+	load := fs.String("load", "", "load and validate a schedule JSON file instead of generating")
+	tune := fs.Bool("tune", false, "AutoTune: search the cluster for the best plan, then use its schedule")
+	clName := fs.String("cluster", "tacc", "cluster preset for -tune (tacc, tc, pc, fc)")
+	devices := fs.Int("devices", 32, "cluster size for -tune")
+	workers := fs.Int("workers", 0, "AutoTune sweep workers: 0 = one per CPU, 1 = serial")
+	straggler := fs.String("straggler", "", "-tune: perturb the cluster, dev:factor (e.g. 0:0.5)")
+	faultplan := fs.String("faultplan", "", "-tune: inject a JSON fault plan file into the sweep")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *tune && (set["scheme"] || set["p"]) {
-		fatal(fmt.Errorf("-tune searches schemes and pipeline shapes itself; drop -scheme/-p"))
+		return fmt.Errorf("-tune searches schemes and pipeline shapes itself; drop -scheme/-p")
 	}
 	if *tune && *load != "" {
-		fatal(fmt.Errorf("-tune and -load are mutually exclusive"))
+		return fmt.Errorf("-tune and -load are mutually exclusive")
 	}
 
 	var s *sched.Schedule
@@ -60,30 +72,30 @@ func main() {
 	case *load != "":
 		f, ferr := os.Open(*load)
 		if ferr != nil {
-			fatal(ferr)
+			return ferr
 		}
 		defer f.Close()
 		s, err = sched.ReadJSON(f)
 		if err == nil {
-			fmt.Printf("%s: valid (%d actions)\n", *load, s.NumActions())
+			fmt.Fprintf(out, "%s: valid (%d actions)\n", *load, s.NumActions())
 		}
 	case *tune:
 		cl, cerr := cluster.ByName(*clName, *devices)
 		if cerr != nil {
-			fatal(cerr)
+			return cerr
 		}
 		cl, cerr = cluster.ApplyStraggler(cl, *straggler)
 		if cerr != nil {
-			fatal(cerr)
+			return cerr
 		}
 		var faults *sim.FaultPlan
 		if *faultplan != "" {
 			data, ferr := os.ReadFile(*faultplan)
 			if ferr != nil {
-				fatal(ferr)
+				return ferr
 			}
 			if faults, ferr = sim.ParseFaultPlan(data); ferr != nil {
-				fatal(ferr)
+				return ferr
 			}
 		}
 		cands := core.AutoTune(cl, nn.BERTStyle(), core.SearchSpace{
@@ -93,9 +105,9 @@ func main() {
 		})
 		best, ok := core.Best(cands)
 		if !ok {
-			fatal(fmt.Errorf("no feasible configuration on %s×%d", *clName, *devices))
+			return fmt.Errorf("no feasible configuration on %s×%d", *clName, *devices)
 		}
-		fmt.Printf("winner on %s×%d: %s P=%d D=%d B=%d (%.2f seq/s, %.1f GB peak)\n",
+		fmt.Fprintf(out, "winner on %s×%d: %s P=%d D=%d B=%d (%.2f seq/s, %.1f GB peak)\n",
 			*clName, *devices, best.Plan.Scheme, best.Plan.P, best.Plan.D, best.Plan.B,
 			best.Throughput, best.PeakGB)
 		s, err = best.Plan.Schedule()
@@ -105,28 +117,22 @@ func main() {
 		s, err = sched.ByName(*scheme, *p, *b)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	switch {
 	case *asJSON:
-		if err := sched.WriteJSON(os.Stdout, s); err != nil {
-			fatal(err)
-		}
+		return sched.WriteJSON(out, s)
 	case *lists:
 		for d, list := range s.Lists {
-			fmt.Printf("P%d:", d)
+			fmt.Fprintf(out, "P%d:", d)
 			for _, a := range list {
-				fmt.Printf("  %s", a)
+				fmt.Fprintf(out, "  %s", a)
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
 	default:
-		sched.Analyze(s).Print(os.Stdout)
+		sched.Analyze(s).Print(out)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hanayo-sched:", err)
-	os.Exit(1)
+	return nil
 }

@@ -8,8 +8,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"repro/internal/costmodel"
@@ -19,20 +22,33 @@ import (
 )
 
 func main() {
-	scheme := flag.String("scheme", "hanayo-w2", "gpipe|dapple|chimera|chimera-wave|hanayo-w<N>|interleaved-v<N>")
-	p := flag.Int("p", 4, "pipeline devices")
-	b := flag.Int("b", 4, "micro-batches")
-	tc := flag.Float64("tc", 0.05, "per-hop communication cost relative to a device slice forward (=1)")
-	width := flag.Int("width", 100, "chart width in columns")
-	format := flag.String("format", "gantt", "gantt|csv|chrome|summary")
-	noPrefetch := flag.Bool("no-prefetch", false, "disable receive prefetching (ablation)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "hanayo-viz:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("hanayo-viz", flag.ContinueOnError)
+	scheme := fs.String("scheme", "hanayo-w2", "gpipe|dapple (1f1b)|chimera|chimera-wave|gems|zbh1|hanayo-w<N>|interleaved-v<N>")
+	p := fs.Int("p", 4, "pipeline devices")
+	b := fs.Int("b", 4, "micro-batches")
+	tc := fs.Float64("tc", 0.05, "per-hop communication cost relative to a device slice forward (=1)")
+	width := fs.Int("width", 100, "chart width in columns")
+	format := fs.String("format", "gantt", "gantt|csv|chrome|summary")
+	noPrefetch := fs.Bool("no-prefetch", false, "disable receive prefetching (ablation)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if !(*tc >= 0) || math.IsInf(*tc, 0) {
+		return fmt.Errorf("-tc must be a non-negative finite number, got %g", *tc)
+	}
 
 	// ByName output arrives already validated (generation fuses the
 	// executability proof).
 	s, err := sched.ByName(*scheme, *p, *b)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	per := float64(s.S) / float64(s.P)
 	cost := costmodel.Uniform{Tf: 1 / per, Tb: 2 / per, Tc: *tc}
@@ -40,28 +56,21 @@ func main() {
 	opt.Prefetch = !*noPrefetch
 	r, err := sim.Run(s, cost, opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	switch *format {
 	case "gantt":
-		fmt.Println(trace.Legend())
-		trace.Gantt(os.Stdout, r, *width)
+		fmt.Fprintln(out, trace.Legend())
+		trace.Gantt(out, r, *width)
 	case "csv":
-		err = trace.CSV(os.Stdout, r)
+		return trace.CSV(out, r)
 	case "chrome":
-		err = trace.Chrome(os.Stdout, r)
+		return trace.Chrome(out, r)
 	case "summary":
-		fmt.Println(trace.Summary(r))
+		fmt.Fprintln(out, trace.Summary(r))
 	default:
-		err = fmt.Errorf("unknown format %q", *format)
+		return fmt.Errorf("unknown format %q", *format)
 	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hanayo-viz:", err)
-	os.Exit(1)
+	return nil
 }

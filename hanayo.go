@@ -311,9 +311,6 @@ var (
 	ParseFaultPlan = sim.ParseFaultPlan
 	// ApplyStraggler perturbs a cluster from a "dev:factor" CLI spec.
 	ApplyStraggler = cluster.ApplyStraggler
-	// SpeedBalancedShares sizes stage layer shares by hosting-device
-	// speed on heterogeneous clusters (opt-in, via Cost.Shares).
-	SpeedBalancedShares = costmodel.SpeedBalancedShares
 )
 
 // Elasticity: typed membership events over immutable clusters, the

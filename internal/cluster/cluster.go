@@ -66,17 +66,10 @@ func (c *Cluster) LinkFactor(i, j int) float64 {
 	return c.linkf[i][j]
 }
 
-// Bandwidth returns effective GB/s between devices i and j (the raw link
-// rate scaled by any degradation factor).
-func (c *Cluster) Bandwidth(i, j int) float64 { return c.bwGBs[i][j] * c.LinkFactor(i, j) }
-
-// Latency returns effective seconds of one-way latency between devices i
-// and j; a degraded link's latency grows by the inverse of its factor
-// (congestion stretches both terms of the transfer-time model).
-func (c *Cluster) Latency(i, j int) float64 { return c.latS[i][j] / c.LinkFactor(i, j) }
-
 // CommTime returns the time to move bytes from i to j over the effective
-// (possibly degraded) link.
+// link: a degraded link (LinkFactor f < 1) has its bandwidth scaled by f
+// and its latency by 1/f, since congestion stretches both terms of the
+// transfer-time model.
 func (c *Cluster) CommTime(i, j int, bytes float64) float64 {
 	if i == j {
 		return 0

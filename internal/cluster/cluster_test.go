@@ -32,7 +32,7 @@ func TestSymmetry(t *testing.T) {
 		if i == j {
 			return c.CommTime(i, j, 1e6) == 0
 		}
-		return c.Bandwidth(i, j) == c.Bandwidth(j, i) && c.Latency(i, j) == c.Latency(j, i)
+		return bandwidth(c, i, j) == bandwidth(c, j, i) && latency(c, i, j) == latency(c, j, i)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -206,10 +206,10 @@ func TestPerturbations(t *testing.T) {
 	}
 
 	l := base.WithLinkDegrade(0, 1, 0.25)
-	if got, want := l.Bandwidth(0, 1), base.Bandwidth(0, 1)*0.25; got != want {
+	if got, want := bandwidth(l, 0, 1), bandwidth(base, 0, 1)*0.25; got != want {
 		t.Fatalf("degraded bandwidth %g, want %g", got, want)
 	}
-	if got, want := l.Latency(1, 0), base.Latency(1, 0)*4; got != want {
+	if got, want := latency(l, 1, 0), latency(base, 1, 0)*4; got != want {
 		t.Fatalf("degraded latency %g, want %g", got, want)
 	}
 	if l.CommTime(0, 1, 1e7) <= base.CommTime(0, 1, 1e7) {
@@ -238,3 +238,11 @@ func TestPerturbations(t *testing.T) {
 		t.Fatal("degraded suffix on an unknown preset must error")
 	}
 }
+
+// bandwidth is the effective GB/s of the i→j link: the raw rate scaled by
+// the link's degradation factor.
+func bandwidth(c *Cluster, i, j int) float64 { return c.bwGBs[i][j] * c.LinkFactor(i, j) }
+
+// latency is the effective one-way latency of the i→j link: a degraded
+// link's latency grows by the inverse of its factor.
+func latency(c *Cluster, i, j int) float64 { return c.latS[i][j] / c.LinkFactor(i, j) }

@@ -22,8 +22,8 @@ func TestWithoutDevice(t *testing.T) {
 			t.Fatalf("device %d: %+v != original device %d", i, d.Devices[i], keep[i])
 		}
 		for j := 0; j < 7; j++ {
-			if d.Bandwidth(i, j) != c.Bandwidth(keep[i], keep[j]) ||
-				d.Latency(i, j) != c.Latency(keep[i], keep[j]) {
+			if bandwidth(d, i, j) != bandwidth(c, keep[i], keep[j]) ||
+				latency(d, i, j) != latency(c, keep[i], keep[j]) {
 				t.Fatalf("link (%d,%d) differs from original (%d,%d)", i, j, keep[i], keep[j])
 			}
 		}
@@ -66,14 +66,14 @@ func TestWithDeviceLike(t *testing.T) {
 		if j == 4 {
 			continue
 		}
-		if d.Bandwidth(6, j) != c.Bandwidth(4, j) || d.Bandwidth(j, 6) != c.Bandwidth(4, j) {
-			t.Fatalf("link (6,%d) = %g, want device 4's %g", j, d.Bandwidth(6, j), c.Bandwidth(4, j))
+		if bandwidth(d, 6, j) != bandwidth(c, 4, j) || bandwidth(d, j, 6) != bandwidth(c, 4, j) {
+			t.Fatalf("link (6,%d) = %g, want device 4's %g", j, bandwidth(d, 6, j), bandwidth(c, 4, j))
 		}
 	}
 	// … and reaches its template over the template's strongest peer link
 	// (intra-node PCIe here, not cross-node InfiniBand).
-	if d.Bandwidth(6, 4) != pcieBW || d.Latency(6, 4) != pcieLat {
-		t.Fatalf("template link %g GB/s, want strongest peer link %g", d.Bandwidth(6, 4), pcieBW)
+	if bandwidth(d, 6, 4) != pcieBW || latency(d, 6, 4) != pcieLat {
+		t.Fatalf("template link %g GB/s, want strongest peer link %g", bandwidth(d, 6, 4), pcieBW)
 	}
 	if c.Fingerprint() == d.Fingerprint() {
 		t.Fatal("join must change the fingerprint")

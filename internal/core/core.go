@@ -251,7 +251,7 @@ func (p Plan) simEvaluate(s *sched.Schedule, opt sim.Options, ev *evaluator, dea
 		es.sim, es.mem = r, memmodel.ForSchedule(s, p.Model, p.MicroRows, r.PeakActs)
 		es.judge(es.mem, p.Cluster)
 	} else {
-		memmodel.ForScheduleInto(&ev.mem, s, p.Model, p.MicroRows, r.PeakActs, memmodel.Options{})
+		memmodel.ForScheduleInto(&ev.mem, s, p.Model, p.MicroRows, r.PeakActs)
 		es.judge(&ev.mem, p.Cluster)
 	}
 	return es, nil
@@ -544,7 +544,7 @@ func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (eval
 	}
 	if prune {
 		ev.peaks = s.PeakActs(ev.peaks)
-		memmodel.ForScheduleInto(&ev.mem, s, plan.Model, plan.MicroRows, ev.peaks, memmodel.Options{})
+		memmodel.ForScheduleInto(&ev.mem, s, plan.Model, plan.MicroRows, ev.peaks)
 		if !memmodel.FitsCluster(&ev.mem, plan.Cluster, memMargin) {
 			return evalShared{maxGB: ev.mem.MaxGB(), splitBW: s.Split()}, nil
 		}

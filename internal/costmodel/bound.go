@@ -21,13 +21,12 @@ package costmodel
 //     boundary crossed by n micro-batches keeps its link busy for n
 //     transfer times.
 //
-// The bound mirrors Cost's default knobs (BackwardRatio = 2, uniform
-// stages) — exactly the configuration every sweep evaluation uses — and
-// ignores Options.FlushTime, no-prefetch and unbatched communication,
-// all of which only increase the simulated makespan, so
-// LowerBound ≤ sim makespan holds across every option set (property-
-// tested against sim.Run for every named scheme, the zero-bubble split
-// zbh1 included).
+// The bound prices Cost's one model (uniform stages, backward = 2 ×
+// forward) and ignores Options.FlushTime, no-prefetch and unbatched
+// communication, all of which only increase the simulated makespan, so
+// LowerBound ≤ sim makespan holds for every Cost and every option set
+// (property-tested against sim.Run for every named scheme, the
+// zero-bubble split zbh1 included).
 //
 // Heterogeneity and faults. The certificates read cl.Flops and
 // cl.CommTime per device and per link, so static heterogeneity — GPU
@@ -54,8 +53,7 @@ import (
 // makespan (seconds) of scheme on p pipeline devices × d replicas of cl
 // with b micro-batches of w.MicroRows sequences — computed from the same
 // FLOP/byte formulas as Cost, with no schedule generation and no
-// simulation. The bound assumes Cost's defaults (BackwardRatio 2, uniform
-// stages), which is what every sweep evaluation runs; it is valid for
+// simulation. It is a floor on every simulation a Cost prices, under
 // every sim.Options (FlushTime, no-prefetch and unbatched communication
 // only increase the makespan). d participates only in validation: the
 // per-replica simulation is D-invariant, and callers convert to a total-
@@ -86,8 +84,8 @@ func LowerBound(w Workload, cl *cluster.Cluster, p, d, b int, scheme string) (fl
 	// final compute is a dependency-free W. Both only weaken the bound.
 	stages, pipes, split := sc.Stages(p), sc.Pipes(), sc.Split()
 
-	// Per-stage forward FLOPs under the uniform-stage default; tf(dev) =
-	// flops/Flops(dev), tb = 2·tf (Cost's default BackwardRatio).
+	// Per-stage forward FLOPs of the uniform-stage model; tf(dev) =
+	// flops/Flops(dev), tb = 2·tf, as Cost prices them.
 	stageFLOPs := float64(w.Model.Layers) / float64(stages) * LayerForwardFLOPs(w.Model, w.MicroRows)
 	actBytes := ActivationBytes(w.Model, w.MicroRows)
 
@@ -108,7 +106,7 @@ func LowerBound(w Workload, cl *cluster.Cluster, p, d, b int, scheme string) (fl
 			tf := stageFLOPs / cl.Flops(dv)
 			if split {
 				// The backward descent runs input-grad halves only:
-				// tf + tbi with tbi = tb/2 = tf under the default ratio.
+				// tf + tbi with tbi = tb/2 = tf.
 				chain += 2 * tf
 			} else {
 				chain += 3 * tf // tf + tb

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/nn"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 func TestLayerFLOPsScaleQuadraticInHidden(t *testing.T) {
@@ -97,80 +96,15 @@ func TestUniform(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousStages(t *testing.T) {
-	cfg := nn.GPTStyle()
-	cl := cluster.FullNVLink(8)
-	s, err := sched.DAPPLE(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Workload{Model: cfg, MicroRows: 2}, cl, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := stageImbalance(c); r != 1 {
-		t.Fatalf("uniform imbalance %g", r)
-	}
-	c.Heterogeneous = true
-	// Head projection (vocab 50k) dominates: last stage far heavier.
-	if c.ForwardTime(0, c.S-1) <= c.ForwardTime(0, 1) {
-		t.Fatal("head stage not heavier")
-	}
-	if c.ForwardTime(0, 0) <= c.ForwardTime(0, 1) {
-		t.Fatal("embedding stage not heavier")
-	}
-	if r := stageImbalance(c); r <= 1 {
-		t.Fatalf("imbalance %g", r)
-	}
-	// Middle stages unaffected.
-	if c.ForwardTime(0, 1) != c.ForwardTime(0, c.S-2) {
-		t.Fatal("middle stages must stay uniform")
-	}
-}
-
-// stageImbalance is the heaviest-over-lightest forward-stage ratio on
-// device 0 over stage 1 and the two boundary stages — 1.0 for the uniform
-// model, > 1 with Heterogeneous set. The wave placement softens the impact
-// of boundary-stage weight because stage 0 and stage S−1 land on the same
-// device, sharing the extra cost.
-func stageImbalance(c *Cost) float64 {
-	minT, maxT := c.ForwardTime(0, 1), c.ForwardTime(0, 1)
-	for _, s := range []int{0, c.S - 1} {
-		t := c.ForwardTime(0, s)
-		minT, maxT = min(minT, t), max(maxT, t)
-	}
-	if minT <= 0 {
-		return 1
-	}
-	return maxT / minT
-}
-
 // TestDenseTablesMatchFormulas asserts that every lookup returns, bit for
 // bit, what the FLOP formulas derive — the stage's FLOPs over the device's
-// rate, BackwardRatio times that, the two split halves summing to the fused
-// backward exactly — for every scheme family on a cluster with a straggler
-// (so device rates differ), under every knob setting flipped after New,
-// and beyond the schedule's devices, where lookups fall back to the
-// formulas instead of reading past the block.
+// rate, twice that for the backward, the link's transfer time — for every
+// scheme family on a cluster with a straggler (so device rates differ), and
+// beyond the schedule's devices, where lookups fall back to the cluster
+// instead of reading past the tables.
 func TestDenseTablesMatchFormulas(t *testing.T) {
 	cfg := nn.GPTStyle()
 	cl := cluster.PartialNVLink(16).WithStraggler(3, 0.5) // bigger than the schedule: exercises fallback
-	formula := func(s *sched.Schedule, shares []float64, het bool, d, st int) float64 {
-		share := float64(cfg.Layers) / float64(s.S)
-		if st < len(shares) {
-			share *= shares[st]
-		}
-		fl := share * LayerForwardFLOPs(cfg, 2)
-		if het {
-			if st == 0 {
-				fl += EmbedFLOPs(cfg, 2)
-			}
-			if st == s.S-1 {
-				fl += HeadFLOPs(cfg, 2)
-			}
-		}
-		return fl / cl.Flops(d)
-	}
 	for _, scheme := range []string{"gpipe", "dapple", "chimera", "chimera-wave", "gems", "zbh1",
 		"hanayo-w2", "hanayo-w4", "interleaved-v2"} {
 		s, err := sched.ByName(scheme, 8, 8)
@@ -181,65 +115,21 @@ func TestDenseTablesMatchFormulas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		balanced, err := SpeedBalancedShares(cl, scheme, 8, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shares := range [][]float64{nil, balanced} {
-			for _, het := range []bool{false, true} {
-				for _, ratio := range []float64{2, 3} {
-					c.Shares, c.Heterogeneous, c.BackwardRatio = shares, het, ratio
-					for d := 0; d < 12; d++ { // 8..11 lie beyond the schedule
-						for st := 0; st < s.S; st++ {
-							fwd := formula(s, shares, het, d, st)
-							if got := c.ForwardTime(d, st); got != fwd {
-								t.Fatalf("%s shares=%v het=%v fwd(%d,%d) = %g, formula %g", scheme, shares != nil, het, d, st, got, fwd)
-							}
-							bwd := c.BackwardTime(d, st)
-							if bwd != ratio*fwd {
-								t.Fatalf("%s shares=%v het=%v ratio=%g bwd(%d,%d) = %g, formula %g", scheme, shares != nil, het, ratio, d, st, bwd, ratio*fwd)
-							}
-							if in, w := c.BackwardInputTime(d, st), c.BackwardWeightTime(d, st); in+w != bwd || in != bwd/2 {
-								t.Fatalf("%s bwd(%d,%d): input %g + weight %g != fused %g", scheme, d, st, in, w, bwd)
-							}
-						}
-						for dst := 0; dst < 12; dst++ {
-							if got, want := c.CommTime(d, dst), cl.CommTime(d, dst, ActivationBytes(cfg, 2)); got != want {
-								t.Fatalf("%s comm(%d,%d) = %g, formula %g", scheme, d, dst, got, want)
-							}
-						}
-					}
+		for d := 0; d < 12; d++ { // 8..11 lie beyond the schedule
+			for st := 0; st < s.S; st++ {
+				fwd := float64(cfg.Layers) / float64(s.S) * LayerForwardFLOPs(cfg, 2) / cl.Flops(d)
+				if got := c.ForwardTime(d, st); got != fwd {
+					t.Fatalf("%s fwd(%d,%d) = %g, formula %g", scheme, d, st, got, fwd)
+				}
+				if got := c.BackwardTime(d, st); got != 2*fwd {
+					t.Fatalf("%s bwd(%d,%d) = %g, formula %g", scheme, d, st, got, 2*fwd)
+				}
+			}
+			for dst := 0; dst < 12; dst++ {
+				if got, want := c.CommTime(d, dst), cl.CommTime(d, dst, ActivationBytes(cfg, 2)); got != want {
+					t.Fatalf("%s comm(%d,%d) = %g, formula %g", scheme, d, dst, got, want)
 				}
 			}
 		}
-	}
-}
-
-func TestHeterogeneousSimRunsSlower(t *testing.T) {
-	cfg := nn.GPTStyle()
-	cl := cluster.FullNVLink(8)
-	s, err := sched.Hanayo(8, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := New(Workload{Model: cfg, MicroRows: 2}, cl, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	het, err := New(Workload{Model: cfg, MicroRows: 2}, cl, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	het.Heterogeneous = true
-	ru, err := sim.Run(s, uni, sim.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rh, err := sim.Run(s, het, sim.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rh.Makespan <= ru.Makespan {
-		t.Fatalf("heterogeneous %g not slower than uniform %g", rh.Makespan, ru.Makespan)
 	}
 }

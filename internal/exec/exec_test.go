@@ -145,8 +145,8 @@ var golden = []struct {
 	{"gems", 8, 16, "noprefetch", 197.6, 384, 12.6, 0, 24.6, 1159.6, 2},
 	{"gems", 8, 16, "flush", 198.1, 384, 12.6, 0, 24.6, 1159.6, 2},
 	// zbh1 rows were produced by the same recipe on the split-backward
-	// executor path (OpBackwardInput/OpBackwardWeight priced by Uniform's
-	// SplitCost halves). Note the peak column: 3 at P=4 and 6 at P=8, below
+	// executor path (OpBackwardInput/OpBackwardWeight priced as the even
+	// split Tb/2 and Tb − Tb/2 of the fused backward). Note the peak column: 3 at P=4 and 6 at P=8, below
 	// dapple's P−s cap of 4 and 8 — the zero-bubble split's memory win,
 	// asserted strictly in the memtrace suite.
 	{"zbh1", 4, 4, "default", 19.4, 48, 7.4, 0, 12.5, 9.7, 3},
@@ -231,8 +231,8 @@ func TestSimBackendParity(t *testing.T) {
 // gradient send re-attached to the W) under 1F1B's P−s inflight cap must
 // reproduce dapple's simulation exactly — makespan, per-device busy and
 // end times, every zone total and every activation peak — when the split
-// halves sum to the fused backward (Uniform's SplitCost guarantees Tb/2 +
-// (Tb − Tb/2) = Tb). Any drift in the split compute pricing, the comm
+// halves sum to the fused backward (the simulator's even split guarantees
+// Tb/2 + (Tb − Tb/2) = Tb). Any drift in the split compute pricing, the comm
 // placement around BI/BW or the interpreter's handling of the new kinds
 // breaks this equality.
 func TestFusedSplitEquivalence(t *testing.T) {

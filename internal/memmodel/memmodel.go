@@ -2,7 +2,10 @@
 // weight/optimizer state from the placement (Chimera's 2× replication vs.
 // the single copy of wave placements) plus live activations from the
 // simulator's peak counts. It powers the paper's Fig 8 distribution, the
-// OOM entries of Fig 10/12, and feasibility checks in the autotuner.
+// OOM entries of Fig 10/12, and feasibility checks in the autotuner. It
+// prices the paper's configuration: every device holds the full training
+// state of its stages (no ZeRO sharding) and every live activation keeps
+// its layers' internals (no recompute).
 package memmodel
 
 import (
@@ -17,21 +20,6 @@ import (
 // fp16 weight (2) + fp16 gradient (2) + fp32 master copy (4) + fp32 Adam
 // first and second moments (8) = 16 bytes.
 const BytesPerParam = 16.0
-
-// OptimizerBytesPerParam is the slice of BytesPerParam that is optimizer
-// state (master copy + Adam moments), shardable across data-parallel
-// replicas under ZeRO stage 1 (paper §6 lists ZeRO as combinable with
-// pipeline parallelism).
-const OptimizerBytesPerParam = 12.0
-
-// ZeROBytesPerParam returns the per-parameter footprint when optimizer
-// state is sharded across dp replicas (dp ≤ 1 means no sharding).
-func ZeROBytesPerParam(dp int) float64 {
-	if dp <= 1 {
-		return BytesPerParam
-	}
-	return (BytesPerParam - OptimizerBytesPerParam) + OptimizerBytesPerParam/float64(dp)
-}
 
 // ParamsPerLayer counts one transformer block's parameters:
 // 4h² attention + 8h² MLP + biases and layernorms ≈ 12h² + 13h.
@@ -104,40 +92,18 @@ func (e *Estimate) VarianceGB() float64 {
 // sequences per micro-batch. peakActs is the per-device peak count of live
 // stage-activations (from sim.Result.PeakActs, or an analytic bound).
 func ForSchedule(sc *sched.Schedule, cfg nn.Config, rows int, peakActs []int) *Estimate {
-	return ForScheduleOpts(sc, cfg, rows, peakActs, Options{})
-}
-
-// Options tunes the memory estimate with the paper's §6 combinable
-// techniques.
-type Options struct {
-	// ZeRODP shards optimizer state across this many data-parallel
-	// replicas (ZeRO stage 1); ≤1 disables sharding.
-	ZeRODP int
-	// Checkpoint models per-block activation checkpointing: only the
-	// block boundary tensor (2·s·b·h fp16 bytes) stays resident per live
-	// activation, internals are recomputed in backward.
-	Checkpoint bool
-}
-
-// ForScheduleOpts is ForSchedule with explicit Options.
-func ForScheduleOpts(sc *sched.Schedule, cfg nn.Config, rows int, peakActs []int, opt Options) *Estimate {
 	e := &Estimate{}
-	ForScheduleInto(e, sc, cfg, rows, peakActs, opt)
+	ForScheduleInto(e, sc, cfg, rows, peakActs)
 	return e
 }
 
-// ForScheduleInto is ForScheduleOpts writing into e, reusing the storage
-// of its slices: the one implementation of the estimate, and the form a
+// ForScheduleInto is ForSchedule writing into e, reusing the storage of
+// its slices: the one implementation of the estimate, and the form a
 // caller pricing many schedules in turn (the configuration search) uses to
 // judge each on one Estimate it owns.
-func ForScheduleInto(e *Estimate, sc *sched.Schedule, cfg nn.Config, rows int, peakActs []int, opt Options) {
+func ForScheduleInto(e *Estimate, sc *sched.Schedule, cfg nn.Config, rows int, peakActs []int) {
 	stageAct := StageActBytes(sc, cfg, rows)
-	if opt.Checkpoint {
-		// One boundary tensor per layer instead of the full internals.
-		layersPerStage := float64(cfg.Layers) / float64(sc.S)
-		stageAct = layersPerStage * float64(cfg.SeqLen) * float64(rows) * float64(cfg.Hidden) * 2
-	}
-	e.WeightBytes = WeightsInto(e.WeightBytes, sc, cfg, opt)
+	e.WeightBytes = weightsInto(e.WeightBytes, sc, cfg)
 	e.ActBytes = slices.Grow(e.ActBytes[:0], sc.P)[:sc.P]
 	for d := 0; d < sc.P; d++ {
 		e.ActBytes[d] = float64(peakActs[d]) * stageAct
@@ -157,21 +123,20 @@ func StageActBytes(sc *sched.Schedule, cfg nn.Config, rows int) float64 {
 // capacity yields the live-activation budget a memtrace replay can check
 // against without a timing model (the AutoTune OOM-pruning front end).
 func Weights(sc *sched.Schedule, cfg nn.Config) []float64 {
-	return WeightsInto(nil, sc, cfg, Options{})
+	return weightsInto(nil, sc, cfg)
 }
 
-// WeightsInto is Weights with explicit Options, writing into dst's storage
-// (grown when short) and returning it resized to the schedule's devices.
-func WeightsInto(dst []float64, sc *sched.Schedule, cfg nn.Config, opt Options) []float64 {
+// weightsInto is Weights writing into dst's storage (grown when short) and
+// returning it resized to the schedule's devices.
+func weightsInto(dst []float64, sc *sched.Schedule, cfg nn.Config) []float64 {
 	p := sc.P
 	layersPerStage := float64(cfg.Layers) / float64(sc.S)
 	stageParams := layersPerStage * ParamsPerLayer(cfg)
-	bytesPerParam := ZeROBytesPerParam(opt.ZeRODP)
 	embedShare := EmbeddingParams(cfg) / float64(p) // spread across devices
 	out := slices.Grow(dst[:0], p)[:p]
 	for d := 0; d < p; d++ {
 		chunks := float64(len(sc.Mapping.Hosted(d)))
-		out[d] = (chunks*stageParams + embedShare) * bytesPerParam
+		out[d] = (chunks*stageParams + embedShare) * BytesPerParam
 	}
 	return out
 }

@@ -23,18 +23,6 @@ type Cost interface {
 	CommTime(src, dst int) float64
 }
 
-// SplitCost is the optional Cost extension that prices the zero-bubble
-// split-backward halves (OpBackwardInput / OpBackwardWeight) separately.
-// Implementations must keep BackwardInputTime + BackwardWeightTime equal to
-// BackwardTime so a split schedule's total compute matches its fused twin.
-// Models without the extension fall back to an even split of BackwardTime
-// whose halves also sum exactly to the fused duration — either way, fused
-// schemes' makespans are provably unchanged by split support.
-type SplitCost interface {
-	BackwardInputTime(device, stage int) float64
-	BackwardWeightTime(device, stage int) float64
-}
-
 // Zone classifies idle time per the paper's Fig 7 taxonomy.
 type Zone int
 
@@ -171,11 +159,8 @@ var errFailed = errors.New("sim: device failed")
 type backend struct {
 	s    *sched.Schedule
 	cost Cost
-	// split is cost's SplitCost extension, resolved once per run (nil when
-	// the model doesn't implement it; the hot path then halves BackwardTime).
-	split SplitCost
-	opt   Options
-	res   *Result
+	opt  Options
+	res  *Result
 	// deadline, when positive, aborts the walk as soon as a device clock
 	// exceeds it (strictly: a run finishing exactly at the cap completes,
 	// so throughput ties with a pruning cutoff are never lost).
@@ -286,22 +271,18 @@ func (b *backend) transferFor(d int, a sched.Action) *transfer {
 	return tr
 }
 
-// opTime prices one compute op: forwards and fused backwards from the base
-// model, split halves from the SplitCost extension when present, otherwise
-// an even split whose halves sum exactly to the fused backward.
+// opTime prices one compute op from the cost model. The zero-bubble split
+// halves (OpBackwardInput / OpBackwardWeight) split the fused backward
+// evenly, t/2 and the exact remainder t − t/2, so they sum to the fused
+// duration bit for bit and a split schedule's total compute equals its
+// fused twin's.
 func (b *backend) opTime(d int, a sched.Action) float64 {
 	switch a.Kind {
 	case sched.OpBackward:
 		return b.cost.BackwardTime(d, a.Stage)
 	case sched.OpBackwardInput:
-		if b.split != nil {
-			return b.split.BackwardInputTime(d, a.Stage)
-		}
 		return b.cost.BackwardTime(d, a.Stage) / 2
 	case sched.OpBackwardWeight:
-		if b.split != nil {
-			return b.split.BackwardWeightTime(d, a.Stage)
-		}
 		t := b.cost.BackwardTime(d, a.Stage)
 		return t - t/2
 	}
@@ -560,7 +541,6 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 	res.Busy, res.End, res.PeakActs = f[:p:p], f[p:2*p:2*p], n[:p:p]
 	be := &r.be
 	be.s, be.cost, be.opt, be.res = s, cost, opt, res
-	be.split, _ = cost.(SplitCost)
 	be.deadline = deadline
 	be.faults = faults
 	if faults != nil && len(faults.Events) == 0 && faults.RestartCost == 0 {
