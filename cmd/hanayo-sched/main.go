@@ -80,6 +80,10 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%s: valid (%d actions)\n", *load, s.NumActions())
 		}
 	case *tune:
+		if *b < 1 {
+			// AutoTune reads B = 0 as "default", which is not what -b 0 asked for.
+			return fmt.Errorf("-b must be a positive integer, got %d", *b)
+		}
 		cl, cerr := cluster.ByName(*clName, *devices)
 		if cerr != nil {
 			return cerr

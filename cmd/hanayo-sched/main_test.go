@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -39,5 +40,31 @@ func TestSchedGolden(t *testing.T) {
 				t.Fatalf("output differs from %s (rerun with -update if the change is intended)\ngot:\n%swant:\n%s", path, got, want)
 			}
 		})
+	}
+}
+
+// TestTuneRejectsBadSizes: -tune refuses a non-positive -devices and a
+// non-positive -b with an error naming the bad value and no output — a
+// negative size must not reach the preset's make, 0 devices must not
+// sweep an empty cluster, and -b 0 must not fall back to AutoTune's
+// default B.
+func TestTuneRejectsBadSizes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-tune", "-devices", "-4"}, "-4"},
+		{[]string{"-tune", "-devices", "0"}, "got 0"},
+		{[]string{"-tune", "-b", "0"}, "-b must be a positive integer, got 0"},
+		{[]string{"-tune", "-b", "-3"}, "-b must be a positive integer, got -3"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", tc.args, out.String())
+		}
 	}
 }

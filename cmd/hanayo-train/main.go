@@ -48,6 +48,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *iters < 1 {
+		return fmt.Errorf("-iters must be a positive integer, got %d", *iters)
+	}
 
 	s, err := sched.ByName(*scheme, *p, *b)
 	if err != nil {

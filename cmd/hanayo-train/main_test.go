@@ -51,3 +51,18 @@ func TestTrainerGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestTrainerRejectsNonPositiveIters: -iters 0 or below is an error naming
+// the flag, not a header line followed by no training.
+func TestTrainerRejectsNonPositiveIters(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		var out bytes.Buffer
+		err := run([]string{"-iters", n}, &out)
+		if err == nil || err.Error() != "-iters must be a positive integer, got "+n {
+			t.Errorf("-iters %s: err = %v", n, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-iters %s: printed %q", n, out.String())
+		}
+	}
+}

@@ -278,6 +278,12 @@ func runWorker(cfg workerConfig) error {
 	if cfg.shard < 0 || cfg.of < 1 || cfg.shard >= cfg.of {
 		return fmt.Errorf("-shard %d -of %d is not a valid assignment", cfg.shard, cfg.of)
 	}
+	if cfg.b < 1 {
+		return fmt.Errorf("-b must be a positive integer, got %d", cfg.b)
+	}
+	if cfg.rows < 1 {
+		return fmt.Errorf("-rows must be a positive integer, got %d", cfg.rows)
+	}
 	cl, err := cluster.ByName(cfg.cluster, cfg.devices)
 	if err != nil {
 		return err

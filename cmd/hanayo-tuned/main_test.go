@@ -331,3 +331,30 @@ func TestMergeRejectsIncoherentFiles(t *testing.T) {
 		t.Fatalf("coherent empty shards must merge: %v", err)
 	}
 }
+
+// TestWorkerRejectsBadSizes: a worker refuses non-positive -devices, -b and
+// -rows with an error naming the value, before it sweeps or writes a shard
+// file — -b 0 must not fall back to AutoTune's default B, and -rows -1
+// must not become a file of error rows.
+func TestWorkerRejectsBadSizes(t *testing.T) {
+	base := workerConfig{of: 1, cluster: "tacc", devices: 16, model: "bert", b: 8, rows: 1, workers: 1}
+	for _, tc := range []struct {
+		edit func(*workerConfig)
+		want string
+	}{
+		{func(c *workerConfig) { c.devices = -4 }, "got -4"},
+		{func(c *workerConfig) { c.devices = 0 }, "got 0"},
+		{func(c *workerConfig) { c.b = 0 }, "-b must be a positive integer, got 0"},
+		{func(c *workerConfig) { c.rows = -1 }, "-rows must be a positive integer, got -1"},
+	} {
+		cfg := base
+		cfg.out = filepath.Join(t.TempDir(), "shard.json")
+		tc.edit(&cfg)
+		if err := runWorker(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want one containing %q", cfg, err, tc.want)
+		}
+		if _, err := os.Stat(cfg.out); !os.IsNotExist(err) {
+			t.Errorf("%+v: wrote %s", cfg, cfg.out)
+		}
+	}
+}

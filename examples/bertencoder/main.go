@@ -54,10 +54,11 @@ func main() {
 	// The same schedule's activation curves from the simulator.
 	plan := hanayo.Plan{Scheme: "hanayo-w2", Cluster: hanayo.FullNVLink(4),
 		Model: hanayo.BERTStyle(), P: 4, D: 1, B: 4, MicroRows: 2}
-	r, err := plan.Simulate(hanayo.DefaultSimOptions())
+	e, err := plan.Evaluate()
 	if err != nil {
 		log.Fatal(err)
 	}
+	r := e.Sim
 	fmt.Println("simulated live-activation curves (one row per device):")
 	for d := 0; d < 4; d++ {
 		tl := sim.ActivationTimeline(r, d)

@@ -66,18 +66,19 @@ func main() {
 	// the deterministic verdict a sweep would cache for this cell.
 	plan := hanayo.Plan{Scheme: "hanayo-w2", Cluster: cl, Model: model,
 		P: 4, D: 2, B: 8, MicroRows: 2}
-	ref, err := plan.Simulate(hanayo.DefaultSimOptions())
+	e, err := plan.Evaluate()
 	if err != nil {
 		log.Fatal(err)
 	}
+	ref := e.Sim
 	plan.Faults = &hanayo.FaultPlan{
 		Events:      []hanayo.FaultEvent{hanayo.Fail(2, 0.4*ref.Makespan)},
 		RestartCost: 2 * ref.Makespan,
 	}
-	r, err := plan.Simulate(hanayo.DefaultSimOptions())
-	if err != nil {
+	if e, err = plan.Evaluate(); err != nil {
 		log.Fatal(err)
 	}
+	r := e.Sim
 	fmt.Printf("\nfailure injection on hanayo-w2 P=4 (healthy makespan %.2fs):\n", ref.Makespan)
 	fmt.Printf("  device %d dies at t=%.2fs → infeasible, recovery estimate %.2fs\n",
 		r.FailedDevice, r.FailTime, r.Recovery)

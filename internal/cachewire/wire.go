@@ -37,8 +37,8 @@ const Version = 1
 // version(1) + flags(1) + perReplica(8) + maxGB(8).
 const EntrySize = 18
 
-// Entry is the wire form of one cached evaluation — the same compact,
-// pointer-free scalars core's tunerEntry holds: the D-invariant
+// Entry is the wire form of one cached evaluation — the compact,
+// pointer-free scalars of core's evaluation record: the D-invariant
 // per-replica throughput, the peak per-device footprint and the feasibility
 // verdict.
 type Entry struct {

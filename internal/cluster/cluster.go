@@ -340,8 +340,11 @@ const (
 // the degraded presets the fault-aware experiments sweep. Because the
 // suffix travels inside the name, every name-routed path (the distributed
 // sweep workers, flags, configs) reaches the degraded clusters with no
-// new plumbing.
+// new plumbing. n must be at least 1.
 func ByName(name string, n int) (*Cluster, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("cluster: %q size must be a positive device count, got %d", name, n)
+	}
 	if base, ok := strings.CutSuffix(name, ":straggler"); ok {
 		c, err := ByName(base, n)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +21,19 @@ func TestPresetsExist(t *testing.T) {
 	}
 	if _, err := ByName("bogus", 8); err == nil {
 		t.Fatal("expected error")
+	}
+	// A size below one is an error naming the size — never a panic from a
+	// negative make, nor an empty cluster.
+	for _, name := range []string{"tacc", "fc:straggler", "pc:slowlink", "bogus"} {
+		for _, n := range []int{0, -4} {
+			_, err := ByName(name, n)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(n)) {
+				t.Fatalf("ByName(%q, %d) = %v, want an error naming the size", name, n, err)
+			}
+		}
+	}
+	if c, err := ByName("tacc", 1); err != nil || c.N() != 1 {
+		t.Fatalf("ByName(tacc, 1) = %v, %v", c, err)
 	}
 }
 

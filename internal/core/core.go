@@ -84,23 +84,21 @@ type keyMemo struct {
 // check (Plan.Fits, the sweep's OOM cells, the memory-first front end).
 const memMargin = 0.95
 
-// evalShared is the D-invariant slice of one evaluation: everything a
-// candidate needs except the ×D throughput scaling.
+// evalShared is the D-invariant result of one evaluation: everything a
+// candidate needs except the ×D throughput scaling. It is the one record
+// every tier holds — the sweep memo, the flight table and the Tuner's LRU
+// — and, being plain scalars, it retains no runner arena or estimate and
+// is safe to share across goroutines.
 type evalShared struct {
-	sim *sim.Result // Plan.Evaluate's path only
-	// mem is the fresh per-device estimate Plan.Evaluate returns, and nil
-	// everywhere else: a sweep judges memory on its evaluator's own Estimate
-	// and keeps only the verdict, maxGB and fits.
-	mem        *memmodel.Estimate
-	fits       bool
-	maxGB      float64 // peak per-device footprint (the judged estimate's MaxGB)
 	perReplica float64 // sequences/s of one replica
+	maxGB      float64 // peak per-device footprint (the judged estimate's MaxGB)
+	fits       bool
 	// boundOnly marks a deadline-aborted evaluation (the bound-and-prune
-	// sweep's RunDeadline path): no complete simulation ran, and
-	// perReplica is a proven UPPER bound on the per-replica throughput
-	// (B·MicroRows over the partial makespan, itself a makespan lower
-	// bound) rather than an exact value. boundOnly results are never
-	// cached — not in the sweep memo, the Tuner tiers or the remote tier.
+	// sweep's capped run): no complete simulation ran, and perReplica is a
+	// proven UPPER bound on the per-replica throughput (B·MicroRows over
+	// the partial makespan, itself a makespan lower bound) rather than an
+	// exact value. It is never published, so no memo, flight, LRU or
+	// remote entry ever holds it set.
 	boundOnly bool
 	// failed marks a deterministic infeasible-on-faulty-cluster verdict:
 	// the plan's FaultPlan killed a device mid-schedule. failedDev,
@@ -108,15 +106,15 @@ type evalShared struct {
 	// or throughput exists. Failed verdicts are complete, deterministic
 	// and D-invariant, so they cache like any evaluation — though the
 	// remote tier carries only the verdict bit, not the diagnostics.
-	failed    bool
-	failedDev int
-	failTime  float64
-	recovery  float64
+	failed bool
 	// splitBW marks an evaluation measured under split-backward semantics
 	// (zbh1-family schemes whose backwards run as separate input-grad and
 	// weight-grad actions). Carried through the cache tiers as the wire
 	// entry's SplitBW flag so split and fused verdicts stay auditable.
-	splitBW bool
+	splitBW   bool
+	failedDev int
+	failTime  float64
+	recovery  float64
 }
 
 // Validate checks structural consistency against the cluster.
@@ -146,29 +144,17 @@ func (p Plan) Schedule() (*sched.Schedule, error) {
 	return sched.ByName(p.Scheme, p.P, p.B)
 }
 
-// Simulate runs the discrete-event executor with the cluster cost model and
-// returns the per-replica result (replicas are identical and concurrent).
-func (p Plan) Simulate(opt sim.Options) (*sim.Result, error) {
-	s, err := p.Schedule()
-	if err != nil {
-		return nil, err
-	}
-	cost, err := costmodel.New(costmodel.Workload{Model: p.Model, MicroRows: p.MicroRows}, p.Cluster, s)
-	if err != nil {
-		return nil, err
-	}
-	simRuns.Add(1)
-	return sim.RunFaults(s, cost, opt, p.Faults)
-}
-
-// simRuns counts every sim.Run issued through Plan evaluation — the test
-// hook asserting the sweep's one-simulation-per-candidate-key discipline.
+// simRuns counts every simulation Plan evaluation starts — the test hook
+// asserting the sweep's one-simulation-per-candidate-key discipline.
 var simRuns atomic.Int64
 
 // Eval is one plan's complete single-pass evaluation: everything the
 // configuration search needs from exactly one discrete-event simulation.
 type Eval struct {
-	// Sim is the per-replica simulation result.
+	// Sim is the per-replica simulation result, from a single-use Runner
+	// the caller may retain. When the plan's Faults kill a device, Sim
+	// carries the verdict — Failed, FailedDevice, FailTime, Recovery —
+	// Memory is nil and Fits and Throughput are zero.
 	Sim *sim.Result
 	// Memory is the per-device peak-memory estimate, built from the
 	// simulation's activation peaks (equal to the schedule's own
@@ -183,17 +169,23 @@ type Eval struct {
 
 // Evaluate measures the plan with the paper-faithful executor options:
 // one simulation produces the memory estimate, the feasibility verdict
-// and the throughput together. Throughput is a thin view over this.
+// and the throughput together. It is the sweep's recipe run once on a
+// single-use evaluator; Throughput is a thin view over it.
 func (p Plan) Evaluate() (*Eval, error) {
 	s, err := p.Schedule()
 	if err != nil {
 		return nil, err
 	}
-	es, err := p.simEvaluate(s, sim.DefaultOptions(), nil, 0)
+	ev := &evaluator{runner: sim.NewRunner()}
+	es, r, err := p.evaluate(s, ev, false, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Eval{Sim: es.sim, Memory: es.mem, Fits: es.fits, Throughput: es.perReplica * float64(p.D)}, nil
+	e := &Eval{Sim: r, Fits: es.fits, Throughput: es.perReplica * float64(p.D)}
+	if !es.failed {
+		e.Memory = &ev.mem
+	}
+	return e, nil
 }
 
 // judge records the memory verdict of estimate mem on cluster cl: its peak
@@ -202,59 +194,49 @@ func (es *evalShared) judge(mem *memmodel.Estimate, cl *cluster.Cluster) {
 	es.maxGB, es.fits = mem.MaxGB(), memmodel.FitsCluster(mem, cl, memMargin)
 }
 
-// simEvaluate is the one implementation of the timed-evaluation recipe:
-// one simulation of schedule s against the plan's cluster cost model,
-// yielding the memory estimate, the feasibility verdict and the
-// per-replica throughput together. ev == nil runs a fresh sim.Run and
-// retains its Result and a fresh memory estimate in the evalShared (the
-// Plan.Evaluate path); a sweep's evaluator reuses its Runner's arenas and
-// judges memory on its own Estimate, keeping nothing either owns — the
-// next key overwrites both. deadline > 0 (which requires an evaluator —
-// the bound-and-prune sweep path) caps the virtual clock: an aborted run
-// returns a boundOnly evalShared whose perReplica is the proven
-// per-replica throughput upper bound, counting toward SimRuns like any
-// simulation it actually started.
-func (p Plan) simEvaluate(s *sched.Schedule, opt sim.Options, ev *evaluator, deadline float64) (evalShared, error) {
+// evaluate is the one evaluation recipe: schedule s judged for memory and
+// simulated once against the plan's cluster cost model on ev's Runner,
+// yielding the feasibility verdict and the per-replica throughput
+// together. With memFirst, memory is judged first on the schedule's own
+// activation peaks and an infeasible key returns its exact OOM verdict
+// without simulating; otherwise memory is judged after the run on the
+// simulated peaks. deadline > 0 caps the virtual clock: an aborted run
+// returns a boundOnly verdict whose perReplica is the proven per-replica
+// throughput upper bound. A fault plan that kills a device yields the
+// failed verdict and no memory judgement. The returned Result (nil when
+// nothing was simulated) and ev.mem belong to ev: the next key overwrites
+// both.
+func (p Plan) evaluate(s *sched.Schedule, ev *evaluator, memFirst bool, deadline float64) (evalShared, *sim.Result, error) {
+	es := evalShared{splitBW: s.Split()}
+	if memFirst {
+		ev.peaks = s.PeakActs(ev.peaks)
+		memmodel.ForScheduleInto(&ev.mem, s, p.Model, p.MicroRows, ev.peaks)
+		if es.judge(&ev.mem, p.Cluster); !es.fits {
+			return es, nil, nil
+		}
+	}
 	cost, err := costmodel.New(costmodel.Workload{Model: p.Model, MicroRows: p.MicroRows}, p.Cluster, s)
 	if err != nil {
-		return evalShared{}, err
+		return evalShared{}, nil, err
 	}
 	simRuns.Add(1)
-	var r *sim.Result
+	r, exceeded, err := ev.runner.RunFaults(s, cost, sim.DefaultOptions(), p.Faults, deadline)
 	switch {
-	case ev == nil:
-		r, err = sim.RunFaults(s, cost, opt, p.Faults)
-	case deadline > 0:
-		var exceeded bool
-		r, exceeded, err = ev.runner.RunFaultsDeadline(s, cost, opt, p.Faults, deadline)
-		if err == nil && exceeded {
-			return evalShared{boundOnly: true,
-				perReplica: float64(p.B*p.MicroRows) / r.Makespan}, nil
-		}
-	default:
-		r, err = ev.runner.RunFaults(s, cost, opt, p.Faults)
-	}
-	if err != nil {
-		return evalShared{}, err
-	}
-	es := evalShared{splitBW: s.Split()}
-	if r.Failed {
+	case err != nil:
+		return evalShared{}, nil, err
+	case exceeded:
+		return evalShared{boundOnly: true, perReplica: float64(p.B*p.MicroRows) / r.Makespan}, r, nil
+	case r.Failed:
 		// The fault plan killed a device: a deterministic infeasible
 		// verdict with the sim's recovery diagnostic — no memory estimate
 		// or throughput exists for the aborted prefix.
 		es.failed, es.failedDev, es.failTime, es.recovery = true, r.FailedDevice, r.FailTime, r.Recovery
-		return es, nil
+		return es, r, nil
 	}
 	es.perReplica = sim.Throughput(r, p.B*p.MicroRows)
-	if ev == nil {
-		// Fresh single-use result and estimate: safe to retain.
-		es.sim, es.mem = r, memmodel.ForSchedule(s, p.Model, p.MicroRows, r.PeakActs)
-		es.judge(es.mem, p.Cluster)
-	} else {
-		memmodel.ForScheduleInto(&ev.mem, s, p.Model, p.MicroRows, r.PeakActs)
-		es.judge(&ev.mem, p.Cluster)
-	}
-	return es, nil
+	memmodel.ForScheduleInto(&ev.mem, s, p.Model, p.MicroRows, r.PeakActs)
+	es.judge(&ev.mem, p.Cluster)
+	return es, r, nil
 }
 
 // Memory estimates per-device peak memory from the schedule's activation
@@ -475,14 +457,16 @@ func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 	return s
 }
 
-// evaluator bundles the reusable executors one sweep worker drives: a
-// sched.Generator for schedule compilation, a sim.Runner for timed
-// evaluation, and the scratch they share: the activation peaks and the
-// Estimate every key's memory verdict is judged on. Reused across every key
-// a worker measures — and, inside a Tuner, across sweeps — so the
+// evaluator bundles the executors Plan.evaluate drives: a sched.Generator
+// for schedule compilation, a sim.Runner for timed evaluation, and the
+// scratch they share: the activation peaks and the Estimate every key's
+// memory verdict is judged on. A sweep worker's evaluator is reused across
+// every key it measures — and, inside a Tuner, across sweeps — so the
 // steady-state evaluation pipeline allocates per key only its cost model
 // and the shape a Generator meets for the first time, never per-run
-// generator, executor or estimate state.
+// generator, executor or estimate state. Plan.Evaluate runs the same
+// recipe on a single-use evaluator without a Generator and hands its
+// Result and Estimate to the caller.
 type evaluator struct {
 	gen    *sched.Generator
 	runner *sim.Runner
@@ -529,27 +513,17 @@ func (p *evalPool) checkin(ev *evaluator) {
 // evaluator's Generator ("valid until the next Generate") and is consumed
 // where it was built, so the returned evalShared references none of it —
 // nor the evaluator's scratch — and the next key (on a pooled evaluator,
-// the next sweep) overwrites the lists, the peaks and the estimate. With
-// prune, memory is judged first on the schedule's own activation peaks,
-// and an infeasible key returns its exact OOM verdict without reaching
-// sim.Run; every other key runs one timed simulation under an optional
-// virtual-clock cap (deadline 0 → none): the bound-and-prune sweep's
-// measurement path. The plan must already be valid (the sweep validates
-// each cell at enumerate): everything measured here is a fact about the
-// key, and a cell's P·D never is.
-func (ev *evaluator) evalSchedule(plan Plan, prune bool, deadline float64) (evalShared, error) {
+// the next sweep) overwrites the lists, the peaks and the estimate. The
+// plan must already be valid (the sweep validates each cell at
+// enumerate): everything measured here is a fact about the key, and a
+// cell's P·D never is.
+func (ev *evaluator) evalSchedule(plan Plan, memFirst bool, deadline float64) (evalShared, error) {
 	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
 	if err != nil {
 		return evalShared{}, err
 	}
-	if prune {
-		ev.peaks = s.PeakActs(ev.peaks)
-		memmodel.ForScheduleInto(&ev.mem, s, plan.Model, plan.MicroRows, ev.peaks)
-		if !memmodel.FitsCluster(&ev.mem, plan.Cluster, memMargin) {
-			return evalShared{maxGB: ev.mem.MaxGB(), splitBW: s.Split()}, nil
-		}
-	}
-	return plan.simEvaluate(s, sim.DefaultOptions(), ev, deadline)
+	es, _, err := plan.evaluate(s, ev, memFirst, deadline)
+	return es, err
 }
 
 // cutoffState is the branch-and-bound sweep's shared ranking cutoff: a
@@ -905,8 +879,8 @@ func (s *gridSweep) prefetch() {
 		if !c.first {
 			continue
 		}
-		if ent, ok := t.cache.get(c.gk); ok {
-			c.memo.es, c.memo.hit = ent.toShared(), true
+		if es, ok := t.cache.get(c.gk); ok {
+			c.memo.es, c.memo.hit = es, true
 		} else if t.remote != nil {
 			hks = append(hks, c.hk)
 		}
@@ -927,9 +901,8 @@ func (s *gridSweep) prefetch() {
 			continue
 		}
 		if okv[j] {
-			ent := entryFromWire(out[j])
-			t.cache.put(c.gk, ent)
-			c.memo.es, c.memo.hit = ent.toShared(), true
+			c.memo.es, c.memo.hit = entryFromWire(out[j]), true
+			t.cache.put(c.gk, c.memo.es)
 		}
 		j++
 	}
@@ -1052,7 +1025,6 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 	t := s.t
 	var f *flight // the flight this call leads once every tier missed; nil standalone
 	if t != nil {
-		var ent tunerEntry
 		ok := false
 		for !ok {
 			// Another sweep may already be measuring this key: wait for its
@@ -1063,8 +1035,8 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 			if f, leader = t.join(c.gk); leader {
 				// A flight that landed between prefetch's LRU miss and this
 				// join published first: look once more before simulating.
-				if ent, ok = t.cache.get(c.gk); ok {
-					f.ent, f.full = ent, true
+				if m.es, ok = t.cache.get(c.gk); ok {
+					f.es, f.full = m.es, true
 					t.land(c.gk, f)
 				}
 				break
@@ -1075,10 +1047,9 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 				m.done.Store(true)
 				return nil, f.err
 			}
-			ent, ok = f.ent, f.full
+			m.es, ok = f.es, f.full
 		}
 		if ok {
-			m.es = ent.toShared()
 			m.done.Store(true)
 			return &m.es, nil
 		}
@@ -1099,11 +1070,11 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 	m.done.Store(true)
 	if f != nil {
 		if f.err = err; err == nil {
-			f.ent, f.full = entryFrom(&m.es), true
+			f.es, f.full = m.es, true
 			// put before land: no window where neither the cache nor a
 			// flight covers the key.
-			t.cache.put(c.gk, f.ent)
-			s.publish(c.hk, f.ent)
+			t.cache.put(c.gk, m.es)
+			s.publish(c.hk, &m.es)
 		}
 		t.land(c.gk, f)
 	}
@@ -1114,13 +1085,13 @@ func (s *gridSweep) resolve(c *sweepCell, deadline float64) (*evalShared, error)
 }
 
 // publish queues one fresh evaluation for the end-of-sweep flush.
-func (s *gridSweep) publish(hk uint64, e tunerEntry) {
+func (s *gridSweep) publish(hk uint64, es *evalShared) {
 	if s.t.remote == nil {
 		return
 	}
 	s.pubMu.Lock()
 	s.pubKeys = append(s.pubKeys, hk)
-	s.pubEnts = append(s.pubEnts, e.wire())
+	s.pubEnts = append(s.pubEnts, es.wire())
 	s.pubMu.Unlock()
 }
 

@@ -51,11 +51,11 @@ func TestPlanScheduleAndSimulate(t *testing.T) {
 	if s.S != 32 {
 		t.Fatalf("S=%d want 32", s.S)
 	}
-	r, err := p.Simulate(sim.DefaultOptions())
+	e, err := p.Evaluate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Makespan <= 0 {
+	if r := e.Sim; r.Makespan <= 0 {
 		t.Fatal("zero makespan")
 	}
 }
@@ -182,8 +182,8 @@ func TestPlanErrorPaths(t *testing.T) {
 	if _, err := bad.Schedule(); err == nil {
 		t.Fatal("unknown scheme must fail")
 	}
-	if _, err := bad.Simulate(sim.DefaultOptions()); err == nil {
-		t.Fatal("simulate must propagate schedule errors")
+	if _, err := bad.Evaluate(); err == nil {
+		t.Fatal("evaluate must propagate schedule errors")
 	}
 	if _, err := bad.Memory(); err == nil {
 		t.Fatal("memory must propagate schedule errors")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -241,5 +242,48 @@ func TestPruneRankingIndependentOfCacheHistory(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEvaluateFailedCarriesVerdict: Plan.Evaluate on a plan whose fault
+// plan kills a device returns the failed run in Sim — the verdict xtr02
+// prints (device 2 dies at t=0.23s, recovery estimate 1.82s) and the one a
+// sweep's FAIL cell carries, field for field — with no memory estimate,
+// no fit and no throughput.
+func TestEvaluateFailedCarriesVerdict(t *testing.T) {
+	cl, err := cluster.ByName("fc", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Plan{Scheme: "hanayo-w2", Cluster: cl, Model: nn.BERTStyle(), P: 4, D: 2, B: 8, MicroRows: 2}
+	ref, err := plan.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Faults = &sim.FaultPlan{
+		Events:      []sim.FaultEvent{sim.Fail(2, 0.4*ref.Sim.Makespan)},
+		RestartCost: 2 * ref.Sim.Makespan,
+	}
+	e, err := plan.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := e.Sim
+	if r == nil || !r.Failed {
+		t.Fatalf("Sim = %+v, want the failed run", r)
+	}
+	if got := fmt.Sprintf("%d %.2f %.2f", r.FailedDevice, r.FailTime, r.Recovery); got != "2 0.23 1.82" {
+		t.Fatalf("verdict %q, want xtr02's \"2 0.23 1.82\"", got)
+	}
+	if e.Memory != nil || e.Fits || e.Throughput != 0 {
+		t.Fatalf("failed Eval carries Memory=%v Fits=%v Throughput=%g, want none", e.Memory, e.Fits, e.Throughput)
+	}
+	cands := AutoTune(cl, plan.Model, SearchSpace{Schemes: []string{}, PD: [][2]int{{4, 2}}, Waves: []int{2},
+		B: 8, MicroRows: 2, Workers: 1, Faults: plan.Faults})
+	if len(cands) != 1 {
+		t.Fatalf("got %d candidates, want 1", len(cands))
+	}
+	if c := cands[0]; !c.Failed || c.FailedDevice != r.FailedDevice || c.FailTimeS != r.FailTime || c.RecoveryS != r.Recovery {
+		t.Fatalf("sweep cell %+v disagrees with Evaluate's %+v", c, r)
 	}
 }

@@ -67,16 +67,16 @@ type Tuner struct {
 	flights map[tunerKey]*flight
 }
 
-// flight is one in-progress cross-sweep evaluation. The leader writes ent,
+// flight is one in-progress cross-sweep evaluation. The leader writes es,
 // full and err strictly before closing done; followers read them only
 // after <-done, so no lock is needed on the fields themselves. It follows
-// the memo's publication rule: full marks a complete evaluation in ent, err
+// the memo's publication rule: full marks a complete evaluation in es, err
 // a deterministic error, and a flight landing with neither is empty — its
 // leader was deadline-aborted, which is a fact about the leader's cell and
 // cutoff, so followers measure for themselves.
 type flight struct {
 	done chan struct{}
-	ent  tunerEntry
+	es   evalShared
 	full bool
 	err  error
 }
@@ -92,7 +92,7 @@ func NewTuner(opt TunerOptions) *Tuner {
 		entries = 4096
 	}
 	return &Tuner{pool: evalPool{sem: make(chan struct{}, n)}, remote: opt.Remote,
-		cache: tunerCache{m: lru.New[tunerKey, tunerEntry](entries)}, flights: map[tunerKey]*flight{}}
+		cache: tunerCache{m: lru.New[tunerKey, evalShared](entries)}, flights: map[tunerKey]*flight{}}
 }
 
 // join registers interest in key gk: the first caller becomes the leader
@@ -109,7 +109,7 @@ func (t *Tuner) join(gk tunerKey) (f *flight, leader bool) {
 	return f, true
 }
 
-// land retires a flight after its ent/full/err are final (and, on success,
+// land retires a flight after its es/full/err are final (and, on success,
 // the cache entry is published).
 func (t *Tuner) land(gk tunerKey, f *flight) {
 	t.mu.Lock()
@@ -230,48 +230,17 @@ func (k tunerKey) hash() uint64 {
 	return h
 }
 
-// tunerEntry is the compact, D-invariant result of one evaluation — plain
-// scalars only, deliberately free of sim pointers so cached
-// entries never retain runner-owned arenas and are safe to share across
-// goroutines. A failed verdict keeps its diagnostics (device, fail time,
-// recovery estimate) in process; the wire form carries only the flag.
-type tunerEntry struct {
-	perReplica float64
-	maxGB      float64
-	fits       bool
-	failed     bool
-	splitBW    bool
-	failedDev  int
-	failTime   float64
-	recovery   float64
-}
-
-// toShared lifts a compact cache entry back into the sweep's evaluation
-// shape (no sim/mem pointers: those never enter the cache).
-func (e tunerEntry) toShared() evalShared {
-	return evalShared{fits: e.fits, maxGB: e.maxGB, perReplica: e.perReplica,
-		failed: e.failed, failedDev: e.failedDev, failTime: e.failTime, recovery: e.recovery,
-		splitBW: e.splitBW}
-}
-
 // wire and entryFromWire are the one conversion pair between the in-process
-// entry and the remote tier's: the wire form drops a failed verdict's
+// record and the remote tier's: the wire form drops a failed verdict's
 // diagnostics and keeps everything else.
-func (e tunerEntry) wire() cachewire.Entry {
-	return cachewire.Entry{PerReplica: e.perReplica, MaxGB: e.maxGB,
-		Fits: e.fits, Failed: e.failed, SplitBW: e.splitBW}
+func (es *evalShared) wire() cachewire.Entry {
+	return cachewire.Entry{PerReplica: es.perReplica, MaxGB: es.maxGB,
+		Fits: es.fits, Failed: es.failed, SplitBW: es.splitBW}
 }
 
-func entryFromWire(we cachewire.Entry) tunerEntry {
-	return tunerEntry{perReplica: we.PerReplica, maxGB: we.MaxGB,
+func entryFromWire(we cachewire.Entry) evalShared {
+	return evalShared{perReplica: we.PerReplica, maxGB: we.MaxGB,
 		fits: we.Fits, failed: we.Failed, splitBW: we.SplitBW}
-}
-
-// entryFrom compacts one fresh evaluation for the cache tiers.
-func entryFrom(es *evalShared) tunerEntry {
-	return tunerEntry{fits: es.fits, maxGB: es.maxGB, perReplica: es.perReplica,
-		failed: es.failed, failedDev: es.failedDev, failTime: es.failTime, recovery: es.recovery,
-		splitBW: es.splitBW}
 }
 
 // tunerCache is the size-bounded LRU map of evaluation results: one map
@@ -279,19 +248,19 @@ func entryFrom(es *evalShared) tunerEntry {
 // disabled cache is a map bounded to nothing.
 type tunerCache struct {
 	mu sync.Mutex
-	m  *lru.Map[tunerKey, tunerEntry]
+	m  *lru.Map[tunerKey, evalShared]
 }
 
-func (c *tunerCache) get(k tunerKey) (tunerEntry, bool) {
+func (c *tunerCache) get(k tunerKey) (evalShared, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.m.Get(k)
 }
 
-func (c *tunerCache) put(k tunerKey, e tunerEntry) {
+func (c *tunerCache) put(k tunerKey, es evalShared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m.Put(k, e)
+	c.m.Put(k, es)
 }
 
 func (c *tunerCache) len() int {

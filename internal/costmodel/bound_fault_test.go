@@ -69,7 +69,7 @@ func TestLowerBoundSoundUnderHeterogeneity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := sim.RunFaults(s, cost, sim.DefaultOptions(), plan)
+			r, err := runFaults(s, cost, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestLowerBoundSoundWithFailedRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{sim.Fail(1, base.Makespan/3)}, RestartCost: 1}
-	r, err := sim.RunFaults(s, cost, sim.DefaultOptions(), plan)
+	r, err := runFaults(s, cost, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,4 +112,10 @@ func TestLowerBoundSoundWithFailedRuns(t *testing.T) {
 		t.Fatalf("failed run verdict malformed: failed=%v recovery=%g failTime=%g",
 			r.Failed, r.Recovery, r.FailTime)
 	}
+}
+
+// runFaults simulates s under plan on a fresh Runner, uncapped.
+func runFaults(s *sched.Schedule, cost sim.Cost, plan *sim.FaultPlan) (*sim.Result, error) {
+	r, _, err := sim.NewRunner().RunFaults(s, cost, sim.DefaultOptions(), plan, 0)
+	return r, err
 }

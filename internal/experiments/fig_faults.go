@@ -69,18 +69,19 @@ func xtr02(w io.Writer) error {
 	}
 	plan := core.Plan{Scheme: "hanayo-w2", Cluster: cl, Model: model,
 		P: 4, D: 2, B: 8, MicroRows: 2}
-	ref, err := plan.Simulate(sim.Options{Prefetch: true, BatchComm: true})
+	e, err := plan.Evaluate()
 	if err != nil {
 		return err
 	}
+	ref := e.Sim
 	plan.Faults = &sim.FaultPlan{
 		Events:      []sim.FaultEvent{sim.Fail(2, 0.4*ref.Makespan)},
 		RestartCost: 2 * ref.Makespan, // detect + respawn + reload ≈ 2 iterations
 	}
-	r, err := plan.Simulate(sim.Options{Prefetch: true, BatchComm: true})
-	if err != nil {
+	if e, err = plan.Evaluate(); err != nil {
 		return err
 	}
+	r := e.Sim
 	fmt.Fprintf(w, "\nfailure injection on FC: hanayo-w2 P=4 D=2 B=8, healthy makespan %.2fs\n", ref.Makespan)
 	if !r.Failed {
 		return fmt.Errorf("xtr02: injected failure did not abort the run")

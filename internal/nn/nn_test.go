@@ -97,7 +97,7 @@ func TestGELUGradCheck(t *testing.T) {
 }
 
 func TestGELUKnownValues(t *testing.T) {
-	y, _ := GELU{}.Forward(tensor.FromSlice([]float32{0, 100, -100}, 3))
+	y, _ := GELU{}.Forward(&tensor.Tensor{Shape: []int{3}, Data: []float32{0, 100, -100}})
 	if y.Data[0] != 0 {
 		t.Fatalf("gelu(0) = %g", y.Data[0])
 	}
@@ -204,7 +204,7 @@ func TestBlockGradCheck(t *testing.T) {
 func TestEmbeddingForwardBackward(t *testing.T) {
 	r := tensor.NewRNG(13)
 	e := NewEmbedding(r, 10, 4, 5)
-	ids := tensor.FromSlice([]float32{1, 2, 3, 1, 0, 9}, 2, 3)
+	ids := &tensor.Tensor{Shape: []int{2, 3}, Data: []float32{1, 2, 3, 1, 0, 9}}
 	y, ctx := e.Forward(ids)
 	if y.Shape[0] != 2 || y.Shape[1] != 3 || y.Shape[2] != 4 {
 		t.Fatalf("shape %v", y.Shape)
@@ -241,7 +241,7 @@ func TestEmbeddingRejectsBadIds(t *testing.T) {
 			t.Fatal("expected panic on out-of-vocab id")
 		}
 	}()
-	e.Forward(tensor.FromSlice([]float32{5}, 1, 1))
+	e.Forward(&tensor.Tensor{Shape: []int{1, 1}, Data: []float32{5}})
 }
 
 func TestSoftmaxCrossEntropyUniform(t *testing.T) {

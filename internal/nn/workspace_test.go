@@ -39,7 +39,7 @@ func workspaceCases() map[string]func() (Layer, *tensor.Tensor) {
 			r := tensor.NewRNG(5)
 			l := NewSequential(NewEmbedding(r, cfg.Vocab, cfg.Hidden, cfg.SeqLen),
 				NewLayerNorm(cfg.Hidden), NewLinear(r, cfg.Hidden, cfg.Vocab))
-			return l, tensor.FromSlice([]float32{3, 1, 4, 1, 5, 9, 2, 6}, 2, 4)
+			return l, &tensor.Tensor{Shape: []int{2, 4}, Data: []float32{3, 1, 4, 1, 5, 9, 2, 6}}
 		},
 	}
 }

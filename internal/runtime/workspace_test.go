@@ -296,7 +296,7 @@ func TestFailureCancelsEveryReplica(t *testing.T) {
 	}
 	for r, rep := range eng.replicas {
 		for _, p := range rep.stageParams[0][0] {
-			if p.G.L2Norm() != 0 {
+			if tensor.Dot(p.G, p.G) != 0 {
 				t.Fatalf("replica %d ran on to stage 0's backward (%s has gradient) after the failure", r, p.Name)
 			}
 		}

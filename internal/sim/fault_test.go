@@ -18,6 +18,12 @@ func faultTestSchedule(t *testing.T) (*sched.Schedule, Cost) {
 	return s, costmodel.Uniform{Tf: 1 / per, Tb: 2 / per, Tc: 0.05}
 }
 
+// runFaults runs s under plan on r, uncapped, with the default options.
+func runFaults(r *Runner, s *sched.Schedule, cost Cost, plan *FaultPlan) (*Result, error) {
+	res, _, err := r.RunFaults(s, cost, DefaultOptions(), plan, 0)
+	return res, err
+}
+
 // TestRunFaultsNilMatchesRun pins RunFaults(nil) and RunFaults(empty) to
 // the exact Run result: the fault path must be invisible when no fault is
 // present.
@@ -28,7 +34,7 @@ func TestRunFaultsNilMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, plan := range []*FaultPlan{nil, {}} {
-		r, err := RunFaults(s, cost, DefaultOptions(), plan)
+		r, err := runFaults(NewRunner(), s, cost, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +55,7 @@ func TestSlowDownStretchesMakespan(t *testing.T) {
 	}
 	prev := base.Makespan
 	for _, f := range []float64{0.8, 0.5, 0.25} {
-		r, err := RunFaults(s, cost, DefaultOptions(), &FaultPlan{Events: []FaultEvent{SlowDown(0, f, 0)}})
+		r, err := runFaults(NewRunner(), s, cost, &FaultPlan{Events: []FaultEvent{SlowDown(0, f, 0)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +64,7 @@ func TestSlowDownStretchesMakespan(t *testing.T) {
 		}
 		prev = r.Makespan
 	}
-	late, err := RunFaults(s, cost, DefaultOptions(),
+	late, err := runFaults(NewRunner(), s, cost,
 		&FaultPlan{Events: []FaultEvent{SlowDown(0, 0.25, base.Makespan+1)}})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +82,7 @@ func TestLinkDegradeStretchesMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunFaults(s, cost, DefaultOptions(),
+	r, err := runFaults(NewRunner(), s, cost,
 		&FaultPlan{Events: []FaultEvent{LinkDegrade(0, 1, 0.1, 0)}})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +109,7 @@ func TestFailMidScheduleDeterministic(t *testing.T) {
 		RestartCost: 5,
 	}
 	run := func(r *Runner) *Result {
-		res, err := r.RunFaults(s, cost, DefaultOptions(), plan)
+		res, err := runFaults(r, s, cost, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +144,7 @@ func TestFailMidScheduleDeterministic(t *testing.T) {
 		}
 	}
 	// A failure timed after completion must not fire.
-	ok, err := RunFaults(s, cost, DefaultOptions(),
+	ok, err := runFaults(NewRunner(), s, cost,
 		&FaultPlan{Events: []FaultEvent{Fail(2, base.Makespan)}})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +176,7 @@ func TestRunFaultsAllocsPinned(t *testing.T) {
 	}
 	r := NewRunner()
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := r.RunFaults(s, cost, DefaultOptions(), plan); err != nil {
+		if _, err := runFaults(r, s, cost, plan); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -266,5 +272,38 @@ func TestFaultPlanFingerprint(t *testing.T) {
 		if v.Fingerprint() == a.Fingerprint() {
 			t.Errorf("variant %d collides with the base plan", i)
 		}
+	}
+}
+
+// TestRunFaultsCap pins RunFaults' cap: a negative or NaN cap is an
+// error, a cap below the makespan aborts exactly as RunDeadline does, and
+// a Fail event firing before the cap reports the failure verdict, not
+// the abort.
+func TestRunFaultsCap(t *testing.T) {
+	s, cost := faultTestSchedule(t)
+	base, err := Run(s, cost, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []float64{-1, math.Inf(-1), math.NaN()} {
+		if _, _, err := NewRunner().RunFaults(s, cost, DefaultOptions(), nil, c); err == nil {
+			t.Fatalf("cap %g must be rejected", c)
+		}
+	}
+	capped := base.Makespan / 2
+	want, wantEx, err := NewRunner().RunDeadline(s, cost, DefaultOptions(), capped)
+	if err != nil || !wantEx {
+		t.Fatalf("RunDeadline at half the makespan: exceeded=%v err=%v", wantEx, err)
+	}
+	got, ex, err := NewRunner().RunFaults(s, cost, DefaultOptions(), nil, capped)
+	if err != nil || !ex || got.Makespan != want.Makespan {
+		t.Fatalf("capped RunFaults: exceeded=%v makespan %g err=%v, want exceeded at %g",
+			ex, got.Makespan, err, want.Makespan)
+	}
+	plan := &FaultPlan{Events: []FaultEvent{Fail(2, base.Makespan/4)}, RestartCost: 5}
+	failed, ex, err := NewRunner().RunFaults(s, cost, DefaultOptions(), plan, capped)
+	if err != nil || ex || !failed.Failed || failed.FailedDevice != 2 {
+		t.Fatalf("fail before the cap: exceeded=%v failed=%v dev=%d err=%v, want the failure verdict",
+			ex, failed.Failed, failed.FailedDevice, err)
 	}
 }

@@ -475,32 +475,22 @@ func (r *Runner) Run(s *sched.Schedule, cost Cost, opt Options) (*Result, error)
 	return res, err
 }
 
-// RunFaults executes the schedule under a fault plan: SlowDown and
+// RunFaults executes the schedule under a fault plan, optionally under a
+// virtual-clock cap: the one fault-aware entry point. SlowDown and
 // LinkDegrade events stretch op durations from their virtual timestamps
 // on, and a Fail event aborts the walk with Result.Failed set — the run
 // is infeasible on the faulty cluster and Result.Recovery estimates the
-// restart-from-checkpoint makespan. A nil plan is bit-for-bit Run. The
-// plan is compiled once per run into per-device/per-link timelines, and
-// the compiled arenas grow monotonically, so the fault path allocates
-// nothing in steady state — pinned by the same AllocsPerRun regression
-// suite as Run.
-func (r *Runner) RunFaults(s *sched.Schedule, cost Cost, opt Options, plan *FaultPlan) (*Result, error) {
-	if err := plan.Validate(s.P); err != nil {
-		return nil, err
-	}
-	res, _, err := r.run(s, cost, opt, 0, plan)
-	return res, err
-}
-
-// RunFaultsDeadline combines RunFaults with RunDeadline's virtual-clock
-// cap — the bound-and-prune sweep's measurement path on a faulty
-// cluster. A run that hits its Fail event before the cap reports the
-// deterministic failure verdict (exceeded false, Result.Failed true);
-// one that passes the cap first reports the bound verdict exactly as
-// RunDeadline does.
-func (r *Runner) RunFaultsDeadline(s *sched.Schedule, cost Cost, opt Options, plan *FaultPlan, cap float64) (*Result, bool, error) {
-	if cap <= 0 {
-		return nil, false, fmt.Errorf("sim: RunFaultsDeadline cap must be positive, got %g", cap)
+// restart-from-checkpoint makespan. cap > 0 aborts the walk exactly as
+// RunDeadline does and reports exceeded; a run that hits its Fail event
+// before the cap reports the failure verdict instead (exceeded false).
+// cap == 0 runs uncapped, and a negative cap is an error. A nil plan with
+// cap 0 is bit-for-bit Run. The plan is compiled once per run into
+// per-device/per-link timelines, and the compiled arenas grow
+// monotonically, so the fault path allocates nothing in steady state —
+// pinned by the same AllocsPerRun regression suite as Run.
+func (r *Runner) RunFaults(s *sched.Schedule, cost Cost, opt Options, plan *FaultPlan, cap float64) (*Result, bool, error) {
+	if !(cap >= 0) {
+		return nil, false, fmt.Errorf("sim: RunFaults cap must be non-negative, got %g", cap)
 	}
 	if err := plan.Validate(s.P); err != nil {
 		return nil, false, err
@@ -509,8 +499,9 @@ func (r *Runner) RunFaultsDeadline(s *sched.Schedule, cost Cost, opt Options, pl
 }
 
 // RunDeadline executes the schedule like Run but aborts the cooperative
-// walk the moment any device's virtual clock strictly exceeds cap seconds.
-// It returns (result, exceeded, err); when exceeded is true the result is
+// walk the moment any device's virtual clock strictly exceeds cap seconds:
+// RunFaults without a fault plan, except that cap must be positive. It
+// returns (result, exceeded, err); when exceeded is true the result is
 // partial — its Makespan is the clock high-water mark at abort, a proven
 // lower bound on the full run's makespan (device clocks only move
 // forward) — and its Records/Zones cover only the executed prefix. A run
@@ -624,12 +615,6 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 // is not shared with any reusable state and may be retained freely.
 func Run(s *sched.Schedule, cost Cost, opt Options) (*Result, error) {
 	return NewRunner().Run(s, cost, opt)
-}
-
-// RunFaults executes the schedule under a fault plan on a fresh
-// single-use Runner (see Runner.RunFaults); a nil plan is exactly Run.
-func RunFaults(s *sched.Schedule, cost Cost, opt Options, plan *FaultPlan) (*Result, error) {
-	return NewRunner().RunFaults(s, cost, opt, plan)
 }
 
 // Throughput converts a makespan into sequences/s for the given total batch

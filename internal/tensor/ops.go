@@ -123,14 +123,8 @@ func axpy4(c []float32, a0, a1, a2, a3 float32, b []float32, n int) {
 	}
 }
 
-// MatMulT computes C = A·Bᵀ for A [..,k] and B [n,k] yielding [..,n].
-func MatMulT(a, b *Tensor) *Tensor {
-	var buf [4]int
-	return MatMulTInto(New(colsShape(buf[:], a, b.Dim(0))...), a, b)
-}
-
-// MatMulTInto computes c = A·Bᵀ into c (every element is assigned) and
-// returns c. c must hold m·n elements.
+// MatMulTInto computes c = A·Bᵀ for A [..,k] and B [n,k] into c (every
+// element is assigned) and returns c. c must hold m·n elements.
 func MatMulTInto(c, a, b *Tensor) *Tensor {
 	k := a.Dim(-1)
 	if b.Rank() != 2 || b.Shape[1] != k {
@@ -203,12 +197,10 @@ func dot(a, b []float32) float32 {
 	return s
 }
 
-// TMatMul computes C = Aᵀ·B for A [m,k], B [m,n] yielding [k,n]. This is the
-// weight-gradient shape (xᵀ·dy). A's leading dims are collapsed into m.
-func TMatMul(a, b *Tensor) *Tensor { return TMatMulInto(New(a.Dim(-1), b.Dim(-1)), a, b) }
-
-// TMatMulInto computes c = Aᵀ·B into c, whose prior contents are
-// discarded, and returns c. c must hold k·n elements.
+// TMatMulInto computes c = Aᵀ·B for A [m,k] and B [m,n] into c, whose
+// prior contents are discarded, and returns c. c must hold k·n elements.
+// This is the weight-gradient shape (xᵀ·dy); A's leading dims are
+// collapsed into m.
 func TMatMulInto(c, a, b *Tensor) *Tensor {
 	k := a.Dim(-1)
 	n := b.Dim(-1)
@@ -300,39 +292,6 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	if len(a.Data) != len(b.Data) {
-		panic(fmt.Sprintf("tensor: sub shapes %v - %v", a.Shape, b.Shape))
-	}
-	out := a.Clone()
-	for i := range out.Data {
-		out.Data[i] -= b.Data[i]
-	}
-	return out
-}
-
-// Mul returns the elementwise product a ⊙ b.
-func Mul(a, b *Tensor) *Tensor {
-	if len(a.Data) != len(b.Data) {
-		panic(fmt.Sprintf("tensor: mul shapes %v * %v", a.Shape, b.Shape))
-	}
-	out := a.Clone()
-	for i := range out.Data {
-		out.Data[i] *= b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·a.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := a.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
 // ScaleInPlace multiplies a by s.
 func ScaleInPlace(a *Tensor, s float32) {
 	for i := range a.Data {
@@ -350,12 +309,9 @@ func AxpyInPlace(y *Tensor, alpha float32, x *Tensor) {
 	}
 }
 
-// SumLastDimGrad sums a over all but the last dimension, yielding a vector.
-// This is the bias-gradient reduction.
-func SumLastDimGrad(a *Tensor) *Tensor { return SumLastDimGradInto(New(a.Dim(-1)), a) }
-
-// SumLastDimGradInto computes the reduction into out, whose prior contents
-// are discarded, and returns out.
+// SumLastDimGradInto sums a over all but the last dimension into the
+// vector out, whose prior contents are discarded, and returns out. This
+// is the bias-gradient reduction.
 func SumLastDimGradInto(out, a *Tensor) *Tensor {
 	n := a.Dim(-1)
 	mustLen("sumLastDimGrad", out, n)
@@ -367,15 +323,6 @@ func SumLastDimGradInto(out, a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
 }
 
 // Dot returns the inner product of two equally sized tensors.
@@ -390,11 +337,8 @@ func Dot(a, b *Tensor) float64 {
 	return s
 }
 
-// SoftmaxLastDim computes a numerically stable softmax over the last dim.
-func SoftmaxLastDim(a *Tensor) *Tensor { return SoftmaxLastDimInto(New(a.Shape...), a) }
-
-// SoftmaxLastDimInto computes the softmax of a into out and returns out;
-// out may be a itself.
+// SoftmaxLastDimInto computes a numerically stable softmax of a over the
+// last dim into out and returns out; out may be a itself.
 func SoftmaxLastDimInto(out, a *Tensor) *Tensor {
 	n := a.Dim(-1)
 	out.CopyFrom(a)
@@ -420,14 +364,9 @@ func SoftmaxLastDimInto(out, a *Tensor) *Tensor {
 	return out
 }
 
-// SoftmaxBackwardLastDim computes dX given Y=softmax(X) and dY:
-// dx = y ⊙ (dy − sum(dy⊙y)).
-func SoftmaxBackwardLastDim(y, dy *Tensor) *Tensor {
-	return SoftmaxBackwardLastDimInto(New(y.Shape...), y, dy)
-}
-
-// SoftmaxBackwardLastDimInto computes dX into dx (every element is
-// assigned) and returns dx.
+// SoftmaxBackwardLastDimInto computes dX given Y = softmax(X) and dY,
+// dx = y ⊙ (dy − sum(dy⊙y)), into dx (every element is assigned) and
+// returns dx.
 func SoftmaxBackwardLastDimInto(dx, y, dy *Tensor) *Tensor {
 	n := y.Dim(-1)
 	mustLen("softmaxBackward", dx, len(y.Data))
@@ -445,13 +384,4 @@ func SoftmaxBackwardLastDimInto(dx, y, dy *Tensor) *Tensor {
 		}
 	}
 	return dx
-}
-
-// L2Norm returns the Euclidean norm of all elements.
-func (t *Tensor) L2Norm() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }

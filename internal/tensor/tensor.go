@@ -35,18 +35,6 @@ func numel(shape []int) int {
 	return n
 }
 
-// FromSlice wraps data (not copied) in a tensor with the given shape.
-func FromSlice(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", shape, n, len(data)))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
-}
-
 // Full returns a tensor filled with v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)

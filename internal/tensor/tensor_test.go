@@ -45,11 +45,11 @@ func TestFromSliceValidates(t *testing.T) {
 			t.Fatal("expected panic on size mismatch")
 		}
 	}()
-	FromSlice([]float32{1, 2, 3}, 2, 2)
+	fromSlice([]float32{1, 2, 3}, 2, 2)
 }
 
 func TestReshapeSharesData(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
+	a := fromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := a.Reshape(4)
 	b.Data[0] = 9
 	if a.At(0, 0) != 9 {
@@ -67,8 +67,8 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestMatMulSmall(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := fromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := fromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
 	c := MatMul(a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, w := range want {
@@ -126,10 +126,10 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 	matmulRows(want.Data, a.Data, b.Data, 0, m, k, n)
 	same("MatMul", MatMul(a, b), want)
 	matmulTRows(want.Data, a.Data, bt.Data, 0, m, k, n)
-	same("MatMulT", MatMulT(a, bt), want)
+	same("MatMulT", matMulT(a, bt), want)
 	wantT := New(k, n)
 	tmatmulRows(wantT.Data, a.Data, dy.Data, 0, k, m, k, n)
-	same("TMatMul", TMatMul(a, dy), wantT)
+	same("TMatMul", tMatMul(a, dy), wantT)
 }
 
 // The three row kernels as the plain loops they were before they were
@@ -246,8 +246,9 @@ func TestTiledKernelsMatchReference(t *testing.T) {
 }
 
 // TestIntoKernelsIgnoreDestinationContents: every destination-taking
-// kernel yields exactly its allocating form when handed a NaN-filled
-// destination — a recycled buffer never has to be zero.
+// kernel yields exactly what it yields into a fresh zero tensor when
+// handed a NaN-filled destination — a recycled buffer never has to be
+// zero.
 func TestIntoKernelsIgnoreDestinationContents(t *testing.T) {
 	r := NewRNG(3)
 	a := Randn(r, 1, 2, 5, 4)
@@ -261,13 +262,13 @@ func TestIntoKernelsIgnoreDestinationContents(t *testing.T) {
 		got, want *Tensor
 	}{
 		{"MatMulInto", MatMulInto(nan(2, 5, 6), a, w), MatMul(a, w)},
-		{"MatMulTInto", MatMulTInto(nan(2, 5, 6), a, wt), MatMulT(a, wt)},
-		{"TMatMulInto", TMatMulInto(nan(4, 6), a, dy), TMatMul(a, dy)},
+		{"MatMulTInto", MatMulTInto(nan(2, 5, 6), a, wt), matMulT(a, wt)},
+		{"TMatMulInto", TMatMulInto(nan(4, 6), a, dy), tMatMul(a, dy)},
 		{"AddInto", AddInto(nan(2, 5, 4), a, bias), Add(a, bias)},
-		{"SumLastDimGradInto", SumLastDimGradInto(nan(6), dy), SumLastDimGrad(dy)},
-		{"SoftmaxLastDimInto", SoftmaxLastDimInto(nan(2, 5, 6), dy), SoftmaxLastDim(dy)},
-		{"SoftmaxBackwardLastDimInto", SoftmaxBackwardLastDimInto(nan(2, 5, 6), SoftmaxLastDim(dy), dy),
-			SoftmaxBackwardLastDim(SoftmaxLastDim(dy), dy)},
+		{"SumLastDimGradInto", SumLastDimGradInto(nan(6), dy), sumLastDimGrad(dy)},
+		{"SoftmaxLastDimInto", SoftmaxLastDimInto(nan(2, 5, 6), dy), softmax(dy)},
+		{"SoftmaxBackwardLastDimInto", SoftmaxBackwardLastDimInto(nan(2, 5, 6), softmax(dy), dy),
+			softmaxBackward(softmax(dy), dy)},
 	}
 	for _, c := range cases {
 		if len(c.got.Data) != len(c.want.Data) {
@@ -275,7 +276,7 @@ func TestIntoKernelsIgnoreDestinationContents(t *testing.T) {
 		}
 		for i := range c.want.Data {
 			if c.got.Data[i] != c.want.Data[i] {
-				t.Fatalf("%s: element %d is %g, allocating form gives %g", c.name, i, c.got.Data[i], c.want.Data[i])
+				t.Fatalf("%s: element %d is %g, a fresh destination gives %g", c.name, i, c.got.Data[i], c.want.Data[i])
 			}
 		}
 	}
@@ -303,7 +304,7 @@ func TestWorkspaceRecyclesBySize(t *testing.T) {
 		t.Fatal("a tensor that is still out was handed out again")
 	}
 	ws.Put(b)
-	if z := ws.Zeros(4, 3); z != b || z.Sum() != 0 {
+	if z := ws.Zeros(4, 3); z != b || sum(z) != 0 {
 		t.Fatalf("Zeros returned %v", z)
 	}
 	if c := ws.GetCols(New(2, 5, 4), 6); c.Shape[0] != 2 || c.Shape[1] != 5 || c.Shape[2] != 6 {
@@ -446,7 +447,7 @@ func TestMatMulTAgreesWithExplicitTranspose(t *testing.T) {
 	r := NewRNG(2)
 	a := Randn(r, 1, 5, 7)
 	b := Randn(r, 1, 6, 7) // b is [n,k]
-	got := MatMulT(a, b)
+	got := matMulT(a, b)
 	want := MatMul(a, transpose2D(b))
 	if d := MaxAbsDiff(got, want); d > 1e-5 {
 		t.Fatalf("MatMulT diff %g", d)
@@ -457,7 +458,7 @@ func TestTMatMulAgreesWithExplicitTranspose(t *testing.T) {
 	r := NewRNG(3)
 	a := Randn(r, 1, 9, 4)
 	b := Randn(r, 1, 9, 5)
-	got := TMatMul(a, b)
+	got := tMatMul(a, b)
 	want := MatMul(transpose2D(a), b)
 	if d := MaxAbsDiff(got, want); d > 1e-5 {
 		t.Fatalf("TMatMul diff %g", d)
@@ -466,7 +467,7 @@ func TestTMatMulAgreesWithExplicitTranspose(t *testing.T) {
 
 func TestAddBroadcastBias(t *testing.T) {
 	a := Ones(2, 3)
-	bias := FromSlice([]float32{1, 2, 3}, 3)
+	bias := fromSlice([]float32{1, 2, 3}, 3)
 	c := Add(a, bias)
 	want := []float32{2, 3, 4, 2, 3, 4}
 	for i, w := range want {
@@ -477,22 +478,22 @@ func TestAddBroadcastBias(t *testing.T) {
 }
 
 func TestSubMulScale(t *testing.T) {
-	a := FromSlice([]float32{4, 6}, 2)
-	b := FromSlice([]float32{1, 2}, 2)
-	if s := Sub(a, b); s.Data[0] != 3 || s.Data[1] != 4 {
+	a := fromSlice([]float32{4, 6}, 2)
+	b := fromSlice([]float32{1, 2}, 2)
+	if s := sub(a, b); s.Data[0] != 3 || s.Data[1] != 4 {
 		t.Fatalf("sub %v", s.Data)
 	}
-	if m := Mul(a, b); m.Data[0] != 4 || m.Data[1] != 12 {
+	if m := mul(a, b); m.Data[0] != 4 || m.Data[1] != 12 {
 		t.Fatalf("mul %v", m.Data)
 	}
-	if sc := Scale(a, 0.5); sc.Data[0] != 2 || sc.Data[1] != 3 {
+	if sc := scale(a, 0.5); sc.Data[0] != 2 || sc.Data[1] != 3 {
 		t.Fatalf("scale %v", sc.Data)
 	}
 }
 
 func TestSumLastDimGrad(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	g := SumLastDimGrad(a)
+	a := fromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	g := sumLastDimGrad(a)
 	want := []float32{5, 7, 9}
 	for i, w := range want {
 		if g.Data[i] != w {
@@ -504,7 +505,7 @@ func TestSumLastDimGrad(t *testing.T) {
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	r := NewRNG(4)
 	a := Randn(r, 3, 4, 7)
-	s := SoftmaxLastDim(a)
+	s := softmax(a)
 	for row := 0; row < 4; row++ {
 		var sum float64
 		for _, v := range s.Row(row) {
@@ -520,8 +521,8 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 }
 
 func TestSoftmaxNumericalStability(t *testing.T) {
-	a := FromSlice([]float32{1000, 1001, 1002}, 1, 3)
-	s := SoftmaxLastDim(a)
+	a := fromSlice([]float32{1000, 1001, 1002}, 1, 3)
+	s := softmax(a)
 	for _, v := range s.Data {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatalf("softmax overflow: %v", s.Data)
@@ -535,15 +536,15 @@ func TestSoftmaxBackwardFiniteDiff(t *testing.T) {
 	r := NewRNG(5)
 	x := Randn(r, 1, 2, 5)
 	dy := Randn(r, 1, 2, 5)
-	y := SoftmaxLastDim(x)
-	dx := SoftmaxBackwardLastDim(y, dy)
+	y := softmax(x)
+	dx := softmaxBackward(y, dy)
 	const eps = 1e-3
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp := Dot(SoftmaxLastDim(x), dy)
+		lp := Dot(softmax(x), dy)
 		x.Data[i] = orig - eps
-		lm := Dot(SoftmaxLastDim(x), dy)
+		lm := Dot(softmax(x), dy)
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-float64(dx.Data[i])) > 1e-2 {
@@ -628,7 +629,7 @@ func TestQuickMatMulScaleCommutes(t *testing.T) {
 		s := float32(r.Float64()*4 - 2)
 		a := Randn(r, 1, m, k)
 		b := Randn(r, 1, k, n)
-		return MaxAbsDiff(MatMul(Scale(a, s), b), Scale(MatMul(a, b), s)) < 1e-4
+		return MaxAbsDiff(MatMul(scale(a, s), b), scale(MatMul(a, b), s)) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -644,7 +645,7 @@ func TestQuickMatMulAdjoint(t *testing.T) {
 		a := Randn(r, 1, m, k)
 		b := Randn(r, 1, k, n)
 		c := Randn(r, 1, m, n)
-		return math.Abs(Dot(MatMul(a, b), c)-Dot(b, TMatMul(a, c))) < 1e-3
+		return math.Abs(Dot(MatMul(a, b), c)-Dot(b, tMatMul(a, c))) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -653,7 +654,7 @@ func TestQuickMatMulAdjoint(t *testing.T) {
 
 func TestAxpyAndNorm(t *testing.T) {
 	y := Ones(3)
-	x := FromSlice([]float32{1, 2, 3}, 3)
+	x := fromSlice([]float32{1, 2, 3}, 3)
 	AxpyInPlace(y, 2, x)
 	want := []float32{3, 5, 7}
 	for i, w := range want {
@@ -661,9 +662,9 @@ func TestAxpyAndNorm(t *testing.T) {
 			t.Fatalf("y[%d]=%g want %g", i, y.Data[i], w)
 		}
 	}
-	v := FromSlice([]float32{3, 4}, 2)
-	if math.Abs(v.L2Norm()-5) > 1e-9 {
-		t.Fatalf("norm %g", v.L2Norm())
+	v := fromSlice([]float32{3, 4}, 2)
+	if math.Abs(l2Norm(v)-5) > 1e-9 {
+		t.Fatalf("norm %g", l2Norm(v))
 	}
 }
 
@@ -689,7 +690,7 @@ func TestUtilityHelpers(t *testing.T) {
 		t.Fatal("Fill")
 	}
 	a.Zero()
-	if a.Sum() != 0 {
+	if sum(a) != 0 {
 		t.Fatal("Zero/Sum")
 	}
 	b := New(4)
@@ -722,7 +723,7 @@ func TestCopyFromPanicsOnMismatch(t *testing.T) {
 }
 
 func TestScaleInPlaceAndSub(t *testing.T) {
-	a := FromSlice([]float32{2, 4}, 2)
+	a := fromSlice([]float32{2, 4}, 2)
 	ScaleInPlace(a, 0.5)
 	if a.Data[0] != 1 || a.Data[1] != 2 {
 		t.Fatalf("scale in place %v", a.Data)
@@ -732,7 +733,7 @@ func TestScaleInPlaceAndSub(t *testing.T) {
 			t.Fatal("expected panic on sub mismatch")
 		}
 	}()
-	Sub(New(2), New(3))
+	sub(New(2), New(3))
 }
 
 func TestNegativeDimensionPanics(t *testing.T) {
@@ -771,3 +772,66 @@ func BenchmarkMatMulKernels(b *testing.B) {
 		}
 	}
 }
+
+// Test-local allocating forms. The library runs only the destination-taking
+// kernels on workspace buffers; these wrap them (or plain loops, where no
+// kernel exists) so the tests can state results as values.
+
+// fromSlice wraps data (not copied) in a tensor of the given shape; a
+// shape that does not hold len(data) elements panics, as Reshape does.
+func fromSlice(data []float32, shape ...int) *Tensor {
+	return (&Tensor{Data: data}).Reshape(shape...)
+}
+
+// matMulT computes A·Bᵀ for A [..,k] and B [n,k] into a fresh [..,n].
+func matMulT(a, b *Tensor) *Tensor {
+	var buf [4]int
+	return MatMulTInto(New(colsShape(buf[:], a, b.Dim(0))...), a, b)
+}
+
+// tMatMul computes Aᵀ·B for A [m,k] and B [m,n] into a fresh [k,n].
+func tMatMul(a, b *Tensor) *Tensor { return TMatMulInto(New(a.Dim(-1), b.Dim(-1)), a, b) }
+
+// sub returns a − b as a + (−1)·b, which is exact in float32; a size
+// mismatch panics.
+func sub(a, b *Tensor) *Tensor {
+	out := a.Clone()
+	AxpyInPlace(out, -1, b)
+	return out
+}
+
+// mul returns the elementwise product a ⊙ b.
+func mul(a, b *Tensor) *Tensor {
+	out := a.Clone()
+	for i := range out.Data {
+		out.Data[i] *= b.Data[i]
+	}
+	return out
+}
+
+// scale returns s·a.
+func scale(a *Tensor, s float32) *Tensor {
+	out := a.Clone()
+	ScaleInPlace(out, s)
+	return out
+}
+
+func sumLastDimGrad(a *Tensor) *Tensor { return SumLastDimGradInto(New(a.Dim(-1)), a) }
+
+func softmax(a *Tensor) *Tensor { return SoftmaxLastDimInto(New(a.Shape...), a) }
+
+func softmaxBackward(y, dy *Tensor) *Tensor {
+	return SoftmaxBackwardLastDimInto(New(y.Shape...), y, dy)
+}
+
+// sum returns the sum of all elements.
+func sum(t *Tensor) float64 {
+	s := 0.0
+	for _, v := range t.Data {
+		s += float64(v)
+	}
+	return s
+}
+
+// l2Norm returns the Euclidean norm of all elements.
+func l2Norm(t *Tensor) float64 { return math.Sqrt(Dot(t, t)) }

@@ -3,8 +3,7 @@ package tensor
 import "fmt"
 
 // Lease states of a tensor. The zero value marks a tensor the garbage
-// collector owns (New, FromSlice, Reshape views): a workspace never touches
-// those.
+// collector owns (New, Reshape views): a workspace never touches those.
 const (
 	leaseHeap   uint8 = iota
 	leaseOut          // handed out by Workspace.Get, not yet returned
