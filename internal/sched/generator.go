@@ -24,12 +24,12 @@ type shapeEntry struct {
 }
 
 // Generator is a reusable schedule compiler: it owns every buffer
-// generation needs — the greedy scheduler's flat state and event heap, the
-// one flat action arena every device's list is a row of, the dense
-// validation arenas, and a cache of mappings and cap tables per shape — and
-// grows them monotonically to the largest (P, B, S) shape seen, so repeated
-// generation (an AutoTune sweep, a tuning service) allocates nothing in
-// steady state.
+// generation needs — the greedy scheduler's flat state and per-device wake
+// instants, the one flat action arena every device's list is a row of, the
+// dense validation arenas, and a cache of mappings and cap tables per
+// shape — and grows them monotonically to the largest (P, B, S) shape
+// seen, so repeated generation (an AutoTune sweep, a tuning service)
+// allocates nothing in steady state.
 //
 // The zero value is ready to use. A Generator is NOT safe for concurrent
 // use, and the *Schedule it returns (including Lists and their backing
@@ -38,7 +38,7 @@ type shapeEntry struct {
 // Clone it — or use the one-shot constructors (ByName, GPipe, Hanayo, …),
 // which drive a fresh single-use Generator.
 //
-// Generation and validation are fused: the greedy engine's event-driven
+// Generation and validation are fused: the greedy engine's time-driven
 // execution is itself the executability proof for the compute DAG (every
 // task runs exactly once, on its mapped device, in dependency order,
 // within its live-activation cap), each task is emitted with exactly one

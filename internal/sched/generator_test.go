@@ -54,7 +54,7 @@ func schedulesEqual(t *testing.T, label string, got, want *Schedule) {
 // shapes, for all nine schemes, must produce schedules bit-for-bit
 // identical to fresh sched.ByName calls — shrinking back to a small shape
 // after a large one must not leak any state from the bigger arenas (stale
-// pending tasks, oversized lists, leftover heap events, dirty validation
+// pending tasks, oversized lists, leftover wake instants, dirty validation
 // flags).
 func TestGeneratorRegrowthMatchesFresh(t *testing.T) {
 	shapes := [][2]int{{2, 4}, {4, 8}, {8, 16}, {4, 4}, {2, 2}}
@@ -136,8 +136,8 @@ func TestGeneratorOwnedResult(t *testing.T) {
 
 // closureMapping swaps in a copy of the scheme's own mapping: the same
 // placement, but no longer the pointer the shape was built with, so the
-// engine asks the mapping about every (micro, stage), wakes every device on
-// a backward completion and rescans all devices to a fixed point — the
+// engine asks the mapping about every (micro, stage), wakes every device at
+// a backward's end and rescans all devices to a fixed point — the
 // reference path.
 func closureMapping(gp *GenParams) {
 	m := *gp.Mapping
@@ -145,11 +145,12 @@ func closureMapping(gp *GenParams) {
 }
 
 // TestTableDrivenMatchesClosureReference is the scan and arena parity test:
-// for every scheme, shape and wave count the table-driven engine — wake-only
-// scanning, closed-form row sizes from the dense device table — must emit,
-// action for action, the lists of the closure-mapped reference path, under
-// the default ordering costs and under withCosts(1, 1.5, 0), whose free
-// transfers make many more tasks ready at the same instant.
+// for every scheme, shape and wave count the table-driven engine — scanning
+// only the devices whose next wake instant has come, closed-form row sizes
+// from the dense device table — must emit, action for action, the lists of
+// the closure-mapped reference path, under the default ordering costs and
+// under withCosts(1, 1.5, 0), whose free transfers make many more tasks
+// ready at the same instant.
 func TestTableDrivenMatchesClosureReference(t *testing.T) {
 	schemes := append([]string{"hanayo-w8"}, generatorSchemes...) // waves 1/2/4/8
 	table, reference := NewGenerator(), NewGenerator()
@@ -175,10 +176,12 @@ func TestTableDrivenMatchesClosureReference(t *testing.T) {
 // single schedule: a fresh Generator pays for its arenas, each once and at
 // its exact size, plus the shape — a mapping (struct, parity tables,
 // hosting rows), a cap table and its lookup, the name — and nothing per
-// device or per action: 33 objects (34 under -race), against 36 when the
-// mapping was closures and 952 when every per-device list grew by append.
+// device or per action: 26 objects (26 under -race too), and the budget
+// allows 5 % more. It was 33 while the engine's event heap grew by append,
+// 36 when the mapping was closures and 952 when every per-device list grew
+// by append.
 func TestOneShotAllocsPinned(t *testing.T) {
-	const budget = 35
+	const budget = 27
 	got := testing.AllocsPerRun(5, func() {
 		if _, err := ByName("hanayo-w4", 32, 32); err != nil {
 			t.Fatal(err)

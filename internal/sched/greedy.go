@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Priority selects which ready compute task a device runs next.
 type Priority int
@@ -49,18 +52,6 @@ type GenParams struct {
 	EagerW bool
 }
 
-// genEvent is one entry of the engine's typed event heap: "device dev may be
-// able to start something at time". dev == wakeAll means every device must
-// be scanned: the start of the run, and — under a swapped mapping only — a
-// backward completion, whose released live-activation budget a capped
-// forward on any device may have been waiting on.
-type genEvent struct {
-	time float64
-	dev  int32
-}
-
-const wakeAll = int32(-1)
-
 // engine is the greedy list scheduler on flat reusable storage. All state
 // lives in arenas owned by the engine and grown monotonically to the
 // largest (P, B, S) shape seen, so a Generator driving repeated runs
@@ -86,17 +77,19 @@ type engine struct {
 	chunks int         // chunks per device
 
 	// Arenas.
-	readyAt  []float64  // valid once enqueued
-	done     []bool     // executed
-	devOf    []int32    // task -> device
-	free     []float64  // per device: busy until
-	inflight []int32    // (stage, chunkClass) -> live activations
-	fwdLeft  []int32    // forwards remaining per device (phase barrier)
-	rowLen   []int32    // per device: exact action count before the flush tail
-	events   []genEvent // binary min-heap on time
-	wake     []bool     // per device: needs rescanning at the popped time
+	readyAt  []float64 // valid once enqueued
+	done     []bool    // executed
+	devOf    []int32   // task -> device
+	free     []float64 // per device: busy until
+	inflight []int32   // (stage, chunkClass) -> live activations
+	fwdLeft  []int32   // forwards remaining per device (phase barrier)
+	rowLen   []int32   // per device: exact action count before the flush tail
+	// next is, per device, the earliest instant it must be scanned at: the
+	// end of the task it runs, the least future ready time among its
+	// pending tasks, or +Inf when nothing is pending.
+	next []float64
 	// The run's output and its ready queues are rows of two flat blocks,
-	// sized exactly by layout before the first event pops. Rows are
+	// sized exactly by layout before the first instant. Rows are
 	// three-index slices (cap == final len), so nothing the engine or a
 	// caller appends to one device's row can reach the next device's.
 	actions []Action   // every device's action list, back to back
@@ -147,67 +140,23 @@ func (e *engine) capOf(stage, chunk int) int {
 	return -1
 }
 
-// push adds an event to the typed min-heap. No interface boxing: the
-// container/heap predecessor allocated on every Push/Pop, which dominated
-// the generator's allocation profile (~6 events per compute task).
-func (e *engine) push(t float64, dev int32) {
-	e.events = append(e.events, genEvent{time: t, dev: dev})
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if e.events[parent].time <= e.events[i].time {
-			break
-		}
-		e.events[parent], e.events[i] = e.events[i], e.events[parent]
-		i = parent
-	}
-}
-
-// pop removes the minimum-time event. Ties pop in arbitrary order: the run
-// loop merges every event of one instant into a single wake set, so only
-// the instant matters.
-func (e *engine) pop() genEvent {
-	top := e.events[0]
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events = e.events[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && e.events[l].time < e.events[small].time {
-			small = l
-		}
-		if r < n && e.events[r].time < e.events[small].time {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		e.events[i], e.events[small] = e.events[small], e.events[i]
-		i = small
-	}
-	return top
-}
-
 // enqueue marks a task ready at time at and files it under its device.
 // seg selects the id segment: 0 forward, 1 backward (fused or input-grad),
 // 2 weight-grad. Every task has a single producer edge, so it is filed
-// exactly once — what lets layout size the pending rows exactly. The caller
-// pushes the matching wake event.
+// exactly once — what lets layout size the pending rows exactly. The
+// device must be scanned once the task is ready and the device is free.
 func (e *engine) enqueue(micro, stage, seg int, at float64) {
 	i := micro*e.s + stage + seg*e.half
 	e.readyAt[i] = at
 	d := e.devAt(micro, stage)
 	e.devOf[i] = d
 	e.pending[d] = append(e.pending[d], int32(i))
+	e.next[d] = min(e.next[d], max(at, e.free[d]))
 }
 
-// eligible reports whether queued task i can start at time now.
-func (e *engine) eligible(i int, now float64) bool {
-	if e.readyAt[i] > now {
-		return false
-	}
+// eligible reports whether queued task i, ready by now, can start: its
+// live-activation cap and the phase barrier permitting.
+func (e *engine) eligible(i int) bool {
 	if i < e.half { // forward
 		stage := i % e.s
 		chunk := int(e.chunkAt((i%e.half)/e.s, stage))
@@ -226,11 +175,12 @@ func (e *engine) eligible(i int, now float64) bool {
 }
 
 // pick selects the highest-priority eligible task for device d at time now
-// (class asc, micro asc, stage desc), or -1. Finished tasks are compacted
-// out of the pending list in passing.
-func (e *engine) pick(d int, now float64) int {
+// (class asc, micro asc, stage desc), or -1, and reports the least ready
+// time after now among the device's pending tasks (+Inf if none). Finished
+// tasks are compacted out of the pending list in passing.
+func (e *engine) pick(d int, now float64) (int, float64) {
 	lst := e.pending[d]
-	best := -1
+	best, soon := -1, math.Inf(1)
 	var bestClass, bestMicro, bestStage int
 	w := 0
 	for _, i32 := range lst {
@@ -240,7 +190,11 @@ func (e *engine) pick(d int, now float64) int {
 		}
 		lst[w] = i32
 		w++
-		if !e.eligible(i, now) {
+		if at := e.readyAt[i]; at > now {
+			soon = min(soon, at)
+			continue
+		}
+		if !e.eligible(i) {
 			continue
 		}
 		cls := 0
@@ -264,14 +218,14 @@ func (e *engine) pick(d int, now float64) int {
 		}
 	}
 	e.pending[d] = lst[:w]
-	return best
+	return best, soon
 }
 
 // finish applies task i's completion effects at time end: successor
-// enqueues with transfer latency, live-activation accounting, and the wake
-// events that make the restricted scan sound (the successor's device at its
-// ready time; this device when it frees, which also covers the cap budget
-// a backward releases — see the end of the function).
+// enqueues with transfer latency (each lowers its device's next wake to the
+// successor's ready time) and live-activation accounting. The device itself
+// is scanned again at end, when it frees, which also covers the cap budget
+// a backward releases — see the end of the function.
 func (e *engine) finish(i int, end float64) {
 	e.done[i] = true
 	micro, stage := (i%e.half)/e.s, i%e.s
@@ -287,15 +241,12 @@ func (e *engine) finish(i int, end float64) {
 				at += e.gp.Tc
 			}
 			e.enqueue(micro, stage+1, 0, at)
-			e.push(at, sd)
 		} else {
 			e.enqueue(micro, stage, 1, end)
 		}
-		e.push(end, d) // device free; barrier release is device-local
-		return
+		return // the barrier release is device-local
 	}
 	if i >= 2*e.half { // weight-grad: no successors, no budget to release
-		e.push(end, d)
 		return
 	}
 	e.inflight[stage*e.chunks+int(e.chunkAt(micro, stage))]--
@@ -305,7 +256,6 @@ func (e *engine) finish(i int, end float64) {
 		e.enqueue(micro, stage, 2, end)
 	}
 	if stage > 0 {
-		sd := e.devAt(micro, stage-1)
 		// Under EagerW the B+W pair emulates the fused op: the upstream
 		// gradient leaves only after the weight half, exactly when the
 		// fused backward of duration Tb+Tw would have released it.
@@ -313,21 +263,20 @@ func (e *engine) finish(i int, end float64) {
 		if e.gp.SplitBackward && e.gp.EagerW {
 			at += e.gp.Tw
 		}
-		if sd != d {
+		if e.devAt(micro, stage-1) != d {
 			at += e.gp.Tc
 		}
 		e.enqueue(micro, stage-1, 1, at)
-		e.push(at, sd)
 	}
-	// Device free, and the released live-activation budget may unblock
-	// capped forwards. With dense tables every forward of this (stage,
-	// chunk) class runs on this same device — (stage, chunk) determines the
-	// host for every parity-determined placement — so waking d covers the
-	// release; only a swapped mapping's reference path broadcasts.
-	if e.dev != nil {
-		e.push(end, d)
-	} else {
-		e.push(end, wakeAll)
+	// The released live-activation budget may unblock capped forwards. With
+	// dense tables every forward of this (stage, chunk) class runs on this
+	// same device — (stage, chunk) determines the host for every
+	// parity-determined placement — so d's own wake at end covers the
+	// release; only a swapped mapping's reference path wakes every device.
+	if e.dev == nil {
+		for x := range e.next {
+			e.next[x] = min(e.next[x], end)
+		}
 	}
 }
 
@@ -443,13 +392,17 @@ func (e *engine) emit(d int32, kind OpKind, micro, stage int) {
 }
 
 // runDevice executes the best eligible task on device d at time now, if
-// any, and reports whether one ran.
+// any, and reports whether one ran. It sets d's next wake: the end of the
+// task it runs, when it frees if busy, or else the next ready time among
+// its pending tasks.
 func (e *engine) runDevice(d int, now float64) bool {
 	if e.free[d] > now {
+		e.next[d] = e.free[d]
 		return false
 	}
-	t := e.pick(d, now)
+	t, soon := e.pick(d, now)
 	if t < 0 {
+		e.next[d] = soon
 		return false
 	}
 	dur := e.gp.Tf
@@ -464,10 +417,32 @@ func (e *engine) runDevice(d int, now float64) bool {
 		}
 	}
 	end := now + dur
-	e.free[d] = end
+	e.free[d], e.next[d] = end, end
 	e.emit(int32(d), kind, (t%e.half)/e.s, t%e.s)
 	e.finish(t, end)
 	return true
+}
+
+// pass scans the devices once at instant now, in ascending id — all of them
+// when all is set, else those due now — and returns how many ran a task and
+// the least next after the pass, the next instant. next[d] is read as the
+// pass reaches d, so a device that an earlier run of this pass made due
+// now (possible only when a duration vanishes against the clock in float64)
+// is scanned in this pass, as a full rescan would. Taking the least next as
+// each device leaves the pass is exact: a wake lowered after its device
+// left is never below the end of the run that lowered it — a successor is
+// ready no earlier than its producer ends, and a swapped mapping's
+// broadcast wakes at that end — and the producer's own next is that end,
+// already counted.
+func (e *engine) pass(now float64, all bool) (ran int, lo float64) {
+	lo = math.Inf(1)
+	for d := 0; d < e.p; d++ {
+		if (all || e.next[d] == now) && e.runDevice(d, now) {
+			ran++
+		}
+		lo = min(lo, e.next[d])
+	}
+	return ran, lo
 }
 
 // run executes the greedy time-driven list scheduling of the iteration DAG,
@@ -476,41 +451,53 @@ func (e *engine) runDevice(d int, now float64) bool {
 // synchronous scheme is a point in (placement, priority, cap, barrier)
 // space.
 //
-// The event loop is wake-driven: every event names the one device whose
-// state changed at that instant (task became ready, device became free), and
-// an instant scans only its woken devices, in ascending device id. For
+// The loop is wake-driven: each device keeps next, the earliest instant at
+// which it must be scanned — the end of the task it runs (the device frees;
+// a backward's released budget and the phase barrier are device-local
+// under dense tables), the ready time a task is enqueued with (no earlier
+// than the device frees), or, when a scan finds nothing eligible, the next
+// ready time among its pending tasks. Every other change of eligibility
+// comes from one of those. Each instant is the least next, and it scans
+// the devices whose next is that instant, in ascending device id. For
 // table-driven placements (every built-in scheme) that single pass is
 // complete — nothing it runs can make another device runnable within the
 // same instant: durations are positive, so finish, applied when a task
-// starts, readies every successor at end > now (each with its own wake
-// event); a forward only raises inflight, which can disable but never
-// enable; and the budget a backward releases belongs to a (stage, chunk)
-// class hosted on the device that just went busy until end, where its own
-// wake event rescans it. The instant therefore ends quiescent, which is the
-// state the next instant's wake set assumes, and the lists are those of a
-// scan of every device after every run. A mapping swapped in
-// through an Option carries no such guarantee (a class may span devices),
-// so it keeps exactly that: backward completions wake every device, and an
-// instant in which anything ran rescans all devices to a fixed point.
+// starts, readies every successor at end > now; a forward only raises
+// inflight, which can disable but never enable; and the budget a backward
+// releases belongs to a (stage, chunk) class hosted on the device that just
+// went busy until end, where its own next rescans it. The instant therefore
+// ends quiescent, and the lists are those of a scan of every device after
+// every run. A mapping swapped in through an Option carries no such
+// guarantee (a class may span devices), so it keeps exactly that: backward
+// completions wake every device at their end, and an instant in which
+// anything ran rescans all devices to a fixed point.
 func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error {
 	m := gp.Mapping
 	if gp.B <= 0 {
 		return fmt.Errorf("sched: B must be positive, got %d", gp.B)
 	}
-	if gp.Tf <= 0 || gp.Tb <= 0 || gp.Tc < 0 {
-		return fmt.Errorf("sched: Tf and Tb must be positive and Tc non-negative")
+	if !(gp.Tf > 0 && gp.Tb > 0 && gp.Tc >= 0) || math.IsInf(gp.Tf+gp.Tb+gp.Tc, 1) {
+		return fmt.Errorf("sched: Tf and Tb must be positive and Tc non-negative, all finite")
 	}
-	if gp.SplitBackward && gp.Tw <= 0 {
-		return fmt.Errorf("sched: Tw must be positive when the backward is split")
+	tw := 0.0
+	if gp.SplitBackward {
+		if tw = gp.Tw; !(tw > 0) || math.IsInf(tw, 1) {
+			return fmt.Errorf("sched: Tw must be positive and finite when the backward is split")
+		}
 	}
-	e.gp, e.dev, e.chk, e.capTab = gp, dev, chk, capTab
-	defer func() { e.gp, e.dev, e.chk, e.capTab = nil, nil, nil, nil }()
 	e.s, e.p, e.half = m.S, m.P, gp.B*m.S
-	e.chunks = m.ChunksPerDevice()
 	total := 2 * e.half
 	if gp.SplitBackward {
 		total = 3 * e.half
 	}
+	// No instant may reach +Inf, which next reserves for "nothing pending":
+	// an instant is at most every task's duration plus every transfer.
+	if !(float64(total)*(gp.Tf+gp.Tb+gp.Tc+2*tw) <= math.MaxFloat64/2) {
+		return fmt.Errorf("sched: ordering costs overflow over %d tasks", total)
+	}
+	e.gp, e.dev, e.chk, e.capTab = gp, dev, chk, capTab
+	defer func() { e.gp, e.dev, e.chk, e.capTab = nil, nil, nil, nil }()
+	e.chunks = m.ChunksPerDevice()
 
 	e.readyAt = arena(e.readyAt, total)
 	e.done = arena(e.done, total)
@@ -519,56 +506,36 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 	e.inflight = arena(e.inflight, e.s*e.chunks)
 	e.fwdLeft = arena(e.fwdLeft, e.p)
 	e.rowLen = arena(e.rowLen, e.p)
-	e.wake = arena(e.wake, e.p)
+	e.next = arena(e.next, e.p)
+	for d := range e.next {
+		e.next[d] = math.Inf(1)
+	}
 	e.lists = arena(e.lists, e.p)
 	e.pending = arena(e.pending, e.p)
-	e.events = e.events[:0]
 	e.layout()
 
 	for mi := 0; mi < gp.B; mi++ {
 		e.enqueue(mi, 0, 0, 0)
 	}
-	e.push(0, wakeAll)
 
 	executed := 0
 	guard := 0
+	now := 0.0 // every first-stage forward is ready at 0
 	for executed < total {
 		guard++
 		if guard > 64*total+1024 {
 			return fmt.Errorf("sched: generator stalled (scheme deadlock?) after %d/%d tasks", executed, total)
 		}
-		if len(e.events) == 0 {
-			return fmt.Errorf("sched: no events left with %d/%d tasks executed", executed, total)
+		if math.IsInf(now, 1) {
+			return fmt.Errorf("sched: nothing pending with %d/%d tasks executed", executed, total)
 		}
-		now := e.events[0].time
-		all := false
-		for len(e.events) > 0 && e.events[0].time == now {
-			if ev := e.pop(); ev.dev < 0 {
-				all = true
-			} else {
-				e.wake[ev.dev] = true
-			}
+		ran, lo := e.pass(now, false)
+		executed += ran
+		for ran > 0 && e.dev == nil {
+			ran, lo = e.pass(now, true)
+			executed += ran
 		}
-		ran := false
-		for d := 0; d < e.p; d++ {
-			if !all && !e.wake[d] {
-				continue
-			}
-			e.wake[d] = false
-			if e.runDevice(d, now) {
-				ran = true
-				executed++
-			}
-		}
-		for ran && e.dev == nil {
-			ran = false
-			for d := 0; d < e.p; d++ {
-				if e.runDevice(d, now) {
-					ran = true
-					executed++
-				}
-			}
-		}
+		now = lo
 	}
 	// Synchronous flush: gradient all-reduce then optimizer step. Every row
 	// must now be exactly full — anything else means the placement answered
