@@ -30,8 +30,9 @@ func ExampleTuner() {
 
 // ExampleSearchSpace_Shard splits one sweep across two "workers" and
 // merges their slices: the result is bit-for-bit the single-process
-// ranking. In a real deployment each shard runs in its own process (see
-// cmd/hanayo-tuned) against a shared hanayo.CacheServer tier.
+// ranking. In a real deployment each shard runs in its own
+// `hanayo-tuned -worker` process against a shared `hanayo-tuned -serve`
+// tier (cmd/hanayo-tuned).
 func ExampleSearchSpace_Shard() {
 	cl := hanayo.TACC(16)
 	model := hanayo.BERTStyle()

@@ -9,9 +9,9 @@
 // be) that share one loopback cache tier, and the shard outputs are
 // recombined with MergeShards — bit-for-bit the ranking a single AutoTune
 // call produces. A final repeat sweep from a third, cold Tuner is served
-// entirely from the shared tier: zero simulations. Swap the loopback for
-// hanayo.DialCache(addr) against `hanayo-tuned -serve` and the same code
-// spans machines.
+// entirely from the shared tier: zero simulations. To span machines, run
+// the shards as `hanayo-tuned -worker` processes against a
+// `hanayo-tuned -serve` tier (cmd/hanayo-tuned).
 //
 // It prints one row per cluster — the throughput of each wave count and
 // the best one — then the total wall time and the repeat sweep's

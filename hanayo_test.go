@@ -2,10 +2,17 @@ package hanayo
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/memtrace"
 	"repro/internal/perfmodel"
+	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 func figParams(p int) perfmodel.Params     { return perfmodel.FigureOneDefaults(p, 1) }
@@ -38,7 +45,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal("zero throughput")
 	}
 
-	s, err := ScheduleByName("hanayo-w1", 4, 4)
+	s, err := sched.ByName("hanayo-w1", 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +86,8 @@ func TestFacadeAnalyticModels(t *testing.T) {
 	if ModelSizeGB(BERTStyle()) < 50 {
 		t.Fatal("BERT model size implausibly small")
 	}
-	gp := GPipeBubble(figParams(8))
-	hb := HanayoBubble(figParamsW(8, 4))
+	gp := perfmodel.GPipeBubble(figParams(8))
+	hb := perfmodel.HanayoBubble(figParamsW(8, 4))
 	if hb >= gp {
 		t.Fatalf("hanayo bubble %g not below gpipe %g", hb, gp)
 	}
@@ -122,12 +129,12 @@ func TestFacadeTuner(t *testing.T) {
 		t.Fatal("cached repeat lost candidates")
 	}
 
-	// The reusable executors are part of the public surface too.
-	s, err := ScheduleByName("hanayo-w2", 4, 4)
+	// The reusable executors behind the facade's Simulate and memory model.
+	s, err := sched.ByName("hanayo-w2", 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runner SimRunner // zero value works
+	var runner sim.Runner // zero value works
 	var cost Uniform = Uniform{Tf: 1, Tb: 2, Tc: 0.05}
 	r1, err := runner.Run(s, cost, DefaultSimOptions())
 	if err != nil {
@@ -141,12 +148,92 @@ func TestFacadeTuner(t *testing.T) {
 	if r2.Makespan != mk {
 		t.Fatalf("reused runner diverged: %g != %g", r2.Makespan, mk)
 	}
-	replayer := NewMemReplayer()
+	replayer := memtrace.NewReplayer()
 	mt, err := replayer.Run(s, BERTStyle(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mt.Curves) != 4 {
 		t.Fatalf("replay produced %d curves, want 4", len(mt.Curves))
+	}
+}
+
+// TestFacadeNamesUsed keeps the facade to what its users run: every name
+// hanayo.go declares must be referenced as hanayo.X in code (comments do
+// not count) by a program under examples/ or in example_test.go, or be
+// the identifier an Example function documents (ExampleX, ExampleX_y).
+func TestFacadeNamesUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "hanayo.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []string
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					declared = append(declared, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						declared = append(declared, n.Name)
+					}
+				}
+			}
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				declared = append(declared, d.Name.Name)
+			}
+		}
+	}
+
+	users, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, path := range append(users, "example_test.go") {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro"` {
+				pkg = "hanayo"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if name, ok := strings.CutPrefix(n.Name.Name, "Example"); ok && n.Recv == nil {
+					name, _, _ = strings.Cut(name, "_")
+					used[name] = true
+				}
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && id.Name == pkg {
+					used[n.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var unused []string
+	for _, name := range declared {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	if len(unused) > 0 {
+		t.Fatalf("%d of %d facade names are used by no example: %s",
+			len(unused), len(declared), strings.Join(unused, ", "))
 	}
 }

@@ -11,13 +11,15 @@
 //
 // Two drivers expose the interpreter:
 //
-//   - Run walks all devices cooperatively in one goroutine, round-robin
-//     with deadlock detection. Backends signal "cannot complete yet" by
-//     returning ErrBlocked from Recv/Drain; the driver retries after other
-//     devices make progress. This is the discrete-event mode.
-//   - RunConcurrent walks each device in its own goroutine. Backends block
-//     inside Recv instead of returning ErrBlocked. This is the real
-//     training mode.
+//   - Loop.Run walks all devices cooperatively in one goroutine,
+//     round-robin with deadlock detection. Backends signal "cannot
+//     complete yet" by returning ErrBlocked from Recv/Drain; the driver
+//     retries after other devices make progress. This is the
+//     discrete-event mode, driven by internal/sim.
+//   - Replicas.Run walks each device of each data-parallel replica in its
+//     own goroutine. Backends block inside Recv instead of returning
+//     ErrBlocked. This is the real training mode, driven by
+//     internal/runtime.
 //
 // Both drivers execute the identical per-step state machine (see step), so
 // executor semantics — what a batched run issues first, when receives
@@ -42,12 +44,12 @@ var ErrBlocked = errors.New("exec: blocked")
 
 // ErrCanceled is returned (wrapped) by a concurrent backend's blocking
 // hooks after the driver's done channel closed — another device's hook
-// failed and the iteration is being torn down. RunConcurrent reports the
+// failed and the iteration is being torn down. Replicas.Run reports the
 // originating error, not the ErrCanceled echoes it provoked.
 var ErrCanceled = errors.New("exec: canceled")
 
 // Cancellable is an optional Backend extension for concurrent execution.
-// RunConcurrent installs its done channel before any device starts walking;
+// Replicas.Run installs its done channel before any device starts walking;
 // the channel closes when any device's hook returns an error, and blocking
 // Recv/Drain implementations must then abort (returning an error wrapping
 // ErrCanceled) instead of waiting for a payload that will never arrive.
@@ -80,7 +82,7 @@ type Record struct {
 }
 
 // Backend implements the executor semantics behind the interpreter's
-// hooks. Hooks are invoked per device; under RunConcurrent each device's
+// hooks. Hooks are invoked per device; under Replicas.Run each device's
 // hooks run on that device's goroutine, so per-device state needs no
 // locking but anything shared across devices does.
 type Backend interface {
@@ -258,11 +260,8 @@ func Arena[T any](s []T, n int) []T {
 // largest schedule shape it has driven, so repeated runs of same-shaped
 // schedules (wave sweeps, calibration loops, a tuning service) allocate
 // nothing in steady state. The zero value is ready to use. A Loop is NOT
-// safe for concurrent runs; the timelines returned by Run/RunConcurrent
-// are owned by the Loop and valid only until its next run.
-//
-// The package-level Run and RunConcurrent drive a fresh Loop per call and
-// therefore return timelines the caller may retain.
+// safe for concurrent runs; the timelines returned by Run are owned by the
+// Loop and valid only until its next run.
 type Loop struct {
 	flat    []Record   // every timeline, back to back
 	records [][]Record // rows of flat, replica-major: replica r's device d at r·P+d
@@ -345,41 +344,6 @@ func (l *Loop) Run(s *sched.Schedule, b Backend, opt Options) ([][]Record, error
 	}
 }
 
-// Run drives a fresh Loop cooperatively; see Loop.Run. The returned
-// timelines are not shared with any reusable state.
-func Run(s *sched.Schedule, b Backend, opt Options) ([][]Record, error) {
-	var l Loop
-	return l.Run(s, b, opt)
-}
-
-// RunConcurrent drives the interpreter with one goroutine per device; the
-// backend's Recv blocks instead of returning ErrBlocked. All devices are
-// joined before returning. This is the driver for real-tensor backends.
-//
-// The first hook error cancels the iteration: the driver closes a done
-// channel (installed via the optional Cancellable extension before any
-// device starts), so peers blocked in Recv abort instead of waiting
-// forever on payloads the failed device will never send. The originating
-// error is reported; the ErrCanceled echoes from aborted peers are
-// suppressed. Backends that do not implement Cancellable keep the old
-// contract: their hooks must not fail mid-schedule while peers block
-// (schedules passing sched.Validate cannot reach the built-in backends'
-// error paths).
-func RunConcurrent(s *sched.Schedule, b Backend, opt Options) ([][]Record, error) {
-	var l Loop
-	return l.RunConcurrent(s, b, opt)
-}
-
-// RunConcurrent drives one replica concurrently over the Loop's reused
-// machine and timeline arenas; see the package-level RunConcurrent for the
-// semantics. It is Replicas.Run for a single replica, with that driver's
-// join and cancellation state made per call.
-func (l *Loop) RunConcurrent(s *sched.Schedule, b Backend, opt Options) ([][]Record, error) {
-	var g Replicas
-	recs, err := g.run(l, s, []Backend{b}, opt)
-	return recs[0], err
-}
-
 // Replicas is the reusable concurrent driver of a training engine: it walks
 // every data-parallel replica of a schedule at once, and on top of a Loop's
 // arenas keeps the join and cancellation state between runs, so a warm run
@@ -399,19 +363,24 @@ type Replicas struct {
 }
 
 // Run drives len(backends) replicas of schedule s, one goroutine per
-// (replica, device), replica r's hooks going to backends[r]; see the
-// package-level RunConcurrent for the semantics. The replicas share one
-// cancellation: a hook error on any device of any replica stands every
-// other device down within one op, and the error that started the teardown
-// is the one reported. All device goroutines are joined before returning —
-// also on the cancellation path — so the driver is immediately reusable
-// after a failed run and a canceled run leaks nothing. The result is
-// replica r's per-device timelines at index r.
+// (replica, device), replica r's hooks going to backends[r]; the backends'
+// Recv blocks instead of returning ErrBlocked. The result is replica r's
+// per-device timelines at index r.
+//
+// The first hook error cancels the run: the driver closes a done channel
+// (installed via the optional Cancellable extension before any device
+// starts), so peers blocked in Recv abort instead of waiting forever on
+// payloads the failed device will never send. The replicas share this one
+// cancellation, so a hook error on any device of any replica stands every
+// other device down within one op. The originating error is reported; the
+// ErrCanceled echoes from aborted peers are suppressed. Backends that do
+// not implement Cancellable must not fail mid-schedule while peers block
+// (schedules passing sched.Validate cannot reach the built-in backends'
+// error paths). All device goroutines are joined before returning — also
+// on the cancellation path — so the driver is immediately reusable after a
+// failed run and a canceled run leaks nothing.
 func (g *Replicas) Run(s *sched.Schedule, backends []Backend, opt Options) ([][][]Record, error) {
-	return g.run(&g.loop, s, backends, opt)
-}
-
-func (g *Replicas) run(l *Loop, s *sched.Schedule, backends []Backend, opt Options) ([][][]Record, error) {
+	l := &g.loop
 	l.prepare(s, len(backends))
 	if cap(g.exs) < len(backends) {
 		g.exs = make([]interp, len(backends))

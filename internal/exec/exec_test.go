@@ -350,10 +350,13 @@ func TestDriversWalkIdentically(t *testing.T) {
 
 	drivers := map[string]func(b exec.Backend) ([][]exec.Record, error){
 		"cooperative": func(b exec.Backend) ([][]exec.Record, error) {
-			return exec.Run(s, b, exec.DefaultOptions())
+			var l exec.Loop
+			return l.Run(s, b, exec.DefaultOptions())
 		},
 		"concurrent": func(b exec.Backend) ([][]exec.Record, error) {
-			return exec.RunConcurrent(s, b, exec.DefaultOptions())
+			var g exec.Replicas
+			recs, err := g.Run(s, []exec.Backend{b}, exec.DefaultOptions())
+			return recs[0], err
 		},
 	}
 	for name, drive := range drivers {
@@ -397,8 +400,8 @@ func TestDriversWalkIdentically(t *testing.T) {
 
 // cancelBackend errors on device 0's first compute while every other
 // device blocks in Recv until the driver's done channel closes — the
-// scenario that used to hang RunConcurrent forever (the documented caveat
-// this cancellation contract removed).
+// scenario that used to hang the concurrent driver forever (the documented
+// caveat this cancellation contract removed).
 type cancelBackend struct {
 	countBackend
 	done <-chan struct{}
@@ -419,8 +422,8 @@ func (b *cancelBackend) Recv(d, i int, a sched.Action) error {
 }
 
 // TestConcurrentCancellation asserts the first hook error tears down peers
-// blocked in Recv and is the error RunConcurrent reports (not the
-// ErrCanceled echoes from the aborted peers).
+// blocked in Recv and is the error Replicas.Run reports for a single
+// replica (not the ErrCanceled echoes from the aborted peers).
 func TestConcurrentCancellation(t *testing.T) {
 	s, err := sched.DAPPLE(4, 4)
 	if err != nil {
@@ -429,7 +432,8 @@ func TestConcurrentCancellation(t *testing.T) {
 	type outcome struct{ err error }
 	res := make(chan outcome, 1)
 	go func() {
-		_, err := exec.RunConcurrent(s, &cancelBackend{}, exec.DefaultOptions())
+		var g exec.Replicas
+		_, err := g.Run(s, []exec.Backend{&cancelBackend{}}, exec.DefaultOptions())
 		res <- outcome{err}
 	}()
 	select {
@@ -444,7 +448,7 @@ func TestConcurrentCancellation(t *testing.T) {
 			t.Fatalf("unexpected error: %v", o.err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunConcurrent still hangs on a mid-schedule hook error")
+		t.Fatal("Replicas.Run still hangs on a mid-schedule hook error")
 	}
 }
 
@@ -461,7 +465,8 @@ func TestCooperativeDeadlockDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = exec.Run(s, &blockedBackend{}, exec.DefaultOptions())
+	var l exec.Loop
+	_, err = l.Run(s, &blockedBackend{}, exec.DefaultOptions())
 	if err == nil {
 		t.Fatal("expected a deadlock error from a permanently blocked backend")
 	}

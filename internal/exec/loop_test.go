@@ -2,12 +2,13 @@ package exec_test
 
 // Reuse and leak tests for the exec.Loop reusable driver: the Record
 // timeline arenas behind sim.Runner / memtrace.Replayer must survive shape
-// changes, repeated runs, and — for the concurrent driver — cancellation
-// mid-schedule, without leaking goroutines or stale records.
+// changes, repeated runs, and — for the concurrent driver, Replicas —
+// cancellation mid-schedule, without leaking goroutines or stale records.
 
 import (
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -17,9 +18,30 @@ import (
 	"repro/internal/sched"
 )
 
+// TestMain fails the package if any test leaves a goroutine behind: after
+// the tests, the goroutine count must return to its baseline within 2 s,
+// or every stack is printed and the run fails.
+func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
+	code := m.Run()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		fmt.Fprintf(os.Stderr, "leaked goroutines: %d at start, %d after the tests\n%s", baseline, n, buf)
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
 // TestLoopReuseMatchesFreshRuns drives one Loop across growing and
-// shrinking shapes and checks each run's timelines against a fresh
-// package-level Run.
+// shrinking shapes and checks each run's timelines against a run of a
+// fresh Loop.
 func TestLoopReuseMatchesFreshRuns(t *testing.T) {
 	var l exec.Loop
 	shapes := [][2]int{{2, 2}, {8, 8}, {4, 4}, {2, 2}}
@@ -29,7 +51,8 @@ func TestLoopReuseMatchesFreshRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		var cFresh, cReused countBackend
-		fresh, err := exec.Run(s, &cFresh, exec.DefaultOptions())
+		var lFresh exec.Loop
+		fresh, err := lFresh.Run(s, &cFresh, exec.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,19 +101,20 @@ func TestLoopAllocsSteadyState(t *testing.T) {
 }
 
 // TestLoopConcurrentReuseAfterCancellation is the leak/reuse test for
-// RunConcurrent under cancellation: a run torn down by a mid-schedule hook
-// error must join every device goroutine (no leaks), and the same Loop
-// must then drive a clean run producing complete, correct timelines (no
-// stale partial records from the aborted iteration).
+// the concurrent driver under cancellation: a single-replica run torn down
+// by a mid-schedule hook error must join every device goroutine (no
+// leaks), and the same Replicas must then drive a clean run producing
+// complete, correct timelines (no stale partial records from the aborted
+// iteration).
 func TestLoopConcurrentReuseAfterCancellation(t *testing.T) {
 	s, err := sched.DAPPLE(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	var l exec.Loop
+	var g exec.Replicas
 	for i := 0; i < 3; i++ {
-		if _, err := l.RunConcurrent(s, &cancelBackend{}, exec.DefaultOptions()); err == nil {
+		if _, err := g.Run(s, []exec.Backend{&cancelBackend{}}, exec.DefaultOptions()); err == nil {
 			t.Fatal("the injected hook failure must surface")
 		}
 	}
@@ -103,12 +127,13 @@ func TestLoopConcurrentReuseAfterCancellation(t *testing.T) {
 		t.Fatalf("cancelled runs leaked goroutines: %d before, %d after", before, now)
 	}
 
-	// The same Loop must produce a full, clean iteration afterwards.
+	// The same driver must produce a full, clean iteration afterwards.
 	var c countBackend
-	recs, err := l.RunConcurrent(s, &c, exec.DefaultOptions())
+	replicas, err := g.Run(s, []exec.Backend{&c}, exec.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := replicas[0]
 	want := int64(s.CountKind(sched.OpForward) + s.CountKind(sched.OpBackward))
 	if got := c.compute.Load(); got != want {
 		t.Fatalf("post-cancellation run retired %d compute ops, schedule has %d", got, want)

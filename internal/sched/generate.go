@@ -36,12 +36,6 @@ func Hanayo(p, w, b int, opts ...Option) (*Schedule, error) {
 	return NewGenerator().generate(Scheme{fam: famHanayo, arg: w}, p, b, opts...)
 }
 
-// ChimeraWave is the paper's evaluation baseline "Chimera-wave": Chimera
-// after the wave transformation, i.e. Hanayo with a single wave.
-func ChimeraWave(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(Scheme{fam: famChimeraWave, arg: 1}, p, b, opts...)
-}
-
 // Interleaved generates Megatron-LM's interleaved 1F1B with v chunks per
 // device (§2.2 mentions it as DAPPLE's refinement).
 func Interleaved(p, v, b int, opts ...Option) (*Schedule, error) {

@@ -130,7 +130,7 @@ func TestAllSchemesValidate(t *testing.T) {
 		{"hanayo-w2-4-4", func() (*Schedule, error) { return Hanayo(4, 2, 4) }},
 		{"hanayo-w4-4-8", func() (*Schedule, error) { return Hanayo(4, 4, 8) }},
 		{"hanayo-w2-8-8", func() (*Schedule, error) { return Hanayo(8, 2, 8) }},
-		{"chimera-wave-8-8", func() (*Schedule, error) { return ChimeraWave(8, 8) }},
+		{"chimera-wave-8-8", func() (*Schedule, error) { return ByName("chimera-wave", 8, 8) }},
 		{"interleaved-v2-4-8", func() (*Schedule, error) { return Interleaved(4, 2, 8) }},
 		{"async-4-4x3", func() (*Schedule, error) { return AsyncOneFOneB(4, 4, 3) }},
 	}
