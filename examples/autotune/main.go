@@ -4,8 +4,8 @@
 // hanayo.Tuner, the steady-state tuning service: the first sweep pays for
 // its simulations, a repeated sweep (a calibration loop, another user
 // tuning the same model) is answered from the cross-sweep evaluation
-// cache, and OOM cells are pruned by the memory replay before the timing
-// model ever runs.
+// cache, and OOM cells are pruned on their activation peaks before the
+// timing model ever runs.
 package main
 
 import (

@@ -38,18 +38,17 @@ func main() {
 
 	gen := hanayo.NewGenerator(11, cfg.Vocab, cfg.SeqLen)
 	fmt.Printf("BERT-style encoder, %s, activation checkpointing on\n", s.Scheme)
-	var peak []int64
+	var res *runtime.Result
 	for i := 0; i < 30; i++ {
-		res, err := eng.Step(gen.Next(s.B * 2))
-		if err != nil {
+		if res, err = eng.Step(gen.Next(s.B * 2)); err != nil {
 			log.Fatal(err)
 		}
-		peak = res.PeakActBytes
 		if i%10 == 0 || i == 29 {
 			fmt.Printf("  iter %2d  loss %.4f\n", i, res.Loss)
 		}
 	}
-	fmt.Printf("peak boundary activations per device (bytes): %v\n\n", peak)
+	fmt.Printf("peak boundary activations per device (bytes): %v\n", res.PeakActBytes)
+	fmt.Printf("peak live activations per device: %v\n\n", res.PeakActs)
 
 	// The same schedule's activation curves from the simulator.
 	plan := hanayo.Plan{Scheme: "hanayo-w2", Cluster: hanayo.FullNVLink(4),

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/memtrace"
+	"repro/internal/memmodel"
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -148,13 +148,20 @@ func TestFacadeTuner(t *testing.T) {
 	if r2.Makespan != mk {
 		t.Fatalf("reused runner diverged: %g != %g", r2.Makespan, mk)
 	}
-	replayer := memtrace.NewReplayer()
-	mt, err := replayer.Run(s, BERTStyle(), 2)
+	// The memory estimate prices the same peaks without simulating.
+	plan := Plan{Scheme: "hanayo-w2", Cluster: FullNVLink(4), Model: BERTStyle(), P: 4, D: 1, B: 4, MicroRows: 2}
+	mem, err := plan.Memory()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mt.Curves) != 4 {
-		t.Fatalf("replay produced %d curves, want 4", len(mt.Curves))
+	unit := memmodel.StageActBytes(s, BERTStyle(), 2)
+	if len(mem.ActBytes) != 4 {
+		t.Fatalf("memory estimate covers %d devices, want 4", len(mem.ActBytes))
+	}
+	for d, b := range mem.ActBytes {
+		if want := float64(r2.PeakActs[d]) * unit; b != want {
+			t.Fatalf("device %d: estimate holds %g activation bytes, simulated peak prices %g", d, b, want)
+		}
 	}
 }
 

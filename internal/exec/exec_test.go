@@ -148,7 +148,7 @@ var golden = []struct {
 	// executor path (OpBackwardInput/OpBackwardWeight priced as the even
 	// split Tb/2 and Tb − Tb/2 of the fused backward). Note the peak column: 3 at P=4 and 6 at P=8, below
 	// dapple's P−s cap of 4 and 8 — the zero-bubble split's memory win,
-	// asserted strictly in the memtrace suite.
+	// asserted strictly in memmodel's TestZBH1PeakBelowFused.
 	{"zbh1", 4, 4, "default", 19.4, 48, 7.4, 0, 12.5, 9.7, 3},
 	{"zbh1", 4, 4, "noprefetch", 19.6, 48, 7.65, 0.15, 12.7, 9.9, 3},
 	{"zbh1", 4, 4, "flush", 19.9, 48, 7.4, 0, 12.5, 9.7, 3},

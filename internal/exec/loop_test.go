@@ -1,9 +1,9 @@
 package exec_test
 
 // Reuse and leak tests for the exec.Loop reusable driver: the Record
-// timeline arenas behind sim.Runner / memtrace.Replayer must survive shape
-// changes, repeated runs, and — for the concurrent driver, Replicas —
-// cancellation mid-schedule, without leaking goroutines or stale records.
+// timeline arenas behind sim.Runner must survive shape changes, repeated
+// runs, and — for the concurrent driver, Replicas — cancellation
+// mid-schedule, without leaking goroutines or stale records.
 
 import (
 	"errors"

@@ -80,7 +80,7 @@ func fig08(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "\nshape: GPipe high+balanced (OOM-prone), DAPPLE unbalanced, Chimera 2×-weights,")
 	fmt.Fprintln(w, "       Hanayo ≈Chimera-level peak with the lowest variance")
-	fmt.Fprintln(w, "       (activation peaks measured by the memory-replay executor, no simulation)")
+	fmt.Fprintln(w, "       (activation peaks from one scan of each schedule's action lists, no simulation)")
 	return nil
 }
 

@@ -112,7 +112,7 @@ func ForScheduleInto(e *Estimate, sc *sched.Schedule, cfg nn.Config, rows int, p
 
 // StageActBytes returns the activation bytes one live stage-activation
 // holds for this schedule's stage granularity — the unit both the memtrace
-// replay and the estimate's ActBytes count in.
+// budget check and the estimate's ActBytes count in.
 func StageActBytes(sc *sched.Schedule, cfg nn.Config, rows int) float64 {
 	return float64(cfg.Layers) / float64(sc.S) * LayerActBytes(cfg, rows)
 }
@@ -120,8 +120,8 @@ func StageActBytes(sc *sched.Schedule, cfg nn.Config, rows int) float64 {
 // Weights returns the per-device weight/gradient/optimizer-state bytes of
 // one schedule — the activation-independent slice of the estimate, fixed
 // by the placement before any execution. Subtracting it from device
-// capacity yields the live-activation budget a memtrace replay can check
-// against without a timing model (the AutoTune OOM-pruning front end).
+// capacity yields the live-activation budget memtrace.Replayer.RunBudget
+// checks without a timing model.
 func Weights(sc *sched.Schedule, cfg nn.Config) []float64 {
 	return weightsInto(nil, sc, cfg)
 }

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +68,60 @@ func TestGPipeActsDominateDAPPLE(t *testing.T) {
 	// And GPipe's max must be ≥ DAPPLE's max.
 	if eg.MaxGB() < ed.MaxGB() {
 		t.Fatalf("gpipe max %g below dapple max %g", eg.MaxGB(), ed.MaxGB())
+	}
+}
+
+// TestAnalyticPeakActsCoverScan holds the analytic peaks — the generator's
+// inflight caps summed over each device's hosted chunks, each capped by
+// its pipe's micro-batches — to the schedule's own scan
+// (sched.Schedule.PeakActs): never below it on any device of any scheme,
+// and exact for the schemes whose caps are reached (gpipe, dapple, gems,
+// zbh1).
+func TestAnalyticPeakActsCoverScan(t *testing.T) {
+	exact := map[string]bool{"gpipe": true, "dapple": true, "gems": true, "zbh1": true}
+	for _, scheme := range []string{"gpipe", "dapple", "chimera", "chimera-wave",
+		"hanayo-w1", "hanayo-w2", "hanayo-w4", "interleaved-v2", "gems", "zbh1"} {
+		for _, shape := range []struct{ p, b int }{{4, 8}, {8, 8}, {4, 16}} {
+			s, err := sched.ByName(scheme, shape.p, shape.b)
+			if err != nil {
+				t.Fatalf("%s P=%d B=%d: %v", scheme, shape.p, shape.b, err)
+			}
+			scan, analytic := s.PeakActs(nil), AnalyticPeakActs(s)
+			for d := 0; d < s.P; d++ {
+				if got, bound := scan[d], analytic[d]; got > bound || exact[scheme] && got != bound {
+					t.Errorf("%s P=%d B=%d device %d: scanned peak %d, analytic %d (scanned %v, analytic %v)",
+						scheme, shape.p, shape.b, d, got, bound, scan, analytic)
+				}
+			}
+		}
+	}
+}
+
+// TestZBH1PeakBelowFused is the zero-bubble split's memory claim, counted
+// rather than argued: at equal (P, B), zbh1's peak live activations never
+// exceed fused 1F1B's on any device, and at the Fig 10 sweep shape (P=8,
+// B=16) the maximum peak is STRICTLY below it — the input-grad half
+// releases each activation a full weight-grad slot earlier, and zbh1's
+// tighter inflight cap (⌈2(P−1−s)/3⌉+1 < P−s) turns that into fewer
+// resident activations, not just earlier frees. Both schemes cut the model
+// into P stages, so one activation holds the same bytes in each and the
+// counts compare as bytes would.
+func TestZBH1PeakBelowFused(t *testing.T) {
+	for _, shape := range []struct{ p, b int }{{4, 4}, {4, 8}, {8, 8}, {8, 16}} {
+		zs := mustSched(t)(sched.ZBH1(shape.p, shape.b))
+		ds := mustSched(t)(sched.DAPPLE(shape.p, shape.b))
+		if zs.S != ds.S {
+			t.Fatalf("P=%d: zbh1 has %d stages, dapple %d", shape.p, zs.S, ds.S)
+		}
+		zp, dp := zs.PeakActs(nil), ds.PeakActs(nil)
+		for d := 0; d < shape.p; d++ {
+			if zp[d] > dp[d] {
+				t.Errorf("P=%d B=%d device %d: zbh1 peak %d above fused 1F1B peak %d", shape.p, shape.b, d, zp[d], dp[d])
+			}
+		}
+		if shape.p == 8 && shape.b == 16 && slices.Max(zp) >= slices.Max(dp) {
+			t.Errorf("fig10 shape P=8 B=16: zbh1 max peak %d not strictly below fused %d", slices.Max(zp), slices.Max(dp))
+		}
 	}
 }
 

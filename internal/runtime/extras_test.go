@@ -1,11 +1,15 @@
 package runtime
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/data"
+	"repro/internal/memmodel"
 	"repro/internal/nn"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -84,6 +88,59 @@ func TestPeakActBytesReported(t *testing.T) {
 	// And 1F1B shows the unbalanced profile: device 0 above device 3.
 	if dpk[0] <= dpk[3] {
 		t.Fatalf("dapple profile not decreasing: %v", dpk)
+	}
+}
+
+// TestActivationPeaksAgreeAcrossExecutors holds the three executors to one
+// counting rule, sched.Schedule.PeakActs: on every device of every scheme
+// over a (P, B, DP, checkpointing) grid, the count the real-tensor workers
+// keep as they run equals the scan, which equals the peak of the
+// simulator's timeline, and memmodel.AnalyticPeakActs never falls below
+// them. Cells whose schedule does not exist, or needs more stages than
+// tinyCfg's 16 units, are skipped; the count of engines run is pinned.
+func TestActivationPeaksAgreeAcrossExecutors(t *testing.T) {
+	cfg := tinyCfg()
+	gen := data.NewGenerator(3, cfg.Vocab, cfg.SeqLen)
+	engines := 0
+	for _, scheme := range allSchemes {
+		for _, p := range []int{2, 4} {
+			for _, b := range []int{2, 4, 8} {
+				s, err := sched.ByName(scheme, p, b)
+				if err != nil || s.S > cfg.Layers+2 {
+					continue
+				}
+				scan, analytic := s.PeakActs(nil), memmodel.AnalyticPeakActs(s)
+				r, err := sim.Run(s, costmodel.Uniform{Tf: 1, Tb: 2, Tc: 0.05}, sim.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := range scan {
+					if tl := sim.PeakOf(sim.ActivationTimeline(r, d)); tl != scan[d] || scan[d] > analytic[d] {
+						t.Errorf("%s P=%d B=%d device %d: scan %d, sim timeline %d, analytic %d", scheme, p, b, d, scan[d], tl, analytic[d])
+					}
+				}
+				for _, dp := range []int{1, 2} {
+					for _, checkpoint := range []bool{false, true} {
+						eng, err := New(Config{Schedule: s, Model: cfg, DP: dp, Seed: 1, Checkpoint: checkpoint,
+							NewOptimizer: func() nn.Optimizer { return nopOpt{} }})
+						if err != nil {
+							t.Fatal(err)
+						}
+						engines++
+						res, err := eng.Step(gen.Next(b * dp))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(res.PeakActs, scan) {
+							t.Errorf("%s P=%d B=%d DP=%d checkpoint=%v: runtime peaks %v, scan %v", scheme, p, b, dp, checkpoint, res.PeakActs, scan)
+						}
+					}
+				}
+			}
+		}
+	}
+	if engines != 228 {
+		t.Fatalf("ran %d engines, want 228", engines)
 	}
 }
 

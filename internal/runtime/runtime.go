@@ -270,10 +270,9 @@ type worker struct {
 	scale    float32 // loss scaling: 1/(B·DP)
 
 	// Live boundary-activation accounting (stage outputs held between a
-	// forward and its backward), mirroring the simulator's PeakActs but
-	// measured on the real tensors.
-	liveBytes int64
-	peakBytes int64
+	// forward and its backward), counted and measured on the real tensors.
+	liveActs, peakActs   int
+	liveBytes, peakBytes int64
 }
 
 func (w *worker) at(micro, stage int) int { return micro*w.eng.sch.S + stage }
@@ -300,7 +299,9 @@ func (w *worker) forward(a sched.Action) error {
 	st := w.rep.stageInst[e.copyFor(a.Micro, a.Stage)][a.Stage]
 	rec.out, rec.ctx = st.Forward(rec.in)
 	rec.outBytes = rec.out.NumBytes()
+	w.liveActs++
 	w.liveBytes += rec.outBytes
+	w.peakActs = max(w.peakActs, w.liveActs)
 	w.peakBytes = max(w.peakBytes, w.liveBytes)
 	return nil
 }
@@ -336,6 +337,7 @@ func (w *worker) backward(a sched.Action) error {
 	} else {
 		w.ws.Put(dx) // the batch's token ids take no gradient
 	}
+	w.liveActs--
 	w.liveBytes -= rec.outBytes
 	*rec = actRecord{}
 	return nil
@@ -516,10 +518,16 @@ func (b *rtBackend) Step(d int, a sched.Action) error { return nil }
 type Result struct {
 	Loss      float64 // mean loss over all replicas' micro-batches
 	CommStats []comm.Stats
+	// PeakActs is the peak count of live stage-activations per device (max
+	// over replicas), counted as the workers run: a forward makes one live,
+	// a fused backward or input-gradient half releases it. It equals
+	// sched.Schedule.PeakActs.
+	PeakActs []int
 	// PeakActBytes is the peak live boundary-activation footprint per
-	// device (max over replicas) — the runtime counterpart of the
-	// simulator's PeakActs. It counts stage outputs held between a forward
-	// and its backward, not the buffers the workspaces retain.
+	// device (max over replicas): the bytes of the stage outputs held
+	// between a forward and its backward, not the buffers the workspaces
+	// retain. The last stage's output is logits-sized, so it is not a
+	// constant multiple of PeakActs.
 	PeakActBytes []int64
 	// Records is replica 0's per-device compute timeline from the shared
 	// interpreter (wall-clock seconds since iteration start) — the same
@@ -542,7 +550,7 @@ func (e *Engine) Step(batch *data.Batch) (*Result, error) {
 		rep.micros = e.micros[ri*b : (ri+1)*b]
 		rep.backend.t0 = t0
 		for _, w := range rep.workers {
-			w.liveBytes, w.peakBytes = 0, 0
+			w.liveActs, w.peakActs, w.liveBytes, w.peakBytes = 0, 0, 0, 0
 		}
 	}
 	recs, err := e.driver.Run(e.sch, e.backends, exec.DefaultOptions())
@@ -557,6 +565,7 @@ func (e *Engine) Step(batch *data.Batch) (*Result, error) {
 	}
 	res := &Result{
 		CommStats:    make([]comm.Stats, 0, e.cfg.DP),
+		PeakActs:     make([]int, e.sch.P),
 		PeakActBytes: make([]int64, e.sch.P),
 		Records:      recs[0],
 	}
@@ -572,6 +581,7 @@ func (e *Engine) Step(batch *data.Batch) (*Result, error) {
 			return nil, err
 		}
 		for d, w := range rep.workers {
+			res.PeakActs[d] = max(res.PeakActs[d], w.peakActs)
 			res.PeakActBytes[d] = max(res.PeakActBytes[d], w.peakBytes)
 			w.ws.Sweep()
 			w.ws.Mark()

@@ -1,14 +1,39 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
+	"os"
+	goruntime "runtime"
 	"testing"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/sched"
 	"repro/internal/tensor"
 )
+
+// TestMain fails the package if any test leaves a goroutine behind: after
+// the tests, the goroutine count must return to its baseline within 2 s,
+// or every stack is printed and the run fails.
+func TestMain(m *testing.M) {
+	baseline := goruntime.NumGoroutine()
+	code := m.Run()
+	deadline := time.Now().Add(2 * time.Second)
+	for goruntime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := goruntime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<20)
+		buf = buf[:goruntime.Stack(buf, true)]
+		fmt.Fprintf(os.Stderr, "leaked goroutines: %d at start, %d after the tests\n%s", baseline, n, buf)
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 // tinyCfg has 14 blocks (16 units) so it can be cut into up to 16 stages —
 // enough for Hanayo W=2 on 4 devices.

@@ -159,3 +159,46 @@ func TestRunDeadlineAllocsZero(t *testing.T) {
 		t.Fatalf("deadline complete allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestAbortedRunsReportFullPeaks pins PeakActs as the full-iteration count:
+// a RunDeadline abort and a Fail event both stop the walk early — the
+// executed prefix's own curve peaks lower — yet report the schedule's
+// sched.Schedule.PeakActs on every device.
+func TestAbortedRunsReportFullPeaks(t *testing.T) {
+	s, err := sched.Hanayo(8, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := uniformFor(s, 0.05)
+	full, err := Run(s, cost, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := full.Makespan / 8
+	r := NewRunner()
+	capped, exceeded, err := r.RunDeadline(s, cost, DefaultOptions(), early)
+	if err != nil || !exceeded {
+		t.Fatalf("cap %g: exceeded=%v err=%v", early, exceeded, err)
+	}
+	checkFullPeaks(t, "deadline", s, capped)
+	failed, _, err := r.RunFaults(s, cost, DefaultOptions(), &FaultPlan{Events: []FaultEvent{Fail(0, early)}}, 0)
+	if err != nil || !failed.Failed {
+		t.Fatalf("fail at %g: failed=%v err=%v", early, failed.Failed, err)
+	}
+	checkFullPeaks(t, "fail", s, failed)
+}
+
+func checkFullPeaks(t *testing.T, label string, s *sched.Schedule, r *Result) {
+	t.Helper()
+	want := s.PeakActs(nil)
+	below := false
+	for d := range want {
+		if r.PeakActs[d] != want[d] {
+			t.Fatalf("%s: device %d reports peak %d, schedule's %d", label, d, r.PeakActs[d], want[d])
+		}
+		below = below || PeakOf(ActivationTimeline(r, d)) < want[d]
+	}
+	if !below {
+		t.Fatalf("%s: the abort came too late to show the prefix's lower peak", label)
+	}
+}

@@ -83,7 +83,12 @@ type Result struct {
 	Busy     []float64  // per device compute-busy time
 	End      []float64  // per device completion time
 	Records  [][]Record // per device compute timeline
-	PeakActs []int      // per device peak live activations (stage units)
+	// PeakActs is the per-device peak count of live stage-activations over
+	// the whole iteration, sched.Schedule.PeakActs: a device retires its
+	// compute ops in list order, so timing never changes it. It stays the
+	// full-iteration count when a RunDeadline cap or a Fail event aborts
+	// the walk.
+	PeakActs []int
 	// Zones is the Fig 7 idle-time decomposition, indexed by Zone (a dense
 	// array, not a map: the simulator hot path writes it per wait).
 	Zones [NumZones]float64
@@ -182,8 +187,7 @@ type backend struct {
 	transfers []transfer
 	linkFree  []float64
 
-	time     []float64
-	liveActs []int
+	time []float64
 	// pendingZone is the zone any wait inside the current batched comm run
 	// charges to, classified at group entry.
 	pendingZone []Zone
@@ -302,18 +306,6 @@ func (b *backend) Compute(d int, a sched.Action) (float64, float64, error) {
 	end := start + dur
 	b.res.Busy[d] += dur
 	b.time[d] = end
-	switch a.Kind {
-	case sched.OpForward:
-		b.liveActs[d]++
-		if b.liveActs[d] > b.res.PeakActs[d] {
-			b.res.PeakActs[d] = b.liveActs[d]
-		}
-	case sched.OpBackward, sched.OpBackwardInput:
-		// The activation is released by the input-gradient half (fused
-		// backwards contain it); the weight-grad half is byte-neutral — the
-		// source of the zero-bubble split's memory win.
-		b.liveActs[d]--
-	}
 	if b.faults != nil {
 		// An op still running at the device's Fail timestamp never
 		// completes (strictly: one ending exactly at the timestamp does).
@@ -456,11 +448,11 @@ type Runner struct {
 	loop exec.Loop
 	be   backend
 	res  Result
-	// One exactly-sized block per element type backs the per-device slices
-	// of the Result and the backend plus the P×P link table; rows are
-	// three-indexed so appending to a Result field cannot reach the next.
+	// One exactly-sized block backs the per-device slices of the Result
+	// and the backend plus the P×P link table; rows are three-indexed so
+	// appending to a Result field cannot reach the next.
 	floats []float64 // Busy | End | time | linkFree
-	ints   []int     // PeakActs | liveActs
+	peaks  []int     // Result.PeakActs
 }
 
 // NewRunner returns an empty Runner; arenas are allocated lazily on first
@@ -527,9 +519,9 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 	res.FailTime = 0
 	res.Recovery = 0
 	r.floats = exec.Arena(r.floats, 3*p+p*p)
-	r.ints = exec.Arena(r.ints, 2*p)
-	f, n := r.floats, r.ints
-	res.Busy, res.End, res.PeakActs = f[:p:p], f[p:2*p:2*p], n[:p:p]
+	r.peaks = s.PeakActs(r.peaks)
+	f := r.floats
+	res.Busy, res.End, res.PeakActs = f[:p:p], f[p:2*p:2*p], r.peaks
 	be := &r.be
 	be.s, be.cost, be.opt, be.res = s, cost, opt, res
 	be.deadline = deadline
@@ -541,7 +533,7 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 		be.ft.compile(be.faults, p)
 	}
 	be.transfers = exec.Arena(be.transfers, 2*s.B*s.S)
-	be.time, be.linkFree, be.liveActs = f[2*p:3*p:3*p], f[3*p:], n[p:]
+	be.time, be.linkFree = f[2*p:3*p:3*p], f[3*p:]
 	be.pendingZone = exec.Arena(be.pendingZone, p)
 	recs, err := r.loop.Run(s, be, exec.Options{BatchComm: opt.BatchComm})
 	if err != nil {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sort"
-
-	"repro/internal/sched"
-)
+import "repro/internal/sched"
 
 // MemPoint is one step of a device's live-activation curve.
 type MemPoint struct {
@@ -15,28 +11,22 @@ type MemPoint struct {
 // ActivationTimeline reconstructs device d's live-activation count over
 // time from the compute records, with sched.Schedule.PeakActs' rule: +1 at
 // each forward end, −1 at the end of each fused backward or input-gradient
-// half; a weight-gradient half is neutral. The curve starts at (0, 0) and
-// is step-wise constant.
+// half; a weight-gradient half is neutral. A device's records are in time
+// order, so the curve is one walk over them. It starts at (0, 0) and is
+// step-wise constant.
 func ActivationTimeline(r *Result, d int) []MemPoint {
-	type ev struct {
-		t     float64
-		delta int
-	}
-	var evs []ev
+	out := []MemPoint{{Time: 0, Live: 0}}
+	live := 0
 	for _, rec := range r.Records[d] {
 		switch rec.Action.Kind {
 		case sched.OpForward:
-			evs = append(evs, ev{rec.End, 1})
+			live++
 		case sched.OpBackward, sched.OpBackwardInput:
-			evs = append(evs, ev{rec.End, -1})
+			live--
+		default:
+			continue
 		}
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
-	out := []MemPoint{{Time: 0, Live: 0}}
-	live := 0
-	for _, e := range evs {
-		live += e.delta
-		out = append(out, MemPoint{Time: e.t, Live: live})
+		out = append(out, MemPoint{Time: rec.End, Live: live})
 	}
 	return out
 }
