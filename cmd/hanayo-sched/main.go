@@ -116,8 +116,8 @@ func run(args []string, out io.Writer) error {
 			best.Throughput, best.PeakGB)
 		s, err = best.Plan.Schedule()
 	default:
-		// ByName output arrives already validated (generation fuses the
-		// executability proof).
+		// ByName output arrives proven: the one-shot path runs
+		// sched.Validate on what it compiles.
 		s, err = sched.ByName(*scheme, *p, *b)
 	}
 	if err != nil {

@@ -44,8 +44,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-tc must be a non-negative finite number, got %g", *tc)
 	}
 
-	// ByName output arrives already validated (generation fuses the
-	// executability proof).
+	// ByName output arrives proven: the one-shot path runs
+	// sched.Validate on what it compiles.
 	s, err := sched.ByName(*scheme, *p, *b)
 	if err != nil {
 		return err

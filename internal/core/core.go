@@ -134,9 +134,9 @@ func (p Plan) Validate() error {
 	return p.Model.Validate()
 }
 
-// Schedule generates the action lists for one replica. Generation fuses
-// validation (the output arrives proven executable), and a fresh
-// single-use Generator compiles it, so the caller may retain the result.
+// Schedule generates the action lists for one replica. A fresh single-use
+// Generator compiles it and sched.Validate proves it (sched.ByName), so
+// the caller may retain the result and run it on any executor.
 func (p Plan) Schedule() (*sched.Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -170,13 +170,19 @@ type Eval struct {
 // Evaluate measures the plan with the paper-faithful executor options:
 // one simulation produces the memory estimate, the feasibility verdict
 // and the throughput together. It is the sweep's recipe run once on a
-// single-use evaluator; Throughput is a thin view over it.
+// single-use evaluator — the schedule compiled on its Generator, the
+// simulation its proof (a deadlock is an error wrapping sched.ErrDeadlock)
+// — so nothing it returns is shared with later calls. Throughput is a thin
+// view over it.
 func (p Plan) Evaluate() (*Eval, error) {
-	s, err := p.Schedule()
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	ev := newEvaluator()
+	s, err := ev.gen.Generate(p.Scheme, p.P, p.B)
 	if err != nil {
 		return nil, err
 	}
-	ev := &evaluator{runner: sim.NewRunner()}
 	es, r, err := p.evaluate(s, ev, false, 0)
 	if err != nil {
 		return nil, err
@@ -289,6 +295,15 @@ func (p Plan) Engine(seed uint64, newOpt func() nn.Optimizer) (*runtime.Engine, 
 }
 
 // Candidate is one point of the Fig 10 search space with its outcome.
+//
+// A sweep's schedules are proven by the simulation that measures them: a
+// ranked Throughput comes from a walk of every list to its end under
+// batched rendezvous semantics, and a schedule that would stall is the
+// cell's Err (wrapping sched.ErrDeadlock). A verdict reached on a partial
+// walk or none — a Pruned OOM, a Failed run, a deadline-aborted
+// BoundPruned cell — carries no such proof, and none of them is a
+// throughput; that generated schedules are Validate-clean is held by the
+// sched package's tests.
 type Candidate struct {
 	Plan       Plan
 	Throughput float64 // sequences/s; 0 when OOM
@@ -465,8 +480,8 @@ func (s SearchSpace) withDefaults(cl *cluster.Cluster) SearchSpace {
 // steady-state evaluation pipeline allocates per key only its cost model
 // and the shape a Generator meets for the first time, never per-run
 // generator, executor or estimate state. Plan.Evaluate runs the same
-// recipe on a single-use evaluator without a Generator and hands its
-// Result and Estimate to the caller.
+// recipe on a single-use evaluator and hands its Result (with the
+// schedule it points at) and Estimate to the caller.
 type evaluator struct {
 	gen    *sched.Generator
 	runner *sim.Runner
@@ -514,9 +529,12 @@ func (p *evalPool) checkin(ev *evaluator) {
 // where it was built, so the returned evalShared references none of it —
 // nor the evaluator's scratch — and the next key (on a pooled evaluator,
 // the next sweep) overwrites the lists, the peaks and the estimate. The
-// plan must already be valid (the sweep validates each cell at
-// enumerate): everything measured here is a fact about the key, and a
-// cell's P·D never is.
+// Generator does not replay the schedule for deadlocks: the simulation
+// walks the lists under the same batched rendezvous rules, so a schedule
+// that would stall becomes the key's error (wrapping sched.ErrDeadlock),
+// never a hang and never a throughput. The plan must already be valid (the
+// sweep validates each cell at enumerate): everything measured here is a
+// fact about the key, and a cell's P·D never is.
 func (ev *evaluator) evalSchedule(plan Plan, memFirst bool, deadline float64) (evalShared, error) {
 	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
 	if err != nil {

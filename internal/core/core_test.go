@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/memmodel"
 	"repro/internal/nn"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -81,6 +83,42 @@ func TestPlanScheduleAndSimulate(t *testing.T) {
 	}
 	if r := e.Sim; r.Makespan <= 0 {
 		t.Fatal("zero makespan")
+	}
+}
+
+// TestSimulationProvesSchedule: a sweep cell's schedule is proven by the
+// simulation that measures it, not by its compile. A compiled hanayo-w2
+// schedule missing one activation send stalls its consumer, and the
+// evaluation reports that as an error wrapping sched.ErrDeadlock — never a
+// hang and never a throughput.
+func TestSimulationProvesSchedule(t *testing.T) {
+	plan := bertPlan("hanayo-w2", 4, 1)
+	plan.B = 4
+	ev := newEvaluator()
+	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := false
+	for d, list := range s.Lists {
+		for i, a := range list {
+			if a.Kind == sched.OpSendAct {
+				s.Lists[d] = append(list[:i:i], list[i+1:]...)
+				dropped = true
+				break
+			}
+		}
+		if dropped {
+			break
+		}
+	}
+	if !dropped {
+		t.Fatal("no activation send to drop")
+	}
+	es, _, err := plan.evaluate(s, ev, false, 0)
+	if !errors.Is(err, sched.ErrDeadlock) {
+		t.Fatalf("evaluating a schedule with a dropped send: throughput %g, error %v; want one wrapping sched.ErrDeadlock",
+			es.perReplica, err)
 	}
 }
 

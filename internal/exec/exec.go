@@ -305,9 +305,10 @@ func (l *Loop) prepare(s *sched.Schedule, replicas int) {
 
 // Run drives the interpreter cooperatively in a single goroutine: devices
 // advance round-robin as far as they can, and a full pass with no progress
-// is a communication deadlock. Returns the per-device compute Record
-// timelines (owned by the Loop, valid until its next run). This is the
-// driver for discrete-event (timing) backends.
+// is a communication deadlock, reported as an error wrapping
+// sched.ErrDeadlock. Returns the per-device compute Record timelines (owned
+// by the Loop, valid until its next run). This is the driver for
+// discrete-event (timing) backends.
 func (l *Loop) Run(s *sched.Schedule, b Backend, opt Options) ([][]Record, error) {
 	l.prepare(s, 1)
 	ex := interp{opt: opt, backend: b, records: l.records}
@@ -336,8 +337,8 @@ func (l *Loop) Run(s *sched.Schedule, b Backend, opt Options) ([][]Record, error
 		if !progress {
 			for d := 0; d < s.P; d++ {
 				if ms[d].pc < len(ms[d].list) {
-					return ex.records, fmt.Errorf("exec: communication deadlock at device %d op %v (batchComm=%v)",
-						d, ms[d].list[ms[d].pc], opt.BatchComm)
+					return ex.records, fmt.Errorf("exec: %w at device %d op %v (batchComm=%v)",
+						sched.ErrDeadlock, d, ms[d].list[ms[d].pc], opt.BatchComm)
 				}
 			}
 		}

@@ -470,7 +470,7 @@ func TestCooperativeDeadlockDetection(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected a deadlock error from a permanently blocked backend")
 	}
-	if !strings.Contains(err.Error(), "deadlock") {
+	if !errors.Is(err, sched.ErrDeadlock) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }

@@ -7,5 +7,5 @@ package sched
 // is a very high bubble ratio (Fig 1's tallest bars) with low activation
 // memory, which is exactly the trade GEMS makes.
 func GEMS(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(Scheme{fam: famGEMS}, p, b, opts...)
+	return oneShot(Scheme{fam: famGEMS}, p, b, opts)
 }

@@ -1,31 +1,48 @@
 package sched
 
+import "fmt"
+
 // Option tweaks schedule generation.
 type Option func(*GenParams)
 
 // The one-shot scheme constructors below each drive a fresh single-use
-// Generator, so their schedules share no storage with any reusable state
-// and may be retained freely — the exact analogue of sim.Run delegating to
-// a fresh sim.Runner. Sweeps and services that generate repeatedly should
-// hold a Generator instead and pay zero steady-state allocations.
+// Generator and Validate its output, so their schedules share no storage
+// with any reusable state, may be retained freely and arrive proven — the
+// analogue of sim.Run delegating to a fresh sim.Runner. Sweeps and services
+// that generate repeatedly should hold a Generator instead, pay zero
+// steady-state allocations and let the simulation of each schedule prove
+// it.
+
+// oneShot compiles sc on a fresh Generator and proves the result with
+// Validate.
+func oneShot(sc Scheme, p, b int, opts []Option) (*Schedule, error) {
+	s, err := NewGenerator().generate(sc, p, b, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if err := Validate(s); err != nil {
+		return nil, fmt.Errorf("sched: %s: generated schedule invalid: %w", s.Scheme, err)
+	}
+	return s, nil
+}
 
 // GPipe generates the classic schedule: straight placement, all forwards
 // then all backwards per device, unbounded live activations (paper Fig 3a).
 func GPipe(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(Scheme{fam: famGPipe}, p, b, opts...)
+	return oneShot(Scheme{fam: famGPipe}, p, b, opts)
 }
 
 // DAPPLE generates the 1F1B schedule: straight placement, eager backwards,
 // live activations capped at P−s per stage (paper Fig 3b).
 func DAPPLE(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(Scheme{fam: famDAPPLE}, p, b, opts...)
+	return oneShot(Scheme{fam: famDAPPLE}, p, b, opts)
 }
 
 // Chimera generates the bidirectional schedule with two weight replicas:
 // micro-batches with even index run down, odd run up, so both halves
 // progress symmetrically and fill each other's bubbles (paper Fig 3c).
 func Chimera(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(Scheme{fam: famChimera}, p, b, opts...)
+	return oneShot(Scheme{fam: famChimera}, p, b, opts)
 }
 
 // Hanayo generates the wave-like schedule with w waves: S = 2·w·P stages,
@@ -33,13 +50,13 @@ func Chimera(p, b int, opts ...Option) (*Schedule, error) {
 // Hanayo(p, 1, b) is Chimera-wave, the optimized transform of Chimera the
 // paper benchmarks against (§3.2, Fig 5).
 func Hanayo(p, w, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(Scheme{fam: famHanayo, arg: w}, p, b, opts...)
+	return oneShot(Scheme{fam: famHanayo, arg: w}, p, b, opts)
 }
 
 // Interleaved generates Megatron-LM's interleaved 1F1B with v chunks per
 // device (§2.2 mentions it as DAPPLE's refinement).
 func Interleaved(p, v, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(Scheme{fam: famInterleaved, arg: v}, p, b, opts...)
+	return oneShot(Scheme{fam: famInterleaved, arg: v}, p, b, opts)
 }
 
 // AsyncOneFOneB generates an asynchronous (no-flush) 1F1B block covering
@@ -47,7 +64,7 @@ func Interleaved(p, v, b int, opts ...Option) (*Schedule, error) {
 // (paper Fig 4b): the flush bubbles vanish and the steady state is fully
 // packed. Weight staleness is the semantic cost; we only study timing.
 func AsyncOneFOneB(p, b, iters int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(Scheme{fam: famAsync}, p, b*iters, opts...)
+	return oneShot(Scheme{fam: famAsync}, p, b*iters, opts)
 }
 
 // ZBH1 generates a zero-bubble ZB-H1-like schedule: straight placement and
@@ -59,13 +76,17 @@ func AsyncOneFOneB(p, b, iters int, opts ...Option) (*Schedule, error) {
 // the live-activation cap tightens below 1F1B's P−s while the W fillers
 // soak up bubble time.
 func ZBH1(p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().generate(Scheme{fam: famZBH1}, p, b, opts...)
+	return oneShot(Scheme{fam: famZBH1}, p, b, opts)
 }
 
 // ByName builds a schedule from a scheme name used by benchmarks and CLIs
-// (ParseScheme lists them). It delegates to a fresh Generator, so the result is
-// structurally identical to Generator.Generate output and already
-// validated.
+// (ParseScheme lists them). It delegates to a fresh Generator, so the
+// result is structurally identical to Generator.Generate output, and then
+// proves it with Validate.
 func ByName(name string, p, b int, opts ...Option) (*Schedule, error) {
-	return NewGenerator().Generate(name, p, b, opts...)
+	sc, err := ParseScheme(name)
+	if err != nil {
+		return nil, err
+	}
+	return oneShot(sc, p, b, opts)
 }

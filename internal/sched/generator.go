@@ -25,32 +25,33 @@ type shapeEntry struct {
 
 // Generator is a reusable schedule compiler: it owns every buffer
 // generation needs — the greedy scheduler's flat state and per-device wake
-// instants, the one flat action arena every device's list is a row of, the
-// dense validation arenas, and a cache of mappings and cap tables per
-// shape — and grows them monotonically to the largest (P, B, S) shape
-// seen, so repeated generation (an AutoTune sweep, a tuning service)
-// allocates nothing in steady state.
+// instants, the one flat action arena every device's list is a row of, and
+// a cache of mappings and cap tables per shape — and grows them
+// monotonically to the largest (P, B, S) shape seen, so repeated
+// generation (an AutoTune sweep, a tuning service) allocates nothing in
+// steady state.
 //
 // The zero value is ready to use. A Generator is NOT safe for concurrent
 // use, and the *Schedule it returns (including Lists and their backing
 // arrays) is owned by the Generator: it is valid only until the next
 // Generate. Callers that need the schedule to outlive the next call must
 // Clone it — or use the one-shot constructors (ByName, GPipe, Hanayo, …),
-// which drive a fresh single-use Generator.
+// which drive a fresh single-use Generator and Validate its output.
 //
-// Generation and validation are fused: the greedy engine's time-driven
+// Generate does not replay its output. The greedy engine's time-driven
 // execution is itself the executability proof for the compute DAG (every
 // task runs exactly once, on its mapped device, in dependency order,
-// within its live-activation cap), each task is emitted with exactly one
-// canonically-paired send/recv per cross-device edge it touches, plus the
-// flush tail, by construction, and the remaining property — the batched
-// rendezvous pattern cannot deadlock — is checked by the same dense
-// replay that backs the standalone Validate, on Generator-owned arenas.
-// A nil error therefore means exactly what ByName-then-Validate used to.
+// within its live-activation cap), and each task is emitted with exactly
+// one canonically-paired send/recv per cross-device edge it touches —
+// receives before it, sends after it — plus the flush tail, by
+// construction. The remaining property — the batched
+// rendezvous pattern cannot deadlock — is proven where the schedule runs:
+// a simulation walks the lists under the same batched rules and reports a
+// stall as an error wrapping ErrDeadlock. A caller that keeps a schedule
+// without running it calls Validate, as the one-shot constructors do.
 type Generator struct {
 	shapes map[shapeKey]shapeEntry // held by value: no allocation per shape beyond its contents
 	eng    engine
-	val    validator
 	gp     GenParams // per-call parameter block (a field so it never escapes)
 	out    Schedule
 }
@@ -59,10 +60,10 @@ type Generator struct {
 // allocated lazily on first use and grown monotonically after that.
 func NewGenerator() *Generator { return &Generator{} }
 
-// Generate compiles and validates the named scheme (ParseScheme) for p
-// devices and b micro-batches, reusing the Generator's arenas. The returned
-// Schedule is owned by the Generator and valid only until the next
-// Generate.
+// Generate compiles the named scheme (ParseScheme) for p devices and b
+// micro-batches, reusing the Generator's arenas. The returned Schedule is
+// owned by the Generator and valid only until the next Generate; its
+// rendezvous pattern is proven by running it (see the type comment).
 func (g *Generator) Generate(scheme string, p, b int, opts ...Option) (*Schedule, error) {
 	sc, err := ParseScheme(scheme)
 	if err != nil {
@@ -122,11 +123,6 @@ func (g *Generator) generate(sc Scheme, p, b int, opts ...Option) (*Schedule, er
 		W:       ent.mapping.W,
 		Mapping: gp.Mapping,
 		Lists:   g.eng.lists,
-	}
-	// Fused validation: only the rendezvous replay remains to be proven —
-	// everything else holds by construction (see the type comment).
-	if err := g.val.validate(&g.out, false); err != nil {
-		return nil, fmt.Errorf("sched: %s: generated schedule invalid: %w", ent.name, err)
 	}
 	return &g.out, nil
 }

@@ -75,6 +75,36 @@ func TestGeneratorRegrowthMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestGeneratedSchedulesValidate holds Generate's output to the full
+// Validate, which Generate leaves to the simulation that runs it. One reused
+// Generator compiles every scheme name ParseScheme accepts (fuzzSchemes)
+// at every P and B in {2, 4, 8, 16, 32} the scheme's placement allows,
+// the shapes cycled large and small so the arenas grow and shrink between
+// compiles as a sweep worker's do.
+func TestGeneratedSchedulesValidate(t *testing.T) {
+	g := NewGenerator()
+	for _, p := range []int{2, 32, 4, 16, 8} {
+		for _, b := range []int{32, 2, 16, 4, 8} {
+			for _, scheme := range fuzzSchemes {
+				sc, err := ParseScheme(scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sc.CheckB(b) != nil {
+					continue
+				}
+				s, err := g.Generate(scheme, p, b)
+				if err != nil {
+					t.Fatalf("%s P=%d B=%d: %v", scheme, p, b, err)
+				}
+				if err := Validate(s); err != nil {
+					t.Fatalf("%s P=%d B=%d: generated schedule fails Validate: %v", scheme, p, b, err)
+				}
+			}
+		}
+	}
+}
+
 // TestGeneratorInterleavesSchemes drives one Generator across alternating
 // schemes at the same shape — the per-shape caches (mapping, cap table,
 // name) must never cross-contaminate between families that share a
@@ -175,11 +205,12 @@ func TestTableDrivenMatchesClosureReference(t *testing.T) {
 // TestOneShotAllocsPinned pins a one-shot compile of the benchmark's largest
 // single schedule: a fresh Generator pays for its arenas, each once and at
 // its exact size, plus the shape — a mapping (struct, parity tables,
-// hosting rows), a cap table and its lookup, the name — and nothing per
-// device or per action: 26 objects (26 under -race too), and the budget
-// allows 5 % more. It was 33 while the engine's event heap grew by append,
-// 36 when the mapping was closures and 952 when every per-device list grew
-// by append.
+// hosting rows), a cap table and its lookup, the name — and Validate its
+// own arenas, and nothing per device or per action: 27 objects (27 under
+// -race too). The budget was set at 26 plus 5 %, before the one-shot path
+// ran the structural pass of Validate (one more arena). It was 33 while the
+// engine's event heap grew by append, 36 when the mapping was closures and
+// 952 when every per-device list grew by append.
 func TestOneShotAllocsPinned(t *testing.T) {
 	const budget = 27
 	got := testing.AllocsPerRun(5, func() {
@@ -194,10 +225,9 @@ func TestOneShotAllocsPinned(t *testing.T) {
 }
 
 // TestGeneratorAllocsZero pins the tentpole number: after warmup on a
-// shape, repeated Generate calls — including the fused validation replay —
-// allocate nothing, and neither does the activation-peak scan into a
-// reused slice. The 32-device shapes are the largest wave schedule and the
-// split-backward scheme at sweep scale.
+// shape, repeated Generate calls allocate nothing, and neither does the
+// activation-peak scan into a reused slice. The 32-device shapes are the
+// largest wave schedule and the split-backward scheme at sweep scale.
 func TestGeneratorAllocsZero(t *testing.T) {
 	for _, c := range []struct {
 		scheme string

@@ -1,11 +1,41 @@
 package sched
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/tensor"
 )
+
+// TestMain fails the package if any test leaves a goroutine behind: after
+// the tests, the goroutine count must return to its baseline within 2 s,
+// or every stack is printed and the run fails. A -fuzz run is exempt: the
+// fuzzing engine's own signal handler goroutine outlives the tests.
+func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
+	code := m.Run()
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		os.Exit(code)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		fmt.Fprintf(os.Stderr, "leaked goroutines: %d at start, %d after the tests\n%s", baseline, n, buf)
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 func mustBuild(t *testing.T, f func() (*Schedule, error)) *Schedule {
 	t.Helper()

@@ -1,9 +1,16 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 )
+
+// ErrDeadlock is wrapped by every report that batched rendezvous execution
+// of a schedule's lists stalls: Validate's replay and the cooperative
+// executor's walk (exec.Loop.Run) alike, so errors.Is finds it through a
+// simulated sweep cell's error as well as through Validate's.
+var ErrDeadlock = errors.New("communication deadlock")
 
 // Validate proves a schedule is executable and complete. It abstractly
 // executes the per-device lists with batched-communication semantics
@@ -19,22 +26,25 @@ import (
 //     schedules B(m,s)→W(m,s) (a weight-grad never precedes its own
 //     input-grad);
 //  3. every cross-device dependency has exactly one matching send/recv
-//     pair, and the rendezvous pattern cannot deadlock;
+//     pair, each send follows the compute that produces its payload, and
+//     the rendezvous pattern cannot deadlock;
 //  4. each list ends with AllReduce then OptimStep (flush completeness),
 //     and no compute op — in particular no deferred weight-grad — appears
 //     after the flush barrier.
 //
-// A nil return means any executor can run the schedule to completion.
+// A nil return means any executor can run the schedule to completion; a
+// stall wraps ErrDeadlock.
 //
-// This is the entry point for deserialized and hand-built schedules.
-// Generator output arrives already validated (generation fuses the same
-// replay), so re-validating it is never necessary. The checks run on dense
-// index arithmetic over the generator's task-id scheme — the map-based
-// predecessor built four maps over 2·B·S tasks per call, which dominated
-// sweep-sized generation.
+// This is the one full check: the one-shot constructors, deserialization
+// and hand-built schedules go through it. A reusable Generator's output
+// skips it — construction proves every property but the rendezvous one,
+// and the simulation a sweep runs on the schedule walks the same lists
+// under the same batched rules, so its run is that proof. The checks run
+// on dense index arithmetic over the generator's task-id scheme — the
+// map-based predecessor built four maps over 2·B·S tasks per call.
 func Validate(s *Schedule) error {
 	var v validator
-	return v.validate(s, true)
+	return v.validate(s)
 }
 
 // payload identifies one transfer for error reporting: the moving tensor
@@ -60,8 +70,8 @@ type oddMsg struct {
 // per-task state is indexed by the generator's dense id scheme — forwards
 // and activation payloads at micro·S+stage, backwards and gradient
 // payloads offset by B·S — so validation performs no map operations and,
-// when the arenas are reused (the Generator's fused path), no allocations.
-// The zero value is ready to use; not safe for concurrent use.
+// when the arenas are reused, no allocations. The zero value is ready to
+// use; not safe for concurrent use.
 type validator struct {
 	seen     []int32  // compute-op occurrence counts (static pass)
 	computed []bool   // forward/backward completion flags (replay)
@@ -71,15 +81,12 @@ type validator struct {
 	odd      []oddMsg // non-canonical transfers (see oddMsg)
 }
 
-// validate runs the check. static toggles the structural pass (list/tail
-// shape, per-op ranges, mapping conformance, exactly-once coverage); the
-// Generator's fused path skips it because construction establishes every
-// structural property, leaving only the rendezvous replay to prove.
-func (v *validator) validate(s *Schedule, static bool) error {
-	if static {
-		if err := v.checkStatic(s); err != nil {
-			return err
-		}
+// validate runs the check: the structural pass (list/tail shape, per-op
+// ranges, mapping conformance, exactly-once coverage), then the rendezvous
+// replay.
+func (v *validator) validate(s *Schedule) error {
+	if err := v.checkStatic(s); err != nil {
+		return err
 	}
 	return v.replay(s)
 }
@@ -290,11 +297,21 @@ func (v *validator) replay(s *Schedule) error {
 				return false, fmt.Errorf("sched: device %d runs %v before its input-grad backward", d, a)
 			}
 		case OpSendAct:
-			v.send(payload{OpSendAct, a.Micro, a.Stage, d, a.Peer},
-				canonActPayload(s, a.Micro, a.Stage, d, a.Peer))
+			// A canonical payload's producer, F(micro, stage−1), runs on
+			// the sender: reached before it, the send has nothing to carry
+			// — an order error, not a stall.
+			id := canonActPayload(s, a.Micro, a.Stage, d, a.Peer)
+			if id >= 0 && !v.computed[id-1] {
+				return false, fmt.Errorf("sched: device %d runs %v before the forward it carries", d, a)
+			}
+			v.send(payload{OpSendAct, a.Micro, a.Stage, d, a.Peer}, id)
 		case OpSendGrad:
-			v.send(payload{OpSendGrad, a.Micro, a.Stage, d, a.Peer},
-				canonGradPayload(s, a.Micro, a.Stage, d, a.Peer))
+			// Likewise for the gradient's producer, B(micro, stage+1).
+			id := canonGradPayload(s, a.Micro, a.Stage, d, a.Peer)
+			if id >= 0 && !v.computed[id+1] {
+				return false, fmt.Errorf("sched: device %d runs %v before the backward it carries", d, a)
+			}
+			v.send(payload{OpSendGrad, a.Micro, a.Stage, d, a.Peer}, id)
 		case OpRecvAct:
 			if !v.recv(payload{OpSendAct, a.Micro, a.Stage, a.Peer, d},
 				canonActPayload(s, a.Micro, a.Stage, a.Peer, d)) {
@@ -341,7 +358,7 @@ func (v *validator) replay(s *Schedule) error {
 					break
 				}
 			}
-			return fmt.Errorf("sched: deadlock — device %d stuck at %v (pc=%d)", d0, s.Lists[d0][v.pc[d0]], v.pc[d0])
+			return fmt.Errorf("sched: %w — device %d stuck at %v (pc=%d)", ErrDeadlock, d0, s.Lists[d0][v.pc[d0]], v.pc[d0])
 		}
 	}
 

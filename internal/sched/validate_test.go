@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -138,11 +139,31 @@ func TestDenseValidatorRejectPaths(t *testing.T) {
 		})
 	})
 	t.Run("dropped send deadlocks", func(t *testing.T) {
-		mustReject(t, base, "deadlock", func(s *Schedule) {
+		drop := func(s *Schedule) {
 			d, i := findOp(s, OpSendAct)
 			s.Lists[d] = append(s.Lists[d][:i:i], s.Lists[d][i+1:]...)
-		})
+		}
+		mustReject(t, base, "deadlock", drop)
+		broken := base.Clone()
+		drop(broken)
+		if err := Validate(broken); !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("a stall must wrap ErrDeadlock, got %v", err)
+		}
 	})
+	// A send reached before the compute that produces its payload has
+	// nothing to carry. Each send directly follows its producer, so a swap
+	// moves it ahead.
+	for _, c := range []struct {
+		kind OpKind
+		want string
+	}{{OpSendAct, "before the forward it carries"}, {OpSendGrad, "before the backward it carries"}} {
+		t.Run(c.kind.String()+" before its producer", func(t *testing.T) {
+			mustReject(t, base, c.want, func(s *Schedule) {
+				d, i := findOp(s, c.kind)
+				s.Lists[d][i-1], s.Lists[d][i] = s.Lists[d][i], s.Lists[d][i-1]
+			})
+		})
+	}
 	t.Run("corrupted send endpoint", func(t *testing.T) {
 		// Redirect one send to a third device: its canonical receive
 		// blocks forever — a deadlock, exactly what the executors would do.
@@ -295,20 +316,20 @@ func TestValidatorToleratesRedundantPairedTransfer(t *testing.T) {
 	}
 }
 
-// TestValidateAllocsReused pins the fused path's allocation budget: with
-// warmed validator arenas, the replay allocates nothing (the standalone
-// Validate pays only its own arena growth).
+// TestValidateAllocsReused pins the check's allocation budget: with warmed
+// validator arenas, the structural pass and the replay allocate nothing
+// (the standalone Validate pays only its own arena growth).
 func TestValidateAllocsReused(t *testing.T) {
 	s, err := Hanayo(8, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var v validator
-	if err := v.validate(s, true); err != nil { // warm the arenas
+	if err := v.validate(s); err != nil { // warm the arenas
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := v.validate(s, true); err != nil {
+		if err := v.validate(s); err != nil {
 			t.Fatal(err)
 		}
 	})

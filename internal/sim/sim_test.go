@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -14,10 +15,14 @@ import (
 
 // TestMain fails the package if any test leaves a goroutine behind: after
 // the tests, the goroutine count must return to its baseline within 2 s,
-// or every stack is printed and the run fails.
+// or every stack is printed and the run fails. A -fuzz run is exempt: the
+// fuzzing engine's own signal handler goroutine outlives the tests.
 func TestMain(m *testing.M) {
 	baseline := runtime.NumGoroutine()
 	code := m.Run()
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		os.Exit(code)
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
