@@ -20,7 +20,7 @@ import (
 func buildZigZag(b int) *hanayo.Schedule {
 	m := sched.StraightMapping(2)
 	lists := make([][]sched.Action, 2)
-	for mi := 0; mi < b; mi++ {
+	for mi := int32(0); mi < int32(b); mi++ {
 		// Device 0: F(mi,0), send, later recv grad, B(mi,0).
 		lists[0] = append(lists[0],
 			sched.Action{Kind: sched.OpForward, Micro: mi, Stage: 0, Peer: -1},

@@ -32,13 +32,14 @@ func (k Kind) String() string {
 }
 
 // Tag identifies one transfer: payload kind, micro-batch, stage and the
-// directed device pair.
+// directed device pair, in the int32 widths of the sched.Action it comes
+// from.
 type Tag struct {
 	Kind  Kind
-	Micro int
-	Stage int
-	Src   int
-	Dst   int
+	Micro int32
+	Stage int32
+	Src   int32
+	Dst   int32
 }
 
 // String renders the tag for diagnostics.

@@ -150,7 +150,7 @@ func TestConcurrentManyWorkers(t *testing.T) {
 				if dst == src {
 					continue
 				}
-				r.Send(Tag{Kind: Act, Micro: src, Stage: dst, Src: src, Dst: dst}, tensor.Ones(4))
+				r.Send(Tag{Kind: Act, Micro: int32(src), Stage: int32(dst), Src: int32(src), Dst: int32(dst)}, tensor.Ones(4))
 			}
 		}(src)
 	}
@@ -162,7 +162,7 @@ func TestConcurrentManyWorkers(t *testing.T) {
 				if dst == src {
 					continue
 				}
-				r.Recv(Tag{Kind: Act, Micro: src, Stage: dst, Src: src, Dst: dst})
+				r.Recv(Tag{Kind: Act, Micro: int32(src), Stage: int32(dst), Src: int32(src), Dst: int32(dst)})
 			}
 		}(dst)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -89,36 +90,47 @@ func TestPlanScheduleAndSimulate(t *testing.T) {
 // TestSimulationProvesSchedule: a sweep cell's schedule is proven by the
 // simulation that measures it, not by its compile. A compiled hanayo-w2
 // schedule missing one activation send stalls its consumer, and the
-// evaluation reports that as an error wrapping sched.ErrDeadlock — never a
-// hang and never a throughput.
+// evaluation reports that as an error wrapping sched.ErrDeadlock; one with
+// an activation send moved ahead of the forward that produces it is an
+// error naming that send — never a hang and never a throughput.
 func TestSimulationProvesSchedule(t *testing.T) {
 	plan := bertPlan("hanayo-w2", 4, 1)
 	plan.B = 4
-	ev := newEvaluator()
-	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropped := false
-	for d, list := range s.Lists {
-		for i, a := range list {
-			if a.Kind == sched.OpSendAct {
-				s.Lists[d] = append(list[:i:i], list[i+1:]...)
-				dropped = true
+	for _, c := range []struct {
+		name   string
+		mutate func(list []sched.Action, i int) []sched.Action
+		want   func(error) bool
+	}{
+		{"dropped send", func(list []sched.Action, i int) []sched.Action {
+			return append(list[:i:i], list[i+1:]...)
+		}, func(err error) bool { return errors.Is(err, sched.ErrDeadlock) }},
+		{"send before its forward", func(list []sched.Action, i int) []sched.Action {
+			list[i-1], list[i] = list[i], list[i-1]
+			return list
+		}, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "before the compute that produces its payload")
+		}},
+	} {
+		ev := newEvaluator()
+		s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutated := false
+		for d, list := range s.Lists {
+			if i := slices.IndexFunc(list, func(a sched.Action) bool { return a.Kind == sched.OpSendAct }); i > 0 {
+				s.Lists[d] = c.mutate(list, i)
+				mutated = true
 				break
 			}
 		}
-		if dropped {
-			break
+		if !mutated {
+			t.Fatal("no activation send to mutate")
 		}
-	}
-	if !dropped {
-		t.Fatal("no activation send to drop")
-	}
-	es, _, err := plan.evaluate(s, ev, false, 0)
-	if !errors.Is(err, sched.ErrDeadlock) {
-		t.Fatalf("evaluating a schedule with a dropped send: throughput %g, error %v; want one wrapping sched.ErrDeadlock",
-			es.perReplica, err)
+		es, _, err := plan.evaluate(s, ev, false, 0)
+		if !c.want(err) {
+			t.Errorf("%s: throughput %g, error %v", c.name, es.perReplica, err)
+		}
 	}
 }
 

@@ -38,8 +38,10 @@ import (
 // ErrBlocked is returned by a cooperative backend's Recv or Drain hook
 // when the awaited payload has not arrived yet. The cooperative driver
 // yields to other devices and retries; if no device can make progress the
-// driver reports a communication deadlock. Concurrent backends never
-// return it — they block instead.
+// driver reports a communication deadlock. The driver compares the error
+// with ErrBlocked itself, so a hook returns the sentinel unwrapped: a
+// wrapped ErrBlocked is reported as the hook's failure, not retried.
+// Concurrent backends never return it — they block instead.
 var ErrBlocked = errors.New("exec: blocked")
 
 // ErrCanceled is returned (wrapped) by a concurrent backend's blocking
@@ -102,12 +104,13 @@ type Backend interface {
 	// transports with buffered mailboxes.
 	Post(dev int, a sched.Action) error
 	// Recv completes one receive. idx is the op's index in the device's
-	// list. Cooperative backends return ErrBlocked if the payload has not
-	// arrived; concurrent backends block until it has.
+	// list. Cooperative backends return ErrBlocked itself (not wrapped) if
+	// the payload has not arrived; concurrent backends block until it has.
 	Recv(dev, idx int, a sched.Action) error
 	// Drain executes one strictly-ordered send in unbatched mode:
 	// blocking-send semantics, completing only when the wire accepts the
-	// payload. Cooperative backends may return ErrBlocked.
+	// payload. Cooperative backends may return ErrBlocked itself (not
+	// wrapped).
 	Drain(dev, idx int, a sched.Action) error
 	// Flush handles OpAllReduce and Step handles OpOptimStep. Executors
 	// that synchronize the flush across devices outside the interpreter
@@ -167,7 +170,7 @@ func (ex *interp) step(m *machine) (bool, error) {
 				err = b.Recv(m.dev, m.pc, a)
 			}
 			if err != nil {
-				if errors.Is(err, ErrBlocked) {
+				if err == ErrBlocked {
 					return false, nil
 				}
 				return false, err
@@ -210,7 +213,7 @@ func (ex *interp) step(m *machine) (bool, error) {
 				continue
 			}
 			if err := b.Recv(m.dev, m.idx, op); err != nil {
-				if errors.Is(err, ErrBlocked) {
+				if err == ErrBlocked {
 					return false, nil
 				}
 				return false, err

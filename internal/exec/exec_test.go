@@ -474,3 +474,33 @@ func TestCooperativeDeadlockDetection(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
+
+// wrappedBlockedBackend returns a wrapped ErrBlocked from Recv and Drain.
+// The driver compares with the sentinel itself, so a wrapped one is the
+// hook's failure: reported, never retried.
+type wrappedBlockedBackend struct{ countBackend }
+
+func (b *wrappedBlockedBackend) Recv(d, i int, a sched.Action) error {
+	return fmt.Errorf("device %d recv: %w", d, exec.ErrBlocked)
+}
+
+func (b *wrappedBlockedBackend) Drain(d, i int, a sched.Action) error {
+	return fmt.Errorf("device %d drain: %w", d, exec.ErrBlocked)
+}
+
+// TestWrappedBlockedIsReported: batched (Recv) and unbatched (Drain first,
+// on a straight schedule) alike, a wrapped ErrBlocked ends the run with
+// that error instead of a retry that ends in a deadlock report.
+func TestWrappedBlockedIsReported(t *testing.T) {
+	s, err := sched.DAPPLE(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []exec.Options{exec.DefaultOptions(), {BatchComm: false}} {
+		var l exec.Loop
+		_, err := l.Run(s, &wrappedBlockedBackend{}, opt)
+		if !errors.Is(err, exec.ErrBlocked) || errors.Is(err, sched.ErrDeadlock) || err == exec.ErrBlocked {
+			t.Errorf("batchComm=%v: got %v, want the backend's wrapped ErrBlocked", opt.BatchComm, err)
+		}
+	}
+}

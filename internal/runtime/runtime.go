@@ -235,9 +235,9 @@ func (e *Engine) Params() []*nn.Param { return slices.Clone(e.replicas[0].params
 // copyFor resolves the weight copy a worker action uses: the chunk's copy
 // is derived from the mapping (Chimera's up-pipe micros use copy 1;
 // single-copy placements always use copy 0).
-func (e *Engine) copyFor(micro, stage int) int {
+func (e *Engine) copyFor(micro, stage int32) int {
 	if e.copies == 2 {
-		return e.sch.Mapping.Chunk(micro, stage)
+		return e.sch.Mapping.Chunk(int(micro), int(stage))
 	}
 	return 0
 }
@@ -275,9 +275,9 @@ type worker struct {
 	liveBytes, peakBytes int64
 }
 
-func (w *worker) at(micro, stage int) int { return micro*w.eng.sch.S + stage }
+func (w *worker) at(micro, stage int32) int { return int(micro)*w.eng.sch.S + int(stage) }
 
-func (w *worker) tag(kind comm.Kind, micro, stage, src, dst int) comm.Tag {
+func (w *worker) tag(kind comm.Kind, micro, stage, src, dst int32) comm.Tag {
 	return comm.Tag{Kind: kind, Micro: micro, Stage: stage, Src: src, Dst: dst}
 }
 
@@ -315,7 +315,7 @@ func (w *worker) backward(a sched.Action) error {
 		return fmt.Errorf("runtime: device %d: backward before forward for %v", w.device, a)
 	}
 	var dy *tensor.Tensor
-	if a.Stage == e.sch.S-1 {
+	if int(a.Stage) == e.sch.S-1 {
 		micro := w.rep.micros[a.Micro]
 		w.rep.loss[a.Micro], dy = nn.SoftmaxCrossEntropyIn(w.ws, rec.out, micro.Targets)
 		w.ws.Put(rec.out)
@@ -409,14 +409,14 @@ func (w *worker) send(a sched.Action) error {
 		if prev.out == nil {
 			return fmt.Errorf("runtime: device %d: nothing to send for %v", w.device, a)
 		}
-		w.rep.router.Send(w.tag(comm.Act, a.Micro, a.Stage, w.device, a.Peer), prev.out)
+		w.rep.router.Send(w.tag(comm.Act, a.Micro, a.Stage, int32(w.device), a.Peer), prev.out)
 		prev.out = nil
 	case sched.OpSendGrad:
 		next := w.at(a.Micro, a.Stage+1)
 		if w.dIn[next] == nil {
 			return fmt.Errorf("runtime: device %d: no grad payload for %v", w.device, a)
 		}
-		w.rep.router.Send(w.tag(comm.Grad, a.Micro, a.Stage, w.device, a.Peer), w.dIn[next])
+		w.rep.router.Send(w.tag(comm.Grad, a.Micro, a.Stage, int32(w.device), a.Peer), w.dIn[next])
 		w.dIn[next] = nil
 	}
 	return nil
@@ -429,13 +429,13 @@ func (w *worker) send(a sched.Action) error {
 func (w *worker) recv(a sched.Action, done <-chan struct{}) error {
 	switch a.Kind {
 	case sched.OpRecvAct:
-		x, ok := w.rep.router.RecvAbort(w.tag(comm.Act, a.Micro, a.Stage, a.Peer, w.device), done)
+		x, ok := w.rep.router.RecvAbort(w.tag(comm.Act, a.Micro, a.Stage, a.Peer, int32(w.device)), done)
 		if !ok {
 			return fmt.Errorf("runtime: device %d: %v aborted: %w", w.device, a, exec.ErrCanceled)
 		}
 		w.acts[w.at(a.Micro, a.Stage)].in = x
 	case sched.OpRecvGrad:
-		g, ok := w.rep.router.RecvAbort(w.tag(comm.Grad, a.Micro, a.Stage, a.Peer, w.device), done)
+		g, ok := w.rep.router.RecvAbort(w.tag(comm.Grad, a.Micro, a.Stage, a.Peer, int32(w.device)), done)
 		if !ok {
 			return fmt.Errorf("runtime: device %d: %v aborted: %w", w.device, a, exec.ErrCanceled)
 		}
@@ -476,8 +476,8 @@ func (b *rtBackend) SetDone(done <-chan struct{}) { b.done = done }
 func (b *rtBackend) Compute(d int, a sched.Action) (float64, float64, error) {
 	w := b.workers[d]
 	start := time.Since(b.t0).Seconds()
-	if w.eng.takeFailure(d, a.Micro) {
-		return start, start, &DeviceError{Dev: d, Micro: a.Micro}
+	if micro := int(a.Micro); w.eng.takeFailure(d, micro) {
+		return start, start, &DeviceError{Dev: d, Micro: micro}
 	}
 	var err error
 	switch a.Kind {

@@ -49,7 +49,7 @@ func Analyze(s *Schedule) *Analysis {
 			case op.Kind == OpSendAct || op.Kind == OpSendGrad:
 				a.SendsPerDev[d]++
 				a.TotalTransfers++
-				dir[pair{d, op.Peer}] = true
+				dir[pair{d, int(op.Peer)}] = true
 			case op.Kind == OpRecvAct || op.Kind == OpRecvGrad:
 				a.RecvsPerDev[d]++
 			}

@@ -133,10 +133,10 @@ func digestSchedule(h hash.Hash64, s *Schedule, err error) {
 		put(len(l))
 		for _, a := range l {
 			put(int(a.Kind))
-			put(a.Micro)
-			put(a.Stage)
-			put(a.Chunk)
-			put(a.Peer)
+			put(int(a.Micro))
+			put(int(a.Stage))
+			put(int(a.Chunk))
+			put(int(a.Peer))
 		}
 	}
 }

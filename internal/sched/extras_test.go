@@ -35,7 +35,7 @@ func TestGEMSLowActivationFootprint(t *testing.T) {
 	inflight := map[[2]int]int{}
 	for _, list := range s.Lists {
 		for _, a := range list {
-			key := [2]int{a.Stage, a.Chunk}
+			key := [2]int{int(a.Stage), int(a.Chunk)}
 			switch a.Kind {
 			case OpForward:
 				inflight[key]++

@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // shapeKey identifies one cached shape: a scheme instantiated on p
 // devices. Mappings and the inflight-cap table depend only on this key —
@@ -81,6 +84,9 @@ func (g *Generator) generate(sc Scheme, p, b int, opts ...Option) (*Schedule, er
 	if err := sc.CheckB(b); err != nil {
 		return nil, err
 	}
+	if err := checkIDs(p, b, sc.Stages(p)); err != nil {
+		return nil, err
+	}
 	ent := g.shape(sc, p)
 	gp := &g.gp
 	*gp = GenParams{
@@ -111,6 +117,9 @@ func (g *Generator) generate(sc Scheme, p, b int, opts ...Option) (*Schedule, er
 		if gp.Mapping != ent.mapping {
 			dev, chk = nil, nil
 		}
+		if err := checkIDs(gp.Mapping.P, gp.B, gp.Mapping.S); err != nil {
+			return nil, err
+		}
 	}
 	if err := g.eng.run(gp, dev, chk, capTab); err != nil {
 		return nil, fmt.Errorf("sched: %s: %w", ent.name, err)
@@ -125,6 +134,17 @@ func (g *Generator) generate(sc Scheme, p, b int, opts ...Option) (*Schedule, er
 		Lists:   g.eng.lists,
 	}
 	return &g.out, nil
+}
+
+// checkIDs rejects a shape whose task ids (3·b·s at most, with the
+// backward split) or devices do not fit in int32 — the engine's task ids
+// and every field of an Action. It runs before anything is sized by the
+// shape.
+func checkIDs(p, b, s int) error {
+	if p > math.MaxInt32 || s > 0 && b > math.MaxInt32/(3*s) {
+		return fmt.Errorf("sched: P=%d, B=%d, S=%d exceeds the int32 range of task ids and devices", p, b, s)
+	}
+	return nil
 }
 
 // shape returns the cached entry for (sc, p), building it on first use.

@@ -154,12 +154,23 @@ func (e *engine) enqueue(micro, stage, seg int, at float64) {
 	e.next[d] = min(e.next[d], max(at, e.free[d]))
 }
 
-// eligible reports whether queued task i, ready by now, can start: its
-// live-activation cap and the phase barrier permitting.
-func (e *engine) eligible(i int) bool {
+// split returns task i's micro-batch and stage with one division: the
+// segment offset comes off by comparison, and task ids stay below
+// 3·B·S ≤ math.MaxInt32 (checkIDs), so the division runs on 32 bits, which
+// costs the hardware less than a 64-bit one.
+func (e *engine) split(i int) (micro, stage int) {
+	for i >= e.half {
+		i -= e.half
+	}
+	m := uint32(i) / uint32(e.s)
+	return int(m), i - int(m)*e.s
+}
+
+// eligible reports whether queued task i of (micro, stage), ready by now,
+// can start: its live-activation cap and the phase barrier permitting.
+func (e *engine) eligible(i, micro, stage int) bool {
 	if i < e.half { // forward
-		stage := i % e.s
-		chunk := int(e.chunkAt((i%e.half)/e.s, stage))
+		chunk := int(e.chunkAt(micro, stage))
 		if c := e.capOf(stage, chunk); c >= 0 && int(e.inflight[stage*e.chunks+chunk]) >= c {
 			return false
 		}
@@ -194,7 +205,8 @@ func (e *engine) pick(d int, now float64) (int, float64) {
 			soon = min(soon, at)
 			continue
 		}
-		if !e.eligible(i) {
+		micro, stage := e.split(i)
+		if !e.eligible(i, micro, stage) {
 			continue
 		}
 		cls := 0
@@ -210,7 +222,6 @@ func (e *engine) pick(d int, now float64) (int, float64) {
 				cls = -1
 			}
 		}
-		micro, stage := (i%e.half)/e.s, i%e.s
 		if best == -1 || cls < bestClass ||
 			(cls == bestClass && (micro < bestMicro ||
 				(micro == bestMicro && stage > bestStage))) {
@@ -221,14 +232,13 @@ func (e *engine) pick(d int, now float64) (int, float64) {
 	return best, soon
 }
 
-// finish applies task i's completion effects at time end: successor
-// enqueues with transfer latency (each lowers its device's next wake to the
-// successor's ready time) and live-activation accounting. The device itself
-// is scanned again at end, when it frees, which also covers the cap budget
-// a backward releases — see the end of the function.
-func (e *engine) finish(i int, end float64) {
+// finish applies the completion effects of task i, (micro, stage), at time
+// end: successor enqueues with transfer latency (each lowers its device's
+// next wake to the successor's ready time) and live-activation accounting.
+// The device itself is scanned again at end, when it frees, which also
+// covers the cap budget a backward releases — see the end of the function.
+func (e *engine) finish(i, micro, stage int, end float64) {
 	e.done[i] = true
-	micro, stage := (i%e.half)/e.s, i%e.s
 	d := e.devOf[i]
 	if i < e.half { // forward
 		e.fwdLeft[d]--
@@ -283,12 +293,12 @@ func (e *engine) finish(i int, end float64) {
 // peer returns the device hosting (micro, stage) when that is a device other
 // than d — the far end of a transfer — and -1 when the stage is out of range
 // or hosted on d itself (a turn of a wave placement: no tensor moves).
-func (e *engine) peer(d int32, micro, stage int) int {
+func (e *engine) peer(d int32, micro, stage int) int32 {
 	if stage < 0 || stage >= e.s {
 		return -1
 	}
 	if o := e.devAt(micro, stage); o != d {
-		return int(o)
+		return o
 	}
 	return -1
 }
@@ -364,28 +374,29 @@ func (e *engine) layout() {
 // gradient send to the weight half, restoring the fused op's release point.
 func (e *engine) emit(d int32, kind OpKind, micro, stage int) {
 	list := e.lists[d]
+	m, st := int32(micro), int32(stage)
 	switch kind {
 	case OpForward:
 		if src := e.peer(d, micro, stage-1); src >= 0 {
-			list = append(list, Action{Kind: OpRecvAct, Micro: micro, Stage: stage, Peer: src})
+			list = append(list, Action{Kind: OpRecvAct, Micro: m, Stage: st, Peer: src})
 		}
 	case OpBackward, OpBackwardInput:
 		if src := e.peer(d, micro, stage+1); src >= 0 {
-			list = append(list, Action{Kind: OpRecvGrad, Micro: micro, Stage: stage, Peer: src})
+			list = append(list, Action{Kind: OpRecvGrad, Micro: m, Stage: st, Peer: src})
 		}
 	}
-	list = append(list, Action{Kind: kind, Micro: micro, Stage: stage,
-		Chunk: int(e.chunkAt(micro, stage)), Peer: -1})
+	list = append(list, Action{Kind: kind, Micro: m, Stage: st,
+		Chunk: e.chunkAt(micro, stage), Peer: -1})
 	sendGrad := kind == OpBackward || (kind == OpBackwardInput && !e.gp.EagerW) ||
 		(kind == OpBackwardWeight && e.gp.EagerW)
 	switch {
 	case kind == OpForward:
 		if dst := e.peer(d, micro, stage+1); dst >= 0 {
-			list = append(list, Action{Kind: OpSendAct, Micro: micro, Stage: stage + 1, Peer: dst})
+			list = append(list, Action{Kind: OpSendAct, Micro: m, Stage: st + 1, Peer: dst})
 		}
 	case sendGrad:
 		if dst := e.peer(d, micro, stage-1); dst >= 0 {
-			list = append(list, Action{Kind: OpSendGrad, Micro: micro, Stage: stage - 1, Peer: dst})
+			list = append(list, Action{Kind: OpSendGrad, Micro: m, Stage: st - 1, Peer: dst})
 		}
 	}
 	e.lists[d] = list
@@ -418,8 +429,9 @@ func (e *engine) runDevice(d int, now float64) bool {
 	}
 	end := now + dur
 	e.free[d], e.next[d] = end, end
-	e.emit(int32(d), kind, (t%e.half)/e.s, t%e.s)
-	e.finish(t, end)
+	micro, stage := e.split(t)
+	e.emit(int32(d), kind, micro, stage)
+	e.finish(t, micro, stage, end)
 	return true
 }
 

@@ -279,12 +279,12 @@ func TestDAPPLEInflightCap(t *testing.T) {
 		for _, a := range list {
 			switch a.Kind {
 			case OpForward:
-				inflight[a.Stage]++
-				if inflight[a.Stage] > peak[a.Stage] {
-					peak[a.Stage] = inflight[a.Stage]
+				inflight[int(a.Stage)]++
+				if inflight[int(a.Stage)] > peak[int(a.Stage)] {
+					peak[int(a.Stage)] = inflight[int(a.Stage)]
 				}
 			case OpBackward:
-				inflight[a.Stage]--
+				inflight[int(a.Stage)]--
 			}
 		}
 	}
@@ -337,7 +337,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		for i, a := range list {
 			if a.Kind == OpRecvAct {
 				a.Peer = (a.Peer + 1) % 4
-				if a.Peer == d {
+				if int(a.Peer) == d {
 					a.Peer = (a.Peer + 1) % 4
 				}
 				broken2.Lists[d][i] = a

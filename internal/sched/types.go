@@ -12,8 +12,9 @@ import "fmt"
 
 // OpKind enumerates the action-list instruction set (§4.1). The paper breaks
 // DeepSpeed-style instructions into finer granularity carrying the target
-// device rank and local module (chunk) rank; we mirror that here.
-type OpKind int
+// device rank and local module (chunk) rank; we mirror that here. One byte
+// holds every kind, which keeps an Action at 20 bytes.
+type OpKind uint8
 
 // Instruction kinds.
 const (
@@ -75,13 +76,18 @@ func (k OpKind) IsCompute() bool {
 	return k == OpForward || k == OpBackward || k == OpBackwardInput || k == OpBackwardWeight
 }
 
-// Action is one instruction of a worker's action list.
+// Action is one instruction of a worker's action list, packed to 20 bytes
+// (a one-byte kind, then four int32 fields): compile writes and every
+// executor reads one per instruction, so the list is the bulk of a
+// schedule's memory traffic. The int32 fields bound every shape: a
+// Generator refuses one whose 3·B·S task ids or P devices exceed
+// math.MaxInt32, and ReadJSON refuses any op whose fields do not fit.
 type Action struct {
 	Kind  OpKind
-	Micro int // micro-batch id
-	Stage int // global stage id the payload/compute belongs to
-	Chunk int // local module rank on this device (compute ops)
-	Peer  int // peer device (comm ops), -1 otherwise
+	Micro int32 // micro-batch id
+	Stage int32 // global stage id the payload/compute belongs to
+	Chunk int32 // local module rank on this device (compute ops)
+	Peer  int32 // peer device (comm ops), -1 otherwise
 }
 
 // String renders an action compactly, e.g. "F m2 s5" or "SA m0 s3->2".

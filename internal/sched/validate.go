@@ -183,6 +183,7 @@ func (v *validator) checkStatic(s *Schedule) error {
 		for _, a := range list {
 			switch a.Kind {
 			case OpForward, OpBackward, OpBackwardInput, OpBackwardWeight:
+				micro, stage := int(a.Micro), int(a.Stage)
 				if flushed {
 					return fmt.Errorf("sched: device %d: compute op %v after the flush barrier", d, a)
 				}
@@ -192,16 +193,16 @@ func (v *validator) checkStatic(s *Schedule) error {
 				if split && a.Kind == OpBackward {
 					return fmt.Errorf("sched: device %d: fused backward %v in split-backward scheme %q", d, a, s.Scheme)
 				}
-				if a.Micro < 0 || a.Micro >= s.B || a.Stage < 0 || a.Stage >= s.S {
+				if micro < 0 || micro >= s.B || stage < 0 || stage >= s.S {
 					return fmt.Errorf("sched: device %d: out-of-range %v", d, a)
 				}
-				if want := m.Device(a.Micro, a.Stage); want != d {
+				if want := m.Device(micro, stage); want != d {
 					return fmt.Errorf("sched: device %d executes %v owned by device %d", d, a, want)
 				}
-				if want := m.Chunk(a.Micro, a.Stage); want != a.Chunk {
+				if want := m.Chunk(micro, stage); want != int(a.Chunk) {
 					return fmt.Errorf("sched: device %d: %v has chunk %d, mapping says %d", d, a, a.Chunk, want)
 				}
-				id := a.Micro*s.S + a.Stage
+				id := micro*s.S + stage
 				switch a.Kind {
 				case OpBackward, OpBackwardInput:
 					id += s.B * s.S
@@ -210,10 +211,10 @@ func (v *validator) checkStatic(s *Schedule) error {
 				}
 				v.seen[id]++
 			case OpSendAct, OpRecvAct, OpSendGrad, OpRecvGrad:
-				if a.Peer < 0 || a.Peer >= s.P || a.Peer == d {
+				if peer := int(a.Peer); peer < 0 || peer >= s.P || peer == d {
 					return fmt.Errorf("sched: device %d: bad peer in %v", d, a)
 				}
-				if a.Micro < 0 || a.Micro >= s.B || a.Stage < 0 || a.Stage >= s.S {
+				if a.Micro < 0 || int(a.Micro) >= s.B || a.Stage < 0 || int(a.Stage) >= s.S {
 					return fmt.Errorf("sched: device %d: out-of-range %v", d, a)
 				}
 			case OpAllReduce:
@@ -262,64 +263,65 @@ func (v *validator) replay(s *Schedule) error {
 			return false, nil
 		}
 		a := list[v.pc[d]]
+		micro, stage, peer := int(a.Micro), int(a.Stage), int(a.Peer)
 		switch a.Kind {
 		case OpForward:
-			if a.Stage > 0 {
-				if src := m.Device(a.Micro, a.Stage-1); src == d {
-					if !v.computed[a.Micro*s.S+a.Stage-1] {
+			if stage > 0 {
+				if src := m.Device(micro, stage-1); src == d {
+					if !v.computed[micro*s.S+stage-1] {
 						return false, nil
 					}
-				} else if !v.recvd[a.Micro*s.S+a.Stage] {
+				} else if !v.recvd[micro*s.S+stage] {
 					return false, nil
 				}
 			}
-			v.computed[a.Micro*s.S+a.Stage] = true
+			v.computed[micro*s.S+stage] = true
 		case OpBackward, OpBackwardInput:
-			if !v.computed[a.Micro*s.S+a.Stage] {
+			if !v.computed[micro*s.S+stage] {
 				return false, fmt.Errorf("sched: device %d runs %v before its forward", d, a)
 			}
-			if a.Stage < s.S-1 {
-				if src := m.Device(a.Micro, a.Stage+1); src == d {
-					if !v.computed[s.B*s.S+a.Micro*s.S+a.Stage+1] {
+			if stage < s.S-1 {
+				if src := m.Device(micro, stage+1); src == d {
+					if !v.computed[s.B*s.S+micro*s.S+stage+1] {
 						return false, nil
 					}
-				} else if !v.recvd[s.B*s.S+a.Micro*s.S+a.Stage] {
+				} else if !v.recvd[s.B*s.S+micro*s.S+stage] {
 					return false, nil
 				}
 			}
-			v.computed[s.B*s.S+a.Micro*s.S+a.Stage] = true
+			v.computed[s.B*s.S+micro*s.S+stage] = true
 		case OpBackwardWeight:
 			// The weight-grad's only dependency is its own input-grad, which
 			// lives on the same device (same stage, same weights) — so a W
 			// reached before its B can never unblock: a hard order error,
 			// not a rendezvous stall.
-			if !v.computed[s.B*s.S+a.Micro*s.S+a.Stage] {
+			if !v.computed[s.B*s.S+micro*s.S+stage] {
 				return false, fmt.Errorf("sched: device %d runs %v before its input-grad backward", d, a)
 			}
 		case OpSendAct:
 			// A canonical payload's producer, F(micro, stage−1), runs on
 			// the sender: reached before it, the send has nothing to carry
 			// — an order error, not a stall.
-			id := canonActPayload(s, a.Micro, a.Stage, d, a.Peer)
+			id := canonActPayload(s, micro, stage, d, peer)
 			if id >= 0 && !v.computed[id-1] {
 				return false, fmt.Errorf("sched: device %d runs %v before the forward it carries", d, a)
 			}
-			v.send(payload{OpSendAct, a.Micro, a.Stage, d, a.Peer}, id)
+			v.send(payload{OpSendAct, micro, stage, d, peer}, id)
 		case OpSendGrad:
 			// Likewise for the gradient's producer, B(micro, stage+1).
-			id := canonGradPayload(s, a.Micro, a.Stage, d, a.Peer)
+			id := canonGradPayload(s, micro, stage, d, peer)
 			if id >= 0 && !v.computed[id+1] {
 				return false, fmt.Errorf("sched: device %d runs %v before the backward it carries", d, a)
 			}
-			v.send(payload{OpSendGrad, a.Micro, a.Stage, d, a.Peer}, id)
+			v.send(payload{OpSendGrad, micro, stage, d, peer}, id)
 		case OpRecvAct:
-			if !v.recv(payload{OpSendAct, a.Micro, a.Stage, a.Peer, d},
-				canonActPayload(s, a.Micro, a.Stage, a.Peer, d)) {
+			if !v.recv(payload{OpSendAct, micro, stage, peer, d},
+				canonActPayload(s, micro, stage, peer, d)) {
 				return false, nil
 			}
 		case OpRecvGrad:
-			if !v.recv(payload{OpSendGrad, a.Micro, a.Stage, a.Peer, d},
-				canonGradPayload(s, a.Micro, a.Stage, a.Peer, d)) {
+			if !v.recv(payload{OpSendGrad, micro, stage, peer, d},
+				canonGradPayload(s, micro, stage, peer, d)) {
 				return false, nil
 			}
 		case OpAllReduce, OpOptimStep:

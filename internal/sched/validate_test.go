@@ -110,7 +110,7 @@ func TestDenseValidatorRejectPaths(t *testing.T) {
 	t.Run("out-of-range compute", func(t *testing.T) {
 		mustReject(t, base, "out-of-range", func(s *Schedule) {
 			d, i := findOp(s, OpForward)
-			s.Lists[d][i].Micro = s.B + 3
+			s.Lists[d][i].Micro = int32(s.B + 3)
 		})
 	})
 	t.Run("out-of-range comm", func(t *testing.T) {
@@ -119,13 +119,13 @@ func TestDenseValidatorRejectPaths(t *testing.T) {
 		// the dense validator rejects it statically before indexing.
 		mustReject(t, base, "out-of-range", func(s *Schedule) {
 			d, i := findOp(s, OpSendAct)
-			s.Lists[d][i].Stage = s.S + 1
+			s.Lists[d][i].Stage = int32(s.S + 1)
 		})
 	})
 	t.Run("bad peer self", func(t *testing.T) {
 		mustReject(t, base, "bad peer", func(s *Schedule) {
 			d, i := findOp(s, OpSendAct)
-			s.Lists[d][i].Peer = d
+			s.Lists[d][i].Peer = int32(d)
 		})
 	})
 	t.Run("unmatched send", func(t *testing.T) {
@@ -170,9 +170,9 @@ func TestDenseValidatorRejectPaths(t *testing.T) {
 		mustReject(t, base, "deadlock", func(s *Schedule) {
 			d, i := findOp(s, OpSendAct)
 			a := &s.Lists[d][i]
-			a.Peer = (a.Peer + 1) % s.P
-			if a.Peer == d {
-				a.Peer = (a.Peer + 1) % s.P
+			a.Peer = (a.Peer + 1) % int32(s.P)
+			if int(a.Peer) == d {
+				a.Peer = (a.Peer + 1) % int32(s.P)
 			}
 		})
 	})

@@ -2,10 +2,32 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/costmodel"
+	"repro/internal/exec"
 	"repro/internal/sched"
 )
+
+// TestIRLayoutPinned pins the packed layout of the three arrays a cold
+// sweep writes and reads most: the action lists compile emits, the Record
+// timelines a simulation appends and the transfer table it resolves sends
+// in. A field widened back to int or a flag moved between the floats
+// grows one of them and fails here.
+func TestIRLayoutPinned(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"sched.Action", unsafe.Sizeof(sched.Action{}), 20},
+		{"exec.Record", unsafe.Sizeof(exec.Record{}), 40},
+		{"sim.transfer", unsafe.Sizeof(transfer{}), 32},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}
 
 // TestRunAllocsPinned is the allocation-regression guard for the dense
 // simulator backend: one Run may allocate only its fixed setup block (the

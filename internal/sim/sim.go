@@ -132,16 +132,19 @@ func (r *Result) TotalIdle() float64 {
 
 // transfer is one in-flight message's state. Stored by value in a dense
 // slice indexed by (kind, micro, stage) — the directed pair (src, dst) is
-// determined by the schedule for a given payload, so it lives in the link
-// index below rather than the key.
+// determined by the schedule for a given payload, so every op on the slot
+// derives it from its own action rather than storing it. Three times and
+// four flags: a slot is 32 bytes.
 type transfer struct {
 	issue    float64
-	issued   bool
 	post     float64
-	posted   bool
 	arrival  float64
+	issued   bool
+	posted   bool
 	resolved bool
-	link     int // src*P+dst, recorded at issue/post time
+	// produced is set by the compute op whose output the payload is; a
+	// send reached before it has nothing to carry.
+	produced bool
 }
 
 // errDeadline is the internal sentinel a deadline-capped run's hooks
@@ -224,7 +227,9 @@ func (b *backend) classify(d, i int) Zone {
 	return ZoneC
 }
 
-func (b *backend) resolveSend(tr *transfer) {
+// resolveSend times the transfer over link src→dst once it is issued (and,
+// without prefetch, posted): it starts when both it and the link are free.
+func (b *backend) resolveSend(tr *transfer, src, dst int) {
 	if tr.resolved || !tr.issued {
 		return
 	}
@@ -235,44 +240,66 @@ func (b *backend) resolveSend(tr *transfer) {
 	if !b.opt.Prefetch && tr.post > start {
 		start = tr.post
 	}
-	if b.linkFree[tr.link] > start {
-		start = b.linkFree[tr.link]
+	link := src*b.s.P + dst
+	if b.linkFree[link] > start {
+		start = b.linkFree[link]
 	}
-	p := b.s.P
-	dur := b.cost.CommTime(tr.link/p, tr.link%p)
+	dur := b.cost.CommTime(src, dst)
 	if b.faults != nil {
 		// A transfer starting at or after a LinkDegrade runs at the
 		// degraded rate; factors are in (0,1] so this only lengthens it.
-		if f := b.ft.linkAt(tr.link, start); f != 1 {
+		if f := b.ft.linkAt(link, start); f != 1 {
 			dur /= f
 		}
 	}
-	b.linkFree[tr.link] = start + dur
+	b.linkFree[link] = start + dur
 	tr.arrival = start + dur
 	tr.resolved = true
 }
 
 // transferFor resolves the dense table slot for a comm op on device d,
-// normalizing receives to their matching send's identity and recording the
-// directed link (sender×receiver) the payload travels.
-func (b *backend) transferFor(d int, a sched.Action) *transfer {
+// normalizing receives to their matching send's identity, and the directed
+// link (sender, receiver) the payload travels.
+func (b *backend) transferFor(d int, a sched.Action) (tr *transfer, src, dst int) {
 	var kind sched.OpKind
-	var src, dst int
+	peer := int(a.Peer)
 	switch a.Kind {
 	case sched.OpSendAct:
-		kind, src, dst = sched.OpSendAct, d, a.Peer
+		kind, src, dst = sched.OpSendAct, d, peer
 	case sched.OpSendGrad:
-		kind, src, dst = sched.OpSendGrad, d, a.Peer
+		kind, src, dst = sched.OpSendGrad, d, peer
 	case sched.OpRecvAct:
-		kind, src, dst = sched.OpSendAct, a.Peer, d
+		kind, src, dst = sched.OpSendAct, peer, d
 	case sched.OpRecvGrad:
-		kind, src, dst = sched.OpSendGrad, a.Peer, d
+		kind, src, dst = sched.OpSendGrad, peer, d
 	default:
 		panic("sim: not a comm op")
 	}
-	tr := &b.transfers[b.transferIdx(kind, a.Micro, a.Stage)]
-	tr.link = src*b.s.P + dst
-	return tr
+	return &b.transfers[b.transferIdx(kind, int(a.Micro), int(a.Stage))], src, dst
+}
+
+// produce marks the transfer slot of the payload compute op a hands on as
+// ready to send: the activation into the next stage after a forward, the
+// gradient into the previous stage after a backward or its input-gradient
+// half. A slot whose stage is hosted on the same device is marked too and
+// simply never sent.
+func (b *backend) produce(a sched.Action) {
+	switch stage := int(a.Stage); a.Kind {
+	case sched.OpForward:
+		if stage+1 < b.s.S {
+			b.transfers[b.transferIdx(sched.OpSendAct, int(a.Micro), stage+1)].produced = true
+		}
+	case sched.OpBackward, sched.OpBackwardInput:
+		if stage > 0 {
+			b.transfers[b.transferIdx(sched.OpSendGrad, int(a.Micro), stage-1)].produced = true
+		}
+	}
+}
+
+// unproduced is the error for a send reached before the compute op that
+// produces its payload.
+func unproduced(d int, a sched.Action) error {
+	return fmt.Errorf("device %d runs %v before the compute that produces its payload", d, a)
 }
 
 // opTime prices one compute op from the cost model. The zero-bubble split
@@ -281,16 +308,17 @@ func (b *backend) transferFor(d int, a sched.Action) *transfer {
 // duration bit for bit and a split schedule's total compute equals its
 // fused twin's.
 func (b *backend) opTime(d int, a sched.Action) float64 {
+	stage := int(a.Stage)
 	switch a.Kind {
 	case sched.OpBackward:
-		return b.cost.BackwardTime(d, a.Stage)
+		return b.cost.BackwardTime(d, stage)
 	case sched.OpBackwardInput:
-		return b.cost.BackwardTime(d, a.Stage) / 2
+		return b.cost.BackwardTime(d, stage) / 2
 	case sched.OpBackwardWeight:
-		t := b.cost.BackwardTime(d, a.Stage)
+		t := b.cost.BackwardTime(d, stage)
 		return t - t/2
 	}
-	return b.cost.ForwardTime(d, a.Stage)
+	return b.cost.ForwardTime(d, stage)
 }
 
 func (b *backend) Compute(d int, a sched.Action) (float64, float64, error) {
@@ -306,6 +334,7 @@ func (b *backend) Compute(d int, a sched.Action) (float64, float64, error) {
 	end := start + dur
 	b.res.Busy[d] += dur
 	b.time[d] = end
+	b.produce(a)
 	if b.faults != nil {
 		// An op still running at the device's Fail timestamp never
 		// completes (strictly: one ending exactly at the timestamp does).
@@ -345,18 +374,21 @@ func (b *backend) BeginRun(d int, run []sched.Action, next int) error {
 }
 
 func (b *backend) Send(d int, a sched.Action) error {
-	tr := b.transferFor(d, a)
+	tr, src, dst := b.transferFor(d, a)
+	if !tr.produced {
+		return unproduced(d, a)
+	}
 	tr.issue = b.time[d]
 	tr.issued = true
-	b.resolveSend(tr)
+	b.resolveSend(tr, src, dst)
 	return nil
 }
 
 func (b *backend) Post(d int, a sched.Action) error {
-	tr := b.transferFor(d, a)
+	tr, src, dst := b.transferFor(d, a)
 	tr.post = b.time[d]
 	tr.posted = true
-	b.resolveSend(tr)
+	b.resolveSend(tr, src, dst)
 	return nil
 }
 
@@ -370,13 +402,13 @@ func (b *backend) wait(d int, arrival float64, z Zone) {
 }
 
 func (b *backend) Recv(d, idx int, a sched.Action) error {
-	tr := b.transferFor(d, a)
+	tr, src, dst := b.transferFor(d, a)
 	if !tr.posted {
 		// Unbatched mode posts at the op itself, not at group entry.
 		tr.post = b.time[d]
 		tr.posted = true
 	}
-	b.resolveSend(tr)
+	b.resolveSend(tr, src, dst)
 	if !tr.resolved {
 		return exec.ErrBlocked
 	}
@@ -394,12 +426,15 @@ func (b *backend) Recv(d, idx int, a sched.Action) error {
 func (b *backend) Drain(d, idx int, a sched.Action) error {
 	// Strictly ordered blocking send (unbatched ablation): the device
 	// occupies the wire until the transfer completes.
-	tr := b.transferFor(d, a)
+	tr, src, dst := b.transferFor(d, a)
+	if !tr.produced {
+		return unproduced(d, a)
+	}
 	if !tr.issued {
 		tr.issue = b.time[d]
 		tr.issued = true
 	}
-	b.resolveSend(tr)
+	b.resolveSend(tr, src, dst)
 	if !tr.resolved {
 		return exec.ErrBlocked
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -324,4 +325,46 @@ func TestChimeraWaveAtLeastAsGoodAsChimera(t *testing.T) {
 	if math.Abs(rcw.Busy[0]-rch.Busy[0]) > 1e-9 {
 		t.Fatalf("per-device work differs: %g vs %g", rcw.Busy[0], rch.Busy[0])
 	}
+}
+
+// TestSendBeforeProducerFails: every send follows the compute op that
+// produces its payload, so a compiled schedule with one activation send
+// moved ahead of its forward — or one gradient send ahead of its
+// backward — fails the run with an error naming the device and the send.
+// Unbatched, the Drain path checks the same.
+func TestSendBeforeProducerFails(t *testing.T) {
+	for _, c := range []struct {
+		scheme string
+		kind   sched.OpKind
+		opt    Options
+	}{
+		{"hanayo-w2", sched.OpSendAct, DefaultOptions()},
+		{"hanayo-w2", sched.OpSendGrad, DefaultOptions()},
+		{"gpipe", sched.OpSendAct, Options{Prefetch: true}},
+	} {
+		s, err := sched.NewGenerator().Generate(c.scheme, 4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, i := firstOp(s, c.kind)
+		list := s.Lists[d]
+		list[i-1], list[i] = list[i], list[i-1]
+		_, err = NewRunner().Run(s, uniformFor(s, 0.1), c.opt)
+		want := fmt.Sprintf("device %d runs %v before the compute that produces its payload", d, list[i-1])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s, %v moved ahead of its producer (batch=%v): got %v, want %q", c.scheme, c.kind, c.opt.BatchComm, err, want)
+		}
+	}
+}
+
+// firstOp returns the device and index of the first op of kind k.
+func firstOp(s *sched.Schedule, k sched.OpKind) (int, int) {
+	for d, list := range s.Lists {
+		for i, a := range list {
+			if a.Kind == k {
+				return d, i
+			}
+		}
+	}
+	panic("no " + k.String())
 }

@@ -36,7 +36,7 @@ func Gantt(w io.Writer, r *sim.Result, cols int) {
 			if hi >= cols {
 				hi = cols - 1
 			}
-			ch := microGlyph(rec.Action.Micro, rec.Action.Kind == sched.OpBackward)
+			ch := microGlyph(int(rec.Action.Micro), rec.Action.Kind == sched.OpBackward)
 			for i := lo; i <= hi; i++ {
 				row[i] = ch
 			}
