@@ -270,6 +270,7 @@ type Loop struct {
 	records [][]Record // rows of flat, replica-major: replica r's device d at r·P+d
 	ms      []machine
 	ops     []int // per device compute-op count (scratch)
+	peaks   []int // per device activation peak (PeakActs)
 }
 
 // prepare resets the Loop for replicas copies of schedule s, reusing
@@ -277,6 +278,8 @@ type Loop struct {
 // Each timeline is a row of one flat block, sized at its device's exact
 // compute-op count — the walking loop never grows a Record slice mid-run —
 // and three-indexed, so one device's appends cannot reach its neighbour's.
+// The scan that counts the compute ops also takes each device's
+// activation peak (sched.ListPeakActs), so no caller scans the lists again.
 func (l *Loop) prepare(s *sched.Schedule, replicas int) {
 	n := replicas * s.P
 	if cap(l.ms) < n {
@@ -284,14 +287,10 @@ func (l *Loop) prepare(s *sched.Schedule, replicas int) {
 		l.records = make([][]Record, n)
 	}
 	l.ms, l.records = l.ms[:n], l.records[:n]
-	l.ops = Arena(l.ops, s.P)
+	l.ops, l.peaks = Arena(l.ops, s.P), Arena(l.peaks, s.P)
 	total := 0
 	for d := 0; d < s.P; d++ {
-		for _, a := range s.Lists[d] {
-			if a.Kind.IsCompute() {
-				l.ops[d]++
-			}
-		}
+		l.peaks[d], l.ops[d] = sched.ListPeakActs(s.Lists[d])
 		total += l.ops[d]
 	}
 	if cap(l.flat) < replicas*total {
@@ -305,6 +304,12 @@ func (l *Loop) prepare(s *sched.Schedule, replicas int) {
 		l.ms[i] = machine{dev: d, list: s.Lists[d]}
 	}
 }
+
+// PeakActs returns each device's peak count of live stage-activations in
+// the schedule the Loop last ran — sched.Schedule.PeakActs, taken by the
+// scan that sized the timelines, whatever the run's outcome. It is owned
+// by the Loop and valid until its next run.
+func (l *Loop) PeakActs() []int { return l.peaks[:len(l.peaks):len(l.peaks)] }
 
 // Run drives the interpreter cooperatively in a single goroutine: devices
 // advance round-robin as far as they can, and a full pass with no progress

@@ -175,18 +175,21 @@ func closureMapping(gp *GenParams) {
 }
 
 // TestTableDrivenMatchesClosureReference is the scan and arena parity test:
-// for every scheme, shape and wave count the table-driven engine — scanning
-// only the devices whose next wake instant has come, closed-form row sizes
-// from the dense device table — must emit, action for action, the lists of
-// the closure-mapped reference path, under the default ordering costs and
-// under withCosts(1, 1.5, 0), whose free transfers make many more tasks
-// ready at the same instant.
+// for every scheme, shape and wave count the table-driven engine — lookahead
+// windows in which each device runs through its own wakes, closed-form row
+// sizes from the dense device table — must emit, action for action, the
+// lists of the closure-mapped reference path, under the default ordering
+// costs, under withCosts(1, 1.5, 0), whose free transfers make many more
+// tasks ready at the same instant, and under withCosts(1e-20, 1e10, 0.05),
+// whose forward vanishes against the clock once a backward has run: there
+// now + Δ rounds to now and the engine falls back to the single-instant
+// pass.
 func TestTableDrivenMatchesClosureReference(t *testing.T) {
 	schemes := append([]string{"hanayo-w8"}, generatorSchemes...) // waves 1/2/4/8
 	table, reference := NewGenerator(), NewGenerator()
 	for _, scheme := range schemes {
 		for _, shape := range [][2]int{{4, 4}, {8, 16}, {16, 16}, {32, 16}} {
-			for _, costs := range [][]Option{nil, {withCosts(1, 1.5, 0)}} {
+			for _, costs := range [][]Option{nil, {withCosts(1, 1.5, 0)}, {withCosts(1e-20, 1e10, 0.05)}} {
 				p, b := shape[0], shape[1]
 				got, err := table.Generate(scheme, p, b, costs...)
 				if err != nil {
@@ -206,11 +209,12 @@ func TestTableDrivenMatchesClosureReference(t *testing.T) {
 // single schedule: a fresh Generator pays for its arenas, each once and at
 // its exact size, plus the shape — a mapping (struct, parity tables,
 // hosting rows), a cap table and its lookup, the name — and Validate its
-// own arenas, and nothing per device or per action: 27 objects (27 under
-// -race too). The budget was set at 26 plus 5 %, before the one-shot path
-// ran the structural pass of Validate (one more arena). It was 33 while the
-// engine's event heap grew by append, 36 when the mapping was closures and
-// 952 when every per-device list grew by append.
+// own arenas, and nothing per device or per action: 26 objects (26 under
+// -race too; 27 while the engine kept a per-task device arena). The budget
+// was set at 26 plus 5 %, before the one-shot path ran the structural pass
+// of Validate (one more arena). It was 33 while the engine's event heap
+// grew by append, 36 when the mapping was closures and 952 when every
+// per-device list grew by append.
 func TestOneShotAllocsPinned(t *testing.T) {
 	const budget = 27
 	got := testing.AllocsPerRun(5, func() {
@@ -386,5 +390,21 @@ func TestGeneratorRejects(t *testing.T) {
 	// The generator must stay usable after a rejected call.
 	if _, err := g.Generate("gpipe", 4, 4); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkGenerateFig10 compiles, per op, the 21 keys of a cold Fig 10
+// sweep on one reused Generator: P ∈ {8, 16, 32} × the three baselines and
+// Hanayo at 1, 2, 4 and 8 waves, B = 16 — one sweep's compile stage.
+func BenchmarkGenerateFig10(b *testing.B) {
+	g := NewGenerator()
+	for b.Loop() {
+		for _, p := range []int{8, 16, 32} {
+			for _, sc := range []string{"gpipe", "dapple", "chimera-wave", "hanayo-w1", "hanayo-w2", "hanayo-w4", "hanayo-w8"} {
+				if _, err := g.Generate(sc, p, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
 }

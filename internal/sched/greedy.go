@@ -61,8 +61,10 @@ type GenParams struct {
 // Dense task ids: forwards occupy [0, B·S), backwards (fused, or the
 // input-gradient half under SplitBackward) [B·S, 2·B·S), and weight-gradient
 // tasks [2·B·S, 3·B·S) when the backward is split; within a segment the id
-// is micro·S + stage. The selection rule is a total order
-// (priority class, then micro, then stage), so results are scan-order
+// is micro·S + stage. A pending entry carries its micro-batch beside the
+// id, so recovering the stage takes a multiply, not a division. The
+// selection rule is a total order (priority class, then micro, then
+// stage), so results are scan-order
 // independent per device; cross-device order is fixed by ascending device
 // id at every time step, exactly as the predecessor engine scanned.
 type engine struct {
@@ -79,7 +81,6 @@ type engine struct {
 	// Arenas.
 	readyAt  []float64 // valid once enqueued
 	done     []bool    // executed
-	devOf    []int32   // task -> device
 	free     []float64 // per device: busy until
 	inflight []int32   // (stage, chunkClass) -> live activations
 	fwdLeft  []int32   // forwards remaining per device (phase barrier)
@@ -94,9 +95,12 @@ type engine struct {
 	// caller appends to one device's row can reach the next device's.
 	actions []Action   // every device's action list, back to back
 	lists   [][]Action // per device row of actions (the run's output)
-	queue   []int32    // every device's pending tasks, back to back
-	pending [][]int32  // per device row of queue: queued, not-yet-done tasks
+	queue   []task     // every device's pending tasks, back to back
+	pending [][]task   // per device row of queue: queued, not-yet-done tasks
 }
+
+// task is a pending entry: a task id and its micro-batch.
+type task struct{ id, micro int32 }
 
 // arena reslices s to n elements, reallocating only when capacity is
 // insufficient (monotonic growth) and zeroing the active window, so reused
@@ -149,26 +153,25 @@ func (e *engine) enqueue(micro, stage, seg int, at float64) {
 	i := micro*e.s + stage + seg*e.half
 	e.readyAt[i] = at
 	d := e.devAt(micro, stage)
-	e.devOf[i] = d
-	e.pending[d] = append(e.pending[d], int32(i))
+	e.pending[d] = append(e.pending[d], task{int32(i), int32(micro)})
 	e.next[d] = min(e.next[d], max(at, e.free[d]))
 }
 
-// split returns task i's micro-batch and stage with one division: the
-// segment offset comes off by comparison, and task ids stay below
-// 3·B·S ≤ math.MaxInt32 (checkIDs), so the division runs on 32 bits, which
-// costs the hardware less than a 64-bit one.
-func (e *engine) split(i int) (micro, stage int) {
+// split returns pending entry t's micro-batch and stage: the segment offset
+// comes off the id by comparison and micro·S by a multiply, so no division
+// runs per candidate.
+func (e *engine) split(t task) (micro, stage int) {
+	i := int(t.id)
 	for i >= e.half {
 		i -= e.half
 	}
-	m := uint32(i) / uint32(e.s)
-	return int(m), i - int(m)*e.s
+	return int(t.micro), i - int(t.micro)*e.s
 }
 
-// eligible reports whether queued task i of (micro, stage), ready by now,
-// can start: its live-activation cap and the phase barrier permitting.
-func (e *engine) eligible(i, micro, stage int) bool {
+// eligible reports whether task i of (micro, stage), queued on device d and
+// ready by now, can start: its live-activation cap and the phase barrier
+// permitting.
+func (e *engine) eligible(d, i, micro, stage int) bool {
 	if i < e.half { // forward
 		chunk := int(e.chunkAt(micro, stage))
 		if c := e.capOf(stage, chunk); c >= 0 && int(e.inflight[stage*e.chunks+chunk]) >= c {
@@ -179,34 +182,34 @@ func (e *engine) eligible(i, micro, stage int) bool {
 	if i >= 2*e.half { // weight-grad: ready means runnable (no cap, no barrier)
 		return true
 	}
-	if e.gp.PhaseBarrier && e.fwdLeft[e.devOf[i]] > 0 {
+	if e.gp.PhaseBarrier && e.fwdLeft[d] > 0 {
 		return false
 	}
 	return true
 }
 
 // pick selects the highest-priority eligible task for device d at time now
-// (class asc, micro asc, stage desc), or -1, and reports the least ready
-// time after now among the device's pending tasks (+Inf if none). Finished
-// tasks are compacted out of the pending list in passing.
-func (e *engine) pick(d int, now float64) (int, float64) {
+// (class asc, micro asc, stage desc), or an entry of id -1, and reports the
+// least ready time after now among the device's pending tasks (+Inf if
+// none). Finished tasks are compacted out of the pending list in passing.
+func (e *engine) pick(d int, now float64) (task, float64) {
 	lst := e.pending[d]
-	best, soon := -1, math.Inf(1)
+	best, soon := task{id: -1}, math.Inf(1)
 	var bestClass, bestMicro, bestStage int
 	w := 0
-	for _, i32 := range lst {
-		i := int(i32)
+	for _, t := range lst {
+		i := int(t.id)
 		if e.done[i] {
 			continue // drop: executed on an earlier pass
 		}
-		lst[w] = i32
+		lst[w] = t
 		w++
 		if at := e.readyAt[i]; at > now {
 			soon = min(soon, at)
 			continue
 		}
-		micro, stage := e.split(i)
-		if !e.eligible(i, micro, stage) {
+		micro, stage := e.split(t)
+		if !e.eligible(d, i, micro, stage) {
 			continue
 		}
 		cls := 0
@@ -222,24 +225,24 @@ func (e *engine) pick(d int, now float64) (int, float64) {
 				cls = -1
 			}
 		}
-		if best == -1 || cls < bestClass ||
+		if best.id < 0 || cls < bestClass ||
 			(cls == bestClass && (micro < bestMicro ||
 				(micro == bestMicro && stage > bestStage))) {
-			best, bestClass, bestMicro, bestStage = i, cls, micro, stage
+			best, bestClass, bestMicro, bestStage = t, cls, micro, stage
 		}
 	}
 	e.pending[d] = lst[:w]
 	return best, soon
 }
 
-// finish applies the completion effects of task i, (micro, stage), at time
-// end: successor enqueues with transfer latency (each lowers its device's
-// next wake to the successor's ready time) and live-activation accounting.
-// The device itself is scanned again at end, when it frees, which also
-// covers the cap budget a backward releases — see the end of the function.
-func (e *engine) finish(i, micro, stage int, end float64) {
+// finish applies the completion effects of task i, (micro, stage), run on
+// device d, at time end: successor enqueues with transfer latency (each
+// lowers its device's next wake to the successor's ready time) and
+// live-activation accounting. The device itself is scanned again at end,
+// when it frees, which also covers the cap budget a backward releases —
+// see the end of the function.
+func (e *engine) finish(d int32, i, micro, stage int, end float64) {
 	e.done[i] = true
-	d := e.devOf[i]
 	if i < e.half { // forward
 		e.fwdLeft[d]--
 		e.inflight[stage*e.chunks+int(e.chunkAt(micro, stage))]++
@@ -349,7 +352,7 @@ func (e *engine) layout() {
 		e.actions = make([]Action, total)
 	}
 	if cap(e.queue) < per*e.half {
-		e.queue = make([]int32, per*e.half)
+		e.queue = make([]task, per*e.half)
 	}
 	a, q := 0, 0
 	for d := 0; d < e.p; d++ {
@@ -412,16 +415,17 @@ func (e *engine) runDevice(d int, now float64) bool {
 		return false
 	}
 	t, soon := e.pick(d, now)
-	if t < 0 {
+	if t.id < 0 {
 		e.next[d] = soon
 		return false
 	}
+	i := int(t.id)
 	dur := e.gp.Tf
 	kind := OpForward
 	switch {
-	case t >= 2*e.half:
+	case i >= 2*e.half:
 		dur, kind = e.gp.Tw, OpBackwardWeight
-	case t >= e.half:
+	case i >= e.half:
 		dur, kind = e.gp.Tb, OpBackward
 		if e.gp.SplitBackward {
 			kind = OpBackwardInput
@@ -431,21 +435,57 @@ func (e *engine) runDevice(d int, now float64) bool {
 	e.free[d], e.next[d] = end, end
 	micro, stage := e.split(t)
 	e.emit(int32(d), kind, micro, stage)
-	e.finish(t, micro, stage, end)
+	e.finish(int32(d), i, micro, stage, end)
 	return true
+}
+
+// window runs every device through the lookahead window [now, end), in
+// ascending id: each device is scanned at each of its own wakes inside the
+// window. It returns how many ran a task and the least next after the
+// window, where the next one starts. now is the least next, so no device
+// is due before the window opens.
+//
+// run calls it only under dense tables and only when end = now + Δ exceeds
+// now, Δ being the shortest task duration, and there the result is the
+// instant-by-instant loop's (pass at every instant). Every task lasts at
+// least Δ and float rounding is monotone, so a task started at t ≥ now ends
+// at t + dur ≥ end: a device runs at most one task per window, and its next
+// leaves the window with it. Every successor that task enqueues is ready no
+// earlier than that end — its own next stage at end, a cross-device one at
+// end + Tc, the EagerW hand-off at end + Tw — so no device becomes ready in
+// the window for anything another ran there, and the entry it gains is
+// neither picked nor changes its wakes before end (enqueue lowers next to
+// the same least ready time a later scan would find). Under dense tables a
+// device's cap classes and phase barrier are its own. Nothing a device does
+// in a window can therefore change another's choices in it, and running the
+// devices one after another yields the lists of scanning all of them at
+// every instant. The least next is taken as each device leaves, as in
+// pass.
+func (e *engine) window(end float64) (ran int, lo float64) {
+	lo = math.Inf(1)
+	for d := 0; d < e.p; d++ {
+		for t := e.next[d]; t < end; t = e.next[d] {
+			if e.runDevice(d, t) {
+				ran++
+			}
+		}
+		lo = min(lo, e.next[d])
+	}
+	return ran, lo
 }
 
 // pass scans the devices once at instant now, in ascending id — all of them
 // when all is set, else those due now — and returns how many ran a task and
-// the least next after the pass, the next instant. next[d] is read as the
-// pass reaches d, so a device that an earlier run of this pass made due
-// now (possible only when a duration vanishes against the clock in float64)
-// is scanned in this pass, as a full rescan would. Taking the least next as
-// each device leaves the pass is exact: a wake lowered after its device
-// left is never below the end of the run that lowered it — a successor is
-// ready no earlier than its producer ends, and a swapped mapping's
-// broadcast wakes at that end — and the producer's own next is that end,
-// already counted.
+// the least next after the pass, the next instant. It is the reference
+// path's step and the lookahead window's fallback when now + Δ rounds to
+// now. next[d] is read as the pass reaches d, so a device that an earlier
+// run of this pass made due now (possible only when a duration vanishes
+// against the clock in float64) is scanned in this pass, as a full rescan
+// would. Taking the least next as each device leaves the pass is exact: a
+// wake lowered after its device left is never below the end of the run
+// that lowered it — a successor is ready no earlier than its producer ends,
+// and a swapped mapping's broadcast wakes at that end — and the producer's
+// own next is that end, already counted.
 func (e *engine) pass(now float64, all bool) (ran int, lo float64) {
 	lo = math.Inf(1)
 	for d := 0; d < e.p; d++ {
@@ -469,20 +509,24 @@ func (e *engine) pass(now float64, all bool) (ran int, lo float64) {
 // under dense tables), the ready time a task is enqueued with (no earlier
 // than the device frees), or, when a scan finds nothing eligible, the next
 // ready time among its pending tasks. Every other change of eligibility
-// comes from one of those. Each instant is the least next, and it scans
-// the devices whose next is that instant, in ascending device id. For
-// table-driven placements (every built-in scheme) that single pass is
-// complete — nothing it runs can make another device runnable within the
-// same instant: durations are positive, so finish, applied when a task
-// starts, readies every successor at end > now; a forward only raises
-// inflight, which can disable but never enable; and the budget a backward
-// releases belongs to a (stage, chunk) class hosted on the device that just
-// went busy until end, where its own next rescans it. The instant therefore
-// ends quiescent, and the lists are those of a scan of every device after
-// every run. A mapping swapped in through an Option carries no such
-// guarantee (a class may span devices), so it keeps exactly that: backward
-// completions wake every device at their end, and an instant in which
-// anything ran rescans all devices to a fixed point.
+// comes from one of those. The result is defined by scanning, at each
+// instant — the least next — the devices due then, in ascending id (pass):
+// with positive durations nothing a scan runs readies a task at the same
+// instant, and under dense tables the budget a backward releases belongs
+// to a class hosted on the device that just went busy, so that one pass
+// leaves the instant quiescent.
+//
+// For table-driven placements (every built-in scheme) run takes lookahead
+// windows instead of single instants: with Δ = min(Tf, Tb, and Tw when the
+// backward is split), each step is the window [now, now + Δ), in which
+// every device runs through its own wakes on its own (see window for why
+// that is exact), so a device is checked once per window, not once per
+// instant. When now + Δ rounds to now in float64 (a duration
+// vanishing against the clock), the step falls back to the single-instant
+// pass. A mapping swapped in through an Option carries none of these
+// guarantees (a class may span devices), so it keeps the reference path:
+// backward completions wake every device at their end, and an instant in
+// which anything ran rescans all devices to a fixed point.
 func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error {
 	m := gp.Mapping
 	if gp.B <= 0 {
@@ -513,7 +557,6 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 
 	e.readyAt = arena(e.readyAt, total)
 	e.done = arena(e.done, total)
-	e.devOf = arena(e.devOf, total)
 	e.free = arena(e.free, e.p)
 	e.inflight = arena(e.inflight, e.s*e.chunks)
 	e.fwdLeft = arena(e.fwdLeft, e.p)
@@ -530,6 +573,10 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 		e.enqueue(mi, 0, 0, 0)
 	}
 
+	delta := min(gp.Tf, gp.Tb) // the lookahead: no task is shorter
+	if gp.SplitBackward {
+		delta = min(delta, tw)
+	}
 	executed := 0
 	guard := 0
 	now := 0.0 // every first-stage forward is ready at 0
@@ -540,6 +587,12 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 		}
 		if math.IsInf(now, 1) {
 			return fmt.Errorf("sched: nothing pending with %d/%d tasks executed", executed, total)
+		}
+		if end := now + delta; e.dev != nil && end > now {
+			ran, lo := e.window(end)
+			executed += ran
+			now = lo
+			continue
 		}
 		ran, lo := e.pass(now, false)
 		executed += ran

@@ -140,20 +140,31 @@ func (s *Schedule) Split() bool {
 func (s *Schedule) PeakActs(dst []int) []int {
 	dst = slices.Grow(dst[:0], s.P)[:s.P]
 	for d := range dst {
-		live, peak := 0, 0
-		for _, a := range s.Lists[d] {
-			switch a.Kind {
-			case OpForward:
-				if live++; live > peak {
-					peak = live
-				}
-			case OpBackward, OpBackwardInput:
-				live--
-			}
-		}
-		dst[d] = peak
+		dst[d], _ = ListPeakActs(s.Lists[d])
 	}
 	return dst
+}
+
+// ListPeakActs returns one device's peak count of live stage-activations,
+// by PeakActs' rule, and its number of compute ops (OpKind.IsCompute): what
+// an executor learns from a list before walking it, in one scan.
+func ListPeakActs(list []Action) (peak, compute int) {
+	live := 0
+	for _, a := range list {
+		switch a.Kind {
+		case OpForward:
+			if live++; live > peak {
+				peak = live
+			}
+			compute++
+		case OpBackward, OpBackwardInput:
+			live--
+			compute++
+		case OpBackwardWeight:
+			compute++
+		}
+	}
+	return peak, compute
 }
 
 // checkStatic is the structural pass: shape, ranges, mapping conformance,

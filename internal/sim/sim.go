@@ -487,7 +487,6 @@ type Runner struct {
 	// and the backend plus the P×P link table; rows are three-indexed so
 	// appending to a Result field cannot reach the next.
 	floats []float64 // Busy | End | time | linkFree
-	peaks  []int     // Result.PeakActs
 }
 
 // NewRunner returns an empty Runner; arenas are allocated lazily on first
@@ -554,9 +553,8 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 	res.FailTime = 0
 	res.Recovery = 0
 	r.floats = exec.Arena(r.floats, 3*p+p*p)
-	r.peaks = s.PeakActs(r.peaks)
 	f := r.floats
-	res.Busy, res.End, res.PeakActs = f[:p:p], f[p:2*p:2*p], r.peaks
+	res.Busy, res.End = f[:p:p], f[p:2*p:2*p]
 	be := &r.be
 	be.s, be.cost, be.opt, be.res = s, cost, opt, res
 	be.deadline = deadline
@@ -571,6 +569,7 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 	be.time, be.linkFree = f[2*p:3*p:3*p], f[3*p:]
 	be.pendingZone = exec.Arena(be.pendingZone, p)
 	recs, err := r.loop.Run(s, be, exec.Options{BatchComm: opt.BatchComm})
+	res.PeakActs = r.loop.PeakActs() // the walk's own pre-scan, whatever its outcome
 	if err != nil {
 		if errors.Is(err, errDeadline) {
 			// Partial result: the executed prefix's timeline and the clock
