@@ -61,6 +61,7 @@ func FuzzGenerate(f *testing.F) {
 	f.Add(uint8(7), uint8(4), uint8(4), 1.0, 2.0, math.Inf(1), 1.0, false) // hanayo-w2, +Inf Tc
 	f.Add(uint8(1), uint8(0), uint8(4), 1.0, 2.0, 0.05, 1.0, false)        // interleaved-v3, P = 0
 	f.Add(uint8(7), uint8(8), uint8(8), 1e-20, 1e10, 0.05, 1.0, false)     // hanayo-w2, Tf vanishing: the single-instant fallback
+	f.Add(uint8(11), uint8(8), uint8(16), 1.0, 2.0, 0.05, 0.01, true)      // zbh1, Tw ≪ min(Tf, Tb): several weight halves per window
 	f.Fuzz(func(t *testing.T, idx, p, b uint8, tf, tb, tc, tw float64, eagerW bool) {
 		scheme := fuzzSchemes[int(idx)%len(fuzzSchemes)]
 		P, B := int(p%17), int(b%25)

@@ -18,6 +18,11 @@ func withCosts(tf, tb, tc float64) Option {
 	return func(p *GenParams) { p.Tf, p.Tb, p.Tc = tf, tb, tc }
 }
 
+// withTw overrides the weight-gradient duration of a split backward.
+func withTw(tw float64) Option {
+	return func(p *GenParams) { p.Tw = tw }
+}
+
 // schedulesEqual compares two schedules bit-for-bit: headers, every action
 // of every list (reflect.DeepEqual over the lists), and the mapping's
 // observable shape; the mapping is compared by kind and dimensions.
@@ -189,7 +194,10 @@ func TestTableDrivenMatchesClosureReference(t *testing.T) {
 	table, reference := NewGenerator(), NewGenerator()
 	for _, scheme := range schemes {
 		for _, shape := range [][2]int{{4, 4}, {8, 16}, {16, 16}, {32, 16}} {
-			for _, costs := range [][]Option{nil, {withCosts(1, 1.5, 0)}, {withCosts(1e-20, 1e10, 0.05)}} {
+			for _, costs := range [][]Option{
+				nil, {withCosts(1, 1.5, 0)}, {withCosts(1e-20, 1e10, 0.05)},
+				{withCosts(1, 2, 0.05), withTw(0.01)}, // several weight halves per lookahead window
+			} {
 				p, b := shape[0], shape[1]
 				got, err := table.Generate(scheme, p, b, costs...)
 				if err != nil {

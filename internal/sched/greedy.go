@@ -446,21 +446,24 @@ func (e *engine) runDevice(d int, now float64) bool {
 // is due before the window opens.
 //
 // run calls it only under dense tables and only when end = now + Δ exceeds
-// now, Δ being the shortest task duration, and there the result is the
-// instant-by-instant loop's (pass at every instant). Every task lasts at
-// least Δ and float rounding is monotone, so a task started at t ≥ now ends
-// at t + dur ≥ end: a device runs at most one task per window, and its next
-// leaves the window with it. Every successor that task enqueues is ready no
-// earlier than that end — its own next stage at end, a cross-device one at
-// end + Tc, the EagerW hand-off at end + Tw — so no device becomes ready in
-// the window for anything another ran there, and the entry it gains is
-// neither picked nor changes its wakes before end (enqueue lowers next to
-// the same least ready time a later scan would find). Under dense tables a
-// device's cap classes and phase barrier are its own. Nothing a device does
-// in a window can therefore change another's choices in it, and running the
-// devices one after another yields the lists of scanning all of them at
-// every instant. The least next is taken as each device leaves, as in
-// pass.
+// now, Δ = min(Tf, Tb) being the shortest duration of a task that enqueues
+// a successor, and there the result is the instant-by-instant loop's (pass
+// at every instant). A weight-gradient task may be shorter — a device may
+// then run several tasks in one window, each at its own wake — but it
+// enqueues nothing and releases no budget: its only effect is on its own
+// device's clock and queue. A forward or a backward (its input-gradient
+// half under a split) lasts at least Δ and float rounding is monotone, so
+// one started at t ≥ now ends at t + dur ≥ end, and every successor it
+// enqueues is ready no earlier than that end — its own next stage at end, a
+// cross-device one at end + Tc, the EagerW hand-off at end + Tw, the weight
+// half at end on the same device — so no device becomes ready in the window
+// for anything another ran there, and the entry it gains is neither picked
+// nor changes its wakes before end (enqueue lowers next to the same least
+// ready time a later scan would find). Under dense tables a device's cap
+// classes and phase barrier are its own. Nothing a device does in a window
+// can therefore change another's choices in it, and running the devices
+// one after another yields the lists of scanning all of them at every
+// instant. The least next is taken as each device leaves, as in pass.
 func (e *engine) window(end float64) (ran int, lo float64) {
 	lo = math.Inf(1)
 	for d := 0; d < e.p; d++ {
@@ -517,8 +520,8 @@ func (e *engine) pass(now float64, all bool) (ran int, lo float64) {
 // leaves the instant quiescent.
 //
 // For table-driven placements (every built-in scheme) run takes lookahead
-// windows instead of single instants: with Δ = min(Tf, Tb, and Tw when the
-// backward is split), each step is the window [now, now + Δ), in which
+// windows instead of single instants: with Δ = min(Tf, Tb), each step is
+// the window [now, now + Δ), in which
 // every device runs through its own wakes on its own (see window for why
 // that is exact), so a device is checked once per window, not once per
 // instant. When now + Δ rounds to now in float64 (a duration
@@ -573,10 +576,7 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 		e.enqueue(mi, 0, 0, 0)
 	}
 
-	delta := min(gp.Tf, gp.Tb) // the lookahead: no task is shorter
-	if gp.SplitBackward {
-		delta = min(delta, tw)
-	}
+	delta := min(gp.Tf, gp.Tb) // the lookahead: no task that enqueues a successor is shorter
 	executed := 0
 	guard := 0
 	now := 0.0 // every first-stage forward is ready at 0
