@@ -9,19 +9,26 @@
 // batching, send/recv ordering and flush semantics, and both produce the
 // same Record timeline type from the same walking loop.
 //
+// A batched comm run enters in one move: the backend's BeginRun sees the
+// whole run (a timing backend registers its receives there), then the
+// interpreter issues the run's sends in list order, then the receives
+// complete in list order.
+//
 // Two drivers expose the interpreter:
 //
 //   - Loop.Run walks all devices cooperatively in one goroutine,
-//     round-robin with deadlock detection. Backends signal "cannot
-//     complete yet" by returning ErrBlocked from Recv/Drain; the driver
-//     retries after other devices make progress. This is the
-//     discrete-event mode, driven by internal/sim.
+//     round-robin with deadlock detection: each device retires ops until
+//     it blocks or finishes. Backends signal "cannot complete yet" by
+//     returning ErrBlocked from Recv/Drain; the driver retries after other
+//     devices make progress. This is the discrete-event mode, driven by
+//     internal/sim; Loop.Walk is the same walk without the Record timeline.
 //   - Replicas.Run walks each device of each data-parallel replica in its
-//     own goroutine. Backends block inside Recv instead of returning
-//     ErrBlocked. This is the real training mode, driven by
+//     own goroutine, one instruction group at a time so a device observes
+//     cancellation between groups. Backends block inside Recv instead of
+//     returning ErrBlocked. This is the real training mode, driven by
 //     internal/runtime.
 //
-// Both drivers execute the identical per-step state machine (see step), so
+// Both drivers execute the identical state machine (see advance), so
 // executor semantics — what a batched run issues first, when receives
 // complete, how the flush terminates a list — are defined exactly once.
 package exec
@@ -63,8 +70,7 @@ type Cancellable interface {
 type Options struct {
 	// BatchComm treats each maximal run of consecutive comm ops as one
 	// batched isend/irecv group (paper §4.2): all sends of the run are
-	// issued and all receives posted at group entry, then the receives
-	// complete in list order. When false, comm ops execute strictly one at
+	// issued at group entry, then the receives complete in list order. When false, comm ops execute strictly one at
 	// a time in list order — the NCCL-hazard ablation that can deadlock
 	// bidirectional schedules.
 	BatchComm bool
@@ -91,18 +97,18 @@ type Backend interface {
 	// Compute executes one OpForward/OpBackward and reports its time span
 	// for the interpreter's Record timeline.
 	Compute(dev int, a sched.Action) (start, end float64, err error)
-	// BeginRun announces entry into a batched comm run: run is the maximal
-	// consecutive comm-op slice and next the list index one past it (for
-	// lookahead-based accounting such as bubble-zone classification).
+	// BeginRun announces entry into a batched comm run, before any of its
+	// sends is issued: run is the maximal consecutive comm-op slice and
+	// next the list index one past it (for lookahead-based accounting such
+	// as bubble-zone classification). A backend that must register
+	// receives ahead of time — a timing backend without prefetch —
+	// registers the run's receives here; a real transport with buffered
+	// mailboxes needs nothing.
 	BeginRun(dev int, run []sched.Action, next int) error
 	// Send issues one send of a batched run. It must not block: batched
 	// groups issue every send before any receive completes, which is what
 	// makes bidirectional exchanges deadlock-free.
 	Send(dev int, a sched.Action) error
-	// Post registers one receive of a batched run at group entry — the
-	// prefetch bookkeeping point for timing backends; a no-op for real
-	// transports with buffered mailboxes.
-	Post(dev int, a sched.Action) error
 	// Recv completes one receive. idx is the op's index in the device's
 	// list. Cooperative backends return ErrBlocked itself (not wrapped) if
 	// the payload has not arrived; concurrent backends block until it has.
@@ -124,7 +130,7 @@ type machine struct {
 	dev     int
 	list    []sched.Action
 	pc      int
-	entered bool // current batched run already issued its sends/posts
+	entered bool // current batched run already issued its sends
 	runEnd  int  // one past the current comm run (valid while entered)
 	idx     int  // next op to complete inside the entered run
 }
@@ -133,113 +139,110 @@ func isSend(k sched.OpKind) bool { return k == sched.OpSendAct || k == sched.OpS
 
 // interp is one replica of one interpreter invocation: options, the
 // replica's backend and its collected per-device Record timelines (each
-// device appends only to its own slice).
+// device appends only to its own slice; nil records keeps no timeline).
 type interp struct {
 	opt     Options
 	backend Backend
 	records [][]Record
 }
 
-// step advances device m by at most one instruction group and reports
-// whether it retired anything. A (false, nil) return means the device is
-// finished or blocked; the caller distinguishes via m.pc. This is the one
-// action-list walking loop shared by both executors.
-func (ex *interp) step(m *machine) (bool, error) {
-	if m.pc >= len(m.list) {
-		return false, nil
-	}
-	b := ex.backend
-	a := m.list[m.pc]
-	switch {
-	case a.Kind.IsCompute():
-		start, end, err := b.Compute(m.dev, a)
-		if err != nil {
-			return false, err
+// advance retires device m's instruction groups in list order — exactly
+// one when once is set, otherwise until the device blocks or finishes —
+// and reports whether it retired anything. A (false, nil) return means the
+// device is finished or blocked; the caller distinguishes via m.pc. Entry
+// into a batched comm run is a group of its own, and so is completing the
+// run's receives. This is the one action-list walking loop shared by both
+// executors.
+func (ex *interp) advance(m *machine, once bool) (bool, error) {
+	b, list, d := ex.backend, m.list, m.dev
+	progress := false
+	for m.pc < len(list) {
+		if progress && once {
+			return true, nil
 		}
-		ex.records[m.dev] = append(ex.records[m.dev], Record{Action: a, Start: start, End: end})
-		m.pc++
-		return true, nil
+		a := list[m.pc]
+		switch {
+		case a.Kind.IsCompute():
+			start, end, err := b.Compute(d, a)
+			if err != nil {
+				return progress, err
+			}
+			if ex.records != nil {
+				ex.records[d] = append(ex.records[d], Record{Action: a, Start: start, End: end})
+			}
+			m.pc++
 
-	case a.Kind.IsComm():
-		if !ex.opt.BatchComm {
-			// Strict in-order ablation: one comm op per step, sends block.
+		case !a.Kind.IsComm():
+			var err error
+			switch a.Kind {
+			case sched.OpAllReduce:
+				err = b.Flush(d, a)
+			case sched.OpOptimStep:
+				err = b.Step(d, a)
+			}
+			if err != nil {
+				return progress, err
+			}
+			m.pc++
+
+		case !ex.opt.BatchComm:
+			// Strict in-order ablation: one comm op per group, sends block.
 			var err error
 			if isSend(a.Kind) {
-				err = b.Drain(m.dev, m.pc, a)
+				err = b.Drain(d, m.pc, a)
 			} else {
-				err = b.Recv(m.dev, m.pc, a)
+				err = b.Recv(d, m.pc, a)
 			}
 			if err != nil {
 				if err == ErrBlocked {
-					return false, nil
+					return progress, nil
 				}
-				return false, err
+				return progress, err
 			}
 			m.pc++
-			return true, nil
-		}
-		if !m.entered {
-			// Group entry: issue every send and post every receive of the
-			// maximal consecutive comm run, in list order, before waiting
-			// on anything (batch_isend_irecv semantics).
+
+		case !m.entered:
+			// Group entry: announce the maximal consecutive comm run, then
+			// issue every send of it in list order before waiting on
+			// anything (batch_isend_irecv semantics).
 			m.runEnd = m.pc
-			for m.runEnd < len(m.list) && m.list[m.runEnd].Kind.IsComm() {
+			for m.runEnd < len(list) && list[m.runEnd].Kind.IsComm() {
 				m.runEnd++
 			}
-			run := m.list[m.pc:m.runEnd]
-			if err := b.BeginRun(m.dev, run, m.runEnd); err != nil {
-				return false, err
+			run := list[m.pc:m.runEnd]
+			if err := b.BeginRun(d, run, m.runEnd); err != nil {
+				return progress, err
 			}
 			for _, op := range run {
-				var err error
 				if isSend(op.Kind) {
-					err = b.Send(m.dev, op)
-				} else {
-					err = b.Post(m.dev, op)
-				}
-				if err != nil {
-					return false, err
+					if err := b.Send(d, op); err != nil {
+						return progress, err
+					}
 				}
 			}
 			m.entered = true
 			m.idx = m.pc
-			return true, nil
-		}
-		// Waiting phase: complete the run's receives in list order.
-		for m.idx < m.runEnd {
-			op := m.list[m.idx]
-			if isSend(op.Kind) {
-				m.idx++
-				continue
-			}
-			if err := b.Recv(m.dev, m.idx, op); err != nil {
-				if err == ErrBlocked {
-					return false, nil
+
+		default:
+			// Waiting phase: complete the run's receives in list order.
+			for ; m.idx < m.runEnd; m.idx++ {
+				op := list[m.idx]
+				if isSend(op.Kind) {
+					continue
 				}
-				return false, err
+				if err := b.Recv(d, m.idx, op); err != nil {
+					if err == ErrBlocked {
+						return progress, nil
+					}
+					return progress, err
+				}
 			}
-			m.idx++
+			m.pc = m.runEnd
+			m.entered = false
 		}
-		m.pc = m.runEnd
-		m.entered = false
-		return true, nil
-
-	case a.Kind == sched.OpAllReduce:
-		if err := ex.backend.Flush(m.dev, a); err != nil {
-			return false, err
-		}
-		m.pc++
-		return true, nil
-
-	case a.Kind == sched.OpOptimStep:
-		if err := ex.backend.Step(m.dev, a); err != nil {
-			return false, err
-		}
-		m.pc++
-		return true, nil
+		progress = true
 	}
-	m.pc++
-	return true, nil
+	return progress, nil
 }
 
 // Arena reslices s to n elements, reallocating only when capacity is
@@ -275,12 +278,14 @@ type Loop struct {
 
 // prepare resets the Loop for replicas copies of schedule s, reusing
 // machine and timeline storage when the arenas are already large enough.
-// Each timeline is a row of one flat block, sized at its device's exact
-// compute-op count — the walking loop never grows a Record slice mid-run —
-// and three-indexed, so one device's appends cannot reach its neighbour's.
-// The scan that counts the compute ops also takes each device's
-// activation peak (sched.ListPeakActs), so no caller scans the lists again.
-func (l *Loop) prepare(s *sched.Schedule, replicas int) {
+// With record, each timeline is a row of one flat block, sized at its
+// device's exact compute-op count — the walking loop never grows a Record
+// slice mid-run — and three-indexed, so one device's appends cannot reach
+// its neighbour's; without it no timeline is laid out and the returned
+// rows are nil. The scan that counts the compute ops also takes each
+// device's activation peak (sched.ListPeakActs), so no caller scans the
+// lists again.
+func (l *Loop) prepare(s *sched.Schedule, replicas int, record bool) [][]Record {
 	n := replicas * s.P
 	if cap(l.ms) < n {
 		l.ms = make([]machine, n)
@@ -293,16 +298,22 @@ func (l *Loop) prepare(s *sched.Schedule, replicas int) {
 		l.peaks[d], l.ops[d] = sched.ListPeakActs(s.Lists[d])
 		total += l.ops[d]
 	}
+	for i := range l.ms {
+		l.ms[i] = machine{dev: i % s.P, list: s.Lists[i%s.P]}
+	}
+	if !record {
+		return nil
+	}
 	if cap(l.flat) < replicas*total {
 		l.flat = make([]Record, replicas*total)
 	}
 	off := 0
-	for i := range l.ms {
+	for i := range l.records {
 		d := i % s.P
 		l.records[i] = l.flat[off : off : off+l.ops[d]]
 		off += l.ops[d]
-		l.ms[i] = machine{dev: d, list: s.Lists[d]}
 	}
+	return l.records
 }
 
 // PeakActs returns each device's peak count of live stage-activations in
@@ -312,41 +323,47 @@ func (l *Loop) prepare(s *sched.Schedule, replicas int) {
 func (l *Loop) PeakActs() []int { return l.peaks[:len(l.peaks):len(l.peaks)] }
 
 // Run drives the interpreter cooperatively in a single goroutine: devices
-// advance round-robin as far as they can, and a full pass with no progress
-// is a communication deadlock, reported as an error wrapping
-// sched.ErrDeadlock. Returns the per-device compute Record timelines (owned
-// by the Loop, valid until its next run). This is the driver for
+// advance round-robin, each as far as it can, and a full pass with no
+// progress is a communication deadlock, reported as an error wrapping
+// sched.ErrDeadlock at the lowest unfinished device. Returns the per-device
+// compute Record timelines (owned by the Loop, valid until its next run),
+// also the executed prefix when a hook fails. This is the driver for
 // discrete-event (timing) backends.
 func (l *Loop) Run(s *sched.Schedule, b Backend, opt Options) ([][]Record, error) {
-	l.prepare(s, 1)
-	ex := interp{opt: opt, backend: b, records: l.records}
+	recs := l.prepare(s, 1, true)
+	return recs, l.walk(interp{opt: opt, backend: b, records: recs})
+}
+
+// Walk is Run without the Record timeline: the same hooks in the same
+// order, for a caller that needs only the backend's own accounting.
+func (l *Loop) Walk(s *sched.Schedule, b Backend, opt Options) error {
+	l.prepare(s, 1, false)
+	return l.walk(interp{opt: opt, backend: b})
+}
+
+func (l *Loop) walk(ex interp) error {
 	ms := l.ms
 	for {
 		progress := false
 		done := true
-		for d := 0; d < s.P; d++ {
-			for {
-				ok, err := ex.step(&ms[d])
-				if err != nil {
-					return ex.records, err
-				}
-				if !ok {
-					break
-				}
-				progress = true
+		for d := range ms {
+			ok, err := ex.advance(&ms[d], false)
+			if err != nil {
+				return err
 			}
+			progress = progress || ok
 			if ms[d].pc < len(ms[d].list) {
 				done = false
 			}
 		}
 		if done {
-			return ex.records, nil
+			return nil
 		}
 		if !progress {
-			for d := 0; d < s.P; d++ {
+			for d := range ms {
 				if ms[d].pc < len(ms[d].list) {
-					return ex.records, fmt.Errorf("exec: %w at device %d op %v (batchComm=%v)",
-						sched.ErrDeadlock, d, ms[d].list[ms[d].pc], opt.BatchComm)
+					return fmt.Errorf("exec: %w at device %d op %v (batchComm=%v)",
+						sched.ErrDeadlock, d, ms[d].list[ms[d].pc], ex.opt.BatchComm)
 				}
 			}
 		}
@@ -390,7 +407,7 @@ type Replicas struct {
 // failed run and a canceled run leaks nothing.
 func (g *Replicas) Run(s *sched.Schedule, backends []Backend, opt Options) ([][][]Record, error) {
 	l := &g.loop
-	l.prepare(s, len(backends))
+	l.prepare(s, len(backends), true)
 	if cap(g.exs) < len(backends) {
 		g.exs = make([]interp, len(backends))
 		g.records = make([][][]Record, len(backends))
@@ -432,9 +449,9 @@ func (g *Replicas) Run(s *sched.Schedule, backends []Backend, opt Options) ([][]
 func (g *Replicas) walk(ex *interp, m *machine) {
 	defer g.wg.Done()
 	for {
-		// Observe cancellation between steps, too: a device that is
-		// compute-bound (never blocks in Recv) must still stand down
-		// promptly when a peer's hook failed, or teardown latency is
+		// Observe cancellation between instruction groups, too: a device
+		// that is compute-bound (never blocks in Recv) must still stand
+		// down promptly when a peer's hook failed, or teardown latency is
 		// bounded by its remaining work instead of one op.
 		select {
 		case <-g.done:
@@ -442,7 +459,7 @@ func (g *Replicas) walk(ex *interp, m *machine) {
 			return
 		default:
 		}
-		ok, err := ex.step(m)
+		ok, err := ex.advance(m, true)
 		if err == nil && !ok && m.pc < len(m.list) {
 			err = fmt.Errorf("exec: backend blocked device %d at %v in concurrent mode", m.dev, m.list[m.pc])
 		}

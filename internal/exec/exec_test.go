@@ -321,7 +321,7 @@ func TestUnbatchedDeadlockSurfaces(t *testing.T) {
 // countBackend counts hook invocations and never blocks — used to prove
 // both drivers execute the identical instruction walk.
 type countBackend struct {
-	compute, sends, posts, recvs, flush, steps atomic.Int64
+	compute, sends, recvs, flush, steps atomic.Int64
 }
 
 func (c *countBackend) Compute(d int, a sched.Action) (float64, float64, error) {
@@ -330,7 +330,6 @@ func (c *countBackend) Compute(d int, a sched.Action) (float64, float64, error) 
 }
 func (c *countBackend) BeginRun(d int, run []sched.Action, next int) error { return nil }
 func (c *countBackend) Send(d int, a sched.Action) error                   { c.sends.Add(1); return nil }
-func (c *countBackend) Post(d int, a sched.Action) error                   { c.posts.Add(1); return nil }
 func (c *countBackend) Recv(d, i int, a sched.Action) error                { c.recvs.Add(1); return nil }
 func (c *countBackend) Drain(d, i int, a sched.Action) error               { c.sends.Add(1); return nil }
 func (c *countBackend) Flush(d int, a sched.Action) error                  { c.flush.Add(1); return nil }
@@ -373,9 +372,6 @@ func TestDriversWalkIdentically(t *testing.T) {
 		}
 		if got := c.recvs.Load(); got != wantRecvs {
 			t.Errorf("%s: %d recv hooks, schedule has %d recv ops", name, got, wantRecvs)
-		}
-		if got := c.posts.Load(); got != wantRecvs {
-			t.Errorf("%s: %d post hooks, schedule has %d recv ops", name, got, wantRecvs)
 		}
 		if got := c.flush.Load(); got != int64(s.P) {
 			t.Errorf("%s: %d flush hooks for %d devices", name, got, s.P)
@@ -449,6 +445,61 @@ func TestConcurrentCancellation(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Replicas.Run still hangs on a mid-schedule hook error")
+	}
+}
+
+// stretchBackend fails device 0's first compute while device 1 runs a
+// compute-only stretch: device 1's first compute returns only once the
+// driver's done channel has closed, and every compute of device 1 that
+// returns after that is counted.
+type stretchBackend struct {
+	countBackend
+	done  <-chan struct{}
+	first atomic.Bool
+	after atomic.Int64
+}
+
+func (b *stretchBackend) SetDone(done <-chan struct{}) { b.done = done }
+
+func (b *stretchBackend) Compute(d int, a sched.Action) (float64, float64, error) {
+	if d == 0 {
+		return 0, 0, errors.New("injected hook failure")
+	}
+	if b.first.CompareAndSwap(false, true) {
+		select {
+		case <-b.done:
+		case <-time.After(30 * time.Second):
+			return 0, 0, errors.New("the done channel never closed")
+		}
+	}
+	select {
+	case <-b.done:
+		b.after.Add(1)
+	default:
+	}
+	return b.countBackend.Compute(d, a)
+}
+
+// TestConcurrentTeardownLatency pins the concurrent driver's teardown
+// latency: a device that never blocks in Recv still observes the done
+// channel between instruction groups, so once a peer's hook failed it
+// retires at most the one group it was running, not the rest of its list.
+func TestConcurrentTeardownLatency(t *testing.T) {
+	stretch := make([]sched.Action, 64)
+	for i := range stretch {
+		stretch[i] = sched.Action{Kind: sched.OpForward, Micro: int32(i), Peer: -1}
+	}
+	s := &sched.Schedule{Scheme: "stretch", P: 2, B: 64, S: 1, Lists: [][]sched.Action{
+		{{Kind: sched.OpForward, Peer: -1}}, stretch,
+	}}
+	var g exec.Replicas
+	b := &stretchBackend{}
+	_, err := g.Run(s, []exec.Backend{b}, exec.DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), "injected hook failure") {
+		t.Fatalf("Run reported %v, want the injected hook failure", err)
+	}
+	if n := b.after.Load(); n > 1 {
+		t.Fatalf("device 1 retired %d compute ops after the done channel closed, want at most 1", n)
 	}
 }
 

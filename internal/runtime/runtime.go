@@ -493,13 +493,11 @@ func (b *rtBackend) Compute(d int, a sched.Action) (float64, float64, error) {
 	return start, time.Since(b.t0).Seconds(), err
 }
 
+// BeginRun is a no-op: the router's mailboxes buffer every send, so
+// receives need no ahead-of-time registration.
 func (b *rtBackend) BeginRun(d int, run []sched.Action, next int) error { return nil }
 
 func (b *rtBackend) Send(d int, a sched.Action) error { return b.workers[d].send(a) }
-
-// Post is a no-op: the router's mailboxes buffer every send, so receives
-// need no ahead-of-time registration.
-func (b *rtBackend) Post(d int, a sched.Action) error { return nil }
 
 func (b *rtBackend) Recv(d, idx int, a sched.Action) error { return b.workers[d].recv(a, b.done) }
 

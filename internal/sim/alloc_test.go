@@ -21,7 +21,7 @@ func TestIRLayoutPinned(t *testing.T) {
 	}{
 		{"sched.Action", unsafe.Sizeof(sched.Action{}), 20},
 		{"exec.Record", unsafe.Sizeof(exec.Record{}), 40},
-		{"sim.transfer", unsafe.Sizeof(transfer{}), 32},
+		{"sim.transfer", unsafe.Sizeof(transfer{}), 16},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

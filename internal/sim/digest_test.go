@@ -106,7 +106,7 @@ func digestResult(h hash.Hash64, res *Result, exceeded bool, err error) {
 	f(res.FailTime)
 	f(res.Recovery)
 	flag(exceeded)
-	recs := res.Records
+	recs := res.Records()
 	u(uint64(len(recs)))
 	for _, dev := range recs {
 		u(uint64(len(dev)))

@@ -3,7 +3,9 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/costmodel"
+	"repro/internal/nn"
 	"repro/internal/sched"
 )
 
@@ -35,18 +37,18 @@ func resultsEqual(t *testing.T, label string, got, want *Result) {
 				want.Busy[d], want.End[d], want.PeakActs[d])
 		}
 	}
-	if len(got.Records) != len(want.Records) {
-		t.Fatalf("%s: record device count %d != %d", label, len(got.Records), len(want.Records))
+	if len(got.Records()) != len(want.Records()) {
+		t.Fatalf("%s: record device count %d != %d", label, len(got.Records()), len(want.Records()))
 	}
-	for d := range want.Records {
-		if len(got.Records[d]) != len(want.Records[d]) {
+	for d := range want.Records() {
+		if len(got.Records()[d]) != len(want.Records()[d]) {
 			t.Fatalf("%s: device %d timeline length %d != %d",
-				label, d, len(got.Records[d]), len(want.Records[d]))
+				label, d, len(got.Records()[d]), len(want.Records()[d]))
 		}
-		for i := range want.Records[d] {
-			if got.Records[d][i] != want.Records[d][i] {
+		for i := range want.Records()[d] {
+			if got.Records()[d][i] != want.Records()[d][i] {
 				t.Errorf("%s: device %d record %d %+v != %+v",
-					label, d, i, got.Records[d][i], want.Records[d][i])
+					label, d, i, got.Records()[d][i], want.Records()[d][i])
 			}
 		}
 	}
@@ -140,5 +142,40 @@ func TestRunnerAllocsZero(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state Runner.Run allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkSimulateFig10 simulates, per op, the 21 schedules of a cold Fig
+// 10 sweep on one reused Runner under the tacc cost model: P ∈ {8, 16, 32}
+// × the three baselines and Hanayo at 1, 2, 4 and 8 waves, B = 16 — one
+// sweep's simulation stage, as BenchmarkGenerateFig10 is its compile stage.
+func BenchmarkSimulateFig10(b *testing.B) {
+	type cell struct {
+		s    *sched.Schedule
+		cost Cost
+	}
+	var cells []cell
+	w := costmodel.Workload{Model: nn.BERTStyle(), MicroRows: 2}
+	cl := cluster.TACC(32)
+	for _, p := range []int{8, 16, 32} {
+		for _, sc := range []string{"gpipe", "dapple", "chimera-wave", "hanayo-w1", "hanayo-w2", "hanayo-w4", "hanayo-w8"} {
+			s, err := sched.ByName(sc, p, 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cost, err := costmodel.New(w, cl, s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cells = append(cells, cell{s, cost})
+		}
+	}
+	r := NewRunner()
+	for b.Loop() {
+		for _, c := range cells {
+			if _, err := r.Run(c.s, c.cost, DefaultOptions()); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -80,9 +80,8 @@ type Record = exec.Record
 type Result struct {
 	Schedule *sched.Schedule
 	Makespan float64
-	Busy     []float64  // per device compute-busy time
-	End      []float64  // per device completion time
-	Records  [][]Record // per device compute timeline
+	Busy     []float64 // per device compute-busy time
+	End      []float64 // per device completion time
 	// PeakActs is the per-device peak count of live stage-activations over
 	// the whole iteration, sched.Schedule.PeakActs: a device retires its
 	// compute ops in list order, so timing never changes it. It stays the
@@ -95,7 +94,7 @@ type Result struct {
 
 	// Failed marks a run aborted by a FaultPlan Fail event: the schedule
 	// cannot complete on the faulty cluster, so the run is infeasible.
-	// Makespan/End/Records then cover only the executed prefix (the clock
+	// Makespan/End/Records() then cover only the executed prefix (the clock
 	// high-water mark at abort), FailedDevice/FailTime identify the fault,
 	// and Recovery estimates the restart-from-checkpoint iteration
 	// makespan: the progress lost up to the failure, plus the plan's
@@ -107,6 +106,25 @@ type Result struct {
 	FailedDevice int
 	FailTime     float64
 	Recovery     float64
+
+	// records is the run's timeline once Records has replayed it; runner
+	// is the Runner that owns this Result and replays its last run.
+	records [][]Record
+	runner  *Runner
+}
+
+// Records returns the per-device compute timeline of the run the Result
+// describes: for a deadline abort or a Fail run, its executed prefix. A
+// walk keeps no timeline, so the first call replays the run with recording
+// on into this same Result — every other field comes out the same, bit for
+// bit — and later calls return that timeline. The replay needs the run's
+// schedule, cost model and fault plan unchanged until then. Like the
+// Result, the timeline is owned by the Runner and valid until its next run.
+func (r *Result) Records() [][]Record {
+	if r.records == nil && r.runner != nil {
+		r.runner.replay()
+	}
+	return r.records
 }
 
 // BubbleRatio is total idle over total device-time, the paper's metric.
@@ -133,11 +151,12 @@ func (r *Result) TotalIdle() float64 {
 // transfer is one in-flight message's state. Stored by value in a dense
 // slice indexed by (kind, micro, stage) — the directed pair (src, dst) is
 // determined by the schedule for a given payload, so every op on the slot
-// derives it from its own action rather than storing it. Three times and
-// four flags: a slot is 32 bytes.
+// derives it from its own action rather than storing it. The arrival time
+// and four flags: a slot is 16 bytes. Under prefetch a send resolves the
+// moment it is issued, so a receive reads this one slot; the no-prefetch
+// ablation keeps each slot's issue and post times in the backend's side
+// tables.
 type transfer struct {
-	issue    float64
-	post     float64
 	arrival  float64
 	issued   bool
 	posted   bool
@@ -165,10 +184,12 @@ var errFailed = errors.New("sim: device failed")
 // slices indexed by arithmetic over the schedule's known shape — the hot
 // path allocates nothing.
 type backend struct {
-	s    *sched.Schedule
-	cost Cost
-	opt  Options
-	res  *Result
+	s *sched.Schedule
+	// micros and stages are s.B and s.S, the transfer table's dimensions.
+	micros, stages int
+	cost           Cost
+	opt            Options
+	res            *Result
 	// deadline, when positive, aborts the walk as soon as a device clock
 	// exceeds it (strictly: a run finishing exactly at the cap completes,
 	// so throughput ties with a pruning cutoff are never lost).
@@ -187,8 +208,11 @@ type backend struct {
 	// A directed link's sends resolve in issue order; since a directed link
 	// has a unique sender walking its list serially, issue order is program
 	// order and we can resolve eagerly with linkFree (indexed src*P+dst).
-	transfers []transfer
-	linkFree  []float64
+	// issue and post hold each slot's issue and post times; only the
+	// no-prefetch ablation, where a transfer waits for both, sizes them.
+	transfers   []transfer
+	issue, post []float64
+	linkFree    []float64
 
 	time []float64
 	// pendingZone is the zone any wait inside the current batched comm run
@@ -197,13 +221,24 @@ type backend struct {
 }
 
 // transferIdx flattens a message identity into the dense transfer table:
-// kind bit (activation/gradient), micro-batch, stage.
-func (b *backend) transferIdx(kind sched.OpKind, micro, stage int) int {
-	bit := 0
-	if kind == sched.OpSendGrad {
-		bit = 1
+// kind bit (activation 0, gradient 1), micro-batch, stage.
+func (b *backend) transferIdx(grad, micro, stage int) int {
+	return (grad*b.micros+micro)*b.stages + stage
+}
+
+// slot is the transfer table index of a comm op's payload — the same for
+// a send and the receive that matches it. The directed link is the op's
+// own: a send travels from its device to its peer, a receive from its
+// peer. The hooks pass an action's fields, never the action: sched.Action
+// has five fields, too many for the compiler to keep in registers, so a
+// whole copy is a memory copy, and reading it back right after the hook
+// spilled its fields one by one stalls on store forwarding.
+func (b *backend) slot(kind sched.OpKind, micro, stage int32) int {
+	grad := 0
+	if kind == sched.OpSendGrad || kind == sched.OpRecvGrad {
+		grad = 1
 	}
-	return (bit*b.s.B+micro)*b.s.S + stage
+	return b.transferIdx(grad, int(micro), int(stage))
 }
 
 // classify looks past index i in device d's list for the next compute op
@@ -227,19 +262,9 @@ func (b *backend) classify(d, i int) Zone {
 	return ZoneC
 }
 
-// resolveSend times the transfer over link src→dst once it is issued (and,
-// without prefetch, posted): it starts when both it and the link are free.
-func (b *backend) resolveSend(tr *transfer, src, dst int) {
-	if tr.resolved || !tr.issued {
-		return
-	}
-	if !b.opt.Prefetch && !tr.posted {
-		return
-	}
-	start := tr.issue
-	if !b.opt.Prefetch && tr.post > start {
-		start = tr.post
-	}
+// resolve times transfer i over link src→dst from start on: it begins
+// when the link is free, too, and the link is busy until it arrives.
+func (b *backend) resolve(i, src, dst int, start float64) {
 	link := src*b.s.P + dst
 	if b.linkFree[link] > start {
 		start = b.linkFree[link]
@@ -253,29 +278,24 @@ func (b *backend) resolveSend(tr *transfer, src, dst int) {
 		}
 	}
 	b.linkFree[link] = start + dur
+	tr := &b.transfers[i]
 	tr.arrival = start + dur
 	tr.resolved = true
 }
 
-// transferFor resolves the dense table slot for a comm op on device d,
-// normalizing receives to their matching send's identity, and the directed
-// link (sender, receiver) the payload travels.
-func (b *backend) transferFor(d int, a sched.Action) (tr *transfer, src, dst int) {
-	var kind sched.OpKind
-	peer := int(a.Peer)
-	switch a.Kind {
-	case sched.OpSendAct:
-		kind, src, dst = sched.OpSendAct, d, peer
-	case sched.OpSendGrad:
-		kind, src, dst = sched.OpSendGrad, d, peer
-	case sched.OpRecvAct:
-		kind, src, dst = sched.OpSendAct, peer, d
-	case sched.OpRecvGrad:
-		kind, src, dst = sched.OpSendGrad, peer, d
-	default:
-		panic("sim: not a comm op")
+// resolveUnfetched is the no-prefetch ablation's resolution point: a
+// transfer starts only once it is both issued and posted, at the later of
+// the two times.
+func (b *backend) resolveUnfetched(i, src, dst int) {
+	tr := &b.transfers[i]
+	if tr.resolved || !tr.issued || !tr.posted {
+		return
 	}
-	return &b.transfers[b.transferIdx(kind, int(a.Micro), int(a.Stage))], src, dst
+	start := b.issue[i]
+	if b.post[i] > start {
+		start = b.post[i]
+	}
+	b.resolve(i, src, dst, start)
 }
 
 // produce marks the transfer slot of the payload compute op a hands on as
@@ -283,15 +303,15 @@ func (b *backend) transferFor(d int, a sched.Action) (tr *transfer, src, dst int
 // gradient into the previous stage after a backward or its input-gradient
 // half. A slot whose stage is hosted on the same device is marked too and
 // simply never sent.
-func (b *backend) produce(a sched.Action) {
-	switch stage := int(a.Stage); a.Kind {
+func (b *backend) produce(kind sched.OpKind, micro, stage int) {
+	switch kind {
 	case sched.OpForward:
-		if stage+1 < b.s.S {
-			b.transfers[b.transferIdx(sched.OpSendAct, int(a.Micro), stage+1)].produced = true
+		if stage+1 < b.stages {
+			b.transfers[b.transferIdx(0, micro, stage+1)].produced = true
 		}
 	case sched.OpBackward, sched.OpBackwardInput:
 		if stage > 0 {
-			b.transfers[b.transferIdx(sched.OpSendGrad, int(a.Micro), stage-1)].produced = true
+			b.transfers[b.transferIdx(1, micro, stage-1)].produced = true
 		}
 	}
 }
@@ -307,9 +327,8 @@ func unproduced(d int, a sched.Action) error {
 // evenly, t/2 and the exact remainder t − t/2, so they sum to the fused
 // duration bit for bit and a split schedule's total compute equals its
 // fused twin's.
-func (b *backend) opTime(d int, a sched.Action) float64 {
-	stage := int(a.Stage)
-	switch a.Kind {
+func (b *backend) opTime(d int, kind sched.OpKind, stage int) float64 {
+	switch kind {
 	case sched.OpBackward:
 		return b.cost.BackwardTime(d, stage)
 	case sched.OpBackwardInput:
@@ -322,7 +341,7 @@ func (b *backend) opTime(d int, a sched.Action) float64 {
 }
 
 func (b *backend) Compute(d int, a sched.Action) (float64, float64, error) {
-	dur := b.opTime(d, a)
+	dur := b.opTime(d, a.Kind, int(a.Stage))
 	start := b.time[d]
 	if b.faults != nil {
 		// An op starting at or after a SlowDown runs at the degraded
@@ -334,7 +353,7 @@ func (b *backend) Compute(d int, a sched.Action) (float64, float64, error) {
 	end := start + dur
 	b.res.Busy[d] += dur
 	b.time[d] = end
-	b.produce(a)
+	b.produce(a.Kind, int(a.Micro), int(a.Stage))
 	if b.faults != nil {
 		// An op still running at the device's Fail timestamp never
 		// completes (strictly: one ending exactly at the timestamp does).
@@ -361,8 +380,19 @@ func (b *backend) BeginRun(d int, run []sched.Action, next int) error {
 	for _, op := range run {
 		if op.Kind == sched.OpSendAct || op.Kind == sched.OpSendGrad {
 			hasSend = true
-		} else {
-			hasRecv = true
+			continue
+		}
+		hasRecv = true
+		if !b.opt.Prefetch {
+			// Without prefetch a transfer waits for its receive to be
+			// posted, and a batched run posts all of them at entry. Posting
+			// them before the run's sends are issued changes nothing: the
+			// device's clock stands still, a post resolves only links into
+			// the device and a send only links out of it.
+			i := b.slot(op.Kind, op.Micro, op.Stage)
+			b.post[i] = b.time[d]
+			b.transfers[i].posted = true
+			b.resolveUnfetched(i, int(op.Peer), d)
 		}
 	}
 	if hasSend && hasRecv {
@@ -373,22 +403,28 @@ func (b *backend) BeginRun(d int, run []sched.Action, next int) error {
 	return nil
 }
 
-func (b *backend) Send(d int, a sched.Action) error {
-	tr, src, dst := b.transferFor(d, a)
+// issueSend issues device d's send of transfer i to dst at d's clock,
+// resolving it at once under prefetch. It reports false, issuing nothing,
+// when the payload has not been produced yet.
+func (b *backend) issueSend(d, i, dst int) bool {
+	tr := &b.transfers[i]
 	if !tr.produced {
-		return unproduced(d, a)
+		return false
 	}
-	tr.issue = b.time[d]
 	tr.issued = true
-	b.resolveSend(tr, src, dst)
-	return nil
+	if b.opt.Prefetch {
+		b.resolve(i, d, dst, b.time[d])
+		return true
+	}
+	b.issue[i] = b.time[d]
+	b.resolveUnfetched(i, d, dst)
+	return true
 }
 
-func (b *backend) Post(d int, a sched.Action) error {
-	tr, src, dst := b.transferFor(d, a)
-	tr.post = b.time[d]
-	tr.posted = true
-	b.resolveSend(tr, src, dst)
+func (b *backend) Send(d int, a sched.Action) error {
+	if !b.issueSend(d, b.slot(a.Kind, a.Micro, a.Stage), int(a.Peer)) {
+		return unproduced(d, a)
+	}
 	return nil
 }
 
@@ -402,13 +438,16 @@ func (b *backend) wait(d int, arrival float64, z Zone) {
 }
 
 func (b *backend) Recv(d, idx int, a sched.Action) error {
-	tr, src, dst := b.transferFor(d, a)
-	if !tr.posted {
-		// Unbatched mode posts at the op itself, not at group entry.
-		tr.post = b.time[d]
-		tr.posted = true
+	i := b.slot(a.Kind, a.Micro, a.Stage)
+	tr := &b.transfers[i]
+	if !b.opt.Prefetch {
+		if !tr.posted {
+			// Unbatched mode posts at the op itself, not at group entry.
+			b.post[i] = b.time[d]
+			tr.posted = true
+		}
+		b.resolveUnfetched(i, int(a.Peer), d)
 	}
-	b.resolveSend(tr, src, dst)
 	if !tr.resolved {
 		return exec.ErrBlocked
 	}
@@ -426,15 +465,15 @@ func (b *backend) Recv(d, idx int, a sched.Action) error {
 func (b *backend) Drain(d, idx int, a sched.Action) error {
 	// Strictly ordered blocking send (unbatched ablation): the device
 	// occupies the wire until the transfer completes.
-	tr, src, dst := b.transferFor(d, a)
-	if !tr.produced {
-		return unproduced(d, a)
-	}
+	i := b.slot(a.Kind, a.Micro, a.Stage)
+	tr := &b.transfers[i]
 	if !tr.issued {
-		tr.issue = b.time[d]
-		tr.issued = true
+		if !b.issueSend(d, i, int(a.Peer)) {
+			return unproduced(d, a)
+		}
+	} else {
+		b.resolveUnfetched(i, d, int(a.Peer))
 	}
-	b.resolveSend(tr, src, dst)
 	if !tr.resolved {
 		return exec.ErrBlocked
 	}
@@ -475,7 +514,7 @@ func (b *backend) Step(d int, a sched.Action) error { return nil }
 // steady state (pinned by a testing.AllocsPerRun regression test).
 //
 // The zero value is ready to use. A Runner is NOT safe for concurrent use,
-// and the *Result it returns (including Records, Busy, PeakActs, …) is
+// and the *Result it returns (including Records(), Busy, PeakActs, …) is
 // owned by the Runner: it is valid only until the next Run. Callers that
 // need the result to outlive the next Run must copy what they keep — or
 // use the package-level Run, which drives a fresh single-use Runner.
@@ -483,6 +522,14 @@ type Runner struct {
 	loop exec.Loop
 	be   backend
 	res  Result
+	// last is the latest run's input, which Result.Records replays.
+	last struct {
+		s        *sched.Schedule
+		cost     Cost
+		opt      Options
+		deadline float64
+		faults   *FaultPlan
+	}
 	// One exactly-sized block backs the per-device slices of the Result
 	// and the backend plus the P×P link table; rows are three-indexed so
 	// appending to a Result field cannot reach the next.
@@ -542,11 +589,23 @@ func (r *Runner) RunDeadline(s *sched.Schedule, cost Cost, opt Options, cap floa
 }
 
 func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64, faults *FaultPlan) (*Result, bool, error) {
+	r.last.s, r.last.cost, r.last.opt, r.last.deadline, r.last.faults = s, cost, opt, deadline, faults
+	return r.walk(false)
+}
+
+// replay walks the latest run again with its timeline recorded.
+func (r *Runner) replay() { r.walk(true) }
+
+// walk simulates the latest run's input into the owned Result, keeping the
+// Record timeline only when record is set.
+func (r *Runner) walk(record bool) (*Result, bool, error) {
+	s, cost, opt, deadline, faults := r.last.s, r.last.cost, r.last.opt, r.last.deadline, r.last.faults
 	p := s.P
 	res := &r.res
+	res.runner = r
 	res.Schedule = s
 	res.Makespan = 0
-	res.Records = nil
+	res.records = nil
 	res.Zones = [NumZones]float64{}
 	res.Failed = false
 	res.FailedDevice = 0
@@ -557,6 +616,7 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 	res.Busy, res.End = f[:p:p], f[p:2*p:2*p]
 	be := &r.be
 	be.s, be.cost, be.opt, be.res = s, cost, opt, res
+	be.micros, be.stages = s.B, s.S
 	be.deadline = deadline
 	be.faults = faults
 	if faults != nil && len(faults.Events) == 0 && faults.RestartCost == 0 {
@@ -566,9 +626,17 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 		be.ft.compile(be.faults, p)
 	}
 	be.transfers = exec.Arena(be.transfers, 2*s.B*s.S)
+	if !opt.Prefetch {
+		be.issue, be.post = exec.Arena(be.issue, 2*s.B*s.S), exec.Arena(be.post, 2*s.B*s.S)
+	}
 	be.time, be.linkFree = f[2*p:3*p:3*p], f[3*p:]
 	be.pendingZone = exec.Arena(be.pendingZone, p)
-	recs, err := r.loop.Run(s, be, exec.Options{BatchComm: opt.BatchComm})
+	var err error
+	if xo := (exec.Options{BatchComm: opt.BatchComm}); record {
+		res.records, err = r.loop.Run(s, be, xo)
+	} else {
+		err = r.loop.Walk(s, be, xo)
+	}
 	res.PeakActs = r.loop.PeakActs() // the walk's own pre-scan, whatever its outcome
 	if err != nil {
 		if errors.Is(err, errDeadline) {
@@ -576,7 +644,6 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 			// high-water mark, a proven lower bound on the full makespan.
 			// No tail-idle accounting — the walk never reached the flush
 			// point, so "finished early" is meaningless here.
-			res.Records = recs
 			for d := 0; d < p; d++ {
 				res.End[d] = be.time[d]
 				if be.time[d] > res.Makespan {
@@ -594,7 +661,6 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 			// by the busiest device's serial compute plus the flush,
 			// derived from the schedule and cost model alone so the
 			// estimate is independent of where the walk happened to abort.
-			res.Records = recs
 			for d := 0; d < p; d++ {
 				res.End[d] = be.time[d]
 				if be.time[d] > res.Makespan {
@@ -609,7 +675,7 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 				w := 0.0
 				for _, a := range s.Lists[d] {
 					if a.Kind.IsCompute() {
-						w += be.opTime(d, a)
+						w += be.opTime(d, a.Kind, int(a.Stage))
 					}
 				}
 				if w > maxWork {
@@ -621,7 +687,6 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 		}
 		return nil, false, fmt.Errorf("sim: %w", err)
 	}
-	res.Records = recs
 
 	for d := 0; d < p; d++ {
 		res.End[d] = be.time[d]

@@ -252,7 +252,7 @@ func TestRecordsCoverAllCompute(t *testing.T) {
 	}
 	r := run(t, s, uniformFor(s, 0.02), DefaultOptions())
 	n := 0
-	for d, recs := range r.Records {
+	for d, recs := range r.Records() {
 		lastEnd := 0.0
 		for _, rec := range recs {
 			if !rec.Action.Kind.IsCompute() {

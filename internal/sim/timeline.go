@@ -17,7 +17,7 @@ type MemPoint struct {
 func ActivationTimeline(r *Result, d int) []MemPoint {
 	out := []MemPoint{{Time: 0, Live: 0}}
 	live := 0
-	for _, rec := range r.Records[d] {
+	for _, rec := range r.Records()[d] {
 		switch rec.Action.Kind {
 		case sched.OpForward:
 			live++

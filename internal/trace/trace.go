@@ -25,7 +25,7 @@ func Gantt(w io.Writer, r *sim.Result, cols int) {
 	fmt.Fprintf(w, "%s  P=%d B=%d S=%d  makespan=%.3g  bubble=%.1f%%\n",
 		r.Schedule.Scheme, r.Schedule.P, r.Schedule.B, r.Schedule.S,
 		r.Makespan, 100*r.BubbleRatio())
-	for d, recs := range r.Records {
+	for d, recs := range r.Records() {
 		row := make([]byte, cols)
 		for i := range row {
 			row[i] = '.'
@@ -73,7 +73,7 @@ func CSV(w io.Writer, r *sim.Result) error {
 	if _, err := fmt.Fprintln(w, "device,kind,micro,stage,chunk,start,end"); err != nil {
 		return err
 	}
-	for d, recs := range r.Records {
+	for d, recs := range r.Records() {
 		for _, rec := range recs {
 			if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%d,%.9f,%.9f\n",
 				d, rec.Action.Kind, rec.Action.Micro, rec.Action.Stage,
@@ -99,7 +99,7 @@ type chromeEvent struct {
 // Chrome writes a chrome://tracing-compatible JSON array.
 func Chrome(w io.Writer, r *sim.Result) error {
 	var events []chromeEvent
-	for d, recs := range r.Records {
+	for d, recs := range r.Records() {
 		for _, rec := range recs {
 			cat := "forward"
 			if rec.Action.Kind == sched.OpBackward {
