@@ -70,9 +70,9 @@ type Cancellable interface {
 type Options struct {
 	// BatchComm treats each maximal run of consecutive comm ops as one
 	// batched isend/irecv group (paper §4.2): all sends of the run are
-	// issued at group entry, then the receives complete in list order. When false, comm ops execute strictly one at
-	// a time in list order — the NCCL-hazard ablation that can deadlock
-	// bidirectional schedules.
+	// issued at group entry, then the receives complete in list order.
+	// When false, comm ops execute strictly one at a time in list order —
+	// the NCCL-hazard ablation that can deadlock bidirectional schedules.
 	BatchComm bool
 }
 

@@ -184,12 +184,10 @@ var errFailed = errors.New("sim: device failed")
 // slices indexed by arithmetic over the schedule's known shape — the hot
 // path allocates nothing.
 type backend struct {
-	s *sched.Schedule
-	// micros and stages are s.B and s.S, the transfer table's dimensions.
-	micros, stages int
-	cost           Cost
-	opt            Options
-	res            *Result
+	s    *sched.Schedule
+	cost Cost
+	opt  Options
+	res  *Result
 	// deadline, when positive, aborts the walk as soon as a device clock
 	// exceeds it (strictly: a run finishing exactly at the cap completes,
 	// so throughput ties with a pruning cutoff are never lost).
@@ -223,7 +221,7 @@ type backend struct {
 // transferIdx flattens a message identity into the dense transfer table:
 // kind bit (activation 0, gradient 1), micro-batch, stage.
 func (b *backend) transferIdx(grad, micro, stage int) int {
-	return (grad*b.micros+micro)*b.stages + stage
+	return (grad*b.s.B+micro)*b.s.S + stage
 }
 
 // slot is the transfer table index of a comm op's payload — the same for
@@ -306,7 +304,7 @@ func (b *backend) resolveUnfetched(i, src, dst int) {
 func (b *backend) produce(kind sched.OpKind, micro, stage int) {
 	switch kind {
 	case sched.OpForward:
-		if stage+1 < b.stages {
+		if stage+1 < b.s.S {
 			b.transfers[b.transferIdx(0, micro, stage+1)].produced = true
 		}
 	case sched.OpBackward, sched.OpBackwardInput:
@@ -560,7 +558,9 @@ func (r *Runner) Run(s *sched.Schedule, cost Cost, opt Options) (*Result, error)
 // cap 0 is bit-for-bit Run. The plan is compiled once per run into
 // per-device/per-link timelines, and the compiled arenas grow
 // monotonically, so the fault path allocates nothing in steady state —
-// pinned by the same AllocsPerRun regression suite as Run.
+// pinned by the same AllocsPerRun regression suite as Run. The Result's
+// Records() is a replayed view: its first call walks the run again, under
+// the same plan and cap, so the plan must not change before it.
 func (r *Runner) RunFaults(s *sched.Schedule, cost Cost, opt Options, plan *FaultPlan, cap float64) (*Result, bool, error) {
 	if !(cap >= 0) {
 		return nil, false, fmt.Errorf("sim: RunFaults cap must be non-negative, got %g", cap)
@@ -577,9 +577,10 @@ func (r *Runner) RunFaults(s *sched.Schedule, cost Cost, opt Options, plan *Faul
 // returns (result, exceeded, err); when exceeded is true the result is
 // partial — its Makespan is the clock high-water mark at abort, a proven
 // lower bound on the full run's makespan (device clocks only move
-// forward) — and its Records/Zones cover only the executed prefix. A run
-// finishing exactly at cap completes normally, so a throughput tie with a
-// pruning cutoff is never lost. The abort path allocates nothing in
+// forward) — and its Zones and Records() cover only the executed prefix
+// (Records() replays the capped run on its first call). A run finishing
+// exactly at cap completes normally, so a throughput tie with a pruning
+// cutoff is never lost. The abort path allocates nothing in
 // steady state (pinned alongside Run's 0 allocs/op regression test).
 func (r *Runner) RunDeadline(s *sched.Schedule, cost Cost, opt Options, cap float64) (*Result, bool, error) {
 	if cap <= 0 {
@@ -616,7 +617,6 @@ func (r *Runner) walk(record bool) (*Result, bool, error) {
 	res.Busy, res.End = f[:p:p], f[p:2*p:2*p]
 	be := &r.be
 	be.s, be.cost, be.opt, be.res = s, cost, opt, res
-	be.micros, be.stages = s.B, s.S
 	be.deadline = deadline
 	be.faults = faults
 	if faults != nil && len(faults.Events) == 0 && faults.RestartCost == 0 {
