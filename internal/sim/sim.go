@@ -260,9 +260,9 @@ func (b *backend) classify(d, i int) Zone {
 	return ZoneC
 }
 
-// resolve times transfer i over link src→dst from start on: it begins
+// resolve times transfer tr over link src→dst from start on: it begins
 // when the link is free, too, and the link is busy until it arrives.
-func (b *backend) resolve(i, src, dst int, start float64) {
+func (b *backend) resolve(tr *transfer, src, dst int, start float64) {
 	link := src*b.s.P + dst
 	if b.linkFree[link] > start {
 		start = b.linkFree[link]
@@ -276,7 +276,6 @@ func (b *backend) resolve(i, src, dst int, start float64) {
 		}
 	}
 	b.linkFree[link] = start + dur
-	tr := &b.transfers[i]
 	tr.arrival = start + dur
 	tr.resolved = true
 }
@@ -293,7 +292,7 @@ func (b *backend) resolveUnfetched(i, src, dst int) {
 	if b.post[i] > start {
 		start = b.post[i]
 	}
-	b.resolve(i, src, dst, start)
+	b.resolve(tr, src, dst, start)
 }
 
 // produce marks the transfer slot of the payload compute op a hands on as
@@ -401,28 +400,19 @@ func (b *backend) BeginRun(d int, run []sched.Action, next int) error {
 	return nil
 }
 
-// issueSend issues device d's send of transfer i to dst at d's clock,
-// resolving it at once under prefetch. It reports false, issuing nothing,
-// when the payload has not been produced yet.
-func (b *backend) issueSend(d, i, dst int) bool {
+func (b *backend) Send(d int, a sched.Action) error {
+	i := b.slot(a.Kind, a.Micro, a.Stage)
 	tr := &b.transfers[i]
 	if !tr.produced {
-		return false
+		return unproduced(d, a)
 	}
 	tr.issued = true
 	if b.opt.Prefetch {
-		b.resolve(i, d, dst, b.time[d])
-		return true
+		b.resolve(tr, d, int(a.Peer), b.time[d])
+		return nil
 	}
 	b.issue[i] = b.time[d]
-	b.resolveUnfetched(i, d, dst)
-	return true
-}
-
-func (b *backend) Send(d int, a sched.Action) error {
-	if !b.issueSend(d, b.slot(a.Kind, a.Micro, a.Stage), int(a.Peer)) {
-		return unproduced(d, a)
-	}
+	b.resolveUnfetched(i, d, int(a.Peer))
 	return nil
 }
 
@@ -466,8 +456,8 @@ func (b *backend) Drain(d, idx int, a sched.Action) error {
 	i := b.slot(a.Kind, a.Micro, a.Stage)
 	tr := &b.transfers[i]
 	if !tr.issued {
-		if !b.issueSend(d, i, int(a.Peer)) {
-			return unproduced(d, a)
+		if err := b.Send(d, a); err != nil {
+			return err
 		}
 	} else {
 		b.resolveUnfetched(i, d, int(a.Peer))
