@@ -280,10 +280,10 @@ func (b *backend) resolve(tr *transfer, src, dst int, start float64) {
 	tr.resolved = true
 }
 
-// resolveUnfetched is the no-prefetch ablation's resolution point: a
+// resolvePosted is the no-prefetch ablation's resolution point: a
 // transfer starts only once it is both issued and posted, at the later of
 // the two times.
-func (b *backend) resolveUnfetched(i, src, dst int) {
+func (b *backend) resolvePosted(i, src, dst int) {
 	tr := &b.transfers[i]
 	if tr.resolved || !tr.issued || !tr.posted {
 		return
@@ -389,7 +389,7 @@ func (b *backend) BeginRun(d int, run []sched.Action, next int) error {
 			i := b.slot(op.Kind, op.Micro, op.Stage)
 			b.post[i] = b.time[d]
 			b.transfers[i].posted = true
-			b.resolveUnfetched(i, int(op.Peer), d)
+			b.resolvePosted(i, int(op.Peer), d)
 		}
 	}
 	if hasSend && hasRecv {
@@ -412,7 +412,7 @@ func (b *backend) Send(d int, a sched.Action) error {
 		return nil
 	}
 	b.issue[i] = b.time[d]
-	b.resolveUnfetched(i, d, int(a.Peer))
+	b.resolvePosted(i, d, int(a.Peer))
 	return nil
 }
 
@@ -434,7 +434,7 @@ func (b *backend) Recv(d, idx int, a sched.Action) error {
 			b.post[i] = b.time[d]
 			tr.posted = true
 		}
-		b.resolveUnfetched(i, int(a.Peer), d)
+		b.resolvePosted(i, int(a.Peer), d)
 	}
 	if !tr.resolved {
 		return exec.ErrBlocked
@@ -460,7 +460,7 @@ func (b *backend) Drain(d, idx int, a sched.Action) error {
 			return err
 		}
 	} else {
-		b.resolveUnfetched(i, d, int(a.Peer))
+		b.resolvePosted(i, d, int(a.Peer))
 	}
 	if !tr.resolved {
 		return exec.ErrBlocked
