@@ -122,7 +122,7 @@ type Result struct {
 // Result, the timeline is owned by the Runner and valid until its next run.
 func (r *Result) Records() [][]Record {
 	if r.records == nil && r.runner != nil {
-		r.runner.replay()
+		r.runner.walk(true)
 	}
 	return r.records
 }
@@ -584,11 +584,9 @@ func (r *Runner) run(s *sched.Schedule, cost Cost, opt Options, deadline float64
 	return r.walk(false)
 }
 
-// replay walks the latest run again with its timeline recorded.
-func (r *Runner) replay() { r.walk(true) }
-
 // walk simulates the latest run's input into the owned Result, keeping the
-// Record timeline only when record is set.
+// Record timeline only when record is set: a run walks without it, and
+// Result.Records replays the run with it.
 func (r *Runner) walk(record bool) (*Result, bool, error) {
 	s, cost, opt, deadline, faults := r.last.s, r.last.cost, r.last.opt, r.last.deadline, r.last.faults
 	p := s.P
