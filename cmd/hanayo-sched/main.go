@@ -75,7 +75,11 @@ func run(args []string, out io.Writer) error {
 			return ferr
 		}
 		defer f.Close()
-		s, err = sched.ReadJSON(f)
+		// ReadJSON proves the document's structure; the unbatched walk
+		// proves the lists run, as the training runtime requires.
+		if s, err = sched.ReadJSON(f); err == nil {
+			err = sim.Validate(s)
+		}
 		if err == nil {
 			fmt.Fprintf(out, "%s: valid (%d actions)\n", *load, s.NumActions())
 		}
@@ -116,8 +120,8 @@ func run(args []string, out io.Writer) error {
 			best.Throughput, best.PeakGB)
 		s, err = best.Plan.Schedule()
 	default:
-		// ByName output arrives proven: the one-shot path runs
-		// sched.Validate on what it compiles.
+		// ByName output arrives with its structure proven (sched.Validate);
+		// a generated schedule runs by construction.
 		s, err = sched.ByName(*scheme, *p, *b)
 	}
 	if err != nil {

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
@@ -66,5 +69,53 @@ func TestTuneRejectsBadSizes(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("%v: printed %q before failing", tc.args, out.String())
 		}
+	}
+}
+
+// TestLoadProvesTheListsRun: -load prints "valid" only for a document
+// whose lists run. A generated dapple schedule does; the same document
+// with device 1's first forward moved ahead of the receive that brings
+// its activation is structurally sound but cannot run, and is refused
+// with no "valid" line.
+func TestLoadProvesTheListsRun(t *testing.T) {
+	s, err := sched.DAPPLE(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, s *sched.Schedule) string {
+		var buf bytes.Buffer
+		if err := sched.WriteJSON(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	good := write("good.json", s)
+	var out bytes.Buffer
+	if err := run([]string{"-load", good}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%s: valid (%d actions)\n", good, s.NumActions()); !strings.HasPrefix(out.String(), want) {
+		t.Fatalf("output %q, want it to start with %q", out.String(), want)
+	}
+
+	list := s.Lists[1]
+	if list[0].Kind != sched.OpRecvAct || list[1].Kind != sched.OpForward {
+		t.Fatalf("device 1 starts %v %v, want a receive then its forward", list[0], list[1])
+	}
+	list[0], list[1] = list[1], list[0]
+	bad := write("bad.json", s)
+	out.Reset()
+	err = run([]string{"-load", bad}, &out)
+	if err == nil || !strings.Contains(err.Error(), "device 1 runs F m0 s1 c0 before its input activation arrives") {
+		t.Fatalf("forward before its receive: err = %v", err)
+	}
+	if strings.Contains(out.String(), "valid") {
+		t.Fatalf("refused document printed %q", out.String())
 	}
 }

@@ -44,8 +44,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-tc must be a non-negative finite number, got %g", *tc)
 	}
 
-	// ByName output arrives proven: the one-shot path runs
-	// sched.Validate on what it compiles.
+	// ByName output arrives with its structure proven (sched.Validate),
+	// and the simulation below refuses any list it cannot run.
 	s, err := sched.ByName(*scheme, *p, *b)
 	if err != nil {
 		return err

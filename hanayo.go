@@ -95,7 +95,7 @@ type Schedule = sched.Schedule
 var (
 	DAPPLE           = sched.DAPPLE
 	HanayoWaves      = sched.Hanayo
-	ValidateSchedule = sched.Validate
+	ValidateSchedule = sim.Validate
 )
 
 // EngineConfig assembles a real training Engine directly (Plan.Engine is

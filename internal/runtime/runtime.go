@@ -18,6 +18,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/nn"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -134,7 +135,7 @@ func (e *Engine) Reshape(sch *sched.Schedule, dp int) error {
 	if dp < 1 {
 		return fmt.Errorf("runtime: DP must be ≥ 1, got %d", dp)
 	}
-	if err := sched.Validate(sch); err != nil {
+	if err := sim.Validate(sch); err != nil {
 		return fmt.Errorf("runtime: schedule invalid: %w", err)
 	}
 	if units := e.cfg.Model.Layers + 2; sch.S > units {

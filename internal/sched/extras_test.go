@@ -4,26 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/tensor"
 )
-
-func TestGEMSValidatesAndIsSlow(t *testing.T) {
-	s, err := GEMS(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Mapping.WeightReplicas != 2 {
-		t.Fatal("GEMS stores two replicas")
-	}
-	if _, err := GEMS(4, 3); err == nil {
-		t.Fatal("odd B must fail")
-	}
-}
 
 func TestGEMSLowActivationFootprint(t *testing.T) {
 	// At most one activation per (stage, direction) may be live: replay
@@ -86,31 +67,6 @@ func TestJSONRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestJSONRoundTripProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := tensor.NewRNG(seed)
-		p := 2 + r.Intn(4)
-		w := 1 + r.Intn(2)
-		b := 2 * (1 + r.Intn(3))
-		orig, err := Hanayo(p, w, b)
-		if err != nil {
-			return false
-		}
-		var buf bytes.Buffer
-		if WriteJSON(&buf, orig) != nil {
-			return false
-		}
-		got, err := ReadJSON(&buf)
-		if err != nil {
-			return false
-		}
-		return Validate(got) == nil && got.NumActions() == orig.NumActions()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 

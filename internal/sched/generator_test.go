@@ -80,36 +80,6 @@ func TestGeneratorRegrowthMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestGeneratedSchedulesValidate holds Generate's output to the full
-// Validate, which Generate leaves to the simulation that runs it. One reused
-// Generator compiles every scheme name ParseScheme accepts (fuzzSchemes)
-// at every P and B in {2, 4, 8, 16, 32} the scheme's placement allows,
-// the shapes cycled large and small so the arenas grow and shrink between
-// compiles as a sweep worker's do.
-func TestGeneratedSchedulesValidate(t *testing.T) {
-	g := NewGenerator()
-	for _, p := range []int{2, 32, 4, 16, 8} {
-		for _, b := range []int{32, 2, 16, 4, 8} {
-			for _, scheme := range fuzzSchemes {
-				sc, err := ParseScheme(scheme)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sc.CheckB(b) != nil {
-					continue
-				}
-				s, err := g.Generate(scheme, p, b)
-				if err != nil {
-					t.Fatalf("%s P=%d B=%d: %v", scheme, p, b, err)
-				}
-				if err := Validate(s); err != nil {
-					t.Fatalf("%s P=%d B=%d: generated schedule fails Validate: %v", scheme, p, b, err)
-				}
-			}
-		}
-	}
-}
-
 // TestGeneratorInterleavesSchemes drives one Generator across alternating
 // schemes at the same shape — the per-shape caches (mapping, cap table,
 // name) must never cross-contaminate between families that share a

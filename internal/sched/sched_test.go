@@ -145,63 +145,6 @@ func TestInterleavedMapping(t *testing.T) {
 	}
 }
 
-func TestAllSchemesValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		f    func() (*Schedule, error)
-	}{
-		{"gpipe-4-4", func() (*Schedule, error) { return GPipe(4, 4) }},
-		{"gpipe-8-8", func() (*Schedule, error) { return GPipe(8, 8) }},
-		{"dapple-4-4", func() (*Schedule, error) { return DAPPLE(4, 4) }},
-		{"dapple-8-16", func() (*Schedule, error) { return DAPPLE(8, 16) }},
-		{"chimera-4-4", func() (*Schedule, error) { return Chimera(4, 4) }},
-		{"chimera-8-8", func() (*Schedule, error) { return Chimera(8, 8) }},
-		{"hanayo-w1-4-4", func() (*Schedule, error) { return Hanayo(4, 1, 4) }},
-		{"hanayo-w2-4-4", func() (*Schedule, error) { return Hanayo(4, 2, 4) }},
-		{"hanayo-w4-4-8", func() (*Schedule, error) { return Hanayo(4, 4, 8) }},
-		{"hanayo-w2-8-8", func() (*Schedule, error) { return Hanayo(8, 2, 8) }},
-		{"chimera-wave-8-8", func() (*Schedule, error) { return ByName("chimera-wave", 8, 8) }},
-		{"interleaved-v2-4-8", func() (*Schedule, error) { return Interleaved(4, 2, 8) }},
-		{"async-4-4x3", func() (*Schedule, error) { return AsyncOneFOneB(4, 4, 3) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			s := mustBuild(t, c.f)
-			if err := Validate(s); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestValidateQuickRandomConfigs(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := tensor.NewRNG(seed)
-		p := 2 + r.Intn(6)
-		w := 1 + r.Intn(3)
-		b := 2 * (1 + r.Intn(5))
-		var s *Schedule
-		var err error
-		switch r.Intn(4) {
-		case 0:
-			s, err = GPipe(p, b)
-		case 1:
-			s, err = DAPPLE(p, b)
-		case 2:
-			s, err = Chimera(p, b)
-		default:
-			s, err = Hanayo(p, w, b)
-		}
-		if err != nil {
-			return false
-		}
-		return Validate(s) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestComputeCountsPerScheme(t *testing.T) {
 	// Every scheme runs exactly B*S forwards and B*S backwards.
 	for _, tc := range []struct {
@@ -298,21 +241,6 @@ func TestDAPPLEInflightCap(t *testing.T) {
 func TestChimeraRequiresEvenB(t *testing.T) {
 	if _, err := Chimera(4, 3); err == nil {
 		t.Fatal("expected error for odd B")
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"gpipe", "dapple", "1f1b", "chimera", "chimera-wave", "hanayo-w2", "interleaved-v2"} {
-		s, err := ByName(name, 4, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := Validate(s); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if _, err := ByName("nope", 4, 4); err == nil {
-		t.Fatal("expected error for unknown scheme")
 	}
 }
 

@@ -148,11 +148,11 @@ func (r *Result) TotalIdle() float64 {
 	return idle
 }
 
-// transfer is one in-flight message's state. Stored by value in a dense
-// slice indexed by (kind, micro, stage) — the directed pair (src, dst) is
+// transfer is one payload's state. Stored by value in a dense slice
+// indexed by (kind, micro, stage) — the directed pair (src, dst) is
 // determined by the schedule for a given payload, so every op on the slot
 // derives it from its own action rather than storing it. The arrival time
-// and four flags: a slot is 16 bytes. Under prefetch a send resolves the
+// and six flags: a slot is 16 bytes. Under prefetch a send resolves the
 // moment it is issued, so a receive reads this one slot; the no-prefetch
 // ablation keeps each slot's issue and post times in the backend's side
 // tables.
@@ -164,6 +164,14 @@ type transfer struct {
 	// produced is set by the compute op whose output the payload is; a
 	// send reached before it has nothing to carry.
 	produced bool
+	// delivered is set by the receive that completes the transfer.
+	delivered bool
+	// consumed is set by the compute op whose input the payload is: the
+	// forward of (micro, stage) for the activation into it, the backward or
+	// input-grad half for the gradient into it. Slots no transfer uses —
+	// the activation into stage 0, the gradient into the last stage — carry
+	// this flag alone.
+	consumed bool
 }
 
 // errDeadline is the internal sentinel a deadline-capped run's hooks
@@ -319,6 +327,44 @@ func unproduced(d int, a sched.Action) error {
 	return fmt.Errorf("device %d runs %v before the compute that produces its payload", d, a)
 }
 
+// consume checks that compute op a on device d finds its input, and marks
+// the input consumed: a forward needs the activation into its stage, a
+// backward or input-grad half its own forward and the gradient into its
+// stage, a weight-grad half its input-grad half. An input is there when a
+// receive on d delivered it or when d itself produced it; the first and
+// last stages' inputs — the micro-batch, the loss — are always there.
+func (b *backend) consume(d int, a sched.Action) error {
+	micro, stage := int(a.Micro), int(a.Stage)
+	act := &b.transfers[b.transferIdx(0, micro, stage)]
+	grad := &b.transfers[b.transferIdx(1, micro, stage)]
+	switch a.Kind {
+	case sched.OpForward:
+		if stage > 0 && !b.arrived(act, d, micro, stage-1) {
+			return fmt.Errorf("device %d runs %v before its input activation arrives", d, a)
+		}
+		act.consumed = true
+	case sched.OpBackward, sched.OpBackwardInput:
+		if !act.consumed {
+			return fmt.Errorf("device %d runs %v before its forward", d, a)
+		}
+		if stage+1 < b.s.S && !b.arrived(grad, d, micro, stage+1) {
+			return fmt.Errorf("device %d runs %v before its input gradient arrives", d, a)
+		}
+		grad.consumed = true
+	case sched.OpBackwardWeight:
+		if !grad.consumed {
+			return fmt.Errorf("device %d runs %v before its input-grad half", d, a)
+		}
+	}
+	return nil
+}
+
+// arrived reports whether payload tr, produced by the compute of (micro,
+// from), is on device d: delivered by a receive, or produced by d itself.
+func (b *backend) arrived(tr *transfer, d, micro, from int) bool {
+	return tr.delivered || tr.produced && b.s.Mapping.Device(micro, from) == d
+}
+
 // opTime prices one compute op from the cost model. The zero-bubble split
 // halves (OpBackwardInput / OpBackwardWeight) split the fused backward
 // evenly, t/2 and the exact remainder t − t/2, so they sum to the fused
@@ -338,6 +384,9 @@ func (b *backend) opTime(d int, kind sched.OpKind, stage int) float64 {
 }
 
 func (b *backend) Compute(d int, a sched.Action) (float64, float64, error) {
+	if err := b.consume(d, a); err != nil {
+		return 0, 0, err
+	}
 	dur := b.opTime(d, a.Kind, int(a.Stage))
 	start := b.time[d]
 	if b.faults != nil {
@@ -439,6 +488,7 @@ func (b *backend) Recv(d, idx int, a sched.Action) error {
 	if !tr.resolved {
 		return exec.ErrBlocked
 	}
+	tr.delivered = true
 	z := b.pendingZone[d]
 	if !b.opt.BatchComm {
 		z = b.classify(d, idx+1)
@@ -695,6 +745,31 @@ func (r *Runner) walk(record bool) (*Result, bool, error) {
 func Run(s *sched.Schedule, cost Cost, opt Options) (*Result, error) {
 	return NewRunner().Run(s, cost, opt)
 }
+
+// Validate proves s executable: sched.Validate's structure, then one walk
+// of the lists on a fresh Runner, unbatched with prefetch and at zero cost.
+// Unbatched, a send never waits, a receive waits for its send and a
+// compute for its inputs, so the walk completes exactly when every
+// executor can run the lists in order; timing never decides it, which is
+// why the costs are zero. A stall wraps sched.ErrDeadlock, and a compute
+// reached before its input is an error naming the device and the op.
+// Batched execution accepts more — a run's sends are issued before its
+// receives wait, whatever their list order — so a schedule every
+// simulation completes may still fail this proof.
+func Validate(s *sched.Schedule) error {
+	if err := sched.Validate(s); err != nil {
+		return err
+	}
+	_, err := NewRunner().Run(s, zeroCost{}, Options{Prefetch: true})
+	return err
+}
+
+// zeroCost prices every op and transfer at zero.
+type zeroCost struct{}
+
+func (zeroCost) ForwardTime(int, int) float64  { return 0 }
+func (zeroCost) BackwardTime(int, int) float64 { return 0 }
+func (zeroCost) CommTime(int, int) float64     { return 0 }
 
 // Throughput converts a makespan into sequences/s for the given total batch
 // rows per iteration.

@@ -9,12 +9,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// verdictSchemes is every scheme the verdict grid mutates.
-var verdictSchemes = []string{
-	"gpipe", "dapple", "chimera", "chimera-wave",
-	"hanayo-w1", "hanayo-w2", "hanayo-w4", "interleaved-v2", "gems", "zbh1",
-}
-
 // Mutation classes of edit.
 const (
 	editSwap   = iota // swap an op with one of the next three on its list
@@ -100,7 +94,7 @@ func TestValidateVerdictsPinned(t *testing.T) {
 	g := sched.NewGenerator()
 	h := fnv.New64a()
 	total, accepted := 0, 0
-	for _, scheme := range verdictSchemes {
+	for _, scheme := range allSchemes {
 		for _, p := range []int{2, 4, 8} {
 			for _, b := range []int{2, 4, 8} {
 				gen, err := g.Generate(scheme, p, b)
@@ -112,7 +106,7 @@ func TestValidateVerdictsPinned(t *testing.T) {
 					s := base.Clone()
 					mutate(s, r)
 					verdict := byte(0)
-					if sched.Validate(s) == nil {
+					if Validate(s) == nil {
 						verdict = 1
 						accepted++
 					}
