@@ -1,7 +1,7 @@
 // Command hanayo-sched generates, validates, analyzes and exports pipeline
 // schedules as JSON — the interchange point for external tooling and for
-// hand-edited custom schedules (round-tripped files are re-validated on
-// load). It also fronts the §5.3 configuration search: -tune sweeps a
+// hand-edited custom schedules (a loaded file's structure is checked and
+// its lists proven to run, by sim.Validate). It also fronts the §5.3 configuration search: -tune sweeps a
 // cluster preset for the best (scheme, P, D) plan with the parallel
 // AutoTune worker pool and then analyzes (or dumps) the winning schedule.
 //

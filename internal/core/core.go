@@ -135,8 +135,9 @@ func (p Plan) Validate() error {
 }
 
 // Schedule generates the action lists for one replica. A fresh single-use
-// Generator compiles it and sched.Validate proves it (sched.ByName), so
-// the caller may retain the result and run it on any executor.
+// Generator compiles it and sched.Validate checks its structure
+// (sched.ByName), so the caller may retain the result; generated lists run
+// by construction, and whatever executes them proves it.
 func (p Plan) Schedule() (*sched.Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -298,12 +299,12 @@ func (p Plan) Engine(seed uint64, newOpt func() nn.Optimizer) (*runtime.Engine, 
 //
 // A sweep's schedules are proven by the simulation that measures them: a
 // ranked Throughput comes from a walk of every list to its end under
-// batched rendezvous semantics, and a schedule that would stall is the
-// cell's Err (wrapping sched.ErrDeadlock). A verdict reached on a partial
-// walk or none — a Pruned OOM, a Failed run, a deadline-aborted
-// BoundPruned cell — carries no such proof, and none of them is a
-// throughput; that generated schedules are Validate-clean is held by the
-// sched package's tests.
+// batched rendezvous semantics, and a schedule that would stall, or run a
+// compute before its input, is the cell's Err (a stall wraps
+// sched.ErrDeadlock). A verdict reached on a partial walk or none — a
+// Pruned OOM, a Failed run, a deadline-aborted BoundPruned cell — carries
+// no such proof, and none of them is a throughput; that generated
+// schedules pass sim.Validate is held by the sched package's tests.
 type Candidate struct {
 	Plan       Plan
 	Throughput float64 // sequences/s; 0 when OOM
@@ -529,12 +530,16 @@ func (p *evalPool) checkin(ev *evaluator) {
 // where it was built, so the returned evalShared references none of it —
 // nor the evaluator's scratch — and the next key (on a pooled evaluator,
 // the next sweep) overwrites the lists, the peaks and the estimate. The
-// Generator does not replay the schedule for deadlocks: the simulation
-// walks the lists under the same batched rendezvous rules, so a schedule
-// that would stall becomes the key's error (wrapping sched.ErrDeadlock),
-// never a hang and never a throughput. The plan must already be valid (the
-// sweep validates each cell at enumerate): everything measured here is a
-// fact about the key, and a cell's P·D never is.
+// Generator does not prove the schedule runs: the simulation walks the
+// lists, so one that would stall becomes the key's error (wrapping
+// sched.ErrDeadlock), and so does a compute reached before its input —
+// never a hang and never a throughput. The walk is batched, as the
+// simulated cell runs, and accepts more than the unbatched proof
+// sim.Validate that runtime.New applies: a sweep can rank a schedule the
+// runtime refuses (45 of 36 000 mutated schedules; none a generator
+// emits). The plan must already be valid (the sweep validates each cell
+// at enumerate): everything measured here is a fact about the key, and a
+// cell's P·D never is.
 func (ev *evaluator) evalSchedule(plan Plan, memFirst bool, deadline float64) (evalShared, error) {
 	s, err := ev.gen.Generate(plan.Scheme, plan.P, plan.B)
 	if err != nil {

@@ -91,24 +91,34 @@ func TestPlanScheduleAndSimulate(t *testing.T) {
 // simulation that measures it, not by its compile. A compiled hanayo-w2
 // schedule missing one activation send stalls its consumer, and the
 // evaluation reports that as an error wrapping sched.ErrDeadlock; one with
-// an activation send moved ahead of the forward that produces it is an
-// error naming that send — never a hang and never a throughput.
+// an activation send moved ahead of the forward that produces it, or a
+// forward moved ahead of the receive that brings its activation, is an
+// error naming that op — never a hang and never a throughput.
 func TestSimulationProvesSchedule(t *testing.T) {
 	plan := bertPlan("hanayo-w2", 4, 1)
 	plan.B = 4
+	isSend := func(a sched.Action) bool { return a.Kind == sched.OpSendAct }
+	isRecv := func(a sched.Action) bool { return a.Kind == sched.OpRecvAct }
 	for _, c := range []struct {
 		name   string
+		find   func(sched.Action) bool
 		mutate func(list []sched.Action, i int) []sched.Action
 		want   func(error) bool
 	}{
-		{"dropped send", func(list []sched.Action, i int) []sched.Action {
+		{"dropped send", isSend, func(list []sched.Action, i int) []sched.Action {
 			return append(list[:i:i], list[i+1:]...)
 		}, func(err error) bool { return errors.Is(err, sched.ErrDeadlock) }},
-		{"send before its forward", func(list []sched.Action, i int) []sched.Action {
+		{"send before its forward", isSend, func(list []sched.Action, i int) []sched.Action {
 			list[i-1], list[i] = list[i], list[i-1]
 			return list
 		}, func(err error) bool {
 			return err != nil && strings.Contains(err.Error(), "before the compute that produces its payload")
+		}},
+		{"forward before its receive", isRecv, func(list []sched.Action, i int) []sched.Action {
+			list[i], list[i+1] = list[i+1], list[i]
+			return list
+		}, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "before its input activation arrives")
 		}},
 	} {
 		ev := newEvaluator()
@@ -118,14 +128,14 @@ func TestSimulationProvesSchedule(t *testing.T) {
 		}
 		mutated := false
 		for d, list := range s.Lists {
-			if i := slices.IndexFunc(list, func(a sched.Action) bool { return a.Kind == sched.OpSendAct }); i > 0 {
+			if i := slices.IndexFunc(list, c.find); i > 0 {
 				s.Lists[d] = c.mutate(list, i)
 				mutated = true
 				break
 			}
 		}
 		if !mutated {
-			t.Fatal("no activation send to mutate")
+			t.Fatal("no activation transfer to mutate")
 		}
 		es, _, err := plan.evaluate(s, ev, false, 0)
 		if !c.want(err) {

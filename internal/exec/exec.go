@@ -401,7 +401,7 @@ type Replicas struct {
 // other device down within one op. The originating error is reported; the
 // ErrCanceled echoes from aborted peers are suppressed. Backends that do
 // not implement Cancellable must not fail mid-schedule while peers block
-// (schedules passing sched.Validate cannot reach the built-in backends'
+// (schedules passing sim.Validate cannot reach the built-in backends'
 // error paths). All device goroutines are joined before returning — also
 // on the cancellation path — so the driver is immediately reusable after a
 // failed run and a canceled run leaks nothing.

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -8,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -324,5 +327,31 @@ func TestCommStatsPopulated(t *testing.T) {
 	}
 	if st.Bytes <= 0 {
 		t.Fatal("no bytes counted")
+	}
+}
+
+// TestNewRefusesBatchedOnlySchedule: New proves a schedule with the
+// unbatched walk, which accepts less than a batched simulation does. With
+// device 0's SA m2 s1 and RA m1 s3 swapped, a chimera P4 B4 schedule still
+// completes batched — the run's send is issued before its receive waits —
+// but in list order device 0 waits for a receive whose sender waits for
+// device 0's send, so New refuses it with an error wrapping
+// sched.ErrDeadlock.
+func TestNewRefusesBatchedOnlySchedule(t *testing.T) {
+	s, err := sched.Chimera(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := s.Lists[0]
+	if got := fmt.Sprint(list[3], " ", list[4]); got != "SA m2 s1 p1 RA m1 s3 p1" {
+		t.Fatalf("device 0's ops 3 and 4 are %s", got)
+	}
+	list[3], list[4] = list[4], list[3]
+	if _, err := sim.Run(s, costmodel.Uniform{Tf: 1, Tb: 2, Tc: 0.1}, sim.DefaultOptions()); err != nil {
+		t.Fatalf("batched simulation: %v", err)
+	}
+	_, err = New(Config{Schedule: s, Model: tinyCfg(), DP: 1})
+	if !errors.Is(err, sched.ErrDeadlock) {
+		t.Fatalf("New: got %v, want an error wrapping sched.ErrDeadlock", err)
 	}
 }

@@ -6,15 +6,16 @@ import "fmt"
 type Option func(*GenParams)
 
 // The one-shot scheme constructors below each drive a fresh single-use
-// Generator and Validate its output, so their schedules share no storage
-// with any reusable state, may be retained freely and arrive proven — the
-// analogue of sim.Run delegating to a fresh sim.Runner. Sweeps and services
-// that generate repeatedly should hold a Generator instead, pay zero
-// steady-state allocations and let the simulation of each schedule prove
-// it.
+// Generator and Validate its output's structure, so their schedules share
+// no storage with any reusable state and may be retained freely — the
+// analogue of sim.Run delegating to a fresh sim.Runner. That the lists run
+// is proven where they run: every simulation refuses a list it cannot walk,
+// and the training runtime proves them with sim.Validate. Sweeps and
+// services that generate repeatedly should hold a Generator instead and pay
+// zero steady-state allocations.
 
-// oneShot compiles sc on a fresh Generator and proves the result with
-// Validate.
+// oneShot compiles sc on a fresh Generator and checks the result's
+// structure with Validate.
 func oneShot(sc Scheme, p, b int, opts []Option) (*Schedule, error) {
 	s, err := NewGenerator().generate(sc, p, b, opts...)
 	if err != nil {

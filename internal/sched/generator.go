@@ -41,17 +41,16 @@ type shapeEntry struct {
 // Clone it — or use the one-shot constructors (ByName, GPipe, Hanayo, …),
 // which drive a fresh single-use Generator and Validate its output.
 //
-// Generate does not replay its output. The greedy engine's time-driven
+// Generate does not check its output. The greedy engine's time-driven
 // execution is itself the executability proof for the compute DAG (every
 // task runs exactly once, on its mapped device, in dependency order,
 // within its live-activation cap), and each task is emitted with exactly
-// one canonically-paired send/recv per cross-device edge it touches —
+// one send/recv pair on the link of each cross-device edge it touches —
 // receives before it, sends after it — plus the flush tail, by
-// construction. The remaining property — the batched
-// rendezvous pattern cannot deadlock — is proven where the schedule runs:
-// a simulation walks the lists under the same batched rules and reports a
-// stall as an error wrapping ErrDeadlock. A caller that keeps a schedule
-// without running it calls Validate, as the one-shot constructors do.
+// construction. That the lists run is proven where they run: a
+// simulation walks them, refuses a compute reached before its input and
+// reports a stall as an error wrapping ErrDeadlock, and sim.Validate is
+// that walk for a caller that keeps a schedule to train on.
 type Generator struct {
 	shapes map[shapeKey]shapeEntry // held by value: no allocation per shape beyond its contents
 	eng    engine

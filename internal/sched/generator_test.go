@@ -187,11 +187,11 @@ func TestTableDrivenMatchesClosureReference(t *testing.T) {
 // single schedule: a fresh Generator pays for its arenas, each once and at
 // its exact size, plus the shape — a mapping (struct, parity tables,
 // hosting rows), a cap table and its lookup, the name — and Validate its
-// own arenas, and nothing per device or per action: 26 objects (26 under
-// -race too; 27 while the engine kept a per-task device arena). The budget
-// was set at 26 plus 5 %, before the one-shot path ran the structural pass
-// of Validate (one more arena). It was 33 while the engine's event heap
-// grew by append, 36 when the mapping was closures and 952 when every
+// one arena, and nothing per device or per action: 22 objects (22 under
+// -race too). The budget was set at 26 plus 5 %, while Validate kept a
+// replay's arenas beside its structural one (26 objects; 27 while the
+// engine kept a per-task device arena). It was 33 while the engine's event
+// heap grew by append, 36 when the mapping was closures and 952 when every
 // per-device list grew by append.
 func TestOneShotAllocsPinned(t *testing.T) {
 	const budget = 27

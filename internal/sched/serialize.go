@@ -119,7 +119,10 @@ func WriteJSON(w io.Writer, s *Schedule) error {
 	return json.NewEncoder(w).Encode(s)
 }
 
-// ReadJSON parses a schedule from r and validates it.
+// ReadJSON parses a schedule from r and checks its structure with
+// Validate. Whether the lists run is left to whatever executes them:
+// sim.Validate proves it, as the training runtime and hanayo-sched -load
+// do.
 func ReadJSON(r io.Reader) (*Schedule, error) {
 	var s Schedule
 	if err := json.NewDecoder(r).Decode(&s); err != nil {

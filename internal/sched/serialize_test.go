@@ -87,8 +87,9 @@ func TestGenerateRejectsInt32Overflow(t *testing.T) {
 }
 
 // FuzzReadJSON: ReadJSON either rejects a document or returns a schedule
-// that passes Validate and survives WriteJSON → ReadJSON unchanged. Never a
-// panic, and never a mapping sized by a header the lists do not back.
+// whose structure passes Validate and that survives WriteJSON → ReadJSON
+// unchanged. Never a panic, and never a mapping sized by a header the lists
+// do not back. (That the lists run is sim.Validate's to prove.)
 func FuzzReadJSON(f *testing.F) {
 	for _, c := range []struct {
 		scheme string

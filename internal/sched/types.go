@@ -4,8 +4,8 @@
 // generates the per-device action lists for every synchronous scheme the
 // paper studies (GPipe, DAPPLE/1F1B, Chimera, Chimera-wave = Hanayo W=1,
 // Hanayo with W waves, interleaved 1F1B), communication insertion with
-// batched cross-communication groups, and a validator that proves a
-// generated schedule is executable.
+// batched cross-communication groups, and a validator of a schedule's
+// structure (that its lists run is proven by walking them: sim.Validate).
 package sched
 
 import "fmt"
