@@ -17,14 +17,15 @@ import (
 // own Estimate, what is left is per sweep the layout, the evaluators and
 // the candidates, and per key its cost model (a struct and one block of
 // stage FLOPs, device rates and link times) and, on a key's first shape,
-// the mapping's tables and the cap table. Each budget is the count measured
-// when it was set plus at most 5 %, and at least the count under -race:
-// 208, 121 and 207 for the exhaustive, top-K and prune rows (212, 128 and
-// 212 under -race: nothing on the path draws from a sync.Pool). The prune
-// row's OOM keys skip the simulation, and judging memory first on the
+// the mapping's tables and the cap table. The rows measure 188, 112 and 187
+// for the exhaustive, top-K and prune rows (191, 117 and 191 under -race:
+// nothing on the path draws from a sync.Pool), and each budget is its
+// -race count plus the margin the budgets kept before: 9, 4 and 8. The
+// prune row's OOM keys skip the simulation, and judging memory first on the
 // schedule's activation peaks allocates nothing; it was 265 while a memory
-// replay ran in front of the simulator. The rows were 212, 126 and 211
-// while the Generator replayed every compile for deadlocks, 218, 132 and
+// replay ran in front of the simulator. The rows were 206, 119 and 205
+// while each (scheme, P) shape built a closure over its cap table, 212, 126
+// and 211 while the Generator replayed every compile for deadlocks, 218, 132 and
 // 217 while each evaluator's schedule compiler grew an event heap by
 // append, 440, 214 and 501 when the cost model held
 // P×S time tables, every key allocated its memory estimate and mappings
@@ -39,9 +40,9 @@ func TestColdSweepAllocsPinned(t *testing.T) {
 		prune  bool
 		budget float64
 	}{
-		{"exhaustive", 0, false, 218},
-		{"topk3", 3, false, 128},
-		{"prune", 0, true, 217},
+		{"exhaustive", 0, false, 200},
+		{"topk3", 3, false, 121},
+		{"prune", 0, true, 199},
 	} {
 		space := topKSpace(1, tc.topK, tc.prune)
 		got := testing.AllocsPerRun(5, func() {
@@ -155,10 +156,11 @@ func TestTunerRepeatSweepAllocsPinned(t *testing.T) {
 // TestEvaluateAllocsPinned pins one standalone Plan.Evaluate, the unit of
 // work a sweep cell costs outside a sweep: a schedule compiled on a
 // single-use evaluator's Generator, its cost model, one simulation and the
-// memory estimate. The budget is the measured count (36) plus 5 %, raised
-// to the count under -race (39); it measured 40 while Evaluate compiled a
-// Validate-proven one-shot schedule and 46 while the schedule compiler grew
-// an event heap by append.
+// memory estimate. It measures 33 (35 under -race), and the budget is the
+// -race count plus the margin of 3 it kept before; it measured 34 while
+// each shape built a closure over its cap table, 40 while Evaluate compiled
+// a Validate-proven one-shot schedule and 46 while the schedule compiler
+// grew an event heap by append.
 func TestEvaluateAllocsPinned(t *testing.T) {
 	plan := Plan{Scheme: "hanayo-w2", Cluster: cluster.TACC(8),
 		Model: nn.BERTStyle(), P: 8, D: 1, B: 16, MicroRows: 2}
@@ -171,7 +173,7 @@ func TestEvaluateAllocsPinned(t *testing.T) {
 			t.Fatal("zero throughput")
 		}
 	})
-	const budget = 39
+	const budget = 38
 	t.Logf("Evaluate: %.0f objects (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("Plan.Evaluate allocates %.0f objects, budget %d", allocs, budget)

@@ -225,69 +225,6 @@ func TestSimBackendParity(t *testing.T) {
 	}
 }
 
-// TestFusedSplitEquivalence pins the fused/split correspondence the whole
-// zero-bubble extension rests on: a zbh1 schedule generated in eager-W mode
-// (each weight-grad action runs immediately after its input-grad half, the
-// gradient send re-attached to the W) under 1F1B's P−s inflight cap must
-// reproduce dapple's simulation exactly — makespan, per-device busy and
-// end times, every zone total and every activation peak — when the split
-// halves sum to the fused backward (the simulator's even split guarantees
-// Tb/2 + (Tb − Tb/2) = Tb). Any drift in the split compute pricing, the comm
-// placement around BI/BW or the interpreter's handling of the new kinds
-// breaks this equality.
-func TestFusedSplitEquivalence(t *testing.T) {
-	for _, sh := range []struct{ p, b int }{{4, 4}, {4, 8}, {8, 8}, {8, 16}} {
-		p := sh.p
-		eager := func(gp *sched.GenParams) {
-			gp.EagerW = true
-			gp.InflightCap = func(stage, chunk int) int { return p - stage }
-		}
-		zs, err := sched.ZBH1(sh.p, sh.b, eager)
-		if err != nil {
-			t.Fatalf("zbh1 P=%d B=%d: %v", sh.p, sh.b, err)
-		}
-		ds, err := sched.DAPPLE(sh.p, sh.b)
-		if err != nil {
-			t.Fatalf("dapple P=%d B=%d: %v", sh.p, sh.b, err)
-		}
-		cost := costmodel.Uniform{Tf: 1, Tb: 2, Tc: 0.05}
-		for _, opts := range []string{"default", "noprefetch", "flush"} {
-			zr, err := sim.Run(zs, cost, simOptions(opts))
-			if err != nil {
-				t.Fatalf("zbh1 P=%d B=%d %s: %v", sh.p, sh.b, opts, err)
-			}
-			dr, err := sim.Run(ds, cost, simOptions(opts))
-			if err != nil {
-				t.Fatalf("dapple P=%d B=%d %s: %v", sh.p, sh.b, opts, err)
-			}
-			if zr.Makespan != dr.Makespan {
-				t.Errorf("P=%d B=%d %s: makespan %.9g, dapple %.9g",
-					sh.p, sh.b, opts, zr.Makespan, dr.Makespan)
-			}
-			for z := 0; z < sim.NumZones; z++ {
-				if zr.Zones[z] != dr.Zones[z] {
-					t.Errorf("P=%d B=%d %s: zone %v total %.9g, dapple %.9g",
-						sh.p, sh.b, opts, sim.Zone(z), zr.Zones[z], dr.Zones[z])
-				}
-			}
-			for d := 0; d < sh.p; d++ {
-				if zr.Busy[d] != dr.Busy[d] {
-					t.Errorf("P=%d B=%d %s: device %d busy %.9g, dapple %.9g",
-						sh.p, sh.b, opts, d, zr.Busy[d], dr.Busy[d])
-				}
-				if zr.End[d] != dr.End[d] {
-					t.Errorf("P=%d B=%d %s: device %d end %.9g, dapple %.9g",
-						sh.p, sh.b, opts, d, zr.End[d], dr.End[d])
-				}
-				if zr.PeakActs[d] != dr.PeakActs[d] {
-					t.Errorf("P=%d B=%d %s: device %d peak %d, dapple %d",
-						sh.p, sh.b, opts, d, zr.PeakActs[d], dr.PeakActs[d])
-				}
-			}
-		}
-	}
-}
-
 // TestUnbatchedDeadlockSurfaces asserts the no-batching ablation still
 // reports the bidirectional NCCL deadlock hazard as an error instead of
 // hanging: a wave schedule's batched cross-exchanges cannot complete under

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/data"
+	"repro/internal/exec"
 	"repro/internal/memmodel"
 	"repro/internal/nn"
 	"repro/internal/sched"
@@ -96,8 +97,11 @@ func TestPeakActBytesReported(t *testing.T) {
 // over a (P, B, DP, checkpointing) grid, the count the real-tensor workers
 // keep as they run equals the scan, which equals the peak of the
 // simulator's timeline, and memmodel.AnalyticPeakActs never falls below
-// them. Cells whose schedule does not exist, or needs more stages than
-// tinyCfg's 16 units, are skipped; the count of engines run is pinned.
+// them. Each engine's per-device compute order — kind, micro-batch and
+// stage of every Record — equals the simulator's too: every executor walks
+// each list in order, and this pins that construction. Cells whose
+// schedule does not exist, or needs more stages than tinyCfg's 16 units,
+// are skipped; the count of engines run is pinned.
 func TestActivationPeaksAgreeAcrossExecutors(t *testing.T) {
 	cfg := tinyCfg()
 	gen := data.NewGenerator(3, cfg.Vocab, cfg.SeqLen)
@@ -114,6 +118,7 @@ func TestActivationPeaksAgreeAcrossExecutors(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				simRecs := r.Records()
 				for d := range scan {
 					if tl := sim.PeakOf(sim.ActivationTimeline(r, d)); tl != scan[d] || scan[d] > analytic[d] {
 						t.Errorf("%s P=%d B=%d device %d: scan %d, sim timeline %d, analytic %d", scheme, p, b, d, scan[d], tl, analytic[d])
@@ -134,6 +139,12 @@ func TestActivationPeaksAgreeAcrossExecutors(t *testing.T) {
 						if !slices.Equal(res.PeakActs, scan) {
 							t.Errorf("%s P=%d B=%d DP=%d checkpoint=%v: runtime peaks %v, scan %v", scheme, p, b, dp, checkpoint, res.PeakActs, scan)
 						}
+						for d := range simRecs {
+							if !slices.EqualFunc(res.Records[d], simRecs[d], sameCompute) {
+								t.Errorf("%s P=%d B=%d DP=%d checkpoint=%v device %d: runtime compute order differs from the simulator's",
+									scheme, p, b, dp, checkpoint, d)
+							}
+						}
 					}
 				}
 			}
@@ -142,6 +153,12 @@ func TestActivationPeaksAgreeAcrossExecutors(t *testing.T) {
 	if engines != 228 {
 		t.Fatalf("ran %d engines, want 228", engines)
 	}
+}
+
+// sameCompute reports whether two Records run the same compute: kind,
+// micro-batch and stage.
+func sameCompute(a, b exec.Record) bool {
+	return a.Action.Kind == b.Action.Kind && a.Action.Micro == b.Action.Micro && a.Action.Stage == b.Action.Stage
 }
 
 // TestGEMSTrainsCorrectly: the GEMS baseline must also match the serial

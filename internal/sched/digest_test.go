@@ -43,7 +43,7 @@ func TestGenerateDigestPinned(t *testing.T) {
 // family (async 1F1B, hanayo-w1…w8 and interleaved-v2…v4 included), P 1–16,
 // B 1–24 and random (Tf, Tb, Tc, Tw) — Tc = 0 in a third of the draws and
 // integer costs in a third of each, so many tasks become ready at one
-// instant — with EagerW in a quarter and the closure-mapped reference path
+// instant — with EagerW in a quarter and the reference path (asReference)
 // in another quarter. The digest was recorded while the engine still drove
 // an event heap, so it guards the per-device next-wake instants that
 // replaced it; TestGenerateDigestPinned covers only the default costs.
@@ -81,17 +81,17 @@ func TestGenerateRandomCostsDigestPinned(t *testing.T) {
 			tc = rng.Float64()
 		}
 		eager, reference := rng.Intn(4) == 0, rng.Intn(4) == 0
-		opts := []Option{func(gp *GenParams) {
+		tweaks := []func(*genParams){func(gp *genParams) {
 			gp.Tf, gp.Tb, gp.Tc, gp.Tw, gp.EagerW = tf, tb, tc, tw, eager
 		}}
 		if reference {
-			opts = append(opts, closureMapping)
+			tweaks = append(tweaks, asReference)
 		}
 		h.Write([]byte(sc.Name() + "/" + strconv.Itoa(p) + "/" + strconv.Itoa(b) + "/" +
 			strconv.FormatFloat(tf, 'g', -1, 64) + "/" + strconv.FormatFloat(tb, 'g', -1, 64) + "/" +
 			strconv.FormatFloat(tc, 'g', -1, 64) + "/" + strconv.FormatFloat(tw, 'g', -1, 64) + "/" +
 			strconv.FormatBool(eager) + "/" + strconv.FormatBool(reference)))
-		s, err := g.generate(sc, p, b, opts...)
+		s, err := g.generateWith(sc, p, b, tweaks...)
 		digestSchedule(h, s, err)
 	}
 	got := h.Sum64()

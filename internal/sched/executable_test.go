@@ -3,6 +3,7 @@ package sched_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -433,49 +434,81 @@ func TestGeneratedSchedulesValidate(t *testing.T) {
 	}
 }
 
-// FuzzGenerate: for any scheme, P ∈ [0, 16], B ∈ [0, 24], ordering costs
-// and EagerW, Generate either returns a schedule that sim.Validate accepts
-// and that equals, action for action, the closure-mapped reference path's
-// — or an error, and an error only for an input the engine rejects up
-// front (P or B out of range, a cost that is not positive and finite,
-// costs large enough to overflow an instant). It never ends in the stall
-// guard.
+// FuzzGenerate: for any scheme, P ∈ [0, 16], B ∈ [0, 24], ordering costs,
+// EagerW and — through the test seam — a priority, a phase barrier and a
+// cap table that no family row need produce, Generate either returns a
+// schedule that sim.Validate accepts and that equals, action for action,
+// the reference path's, or an error that the reference path reports too.
+// It never ends in the stall guard. Under the family's own priority,
+// barrier and caps (prio, barrier and capSeed all 0, as in the corpus
+// files recorded before those arguments existed) the error comes only
+// from an input the engine rejects up front (P or B out of range, a cost
+// that is not positive and finite, costs large enough to overflow an
+// instant); with the knobs drawn, a barrier under a bounded cap may also
+// run out of eligible tasks.
+//
+// prio%3 is the family's priority, backwards first or forwards first;
+// barrier%3 the family's barrier, none or GPipe's; a non-zero capSeed draws
+// every (stage, chunk) cap from unbounded, 1 and 2…S.
 func FuzzGenerate(f *testing.F) {
-	f.Add(uint8(6), uint8(4), uint8(8), 1.0, 2.0, 0.05, 1.0, false)        // hanayo-w1 at the default costs
-	f.Add(uint8(11), uint8(8), uint8(16), 1.0, 1.0, 0.0, 1.0, true)        // zbh1, EagerW, free transfers
-	f.Add(uint8(0), uint8(16), uint8(24), 1.0, 1.5, 0.0, 1.0, false)       // hanayo-w8, many ties
-	f.Add(uint8(4), uint8(4), uint8(3), 1.0, 2.0, 0.05, 1.0, false)        // chimera at odd B
-	f.Add(uint8(3), uint8(4), uint8(4), math.NaN(), 2.0, 0.05, 1.0, false) // dapple, NaN Tf
-	f.Add(uint8(7), uint8(4), uint8(4), 1.0, 2.0, math.Inf(1), 1.0, false) // hanayo-w2, +Inf Tc
-	f.Add(uint8(1), uint8(0), uint8(4), 1.0, 2.0, 0.05, 1.0, false)        // interleaved-v3, P = 0
-	f.Add(uint8(7), uint8(8), uint8(8), 1e-20, 1e10, 0.05, 1.0, false)     // hanayo-w2, Tf vanishing: the single-instant fallback
-	f.Add(uint8(11), uint8(8), uint8(16), 1.0, 2.0, 0.05, 0.01, true)      // zbh1, Tw ≪ min(Tf, Tb): several weight halves per window
-	f.Fuzz(func(t *testing.T, idx, p, b uint8, tf, tb, tc, tw float64, eagerW bool) {
+	f.Add(uint8(6), uint8(4), uint8(8), 1.0, 2.0, 0.05, 1.0, false, uint8(0), uint8(0), uint64(0))        // hanayo-w1 at the default costs
+	f.Add(uint8(11), uint8(8), uint8(16), 1.0, 1.0, 0.0, 1.0, true, uint8(0), uint8(0), uint64(0))        // zbh1, EagerW, free transfers
+	f.Add(uint8(0), uint8(16), uint8(24), 1.0, 1.5, 0.0, 1.0, false, uint8(0), uint8(0), uint64(0))       // hanayo-w8, many ties
+	f.Add(uint8(4), uint8(4), uint8(3), 1.0, 2.0, 0.05, 1.0, false, uint8(0), uint8(0), uint64(0))        // chimera at odd B
+	f.Add(uint8(3), uint8(4), uint8(4), math.NaN(), 2.0, 0.05, 1.0, false, uint8(0), uint8(0), uint64(0)) // dapple, NaN Tf
+	f.Add(uint8(7), uint8(4), uint8(4), 1.0, 2.0, math.Inf(1), 1.0, false, uint8(0), uint8(0), uint64(0)) // hanayo-w2, +Inf Tc
+	f.Add(uint8(1), uint8(0), uint8(4), 1.0, 2.0, 0.05, 1.0, false, uint8(0), uint8(0), uint64(0))        // interleaved-v3, P = 0
+	f.Add(uint8(7), uint8(8), uint8(8), 1e-20, 1e10, 0.05, 1.0, false, uint8(0), uint8(0), uint64(0))     // hanayo-w2, Tf vanishing: the single-instant fallback
+	f.Add(uint8(11), uint8(8), uint8(16), 1.0, 2.0, 0.05, 0.01, true, uint8(0), uint8(0), uint64(0))      // zbh1, Tw ≪ min(Tf, Tb): several weight halves per window
+	f.Add(uint8(3), uint8(8), uint8(16), 1.0, 2.0, 0.05, 1.0, false, uint8(2), uint8(0), uint64(7))       // dapple forwards first under drawn caps
+	f.Add(uint8(4), uint8(4), uint8(8), 1.0, 1.0, 0.0, 1.0, false, uint8(0), uint8(0), uint64(3))         // chimera, drawn caps per direction, ties
+	f.Add(uint8(2), uint8(4), uint8(8), 1.0, 2.0, 0.05, 1.0, false, uint8(0), uint8(1), uint64(5))        // gpipe without its barrier, drawn caps
+	f.Add(uint8(2), uint8(4), uint8(8), 1.0, 2.0, 0.05, 1.0, false, uint8(0), uint8(0), uint64(5))        // gpipe's barrier under drawn caps
+	f.Add(uint8(8), uint8(4), uint8(8), 1.0, 2.0, 0.05, 1.0, false, uint8(1), uint8(2), uint64(0))        // hanayo-w4 behind a barrier, backwards first
+	f.Fuzz(func(t *testing.T, idx, p, b uint8, tf, tb, tc, tw float64, eagerW bool, prio, barrier uint8, capSeed uint64) {
 		scheme := FuzzSchemes[int(idx)%len(FuzzSchemes)]
 		P, B := int(p%17), int(b%25)
-		costs := func(gp *GenParams) {
+		own := prio%3 == 0 && barrier%3 == 0 && capSeed == 0
+		knobs := func(gp *GenParams) {
 			gp.Tf, gp.Tb, gp.Tc, gp.Tw, gp.EagerW = tf, tb, tc, tw, eagerW
+			if prio%3 != 0 {
+				gp.ForwardFirst = prio%3 == 2
+			}
+			if barrier%3 != 0 {
+				gp.PhaseBarrier = barrier%3 == 2
+			}
+			if capSeed != 0 {
+				rng := tensor.NewRNG(capSeed)
+				gp.Cap = make([]int32, gp.Mapping.S*gp.Mapping.ChunksPerDevice())
+				for i := range gp.Cap {
+					gp.Cap[i] = int32(rng.Intn(gp.Mapping.S+2)) - 1
+					if gp.Cap[i] == 0 {
+						gp.Cap[i] = 1
+					}
+				}
+			}
 		}
-		s, err := NewGenerator().Generate(scheme, P, B, costs)
-		sc, _ := ParseScheme(scheme)
-		modest := func(v float64) bool { return v < 1e300 } // false for NaN and +Inf
-		accepted := P > 0 && B > 0 && sc.CheckB(B) == nil &&
-			tf > 0 && tb > 0 && tc >= 0 && modest(tf) && modest(tb) && modest(tc) &&
-			(!sc.Split() || (tw > 0 && modest(tw)))
-		if err != nil {
-			if accepted || strings.Contains(err.Error(), "stalled") {
-				t.Fatalf("%s P=%d B=%d Tf=%g Tb=%g Tc=%g Tw=%g EagerW=%v: %v",
-					scheme, P, B, tf, tb, tc, tw, eagerW, err)
+		label := fmt.Sprintf("%s P=%d B=%d Tf=%g Tb=%g Tc=%g Tw=%g EagerW=%v prio=%d barrier=%d capSeed=%d",
+			scheme, P, B, tf, tb, tc, tw, eagerW, prio%3, barrier%3, capSeed)
+		s, err := GenerateWith(NewGenerator(), scheme, P, B, knobs)
+		want, refErr := GenerateWith(NewGenerator(), scheme, P, B, knobs, AsReference)
+		if err != nil || refErr != nil {
+			if err == nil || refErr == nil || err.Error() != refErr.Error() {
+				t.Fatalf("%s: error %v, reference path's %v", label, err, refErr)
+			}
+			sc, _ := ParseScheme(scheme)
+			modest := func(v float64) bool { return v < 1e300 } // false for NaN and +Inf
+			accepted := P > 0 && B > 0 && sc.CheckB(B) == nil &&
+				tf > 0 && tb > 0 && tc >= 0 && modest(tf) && modest(tb) && modest(tc) &&
+				(!sc.Split() || (tw > 0 && modest(tw)))
+			if own && accepted || strings.Contains(err.Error(), "stalled") {
+				t.Fatalf("%s: %v", label, err)
 			}
 			return
 		}
 		if err := sim.Validate(s); err != nil {
-			t.Fatalf("%s P=%d B=%d: generated schedule fails sim.Validate: %v", scheme, P, B, err)
+			t.Fatalf("%s: generated schedule fails sim.Validate: %v", label, err)
 		}
-		want, err := NewGenerator().Generate(scheme, P, B, costs, ClosureMapping)
-		if err != nil {
-			t.Fatalf("%s P=%d B=%d: reference path: %v", scheme, P, B, err)
-		}
-		SchedulesEqual(t, scheme, s, want)
+		SchedulesEqual(t, label, s, want)
 	})
 }

@@ -6,6 +6,6 @@ package sched
 // micro i+2 may not start until micro i completed its backward. The result
 // is a very high bubble ratio (Fig 1's tallest bars) with low activation
 // memory, which is exactly the trade GEMS makes.
-func GEMS(p, b int, opts ...Option) (*Schedule, error) {
-	return oneShot(Scheme{fam: famGEMS}, p, b, opts)
+func GEMS(p, b int) (*Schedule, error) {
+	return oneShot(Scheme{fam: famGEMS}, p, b)
 }

@@ -23,7 +23,6 @@ type shapeEntry struct {
 	name    string
 	mapping *Mapping
 	capTab  []int32 // per (stage, chunkClass); nil → unlimited
-	capFn   func(stage, chunk int) int
 }
 
 // Generator is a reusable schedule compiler: it owns every buffer
@@ -54,7 +53,7 @@ type shapeEntry struct {
 type Generator struct {
 	shapes map[shapeKey]shapeEntry // held by value: no allocation per shape beyond its contents
 	eng    engine
-	gp     GenParams // per-call parameter block (a field so it never escapes)
+	gp     genParams // per-call parameter block (a field so it never escapes)
 	out    Schedule
 }
 
@@ -66,17 +65,27 @@ func NewGenerator() *Generator { return &Generator{} }
 // micro-batches, reusing the Generator's arenas. The returned Schedule is
 // owned by the Generator and valid only until the next Generate; its
 // rendezvous pattern is proven by running it (see the type comment).
-func (g *Generator) Generate(scheme string, p, b int, opts ...Option) (*Schedule, error) {
+func (g *Generator) Generate(scheme string, p, b int) (*Schedule, error) {
 	sc, err := ParseScheme(scheme)
 	if err != nil {
 		return nil, err
 	}
-	return g.generate(sc, p, b, opts...)
+	return g.generate(sc, p, b)
 }
 
 // generate is the shared compile path behind Generate and the one-shot
-// scheme constructors.
-func (g *Generator) generate(sc Scheme, p, b int, opts ...Option) (*Schedule, error) {
+// scheme constructors: the family row's parameters, then the engine.
+func (g *Generator) generate(sc Scheme, p, b int) (*Schedule, error) {
+	gp, err := g.params(sc, p, b)
+	if err != nil {
+		return nil, err
+	}
+	return g.compile(gp)
+}
+
+// params checks the shape and fills the Generator's parameter block from
+// the scheme's family row and its cached (scheme, P) entry.
+func (g *Generator) params(sc Scheme, p, b int) (*genParams, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("sched: P must be positive, got %d", p)
 	}
@@ -86,52 +95,34 @@ func (g *Generator) generate(sc Scheme, p, b int, opts ...Option) (*Schedule, er
 	if err := checkIDs(p, b, sc.Stages(p)); err != nil {
 		return nil, err
 	}
-	ent := g.shape(sc, p)
-	gp := &g.gp
-	*gp = GenParams{
+	ent, row := g.shape(sc, p), sc.row()
+	g.gp = genParams{
+		name:         ent.name,
 		B:            b,
 		Mapping:      ent.mapping,
-		Priority:     sc.row().priority,
-		PhaseBarrier: sc.row().barrier,
-		InflightCap:  ent.capFn,
+		ForwardFirst: row.forwardFirst,
+		PhaseBarrier: row.barrier,
+		Cap:          ent.capTab,
 		Tf:           1, Tb: 2, Tc: 0.05,
 	}
-	if sc.Split() {
+	if row.split {
 		// Zero-bubble ordering costs: the fused backward (Tb = 2·Tf) splits
 		// into equal input-grad and weight-grad halves, so B + W costs
 		// exactly what the fused op did.
-		gp.SplitBackward = true
-		gp.Tb, gp.Tw = 1, 1
+		g.gp.SplitBackward = true
+		g.gp.Tb, g.gp.Tw = 1, 1
 	}
-	for _, o := range opts {
-		o(gp)
+	return &g.gp, nil
+}
+
+// compile runs the engine on gp and wraps its lists in the Generator's
+// owned Schedule.
+func (g *Generator) compile(gp *genParams) (*Schedule, error) {
+	if err := g.eng.run(gp); err != nil {
+		return nil, fmt.Errorf("sched: %s: %w", gp.name, err)
 	}
-	dev, chk, capTab := &ent.mapping.dev, &ent.mapping.chk, ent.capTab
-	if len(opts) > 0 {
-		// Options mutate GenParams arbitrarily: route caps through whatever
-		// closure is now installed, and if the mapping itself was swapped,
-		// run the reference path, which asks the swapped mapping about every
-		// (micro, stage) and assumes nothing about which device a task wakes.
-		capTab = nil
-		if gp.Mapping != ent.mapping {
-			dev, chk = nil, nil
-		}
-		if err := checkIDs(gp.Mapping.P, gp.B, gp.Mapping.S); err != nil {
-			return nil, err
-		}
-	}
-	if err := g.eng.run(gp, dev, chk, capTab); err != nil {
-		return nil, fmt.Errorf("sched: %s: %w", ent.name, err)
-	}
-	g.out = Schedule{
-		Scheme:  ent.name,
-		P:       gp.Mapping.P,
-		B:       gp.B,
-		S:       gp.Mapping.S,
-		W:       ent.mapping.W,
-		Mapping: gp.Mapping,
-		Lists:   g.eng.lists,
-	}
+	m := gp.Mapping
+	g.out = Schedule{Scheme: gp.name, P: m.P, B: gp.B, S: m.S, W: m.W, Mapping: m, Lists: g.eng.lists}
 	return &g.out, nil
 }
 
@@ -176,7 +167,6 @@ func buildShape(sc Scheme, p int) shapeEntry {
 			}
 		}
 		ent.capTab = tab
-		ent.capFn = func(s, c int) int { return int(tab[s*chunks+c]) }
 	}
 	return ent
 }

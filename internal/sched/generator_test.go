@@ -14,13 +14,13 @@ var generatorSchemes = []string{
 }
 
 // withCosts overrides the relative Tf/Tb/Tc used by the greedy generator.
-func withCosts(tf, tb, tc float64) Option {
-	return func(p *GenParams) { p.Tf, p.Tb, p.Tc = tf, tb, tc }
+func withCosts(tf, tb, tc float64) func(*genParams) {
+	return func(p *genParams) { p.Tf, p.Tb, p.Tc = tf, tb, tc }
 }
 
 // withTw overrides the weight-gradient duration of a split backward.
-func withTw(tw float64) Option {
-	return func(p *GenParams) { p.Tw = tw }
+func withTw(tw float64) func(*genParams) {
+	return func(p *genParams) { p.Tw = tw }
 }
 
 // schedulesEqual compares two schedules bit-for-bit: headers, every action
@@ -139,41 +139,32 @@ func TestGeneratorOwnedResult(t *testing.T) {
 	}
 }
 
-// closureMapping swaps in a copy of the scheme's own mapping: the same
-// placement, but no longer the pointer the shape was built with, so the
-// engine asks the mapping about every (micro, stage), wakes every device at
-// a backward's end and rescans all devices to a fixed point — the
-// reference path.
-func closureMapping(gp *GenParams) {
-	m := *gp.Mapping
-	gp.Mapping = &m
-}
-
 // TestTableDrivenMatchesClosureReference is the scan and arena parity test:
 // for every scheme, shape and wave count the table-driven engine — lookahead
-// windows in which each device runs through its own wakes, closed-form row
-// sizes from the dense device table — must emit, action for action, the
-// lists of the closure-mapped reference path, under the default ordering
-// costs, under withCosts(1, 1.5, 0), whose free transfers make many more
-// tasks ready at the same instant, and under withCosts(1e-20, 1e10, 0.05),
-// whose forward vanishes against the clock once a backward has run: there
-// now + Δ rounds to now and the engine falls back to the single-instant
-// pass.
+// windows in which each device runs through its own wakes — must emit,
+// action for action, the lists of the reference path (asReference: instant
+// by instant, a backward's end waking every device, each busy instant
+// rescanned to a fixed point), under the default ordering costs, under
+// withCosts(1, 1.5, 0), whose free transfers make many more tasks ready at
+// the same instant, under withCosts(1e-20, 1e10, 0.05), whose forward
+// vanishes against the clock once a backward has run — there now + Δ
+// rounds to now and the engine falls back to the single-instant pass — and
+// with Tw ≪ min(Tf, Tb), which runs several weight halves per window.
 func TestTableDrivenMatchesClosureReference(t *testing.T) {
 	schemes := append([]string{"hanayo-w8"}, generatorSchemes...) // waves 1/2/4/8
 	table, reference := NewGenerator(), NewGenerator()
 	for _, scheme := range schemes {
 		for _, shape := range [][2]int{{4, 4}, {8, 16}, {16, 16}, {32, 16}} {
-			for _, costs := range [][]Option{
+			for _, costs := range [][]func(*genParams){
 				nil, {withCosts(1, 1.5, 0)}, {withCosts(1e-20, 1e10, 0.05)},
 				{withCosts(1, 2, 0.05), withTw(0.01)}, // several weight halves per lookahead window
 			} {
 				p, b := shape[0], shape[1]
-				got, err := table.Generate(scheme, p, b, costs...)
+				got, err := GenerateWith(table, scheme, p, b, costs...)
 				if err != nil {
 					t.Fatalf("%s P=%d B=%d: %v", scheme, p, b, err)
 				}
-				want, err := reference.Generate(scheme, p, b, append([]Option{closureMapping}, costs...)...)
+				want, err := GenerateWith(reference, scheme, p, b, append(costs, asReference)...)
 				if err != nil {
 					t.Fatalf("%s P=%d B=%d reference: %v", scheme, p, b, err)
 				}
@@ -186,15 +177,16 @@ func TestTableDrivenMatchesClosureReference(t *testing.T) {
 // TestOneShotAllocsPinned pins a one-shot compile of the benchmark's largest
 // single schedule: a fresh Generator pays for its arenas, each once and at
 // its exact size, plus the shape — a mapping (struct, parity tables,
-// hosting rows), a cap table and its lookup, the name — and Validate its
-// one arena, and nothing per device or per action: 22 objects (22 under
-// -race too). The budget was set at 26 plus 5 %, while Validate kept a
-// replay's arenas beside its structural one (26 objects; 27 while the
-// engine kept a per-task device arena). It was 33 while the engine's event
-// heap grew by append, 36 when the mapping was closures and 952 when every
-// per-device list grew by append.
+// hosting rows), a cap table, the name — and Validate its one arena, and
+// nothing per device or per action: 20 objects (21 under -race, and 21 in
+// a test binary's first measurement). The budget is the -race count plus
+// the margin of 5 it kept before. It was 22 while the cap table had a
+// closure for its lookup, 26 while Validate kept a replay's arenas beside
+// its structural one (27 while the engine kept a per-task device arena), 33
+// while the engine's event heap grew by append, 36 when the mapping was
+// closures and 952 when every per-device list grew by append.
 func TestOneShotAllocsPinned(t *testing.T) {
-	const budget = 27
+	const budget = 26
 	got := testing.AllocsPerRun(5, func() {
 		if _, err := ByName("hanayo-w4", 32, 32); err != nil {
 			t.Fatal(err)
@@ -255,30 +247,37 @@ func TestGeneratorAllocsZeroMixed(t *testing.T) {
 	}
 }
 
-// TestGeneratorOptionsMatchOneShot: the Option escape hatch (the ablation
-// path that flips priority or swaps cost ratios) must flow through the
-// Generator identically to the one-shot constructors.
+// TestGeneratorOptionsMatchOneShot: a tweak through the test seam (the
+// ablation path that flips priority or swaps cost ratios) must compile
+// identically on a reused Generator and on a fresh one, and the fresh
+// compile must Validate as the one-shot constructors' output does.
 func TestGeneratorOptionsMatchOneShot(t *testing.T) {
-	fwdFirst := func(gp *GenParams) { gp.Priority = ForwardFirst }
-	fresh, err := Hanayo(8, 2, 8, fwdFirst)
+	fwdFirst := func(gp *genParams) { gp.ForwardFirst = true }
+	fresh, err := GenerateWith(NewGenerator(), "hanayo-w2", 8, 8, fwdFirst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGenerator()
-	if _, err := g.Generate("hanayo-w2", 8, 8); err != nil { // warm with default opts
+	if err := Validate(fresh); err != nil {
 		t.Fatal(err)
 	}
-	reused, err := g.Generate("hanayo-w2", 8, 8, fwdFirst)
+	g := NewGenerator()
+	if _, err := g.Generate("hanayo-w2", 8, 8); err != nil { // warm with the family's own parameters
+		t.Fatal(err)
+	}
+	reused, err := GenerateWith(g, "hanayo-w2", 8, 8, fwdFirst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	schedulesEqual(t, "hanayo-w2+fwdFirst", reused, fresh)
 
-	costs, err := DAPPLE(4, 8, withCosts(1, 1.5, 0.2))
+	costs, err := GenerateWith(NewGenerator(), "dapple", 4, 8, withCosts(1, 1.5, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reusedCosts, err := g.Generate("dapple", 4, 8, withCosts(1, 1.5, 0.2))
+	if err := Validate(costs); err != nil {
+		t.Fatal(err)
+	}
+	reusedCosts, err := GenerateWith(g, "dapple", 4, 8, withCosts(1, 1.5, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}

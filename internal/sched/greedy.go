@@ -5,28 +5,24 @@ import (
 	"math"
 )
 
-// Priority selects which ready compute task a device runs next.
-type Priority int
-
-// Priority policies.
-const (
-	// ForwardFirst prefers forwards over backwards (GPipe-like).
-	ForwardFirst Priority = iota
-	// BackwardFirst prefers backwards over forwards — the eager-backward
-	// rule that yields 1F1B, Chimera and Hanayo behaviour.
-	BackwardFirst
-)
-
-// GenParams configures the greedy list scheduler.
-type GenParams struct {
-	B        int      // micro-batches
-	Mapping  *Mapping // stage placement
-	Priority Priority
-	// InflightCap limits, per (stage, chunk), forwards-started minus
-	// backwards-finished (the live-activation budget). The chunk argument
-	// distinguishes Chimera's two directions, whose depths differ for the
-	// same stage id. nil means unlimited.
-	InflightCap func(stage, chunk int) int
+// genParams is one compile's parameter block: a scheme's point in
+// (placement, priority, cap, barrier) space plus the relative durations
+// that order the greedy simulation. Generator.params fills it from the
+// family row; the package's tests adjust it before Generator.compile runs.
+type genParams struct {
+	name    string   // canonical scheme name, for the Schedule and errors
+	B       int      // micro-batches
+	Mapping *Mapping // stage placement
+	// ForwardFirst prefers forwards over backwards (GPipe); otherwise
+	// backwards go first — the eager-backward rule that yields 1F1B,
+	// Chimera and Hanayo behaviour.
+	ForwardFirst bool
+	// Cap limits, per (stage, chunk) — row stage·chunks + chunk —
+	// forwards started minus backwards finished (the live-activation
+	// budget); a negative entry, or a nil table, leaves it unbounded. The
+	// chunk distinguishes Chimera's two directions, whose depths differ
+	// for the same stage id.
+	Cap []int32
 	// PhaseBarrier makes backwards on a device ineligible until the device
 	// has run all of its forwards — GPipe's flush-between-phases shape.
 	PhaseBarrier bool
@@ -50,6 +46,10 @@ type GenParams struct {
 	// Tb+Tw. This is the fused-equivalence mode the parity tests use to
 	// prove the split vocabulary degenerates to the classic schemes.
 	EagerW bool
+	// reference selects the instant-by-instant path the lookahead windows
+	// are tested against: a backward's end wakes every device, and an
+	// instant in which anything ran rescans all devices to a fixed point.
+	reference bool
 }
 
 // engine is the greedy list scheduler on flat reusable storage. All state
@@ -70,13 +70,10 @@ type GenParams struct {
 type engine struct {
 	// Run-scoped configuration (set by run, cleared on exit so the engine
 	// retains no caller state between runs).
-	gp     *GenParams
-	dev    *[2][]int32 // per (micro&1, stage) device table; nil → reference path
-	chk    *[2][]int32 // per (micro&1, stage) chunk table; nil → reference path
-	capTab []int32     // per (stage, chunkClass) inflight cap; nil → closure/unlimited
-	s, p   int         // stages, devices
-	half   int         // B·S
-	chunks int         // chunks per device
+	gp     *genParams
+	s, p   int // stages, devices
+	half   int // B·S
+	chunks int // chunks per device
 
 	// Arenas.
 	readyAt  []float64 // valid once enqueued
@@ -115,34 +112,12 @@ func arena[T any](s []T, n int) []T {
 	return s
 }
 
-// devAt resolves the device of (micro, stage) through the dense table when
-// the mapping is micro-parity-determined (every built-in placement) or the
-// mapping's own lookups otherwise (a mapping swapped in via Option).
-func (e *engine) devAt(micro, stage int) int32 {
-	if e.dev != nil {
-		return e.dev[micro&1][stage]
-	}
-	return int32(e.gp.Mapping.Device(micro, stage))
-}
+// devAt is the device of (micro, stage), read from the mapping's parity
+// tables.
+func (e *engine) devAt(micro, stage int) int32 { return e.gp.Mapping.dev[micro&1][stage] }
 
-func (e *engine) chunkAt(micro, stage int) int32 {
-	if e.chk != nil {
-		return e.chk[micro&1][stage]
-	}
-	return int32(e.gp.Mapping.Chunk(micro, stage))
-}
-
-// capOf returns the inflight cap for (stage, chunk), or a negative value
-// for unlimited.
-func (e *engine) capOf(stage, chunk int) int {
-	if e.capTab != nil {
-		return int(e.capTab[stage*e.chunks+chunk])
-	}
-	if e.gp.InflightCap != nil {
-		return e.gp.InflightCap(stage, chunk)
-	}
-	return -1
-}
+// chunkAt is the local chunk of (micro, stage) on its device.
+func (e *engine) chunkAt(micro, stage int) int32 { return e.gp.Mapping.chk[micro&1][stage] }
 
 // enqueue marks a task ready at time at and files it under its device.
 // seg selects the id segment: 0 forward, 1 backward (fused or input-grad),
@@ -173,11 +148,11 @@ func (e *engine) split(t task) (micro, stage int) {
 // permitting.
 func (e *engine) eligible(d, i, micro, stage int) bool {
 	if i < e.half { // forward
-		chunk := int(e.chunkAt(micro, stage))
-		if c := e.capOf(stage, chunk); c >= 0 && int(e.inflight[stage*e.chunks+chunk]) >= c {
-			return false
+		if e.gp.Cap == nil {
+			return true
 		}
-		return true
+		k := stage*e.chunks + int(e.chunkAt(micro, stage))
+		return e.gp.Cap[k] < 0 || e.inflight[k] < e.gp.Cap[k]
 	}
 	if i >= 2*e.half { // weight-grad: ready means runnable (no cap, no barrier)
 		return true
@@ -213,7 +188,7 @@ func (e *engine) pick(d int, now float64) (task, float64) {
 			continue
 		}
 		cls := 0
-		if (i >= e.half) != (e.gp.Priority == BackwardFirst) {
+		if (i >= e.half) == e.gp.ForwardFirst {
 			cls = 1
 		}
 		if i >= 2*e.half {
@@ -281,12 +256,12 @@ func (e *engine) finish(d int32, i, micro, stage int, end float64) {
 		}
 		e.enqueue(micro, stage-1, 1, at)
 	}
-	// The released live-activation budget may unblock capped forwards. With
-	// dense tables every forward of this (stage, chunk) class runs on this
-	// same device — (stage, chunk) determines the host for every
-	// parity-determined placement — so d's own wake at end covers the
-	// release; only a swapped mapping's reference path wakes every device.
-	if e.dev == nil {
+	// The released live-activation budget may unblock capped forwards. Every
+	// forward of this (stage, chunk) class runs on this same device —
+	// (stage, chunk) determines the host in every placement — so d's own
+	// wake at end covers the release; the reference path, which assumes
+	// nothing about where a class runs, wakes every device.
+	if e.gp.reference {
 		for x := range e.next {
 			e.next[x] = min(e.next[x], end)
 		}
@@ -313,10 +288,9 @@ func (e *engine) peer(d int32, micro, stage int) int32 {
 // plus two transfers per neighbouring stage hosted elsewhere (the
 // activation crossing that boundary forward and the gradient crossing it
 // back), then the two-action flush tail; its queue holds every compute
-// task once. With dense tables all micro-batches of one parity share a
-// placement, so micro 0 and micro 1 stand for ⌈B/2⌉ and ⌊B/2⌋ of them;
-// a swapped mapping is asked about every micro-batch. It also counts
-// fwdLeft, the per-device forwards the phase barrier waits on.
+// task once. All micro-batches of one parity share a placement, so micro 0
+// and micro 1 stand for ⌈B/2⌉ and ⌊B/2⌋ of them. It also counts fwdLeft,
+// the per-device forwards the phase barrier waits on.
 func (e *engine) layout() {
 	per := 2
 	if e.gp.SplitBackward {
@@ -336,14 +310,8 @@ func (e *engine) layout() {
 			e.rowLen[d] += int32(acts * n)
 		}
 	}
-	if e.dev != nil {
-		count(0, (e.gp.B+1)/2)
-		count(1, e.gp.B/2)
-	} else {
-		for mi := 0; mi < e.gp.B; mi++ {
-			count(mi, 1)
-		}
-	}
+	count(0, (e.gp.B+1)/2)
+	count(1, e.gp.B/2)
 	total := 2 * e.p // flush tails
 	for _, n := range e.rowLen {
 		total += int(n)
@@ -445,7 +413,7 @@ func (e *engine) runDevice(d int, now float64) bool {
 // window, where the next one starts. now is the least next, so no device
 // is due before the window opens.
 //
-// run calls it only under dense tables and only when end = now + Δ exceeds
+// run calls it, off the reference path, only when end = now + Δ exceeds
 // now, Δ = min(Tf, Tb) being the shortest duration of a task that enqueues
 // a successor, and there the result is the instant-by-instant loop's (pass
 // at every instant). A weight-gradient task may be shorter — a device may
@@ -459,8 +427,9 @@ func (e *engine) runDevice(d int, now float64) bool {
 // half at end on the same device — so no device becomes ready in the window
 // for anything another ran there, and the entry it gains is neither picked
 // nor changes its wakes before end (enqueue lowers next to the same least
-// ready time a later scan would find). Under dense tables a device's cap
-// classes and phase barrier are its own. Nothing a device does in a window
+// ready time a later scan would find). A device's cap classes and phase
+// barrier are its own: every (stage, chunk) class a Mapping places is
+// hosted on one device. Nothing a device does in a window
 // can therefore change another's choices in it, and running the devices
 // one after another yields the lists of scanning all of them at every
 // instant. The least next is taken as each device leaves, as in pass.
@@ -487,8 +456,8 @@ func (e *engine) window(end float64) (ran int, lo float64) {
 // would. Taking the least next as each device leaves the pass is exact: a
 // wake lowered after its device left is never below the end of the run
 // that lowered it — a successor is ready no earlier than its producer ends,
-// and a swapped mapping's broadcast wakes at that end — and the producer's
-// own next is that end, already counted.
+// and the reference path's broadcast wakes at that end — and the
+// producer's own next is that end, already counted.
 func (e *engine) pass(now float64, all bool) (ran int, lo float64) {
 	lo = math.Inf(1)
 	for d := 0; d < e.p; d++ {
@@ -508,29 +477,28 @@ func (e *engine) pass(now float64, all bool) (ran int, lo float64) {
 //
 // The loop is wake-driven: each device keeps next, the earliest instant at
 // which it must be scanned — the end of the task it runs (the device frees;
-// a backward's released budget and the phase barrier are device-local
-// under dense tables), the ready time a task is enqueued with (no earlier
+// a backward's released budget and the phase barrier are device-local), the
+// ready time a task is enqueued with (no earlier
 // than the device frees), or, when a scan finds nothing eligible, the next
 // ready time among its pending tasks. Every other change of eligibility
 // comes from one of those. The result is defined by scanning, at each
 // instant — the least next — the devices due then, in ascending id (pass):
 // with positive durations nothing a scan runs readies a task at the same
-// instant, and under dense tables the budget a backward releases belongs
-// to a class hosted on the device that just went busy, so that one pass
-// leaves the instant quiescent.
+// instant, and the budget a backward releases belongs to a class hosted on
+// the device that just went busy, so that one pass leaves the instant
+// quiescent.
 //
-// For table-driven placements (every built-in scheme) run takes lookahead
-// windows instead of single instants: with Δ = min(Tf, Tb), each step is
-// the window [now, now + Δ), in which
-// every device runs through its own wakes on its own (see window for why
-// that is exact), so a device is checked once per window, not once per
-// instant. When now + Δ rounds to now in float64 (a duration
-// vanishing against the clock), the step falls back to the single-instant
-// pass. A mapping swapped in through an Option carries none of these
-// guarantees (a class may span devices), so it keeps the reference path:
-// backward completions wake every device at their end, and an instant in
-// which anything ran rescans all devices to a fixed point.
-func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error {
+// run takes lookahead windows instead of single instants: with
+// Δ = min(Tf, Tb), each step is the window [now, now + Δ), in which every
+// device runs through its own wakes on its own (see window for why that is
+// exact), so a device is checked once per window, not once per instant.
+// When now + Δ rounds to now in float64 (a duration vanishing against the
+// clock), the step falls back to the single-instant pass. gp.reference
+// selects the path the windows are tested against, which leans on none of
+// these arguments: it steps instant by instant, a backward's end wakes
+// every device, and an instant in which anything ran rescans all devices
+// to a fixed point.
+func (e *engine) run(gp *genParams) error {
 	m := gp.Mapping
 	if gp.B <= 0 {
 		return fmt.Errorf("sched: B must be positive, got %d", gp.B)
@@ -554,8 +522,8 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 	if !(float64(total)*(gp.Tf+gp.Tb+gp.Tc+2*tw) <= math.MaxFloat64/2) {
 		return fmt.Errorf("sched: ordering costs overflow over %d tasks", total)
 	}
-	e.gp, e.dev, e.chk, e.capTab = gp, dev, chk, capTab
-	defer func() { e.gp, e.dev, e.chk, e.capTab = nil, nil, nil, nil }()
+	e.gp = gp
+	defer func() { e.gp = nil }()
 	e.chunks = m.ChunksPerDevice()
 
 	e.readyAt = arena(e.readyAt, total)
@@ -588,7 +556,7 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 		if math.IsInf(now, 1) {
 			return fmt.Errorf("sched: nothing pending with %d/%d tasks executed", executed, total)
 		}
-		if end := now + delta; e.dev != nil && end > now {
+		if end := now + delta; !gp.reference && end > now {
 			ran, lo := e.window(end)
 			executed += ran
 			now = lo
@@ -596,7 +564,7 @@ func (e *engine) run(gp *GenParams, dev, chk *[2][]int32, capTab []int32) error 
 		}
 		ran, lo := e.pass(now, false)
 		executed += ran
-		for ran > 0 && e.dev == nil {
+		for ran > 0 && gp.reference {
 			ran, lo = e.pass(now, true)
 			executed += ran
 		}

@@ -46,21 +46,3 @@ func (m *Mapping) ChunksPerDevice() int { return len(m.hosted) / m.P }
 // StraightMapping is the classic placement: S = P, stage s on device s.
 // GPipe and DAPPLE use it.
 func StraightMapping(p int) *Mapping { return Scheme{fam: famDAPPLE}.mapping(p) }
-
-// WaveMapping is Hanayo's placement with w waves on p devices: S = 2·w·p
-// stages, each device hosting 2·w chunks. Every phase of p stages visits
-// every device once, so a stage's chunk on its device is its phase. w = 1
-// with two data-parallel replicas is exactly Chimera-wave (paper Fig 5).
-func WaveMapping(p, w int) *Mapping { return Scheme{fam: famHanayo, arg: w}.mapping(p) }
-
-// ChimeraMapping is the bidirectional placement (Li & Hoefler): S = P model
-// stages stored twice. Even micro-batches run the down pipe and see stage s
-// on device s; odd ones run the up pipe and see stage s on device P−1−s.
-// Every device hosts chunk 0 (down copy, stage d) and chunk 1 (up copy,
-// stage P−1−d), doubling weight memory — the cost Hanayo's wave
-// transformation removes.
-func ChimeraMapping(p int) *Mapping { return Scheme{fam: famChimera}.mapping(p) }
-
-// InterleavedMapping is Megatron-LM's interleaved 1F1B placement: S = v·p
-// stages assigned round-robin, stage s on device s mod p as chunk s/p.
-func InterleavedMapping(p, v int) *Mapping { return Scheme{fam: famInterleaved, arg: v}.mapping(p) }

@@ -115,7 +115,7 @@ func TestWaveMappingPropertyEveryDeviceHosts2W(t *testing.T) {
 }
 
 func TestChimeraMappingHostsTwoCopies(t *testing.T) {
-	m := ChimeraMapping(4)
+	m := Scheme{fam: famChimera}.mapping(4)
 	// Down micro 0: stage s on device s; up micro 1: stage s on device 3-s.
 	for s := 0; s < 4; s++ {
 		if m.Device(0, s) != s {
@@ -136,7 +136,7 @@ func TestChimeraMappingHostsTwoCopies(t *testing.T) {
 }
 
 func TestInterleavedMapping(t *testing.T) {
-	m := InterleavedMapping(4, 2)
+	m := Scheme{fam: famInterleaved, arg: 2}.mapping(4)
 	if m.S != 8 {
 		t.Fatalf("S = %d", m.S)
 	}

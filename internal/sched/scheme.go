@@ -52,7 +52,7 @@ type familyRow struct {
 	display, unit string
 	arg           int // the parameter of a fixed name (chimera-wave's one wave)
 	place         placement
-	priority      Priority
+	forwardFirst  bool // GPipe's priority: forwards before backwards; else backwards first (eager)
 	barrier       bool // GPipe's flush: every forward before any backward
 	split         bool // zero-bubble: backward split into input-grad and weight-grad actions
 	// cap is the live-activation cap of a stage (forwards started minus
@@ -63,28 +63,28 @@ type familyRow struct {
 var families = [...]familyRow{
 	// Straight placement, all forwards then all backwards per device,
 	// unbounded live activations (paper Fig 3a).
-	famGPipe: {name: "gpipe", display: "GPipe", place: placeStraight, priority: ForwardFirst, barrier: true},
+	famGPipe: {name: "gpipe", display: "GPipe", place: placeStraight, forwardFirst: true, barrier: true},
 	// Straight placement, eager backwards (paper Fig 3b).
-	famDAPPLE: {name: "dapple", display: "DAPPLE", place: placeStraight, priority: BackwardFirst, cap: capOneFOneB},
+	famDAPPLE: {name: "dapple", display: "DAPPLE", place: placeStraight, cap: capOneFOneB},
 	// Bidirectional placement with two weight replicas (paper Fig 3c).
-	famChimera: {name: "chimera", display: "Chimera", place: placeBidir, priority: BackwardFirst, cap: capChimera},
+	famChimera: {name: "chimera", display: "Chimera", place: placeBidir, cap: capChimera},
 	// Chimera after the wave transformation, i.e. Hanayo with a single
 	// wave — the paper's evaluation baseline (§3.2, Fig 5).
-	famChimeraWave: {name: "chimera-wave", display: "Chimera-wave", arg: 1, place: placeWave, priority: BackwardFirst, cap: capWave},
+	famChimeraWave: {name: "chimera-wave", display: "Chimera-wave", arg: 1, place: placeWave, cap: capWave},
 	// Wave placement with W waves, eager backwards (paper Fig 3d/3e, Fig 6).
-	famHanayo: {name: "hanayo-w", display: "Hanayo-", unit: "w", place: placeWave, priority: BackwardFirst, cap: capWave},
+	famHanayo: {name: "hanayo-w", display: "Hanayo-", unit: "w", place: placeWave, cap: capWave},
 	// Megatron-LM's interleaved 1F1B with v chunks per device (§2.2).
-	famInterleaved: {name: "interleaved-v", display: "Interleaved-", unit: "v", place: placeInterleaved, priority: BackwardFirst, cap: capInterleaved},
+	famInterleaved: {name: "interleaved-v", display: "Interleaved-", unit: "v", place: placeInterleaved, cap: capInterleaved},
 	// Chimera's placement with at most one micro-batch active per direction
 	// (Jain et al.): very high bubble ratio, minimal activation memory —
 	// exactly the trade GEMS makes (paper Fig 1).
-	famGEMS: {name: "gems", display: "GEMS", place: placeBidir, priority: BackwardFirst, cap: func(int, int) int { return 1 }},
+	famGEMS: {name: "gems", display: "GEMS", place: placeBidir, cap: func(int, int) int { return 1 }},
 	// DAPPLE's block with no barrier between iterations (Fig 4b); reachable
 	// only through AsyncOneFOneB, never by name.
-	famAsync: {name: "async-1f1b", display: "async 1F1B", place: placeStraight, priority: BackwardFirst, cap: capOneFOneB},
+	famAsync: {name: "async-1f1b", display: "async 1F1B", place: placeStraight, cap: capOneFOneB},
 	// Zero-bubble ZB-H1-like: 1F1B with each backward split into B and W
 	// halves (Qi et al.).
-	famZBH1: {name: "zbh1", display: "ZB-H1", place: placeStraight, priority: BackwardFirst, split: true, cap: capZBH1},
+	famZBH1: {name: "zbh1", display: "ZB-H1", place: placeStraight, split: true, cap: capZBH1},
 }
 
 // capOneFOneB is 1F1B's P−s: a forward's activation lives for the round
